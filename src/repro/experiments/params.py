@@ -42,15 +42,6 @@ class ScenarioParams:
     #: shadowing model); ``"off"`` or a negative value disables culling.
     #: See :mod:`repro.phy.channel`.
     cull_margin_db: Union[float, str, None] = None
-    #: Struct-of-arrays channel backend.  ``None`` defers to the
-    #: ``REPRO_VECTOR`` environment knob (default off); ``True``/``False``
-    #: pin it per scenario.  See :mod:`repro.phy.vector`.
-    vector_phy: Optional[bool] = None
-    #: Hash-grid spatial candidate generation.  ``None`` defers to the
-    #: ``REPRO_SPATIAL`` environment knob (default off); ``True``/``False``
-    #: pin it per scenario.  Inert unless culling is active.  See
-    #: :mod:`repro.phy.spatial`.
-    spatial_index: Optional[bool] = None
     # PHY.
     rates: RateTable = field(default_factory=lambda: OFDM_RATES)
     timing: PhyTiming = OFDM_TIMING

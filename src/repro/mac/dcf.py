@@ -797,12 +797,6 @@ class DcfMac:
     def on_energy_changed(self, energy_mw: float) -> None:
         """Radio callback: in-air energy changed (CO-MAP RSSI monitor hook)."""
 
-    # Marker consumed by Radio.bind_mac: plain DCF ignores energy
-    # updates, so the vector backend's batch delivery may skip the
-    # dispatch (and the energy argument) entirely.  Subclasses that
-    # override the hook (CO-MAP, C-MAP) do not inherit the marker.
-    on_energy_changed._phy_noop = True
-
     def on_header_overheard(self, frame: Frame, rssi_dbm: float) -> None:
         """Template method: a CO-MAP announcement header was decoded."""
 

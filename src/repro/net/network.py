@@ -189,8 +189,6 @@ class Network:
                 band=band,
                 registry=self.registry,
                 cull_margin_db=getattr(self.params, "cull_margin_db", None),
-                vector=getattr(self.params, "vector_phy", None),
-                spatial=getattr(self.params, "spatial_index", None),
             )
             self._channels[band] = channel
         return channel
@@ -376,10 +374,10 @@ class Network:
             return
         self._finalized = True
         for channel in self._channels.values():
-            # Eager spatial-grid build (no-op when spatial is off): the
-            # topology is complete here, so the cell-size heuristic sees
-            # the full extent, and the occupancy histogram snapshots the
-            # as-built distribution.
+            # Eager candidate-grid build (no-op with no radio attached):
+            # the topology is complete here, so the cell-size heuristic
+            # sees the full extent, and the occupancy histogram snapshots
+            # the as-built distribution.
             if channel.prepare_spatial() is not None:
                 channel.record_spatial_occupancy()
         if self.mac_kind not in _LOCATION_MAC_KINDS:

@@ -101,12 +101,12 @@ class RunManifest:
     #: the worker ids that produced the fragments.  ``None`` on
     #: single-``run_tasks`` manifests (schema version 2, optional).
     shards: Optional[Dict[str, Any]] = None
-    #: Spatial candidate-generation configuration at sweep completion
-    #: (``enabled`` flag plus grid cell-size and reach-radius aggregates
-    #: when any grid was built) — see
+    #: Candidate-grid cell-size and reach-radius aggregates at sweep
+    #: completion (empty when no grid was built) — see
     #: :func:`repro.phy.spatial.spatial_manifest_block`.  Optional for
     #: the same archival-compatibility reason as ``profile``: manifests
-    #: written before the spatial index existed validate unchanged.
+    #: written before the spatial index existed validate unchanged, as
+    #: do those with the ``enabled`` flag of the switchable grid.
     spatial: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:

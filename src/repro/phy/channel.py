@@ -31,7 +31,7 @@ independent counter-based stream, so consuming (or *skipping*) draws on
 one link can never perturb any other link's randomness.  That
 independence is the precondition for below-floor culling: a culled
 link's draw is simply never taken, and every other link still sees
-exactly the sequence it would have seen in an exhaustive run.
+exactly the sequence it would have seen with culling off.
 
 Below-floor interference culling
 --------------------------------
@@ -42,62 +42,51 @@ mean received power (path loss only — invalidated per radio on
 ``cull_margin_db`` below **both** the receiver's noise floor and its
 carrier-sense threshold, the receiver is skipped entirely for that
 frame: no shadowing draw, no ``rx_power_mw`` entry, and neither the
-``on_air_start`` nor the ``on_air_end`` event is scheduled.  The margin
+``on_air_start`` nor the ``on_air_end`` notification.  The margin
 defaults to 6σ of the shadowing model (20 dB when σ = 0), can be set
 explicitly via the ``REPRO_CULL_MARGIN_DB`` environment knob, and
-``REPRO_CULL_MARGIN_DB=off`` restores the old exhaustive path.  Culled
-notifications are counted in the ``channel/culled_links`` counter.
+``REPRO_CULL_MARGIN_DB=off`` disables culling.  Culled notifications
+are counted in the ``channel/culled_links`` counter.  The margin is the
+channel's only execution setting.
 
-Spatial candidate generation (``REPRO_SPATIAL``)
-------------------------------------------------
+Candidate generation
+--------------------
 
-Culling skips the *work* for a below-floor receiver but still *visits*
-every attached radio per frame.  With ``REPRO_SPATIAL=1`` (or the
-``spatial`` constructor argument / ``ScenarioParams.spatial_index``) the
-channel maintains a :class:`repro.phy.spatial.SpatialIndex` over
+The channel keeps a :class:`repro.phy.spatial.SpatialIndex` over its
 attached radios and sweeps only the radios inside the sender's *reach
 radius* — the provably sound cull boundary derived by
 :meth:`repro.phy.propagation.LogNormalShadowing.reach_radius_m` from
 the sender's transmit power, the weakest ``min(noise_floor, T_cs)``
 threshold ever attached to the band, and the culling margin.  Every
 radio the grid skips would have failed the cull test, and every
-candidate still runs the exact cull test, so per-node outcomes are
-bit-identical to the exhaustive sweep; only the ``channel/spatial_*``
-counters record the difference.  Candidates are re-sorted into attach
-order before delivery, preserving the notification order contract.
-Spatial mode requires an active culling margin — with
-``cull_margin_db=None`` there is no sound radius, so the knob is inert
-and the exhaustive loop runs unchanged.  The weakest threshold is never
-relaxed on detach (a stale, lower value only enlarges the radius —
-sound, and it keeps detach O(1)); per-radio configs are assumed fixed
-after attach, except transmit power, which enters per-sender radii at
-query time.
+candidate still runs the exact cull test; grid skips are charged to
+``channel/culled_links`` so the counter equals a full sweep's.
+Candidates are sorted into attach order before delivery, which keeps
+the notification order of a sweep over every attached radio.  With
+culling off the reach radius is infinite and the grid returns every
+attached radio.  The weakest threshold is never relaxed on detach (a
+stale, lower value only enlarges the radius — sound, and it keeps
+detach O(1)); per-radio configs are assumed fixed after attach, except
+transmit power, which enters per-sender radii at query time.
 
-Linear-domain power caches (the frame hot path)
------------------------------------------------
+Linear-domain power caches and coalesced notifications
+------------------------------------------------------
 
 Surviving (sender, receiver) notifications dominate dense topologies
-where nothing can be culled, and each one historically paid a
-``10 ** (x / 10)`` per frame.  The pair cache therefore stores the
+where nothing can be culled.  The pair cache therefore stores the
 **linear-domain (mW)** mean power alongside the dB value, per-frame
 shadowing composes as a single multiply
 (``mean_mw * db_to_ratio(offset)``), and ``per_link`` mode caches the
 fully-composed rx power per pair.  The discipline is *cache, never
-re-derive*: every cached value is produced by exactly the expression
-the uncached path evaluates, so results are bit-identical either way.
-``REPRO_HOTPATH=off`` (sampled at channel construction; see
-:mod:`repro.util.hotpath`) forces the full re-derivation path —
-distance, ``math.log10`` path loss, and dBm→mW conversion per link per
-frame — used by the equivalence tests and as the bench baseline.
+re-derive*: every cached value is produced by exactly the expression a
+from-scratch derivation evaluates, so caching cannot change a result
+(``tests/test_hotpath_equivalence.py`` checks the channel against such
+a derivation).
 
-The hot path also coalesces air notifications: a frame's per-receiver
-``on_air_start`` (and ``on_air_end``) events all share one timestamp
-and consecutive sequence numbers, so no other event can ever fire
-between them — one engine event delivering all receivers in the same
-order is exactly equivalent and cuts heap traffic from ``2N + 2`` to
-4 events per frame.  Per-node outcomes are bit-identical either way
-(``tests/test_hotpath_equivalence.py``); only ``events_fired`` and the
-heap-pressure counters differ.
+A frame's per-receiver ``on_air_start`` (and ``on_air_end``)
+notifications all share one timestamp, so one engine event per frame
+edge delivers them all, in attach order: 4 events per frame instead of
+``2N + 2``.  With zero air latency they run inline instead.
 """
 
 from __future__ import annotations
@@ -112,7 +101,6 @@ from repro.phy.propagation import LogNormalShadowing
 from repro.phy.spatial import SpatialIndex, record_grid_built, record_reach_radius
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
-from repro.util.hotpath import hotpath_enabled, spatial_enabled, vector_enabled
 from repro.util.rng import RngStreams
 from repro.util.units import db_to_ratio, dbm_to_mw
 
@@ -124,7 +112,7 @@ if TYPE_CHECKING:  # avoid a phy <-> mac import cycle; hints only
 #: Valid values for the channel's ``shadowing_mode``.
 SHADOWING_MODES = ("per_frame", "per_link", "none")
 
-#: Environment knob: culling margin in dB, or ``off`` for the exhaustive path.
+#: Environment knob: culling margin in dB, or ``off`` to disable culling.
 CULL_MARGIN_ENV = "REPRO_CULL_MARGIN_DB"
 
 #: Default margin as a multiple of the shadowing sigma.
@@ -253,8 +241,6 @@ class Channel:
         air_latency_ns: int = 1_000,
         registry=None,
         cull_margin_db: Union[float, str, None] = None,
-        vector: Optional[bool] = None,
-        spatial: Optional[bool] = None,
     ) -> None:
         if shadowing_mode not in SHADOWING_MODES:
             raise ValueError(
@@ -283,7 +269,7 @@ class Channel:
         self.trace = trace if trace is not None else TraceRecorder()
         self.trace.bind_clock(lambda: sim.now)
         self._rngs = rngs
-        #: Resolved culling margin in dB, or None for the exhaustive path.
+        #: Resolved culling margin in dB, or None with culling off.
         self.cull_margin_db = resolve_cull_margin_db(
             propagation.sigma_db, cull_margin_db
         )
@@ -292,23 +278,16 @@ class Channel:
         #: detach is an O(1) pop that preserves the iteration order of
         #: every remaining radio (pinned by tests/test_spatial.py).
         self._radios_by_id: Dict[int, "Radio"] = {}
-        #: Monotone per-radio attach sequence numbers: spatial candidate
-        #: sets sort by these to restore attach-order delivery.  A
+        #: Monotone per-radio attach sequence numbers: candidate sets
+        #: sort by these to restore attach-order delivery.  A
         #: re-attached radio gets a fresh (higher) number, matching its
         #: new position at the end of the dict's insertion order.
         self._attach_seq: Dict[int, int] = {}
         self._next_attach_seq = 0
         self._active: List[Transmission] = []
-        #: Spatial candidate generation (``REPRO_SPATIAL``; see
-        #: repro.phy.spatial).  An explicit ``spatial`` argument wins
-        #: over the environment knob.  Requires an active culling margin
-        #: — without one there is no sound reach radius, so the knob is
-        #: inert and the exhaustive sweep runs unchanged.
-        use_spatial = spatial_enabled() if spatial is None else spatial
-        self._spatial_pending = bool(use_spatial) and self.cull_margin_db is not None
-        #: The grid itself, built lazily at the first transmission (cell
-        #: sizing needs the topology extent) or eagerly via
-        #: :meth:`prepare_spatial`.
+        #: The candidate grid (see repro.phy.spatial), built lazily at
+        #: the first transmission (cell sizing needs the topology
+        #: extent) or eagerly via :meth:`prepare_spatial`.
         self._spatial: Optional[SpatialIndex] = None
         #: Weakest ``min(noise_floor, T_cs)`` ever attached to the band:
         #: the threshold the reach radius must stay sound against.
@@ -324,17 +303,13 @@ class Channel:
         self.spatial_candidates = 0
         self.spatial_skipped = 0
         self._registry = None
-        #: Snapshot of the ``REPRO_HOTPATH`` knob (see repro.util.hotpath);
-        #: sampled at construction so the per-frame path branches on a
-        #: plain attribute.
-        self._hotpath = hotpath_enabled()
-        #: Cached per-link shadowing offsets (``per_link`` mode only).
-        #: Semantic state, not a perf cache: ``per_link`` means one draw
-        #: per pair for the whole run, so this survives REPRO_HOTPATH=off.
+        #: Per-link shadowing offsets (``per_link`` mode only).  Semantic
+        #: state, not a perf cache: ``per_link`` means one draw per pair
+        #: for the whole run.
         self._link_shadowing_db = _PairCache()
-        #: Cached ``(mean_dbm, mean_mw)`` per (tx, rx) pair (hot path only).
+        #: Cached ``(mean_dbm, mean_mw)`` per (tx, rx) pair.
         self._mean_rx_cache = _PairCache()
-        #: Cached fully-composed rx power in mW (``per_link`` + hot path).
+        #: Cached fully-composed rx power in mW (``per_link`` mode only).
         self._link_rx_mw = _PairCache()
         #: Memoized per-link shadowing generators (identity per (tx, rx);
         #: avoids rebuilding the substream key tuple per frame).
@@ -342,16 +317,6 @@ class Channel:
         #: Counters for diagnostics and tests.
         self.frames_sent = 0
         self.links_culled = 0
-        #: Struct-of-arrays backend (``REPRO_VECTOR``; see repro.phy.vector).
-        #: An explicit ``vector`` argument wins over the environment knob.
-        #: Constructed lazily-imported so the scalar path never touches
-        #: the module (numpy is optional for it).
-        self._vector_backend = None
-        use_vector = vector_enabled() if vector is None else vector
-        if use_vector:
-            from repro.phy.vector import VectorBackend
-
-            self._vector_backend = VectorBackend(self)
         if registry is not None:
             self.register_counters(registry)
 
@@ -373,7 +338,6 @@ class Channel:
         below-floor culling; ``cull_margin_db`` is the resolved margin
         (``-1.0`` when culling is off).
         """
-        backend = self._vector_backend
         grid = self._spatial
         return {
             "frames_sent": self.frames_sent,
@@ -383,23 +347,12 @@ class Channel:
             "cull_margin_db": (
                 self.cull_margin_db if self.cull_margin_db is not None else -1.0
             ),
-            # Vector-backend activity (0 when the scalar path is active):
-            # batches = frames evaluated through the array path, links =
-            # surviving receiver evaluations those frames produced.
-            "vector_batches": backend.batches if backend is not None else 0,
-            "vector_links": backend.links if backend is not None else 0,
-            # Spatial-index activity (zeros when the grid is off):
-            # queries = grid lookups, candidates = radios those lookups
-            # returned (after sender exclusion), skipped = attached
-            # radios the queries never visited.  Every skipped radio is
-            # a link the cull test would have rejected, and both paths
-            # charge grid skips into ``culled_links`` *per frame*, so
-            # that counter stays identical to the exhaustive path's.
-            # The spatial_* counters themselves tick per grid query —
-            # scalar mode queries every frame, the vector backend once
-            # per cached plan build — so they are mode-dependent
-            # diagnostics (like ``vector_batches``), not
-            # equivalence-checked.
+            # Candidate-grid activity, one query per frame: candidates =
+            # radios the queries returned (after sender exclusion),
+            # skipped = attached radios the queries never visited.  Every
+            # skipped radio is a link the cull test would have rejected,
+            # and skips are charged into ``culled_links`` too, so that
+            # counter equals a full sweep's.
             "spatial_queries": self.spatial_queries,
             "spatial_candidates": self.spatial_candidates,
             "spatial_skipped": self.spatial_skipped,
@@ -436,8 +389,6 @@ class Channel:
         if self._spatial is not None:
             position = radio.position
             self._spatial.add(radio.radio_id, position.x, position.y)
-        if self._vector_backend is not None:
-            self._vector_backend.rebuild()
         radio.on_attached()
 
     def detach(self, radio: "Radio") -> None:
@@ -455,11 +406,10 @@ class Channel:
         if self._radios_by_id.pop(radio.radio_id, None) is None:
             raise ValueError(f"radio id {radio.radio_id} is not attached")
         # O(1) departure: the ordered dict pop above removed the radio
-        # without disturbing any other radio's iteration position (the
-        # old list-based store paid an O(N) ``list.remove`` here, which
-        # churn faults hammer).  The attach-seq entry goes with it; the
-        # weakest-threshold floor is deliberately *not* recomputed (see
-        # the class docstring — a stale, lower floor is still sound).
+        # without disturbing any other radio's iteration position.  The
+        # attach-seq entry goes with it; the weakest-threshold floor is
+        # deliberately *not* recomputed (see the module docstring — a
+        # stale, lower floor is still sound).
         del self._attach_seq[radio.radio_id]
         if self._spatial is not None:
             self._spatial.remove(radio.radio_id)
@@ -470,8 +420,6 @@ class Channel:
             # Memory hygiene only: substream() memoizes per key, so a
             # re-attached radio gets the identical generator back.
             del self._link_rng_memo[pair]
-        if self._vector_backend is not None:
-            self._vector_backend.rebuild()
         radio.on_detached()
 
     @property
@@ -515,7 +463,7 @@ class Channel:
         Called by :meth:`repro.phy.radio.Radio.move_to`: drops the
         radio's cached mean-power entries (they encode the old distance),
         its per-link shadowing draws, and the composed per-link powers
-        derived from both.
+        derived from both, and rehashes it in the candidate grid.
         """
         self._mean_rx_cache.invalidate(radio_id)
         self._link_shadowing_db.invalidate(radio_id)
@@ -525,8 +473,6 @@ class Channel:
             if radio is not None:  # detach scrubs the grid itself
                 position = radio.position  # move_to updated it already
                 self._spatial.move(radio_id, position.x, position.y)
-        if self._vector_backend is not None:
-            self._vector_backend.on_radio_moved(radio_id)
 
     def on_radio_power_changed(self, radio_id: int) -> None:
         """Invalidate everything tx-power-dependent for ``radio_id``.
@@ -537,14 +483,9 @@ class Channel:
         encode the old transmit power, but ``per_link`` shadowing draws
         are a property of the *link*, not the power, and must survive —
         redrawing them would silently change physics with the RNG.
-        The vector backend's row/plan invalidation is position/power
-        agnostic (it refills from current config without consuming
-        draws), so it is shared with the moved path.
         """
         self._mean_rx_cache.invalidate(radio_id)
         self._link_rx_mw.invalidate(radio_id)
-        if self._vector_backend is not None:
-            self._vector_backend.on_radio_moved(radio_id)
 
     @property
     def active_transmissions(self) -> List[Transmission]:
@@ -552,20 +493,15 @@ class Channel:
         return list(self._active)
 
     # ------------------------------------------------------------------
-    # Spatial candidate generation (REPRO_SPATIAL; see repro.phy.spatial)
+    # Candidate generation (see repro.phy.spatial)
     # ------------------------------------------------------------------
     @property
     def spatial_index(self) -> Optional[SpatialIndex]:
-        """The hash grid, or None (off, or not yet built)."""
+        """The candidate grid, or None before it is built."""
         return self._spatial
 
-    @property
-    def spatial_active(self) -> bool:
-        """True when spatial candidate generation will be used."""
-        return self._spatial_pending
-
     def prepare_spatial(self) -> Optional[SpatialIndex]:
-        """Eagerly build the grid (idempotent; None when spatial is off).
+        """Eagerly build the grid (idempotent; None while nothing is attached).
 
         :meth:`repro.net.network.Network.finalize` calls this once the
         topology is complete so the cell-size heuristic sees the full
@@ -578,7 +514,7 @@ class Channel:
 
     def _ensure_spatial(self) -> Optional[SpatialIndex]:
         grid = self._spatial
-        if grid is not None or not self._spatial_pending:
+        if grid is not None:
             return grid
         radios = self._radios_by_id
         if not radios:
@@ -598,33 +534,39 @@ class Channel:
         makes a query touch ~9 cells regardless of N; clamping to the
         topology's larger axis span keeps a floor smaller than the
         radius from degenerating below one cell of useful resolution
-        (it becomes a 1–2 cell grid ≡ the exhaustive sweep).  Frozen at
-        first build: radios attached later may shift the extent or the
-        power maximum, which only affects constants, never soundness —
-        per-sender query radii always come from :meth:`_reach_radius`.
+        (it becomes a 1–2 cell grid, i.e. a sweep over every radio).
+        With culling off every query is unbounded and any positive edge
+        works.  Frozen at first build: radios attached later may shift
+        the extent or the power maximum, which only affects constants,
+        never soundness — per-sender query radii always come from
+        :meth:`_reach_radius`.
         """
-        reach = self.propagation.reach_radius_m(
-            self._max_tx_power_dbm,
-            self._weakest_threshold_dbm,
-            self.cull_margin_db,
-        )
+        reach = self._reach_radius(self._max_tx_power_dbm)
         xs = [r.position.x for r in self._radios_by_id.values()]
         ys = [r.position.y for r in self._radios_by_id.values()]
         extent = max(max(xs) - min(xs), max(ys) - min(ys))
-        if extent > 0.0:
-            return min(reach, extent)
-        return reach
+        cell = min(reach, extent) if extent > 0.0 else reach
+        # Floored at the reference distance: a near-zero extent would
+        # overflow the cell index, and culling off with every radio at
+        # one point leaves no finite size at all.
+        floor_m = self.propagation.reference_distance_m
+        return max(cell, floor_m) if math.isfinite(cell) else floor_m
 
-    def _reach_radius(self, sender: "Radio") -> float:
-        """The sender's sound culling radius (memoized per tx power)."""
-        power = sender.config.tx_power_dbm
-        radius = self._reach_memo.get(power)
+    def _reach_radius(self, tx_power_dbm: float) -> float:
+        """Sound culling radius for a transmit power (memoized).
+
+        ``math.inf`` with culling off: no radio can be skipped.
+        """
+        radius = self._reach_memo.get(tx_power_dbm)
         if radius is None:
-            radius = self.propagation.reach_radius_m(
-                power, self._weakest_threshold_dbm, self.cull_margin_db
-            )
-            self._reach_memo[power] = radius
-            record_reach_radius(radius)
+            if self.cull_margin_db is None:
+                radius = math.inf
+            else:
+                radius = self.propagation.reach_radius_m(
+                    tx_power_dbm, self._weakest_threshold_dbm, self.cull_margin_db
+                )
+                record_reach_radius(radius)
+            self._reach_memo[tx_power_dbm] = radius
         return radius
 
     def _spatial_candidates(self, sender: "Radio") -> List["Radio"]:
@@ -633,13 +575,14 @@ class Channel:
         A provable superset of the cull survivors (every skipped radio
         fails ``mean + margin >= min(noise, T_cs)``); the caller still
         runs the exact cull test per candidate.  Sorting by attach
-        sequence restores the delivery order the exhaustive loop
-        produces, keeping notification order — and therefore every
-        downstream outcome — bit-identical.
+        sequence gives the delivery order of a sweep over every
+        attached radio, so outcomes do not depend on grid layout.
         """
         grid = self._spatial or self._ensure_spatial()
         position = sender.position
-        ids = grid.query_disk(position.x, position.y, self._reach_radius(sender))
+        ids = grid.query_disk(
+            position.x, position.y, self._reach_radius(sender.config.tx_power_dbm)
+        )
         self.spatial_queries += 1
         sender_id = sender.radio_id
         ids = [i for i in ids if i != sender_id]
@@ -677,40 +620,22 @@ class Channel:
         Radios whose mean received power sits ``cull_margin_db`` below
         both their noise floor and their carrier-sense threshold are
         skipped entirely (no draw, no ``rx_power_mw`` entry, no events).
-
-        With the vector backend active the whole receiver sweep —
-        culling, power draws, masks, delivery — runs as one batched
-        pass in :meth:`repro.phy.vector.VectorBackend.transmit`;
-        per-node outcomes are bit-identical either way.
         """
-        if self._vector_backend is not None:
-            return self._vector_backend.transmit(sender, frame)
         duration = self.timing.frame_airtime_ns(frame)
         tx = Transmission(frame, sender, self.sim.now, self.sim.now + duration)
         self._active.append(tx)
         self.frames_sent += 1
         margin = self.cull_margin_db
         latency = self.air_latency_ns
-        schedule = self.sim.schedule
-        culled = 0
+        candidates = self._spatial_candidates(sender)
+        # The radios the grid skipped are exactly radios the cull test
+        # below would have rejected, so they count as culled.
+        culled = len(self._radios_by_id) - 1 - len(candidates)
+        self.spatial_skipped += culled
         receivers: List[Tuple["Radio", float]] = []
-        if self._spatial_pending:
-            # Grid pre-filter: sweep only the sender's reach disk.  The
-            # radios skipped here are exactly radios the cull test below
-            # would have rejected (reach-radius soundness), so they are
-            # charged to ``culled`` to keep the counter identical to the
-            # exhaustive path's.
-            candidates = self._spatial_candidates(sender)
-            culled = len(self._radios_by_id) - 1 - len(candidates)
-            self.spatial_skipped += culled
-            sweep = candidates
-        else:
-            sweep = self._radios_by_id.values()
-        for radio in sweep:
-            if radio is sender:
-                continue
+        for radio in candidates:
             if margin is not None:
-                mean_dbm = self._mean_rx_dbm(sender, radio)
+                mean_dbm = self._mean_rx(sender, radio)[0]
                 config = radio.config
                 if (
                     mean_dbm + margin < config.noise_floor_dbm
@@ -720,18 +645,12 @@ class Channel:
                     continue
             power_mw = self._received_power_mw(sender, radio, frame)
             tx.rx_power_mw[radio.radio_id] = power_mw
-            if not latency:
-                radio.on_air_start(tx, power_mw)
-            elif self._hotpath:
+            if latency:
                 receivers.append((radio, power_mw))
             else:
-                schedule(latency, radio.on_air_start, tx, power_mw)
+                radio.on_air_start(tx, power_mw)
         if receivers:
-            # All per-receiver notifications share one timestamp and
-            # consecutive seqs, so nothing can fire between them — one
-            # coalesced event delivering them in the same order is
-            # exactly equivalent and saves N-1 heap entries per frame.
-            schedule(latency, self._deliver_air_start, tx, receivers)
+            self.sim.schedule(latency, self._deliver_air_start, tx, receivers)
         self.links_culled += culled
         if self.trace.wants("channel"):
             self.trace.record(
@@ -753,45 +672,21 @@ class Channel:
         if self.trace.wants("channel"):
             self.trace.record("channel", "tx-end", frame=tx.frame.describe())
         latency = self.air_latency_ns
-        radios_by_id = self._radios_by_id
-        if self._vector_backend is not None:
-            # Batched end-of-air: one coalesced event (or inline call at
-            # zero latency), mirroring the hot path's event economy.
-            if not latency:
-                self._vector_backend.deliver_air_end(tx)
-            elif tx.rx_power_mw:
-                self.sim.schedule(
-                    latency, self._vector_backend.deliver_air_end, tx
-                )
-        elif latency and self._hotpath:
-            if tx.rx_power_mw:
-                # Same coalescing argument as in transmit(): the end
-                # notifications are back-to-back either way.
-                self.sim.schedule(latency, self._deliver_air_end, tx)
-        else:
-            for radio_id in tx.rx_power_mw:
-                radio = radios_by_id.get(radio_id)
-                if radio is None:
-                    continue  # detached after this frame started
-                if latency:
-                    self.sim.schedule(latency, radio.on_air_end, tx)
-                else:
-                    radio.on_air_end(tx)
+        if not latency:
+            self._deliver_air_end(tx)
+        elif tx.rx_power_mw:
+            self.sim.schedule(latency, self._deliver_air_end, tx)
         tx.sender.on_own_tx_end(tx)
 
     def _deliver_air_start(
         self, tx: Transmission, receivers: List[Tuple["Radio", float]]
     ) -> None:
-        """Coalesced start-of-air delivery (hot path, latency > 0 only).
-
-        Receivers are notified in attach order — the order the
-        per-receiver events fired in on the uncoalesced path.
-        """
+        """Start-of-air delivery to every receiver of a frame, in attach order."""
         for radio, power_mw in receivers:
             radio.on_air_start(tx, power_mw)
 
     def _deliver_air_end(self, tx: Transmission) -> None:
-        """Coalesced end-of-air delivery (hot path, latency > 0 only)."""
+        """End-of-air delivery to every radio that saw the frame start."""
         radios_by_id = self._radios_by_id
         for radio_id in tx.rx_power_mw:
             radio = radios_by_id.get(radio_id)
@@ -802,34 +697,22 @@ class Channel:
     # Propagation
     # ------------------------------------------------------------------
     def _mean_rx(self, sender: "Radio", receiver: "Radio") -> Tuple[float, float]:
-        """Deterministic mean received power as ``(dbm, mw)``.
+        """Deterministic mean received power as ``(dbm, mw)``, cached per pair.
 
-        Cached per (tx, rx) pair on the hot path; with
-        ``REPRO_HOTPATH=off`` both values are re-derived per call through
-        the exact same expressions, so the realization is identical
-        either way.  The cache assumes positions and transmit powers only
-        change via :meth:`repro.phy.radio.Radio.move_to`, which
-        invalidates the moved radio's entries through
-        :meth:`on_radio_moved`.
+        The cache assumes positions and transmit powers only change via
+        :meth:`repro.phy.radio.Radio.move_to` and
+        :meth:`repro.phy.radio.Radio.set_tx_power_dbm`, which invalidate
+        the radio's entries through :meth:`on_radio_moved` and
+        :meth:`on_radio_power_changed`.
         """
-        if self._hotpath:
-            key = (sender.radio_id, receiver.radio_id)
-            entry = self._mean_rx_cache.get(key)
-            if entry is None:
-                dist = sender.position.distance_to(receiver.position)
-                mean_dbm = self.propagation.mean_rx_dbm(
-                    sender.config.tx_power_dbm, dist
-                )
-                entry = (mean_dbm, dbm_to_mw(mean_dbm))
-                self._mean_rx_cache.put(key, entry)
-            return entry
-        dist = sender.position.distance_to(receiver.position)
-        mean_dbm = self.propagation.mean_rx_dbm(sender.config.tx_power_dbm, dist)
-        return (mean_dbm, dbm_to_mw(mean_dbm))
-
-    def _mean_rx_dbm(self, sender: "Radio", receiver: "Radio") -> float:
-        """Deterministic mean received power in dBm (culling check)."""
-        return self._mean_rx(sender, receiver)[0]
+        key = (sender.radio_id, receiver.radio_id)
+        entry = self._mean_rx_cache.get(key)
+        if entry is None:
+            dist = sender.position.distance_to(receiver.position)
+            mean_dbm = self.propagation.mean_rx_dbm(sender.config.tx_power_dbm, dist)
+            entry = (mean_dbm, dbm_to_mw(mean_dbm))
+            self._mean_rx_cache.put(key, entry)
+        return entry
 
     def _link_rng(self, tx_id: int, rx_id: int):
         """The ordered pair's private shadowing generator.
@@ -837,28 +720,24 @@ class Channel:
         Seeded via ``derive_seed(root, "shadowing", band, tx, rx)``, so
         the stream depends only on the link's identity — never on how
         many draws other links consumed or whether they were culled.
-        The generator *object* is the same either way (``substream``
-        memoizes per key); the hot path only skips rebuilding the key
-        tuple, so the draw sequence cannot differ between modes.
+        ``substream`` memoizes per key already; the local memo only
+        skips rebuilding the key tuple per frame.
         """
-        if self._hotpath:
-            pair = (tx_id, rx_id)
-            rng = self._link_rng_memo.get(pair)
-            if rng is None:
-                rng = self._rngs.substream("shadowing", self.band, tx_id, rx_id)
-                self._link_rng_memo[pair] = rng
-            return rng
-        return self._rngs.substream("shadowing", self.band, tx_id, rx_id)
+        pair = (tx_id, rx_id)
+        rng = self._link_rng_memo.get(pair)
+        if rng is None:
+            rng = self._rngs.substream("shadowing", self.band, tx_id, rx_id)
+            self._link_rng_memo[pair] = rng
+        return rng
 
     def _received_power_mw(self, sender: "Radio", receiver: "Radio", frame: "Frame") -> float:
         """Draw the received power of this frame at ``receiver``.
 
-        Composition per shadowing mode (identical expressions on the
-        cached and re-derivation paths):
+        Composition per shadowing mode:
 
         * ``none`` — the linear mean, ``dbm_to_mw(mean_dbm)``.
         * ``per_link`` — ``dbm_to_mw(mean_dbm + offset)``; the composed
-          value is constant per pair, so the hot path caches it whole.
+          value is constant per pair, so it is cached whole.
         * ``per_frame`` — ``mean_mw * db_to_ratio(offset)``: the cached
           linear mean times the fresh offset ratio, one multiply per
           frame instead of a ``10 **`` of the recomposed dB sum.
@@ -869,10 +748,9 @@ class Channel:
             return mean_mw
         if mode == "per_link":
             key = (sender.radio_id, receiver.radio_id)
-            if self._hotpath:
-                rx_mw = self._link_rx_mw.get(key)
-                if rx_mw is not None:
-                    return rx_mw
+            rx_mw = self._link_rx_mw.get(key)
+            if rx_mw is not None:
+                return rx_mw
             offset = self._link_shadowing_db.get(key)
             if offset is None:
                 offset = self.propagation.shadowing_db(
@@ -880,8 +758,7 @@ class Channel:
                 )
                 self._link_shadowing_db.put(key, offset)
             rx_mw = dbm_to_mw(mean_dbm + offset)
-            if self._hotpath:
-                self._link_rx_mw.put(key, rx_mw)
+            self._link_rx_mw.put(key, rx_mw)
             return rx_mw
         # per_frame
         offset = self.propagation.shadowing_db(

@@ -118,11 +118,8 @@ class LogNormalShadowing:
 
         Uses ``numpy.log10``, which on SIMD-dispatched numpy builds can
         differ from ``math.log10`` in the last ULP — so this helper
-        serves analytics and property tests, **not** the equivalence-
-        critical channel fill (the vector backend fills its mean-power
-        rows through the scalar expressions precisely so its results
-        stay bit-identical to the scalar path; see
-        :mod:`repro.phy.vector`).
+        serves analytics and property tests, never the channel, whose
+        mean powers go through :meth:`mean_rx_dbm`.
         """
         d = np.maximum(np.asarray(distances_m, dtype=np.float64),
                        self.reference_distance_m)
@@ -130,22 +127,6 @@ class LogNormalShadowing:
             d / self.reference_distance_m
         )
         return tx_power_dbm - loss
-
-    def shadowing_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` consecutive shadowing realizations from one stream.
-
-        Bit-identical to ``count`` successive :meth:`shadowing_db` calls
-        on the same generator: numpy's array fill consumes the
-        underlying bit stream exactly as repeated scalar draws do
-        (pinned by ``tests/test_vector_equivalence.py``).  The vector
-        channel backend refills its per-link draw buffers through this,
-        amortizing the per-call generator overhead over a whole block.
-        """
-        if count <= 0:
-            raise ValueError(f"block size must be positive, got {count}")
-        if self.sigma_db <= 0.0:
-            return np.zeros(count, dtype=np.float64)
-        return rng.normal(0.0, self.sigma_db, count)
 
     def shadowing_db(self, rng: np.random.Generator) -> float:
         """One shadowing realization ``X_sigma`` in dB (0.0 when sigma is 0).

@@ -44,8 +44,8 @@ def _standard_normal_cdf_batch(x):
     ``scipy.special.erf`` is imported lazily so the scalar hot path keeps
     its no-scipy property.  SIMD ``erf`` can differ from ``math.erf`` in
     the last ULP, so batch results agree with the scalar model to
-    ``allclose`` precision, not bit-for-bit (documented in
-    ``docs/simulator.md``; pinned by ``tests/test_vector_kernel.py``).
+    ``allclose`` precision, not bit-for-bit (pinned by
+    ``tests/test_vector_kernel.py``).
     """
     from scipy.special import erf
 

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Optional
 from repro.phy.channel import Channel, Transmission
 from repro.phy.rates import sensitivity_mw, sir_threshold_ratio
 from repro.util.geometry import Point
-from repro.util.hotpath import hotpath_enabled
 from repro.util.units import dbm_to_mw, mw_to_dbm
 
 if TYPE_CHECKING:  # avoid a phy <-> mac import cycle; hints only
@@ -82,22 +81,12 @@ class Radio:
         self.channel = channel
         self.sim = channel.sim
         self.mac = None  # bound via bind_mac()
-        #: Energy-change dispatch target for the vector backend's batch
-        #: delivery: the bound MAC's ``on_energy_changed`` — or ``None``
-        #: when that handler is the no-op PHY hook (marked ``_phy_noop``),
-        #: letting the batch loop skip both the call and the energy
-        #: argument it would have computed.  Calling a no-op versus not
-        #: calling it is observationally identical.
-        self._energy_cb = None
         self._cs_threshold_mw = dbm_to_mw(config.cs_threshold_dbm)
         self._noise_mw = dbm_to_mw(config.noise_floor_dbm)
         self._in_air: dict = {}  # Transmission -> rx power mW
-        #: REPRO_HOTPATH snapshot (see repro.util.hotpath): gates the
-        #: energy memo and the per-rate constant caches below.
-        self._hotpath = hotpath_enabled()
         # Memoized sum(self._in_air.values()); every _in_air mutation sets
-        # the dirty flag, so the memo is exactly the sum the uncached path
-        # would compute over the same dict.
+        # the dirty flag, so the memo is exactly the sum a recomputation
+        # over the same dict would give.
         self._energy_cache = 0.0
         self._energy_dirty = False
         self._current_tx: Optional[Transmission] = None
@@ -119,11 +108,6 @@ class Radio:
     def bind_mac(self, mac) -> None:
         """Attach the MAC entity that receives PHY indications."""
         self.mac = mac
-        handler = getattr(mac, "on_energy_changed", None)
-        if handler is None or getattr(handler, "_phy_noop", False):
-            self._energy_cb = None
-        else:
-            self._energy_cb = handler
 
     @property
     def attached(self) -> bool:
@@ -170,8 +154,8 @@ class Radio:
 
         Each radio owns its :class:`RadioConfig` instance, so the
         mutation is node-local.  Cached channel state that encodes the
-        old power (mean rx powers, composed per-link powers, vector
-        rows) is invalidated; per-link shadowing draws are untouched.
+        old power (mean rx powers, composed per-link powers) is
+        invalidated; per-link shadowing draws are untouched.
         No-op at the current power, so repeated caps/restores to the
         same value cost nothing.
         """
@@ -192,31 +176,13 @@ class Radio:
         """Total in-air power currently measured at this radio (mW).
 
         Hot sites (CCA, interference tracking, capture tests) call this
-        several times per notification; the hot path memoizes the sum and
-        recomputes only after ``_in_air`` changes.
+        several times per notification, so the sum is memoized and
+        recomputed only after ``_in_air`` changes.
         """
-        if self._hotpath:
-            if self._energy_dirty:
-                self._energy_cache = (
-                    sum(self._in_air.values()) if self._in_air else 0.0
-                )
-                self._energy_dirty = False
-            return self._energy_cache
-        if not self._in_air:
-            return 0.0
-        return sum(self._in_air.values())
-
-    def _sensitivity_mw(self, rate) -> float:
-        """``rate.sensitivity_dbm`` in mW (cached per rate on the hot path)."""
-        if self._hotpath:
-            return sensitivity_mw(rate)
-        return dbm_to_mw(rate.sensitivity_dbm)
-
-    def _sir_threshold(self, rate) -> float:
-        """``rate.sir_threshold_db`` as a ratio (cached per rate on the hot path)."""
-        if self._hotpath:
-            return sir_threshold_ratio(rate)
-        return 10.0 ** (rate.sir_threshold_db / 10.0)
+        if self._energy_dirty:
+            self._energy_cache = sum(self._in_air.values()) if self._in_air else 0.0
+            self._energy_dirty = False
+        return self._energy_cache
 
     def energy_dbm(self) -> float:
         """In-air power in dBm; the noise floor when nothing is in the air."""
@@ -272,12 +238,6 @@ class Radio:
 
     # ------------------------------------------------------------------
     # Receive path (channel callbacks)
-    #
-    # SYNC CONTRACT: repro.phy.vector's batch delivery loops
-    # (deliver_air_start / deliver_air_end) are field-for-field inlined
-    # mirrors of on_air_start / on_air_end below.  Any behavioral change
-    # here must be replicated there, or the vector equivalence suite
-    # (tests/test_vector_equivalence.py) will catch the divergence.
     # ------------------------------------------------------------------
     def on_air_start(self, tx: Transmission, power_mw: float) -> None:
         """A foreign transmission began; update CCA and reception state."""
@@ -287,7 +247,7 @@ class Radio:
         self._energy_dirty = True
         if self._current_tx is None:
             if self._lock is None:
-                if power_mw >= self._sensitivity_mw(tx.frame.rate):
+                if power_mw >= sensitivity_mw(tx.frame.rate):
                     interference = self.energy_mw() - power_mw
                     self._lock = _ReceptionLock(tx, power_mw, interference)
                     self._maybe_schedule_embedded_decode(self._lock)
@@ -354,23 +314,23 @@ class Radio:
         if self._lock is not lock or self.mac is None:
             return
         sir = lock.signal_mw / (lock.max_interference_mw + self._noise_mw)
-        threshold = self._sir_threshold(lock.tx.frame.rate)
+        threshold = sir_threshold_ratio(lock.tx.frame.rate)
         if sir >= threshold:
             self.mac.on_header_overheard(lock.tx.frame, mw_to_dbm(lock.signal_mw))
 
     def _captures_over_lock(self, tx: Transmission, power_mw: float) -> bool:
         """Would ``tx`` decode with everything else (incl. the lock) as noise?"""
-        if power_mw < self._sensitivity_mw(tx.frame.rate):
+        if power_mw < sensitivity_mw(tx.frame.rate):
             return False
         interference = self.energy_mw() - power_mw
-        threshold = self._sir_threshold(tx.frame.rate)
+        threshold = sir_threshold_ratio(tx.frame.rate)
         return power_mw / (interference + self._noise_mw) >= threshold
 
     def _finish_reception(self, lock: _ReceptionLock) -> None:
         """Apply the SIR test and deliver or discard the frame."""
         frame = lock.tx.frame
         sir = lock.signal_mw / (lock.max_interference_mw + self._noise_mw)
-        threshold = self._sir_threshold(frame.rate)
+        threshold = sir_threshold_ratio(frame.rate)
         rssi_dbm = mw_to_dbm(lock.signal_mw)
         if sir >= threshold:
             self.frames_received += 1

@@ -1,17 +1,17 @@
 """Uniform hash-grid spatial index: O(density) candidate generation.
 
-``REPRO_SPATIAL=1`` (see :mod:`repro.util.hotpath`) bounds the channel's
-per-frame receiver sweep by *local density* instead of population.  The
-below-floor cull (PR 3) already skips draws and events for receivers
-whose mean power sits ``cull_margin_db`` below both thresholds, but the
-exhaustive loop still *visits* every attached radio to run that test —
-O(N) dict lookups and float compares per frame, the asymptotic wall for
-city-scale floors.  This module replaces the sweep's domain: radios hash
-into square grid cells keyed by ``(floor(x / cell), floor(y / cell))``,
-and a sender queries only the cells overlapping the disk of its *reach
+The channel's candidate generator bounds its per-frame receiver sweep
+by *local density* instead of population.  The below-floor cull skips
+draws and events for receivers whose mean power sits ``cull_margin_db``
+below both thresholds, but a sweep over every attached radio would still
+*visit* each one to run that test — O(N) dict lookups and float compares
+per frame, the asymptotic wall for city-scale floors.  Radios hash into
+square grid cells keyed by ``(floor(x / cell), floor(y / cell))``, and a
+sender queries only the cells overlapping the disk of its *reach
 radius* — the distance at which the propagation mean provably falls
 ``cull_margin_db`` below the weakest threshold on the channel (see
-:meth:`repro.phy.propagation.LogNormalShadowing.reach_radius_m`).
+:meth:`repro.phy.propagation.LogNormalShadowing.reach_radius_m`).  With
+culling off the radius is infinite and a query returns every member.
 
 Soundness over tightness
 ------------------------
@@ -22,23 +22,21 @@ correctness requirement is that the query returns a **superset** of the
 survivors.  That holds by construction — the reach radius is a sound
 outer bound on the survivor disk, and the query visits the full cell
 bounding box of that disk (corner cells included).  Per-node counters,
-``rx_power_mw`` maps, and per-flow goodput are therefore bit-identical
-to the exhaustive path (culled links consume no RNG draws — PR 3's
+``rx_power_mw`` maps, and per-flow goodput are therefore those of a
+sweep over every attached radio (culled links consume no RNG draws —
 per-link substreams — so *not visiting* a culled link is
 indistinguishable from visiting and skipping it).  The contract is
-pinned by ``tests/test_spatial_equivalence.py``.
+pinned by a brute-force oracle in ``tests/test_spatial.py``.
 
 Maintenance is incremental through the channel's existing hooks:
 ``attach`` inserts, ``detach`` removes, ``on_radio_moved`` rehashes one
-radio — all O(1).  ``version`` increments on every mutation so derived
-structures (the vector backend's sparse per-sender plans) can validate
-lazily instead of being invalidated eagerly.
+radio — all O(1).
 
 Cell sizing is a pure performance knob (correctness never depends on
 it): the channel sizes cells at the reach radius of the strongest
 transmitter, clamped to the topology extent — a query then touches ~9
 cells regardless of N, and a one-cell grid (floor smaller than the
-reach radius) degrades gracefully to the exhaustive sweep.
+reach radius) degrades gracefully to a sweep over every radio.
 """
 
 from __future__ import annotations
@@ -46,9 +44,11 @@ from __future__ import annotations
 from math import floor, inf
 from typing import Dict, List, Set, Tuple
 
-from repro.util.hotpath import spatial_enabled  # noqa: F401  (re-export)
-
 _CellKey = Tuple[int, int]
+
+#: Relative pad on a query box: far above float64 rounding of the box
+#: edges, far below any cell size that matters.
+QUERY_SLACK = 1e-12
 
 
 class SpatialIndex:
@@ -56,20 +56,15 @@ class SpatialIndex:
 
     Cells are created on first insert and dropped when emptied, so
     memory is O(members + non-empty cells) regardless of the coordinate
-    range (city floors hash as cheaply as office floors).  Membership
-    mutations bump :attr:`version`; readers that cache per-member
-    derived state (the vector backend's sparse plans) compare versions
-    instead of subscribing to invalidation callbacks.
+    range (city floors hash as cheaply as office floors).
     """
 
-    __slots__ = ("cell_size_m", "version", "_cell_of", "_cells")
+    __slots__ = ("cell_size_m", "_cell_of", "_cells")
 
     def __init__(self, cell_size_m: float) -> None:
         if not cell_size_m > 0.0:
             raise ValueError(f"cell size must be positive, got {cell_size_m}")
         self.cell_size_m = float(cell_size_m)
-        #: Bumped on every add/remove/move; lets derived caches validate lazily.
-        self.version = 0
         self._cell_of: Dict[int, _CellKey] = {}
         self._cells: Dict[_CellKey, Set[int]] = {}
 
@@ -95,7 +90,6 @@ class SpatialIndex:
         key = self._key(x, y)
         self._cell_of[member_id] = key
         self._cells.setdefault(key, set()).add(member_id)
-        self.version += 1
 
     def remove(self, member_id: int) -> None:
         """Drop a member; removing an unknown id is an error."""
@@ -106,7 +100,6 @@ class SpatialIndex:
         bucket.discard(member_id)
         if not bucket:
             del self._cells[key]
-        self.version += 1
 
     def move(self, member_id: int, x: float, y: float) -> None:
         """Rehash a member to its new position (no-op within its cell)."""
@@ -115,10 +108,6 @@ class SpatialIndex:
             raise ValueError(f"member {member_id} is not indexed")
         new = self._key(x, y)
         if new == old:
-            # Same cell: membership unchanged, but consumers caching
-            # position-derived state (mean-power rows) must still see a
-            # new version — the *position* moved even if the cell didn't.
-            self.version += 1
             return
         bucket = self._cells[old]
         bucket.discard(member_id)
@@ -126,7 +115,6 @@ class SpatialIndex:
             del self._cells[old]
         self._cell_of[member_id] = new
         self._cells.setdefault(new, set()).add(member_id)
-        self.version += 1
 
     def query_disk(self, x: float, y: float, radius_m: float) -> List[int]:
         """Ids of all members in cells overlapping the disk (a superset).
@@ -136,13 +124,20 @@ class SpatialIndex:
         must re-test each candidate (the channel runs the exact cull
         check).  When the box spans more cells than exist, iterates the
         non-empty cells instead, so degenerate huge-radius queries cost
-        O(non-empty cells), never O(box area).
+        O(non-empty cells), never O(box area); an infinite radius returns
+        every member.  The box is padded by a relative
+        :data:`QUERY_SLACK` so a member on the disk's rim is never lost to
+        rounding in ``x - radius_m``.
         """
+        if radius_m == inf:
+            return list(self._cell_of)
         c = self.cell_size_m
-        i0 = floor((x - radius_m) / c)
-        i1 = floor((x + radius_m) / c)
-        j0 = floor((y - radius_m) / c)
-        j1 = floor((y + radius_m) / c)
+        pad = QUERY_SLACK * (radius_m + abs(x) + abs(y))
+        reach = radius_m + pad
+        i0 = floor((x - reach) / c)
+        i1 = floor((x + reach) / c)
+        j0 = floor((y - reach) / c)
+        j1 = floor((y + reach) / c)
         cells = self._cells
         out: List[int] = []
         if (i1 - i0 + 1) * (j1 - j0 + 1) <= len(cells):
@@ -222,14 +217,15 @@ def reset_spatial_stats() -> None:
 def spatial_manifest_block() -> Dict[str, object]:
     """The ``spatial`` block recorded in run manifests.
 
-    Reports the mode flag plus cell-size / reach-radius aggregates of
-    every grid built *in this process* since the last reset.  Sweep
-    workers in a process pool size their own grids; their stats are not
-    shipped back to the parent — the block attributes the parent-side
-    configuration, and per-channel counters (``channel/spatial_*``)
-    carry the per-run detail.
+    Reports cell-size / reach-radius aggregates of every grid built *in
+    this process* since the last reset (empty when none was).  Reach
+    radii are recorded only with culling on; with it off every query is
+    unbounded.  Sweep workers in a process pool size their own grids;
+    their stats are not shipped back to the parent — the block
+    attributes the parent-side configuration, and per-channel counters
+    (``channel/spatial_*``) carry the per-run detail.
     """
-    block: Dict[str, object] = {"enabled": spatial_enabled()}
+    block: Dict[str, object] = {}
     if _cell_sizes.count:
         block["cell_size_m"] = _cell_sizes.as_dict()
     if _reach_radii.count:

@@ -15,12 +15,6 @@ from repro.util.units import (
     ns_to_s,
     s_to_ns,
 )
-from repro.util.hotpath import (
-    HOTPATH_ENV,
-    hotpath_enabled,
-    hotpath_forced,
-    set_hotpath,
-)
 from repro.util.rng import RngStreams
 from repro.util.stats import (
     EmpiricalCdf,
@@ -40,10 +34,6 @@ __all__ = [
     "SECOND",
     "ns_to_s",
     "s_to_ns",
-    "HOTPATH_ENV",
-    "hotpath_enabled",
-    "hotpath_forced",
-    "set_hotpath",
     "RngStreams",
     "EmpiricalCdf",
     "jain_fairness",

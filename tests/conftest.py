@@ -78,8 +78,6 @@ def build_phy_world(
     capture: bool = True,
     cull_margin_db=None,
     air_latency_ns: int = 1_000,
-    vector: Optional[bool] = None,
-    spatial: Optional[bool] = None,
 ) -> PhyWorld:
     """Create radios at ``positions`` with stub MACs on one channel."""
     sim = Simulator()
@@ -91,8 +89,6 @@ def build_phy_world(
         shadowing_mode=shadowing_mode,
         cull_margin_db=cull_margin_db,
         air_latency_ns=air_latency_ns,
-        vector=vector,
-        spatial=spatial,
     )
     radios, macs = [], []
     for i, (x, y) in enumerate(positions):

@@ -1,16 +1,17 @@
 """Golden per-node-counter fixtures shared by the equivalence suites.
 
 One canonical run per pinned scenario — Fig. 8 exposed terminal, Fig. 10
-office floor, and the sparse two-cell floor — captured under the
-**default** execution modes (hot path on, vector off, default culling)
-and committed as structured JSON under ``tests/golden/``.  The three
-equivalence suites (``test_hotpath_equivalence``,
-``test_channel_culling``, ``test_vector_equivalence``) each run only
+office floor, and the sparse two-cell floor — captured with the default
+culling margin and committed as structured JSON under ``tests/golden/``.
+The equivalence suites (``test_hotpath_equivalence``,
+``test_channel_culling``, ``test_spatial_equivalence``) each run only
 *their* variant and diff it against the fixture, instead of every suite
 re-simulating its own baseline inline: equivalence is transitive
-through the golden, each suite runs half the simulations it used to,
-and a regression in the default path itself is caught exactly once, by
-:func:`assert_baseline_matches`.
+through the golden, and a regression in the default run itself is
+caught exactly once, by :func:`assert_baseline_matches`.
+
+Fixtures written before the vector backend was removed also carry
+``vector_batches`` / ``vector_links`` keys; :func:`diff` ignores them.
 
 Fixtures store counters as structured JSON (lists of ints, flow keys as
 ``"src->dst"`` strings, floats via ``repr`` round-trip — bit-exact),
@@ -35,7 +36,6 @@ from repro.experiments.topologies import (
     office_floor_topology,
 )
 from repro.net.network import Network
-from repro.util.hotpath import hotpath_forced, vector_forced
 
 #: Fixture schema version; bump on structural (not numerical) changes.
 SCHEMA = 1
@@ -108,9 +108,9 @@ def node_counters(net) -> Dict[str, Tuple[int, int, int, int]]:
 def snapshot(net, results) -> Dict[str, Any]:
     """The comparable observables of one finished run.
 
-    ``events_fired`` and the channel totals are metadata for
-    mode-specific assertions (event economy, vector activity), not part
-    of the equivalence diff — see :func:`diff`.
+    ``events_fired`` and ``links_culled`` are metadata for variant
+    assertions (event economy, cull totals), not part of the equivalence
+    diff — see :func:`diff`.
     """
     channels = net.channels.values()
     return {
@@ -123,20 +123,15 @@ def snapshot(net, results) -> Dict[str, Any]:
         },
         "events_fired": net.sim.events_fired,
         "links_culled": sum(ch.links_culled for ch in channels),
-        "vector_batches": sum(
-            ch.counters()["vector_batches"] for ch in channels
-        ),
-        "vector_links": sum(ch.counters()["vector_links"] for ch in channels),
     }
 
 
 def run_scenario(name: str, cull=None) -> Tuple[Any, Dict[str, Any]]:
-    """Build and run ``name`` under the *caller's* current modes.
+    """Build and run ``name``; ``cull`` overrides the culling margin.
 
-    Returns ``(network, snapshot)``.  Variant suites pin their knob
-    (``hotpath_forced`` / ``vector_forced`` / the ``cull`` margin
-    override, e.g. ``"off"``) around this call and diff the snapshot
-    against the golden.
+    Returns ``(network, snapshot)``.  Variant suites pick their margin
+    (e.g. ``"off"``) or patch the channel around this call and diff the
+    snapshot against the golden.
     """
     build, duration_s = SCENARIOS[name]
     built = build(cull)
@@ -145,9 +140,8 @@ def run_scenario(name: str, cull=None) -> Tuple[Any, Dict[str, Any]]:
 
 
 def capture(name: str) -> Dict[str, Any]:
-    """One canonical default-mode run of ``name``, fixture-shaped."""
-    with hotpath_forced(True), vector_forced(False):
-        _, snap = run_scenario(name)
+    """One canonical default-margin run of ``name``, fixture-shaped."""
+    _, snap = run_scenario(name)
     snap["schema"] = SCHEMA
     snap["scenario"] = name
     snap["duration_s"] = SCENARIOS[name][1]
@@ -186,8 +180,8 @@ def diff(golden: Dict[str, Any], actual: Dict[str, Any]) -> List[str]:
 
     Compares per-node counters field by field and per-flow goodput
     exactly (floats survive the JSON round trip bit for bit).
-    ``events_fired`` is deliberately *not* compared — event bookkeeping
-    legitimately differs across execution modes; suites that care about
+    ``events_fired`` is deliberately *not* compared — culling changes
+    event bookkeeping without changing physics; suites that care about
     event economy compare it against the fixture's value explicitly.
     """
     problems: List[str] = []
@@ -227,19 +221,19 @@ _BASELINE_PROBLEMS: Dict[str, List[str]] = {}
 
 
 def assert_baseline_matches(name: str) -> Dict[str, Any]:
-    """Pin the default execution mode to the committed fixture.
+    """Pin the default run to the committed fixture.
 
-    Runs the scenario under default modes at most once per process
-    (suites for different knobs all anchor on the same baseline run)
-    and fails with a structured field diff when the default path itself
-    drifted from the golden.  Returns the loaded fixture.
+    Runs the scenario at the default margin at most once per process
+    (variant suites all anchor on the same baseline run) and fails with
+    a structured field diff when the default run itself drifted from
+    the golden.  Returns the loaded fixture.
     """
     golden = load(name)
     if name not in _BASELINE_PROBLEMS:
         _BASELINE_PROBLEMS[name] = diff(golden, capture(name))
     problems = _BASELINE_PROBLEMS[name]
     assert not problems, (
-        f"default-mode run of {name!r} diverged from tests/golden/"
+        f"default run of {name!r} diverged from tests/golden/"
         f"{name}.json — if intended, regenerate via "
         f"python -m tests.regen_golden:\n  " + "\n  ".join(problems)
     )

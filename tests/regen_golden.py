@@ -5,8 +5,8 @@ Usage::
     PYTHONPATH=src python -m tests.regen_golden             # all scenarios
     PYTHONPATH=src python -m tests.regen_golden fig8 fig10  # a subset
 
-Each fixture is one canonical default-mode run (hot path on, vector
-off, default culling) of a pinned scenario — see ``tests/goldens.py``
+Each fixture is one canonical default-margin run of a pinned
+scenario — see ``tests/goldens.py``
 for the registry and schema.  Only regenerate after an *intended*
 behavior change, and review the resulting JSON diff like code.
 """

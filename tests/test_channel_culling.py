@@ -27,7 +27,6 @@ from repro.phy.channel import (
 )
 from repro.phy.radio import Radio, RadioConfig
 from repro.util.geometry import Point
-from repro.util.hotpath import hotpath_forced, vector_forced
 
 from tests.conftest import StubMac, build_phy_world
 from tests.goldens import assert_baseline_matches, diff, run_scenario
@@ -168,19 +167,14 @@ class TestCulling:
         assert off.channel.counters()["cull_margin_db"] == -1.0
 
     def test_culled_radio_events_not_scheduled(self):
-        # Event economy, not just delivery: the culled receiver's
-        # on_air_start/on_air_end events never enter the queue.  Pinned
-        # to the uncoalesced scalar path — both the default hot path and
-        # the vector backend batch all receivers of a frame into one
-        # delivery event, so per-receiver event counts are only visible
-        # with both knobs off.
-        with hotpath_forced(False), vector_forced(False):
-            exhaustive = build_phy_world([NEAR, MID, FAR], cull_margin_db="off")
-            exhaustive.radios[0].start_transmission(exhaustive.data_frame(0, 1))
-            exhaustive.sim.run()
-            culled = build_phy_world([NEAR, MID, FAR])
-            culled.radios[0].start_transmission(culled.data_frame(0, 1))
-            culled.sim.run()
+        # Event economy, not just delivery: a frame whose only receiver
+        # is culled schedules no start-of-air or end-of-air delivery.
+        exhaustive = build_phy_world([NEAR, FAR], cull_margin_db="off")
+        exhaustive.radios[0].start_transmission(exhaustive.data_frame(0, 1))
+        exhaustive.sim.run()
+        culled = build_phy_world([NEAR, FAR])
+        culled.radios[0].start_transmission(culled.data_frame(0, 1))
+        culled.sim.run()
         assert culled.sim.events_fired == exhaustive.sim.events_fired - 2
 
     def test_move_into_range_uncults(self):
@@ -431,8 +425,7 @@ class TestEquivalence:
         # bit for bit.
         golden = assert_baseline_matches(scenario)
         assert golden["links_culled"] == 0
-        with vector_forced(False):
-            net, snap = run_scenario(scenario, cull="off")
+        net, snap = run_scenario(scenario, cull="off")
         assert diff(golden, snap) == []
         assert snap["links_culled"] == 0
 
@@ -442,19 +435,16 @@ class TestEquivalence:
         # exhaustive run must produce identical per-node outcomes.
         golden = assert_baseline_matches("sparse_floor")
         assert golden["links_culled"] > 0
-        with vector_forced(False):
-            net, snap = run_scenario("sparse_floor", cull="off")
+        net, snap = run_scenario("sparse_floor", cull="off")
         assert diff(golden, snap) == []
         assert snap["links_culled"] == 0
 
     def test_sparse_culling_event_economy(self):
-        # Culling's event savings (per-receiver notifications that never
-        # enter the queue) are only visible on the uncoalesced scalar
-        # path: both the hot path and the vector backend deliver all of
-        # a frame's receivers in one event regardless of culling.
-        with hotpath_forced(False), vector_forced(False):
-            net_on, snap_on = run_scenario("sparse_floor")
-            net_off, snap_off = run_scenario("sparse_floor", cull="off")
+        # Every frame on the sparse floor has a receiver in its own
+        # cell, and a frame's receivers share one delivery event per
+        # edge, so culling saves per-receiver work but no engine events.
+        net_on, snap_on = run_scenario("sparse_floor")
+        net_off, snap_off = run_scenario("sparse_floor", cull="off")
         assert snap_on["links_culled"] > 0
         assert snap_off["links_culled"] == 0
-        assert snap_on["events_fired"] < snap_off["events_fired"]
+        assert snap_on["events_fired"] == snap_off["events_fired"]

@@ -9,11 +9,9 @@ network must be *bit-identical* to plain CO-MAP: per-node physics
 counters, per-flow goodput, the full counter snapshot (modulo the
 all-zero ``csr/`` namespace), and even the engine's event count.
 
-A second suite pins mode-independence: the same C-SR floor must agree
-on physics counters across the whole execution-knob matrix
-(``REPRO_HOTPATH`` x ``REPRO_VECTOR`` x ``cull_margin_db``), and the
-sweep runner must be bit-identical across serial, pooled, and
-queue-resume execution.
+A second suite pins margin-independence: the same C-SR floor must agree
+on physics counters with culling on and off, and the sweep runner must
+be bit-identical across serial, pooled, and queue-resume execution.
 """
 
 import os
@@ -24,7 +22,6 @@ from repro.experiments.params import ns2_params
 from repro.experiments.parallel import SweepTask, run_tasks
 from repro.experiments.runner import _csr_floor_cell, run_csr_floor
 from repro.experiments.topologies import enterprise_floor_topology
-from repro.util.hotpath import hotpath_forced, vector_forced
 
 from tests.goldens import node_counters
 
@@ -103,30 +100,21 @@ class TestEmptyCoordinationEquivalence:
 
 
 class TestKnobMatrixAgreement:
-    """Physics counters agree across the execution-knob matrix."""
+    """Physics counters agree with culling on and off.
+
+    The cull margin is the channel's only execution knob; C-SR power
+    capping changes transmit powers, and so reach radii, mid-run.
+    """
 
     DURATION_S = 0.08
 
-    def _physics(self, hotpath, vector, cull):
-        with hotpath_forced(hotpath), vector_forced(vector):
-            built = _floor(
-                "csr", n_aps=4, backhaul_latency_ns=BACKHAUL_NS, cull=cull
-            )
-            results = built.network.run(self.DURATION_S)
+    def _physics(self, cull):
+        built = _floor("csr", n_aps=4, backhaul_latency_ns=BACKHAUL_NS, cull=cull)
+        results = built.network.run(self.DURATION_S)
         return node_counters(built.network), results.per_flow_mbps()
 
     def test_modes_agree_on_physics(self):
-        baseline = self._physics(hotpath=True, vector=False, cull=None)
-        for hotpath in (True, False):
-            for vector in (True, False):
-                for cull in (None, "off"):
-                    if (hotpath, vector, cull) == (True, False, None):
-                        continue
-                    variant = self._physics(hotpath, vector, cull)
-                    assert variant == baseline, (
-                        f"hotpath={hotpath} vector={vector} cull={cull} "
-                        f"diverged from the default mode"
-                    )
+        assert self._physics(cull="off") == self._physics(cull=None)
 
 
 @pytest.mark.slow

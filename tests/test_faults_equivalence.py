@@ -6,7 +6,7 @@ report.  The contract is *zero-cost when disabled*: a network with no
 injector — or with an injector installed from an **empty** plan — must
 produce bit-identical per-node physics counters and per-flow goodput to
 the pre-faults code on the paper's golden topologies (the same style of
-pin as ``tests/test_hotpath_equivalence.py``).
+pin as ``tests/test_channel_culling.py``).
 """
 
 import pytest

@@ -1,73 +1,68 @@
-"""The frame hot path: REPRO_HOTPATH knob + golden bit-equivalence.
+"""The frame hot path: caches against a from-scratch derivation.
 
-The hot path caches linear-domain mean powers, composed per-link rx
-powers, per-rate sensitivity/SIR constants, airtimes, and the radio's
-in-air energy sum.  The discipline is *cache, never re-derive*: every
-cached value comes from the exact expression the uncached path
-evaluates, so ``REPRO_HOTPATH=off`` (full re-derivation) must produce
-bit-identical results.  These tests pin that on the paper's Fig. 8 and
-Fig. 10 topologies and on the 120-node sparse floor the engine bench
-uses.
+The channel caches linear-domain mean powers and composed per-link rx
+powers; the radio caches its in-air energy sum and per-rate
+sensitivity/SIR constants; ``PhyTiming`` memoizes airtimes.  The
+discipline is *cache, never re-derive*: every cached value comes from
+the exact expression a from-scratch derivation evaluates.  These tests
+pin that against derivations written out here — per link on a PHY-only
+world, and end to end on the golden Fig. 8 / Fig. 10 / sparse-floor
+scenarios with the caches bypassed.  The caches and the coalesced air
+notifications are unconditional: the retired ``REPRO_HOTPATH`` variable
+selects nothing.
 """
+
+from unittest import mock
 
 import pytest
 
-from repro.util.hotpath import (
-    HOTPATH_ENV,
-    hotpath_enabled,
-    hotpath_forced,
-    set_hotpath,
-    vector_forced,
-)
+from repro.phy.channel import Channel
+from repro.phy.radio import Radio
+from repro.util.geometry import Point
+from repro.util.hotpath import mode_enabled
+from repro.util.rng import RngStreams
+from repro.util.units import db_to_ratio, dbm_to_mw
 
 from tests.conftest import build_phy_world
 from tests.goldens import assert_baseline_matches, diff, run_scenario
 
-
-@pytest.fixture(autouse=True)
-def _restore_hotpath():
-    """Every test leaves the knob deferring to the environment."""
-    yield
-    set_hotpath(None)
+HOTPATH_ENV = "REPRO_HOTPATH"
 
 
 # ----------------------------------------------------------------------
-# Knob semantics
+# The retired knob
 # ----------------------------------------------------------------------
+def _events_per_frame():
+    """Engine events one frame to three receivers costs."""
+    world = build_phy_world([(0.0, 0.0), (5.0, 0.0), (10.0, 0.0), (15.0, 0.0)])
+    world.radios[0].start_transmission(world.data_frame(0, 1))
+    world.sim.run()
+    return world.sim.events_fired
+
+
 class TestKnob:
     def test_default_is_enabled(self, monkeypatch):
         monkeypatch.delenv(HOTPATH_ENV, raising=False)
-        set_hotpath(None)
-        assert hotpath_enabled() is True
+        assert mode_enabled("hotpath") is True
+        # start-of-air, end-of-transmission, end-of-air: coalesced.
+        assert _events_per_frame() == 3
 
     @pytest.mark.parametrize("value", ["off", "OFF", "0", "false", "no"])
     def test_disabling_values(self, monkeypatch, value):
+        # Values that used to disable the caches no longer do.
         monkeypatch.setenv(HOTPATH_ENV, value)
-        set_hotpath(None)
-        assert hotpath_enabled() is False
+        assert mode_enabled("hotpath") is True
+        assert _events_per_frame() == 3
 
     @pytest.mark.parametrize("value", ["1", "on", "yes", "anything"])
     def test_other_values_enable(self, monkeypatch, value):
         monkeypatch.setenv(HOTPATH_ENV, value)
-        set_hotpath(None)
-        assert hotpath_enabled() is True
-
-    def test_set_hotpath_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(HOTPATH_ENV, "off")
-        set_hotpath(True)
-        assert hotpath_enabled() is True
-        set_hotpath(None)  # back to deferring to the environment
-        assert hotpath_enabled() is False
-
-    def test_forced_context_restores(self):
-        set_hotpath(True)
-        with hotpath_forced(False):
-            assert hotpath_enabled() is False
-        assert hotpath_enabled() is True
+        assert mode_enabled("hotpath") is True
+        assert _events_per_frame() == 3
 
 
 # ----------------------------------------------------------------------
-# Micro-level equivalence on a PHY-only world
+# Per-link powers against a from-scratch derivation
 # ----------------------------------------------------------------------
 def _rx_powers(world, frames=4):
     powers = []
@@ -78,54 +73,78 @@ def _rx_powers(world, frames=4):
     return powers
 
 
+def _derived_powers(world, seed, frames, offsets=None):
+    """Frame-by-frame rx power at radio 1 from radio 0, derived from scratch.
+
+    ``offsets``: the ``per_link`` shadowing stream to continue, so a
+    test can follow one link across a move (a moved link redraws).
+    """
+    channel = world.channel
+    sender, receiver = world.radios[0], world.radios[1]
+    distance = sender.position.distance_to(receiver.position)
+    mean_dbm = channel.propagation.mean_rx_dbm(sender.config.tx_power_dbm, distance)
+    if offsets is None:
+        offsets = RngStreams(seed).substream("shadowing", channel.band, 0, 1)
+    mode = channel.shadowing_mode
+    if mode == "none":
+        return [{1: dbm_to_mw(mean_dbm)}] * frames
+    if mode == "per_link":
+        offset = channel.propagation.shadowing_db(offsets)
+        return [{1: dbm_to_mw(mean_dbm + offset)}] * frames
+    return [
+        {1: dbm_to_mw(mean_dbm) * db_to_ratio(channel.propagation.shadowing_db(offsets))}
+        for _ in range(frames)
+    ]
+
+
 class TestPhyEquivalence:
     @pytest.mark.parametrize("mode", ["none", "per_link", "per_frame"])
     def test_rx_power_identical_per_mode(self, mode):
-        kwargs = dict(sigma_db=5.0, shadowing_mode=mode, seed=11)
-        with hotpath_forced(True):
-            on = _rx_powers(build_phy_world([(0.0, 0.0), (10.0, 0.0)], **kwargs))
-        with hotpath_forced(False):
-            off = _rx_powers(build_phy_world([(0.0, 0.0), (10.0, 0.0)], **kwargs))
-        assert on == off
+        world = build_phy_world(
+            [(0.0, 0.0), (10.0, 0.0)], sigma_db=5.0, shadowing_mode=mode, seed=11
+        )
+        assert _rx_powers(world) == _derived_powers(world, 11, frames=4)
 
     def test_mobility_invalidation_identical(self):
-        from repro.util.geometry import Point
-
-        def run(enabled):
-            with hotpath_forced(enabled):
-                world = build_phy_world(
-                    [(0.0, 0.0), (10.0, 0.0)],
-                    sigma_db=5.0,
-                    shadowing_mode="per_link",
-                    seed=3,
-                )
-                first = _rx_powers(world, frames=2)
-                world.radios[1].move_to(Point(25.0, 0.0))
-                second = _rx_powers(world, frames=2)
-            return first, second
-
-        assert run(True) == run(False)
+        world = build_phy_world(
+            [(0.0, 0.0), (10.0, 0.0)],
+            sigma_db=5.0,
+            shadowing_mode="per_link",
+            seed=3,
+        )
+        offsets = RngStreams(3).substream("shadowing", 0, 0, 1)
+        first = _rx_powers(world, frames=2)
+        assert first == _derived_powers(world, 3, frames=2, offsets=offsets)
+        # The move drops the cached mean *and* the per-link draw: the
+        # next frame sees the new distance and the link's next draw.
+        world.radios[1].move_to(Point(25.0, 0.0))
+        second = _rx_powers(world, frames=2)
+        assert second == _derived_powers(world, 3, frames=2, offsets=offsets)
+        assert second != first
 
 
 # ----------------------------------------------------------------------
-# Golden end-to-end equivalence
+# Golden end-to-end equivalence with the caches bypassed
 # ----------------------------------------------------------------------
+def _uncached_mean_rx(channel, sender, receiver):
+    dist = sender.position.distance_to(receiver.position)
+    mean_dbm = channel.propagation.mean_rx_dbm(sender.config.tx_power_dbm, dist)
+    return (mean_dbm, dbm_to_mw(mean_dbm))
+
+
+def _uncached_energy_mw(radio):
+    return sum(radio._in_air.values()) if radio._in_air else 0.0
+
+
 class TestGoldenEquivalence:
-    """Hot-path-off vs the committed default-mode fixtures.
-
-    The fixture (tests/golden/) is one canonical run with the caches on;
-    ``assert_baseline_matches`` re-pins it per process, and each variant
-    run here only has to match the fixture — equivalence between any two
-    modes is transitive through the golden.
-    """
+    """Re-deriving mean powers and in-air energy per use reproduces the
+    committed fixtures: the caches change no physics."""
 
     @pytest.mark.parametrize("scenario", ["fig8", "fig10", "sparse_floor"])
     def test_rederivation_matches_golden(self, scenario):
         golden = assert_baseline_matches(scenario)
-        with hotpath_forced(False), vector_forced(False):
+        with mock.patch.object(Channel, "_mean_rx", _uncached_mean_rx), \
+                mock.patch.object(Radio, "energy_mw", _uncached_energy_mw):
             _, snap = run_scenario(scenario)
         assert diff(golden, snap) == []
-        # Coalesced air notifications mean strictly fewer engine events
-        # for the same physics: the fixture (caches on) must undercut
-        # the per-receiver re-derivation path.
-        assert golden["events_fired"] < snap["events_fired"]
+        assert snap["events_fired"] == golden["events_fired"]

@@ -1,23 +1,24 @@
 """The hash-grid spatial index and its channel integration.
 
-Covers the spatial candidate-generation tentpole:
+The grid is the channel's only candidate generator.  Covered here:
 
 * :class:`repro.phy.spatial.SpatialIndex` unit behavior — membership
-  errors, version discipline (same-cell moves still bump), degenerate
-  huge-radius queries;
+  errors, empty-cell cleanup, degenerate huge and infinite radii;
 * hypothesis properties: grid membership after arbitrary
   attach/move/detach sequences equals brute-force recomputation, and
   ``query_disk`` always returns a superset of the true in-disk members;
 * reach-radius soundness: no radio outside the query disk can survive
-  the exact cull test, across alpha / tx power / margin / threshold
-  (the analytical property) and end-to-end on randomized topologies
-  (identical ``rx_power_mw`` maps with the grid on and off);
-* the O(1) detach (satellite): removal preserves attach iteration
-  order, re-attach appends;
-* copy discipline (satellite): ``Channel.radios`` copies,
-  ``radios_view`` does not;
-* candidate ordering, the ``spatial_*`` counters, margin-off inertness,
-  and the manifest ``spatial`` block.
+  the exact cull test, across alpha / tx power / margin / threshold;
+* the brute-force candidate oracle: on every frame of randomized
+  topologies with mobility, detach/re-attach and C-SR power changes,
+  at cull margins off / 0 / default, every attached radio whose mean
+  passes the cull test is a candidate, candidates come in attach order,
+  and ``culled_links`` equals the brute-force count;
+* the O(1) detach: removal preserves attach iteration order, re-attach
+  appends;
+* copy discipline: ``Channel.radios`` copies, ``radios_view`` does not;
+* the ``spatial_*`` counters, the cull-margin knob, and the manifest
+  ``spatial`` block.
 """
 
 import math
@@ -27,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.obs.counters import CounterRegistry
 from repro.obs.manifest import RunManifest, build_manifest, validate_manifest
+from repro.phy.channel import CULL_MARGIN_ENV
 from repro.phy.propagation import REACH_RADIUS_SLACK, LogNormalShadowing
 from repro.phy.radio import Radio, RadioConfig
 from repro.phy.spatial import (
@@ -37,7 +39,6 @@ from repro.phy.spatial import (
     spatial_manifest_block,
 )
 from repro.util.geometry import Point
-from repro.util.hotpath import spatial_forced
 
 from tests.conftest import StubMac, build_phy_world
 
@@ -77,23 +78,6 @@ class TestSpatialIndex:
         with pytest.raises(ValueError):
             grid.move(99, 0.0, 0.0)
 
-    def test_version_bumps_on_every_mutation(self):
-        # Same-cell moves must bump too: consumers cache *position*-
-        # derived state (mean-power rows), not just cell membership.
-        grid = SpatialIndex(100.0)
-        v0 = grid.version
-        grid.add(1, 10.0, 10.0)
-        v1 = grid.version
-        assert v1 > v0
-        grid.move(1, 11.0, 10.0)  # same cell
-        v2 = grid.version
-        assert v2 > v1
-        grid.move(1, 250.0, 10.0)  # different cell
-        v3 = grid.version
-        assert v3 > v2
-        grid.remove(1)
-        assert grid.version > v3
-
     def test_empty_cells_are_dropped(self):
         grid = SpatialIndex(10.0)
         grid.add(1, 5.0, 5.0)
@@ -119,6 +103,19 @@ class TestSpatialIndex:
         grid.add(2, 1e8, 1e8)
         out = grid.query_disk(0.0, 0.0, 1e9)
         assert sorted(out) == [1, 2]
+
+    def test_infinite_radius_returns_every_member(self):
+        # Culling off: the reach radius is unbounded.
+        grid = SpatialIndex(1.0)
+        for member, (x, y) in enumerate([(0.0, 0.0), (-1e12, 3.0), (5.0, 1e15)]):
+            grid.add(member, x, y)
+        assert sorted(grid.query_disk(7.0, 7.0, math.inf)) == [0, 1, 2]
+
+    def test_rim_member_survives_rounding(self):
+        # y - radius rounds to 0.0 while the member sits just below it.
+        grid = SpatialIndex(1.0)
+        grid.add(0, 0.0, -1.7346264713681363e-283)
+        assert grid.query_disk(0.0, 1.0, 1.0) == [0]
 
 
 # ----------------------------------------------------------------------
@@ -232,18 +229,133 @@ class TestReachRadius:
         st.floats(min_value=0.0, max_value=30.0),
     )
     def test_grid_never_loses_a_survivor(self, positions, margin):
-        # End-to-end soundness on randomized sparse topologies: the set
-        # of receivers that hear a frame (and the per-link powers, and
-        # the culled count) is identical with the grid on and off.
-        runs = {}
-        for spatial in (False, True):
-            world = build_phy_world(
-                positions, cull_margin_db=margin, spatial=spatial
+        # End-to-end soundness on randomized sparse topologies: the
+        # receivers that hear a frame are exactly the brute-force cull
+        # survivors, and every other radio counts as culled.
+        world = build_phy_world(positions, cull_margin_db=margin)
+        sender = world.radios[0]
+        survivors = brute_force_survivors(world.channel, sender)
+        tx = sender.start_transmission(world.data_frame(0, 1))
+        world.sim.run()
+        assert list(tx.rx_power_mw) == survivors
+        assert world.channel.links_culled == len(positions) - 1 - len(survivors)
+
+
+# ----------------------------------------------------------------------
+# The brute-force candidate oracle
+# ----------------------------------------------------------------------
+def brute_force_survivors(channel, sender):
+    """Ids of attached radios whose mean passes the cull test, attach order."""
+    margin = channel.cull_margin_db
+    survivors = []
+    for radio in channel.radios:
+        if radio is sender:
+            continue
+        if margin is not None:
+            mean_dbm = channel.propagation.mean_rx_dbm(
+                sender.config.tx_power_dbm,
+                sender.position.distance_to(radio.position),
             )
-            tx = world.radios[0].start_transmission(world.data_frame(0, 1))
-            world.sim.run()
-            runs[spatial] = (dict(tx.rx_power_mw), world.channel.links_culled)
-        assert runs[True] == runs[False]
+            config = radio.config
+            if (
+                mean_dbm + margin < config.noise_floor_dbm
+                and mean_dbm + margin < config.cs_threshold_dbm
+            ):
+                continue
+        survivors.append(radio.radio_id)
+    return survivors
+
+
+def every_attached_radio(channel, sender):
+    """A sweep over every attached radio: the grid's reference generator.
+
+    Patched over ``Channel._spatial_candidates`` by the differential
+    tests, it reproduces a channel without a grid.
+    """
+    return [radio for radio in channel.radios if radio is not sender]
+
+
+def transmit_checked(world, sender, dst):
+    """Send one frame and check the candidates against the oracle."""
+    channel = world.channel
+    survivors = brute_force_survivors(channel, sender)
+    attach_order = [radio.radio_id for radio in channel.radios]
+    seen = []
+    generate = channel._spatial_candidates
+
+    def recording(radio):
+        candidates = generate(radio)
+        seen.append([c.radio_id for c in candidates])
+        return candidates
+
+    channel._spatial_candidates = recording
+    culled_before = channel.links_culled
+    try:
+        tx = sender.start_transmission(world.data_frame(sender.radio_id, dst))
+    finally:
+        del channel._spatial_candidates
+    world.sim.run()
+    [candidates] = seen
+    assert set(survivors) <= set(candidates)
+    assert candidates == sorted(candidates, key=attach_order.index)
+    assert list(tx.rx_power_mw) == survivors
+    attached = len(attach_order)
+    assert channel.links_culled - culled_before == attached - 1 - len(survivors)
+
+
+# 0–2 km: the cull fires beyond ~760 m, and cells hold several radios.
+_city = st.floats(
+    min_value=0.0, max_value=2_000.0, allow_nan=False, allow_infinity=False
+)
+_event = st.tuples(
+    st.sampled_from(["move", "churn", "power"]),
+    st.integers(min_value=0, max_value=6),
+    _city,
+    _city,
+    st.sampled_from([0.0, 10.0, 20.0]),
+)
+
+
+class TestCandidateOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        positions=st.lists(
+            st.tuples(_city, _city), min_size=2, max_size=7, unique=True
+        ),
+        order=st.permutations(range(7)),
+        events=st.lists(_event, max_size=6),
+        margin=st.sampled_from(["off", 0.0, None]),
+        sigma_db=st.sampled_from([0.0, 4.0]),
+    )
+    def test_every_frame_matches_brute_force(
+        self, positions, order, events, margin, sigma_db
+    ):
+        world = build_phy_world(
+            positions, sigma_db=sigma_db, shadowing_mode="per_frame",
+            cull_margin_db=margin,
+        )
+        channel = world.channel
+        # Re-attach in a drawn order so attach order differs from id order.
+        for index in order:
+            if index < len(world.radios):
+                channel.detach(world.radios[index])
+                channel.attach(world.radios[index])
+        for event in [None] + events:
+            if event is not None:
+                kind, index, x, y, power = event
+                radio = world.radios[index % len(world.radios)]
+                if kind == "move":
+                    radio.move_to(Point(x, y))
+                elif kind == "power":  # C-SR power capping
+                    radio.set_tx_power_dbm(power)
+                elif radio.attached:
+                    channel.detach(radio)
+                else:
+                    channel.attach(radio)
+            attached = channel.radios
+            for i, sender in enumerate(attached):
+                transmit_checked(world, sender, attached[i - 1].radio_id)
+        assert channel.spatial_queries == channel.frames_sent
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +379,7 @@ class TestDetachOrder:
         assert [r.radio_id for r in channel.radios] == [1, 2, 0]
 
     def test_detach_keeps_grid_consistent(self):
-        world = build_phy_world([NEAR, MID, FAR], spatial=True)
+        world = build_phy_world([NEAR, MID, FAR])
         grid = world.channel.prepare_spatial()
         assert len(grid) == 3
         world.channel.detach(world.radios[2])
@@ -300,9 +412,7 @@ class TestRadiosAccessors:
 # ----------------------------------------------------------------------
 class TestChannelSpatial:
     def test_candidates_in_attach_order(self):
-        world = build_phy_world(
-            [NEAR, (30.0, 0.0), (20.0, 0.0), (10.0, 0.0)], spatial=True
-        )
+        world = build_phy_world([NEAR, (30.0, 0.0), (20.0, 0.0), (10.0, 0.0)])
         channel = world.channel
         channel.detach(world.radios[1])
         channel.attach(world.radios[1])  # now last in attach order
@@ -310,55 +420,65 @@ class TestChannelSpatial:
         assert [r.radio_id for r in got] == [2, 3, 1]
 
     def test_counters_tick_and_culled_identity(self):
-        spatial = build_phy_world([NEAR, MID, FAR], spatial=True)
-        spatial.radios[0].start_transmission(spatial.data_frame(0, 1))
-        spatial.sim.run()
-        exhaustive = build_phy_world([NEAR, MID, FAR], spatial=False)
-        exhaustive.radios[0].start_transmission(exhaustive.data_frame(0, 1))
-        exhaustive.sim.run()
-        counters = spatial.channel.counters()
+        world = build_phy_world([NEAR, MID, FAR])
+        world.radios[0].start_transmission(world.data_frame(0, 1))
+        world.sim.run()
+        counters = world.channel.counters()
         assert counters["spatial_queries"] == 1
         assert counters["spatial_candidates"] == 1  # FAR never visited
         assert counters["spatial_skipped"] == 1
         assert counters["spatial_cells"] >= 1
         assert counters["spatial_cell_size_m"] > 0.0
-        # The grid-skipped radio is still charged as a culled link, so
-        # the equivalence-checked counter matches the exhaustive path.
-        assert counters["culled_links"] == exhaustive.channel.links_culled == 1
+        # The grid-skipped radio is still charged as a culled link.
+        assert counters["culled_links"] == 1
 
-    def test_env_knob_reaches_channel(self):
-        with spatial_forced(True):
-            world = build_phy_world([NEAR, MID])
-            assert world.channel.spatial_active
-        with spatial_forced(False):
-            world = build_phy_world([NEAR, MID])
-            assert not world.channel.spatial_active
+    def test_env_knob_reaches_channel(self, monkeypatch):
+        # The cull margin is the candidate generator's only knob.
+        monkeypatch.setenv(CULL_MARGIN_ENV, "off")
+        world = build_phy_world([NEAR, MID, FAR])
+        assert world.channel._reach_radius(20.0) == math.inf
+        monkeypatch.setenv(CULL_MARGIN_ENV, "40")
+        world = build_phy_world([NEAR, MID, FAR])
+        assert world.channel._reach_radius(20.0) < FAR[0]
 
-    def test_explicit_param_beats_knob(self):
-        with spatial_forced(True):
-            world = build_phy_world([NEAR, MID], spatial=False)
-            assert not world.channel.spatial_active
+    def test_explicit_param_beats_knob(self, monkeypatch):
+        monkeypatch.setenv(CULL_MARGIN_ENV, "off")
+        world = build_phy_world([NEAR, MID, FAR], cull_margin_db=20.0)
+        assert world.channel._reach_radius(20.0) < FAR[0]
 
     def test_inert_without_cull_margin(self):
-        # The grid's soundness argument *is* the cull test; without a
-        # margin there is nothing sound to skip, so the knob is inert.
-        world = build_phy_world([NEAR, MID, FAR], cull_margin_db="off", spatial=True)
-        assert not world.channel.spatial_active
-        assert world.channel.prepare_spatial() is None
+        # With culling off the disk is unbounded: the grid still runs
+        # but skips nothing, and every radio hears the frame.
+        world = build_phy_world([NEAR, MID, FAR], cull_margin_db="off")
+        assert world.channel.prepare_spatial() is not None
         tx = world.radios[0].start_transmission(world.data_frame(0, 1))
         world.sim.run()
         assert set(tx.rx_power_mw) == {1, 2}
-        assert world.channel.counters()["spatial_queries"] == 0
+        counters = world.channel.counters()
+        assert counters["spatial_queries"] == 1
+        assert counters["spatial_candidates"] == 2
+        assert counters["spatial_skipped"] == counters["culled_links"] == 0
+
+    @pytest.mark.parametrize("margin", [None, "off"])
+    def test_near_coincident_radios_get_a_usable_cell(self, margin):
+        # A subnormal extent must not become the cell edge (x / cell
+        # would overflow), nor may an unbounded reach.
+        world = build_phy_world([NEAR, (0.0, 2.2250738585e-313)], cull_margin_db=margin)
+        grid = world.channel.prepare_spatial()
+        assert grid.cell_size_m == world.channel.propagation.reference_distance_m
+        tx = world.radios[0].start_transmission(world.data_frame(0, 1))
+        world.sim.run()
+        assert list(tx.rx_power_mw) == [1]
 
     def test_prepare_spatial_idempotent(self):
-        world = build_phy_world([NEAR, MID], spatial=True)
+        world = build_phy_world([NEAR, MID])
         grid = world.channel.prepare_spatial()
         assert grid is not None
         assert world.channel.prepare_spatial() is grid
         assert world.channel.spatial_index is grid
 
     def test_move_rehashes_and_uncults(self):
-        world = build_phy_world([NEAR, MID, FAR], spatial=True)
+        world = build_phy_world([NEAR, MID, FAR])
         world.radios[0].start_transmission(world.data_frame(0, 1))
         world.sim.run()
         world.radios[2].move_to(Point(20.0, 0.0))
@@ -367,7 +487,7 @@ class TestChannelSpatial:
         assert 2 in tx.rx_power_mw
 
     def test_midrun_attach_joins_grid(self):
-        world = build_phy_world([NEAR, MID], spatial=True)
+        world = build_phy_world([NEAR, MID])
         world.radios[0].start_transmission(world.data_frame(0, 1))
         world.sim.run()
         late = Radio(
@@ -383,7 +503,7 @@ class TestChannelSpatial:
 
     def test_occupancy_histogram_recorded(self):
         registry = CounterRegistry()
-        world = build_phy_world([NEAR, MID, FAR], spatial=True)
+        world = build_phy_world([NEAR, MID, FAR])
         world.channel.register_counters(registry)
         world.channel.prepare_spatial()
         world.channel.record_spatial_occupancy()
@@ -393,7 +513,7 @@ class TestChannelSpatial:
         assert stats["sum"] == 3  # every radio counted exactly once
 
     def test_occupancy_noop_without_registry(self):
-        world = build_phy_world([NEAR, MID], spatial=True)
+        world = build_phy_world([NEAR, MID])
         world.channel.prepare_spatial()
         world.channel.record_spatial_occupancy()  # must not raise
 
@@ -413,13 +533,11 @@ class TestManifestSpatialBlock:
     def test_block_reports_grid_stats(self):
         reset_spatial_stats()
         try:
-            with spatial_forced(True):
-                world = build_phy_world([NEAR, MID, FAR])
-                world.channel.prepare_spatial()
-                world.radios[0].start_transmission(world.data_frame(0, 1))
-                world.sim.run()
-                block = spatial_manifest_block()
-            assert block["enabled"] is True
+            world = build_phy_world([NEAR, MID, FAR])
+            world.channel.prepare_spatial()
+            world.radios[0].start_transmission(world.data_frame(0, 1))
+            world.sim.run()
+            block = spatial_manifest_block()
             assert block["cell_size_m"]["count"] == 1
             assert block["cell_size_m"]["min"] > 0.0
             assert block["reach_radius_m"]["count"] == 1
@@ -428,9 +546,18 @@ class TestManifestSpatialBlock:
             reset_spatial_stats()
 
     def test_block_minimal_when_nothing_built(self):
+        # The grid has no off state, so the block has no flag: it is
+        # empty until a grid is built.
         reset_spatial_stats()
-        with spatial_forced(False):
-            assert spatial_manifest_block() == {"enabled": False}
+        assert spatial_manifest_block() == {}
+        world = build_phy_world([NEAR, MID], cull_margin_db="off")
+        world.channel.prepare_spatial()
+        try:
+            block = spatial_manifest_block()
+            assert block["cell_size_m"]["count"] == 1
+            assert "reach_radius_m" not in block  # unbounded: not recorded
+        finally:
+            reset_spatial_stats()
 
     def test_aggregate_folds_samples(self):
         reset_spatial_stats()
@@ -449,12 +576,12 @@ class TestManifestSpatialBlock:
     def test_manifest_roundtrip_with_spatial(self):
         manifest = build_manifest(
             **self._manifest_kwargs(),
-            spatial={"enabled": True, "cell_size_m": {"count": 1}},
+            spatial={"cell_size_m": {"count": 1}},
         )
         payload = manifest.to_dict()
         validate_manifest(payload)
         loaded = RunManifest.from_dict(payload)
-        assert loaded.spatial == {"enabled": True, "cell_size_m": {"count": 1}}
+        assert loaded.spatial == {"cell_size_m": {"count": 1}}
 
     def test_old_manifests_still_validate(self):
         # Archived manifests predate the spatial field entirely.
@@ -464,3 +591,12 @@ class TestManifestSpatialBlock:
         validate_manifest(payload)
         loaded = RunManifest.from_dict(payload)
         assert loaded.spatial is None
+        # Manifests written while the grid could be switched off carry
+        # an ``enabled`` flag; they load unchanged.
+        for version in (1, 2):
+            payload = dict(
+                manifest.to_dict(), version=version,
+                spatial={"enabled": False},
+            )
+            validate_manifest(payload)
+            assert RunManifest.from_dict(payload).spatial == {"enabled": False}

@@ -1,41 +1,47 @@
-"""Spatial candidate generation: differential harness and goldens.
+"""Grid candidate generation against a sweep over every attached radio.
 
-``REPRO_SPATIAL=1`` must be a pure execution-mode change: per-node
-counters, ``rx_power_mw`` maps, and per-flow goodput bit-identical to
-the exhaustive culled sweep, across the full knob matrix (scalar /
-vector backend, hot path on / off, every cull margin).  Enforced here
-three ways, mirroring ``test_vector_equivalence``:
+The hash grid is the channel's only candidate generator, and it must be
+a pure execution choice: per-node counters, ``rx_power_mw`` maps,
+per-flow goodput and ``culled_links`` equal what a sweep over every
+attached radio gives.  The sweep survives only here, patched over
+``Channel._spatial_candidates`` by :func:`without_grid`, as the oracle:
 
 * a **differential harness**: hypothesis-randomized sparse topologies
-  (spread wide enough that culling actually fires) run with the grid on
-  and off and must agree on every observable — including under mobility,
-  which exercises incremental rehashing and sparse-plan invalidation;
-* **golden equivalence**: the pinned Fig-8 / Fig-10 / sparse-floor
-  fixtures must be reproduced exactly with the grid on, under both the
-  scalar and vector paths, with event-count parity;
-* **margin matrix**: spatial-on equals spatial-off at non-default cull
-  margins (where the goldens don't apply, the exhaustive run is the
-  oracle).
+  (spread wide enough that culling actually fires), including mobility
+  and detach/re-attach, run with the grid and with the sweep;
+* **margin matrix**: the same comparison at non-default cull margins,
+  on PHY worlds and on a full-MAC scenario;
+* **golden equivalence**: the sweep reproduces the pinned Fig-8 /
+  Fig-10 / sparse-floor fixtures the grid produced, and setting the
+  retired ``REPRO_SPATIAL`` / ``REPRO_VECTOR`` / ``REPRO_HOTPATH``
+  variables changes nothing.
 """
+
+import os
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.phy.channel import Channel
 from repro.util.geometry import Point
-from repro.util.hotpath import (
-    hotpath_forced,
-    spatial_forced,
-    vector_enabled,
-    vector_forced,
-)
 
 from tests.conftest import build_phy_world
 from tests.goldens import assert_baseline_matches, diff, run_scenario
+from tests.test_spatial import every_attached_radio
+
+
+@contextmanager
+def without_grid():
+    """Swap the grid for a sweep over every attached radio in the block."""
+    with mock.patch.object(Channel, "_spatial_candidates", every_attached_radio):
+        yield
 
 
 # ----------------------------------------------------------------------
-# Differential harness: randomized sparse topologies, grid on vs off
+# Differential harness: randomized sparse topologies, grid vs sweep
 # ----------------------------------------------------------------------
 def _drive(world, rounds=3, mover=None):
     """Round-robin one frame from every radio; collect all observables.
@@ -71,6 +77,13 @@ def _drive(world, rounds=3, mover=None):
     return rx_maps, counters, energies, edges, world.channel.links_culled
 
 
+def _grid_and_sweep(positions, rounds=3, mover=None, **kwargs):
+    grid = _drive(build_phy_world(positions, **kwargs), rounds, mover)
+    with without_grid():
+        sweep = _drive(build_phy_world(positions, **kwargs), rounds, mover)
+    return grid, sweep
+
+
 # Wide placements (0–6 km): with the conftest defaults the cull fires
 # beyond ~760 m, so random draws mix surviving and culled links.
 _coord = st.floats(
@@ -90,25 +103,23 @@ class TestDifferentialHarness:
         mode=st.sampled_from(["per_frame", "per_link", "none"]),
     )
     def test_random_topologies_agree(self, positions, seed, sigma_db, mode):
-        kwargs = dict(sigma_db=sigma_db, shadowing_mode=mode, seed=seed)
-        baseline = _drive(build_phy_world(positions, spatial=False, **kwargs))
-        spatial = _drive(build_phy_world(positions, spatial=True, **kwargs))
-        assert baseline == spatial
+        grid, sweep = _grid_and_sweep(
+            positions, sigma_db=sigma_db, shadowing_mode=mode, seed=seed
+        )
+        assert grid == sweep
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=10, deadline=None)
     @given(
         positions=_placement,
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_agreement_with_vector_backend(self, positions, seed):
-        # Sparse candidate-indexed plans vs dense N-row plans.
-        kwargs = dict(sigma_db=4.0, shadowing_mode="per_frame", seed=seed)
-        with vector_forced(True):
-            baseline = _drive(
-                build_phy_world(positions, spatial=False, **kwargs)
+        # The retired backend's variable no longer selects anything.
+        with mock.patch.dict(os.environ, {"REPRO_VECTOR": "1"}):
+            grid, sweep = _grid_and_sweep(
+                positions, sigma_db=4.0, shadowing_mode="per_frame", seed=seed
             )
-            spatial = _drive(build_phy_world(positions, spatial=True, **kwargs))
-        assert baseline == spatial
+        assert grid == sweep
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -116,23 +127,18 @@ class TestDifferentialHarness:
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_agreement_survives_hotpath_off(self, positions, seed):
-        kwargs = dict(sigma_db=4.0, shadowing_mode="per_frame", seed=seed)
-        with hotpath_forced(False):
-            baseline = _drive(
-                build_phy_world(positions, spatial=False, **kwargs)
+        # The retired knob's "off" value no longer selects anything.
+        with mock.patch.dict(os.environ, {"REPRO_HOTPATH": "off"}):
+            grid, sweep = _grid_and_sweep(
+                positions, sigma_db=4.0, shadowing_mode="per_frame", seed=seed
             )
-            spatial = _drive(build_phy_world(positions, spatial=True, **kwargs))
-        assert baseline == spatial
+        assert grid == sweep
 
     @settings(max_examples=15, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        vector=st.booleans(),
-    )
-    def test_mobility_agrees(self, seed, vector):
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    def test_mobility_agrees(self, seed):
         # Radio 1 walks from cull range into the sender's cell and back
-        # out — incremental rehashing plus (under vector) sparse-plan
-        # invalidation must never change an observable.
+        # out — incremental rehashing must never change an observable.
         positions = [(0.0, 0.0), (5_000.0, 0.0), (30.0, 10.0)]
         waypoints = [
             Point(5_000.0, 0.0), Point(40.0, 0.0),
@@ -142,17 +148,11 @@ class TestDifferentialHarness:
         def mover(round_index, world):
             world.radios[1].move_to(waypoints[round_index % len(waypoints)])
 
-        kwargs = dict(sigma_db=4.0, shadowing_mode="per_frame", seed=seed)
-        with vector_forced(vector):
-            baseline = _drive(
-                build_phy_world(positions, spatial=False, **kwargs),
-                rounds=4, mover=mover,
-            )
-            spatial = _drive(
-                build_phy_world(positions, spatial=True, **kwargs),
-                rounds=4, mover=mover,
-            )
-        assert baseline == spatial
+        grid, sweep = _grid_and_sweep(
+            positions, rounds=4, mover=mover,
+            sigma_db=4.0, shadowing_mode="per_frame", seed=seed,
+        )
+        assert grid == sweep
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16))
@@ -165,94 +165,84 @@ class TestDifferentialHarness:
             elif round_index == 2:
                 world.channel.attach(world.radios[2])
 
-        kwargs = dict(sigma_db=4.0, shadowing_mode="per_frame", seed=seed)
-        baseline = _drive(
-            build_phy_world(positions, spatial=False, **kwargs),
-            rounds=4, mover=churn,
+        grid, sweep = _grid_and_sweep(
+            positions, rounds=4, mover=churn,
+            sigma_db=4.0, shadowing_mode="per_frame", seed=seed,
         )
-        spatial = _drive(
-            build_phy_world(positions, spatial=True, **kwargs),
-            rounds=4, mover=churn,
-        )
-        assert baseline == spatial
+        assert grid == sweep
 
 
 # ----------------------------------------------------------------------
-# Margin matrix: spatial-on equals spatial-off at every margin
+# Margin matrix: grid equals sweep at every margin
 # ----------------------------------------------------------------------
 class TestMarginMatrix:
     @pytest.mark.parametrize("margin", [0.0, 6.0, 20.0, 45.0])
     def test_margins_agree(self, margin):
         positions = [(0.0, 0.0), (15.0, 0.0), (700.0, 0.0), (2_500.0, 0.0)]
-        kwargs = dict(
-            sigma_db=5.0, shadowing_mode="per_frame", seed=9,
+        grid, sweep = _grid_and_sweep(
+            positions, sigma_db=5.0, shadowing_mode="per_frame", seed=9,
             cull_margin_db=margin,
         )
-        baseline = _drive(build_phy_world(positions, spatial=False, **kwargs))
-        spatial = _drive(build_phy_world(positions, spatial=True, **kwargs))
-        assert baseline == spatial
+        assert grid == sweep
 
     @pytest.mark.parametrize("cull", [3.0, 30.0])
     def test_scenario_margin_overrides_agree(self, cull):
         # Full-MAC oracle runs at non-default margins (no golden
-        # fixture exists there; the exhaustive run is the reference).
-        with spatial_forced(False):
-            _, baseline = run_scenario("sparse_floor", cull=cull)
-        with spatial_forced(True):
-            _, spatial = run_scenario("sparse_floor", cull=cull)
-        assert diff(baseline, spatial) == []
-        assert spatial["links_culled"] == baseline["links_culled"]
+        # fixture exists there; the sweep is the reference).
+        _, grid = run_scenario("sparse_floor", cull=cull)
+        with without_grid():
+            _, sweep = run_scenario("sparse_floor", cull=cull)
+        assert diff(sweep, grid) == []
+        assert grid["links_culled"] == sweep["links_culled"]
 
 
 # ----------------------------------------------------------------------
 # Golden end-to-end equivalence (fig8 / fig10 / sparse floor)
 # ----------------------------------------------------------------------
+def _queried_every_frame(net):
+    return all(
+        ch.spatial_queries == ch.frames_sent > 0 for ch in net.channels.values()
+    )
+
+
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("scenario", ["fig8", "fig10", "sparse_floor"])
     def test_spatial_matches_golden(self, scenario):
         golden = assert_baseline_matches(scenario)
-        with spatial_forced(True):
-            net, snap = run_scenario(scenario)
-        assert diff(golden, snap) == []
+        with without_grid():
+            _, sweep = run_scenario(scenario)
+        assert diff(golden, sweep) == []
         # Grid skips are charged into the culled counter per frame, so
-        # even the cull total matches the exhaustive fixture exactly.
-        assert snap["links_culled"] == golden["links_culled"]
-        # And the grid really ran: every channel sized one.
-        assert all(
-            ch.counters()["spatial_queries"] > 0
-            for ch in net.channels.values()
-        )
+        # even the cull total matches the sweep exactly.
+        assert sweep["links_culled"] == golden["links_culled"]
 
     @pytest.mark.parametrize("scenario", ["fig8", "fig10", "sparse_floor"])
     def test_spatial_vector_matches_golden(self, scenario):
+        # Neither retired knob can switch the grid off or a backend on.
         golden = assert_baseline_matches(scenario)
-        with spatial_forced(True), vector_forced(True):
+        retired = {"REPRO_SPATIAL": "0", "REPRO_VECTOR": "1"}
+        with mock.patch.dict(os.environ, retired):
             net, snap = run_scenario(scenario)
         assert diff(golden, snap) == []
-        assert snap["links_culled"] == golden["links_culled"]
-        assert snap["vector_batches"] > 0
+        assert snap["events_fired"] == golden["events_fired"]
+        assert _queried_every_frame(net)
 
     def test_spatial_with_hotpath_off_matches_golden(self):
         golden = assert_baseline_matches("fig8")
-        with spatial_forced(True), hotpath_forced(False):
-            _, snap = run_scenario("fig8")
+        with mock.patch.dict(os.environ, {"REPRO_HOTPATH": "off"}):
+            net, snap = run_scenario("fig8")
         assert diff(golden, snap) == []
+        # Air notifications stay coalesced: same event count.
+        assert snap["events_fired"] == golden["events_fired"]
+        assert _queried_every_frame(net)
 
     def test_sparse_floor_grid_actually_skips(self):
         # The sparse floor's two cells sit 4 km apart — far outside
         # reach — so the grid must absorb every cull without visiting
-        # the far cell's radios at all.  Scalar mode queries the grid
-        # every frame, so skips match `culled_links` exactly; the vector
-        # backend queries once per cached plan build (`culled_links` is
-        # still charged per frame for equivalence), so skips are merely
-        # positive and bounded by the per-frame total.
-        with spatial_forced(True):
-            net, snap = run_scenario("sparse_floor")
+        # the far cell's radios at all.
+        net, _ = run_scenario("sparse_floor")
         totals = {
             key: sum(ch.counters()[key] for ch in net.channels.values())
             for key in ("spatial_skipped", "culled_links")
         }
-        if vector_enabled():
-            assert 0 < totals["spatial_skipped"] <= totals["culled_links"]
-        else:
-            assert totals["spatial_skipped"] == totals["culled_links"] > 0
+        assert totals["spatial_skipped"] == totals["culled_links"] > 0

@@ -1,184 +1,181 @@
-"""The vector channel backend: knob, differential harness, goldens.
+"""The channel against a from-scratch reference, and the retired ``REPRO_VECTOR``.
 
-``REPRO_VECTOR=1`` swaps the channel's per-receiver scalar loop for the
-struct-of-arrays backend in :mod:`repro.phy.vector`.  Its contract is
-*bit-identical* per-node counters, ``rx_power_mw`` maps, and per-flow
-goodput — enforced three ways here:
-
-* a **differential harness**: hypothesis-randomized small topologies
-  run under both backends and must agree on every observable (shrinking
-  yields a minimal failing placement);
-* **draw-stream pinning**: per-link shadowing draws must be
-  bit-identical to scalar ``RngStreams.substream`` output, including
-  across block-refill boundaries;
-* **golden equivalence**: the pinned Fig-8 / Fig-10 / sparse-floor
-  fixtures under ``tests/golden/`` (captured with the vector backend
-  off) must be reproduced exactly, with event-count parity against the
-  coalesced hot path.
+The struct-of-arrays backend that ``REPRO_VECTOR=1`` once selected is
+gone; the scalar channel is the only implementation.  What the backend's
+differential harness used to check — rx powers, culling, mobility and
+detach/re-attach across randomized topologies — is checked here against
+:class:`ReferenceMedium`, which re-derives every frame's received powers
+from scratch: every attached radio, no caches, no grid.  The remaining
+tests pin that the retired variable selects nothing.
 """
 
-import math
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.phy.propagation import LogNormalShadowing
-from repro.phy.vector import DRAW_CHUNK, VectorBackend, _require_numpy
 from repro.util.geometry import Point
-from repro.util.hotpath import (
-    VECTOR_ENV,
-    hotpath_forced,
-    mode_enabled,
-    set_vector,
-    vector_enabled,
-    vector_forced,
-)
+from repro.util.hotpath import mode_enabled
 from repro.util.rng import RngStreams
+from repro.util.units import db_to_ratio, dbm_to_mw
 
 from tests.conftest import build_phy_world
 from tests.goldens import assert_baseline_matches, diff, run_scenario
 
-
-@pytest.fixture(autouse=True)
-def _restore_vector():
-    """Every test leaves the knob deferring to the environment."""
-    yield
-    set_vector(None)
+VECTOR_ENV = "REPRO_VECTOR"
 
 
 # ----------------------------------------------------------------------
-# Knob semantics (mode registry)
+# The retired knob
 # ----------------------------------------------------------------------
 class TestKnob:
     def test_default_is_disabled(self, monkeypatch):
         monkeypatch.delenv(VECTOR_ENV, raising=False)
-        set_vector(None)
-        assert vector_enabled() is False
+        assert mode_enabled("vector") is False
 
     @pytest.mark.parametrize("value", ["1", "on", "yes", "anything"])
     def test_enabling_values(self, monkeypatch, value):
+        # Values that used to enable the backend no longer do.
         monkeypatch.setenv(VECTOR_ENV, value)
-        set_vector(None)
-        assert vector_enabled() is True
+        assert mode_enabled("vector") is False
 
     @pytest.mark.parametrize("value", ["off", "OFF", "0", "false", "no"])
     def test_disabling_values(self, monkeypatch, value):
         monkeypatch.setenv(VECTOR_ENV, value)
-        set_vector(None)
-        assert vector_enabled() is False
-
-    def test_set_vector_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(VECTOR_ENV, "1")
-        set_vector(False)
-        assert vector_enabled() is False
-        set_vector(None)  # back to deferring to the environment
-        assert vector_enabled() is True
-
-    def test_forced_context_restores(self):
-        set_vector(False)
-        with vector_forced(True):
-            assert vector_enabled() is True
-        assert vector_enabled() is False
+        assert mode_enabled("vector") is False
 
     def test_registry_rejects_unknown_mode(self):
         with pytest.raises(KeyError):
             mode_enabled("warp-drive")
 
-    def test_knobs_are_independent(self):
-        with vector_forced(True), hotpath_forced(False):
-            assert mode_enabled("vector") is True
-            assert mode_enabled("hotpath") is False
+    def test_knobs_are_independent(self, monkeypatch):
+        monkeypatch.setenv(VECTOR_ENV, "1")
+        monkeypatch.setenv("REPRO_HOTPATH", "off")
+        monkeypatch.setenv("REPRO_SPATIAL", "0")
+        assert mode_enabled("vector") is False
+        assert mode_enabled("hotpath") is True
+        assert mode_enabled("spatial") is True
 
 
-# ----------------------------------------------------------------------
-# numpy guard and scalar fallback
-# ----------------------------------------------------------------------
 class TestNumpyGuard:
-    def test_missing_numpy_raises_with_install_hint(self, monkeypatch):
-        import repro.phy.vector as vector_mod
-
-        monkeypatch.setattr(vector_mod, "np", None)
-        with pytest.raises(RuntimeError, match=r"repro\[vector\]"):
-            _require_numpy()
-        with pytest.raises(RuntimeError, match="REPRO_VECTOR"):
-            build_phy_world([(0.0, 0.0), (10.0, 0.0)], vector=True)
-
     def test_unset_knob_never_touches_backend(self):
-        with vector_forced(False):
-            world = build_phy_world([(0.0, 0.0), (10.0, 0.0)])
-        assert world.channel._vector_backend is None
+        import importlib.util
+
+        assert importlib.util.find_spec("repro.phy.vector") is None
+        world = build_phy_world([(0.0, 0.0), (10.0, 0.0)])
         world.radios[0].start_transmission(world.data_frame(0, 1))
         world.sim.run()
         assert world.radios[1].frames_received == 1
 
-    def test_explicit_param_beats_knob(self):
-        with vector_forced(True):
-            world = build_phy_world([(0.0, 0.0)], vector=False)
-        assert world.channel._vector_backend is None
-        with vector_forced(False):
-            world = build_phy_world([(0.0, 0.0)], vector=True)
-        assert isinstance(world.channel._vector_backend, VectorBackend)
-
 
 # ----------------------------------------------------------------------
-# Shadowing draws: bit-identical to scalar substream output
+# Shadowing draws: the link's substream, in order
 # ----------------------------------------------------------------------
 class TestDrawBitIdentity:
     def test_block_fill_equals_sequential_scalar_draws(self):
-        prop = LogNormalShadowing(alpha=3.3, sigma_db=5.0)
-        block_stream = RngStreams(seed=7).substream("shadowing", 0, 1, 2)
-        scalar_stream = RngStreams(seed=7).substream("shadowing", 0, 1, 2)
-        block = prop.shadowing_block(block_stream, DRAW_CHUNK)
-        scalar = [prop.shadowing_db(scalar_stream) for _ in range(DRAW_CHUNK)]
-        assert [float(x) for x in block] == scalar
-
-    def test_buffered_draws_match_across_refills(self):
-        # 2.5 max-size chunks of draws through the backend's buffer —
-        # several geometric refills (8, 16, 32, 64, ...) — versus a
-        # pristine scalar substream with the same identity.
-        count = 2 * DRAW_CHUNK + DRAW_CHUNK // 2
-        with vector_forced(True):
-            world = build_phy_world(
-                [(0.0, 0.0), (10.0, 0.0)],
-                sigma_db=5.0, shadowing_mode="per_frame", seed=11,
-            )
-        backend = world.channel._vector_backend
-        buffered = [backend._next_offset(0, 1) for _ in range(count)]
-        prop = world.channel.propagation
-        reference_stream = RngStreams(11).substream("shadowing", 0, 0, 1)
-        reference = [prop.shadowing_db(reference_stream) for _ in range(count)]
-        assert buffered == reference
+        # A block of frames on one link consumes the link's substream
+        # draw by draw, exactly as sequential scalar draws would.
+        frames = 300
+        world = build_phy_world(
+            [(0.0, 0.0), (10.0, 0.0)],
+            sigma_db=5.0, shadowing_mode="per_frame", seed=11,
+        )
+        powers = []
+        for _ in range(frames):
+            tx = world.radios[0].start_transmission(world.data_frame(0, 1))
+            world.sim.run()
+            powers.append(tx.rx_power_mw[1])
+        channel = world.channel
+        mean_mw = dbm_to_mw(channel.propagation.mean_rx_dbm(20.0, 10.0))
+        stream = RngStreams(11).substream("shadowing", 0, 0, 1)
+        assert powers == [
+            mean_mw * db_to_ratio(channel.propagation.shadowing_db(stream))
+            for _ in range(frames)
+        ]
 
     def test_sigma_zero_consumes_no_draws(self):
         prop = LogNormalShadowing(alpha=3.3, sigma_db=0.0)
         stream = RngStreams(seed=7).substream("shadowing", 0, 1, 2)
         before = stream.bit_generator.state
-        assert list(prop.shadowing_block(stream, 8)) == [0.0] * 8
+        assert [prop.shadowing_db(stream) for _ in range(8)] == [0.0] * 8
         assert stream.bit_generator.state == before
 
-    def test_block_size_must_be_positive(self):
-        prop = LogNormalShadowing(alpha=3.3, sigma_db=5.0)
-        stream = RngStreams(seed=7).substream("shadowing", 0, 1, 2)
-        with pytest.raises(ValueError):
-            prop.shadowing_block(stream, 0)
-
 
 # ----------------------------------------------------------------------
-# Differential harness: randomized topologies, scalar vs vector
+# Differential harness: randomized topologies, channel vs reference
 # ----------------------------------------------------------------------
-def _drive(world, rounds=3):
-    """Round-robin one frame from every radio; collect all observables."""
+class ReferenceMedium:
+    """Every frame's rx powers derived from scratch, in attach order."""
+
+    def __init__(self, world, seed):
+        self.channel = world.channel
+        self.rngs = RngStreams(seed)
+        self.link_offsets = {}
+        self.culled = 0
+
+    def forget(self, radio_id):
+        """A moved or detached radio's ``per_link`` draws are redrawn."""
+        for key in [k for k in self.link_offsets if radio_id in k]:
+            del self.link_offsets[key]
+
+    def frame(self, sender):
+        channel = self.channel
+        propagation = channel.propagation
+        margin = channel.cull_margin_db
+        powers = {}
+        for radio in channel.radios:
+            if radio is sender:
+                continue
+            mean_dbm = propagation.mean_rx_dbm(
+                sender.config.tx_power_dbm,
+                sender.position.distance_to(radio.position),
+            )
+            config = radio.config
+            if margin is not None and (
+                mean_dbm + margin < config.noise_floor_dbm
+                and mean_dbm + margin < config.cs_threshold_dbm
+            ):
+                self.culled += 1
+                continue
+            key = (sender.radio_id, radio.radio_id)
+            stream = self.rngs.substream("shadowing", channel.band, *key)
+            if channel.shadowing_mode == "none":
+                power = dbm_to_mw(mean_dbm)
+            elif channel.shadowing_mode == "per_link":
+                if key not in self.link_offsets:
+                    self.link_offsets[key] = propagation.shadowing_db(stream)
+                power = dbm_to_mw(mean_dbm + self.link_offsets[key])
+            else:
+                power = dbm_to_mw(mean_dbm) * db_to_ratio(
+                    propagation.shadowing_db(stream)
+                )
+            powers[radio.radio_id] = power
+        return powers
+
+
+def _drive(world, rounds=3, reference=None):
+    """Round-robin one frame from every radio; collect all observables.
+
+    With a ``reference``, every frame's rx map is checked against it.
+    """
     n = len(world.radios)
     rx_maps = []
-    for r in range(rounds):
+    for _ in range(rounds):
         for src in range(n):
-            dst = (src + 1) % n
-            tx = world.radios[src].start_transmission(
-                world.data_frame(src, dst)
-            )
+            sender = world.radios[src]
+            if not sender.attached:
+                continue
+            expected = reference.frame(sender) if reference is not None else None
+            tx = sender.start_transmission(world.data_frame(src, (src + 1) % n))
             world.sim.run()
             rx_maps.append(dict(tx.rx_power_mw))
+            if expected is not None:
+                assert rx_maps[-1] == expected
+    if reference is not None:
+        assert world.channel.links_culled == reference.culled
     counters = [
         (
             radio.frames_transmitted,
@@ -210,14 +207,10 @@ class TestDifferentialHarness:
         mode=st.sampled_from(["per_frame", "per_link", "none"]),
     )
     def test_random_topologies_agree(self, positions, seed, sigma_db, mode):
-        kwargs = dict(
-            sigma_db=sigma_db, shadowing_mode=mode, seed=seed
+        world = build_phy_world(
+            positions, sigma_db=sigma_db, shadowing_mode=mode, seed=seed
         )
-        with vector_forced(False):
-            scalar = _drive(build_phy_world(positions, **kwargs))
-        with vector_forced(True):
-            vector = _drive(build_phy_world(positions, **kwargs))
-        assert scalar == vector
+        _drive(world, reference=ReferenceMedium(world, seed))
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -225,32 +218,30 @@ class TestDifferentialHarness:
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_agreement_survives_hotpath_off(self, positions, seed):
-        # The knob-matrix corner: vector batching over the slow
-        # re-derivation radio path must still match scalar exactly.
-        kwargs = dict(sigma_db=4.0, shadowing_mode="per_frame", seed=seed)
-        with hotpath_forced(False), vector_forced(False):
-            scalar = _drive(build_phy_world(positions, **kwargs))
-        with hotpath_forced(False), vector_forced(True):
-            vector = _drive(build_phy_world(positions, **kwargs))
-        assert scalar == vector
+        retired = {"REPRO_HOTPATH": "off", VECTOR_ENV: "1"}
+        with mock.patch.dict(os.environ, retired):
+            world = build_phy_world(
+                positions, sigma_db=4.0, shadowing_mode="per_frame", seed=seed
+            )
+            _drive(world, reference=ReferenceMedium(world, seed))
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16))
     def test_zero_latency_inline_delivery_agrees(self, seed):
+        # Inline delivery (zero air latency) and one coalesced event per
+        # frame edge (the default) give the same observables when frames
+        # do not overlap.
         positions = [(0.0, 0.0), (12.0, 0.0), (40.0, 5.0)]
-        kwargs = dict(
-            sigma_db=4.0, shadowing_mode="per_frame", seed=seed,
-            air_latency_ns=0,
+        kwargs = dict(sigma_db=4.0, shadowing_mode="per_frame", seed=seed)
+        inline = build_phy_world(positions, air_latency_ns=0, **kwargs)
+        delayed = build_phy_world(positions, **kwargs)
+        assert _drive(inline, reference=ReferenceMedium(inline, seed)) == _drive(
+            delayed
         )
-        with vector_forced(False):
-            scalar = _drive(build_phy_world(positions, **kwargs))
-        with vector_forced(True):
-            vector = _drive(build_phy_world(positions, **kwargs))
-        assert scalar == vector
 
 
 # ----------------------------------------------------------------------
-# Culling, mobility, and the attach/detach contracts under vector
+# Culling, mobility, and the attach/detach contracts
 # ----------------------------------------------------------------------
 NEAR, MID, FAR = (0.0, 0.0), (10.0, 0.0), (5_000.0, 0.0)
 
@@ -258,65 +249,45 @@ NEAR, MID, FAR = (0.0, 0.0), (10.0, 0.0), (5_000.0, 0.0)
 class TestVectorChannelContracts:
     def test_culling_matches_scalar(self):
         kwargs = dict(sigma_db=5.0, shadowing_mode="per_frame", seed=11)
-        with vector_forced(True):
-            culled = _drive(build_phy_world([NEAR, MID, FAR], **kwargs))
-            world = build_phy_world(
-                [NEAR, MID, FAR], cull_margin_db="off", **kwargs
-            )
-            exhaustive_counters = _drive(world)[1]
-        with vector_forced(False):
-            scalar = _drive(build_phy_world([NEAR, MID, FAR], **kwargs))
-        assert culled == scalar
-        assert culled[1] == exhaustive_counters
+        world = build_phy_world([NEAR, MID, FAR], **kwargs)
+        culled = _drive(world, reference=ReferenceMedium(world, 11))
+        exhaustive = _drive(
+            build_phy_world([NEAR, MID, FAR], cull_margin_db="off", **kwargs)
+        )
+        assert world.channel.links_culled > 0
+        assert culled[1] == exhaustive[1]
 
     def test_mobility_invalidates_rows(self):
-        def run(vec):
-            with vector_forced(vec):
-                world = build_phy_world([NEAR, MID, FAR])
-                first = _drive(world, rounds=1)
-                world.radios[2].move_to(Point(20.0, 0.0))
-                second = _drive(world, rounds=1)
-            return first, second
-
-        assert run(True) == run(False)
+        world = build_phy_world([NEAR, MID, FAR], shadowing_mode="per_link",
+                                sigma_db=4.0, seed=5)
+        reference = ReferenceMedium(world, 5)
+        first = _drive(world, rounds=1, reference=reference)
+        world.radios[2].move_to(Point(20.0, 0.0))
+        reference.forget(2)
+        second = _drive(world, rounds=1, reference=reference)
+        assert 2 not in first[0][0] and 2 in second[0][0]
 
     def test_detach_reattach_matches_scalar(self):
-        def run(vec):
-            with vector_forced(vec):
-                world = build_phy_world([NEAR, MID, (30.0, 0.0)])
-                out = [_drive(world, rounds=1)]
-                victim = world.radios[2]
-                world.channel.detach(victim)
-                tx = world.radios[0].start_transmission(
-                    world.data_frame(0, 1)
-                )
-                world.sim.run()
-                out.append(dict(tx.rx_power_mw))
-                world.channel.attach(victim)
-                tx = world.radios[0].start_transmission(
-                    world.data_frame(0, 1)
-                )
-                world.sim.run()
-                out.append(dict(tx.rx_power_mw))
-            return out
-
-        vector, scalar = run(True), run(False)
-        assert vector == scalar
-        assert 2 not in vector[1] and 2 in vector[2]
+        world = build_phy_world([NEAR, MID, (30.0, 0.0)], shadowing_mode="per_link",
+                                sigma_db=4.0, seed=6)
+        reference = ReferenceMedium(world, 6)
+        _drive(world, rounds=1, reference=reference)
+        victim = world.radios[2]
+        world.channel.detach(victim)
+        reference.forget(2)
+        gone = _drive(world, rounds=1, reference=reference)
+        world.channel.attach(victim)
+        back = _drive(world, rounds=1, reference=reference)
+        assert 2 not in gone[0][0] and 2 in back[0][0]
 
     def test_counters_exposed(self):
-        with vector_forced(True):
-            world = build_phy_world([NEAR, MID, FAR])
+        world = build_phy_world([NEAR, MID, FAR])
         world.radios[0].start_transmission(world.data_frame(0, 1))
         world.sim.run()
         counters = world.channel.counters()
-        assert counters["vector_batches"] == 1
-        assert counters["vector_links"] == 1  # FAR was culled
-        assert counters["culled_links"] == 1
-        with vector_forced(False):
-            scalar_world = build_phy_world([NEAR, MID])
-        assert scalar_world.channel.counters()["vector_batches"] == 0
-        assert scalar_world.channel.counters()["vector_links"] == 0
+        assert not [key for key in counters if key.startswith("vector_")]
+        assert counters["culled_links"] == 1  # FAR was culled
+        assert counters["spatial_queries"] == counters["frames_sent"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -326,21 +297,13 @@ class TestGoldenEquivalence:
     @pytest.mark.parametrize("scenario", ["fig8", "fig10", "sparse_floor"])
     def test_vector_matches_golden(self, scenario):
         golden = assert_baseline_matches(scenario)
-        with vector_forced(True):
-            net, snap = run_scenario(scenario)
+        with mock.patch.dict(os.environ, {VECTOR_ENV: "1"}):
+            _, snap = run_scenario(scenario)
         assert diff(golden, snap) == []
-        # The vector backend batches delivery exactly like the coalesced
-        # hot path, so event counts match the fixture one for one.
         assert snap["events_fired"] == golden["events_fired"]
-        # And the batch counters prove the array path actually ran.
-        assert snap["vector_batches"] > 0
-        assert snap["vector_links"] > 0
-        assert golden["vector_batches"] == 0
 
     def test_vector_with_hotpath_off_matches_golden(self):
-        # Knob-matrix corner on a full MAC scenario: batched delivery
-        # over re-derivation radios.
         golden = assert_baseline_matches("fig8")
-        with hotpath_forced(False), vector_forced(True):
+        with mock.patch.dict(os.environ, {VECTOR_ENV: "1", "REPRO_HOTPATH": "off"}):
             _, snap = run_scenario("fig8")
         assert diff(golden, snap) == []

@@ -1,14 +1,14 @@
-"""Property tests for the vector backend's pure array kernels.
+"""Property tests for the numpy batch kernels and the exact scalar helpers.
 
-Each kernel has a scalar counterpart on the radio/analytics path; these
-tests pin the agreement contract per kernel:
-
-* exact ops (dB↔ratio conversions via python pow/log, float64 compares,
-  ``derive_seeds``) must agree **bit for bit** with their scalar twins;
+* exact helpers — dB↔ratio conversions via python pow/log, the cached
+  per-rate sensitivity and SIR constants, the radio's decode / SIR /
+  capture decisions, link seed derivation — must agree **bit for bit**
+  with the plain expressions that define them;
 * transcendental batch helpers (``mean_rx_dbm_batch``, ``prr_batch``,
   ``carrier_sense_miss_batch``) go through numpy/scipy SIMD code and
-  are pinned at ``allclose`` precision plus their analytic shape
-  (monotonicity, step behavior at sigma = 0, domain errors).
+  are pinned at ``allclose`` precision against their scalar loops plus
+  their analytic shape (monotonicity, step behavior at sigma = 0,
+  domain errors).
 """
 
 import math
@@ -18,17 +18,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mac.frames import Frame, FrameType
+from repro.phy.channel import Transmission
 from repro.phy.propagation import LogNormalShadowing
 from repro.phy.prr import PrrModel, _standard_normal_cdf
+from repro.phy.radio import Radio, RadioConfig, _ReceptionLock
 from repro.phy.rates import (
     OFDM_RATES,
-    rate_constants,
+    Rate,
     sensitivity_mw,
     sir_threshold_ratio,
 )
-from repro.phy.vector import capture_mask, decode_masks, sir_ok_mask
-from repro.util.rng import derive_seed, derive_seeds
-from repro.util.units import db_to_ratio, dbm_to_mw, ratio_to_db
+from repro.util.geometry import Point
+from repro.util.rng import derive_seed
+from repro.util.units import db_to_ratio, dbm_to_mw, mw_to_dbm, ratio_to_db
+
+from tests.conftest import StubMac, build_phy_world
 
 _db = st.floats(min_value=-200.0, max_value=200.0,
                 allow_nan=False, allow_infinity=False)
@@ -69,33 +74,20 @@ class TestDbAlgebra:
 
 
 # ----------------------------------------------------------------------
-# Batched seed derivation
+# Link seed derivation
 # ----------------------------------------------------------------------
 class TestDeriveSeeds:
-    @given(
-        base=st.integers(min_value=0, max_value=2**32),
-        prefix=st.tuples(st.text(max_size=8), st.integers(0, 1 << 20)),
-        keys=st.lists(st.integers(0, 1 << 20), min_size=1, max_size=32),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_batch_matches_scalar_elementwise(self, base, prefix, keys):
-        batch = derive_seeds(base, *prefix, keys=keys)
-        assert batch.dtype == np.uint64
-        assert [int(s) for s in batch] == [
-            derive_seed(base, *prefix, k) for k in keys
-        ]
-
     def test_injective_over_link_grid(self):
-        # The vector backend's row keys: ("shadowing", band, tx, rx).
+        # The channel's shadowing substream keys: ("shadowing", band, tx, rx).
         keys = [(tx, rx) for tx in range(50) for rx in range(50) if tx != rx]
-        seeds = derive_seeds(123, "shadowing", 0, keys=keys)
+        seeds = {derive_seed(123, "shadowing", 0, tx, rx) for tx, rx in keys}
         assert len(keys) == 2450
-        assert len(set(int(s) for s in seeds)) == len(keys)
+        assert len(seeds) == len(keys)
 
     def test_prefix_is_part_of_identity(self):
-        a = derive_seeds(7, "shadowing", 0, keys=[1, 2, 3])
-        b = derive_seeds(7, "shadowing", 1, keys=[1, 2, 3])
-        assert not set(map(int, a)) & set(map(int, b))
+        a = {derive_seed(7, "shadowing", 0, 0, k) for k in (1, 2, 3)}
+        b = {derive_seed(7, "shadowing", 1, 0, k) for k in (1, 2, 3)}
+        assert not a & b
 
 
 # ----------------------------------------------------------------------
@@ -104,57 +96,84 @@ class TestDeriveSeeds:
 class TestRateConstants:
     @pytest.mark.parametrize("rate", list(OFDM_RATES))
     def test_matches_cached_scalar_helpers(self, rate):
-        sens, thr = rate_constants(rate)
-        assert sens == sensitivity_mw(rate)
-        assert thr == sir_threshold_ratio(rate)
-        # And those are exactly the python-pow conversions the radio uses.
-        assert sens == 10.0 ** (rate.sensitivity_dbm / 10.0)
-        assert thr == 10.0 ** (rate.sir_threshold_db / 10.0)
+        # The cached helpers are exactly the conversions they replace.
+        assert sensitivity_mw(rate) == 10.0 ** (rate.sensitivity_dbm / 10.0)
+        assert sensitivity_mw(rate) == dbm_to_mw(rate.sensitivity_dbm)
+        assert sir_threshold_ratio(rate) == 10.0 ** (rate.sir_threshold_db / 10.0)
+        assert sir_threshold_ratio(rate) == db_to_ratio(rate.sir_threshold_db)
 
     def test_cached_identity(self):
         rate = OFDM_RATES.by_bps(6_000_000)
-        assert rate_constants(rate) is rate_constants(rate)
+        assert sensitivity_mw(rate) is sensitivity_mw(rate)
+        assert sir_threshold_ratio(rate) is sir_threshold_ratio(rate)
 
 
 # ----------------------------------------------------------------------
-# Decision masks vs the scalar radio expressions
+# The radio's decisions vs the plain compares that define them
 # ----------------------------------------------------------------------
 _power_batch = st.lists(_mw, min_size=1, max_size=24)
+_thr_db = st.floats(min_value=0.0, max_value=30.0,
+                    allow_nan=False, allow_infinity=False)
+
+
+def _listener(noise_dbm=-95.0):
+    """An idle radio with a stub MAC on an otherwise empty channel."""
+    world = build_phy_world([(50.0, 0.0)])
+    radio = Radio(
+        radio_id=7, position=Point(0.0, 0.0),
+        config=RadioConfig(noise_floor_dbm=noise_dbm), channel=world.channel,
+    )
+    radio.bind_mac(StubMac())
+    return radio, world.radios[0]
+
+
+def _tx(sender, rate):
+    frame = Frame(kind=FrameType.DATA, src=0, dst=7, rate=rate, payload_bytes=100)
+    return Transmission(frame, sender, 0, 1_000)
 
 
 class TestDecisionMasks:
     @given(powers=_power_batch, sens_db=_db, noise_dbm=st.just(-101.0))
     @settings(max_examples=50, deadline=None)
     def test_decode_masks_match_scalar_compares(self, powers, sens_db, noise_dbm):
-        sens = db_to_ratio(sens_db) * 1e-9
-        noise = [dbm_to_mw(noise_dbm)] * len(powers)
-        decodable, detectable = decode_masks(powers, sens, noise)
-        assert decodable.tolist() == [p >= sens for p in powers]
-        assert detectable.tolist() == [p >= n for p, n in zip(powers, noise)]
+        # An idle radio locks iff the power clears the rate's
+        # sensitivity, and otherwise counts a miss iff it clears noise.
+        rate = Rate(6_000_000, 10.0, mw_to_dbm(db_to_ratio(sens_db) * 1e-9))
+        sens = sensitivity_mw(rate)
+        radio, sender = _listener(noise_dbm)
+        for p in powers:
+            missed = radio.frames_missed
+            tx = _tx(sender, rate)
+            radio.on_air_start(tx, p)
+            assert (radio._lock is not None) == (p >= sens)
+            assert radio.frames_missed - missed == (p < sens and p >= radio.noise_mw)
+            radio.on_air_end(tx)
 
     @given(
         signal=_power_batch,
         interference=_mw,
         noise=_mw,
-        thr_db=st.floats(min_value=0.0, max_value=30.0,
-                         allow_nan=False, allow_infinity=False),
+        thr_db=_thr_db,
     )
     @settings(max_examples=50, deadline=None)
     def test_sir_mask_matches_scalar(self, signal, interference, noise, thr_db):
-        thr = db_to_ratio(thr_db)
-        mask = sir_ok_mask(signal, [interference] * len(signal),
-                           [noise] * len(signal), thr)
-        # Radio._sir_ok: signal / (interference + noise) >= threshold.
-        assert mask.tolist() == [
-            s / (interference + noise) >= thr for s in signal
-        ]
+        # A finished reception is delivered iff
+        # signal / (max interference + noise) >= threshold.
+        rate = Rate(6_000_000, thr_db, -200.0)
+        radio, sender = _listener(mw_to_dbm(noise))
+        thr = sir_threshold_ratio(rate)
+        for s in signal:
+            received = radio.frames_received
+            radio._finish_reception(_ReceptionLock(_tx(sender, rate), s, interference))
+            assert radio.frames_received - received == (
+                s / (interference + radio.noise_mw) >= thr
+            )
 
     @given(
         powers=_power_batch,
         extra_mw=_mw,
         noise=_mw,
-        thr_db=st.floats(min_value=0.0, max_value=30.0,
-                         allow_nan=False, allow_infinity=False),
+        thr_db=_thr_db,
         sens_dbm=st.floats(min_value=-100.0, max_value=-60.0,
                            allow_nan=False, allow_infinity=False),
     )
@@ -162,18 +181,22 @@ class TestDecisionMasks:
     def test_capture_mask_matches_scalar(
         self, powers, extra_mw, noise, thr_db, sens_dbm
     ):
-        # energy = own power + everything else in the air, as on_air_start
-        # sees it right after appending the new frame.
-        energy = [p + extra_mw for p in powers]
-        thr = db_to_ratio(thr_db)
-        sens = dbm_to_mw(sens_dbm)
-        mask = capture_mask(powers, energy, [noise] * len(powers), sens, thr)
-        # Radio._captures_over_lock: decodable AND clears SIR against all
-        # other in-air energy plus noise.
-        assert mask.tolist() == [
-            p >= sens and p / (e - p + noise) >= thr
-            for p, e in zip(powers, energy)
-        ]
+        # A locked radio re-locks onto a new frame iff it is decodable
+        # and clears SIR against all other in-air energy plus noise.
+        rate = Rate(6_000_000, thr_db, sens_dbm)
+        sens, thr = sensitivity_mw(rate), sir_threshold_ratio(rate)
+        radio, sender = _listener(mw_to_dbm(noise))
+        first_mw = extra_mw + sens  # always lockable
+        for p in powers:
+            first, second = _tx(sender, rate), _tx(sender, rate)
+            radio.on_air_start(first, first_mw)
+            assert radio._lock.tx is first
+            radio.on_air_start(second, p)
+            energy = first_mw + p
+            captured = p >= sens and p / (energy - p + radio.noise_mw) >= thr
+            assert (radio._lock.tx is second) == captured
+            radio.on_air_end(first)
+            radio.on_air_end(second)
 
 
 # ----------------------------------------------------------------------
