@@ -36,16 +36,17 @@ Observability (:mod:`repro.obs`)
 
 Pool workers are separate processes with their *own* module-global
 recorder and counter registry, so anything recorded there would
-silently vanish when the worker exits.  The pool entry point therefore
-snapshots both around each task and ships the deltas back inside the
-task result; the parent merges them into its own
+silently vanish when the worker exits.  :func:`capture_deltas` snapshots
+both around each pool task (and each sweep-queue shard); the deltas
+travel back with the result and the parent merges them into its own
 :func:`~repro.sim.trace.global_recorder` /
 :func:`~repro.obs.counters.global_registry`, making a 2-worker run's
 trace indistinguishable from a serial one (same events, worker PIDs in
 the ``task_run`` records).  When a manifest sink is active
 (``REPRO_MANIFEST_DIR`` or :func:`repro.obs.manifest.manifest_sink`),
 every :func:`run_tasks` call also writes a schema-validated
-``<label>.manifest.json`` recording the task grid, seeds, git SHA,
+``<label>.manifest.json`` (built by :func:`sweep_manifest`, as the
+queue's merged manifests are) recording the task grid, seeds, git SHA,
 wall time, and counter snapshot.  All of it costs nothing measurable
 when disabled: one env lookup and a handful of perf-counter reads per
 *sweep*, not per task.
@@ -59,21 +60,19 @@ import json
 import os
 import pickle
 import signal
-import tempfile
 import threading
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs import manifest as obs_manifest
 from repro.obs.counters import diff_snapshot, global_registry
 from repro.obs.profile import maybe_profiler
 from repro.obs.trace_io import events_from_payload, events_to_payload
 from repro.phy.spatial import spatial_manifest_block
-from repro.sim.trace import configure_from_env, global_recorder
+from repro.sim.trace import TraceEvent, configure_from_env, global_recorder
 from repro.util.rng import _canonical, derive_seed
 
 #: Environment knob: worker-process count for sweep execution.
@@ -186,35 +185,47 @@ def _execute_indexed(
     return result, elapsed
 
 
-def _execute_shipping(
-    task: SweepTask, timeout_s: Optional[float] = None
-) -> Tuple[Any, float, list, Dict[str, Any]]:
-    """Pool entry point: run one task and ship observability deltas.
+def capture_deltas(
+    fn: Callable[..., Any], *args: Any
+) -> Tuple[Any, Dict[str, Any], List[TraceEvent]]:
+    """Run ``fn(*args)``; return its value, counter delta and new events.
 
-    A worker process has its own module-global trace recorder and
-    counter registry; whatever the task records there would be lost when
-    the worker exits.  So: snapshot both, run, and return the deltas
-    (versioned JSON-safe payloads) with the result for the parent to
-    merge.  Baselines are taken per call, which also fences off events
-    inherited over ``fork`` and events from earlier tasks on a reused
-    worker.
+    Both are what the call added to the process globals: the positive
+    counter changes (what ``merge_snapshot`` elsewhere needs) and the
+    trace events.  Per-call baselines also fence off events inherited
+    over ``fork`` and those of earlier tasks on a reused worker.
     """
-    recorder = _sweep_trace()
+    recorder = global_recorder()
+    registry = global_registry()
     events_base = len(recorder)
     dropped_base = recorder.dropped_events
-    registry = global_registry()
     counters_base = registry.snapshot()
-    result, elapsed = _execute_indexed(task, timeout_s)
-    # Ring-buffer aware slice: events dropped during the task shift the
+    value = fn(*args)
+    # Ring-buffer aware slice: events dropped during the call shift the
     # baseline index left.
     shift = recorder.dropped_events - dropped_base
     fresh = recorder.events()[max(0, events_base - shift):]
-    return (
-        result,
-        elapsed,
-        events_to_payload(fresh),
-        diff_snapshot(counters_base, registry.snapshot()),
+    return value, diff_snapshot(counters_base, registry.snapshot()), fresh
+
+
+def _execute_shipping(
+    task: SweepTask, timeout_s: Optional[float] = None
+) -> Tuple[Any, float, list, Dict[str, Any]]:
+    """Pool entry point: run one task and ship its observability deltas.
+
+    What the task records in the worker's globals would die with the
+    worker, so the deltas travel home with the result.  A result that
+    cannot travel raises ``PicklingError`` here — a transport failure,
+    which sends the task to the serial path under every failure policy.
+    """
+    (result, elapsed), counters, events = capture_deltas(
+        _execute_indexed, task, timeout_s
     )
+    try:
+        pickle.dumps(result)
+    except Exception as exc:
+        raise pickle.PicklingError(f"task result does not pickle: {exc}") from exc
+    return result, elapsed, events_to_payload(events), counters
 
 
 # ----------------------------------------------------------------------
@@ -259,11 +270,9 @@ class ResultCache:
     def put(self, digest: str, value: Any) -> None:
         """Store a result atomically; swallow storage failures.
 
-        The payload lands in a same-directory temp file, is flushed and
-        fsynced, and only then renamed over the final name — a process
-        killed mid-write leaves at worst an orphaned ``.tmp`` (reaped by
-        :meth:`clear`), never a truncated ``.json`` that a later run
-        could read as a corrupt entry.
+        A process killed mid-write leaves at worst an orphaned ``.tmp``
+        (reaped by :meth:`clear`), never a truncated ``.json`` that a
+        later run could read as a corrupt entry.
         """
         try:
             payload = json.dumps(
@@ -272,17 +281,9 @@ class ResultCache:
         except (TypeError, ValueError):
             return  # non-JSON result: simply don't memoize it
         try:
-            os.makedirs(self.root, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(payload)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, self.path_for(digest))
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+            obs_manifest.atomic_write_bytes(
+                self.path_for(digest), payload.encode("utf-8")
+            )
         except OSError:
             return  # read-only/full disk: caching is best-effort
 
@@ -365,6 +366,15 @@ class FailurePolicy:
     on_error: str = "raise"
 
 
+def _env_number(name: str, parse: Callable[[str], Any], default: Any) -> Any:
+    """``parse($name)``, or ``default`` when it is unset, empty or malformed."""
+    raw = os.environ.get(name, "")
+    try:
+        return parse(raw) if raw else default
+    except ValueError:
+        return default
+
+
 def resolve_policy(
     timeout_s: Optional[float] = None,
     retries: Optional[int] = None,
@@ -372,17 +382,9 @@ def resolve_policy(
 ) -> FailurePolicy:
     """Explicit arguments win; the ``REPRO_TASK_*`` env knobs back-fill."""
     if timeout_s is None:
-        env = os.environ.get(TIMEOUT_ENV, "")
-        try:
-            timeout_s = float(env) if env else None
-        except ValueError:
-            timeout_s = None
+        timeout_s = _env_number(TIMEOUT_ENV, float, None)
     if retries is None:
-        env = os.environ.get(RETRIES_ENV, "")
-        try:
-            retries = int(env) if env else 0
-        except ValueError:
-            retries = 0
+        retries = _env_number(RETRIES_ENV, int, 0)
     if on_error is None:
         on_error = os.environ.get(ON_ERROR_ENV, "") or "raise"
     if on_error not in ("raise", "record"):
@@ -422,11 +424,7 @@ class TaskFailure:
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Worker count: explicit argument, else ``$REPRO_JOBS``, else 1."""
     if jobs is None:
-        env = os.environ.get(JOBS_ENV, "")
-        try:
-            jobs = int(env) if env else 1
-        except ValueError:
-            jobs = 1
+        jobs = _env_number(JOBS_ENV, int, 1)
     return max(1, int(jobs))
 
 
@@ -536,13 +534,22 @@ def run_tasks(
         profile_block = profiler.as_block()
     manifest_dir = obs_manifest.active_manifest_dir()
     if manifest_dir:
-        _write_sweep_manifest(
-            manifest_dir, label=label, tasks=tasks, jobs=jobs, wall_s=wall_s,
-            cache=cache, trace=trace, profile=profile_block,
+        manifest = sweep_manifest(
+            label, tasks, jobs, wall_s,
+            counters=global_registry().snapshot(),
+            trace_counts=trace.counts(),
+            cache_hits=cache.hits if cache is not None else 0,
+            cache_misses=cache.misses if cache is not None else 0,
+            profile=profile_block,
             failures=[failure.as_dict() for failure in failures]
             if policy.on_error == "record"
             else None,
+            spatial=spatial_manifest_block(),
         )
+        try:
+            obs_manifest.write_manifest(manifest, manifest_dir)
+        except OSError:
+            pass  # read-only/full disk: manifests are best-effort
     return results
 
 
@@ -583,10 +590,8 @@ def manifest_task_rows(
 ) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
     """Manifest task rows + common ``params`` for a task grid.
 
-    Shared by :func:`_write_sweep_manifest` and the sweep-queue merge
-    (:mod:`repro.experiments.queue`) so a merged manifest's grid
-    description is bit-identical to the one a single uninterrupted
-    :func:`run_tasks` call would have written.
+    Used by :func:`sweep_manifest` and for the task rows of sweep-queue
+    shard fragments (:mod:`repro.experiments.queue`).
     """
     common, overrides = split_common_params(tasks)
     rows = []
@@ -606,49 +611,43 @@ def manifest_task_rows(
     return rows, common
 
 
-def grid_seeds(tasks: Sequence[SweepTask]) -> List[int]:
-    """Sorted distinct integer seeds across a task grid."""
-    return sorted(
+def sweep_manifest(
+    label: str,
+    tasks: Sequence[SweepTask],
+    jobs: int,
+    wall_s: float,
+    counters: Dict[str, Any],
+    trace_counts: Dict[str, int],
+    **optional: Any,
+) -> obs_manifest.RunManifest:
+    """The run manifest of one task grid.
+
+    :func:`run_tasks` and the sweep-queue merge both build their
+    manifests here, so the deterministic grid fields — task rows, common
+    ``params``, seeds — of a merged manifest cannot drift from those of
+    an uninterrupted run.  ``optional`` carries the optional blocks of
+    :func:`~repro.obs.manifest.build_manifest` (cache counts,
+    ``profile``, ``failures``, ``shards``, ``spatial``).
+    """
+    rows, params = manifest_task_rows(tasks)
+    seeds = sorted(
         {
             int(task.kwargs["seed"])
             for task in tasks
             if isinstance(task.kwargs.get("seed"), int)
         }
     )
-
-
-def _write_sweep_manifest(
-    directory: str,
-    label: str,
-    tasks: Sequence[SweepTask],
-    jobs: int,
-    wall_s: float,
-    cache: Optional[ResultCache],
-    trace,
-    profile: Optional[Dict[str, Any]] = None,
-    failures: Optional[List[Dict[str, Any]]] = None,
-) -> Optional[str]:
-    """Write this sweep's run manifest; storage failures are non-fatal."""
-    task_rows, params = manifest_task_rows(tasks)
-    manifest = obs_manifest.build_manifest(
+    return obs_manifest.build_manifest(
         label=label,
-        tasks=task_rows,
+        tasks=rows,
         jobs=jobs,
         wall_s=wall_s,
         params=params,
-        seeds=grid_seeds(tasks),
-        counters=global_registry().snapshot(),
-        trace_counts=trace.counts(),
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
-        profile=profile,
-        failures=failures,
-        spatial=spatial_manifest_block(),
+        seeds=seeds,
+        counters=counters,
+        trace_counts=trace_counts,
+        **optional,
     )
-    try:
-        return obs_manifest.write_manifest(manifest, directory)
-    except OSError:
-        return None  # read-only/full disk: manifests are best-effort
 
 
 def _run_pending(
@@ -663,28 +662,24 @@ def _run_pending(
 
     Every pending task is probed for picklability individually:
     unpicklable tasks run on the serial path while the rest still go
-    through the pool (one bad task used to either abort the whole pool
-    mid-batch or, when it happened to sit at ``pending[0]``, demote the
-    entire sweep to serial).  If the pool still fails — a task whose
-    kwargs probe fine but whose *result* will not pickle, missing fork
-    support, a dead worker — the serial fallback resumes only the
-    indices the pool did not finish: tasks already completed have had
-    their shipped counter deltas and trace events merged into the
-    parent registry, and re-running them would double-merge both.
+    through the pool.  If the pool itself fails — a result that will
+    not pickle, worker processes that cannot start — the serial
+    fallback resumes only the indices the pool did not finish: tasks
+    already completed have had their shipped counter deltas and trace
+    events merged into the parent registry, and re-running them would
+    double-merge both.  A task's own exception, whatever its type, is
+    never a pool failure: the failure policy settles it.
     """
     completed: Dict[int, Tuple[Any, float]] = {}
     failures: Dict[int, TaskFailure] = {}
-    if not pending:
-        return completed, []
     serial_indices = list(pending)
     if jobs > 1 and len(pending) > 1:
         pooled = [index for index in pending if _picklable(tasks[index])]
         if len(pooled) > 1:
-            pooled_set = set(pooled)
-            serial_indices = [i for i in pending if i not in pooled_set]
+            serial_indices = sorted(set(pending) - set(pooled))
             try:
                 _run_parallel(tasks, pooled, jobs, policy, completed, failures)
-            except (pickle.PicklingError, AttributeError, TypeError, OSError) as exc:
+            except (pickle.PicklingError, _PoolUnavailable) as exc:
                 # The sweep must finish either way — but resume only the
                 # unfinished indices, never the already-merged ones.
                 trace.record(
@@ -693,9 +688,7 @@ def _run_pending(
                 )
                 finished = set(completed) | set(failures)
                 serial_indices = [i for i in pending if i not in finished]
-    if serial_indices:
-        _run_serial(tasks, serial_indices, policy, completed, failures)
-    return completed, [failures[index] for index in sorted(failures)]
+    return _run_serial(tasks, serial_indices, policy, completed, failures)
 
 
 def _picklable(task: SweepTask) -> bool:
@@ -706,36 +699,66 @@ def _picklable(task: SweepTask) -> bool:
         return False
 
 
-def _fail_or_retry(
-    task: SweepTask,
-    index: int,
-    kind: str,
-    exc: BaseException,
-    attempts: Dict[int, int],
-    policy: FailurePolicy,
-    requeue: List[int],
-    failures: Dict[int, TaskFailure],
-) -> None:
-    """Shared post-attempt bookkeeping for serial and pooled execution.
+class _PoolUnavailable(Exception):
+    """Worker processes could not start: the pool's failure, not a task's."""
 
-    The attempt has already been charged.  Budget left → requeue the
-    *identical* task record (same derived seed, so a successful retry is
-    bit-identical to a first-try success).  Budget exhausted →
-    ``on_error="raise"`` propagates the original exception (the
-    pre-hardening contract), ``"record"`` files a structured failure.
+
+#: Attempt outcome of a task that was in flight, or not yet submitted,
+#: when a worker died: it did nothing wrong and is re-run uncharged.
+_VICTIM = object()
+
+
+def _attempt_loop(
+    tasks: Sequence[SweepTask],
+    pending: List[int],
+    policy: FailurePolicy,
+    completed: Optional[Dict[int, Tuple[Any, float]]],
+    failures: Optional[Dict[int, TaskFailure]],
+    run_attempt: Callable[[List[int]], Iterator[Tuple[int, Any]]],
+) -> Tuple[Dict[int, Tuple[Any, float]], List[TaskFailure]]:
+    """Drive ``pending`` to an outcome: the one place attempts are judged.
+
+    ``run_attempt(indices)`` runs one attempt of each index and yields
+    ``(index, outcome)`` as they finish: ``(value, elapsed_s)``, the
+    task's exception, or :data:`_VICTIM`.  A failed attempt is charged
+    to its task.  Budget left → re-attempt the *identical* task record
+    (same derived seed, so a successful retry is bit-identical to a
+    first-try success).  Budget spent → ``on_error="raise"`` propagates
+    the task's own exception, ``"record"`` files a :class:`TaskFailure`.
+    ``completed``/``failures`` may be passed in and are mutated in
+    place, so a caller still sees all progress made before an exception.
     """
-    if attempts[index] <= policy.retries:
-        requeue.append(index)
-        return
-    if policy.on_error == "raise":
-        raise exc
-    failures[index] = TaskFailure(
-        index=index,
-        key=task.key,
-        kind=kind,
-        error=f"{type(exc).__name__}: {exc}",
-        attempts=attempts[index],
-    )
+    completed = {} if completed is None else completed
+    failures = {} if failures is None else failures
+    attempts = dict.fromkeys(pending, 0)
+    remaining = list(pending)
+    while remaining:
+        batch, remaining = sorted(remaining), []
+        for index, outcome in run_attempt(batch):
+            if outcome is _VICTIM:
+                remaining.append(index)
+            elif not isinstance(outcome, BaseException):
+                completed[index] = outcome
+            else:
+                attempts[index] += 1
+                if attempts[index] <= policy.retries:
+                    remaining.append(index)
+                elif policy.on_error == "raise":
+                    raise outcome
+                else:
+                    kind = "exception"
+                    if isinstance(outcome, TaskTimeout):
+                        kind = "timeout"
+                    elif isinstance(outcome, BrokenProcessPool):
+                        kind = "broken_pool"
+                    failures[index] = TaskFailure(
+                        index=index,
+                        key=tasks[index].key,
+                        kind=kind,
+                        error=f"{type(outcome).__name__}: {outcome}",
+                        attempts=attempts[index],
+                    )
+    return completed, [failures[index] for index in sorted(failures)]
 
 
 def _run_serial(
@@ -745,34 +768,33 @@ def _run_serial(
     completed: Optional[Dict[int, Tuple[Any, float]]] = None,
     failures: Optional[Dict[int, TaskFailure]] = None,
 ) -> Tuple[Dict[int, Tuple[Any, float]], List[TaskFailure]]:
-    """In-process execution honoring the same failure policy as the pool.
+    """In-process execution under the same attempt loop as the pool."""
 
-    ``completed``/``failures`` may be passed in (and are mutated) so a
-    serial resume after a pool fallback extends the pool's partial
-    progress instead of discarding it.
-    """
-    completed = {} if completed is None else completed
-    failures = {} if failures is None else failures
-    attempts = {index: 0 for index in pending}
-    queue = deque(pending)
-    while queue:
-        index = queue.popleft()
-        attempts[index] += 1
-        requeue: List[int] = []
-        try:
-            completed[index] = _execute_indexed(tasks[index], policy.timeout_s)
-        except TaskTimeout as exc:
-            _fail_or_retry(
-                tasks[index], index, "timeout", exc, attempts, policy,
-                requeue, failures,
-            )
-        except Exception as exc:
-            _fail_or_retry(
-                tasks[index], index, "exception", exc, attempts, policy,
-                requeue, failures,
-            )
-        queue.extend(requeue)
-    return completed, [failures[index] for index in sorted(failures)]
+    def run_attempt(indices: List[int]) -> Iterator[Tuple[int, Any]]:
+        for index in indices:
+            try:
+                outcome = _execute_indexed(tasks[index], policy.timeout_s)
+            except Exception as exc:
+                outcome = exc
+            yield index, outcome
+
+    return _attempt_loop(tasks, pending, policy, completed, failures, run_attempt)
+
+
+def _shipped_outcome(future) -> Any:
+    """A pool attempt's outcome; on success its shipped deltas are merged
+    into this process's globals, or they would die with the worker."""
+    try:
+        value, elapsed, events_payload, counter_delta = future.result()
+    except pickle.PicklingError:
+        raise  # transport, not the task: the serial fallback takes over
+    except Exception as exc:
+        return exc
+    if events_payload:
+        global_recorder().merge(events_from_payload(events_payload))
+    if counter_delta:
+        global_registry().merge_snapshot(counter_delta)
+    return value, elapsed
 
 
 def _run_parallel(
@@ -786,112 +808,63 @@ def _run_parallel(
     """Pooled execution that survives raising, hanging, and dying tasks.
 
     Tasks are submitted individually (not chunked ``map``) so one bad
-    task fails alone.  A :class:`BrokenProcessPool` — a worker died —
-    respawns the pool and resumes every unfinished task *without*
-    charging their retry budgets (the victim tasks did nothing wrong).
-    If the pool keeps breaking (>2 times) the remaining tasks run one
-    per single-worker pool, where a break is attributable to the task
-    it ran and *is* charged, bounding the total number of respawns.
+    task fails alone.  A :class:`BrokenProcessPool` — a worker died,
+    under its own task or a sibling's — respawns the pool and re-runs
+    every unfinished task of the batch uncharged, including those the
+    dying pool refused at submission.  After more than two breaks each
+    task runs in a throwaway single-worker pool, where a break is
+    attributable to the task it ran and *is* charged (kind
+    ``"broken_pool"``), bounding the number of respawns.
 
-    ``pickle.PicklingError`` always re-raises so :func:`_run_pending`
-    can fall back to the serial path.  ``completed``/``failures`` are
-    mutated in place, so when that fallback happens the caller still
-    sees everything the pool finished (and merged) before the error —
-    the fallback must not re-run those indices.
+    ``pickle.PicklingError`` and :class:`_PoolUnavailable` propagate so
+    :func:`_run_pending` can fall back to the serial path, which must
+    not re-run what the pool finished into ``completed``/``failures``.
     """
-    workers = min(jobs, len(pending))
-    completed = {} if completed is None else completed
-    failures = {} if failures is None else failures
-    attempts = {index: 0 for index in pending}
-    remaining = deque(pending)
-    pool_breaks = 0
-    recorder = global_recorder()
-    registry = global_registry()
+    shared: List[ProcessPoolExecutor] = []  # the live multi-worker pool
+    breaks = 0
 
-    def merge(index: int, outcome) -> None:
-        # Merge each worker's shipped trace/counter deltas into this
-        # process's globals — without this, everything recorded inside
-        # the pool would die with the workers.
-        value, elapsed, events_payload, counter_delta = outcome
-        if events_payload:
-            recorder.merge(events_from_payload(events_payload))
-        if counter_delta:
-            registry.merge_snapshot(counter_delta)
-        completed[index] = (value, elapsed)
+    def submit(pool: ProcessPoolExecutor, index: int):
+        return pool.submit(_execute_shipping, tasks[index], policy.timeout_s)
 
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        while remaining and pool_breaks <= 2:
-            batch = sorted(remaining)
-            remaining.clear()
-            futures = {}
-            for index in batch:
-                attempts[index] += 1
-                futures[
-                    pool.submit(_execute_shipping, tasks[index], policy.timeout_s)
-                ] = index
-            requeue: List[int] = []
-            broken = False
-            for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    merge(index, future.result())
-                except pickle.PicklingError:
-                    raise  # serial fallback handles the whole batch
-                except BrokenProcessPool:
-                    # The worker died under this task — maybe its own
-                    # doing, maybe a sibling's.  Resume without charging.
-                    attempts[index] -= 1
-                    requeue.append(index)
-                    broken = True
-                except TaskTimeout as exc:
-                    _fail_or_retry(
-                        tasks[index], index, "timeout", exc, attempts,
-                        policy, requeue, failures,
-                    )
-                except Exception as exc:
-                    _fail_or_retry(
-                        tasks[index], index, "exception", exc, attempts,
-                        policy, requeue, failures,
-                    )
-            if broken:
-                pool_breaks += 1
-                pool.shutdown(wait=False)
-                pool = ProcessPoolExecutor(max_workers=workers)
-            remaining.extend(requeue)
-    finally:
-        pool.shutdown(wait=False)
+    def batch(indices: List[int]) -> Iterator[Tuple[int, Any]]:
+        nonlocal breaks
+        if not shared:
+            shared.append(ProcessPoolExecutor(max_workers=min(jobs, len(pending))))
+        futures, unsent = {}, []
+        for position, index in enumerate(indices):
+            try:
+                futures[submit(shared[0], index)] = index
+            except BrokenProcessPool:
+                unsent = indices[position:]
+                break
+        broken = bool(unsent)
+        for future in as_completed(futures):
+            outcome = _shipped_outcome(future)
+            if isinstance(outcome, BrokenProcessPool):
+                outcome, broken = _VICTIM, True
+            yield futures[future], outcome
+        for index in unsent:
+            yield index, _VICTIM
+        if broken:
+            breaks += 1
+            shared.pop().shutdown(wait=False)
 
-    # Isolation mode: the pool broke repeatedly, so some task is killing
-    # its worker.  One task per throwaway single-worker pool pins the
-    # blame and charges it, so a crashing task cannot respawn forever.
-    while remaining:
-        index = remaining.popleft()
-        attempts[index] += 1
-        requeue: List[int] = []
-        try:
+    def isolated(indices: List[int]) -> Iterator[Tuple[int, Any]]:
+        for index in indices:
             with ProcessPoolExecutor(max_workers=1) as solo:
-                outcome = solo.submit(
-                    _execute_shipping, tasks[index], policy.timeout_s
-                ).result()
-            merge(index, outcome)
-        except pickle.PicklingError:
-            raise
-        except BrokenProcessPool as exc:
-            _fail_or_retry(
-                tasks[index], index, "broken_pool", exc, attempts, policy,
-                requeue, failures,
-            )
-        except TaskTimeout as exc:
-            _fail_or_retry(
-                tasks[index], index, "timeout", exc, attempts, policy,
-                requeue, failures,
-            )
-        except Exception as exc:
-            _fail_or_retry(
-                tasks[index], index, "exception", exc, attempts, policy,
-                requeue, failures,
-            )
-        remaining.extend(requeue)
+                outcome = _shipped_outcome(submit(solo, index))
+            yield index, outcome
 
-    return completed, [failures[index] for index in sorted(failures)]
+    def run_attempt(indices: List[int]) -> Iterator[Tuple[int, Any]]:
+        try:
+            yield from isolated(indices) if breaks > 2 else batch(indices)
+        except OSError as exc:
+            # Task errors arrive as outcomes, so this OSError is the
+            # pool's own: forking or creating its semaphores failed.
+            raise _PoolUnavailable(f"process pool unavailable: {exc}") from exc
+
+    try:
+        return _attempt_loop(tasks, pending, policy, completed, failures, run_attempt)
+    finally:
+        for pool in shared:
+            pool.shutdown(wait=False)

@@ -54,10 +54,11 @@ Queue layout (everything under one queue directory)::
   then merges.  ``resume`` accepts the queue directory, its
   ``queue.json``, or a merged manifest written next to it.
 
-CLI verbs: ``shard`` / ``work`` / ``merge`` / ``resume`` / ``smoke``
-(the CI end-to-end: shard a small Fig-8 grid, drain it with two worker
-processes, SIGKILL one mid-shard, resume, and assert the merged manifest
-equals an uninterrupted serial baseline).  See ``docs/robustness.md``.
+Task execution, delta capture and manifest building are the
+executor's (:mod:`repro.experiments.parallel`); this module adds only
+sharding, leases, fragments, merge and resume.  CLI verbs: ``shard`` /
+``work`` / ``merge`` / ``resume``; the CI crash/resume end-to-end is
+``tools/sweep_smoke.py queue``.  See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
@@ -68,9 +69,7 @@ import json
 import os
 import pickle
 import signal
-import subprocess
 import sys
-import tempfile
 import time
 import uuid
 from dataclasses import dataclass
@@ -81,15 +80,17 @@ from repro.experiments.parallel import (
     ON_ERROR_ENV,
     SweepTask,
     TaskFailure,
+    _env_number,
     _run_serial,
+    capture_deltas,
     derive_seed,
-    grid_seeds,
     manifest_task_rows,
     resolve_policy,
+    sweep_manifest,
 )
 from repro.obs import manifest as obs_manifest
-from repro.obs.counters import diff_snapshot, global_registry
-from repro.sim.trace import global_recorder
+from repro.obs.counters import global_registry
+from repro.sim.trace import event_counts
 
 #: Environment knob: default lease TTL in seconds for queue workers.
 LEASE_TTL_ENV = "REPRO_QUEUE_LEASE_TTL_S"
@@ -153,20 +154,6 @@ def fragment_path(spec: QueueSpec, shard: ShardSpec) -> str:
     return os.path.join(spec.root, FRAGMENTS_DIR, f"{shard.name}.json")
 
 
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def shard_tasks(
     tasks: Sequence[SweepTask],
     queue_dir: str,
@@ -217,7 +204,7 @@ def shard_tasks(
                 f"shard {shard.index} does not pickle "
                 f"(queue workers are separate processes): {exc}"
             ) from exc
-        _atomic_write_bytes(
+        obs_manifest.atomic_write_bytes(
             os.path.join(queue_dir, SHARDS_DIR, f"{shard.name}.pkl"), blob
         )
         shard_rows.append(
@@ -241,9 +228,9 @@ def shard_tasks(
         "created_unix": time.time(),
         "shards": shard_rows,
     }
-    _atomic_write_bytes(
+    obs_manifest.atomic_write_bytes(
         os.path.join(queue_dir, QUEUE_FILE),
-        (json.dumps(queue_doc, indent=2, sort_keys=True) + "\n").encode("utf-8"),
+        obs_manifest.json_bytes(queue_doc),
     )
     return load_queue(queue_dir)
 
@@ -469,7 +456,7 @@ def refresh_shard_lease(
     if lease is None or lease.get("worker") != worker_id:
         return False
     try:
-        _atomic_write_bytes(path, _lease_payload(worker_id, ttl_s))
+        obs_manifest.atomic_write_bytes(path, _lease_payload(worker_id, ttl_s))
         return True
     except OSError:
         return False
@@ -503,46 +490,40 @@ def _run_shard(
     """Execute one claimed shard; returns its fragment (not yet written).
 
     Tasks run through the executor's serial path one at a time so the
-    lease heartbeat fires between tasks.  Counter/trace *deltas* are
-    captured around the whole shard — integer-valued, so the merge sum
-    is exact.  Returns ``None`` if the lease was lost mid-shard.
+    lease heartbeat fires between tasks, all inside one
+    :func:`~repro.experiments.parallel.capture_deltas` — counter deltas
+    are integer-valued, so the merge sum is exact.  Returns ``None`` if
+    the lease was lost mid-shard.
     """
     tasks = load_shard_tasks(spec, shard)
-    registry = global_registry()
-    recorder = global_recorder()
-    counters_base = registry.snapshot()
-    trace_base = recorder.counts()
-    started = time.perf_counter()
-
     completed: Dict[int, Tuple[Any, float]] = {}
     failures: Dict[int, TaskFailure] = {}
-    for local in range(len(tasks)):
-        _run_serial(tasks, [local], policy, completed, failures)
-        if not refresh_shard_lease(spec, shard, worker_id, ttl_s):
-            return None
-    wall_s = time.perf_counter() - started
 
-    counter_delta = diff_snapshot(counters_base, registry.snapshot())
-    trace_now = recorder.counts()
-    trace_delta = {
-        key: value - trace_base.get(key, 0)
-        for key, value in trace_now.items()
-        if value - trace_base.get(key, 0) > 0
-    }
+    def run_heartbeating() -> bool:
+        for local in range(len(tasks)):
+            _run_serial(tasks, [local], policy, completed, failures)
+            if not refresh_shard_lease(spec, shard, worker_id, ttl_s):
+                return False
+        return True
+
+    started = time.perf_counter()
+    held, counter_delta, events = capture_deltas(run_heartbeating)
+    wall_s = time.perf_counter() - started
+    if not held:
+        return None
 
     rows, _ = manifest_task_rows(tasks)
-    for local, (row, task) in enumerate(zip(rows, tasks)):
+    for local, row in enumerate(rows):
         row["index"] = shard.task_indices[local]
         if local in completed:
             row["result"] = obs_manifest.jsonable(completed[local][0])
             row["elapsed_s"] = completed[local][1]
         else:
             row["result"] = None
-    failure_rows = []
-    for local in sorted(failures):
-        record = failures[local].as_dict()
-        record["index"] = shard.task_indices[local]
-        failure_rows.append(record)
+    failure_rows = [
+        dict(failures[local].as_dict(), index=shard.task_indices[local])
+        for local in sorted(failures)
+    ]
 
     return obs_manifest.build_fragment(
         label=spec.label,
@@ -552,7 +533,7 @@ def _run_shard(
         wall_s=wall_s,
         tasks=rows,
         counters=counter_delta,
-        trace_counts=trace_delta,
+        trace_counts=event_counts(events),
         failures=failure_rows,
     )
 
@@ -591,11 +572,7 @@ def work(
     spec = load_queue(queue_dir)
     worker_id = worker_id or default_worker_id()
     if lease_ttl_s is None:
-        env = os.environ.get(LEASE_TTL_ENV, "")
-        try:
-            lease_ttl_s = float(env) if env else DEFAULT_LEASE_TTL_S
-        except ValueError:
-            lease_ttl_s = DEFAULT_LEASE_TTL_S
+        lease_ttl_s = _env_number(LEASE_TTL_ENV, float, DEFAULT_LEASE_TTL_S)
     if policy is None:
         policy = resolve_policy(
             on_error=os.environ.get(ON_ERROR_ENV) or "record"
@@ -649,18 +626,9 @@ def work(
 # ----------------------------------------------------------------------
 # Merge + resume
 # ----------------------------------------------------------------------
-def merge(queue_dir: str, out_dir: Optional[str] = None) -> str:
-    """Fold all shard fragments into one schema-valid run manifest.
-
-    Raises :class:`QueueError` (naming the shards) if any fragment is
-    missing — a partial queue merges only after ``work``/``resume``
-    finish it.  The manifest's deterministic fields (task rows, params,
-    seeds, counters, failures) are built from the shard files' task
-    records through the *same* helpers a single ``run_tasks`` manifest
-    uses, so a merged manifest is bit-identical to an uninterrupted
-    run's on those fields.
-    """
-    spec = load_queue(queue_dir)
+def _load_fragments(spec: QueueSpec) -> List[Dict[str, Any]]:
+    """Every shard's fragment in shard order, or a :class:`QueueError`
+    naming the shards that have none."""
     fragments: List[Dict[str, Any]] = []
     missing: List[int] = []
     for shard in spec.shards:
@@ -681,11 +649,23 @@ def merge(queue_dir: str, out_dir: Optional[str] = None) -> str:
             f"queue {spec.root} incomplete: shards {missing} have no "
             f"fragment (run `work` or `resume` first)"
         )
+    return fragments
 
-    tasks: List[SweepTask] = []
-    for shard in spec.shards:
-        tasks.extend(load_shard_tasks(spec, shard))
-    rows, params = manifest_task_rows(tasks)
+
+def merge(queue_dir: str, out_dir: Optional[str] = None) -> str:
+    """Fold all shard fragments into one schema-valid run manifest.
+
+    Raises :class:`QueueError` (naming the shards) if any fragment is
+    missing — a partial queue merges only after ``work``/``resume``
+    finish it.  The manifest is built from the shard files' task records
+    by :func:`~repro.experiments.parallel.sweep_manifest`, as a single
+    ``run_tasks`` manifest is, so a merged manifest is bit-identical to
+    an uninterrupted run's on its deterministic fields (task rows,
+    params, seeds, counters, failures).
+    """
+    spec = load_queue(queue_dir)
+    fragments = _load_fragments(spec)
+    tasks = [task for shard in spec.shards for task in load_shard_tasks(spec, shard)]
 
     trace_counts: Dict[str, int] = {}
     failure_rows: List[Dict[str, Any]] = []
@@ -698,13 +678,8 @@ def merge(queue_dir: str, out_dir: Optional[str] = None) -> str:
         failure_rows.extend(fragment["failures"])
     failure_rows.sort(key=lambda record: record.get("index", 0))
 
-    manifest = obs_manifest.build_manifest(
-        label=spec.label,
-        tasks=rows,
-        jobs=max(1, len(workers)),
-        wall_s=wall_s,
-        params=params,
-        seeds=grid_seeds(tasks),
+    manifest = sweep_manifest(
+        spec.label, tasks, max(1, len(workers)), wall_s,
         counters=obs_manifest.merge_fragment_counters(fragments),
         trace_counts=trace_counts,
         failures=failure_rows,
@@ -769,18 +744,16 @@ def resume(
 def queue_results(target: str) -> List[Any]:
     """All task results in grid order, read back from the fragments."""
     spec = load_queue(target)
-    results: Dict[int, Any] = {}
-    for shard in spec.shards:
-        path = fragment_path(spec, shard)
-        if not os.path.exists(path):
-            raise QueueError(f"shard {shard.index} has no fragment yet")
-        for row in obs_manifest.load_fragment(path)["tasks"]:
-            results[int(row["index"])] = row.get("result")
+    results = {
+        int(row["index"]): row.get("result")
+        for fragment in _load_fragments(spec)
+        for row in fragment["tasks"]
+    }
     return [results[index] for index in range(spec.total_tasks)]
 
 
 # ----------------------------------------------------------------------
-# Built-in grids (CLI + smoke + tests)
+# Built-in grids (CLI, CI smoke and tests)
 # ----------------------------------------------------------------------
 def fig8_cell(
     mac_kind: str, c2_x: float, seed: int, duration_s: float
@@ -888,7 +861,7 @@ def demo_grid(n: int = 8, seed: int = 0) -> List[SweepTask]:
 
 
 # ----------------------------------------------------------------------
-# CI smoke
+# Worker subprocesses (crash tests and the CI smoke)
 # ----------------------------------------------------------------------
 def _worker_argv(queue_dir: str, *extra: str) -> List[str]:
     return [
@@ -917,116 +890,6 @@ def _comparable(manifest: obs_manifest.RunManifest) -> Dict[str, Any]:
         "counters": manifest.counters,
         "failures": manifest.failures,
     }
-
-
-def smoke(
-    out_dir: str = "queue-artifacts",
-    duration_s: float = 0.04,
-    lease_ttl_s: float = 1.0,
-) -> int:
-    """CI end-to-end: shard, crash a worker mid-shard, resume, verify.
-
-    1. Run a small Fig-8 grid through plain serial ``run_tasks`` — the
-       uninterrupted baseline manifest.
-    2. Shard the same grid (chunk 1) into a queue.
-    3. Worker A completes one shard, then SIGKILLs itself mid-shard
-       (after the work, before the fragment) leaving a held lease.
-    4. Worker B drains some — not all — of the remaining shards.
-    5. ``resume`` outwaits A's lease, re-runs the missing shards, and
-       merges.
-    6. The merged manifest must schema-validate and agree bit-for-bit
-       with the baseline on tasks, params, seeds, counters, failures.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    tasks = fig8_grid(
-        positions_m=(5.0, 20.0, 35.0), mac_kinds=("dcf", "comap"),
-        repeats=1, seed=0, duration_s=duration_s,
-    )
-
-    print(f"[1/5] serial baseline: {len(tasks)} tasks")
-    from repro.experiments.parallel import run_tasks
-
-    baseline_dir = os.path.join(out_dir, "baseline")
-    with obs_manifest.manifest_sink(baseline_dir):
-        run_tasks(tasks, jobs=1, label="queue_smoke", on_error="record")
-    baseline = obs_manifest.load_manifest(
-        os.path.join(baseline_dir, "queue_smoke.manifest.json")
-    )
-
-    queue_dir = os.path.join(out_dir, "queue")
-    spec = shard_tasks(tasks, queue_dir, chunk=1, label="queue_smoke")
-    print(f"[2/5] sharded into {len(spec.shards)} shards at {queue_dir}")
-
-    env = _worker_env()
-    victim = subprocess.run(
-        _worker_argv(
-            queue_dir, "--kill-after-shards", "1",
-            "--lease-ttl-s", str(lease_ttl_s),
-        ),
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    if victim.returncode != -signal.SIGKILL:
-        print(
-            f"QUEUE-SMOKE FAILURE: victim worker exited {victim.returncode}, "
-            f"expected SIGKILL\n{victim.stderr}", file=sys.stderr,
-        )
-        return 1
-    held = [
-        name for name in os.listdir(os.path.join(queue_dir, LEASES_DIR))
-        if name.endswith(".lease")
-    ]
-    print(f"[3/5] victim worker SIGKILLed mid-shard; leases held: {held}")
-
-    survivor = subprocess.run(
-        _worker_argv(queue_dir, "--max-shards", "2"),
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    if survivor.returncode != 0:
-        print(
-            f"QUEUE-SMOKE FAILURE: survivor worker exited "
-            f"{survivor.returncode}\n{survivor.stderr}", file=sys.stderr,
-        )
-        return 1
-    done = sum(shard_done(spec, shard) for shard in spec.shards)
-    print(f"[4/5] survivor drained 2 shards ({done}/{len(spec.shards)} done)")
-    if done >= len(spec.shards):
-        print(
-            "QUEUE-SMOKE FAILURE: nothing left for resume to do",
-            file=sys.stderr,
-        )
-        return 1
-
-    merged_path = resume(queue_dir, out_dir=out_dir, lease_ttl_s=lease_ttl_s)
-    merged = obs_manifest.load_manifest(merged_path)  # schema-validates
-    print(f"[5/5] resumed + merged -> {merged_path}")
-
-    problems = []
-    if merged.shards is None or merged.shards["count"] != len(spec.shards):
-        problems.append(f"merged manifest shards block wrong: {merged.shards}")
-    expected, got = _comparable(baseline), _comparable(merged)
-    for field_name in expected:
-        if expected[field_name] != got[field_name]:
-            problems.append(
-                f"merged manifest field {field_name!r} differs from the "
-                f"uninterrupted baseline"
-            )
-    per_node = {
-        key: value
-        for key, value in merged.counters.items()
-        if key.startswith("node/")
-    }
-    if not per_node:
-        problems.append("merged manifest carries no per-node counters")
-    if problems:
-        for problem in problems:
-            print(f"QUEUE-SMOKE FAILURE: {problem}", file=sys.stderr)
-        return 1
-    print(
-        f"queue smoke passed: {len(spec.shards)} shards, "
-        f"{len(per_node)} per-node counters bit-identical to baseline, "
-        f"artifacts in {out_dir}"
-    )
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -1105,11 +968,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                           help="do not re-run shards that recorded failures")
     _add_worker_args(p_resume)
 
-    p_smoke = sub.add_parser("smoke", help="CI end-to-end crash/resume check")
-    p_smoke.add_argument("--out", default="queue-artifacts")
-    p_smoke.add_argument("--duration-s", type=float, default=0.04)
-    p_smoke.add_argument("--lease-ttl-s", type=float, default=1.0)
-
     args = parser.parse_args(argv)
 
     if args.verb == "shard":
@@ -1160,12 +1018,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         print(f"resumed and merged: {path}")
         return 0
-    if args.verb == "smoke":
-        return smoke(
-            out_dir=args.out,
-            duration_s=args.duration_s,
-            lease_ttl_s=args.lease_ttl_s,
-        )
     raise AssertionError(f"unhandled verb {args.verb!r}")
 
 

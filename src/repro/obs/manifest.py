@@ -148,28 +148,56 @@ def validate_manifest(obj: Any) -> None:
         raise ManifestError("invalid manifest: " + "; ".join(problems))
 
 
+def json_bytes(obj: Any) -> bytes:
+    """The on-disk form of manifests, fragments and queue specs."""
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def atomic_write_bytes(path: Union[str, "os.PathLike"], payload: bytes) -> None:
+    """Publish ``payload`` at ``path`` whole or not at all.
+
+    The bytes land in a same-directory ``.tmp`` file (the directory is
+    created if needed), are flushed and fsynced, and only then renamed
+    over ``path`` — a process killed mid-write leaves at worst an
+    orphaned ``.tmp``, never a truncated file a reader could trust.
+    """
+    path = os.fspath(path)
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def write_manifest(
     manifest: RunManifest, directory: Union[str, "os.PathLike"]
 ) -> str:
-    """Serialize ``manifest`` into ``directory``; returns the file path."""
-    os.makedirs(directory, exist_ok=True)
+    """Atomically serialize ``manifest`` into ``directory``; returns the path."""
     path = os.path.join(os.fspath(directory), f"{_safe_name(manifest.label)}.manifest.json")
     payload = manifest.to_dict()
     validate_manifest(payload)  # never write a manifest we could not load
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    atomic_write_bytes(path, json_bytes(payload))
     return path
+
+
+def _load_json(path: Union[str, "os.PathLike"], what: str) -> Any:
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"unreadable {what} {path}: {exc}") from exc
 
 
 def load_manifest(path: Union[str, "os.PathLike"]) -> RunManifest:
     """Read and schema-validate one manifest file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"unreadable manifest {path}: {exc}") from exc
-    return RunManifest.from_dict(obj)
+    return RunManifest.from_dict(_load_json(path, "manifest"))
 
 
 def _safe_name(label: str) -> str:
@@ -379,36 +407,17 @@ def validate_fragment(obj: Any) -> None:
 def write_fragment(fragment: Dict[str, Any], path: Union[str, "os.PathLike"]) -> str:
     """Atomically serialize one fragment; its existence means "shard done".
 
-    Same discipline as the result cache: same-directory temp file,
-    flush + fsync, then ``os.replace`` — a worker SIGKILLed mid-write
-    leaves no partial fragment, so resume re-runs the whole shard
-    instead of trusting a truncated record.
+    A worker SIGKILLed mid-write leaves no partial fragment, so resume
+    re-runs the whole shard instead of trusting a truncated record.
     """
     validate_fragment(fragment)
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(fragment, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return path
+    atomic_write_bytes(path, json_bytes(fragment))
+    return os.fspath(path)
 
 
 def load_fragment(path: Union[str, "os.PathLike"]) -> Dict[str, Any]:
     """Read and schema-validate one fragment file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"unreadable fragment {path}: {exc}") from exc
+    obj = _load_json(path, "fragment")
     validate_fragment(obj)
     return obj
 

@@ -16,6 +16,9 @@ Two historical bugs, each with a failing-before/passing-after test here:
 
 import os
 import pickle
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -31,6 +34,7 @@ from repro.experiments.parallel import (
 )
 from repro.obs.counters import CounterRegistry, global_registry
 from repro.sim.trace import TraceRecorder
+from repro.sim.trace import global_recorder
 
 
 @pytest.fixture
@@ -200,3 +204,129 @@ class TestFallbackResumesOnlyUnfinished:
         assert [f.index for f in failures] == [0, 1, 2]
         # One attempt each: the fallback did not re-run the pool's two.
         assert all(f.attempts == 1 for f in failures)
+
+
+def _own_error_cell(path: str, x: float, error=None) -> float:
+    """Exactly-once witness that raises ``error`` (a type) when given."""
+    with open(path, "a") as handle:
+        handle.write(f"{x}\n")
+    if error is not None:
+        raise error(f"the task's own error at x={x}")
+    return x
+
+
+def _lock_result_cell(x: float) -> dict:
+    """A result that cannot cross a process boundary."""
+    return {"x": x, "lock": threading.Lock()}
+
+
+class TestTaskErrorsAreNotPoolFailures:
+    @pytest.mark.parametrize("error", [TypeError, OSError])
+    def test_own_exception_runs_once_without_fallback(
+        self, tmp_path, fresh_globals, error
+    ):
+        """Raise mode, 2 workers: a task raising ``TypeError``/``OSError``
+        used to be mistaken for a pool failure and re-run in-process by
+        the serial fallback, which then blamed the pool."""
+        global_recorder().enable("sweep")
+        witness = str(tmp_path / "witness.log")
+        tasks = [
+            SweepTask(
+                fn=_own_error_cell,
+                kwargs={
+                    "path": witness,
+                    "x": float(i),
+                    "error": error if i == 1 else None,
+                },
+                key=("own", i),
+            )
+            for i in range(3)
+        ]
+        with pytest.raises(error, match="own error at x=1.0"):
+            run_tasks(tasks, jobs=2)
+        with open(witness) as handle:
+            assert handle.read().split().count("1.0") == 1
+        assert global_recorder().events("sweep", "serial_fallback") == []
+
+    def test_unpicklable_result_matches_serial_in_record_mode(
+        self, fresh_globals
+    ):
+        """Record mode, 2 workers: a result holding a lock used to come
+        back as ``None`` plus an ``exception`` failure, while ``jobs=1``
+        returned it — the pool now hands such tasks to the serial path."""
+        tasks = [
+            SweepTask(fn=_lock_result_cell, kwargs={"x": float(i)}, key=("lock", i))
+            for i in range(3)
+        ]
+
+        def shape(results):
+            return [
+                None if r is None else (r["x"], type(r["lock"])) for r in results
+            ]
+
+        serial = run_tasks(tasks, jobs=1, on_error="record")
+        pooled = run_tasks(tasks, jobs=2, on_error="record")
+        lock_type = type(threading.Lock())
+        assert shape(serial) == [(float(i), lock_type) for i in range(3)]
+        assert shape(pooled) == shape(serial)
+
+
+class TestBreakDuringSubmission:
+    @pytest.mark.parametrize("break_at", [1, 3, 6])
+    def test_unsent_tasks_are_uncharged_victims(
+        self, tmp_path, fresh_globals, monkeypatch, break_at
+    ):
+        """A worker dying while the batch is still being submitted makes
+        ``submit`` raise ``BrokenProcessPool``; that used to escape
+        ``run_tasks`` even in record mode."""
+        calls = []
+
+        class SubmitBreaks(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                calls.append(None)
+                if len(calls) == break_at:
+                    raise BrokenProcessPool("a worker died mid-submission")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", SubmitBreaks)
+        witness = str(tmp_path / "witness.log")
+        tasks = [
+            SweepTask(
+                fn=_append_cell,
+                kwargs={"path": witness, "x": float(i)},
+                key=("submit", i),
+            )
+            for i in range(6)
+        ]
+        results = run_tasks(tasks, jobs=2, retries=0, on_error="record")
+        assert results == [float(i) for i in range(6)]
+        with open(witness) as handle:
+            lines = handle.read().split()
+        assert sorted(lines) == [str(float(i)) for i in range(6)]  # exactly once
+        assert len(calls) > 6  # the refused tasks were submitted again
+
+
+class TestPoolStartFailure:
+    @pytest.mark.parametrize("at", ["init", "submit"])
+    def test_pool_that_cannot_start_falls_back_to_serial(
+        self, fresh_globals, monkeypatch, at
+    ):
+        """Worker processes that cannot start (no semaphores, fork
+        failing) are the pool's failure: every task still runs, once,
+        on the serial path."""
+        global_recorder().enable("sweep")
+
+        class CannotStart(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                if at == "init":
+                    raise OSError("no semaphores")
+                super().__init__(*args, **kwargs)
+
+            def submit(self, *args, **kwargs):
+                raise OSError("fork failed")
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", CannotStart)
+        results = run_tasks(_grid(4), jobs=2, on_error="record")
+        assert results == [0.0, 2.0, 4.0, 6.0]
+        assert global_registry().snapshot()["fallback/runs"] == 4
+        assert len(global_recorder().events("sweep", "serial_fallback")) == 1
