@@ -118,6 +118,16 @@ def hidden_terminal_topology(
 # ----------------------------------------------------------------------
 # Fig. 6 — multiple exposed terminals (enhanced-scheduler micro-scenario)
 # ----------------------------------------------------------------------
+def _scheduler_overrides(enhanced_scheduler: bool) -> Optional[dict]:
+    """MAC overrides turning the enhanced scheduler off, when asked to.
+
+    The default (on) is left to the MAC config, so kinds without the
+    scheduler (``dcf``, ``cmap``) build unchanged; asking one of them to
+    turn it off fails with the network's unknown-field error.
+    """
+    return None if enhanced_scheduler else {"enhanced_scheduler": False}
+
+
 def multi_et_topology(
     mac_kind: str,
     seed: int = 0,
@@ -134,8 +144,8 @@ def multi_et_topology(
     # Fixed 6 Mbps isolates the airtime-concurrency effect of Fig. 6 from
     # rate adaptation (the paper's NS-2 evaluation also fixes 6 Mbps).
     params = params or testbed_params().with_overrides(data_rate_bps=6_000_000)
-    overrides = {"enhanced_scheduler": enhanced_scheduler} if mac_kind == "comap" else None
-    net = Network(params, mac_kind=mac_kind, seed=seed, mac_overrides=overrides)
+    net = Network(params, mac_kind=mac_kind, seed=seed,
+                  mac_overrides=_scheduler_overrides(enhanced_scheduler))
     # Clients 30 m apart (inside each other's ~42 m carrier-sense range at
     # 0 dBm / alpha 2.9); each AP sits 8 m above its client, which keeps
     # every rival transmitter > 30 m from every receiver — far enough for
@@ -177,8 +187,8 @@ def rival_et_topology(
     RSSI monitor must let exactly one of them exploit each opportunity.
     """
     params = params or testbed_params().with_overrides(data_rate_bps=6_000_000)
-    overrides = {"enhanced_scheduler": enhanced_scheduler} if mac_kind == "comap" else None
-    net = Network(params, mac_kind=mac_kind, seed=seed, mac_overrides=overrides)
+    net = Network(params, mac_kind=mac_kind, seed=seed,
+                  mac_overrides=_scheduler_overrides(enhanced_scheduler))
     ap0 = net.add_ap("AP0", 0.0, 8.0)
     c2 = net.add_client("C2", 0.0, 0.0, ap=ap0)     # the ongoing sender
     ap1 = net.add_ap("AP1", 30.0, 8.0)

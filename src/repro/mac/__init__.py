@@ -4,9 +4,12 @@
 * :mod:`repro.mac.timing` — PHY timing profiles (slot/SIFS/DIFS/preamble).
 * :mod:`repro.mac.dcf` — the baseline CSMA/CA Distributed Coordination
   Function: binary exponential backoff, stop-and-wait ACK, retries, EIFS.
-* :mod:`repro.mac.comap` — the CO-MAP MAC: transmission-announcement
-  header, exposed-terminal concurrency with the enhanced scheduling
-  algorithm, selective-repeat ARQ, and HT-driven packet-size/CW adaptation.
+* :mod:`repro.mac.exposed` — the exposed-transmission episode CO-MAP,
+  C-SR and CMAP share: announcement header, ``RSSI_1`` capture, counting
+  down through the busy medium, expiry and teardown.
+* :mod:`repro.mac.comap` — the CO-MAP MAC: location-validated
+  exposed-terminal concurrency with the enhanced scheduling algorithm,
+  selective-repeat ARQ, and HT-driven packet-size/CW adaptation.
 * :mod:`repro.mac.cmap` — a CMAP-style baseline that learns its conflict
   map from losses instead of positions (related-work comparison).
 * :mod:`repro.mac.rate_control` — Minstrel-style bit-rate adaptation.

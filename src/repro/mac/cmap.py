@@ -22,36 +22,34 @@ This module implements that baseline so the claim can be measured:
     map can recover from stale negatives);
 * every concurrent attempt's ACK outcome updates the entry.
 
-Everything else (backoff-through-busy during an accepted opportunity,
-half-duplex guards) mirrors the CO-MAP MAC so the comparison isolates
-*how the map is built*, not the transmission machinery.
+Everything else — the announcement header, the episode it opens,
+counting down through the busy medium, expiry and teardown — is the
+:class:`repro.mac.exposed.ExposedMac` machinery CO-MAP runs too, so the
+comparison isolates *how the map is built*.  Unlike CO-MAP, a CMAP
+episode ends with the attempt it carried (one header, one attempt), and
+there is no rival-ET monitor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
-from repro.mac.dcf import DcfMac, MacConfig, MacState, Mpdu
-from repro.mac.frames import Frame, FrameType
-from repro.sim.engine import EventHandle
-
-Link = Tuple[int, int]
+from repro.mac.dcf import MacState, Mpdu
+from repro.mac.exposed import ExposedMac, ExposedMacConfig, Link
+from repro.mac.frames import Frame
 
 
 @dataclass
-class CmapMacConfig(MacConfig):
+class CmapMacConfig(ExposedMacConfig):
     """Knobs of the loss-learning conflict map."""
 
-    announce_headers: bool = True
     #: Attempts before an entry's verdict is trusted.
     min_trials: int = 4
     #: Concurrency allowed when the observed success rate clears this.
     success_threshold: float = 0.7
     #: Probability of re-probing a learned-negative entry.
     reprobe_probability: float = 0.02
-    #: Safety slack past the announced duration.
-    opportunity_slack_ns: int = 400_000
 
 
 @dataclass
@@ -82,22 +80,15 @@ class CmapStats:
         return dict(vars(self))
 
 
-class CmapMac(DcfMac):
+class CmapMac(ExposedMac):
     """DCF extended with loss-learned exposed-terminal concurrency."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         if not isinstance(self.config, CmapMacConfig):
             raise TypeError("CmapMac requires a CmapMacConfig")
-        self.cmap_stats = CmapStats()
+        self.cmap_stats = self._episode_stats = CmapStats()
         self._conflict_map: Dict[Tuple[int, int, int], _Entry] = {}
-        self._opportunity_link: Optional[Link] = None
-        self._opportunity_expiry: Optional[EventHandle] = None
-        self._pending_link: Optional[Link] = None
-        self._pending_duration_ns = 0
-        self._pending_baseline_mw = 0.0
-        self._attempt_was_concurrent = False
-        self._inflight_link: Optional[Link] = None
         self._probe_rng = self._rng  # reuse the backoff stream's generator
 
     def register_counters(self, registry) -> None:
@@ -142,85 +133,33 @@ class CmapMac(DcfMac):
     # ------------------------------------------------------------------
     def _compose_frames(self, head: Mpdu, rate):
         data = self._build_data_frame(head, rate)
-        if self._opportunity_link is not None:
+        if self._exposed_link is not None:
             data.meta["exposed"] = True
-            data.meta["exposed_link"] = self._opportunity_link
         if not self.config.announce_headers:
             return [data]
         self.cmap_stats.headers_sent += 1
-        header = Frame(
-            kind=FrameType.COMAP_HEADER,
-            src=self.node_id,
-            dst=head.dst,
-            rate=self.rates.base,
-            seq=head.seq,
-            flow=head.flow,
-            meta={"dur": self.timing.frame_airtime_ns(data)},
-        )
-        return [header, data]
+        return [self._announcement_header(head, data), data]
 
     # ------------------------------------------------------------------
-    # Opportunity lifecycle (header-gated, like CO-MAP's basic mode)
+    # Taking an episode (header-gated, like CO-MAP's separate mode)
     # ------------------------------------------------------------------
     def on_header_overheard(self, frame: Frame, rssi_dbm: float) -> None:
         if self._state is not MacState.CONTEND or self._head is None:
             return
-        if self._opportunity_link is not None or self._pending_link is not None:
+        if self._opportunity is not None or self._pending_link is not None:
             return
         link = (frame.src, frame.dst)
         if link[0] == self._head.dst or link[1] == self._head.dst:
             return
         if not self._decide(link, self._head.dst):
             return
-        self._pending_link = link
-        self._pending_baseline_mw = self.radio.energy_mw()
-        self._pending_duration_ns = int(frame.meta.get("dur", 0))
-
-    def on_energy_changed(self, energy_mw: float) -> None:
-        if self._pending_link is None:
-            return
-        if energy_mw <= self._pending_baseline_mw:
-            return
-        self._opportunity_link = self._pending_link
-        self._pending_link = None
-        horizon = self._pending_duration_ns + self.config.opportunity_slack_ns
-        self._opportunity_expiry = self.sim.schedule(horizon, self._expire_opportunity)
-        self._resume_contention()
-
-    def _expire_opportunity(self) -> None:
-        self._opportunity_expiry = None
-        self._clear_opportunity()
-        if self._state is MacState.CONTEND and self.radio.medium_busy():
-            self._freeze_contention()
-
-    def _clear_opportunity(self) -> None:
-        if self._opportunity_expiry is not None:
-            self._opportunity_expiry.cancel()
-            self._opportunity_expiry = None
-        self._opportunity_link = None
-        self._pending_link = None
-
-    def _should_ignore_busy(self) -> bool:
-        if self.radio.transmitting:
-            return False
-        return self._opportunity_link is not None
-
-    def on_medium_idle(self) -> None:
-        if self._opportunity_link is not None:
-            self._clear_opportunity()
-        super().on_medium_idle()
+        self._arm_opportunity(link, int(frame.meta.get("dur", 0)))
 
     def _transmit_head(self) -> None:
-        self._attempt_was_concurrent = self._opportunity_link is not None
-        self._inflight_link = self._opportunity_link
-        if self._attempt_was_concurrent:
-            self.cmap_stats.concurrent_transmissions += 1
-        try:
-            super()._transmit_head()
-        finally:
-            # The link identity is kept in _inflight_link; the episode
-            # itself ends with this attempt (per-header gating).
-            self._clear_opportunity()
+        super()._transmit_head()
+        # The link stays in _exposed_link for the outcome; the episode
+        # itself ends with this attempt (per-header gating).
+        self._clear_opportunity()
 
     # ------------------------------------------------------------------
     # Learning from outcomes
@@ -231,17 +170,16 @@ class CmapMac(DcfMac):
             and self._head is not None
             and ack.flow == self._head.flow
             and ack.seq == self._head.seq
-            and self._attempt_was_concurrent
-            and self._inflight_link is not None
+            and self._exposed_link is not None
         ):
-            self._record_outcome(self._inflight_link, self._head.dst, success=True)
-            self._attempt_was_concurrent = False
+            self._record_outcome(self._exposed_link, self._head.dst, success=True)
+            self._exposed_link = None
         super()._accept_ack(ack)
 
     def _handle_ack_timeout(self, frame: Frame) -> None:
-        if self._attempt_was_concurrent and self._inflight_link is not None:
-            self._record_outcome(self._inflight_link, frame.dst, success=False)
-            self._attempt_was_concurrent = False
+        if self._exposed_link is not None:
+            self._record_outcome(self._exposed_link, frame.dst, success=False)
+            self._exposed_link = None
         super()._handle_ack_timeout(frame)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,6 +1,7 @@
 """The CO-MAP MAC: location-aided exposed/hidden-terminal handling.
 
-Extends :class:`repro.mac.dcf.DcfMac` with the four runtime mechanisms of
+Extends :class:`repro.mac.exposed.ExposedMac` (DCF plus the shared
+exposed-transmission episode) with the four runtime mechanisms of
 Section IV:
 
 1. **Transmission announcement** — every data frame is preceded by a
@@ -38,22 +39,21 @@ from typing import Dict, List, Optional
 
 from repro.core.arq import SrReceiver, SrSender
 from repro.core.protocol import CoMapAgent
-from repro.mac.dcf import DcfMac, FlowId, MacConfig, MacState, Mpdu
+from repro.mac.dcf import FlowId, MacState, Mpdu
+from repro.mac.exposed import ExposedMac, ExposedMacConfig
 from repro.mac.frames import Frame, FrameType
-from repro.sim.engine import EventHandle
 from repro.util.units import dbm_to_mw
 
 
 @dataclass
-class CoMapMacConfig(MacConfig):
-    """CO-MAP additions on top of the DCF knobs.
+class CoMapMacConfig(ExposedMacConfig):
+    """CO-MAP additions on top of the DCF and episode knobs.
 
     ``enhanced_scheduler=False`` reproduces the paper's testbed emulation
     (concurrency by CCA override without RSSI monitoring) and powers the
     multi-ET ablation; ``sr_window=1`` degenerates to stop-and-wait.
     """
 
-    announce_headers: bool = True
     #: "separate": a small header packet precedes each data frame (the
     #: paper's testbed method — no PHY changes needed).  "embedded": an
     #: extra FCS after the sequence-number field lets overhearers decode
@@ -64,9 +64,6 @@ class CoMapMacConfig(MacConfig):
     enable_adaptation: bool = True
     enhanced_scheduler: bool = True
     sr_window: int = 8
-    #: Safety margin added to the announced duration before an unexpired
-    #: opportunity is forcibly dropped (covers the peer's SIFS+ACK tail).
-    opportunity_slack_ns: int = 400_000
     #: Persistent exposure: once a link is validated as co-occurring,
     #: busy-channel energy attributable to that link (by RSSI signature,
     #: within T'_cs) no longer freezes the backoff.  This is the paper's
@@ -123,40 +120,32 @@ class CoMapStats:
         return dict(vars(self))
 
 
-class _Opportunity:
-    """An exposed-transmission opportunity being exploited.
+class CoMapMac(ExposedMac):
+    """DCF extended with the CO-MAP exposed/hidden-terminal machinery.
 
-    ``ack_allowance_mw`` is the expected received power of the ongoing
-    link's own ACKs at this node (predicted from positions): the
-    rival-ET abandon test must not fire on the acknowledgements the
-    validated link legitimately elicits.
+    The episode lifecycle is :class:`ExposedMac`'s; CO-MAP decides from
+    positions which episodes to take, abandons one when a rival ET
+    starts first, and reopens one from a known link's RSSI signature.
+
+    An episode stays open across our own transmissions: during one
+    exposed episode the sender streams several frames of its
+    selective-repeat window ("a transmitter sends a set of frames with
+    consecutive sequence numbers specified by a window size"), so the
+    next head keeps counting through the ongoing transmission until the
+    episode ends (expiry, rival ET, or an idle medium).
     """
 
-    __slots__ = ("link", "rssi1_mw", "ack_allowance_mw", "expires_handle")
-
-    def __init__(self, link, rssi1_mw: float, ack_allowance_mw: float = 0.0):
-        self.link = link
-        self.rssi1_mw = rssi1_mw
-        self.ack_allowance_mw = ack_allowance_mw
-        self.expires_handle: Optional[EventHandle] = None
-
-
-class CoMapMac(DcfMac):
-    """DCF extended with the CO-MAP exposed/hidden-terminal machinery."""
+    # The episode's teardown, inherited unchanged.  Bound in this class's
+    # own dict because perfbench/spans.py wraps them on CoMapMac itself.
+    on_medium_idle = ExposedMac.on_medium_idle
+    _expire_opportunity = ExposedMac._expire_opportunity
 
     def __init__(self, *args, agent: CoMapAgent, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         if not isinstance(self.config, CoMapMacConfig):
             raise TypeError("CoMapMac requires a CoMapMacConfig")
         self.agent = agent
-        self.comap_stats = CoMapStats()
-        self._opportunity: Optional[_Opportunity] = None
-        self._pending_link = None  # validated link awaiting RSSI_1 capture
-        self._pending_duration_ns = 0
-        self._pending_baseline_mw = 0.0
-        self._transmitting_exposed = False
-        self._exposed_link = None  # link we are currently concurrent with
-        self._last_attempt_exposed = False
+        self.comap_stats = self._episode_stats = CoMapStats()
         # Per-announced-link RSSI signatures: link -> (ewma_mw, last_seen_ns).
         self._link_signatures: Dict[tuple, tuple] = {}
         #: Shadowing back-off applied to the predicted concurrent SIR (dB).
@@ -208,11 +197,9 @@ class CoMapMac(DcfMac):
         if stale and not self._fallback_active:
             self._fallback_active = True
             self.comap_stats.fallback_entered += 1
-            self._clear_opportunity()
+            self._end_opportunity()
             self.config.constant_cw = None
             self._advised_payload = None
-            if self._state is MacState.CONTEND and self.radio.medium_busy():
-                self._freeze_contention()
             if self.trace.wants("comap"):
                 self.trace.record("comap", "fallback_enter", node=self.node_id)
         elif not stale and self._fallback_active:
@@ -289,7 +276,7 @@ class CoMapMac(DcfMac):
             # reasoning from (stale) positions.
             self.comap_stats.fallback_tx_frames += 1
             return [self._build_data_frame(head, rate)]
-        if self._transmitting_exposed and self._exposed_link is not None:
+        if self._exposed_link is not None:
             rate = self._exposed_rate(head.dst, rate)
         elif self.config.persistent_exposure:
             # A validated exposed link may fire mid-frame at any moment
@@ -297,7 +284,7 @@ class CoMapMac(DcfMac):
             # that interference so concurrency does not poison our frames.
             rate = self._environment_capped_rate(head.dst, rate)
         data = self._build_data_frame(head, rate)
-        if self._transmitting_exposed:
+        if self._exposed_link is not None:
             data.meta["exposed"] = True
         if not self.config.announce_headers:
             return [data]
@@ -310,16 +297,7 @@ class CoMapMac(DcfMac):
             data.meta["embedded_announce"] = True
             data.meta["dur"] = self.timing.frame_airtime_ns(data)
             return [data]
-        header = Frame(
-            kind=FrameType.COMAP_HEADER,
-            src=self.node_id,
-            dst=head.dst,
-            rate=self.rates.base,
-            seq=head.seq,
-            flow=head.flow,
-            meta={"dur": self.timing.frame_airtime_ns(data)},
-        )
-        return [header, data]
+        return [self._announcement_header(head, data), data]
 
     # ------------------------------------------------------------------
     # Exposed-terminal concurrency (Section IV-C)
@@ -354,29 +332,17 @@ class CoMapMac(DcfMac):
             self.comap_stats.opportunities_rejected += 1
             return
         self.comap_stats.opportunities_validated += 1
+        duration_ns = int(frame.meta.get("dur", 0))
         if frame.kind is FrameType.DATA:
             # Embedded announcement: the announced frame is already on the
-            # air, so its energy is in the current reading — activate now.
-            opportunity = _Opportunity(
-                link,
-                rssi1_mw=self.radio.energy_mw(),
-                ack_allowance_mw=self._predicted_ack_power_mw(link),
+            # air, so its energy is in the current reading — open now.
+            self._open_opportunity(
+                link, self.radio.energy_mw(),
+                duration_ns + self.config.opportunity_slack_ns,
             )
-            horizon = (int(frame.meta.get("dur", 0))
-                       + self.config.opportunity_slack_ns)
-            opportunity.expires_handle = self.sim.schedule(
-                horizon, self._expire_opportunity, opportunity
-            )
-            self._opportunity = opportunity
             self._resume_contention()
             return
-        # Separate header: the data frame hits the air in the same instant
-        # the header ends; RSSI_1 must be captured *then* (when the
-        # frame's energy is present), so activation waits for the next
-        # energy rise above the current (header-free) baseline.
-        self._pending_link = link
-        self._pending_baseline_mw = self.radio.energy_mw()
-        self._pending_duration_ns = int(frame.meta.get("dur", 0))
+        self._arm_opportunity(link, duration_ns)
         if self.trace.wants("comap"):
             self.trace.record(
                 "comap", "opportunity", node=self.node_id, link=f"{link[0]}->{link[1]}"
@@ -403,26 +369,9 @@ class CoMapMac(DcfMac):
         return False
 
     def on_energy_changed(self, energy_mw: float) -> None:
-        """RSSI monitor: activate pending opportunities, detect rival ETs."""
+        """RSSI monitor: open armed episodes, detect rival ETs."""
         if self._pending_link is not None:
-            if energy_mw <= self._pending_baseline_mw:
-                # Energy fell or held (e.g. the header itself leaving the
-                # air) — the announced data frame is not up yet.
-                return
-            # The announced data frame just hit the air: this energy level
-            # is RSSI_1, the baseline the enhanced scheduler compares to.
-            opportunity = _Opportunity(
-                self._pending_link,
-                rssi1_mw=energy_mw,
-                ack_allowance_mw=self._predicted_ack_power_mw(self._pending_link),
-            )
-            horizon = self._pending_duration_ns + self.config.opportunity_slack_ns
-            opportunity.expires_handle = self.sim.schedule(
-                horizon, self._expire_opportunity, opportunity
-            )
-            self._pending_link = None
-            self._opportunity = opportunity
-            self._resume_contention()
+            super().on_energy_changed(energy_mw)
             return
         if self._opportunity is None:
             # A frozen contender re-examines the medium at every energy
@@ -447,9 +396,7 @@ class CoMapMac(DcfMac):
             # ACK level): another exposed terminal started first —
             # abandon rather than collide at the shared receiver.
             self.comap_stats.opportunities_abandoned += 1
-            self._clear_opportunity()
-            if self._state is MacState.CONTEND and self.radio.medium_busy():
-                self._freeze_contention()
+            self._end_opportunity()
 
     def _predicted_ack_power_mw(self, link) -> float:
         """Expected RSSI of the ongoing receiver's ACKs at this node."""
@@ -459,22 +406,6 @@ class CoMapMac(DcfMac):
         propagation = self.agent.model.propagation
         rx_dbm = propagation.mean_rx_dbm(self.radio.config.tx_power_dbm, dist)
         return dbm_to_mw(rx_dbm)
-
-    def _expire_opportunity(self, opportunity: _Opportunity) -> None:
-        """The announced transmission (plus slack) is over."""
-        if self._opportunity is opportunity:
-            opportunity.expires_handle = None
-            self._clear_opportunity()
-            if self._state is MacState.CONTEND and self.radio.medium_busy():
-                self._freeze_contention()
-
-    def _clear_opportunity(self) -> None:
-        """Drop opportunity state and its expiry timer."""
-        if self._opportunity is not None:
-            if self._opportunity.expires_handle is not None:
-                self._opportunity.expires_handle.cancel()
-            self._opportunity = None
-        self._pending_link = None
 
     def _remember_signature(self, link: tuple, rssi_dbm: float) -> None:
         """EWMA of the received power of a link's announcements."""
@@ -487,18 +418,14 @@ class CoMapMac(DcfMac):
         self._link_signatures[link] = (ewma, self.sim.now)
 
     def _should_ignore_busy(self) -> bool:
-        """Count down through the validated ongoing transmission.
+        """Count through the open episode, or reopen one by signature.
 
-        Never through our *own* transmissions (e.g. an ACK we owe a
-        peer): the radio is half-duplex, so the countdown must wait.
+        Never through our own transmissions (half-duplex), and never
+        while degraded: in plain DCF every busy medium freezes the count.
         """
-        if self.radio.transmitting:
+        if self.radio.transmitting or self._degraded():
             return False
-        if self._degraded():
-            return False  # plain DCF: every busy medium freezes the count
-        if self._opportunity is not None:
-            return True
-        return self._try_signature_opportunity()
+        return self._opportunity is not None or self._try_signature_opportunity()
 
     def _try_signature_opportunity(self) -> bool:
         """Persistent exposure: attribute the busy medium to a known ET link.
@@ -529,51 +456,10 @@ class CoMapMac(DcfMac):
                 link[0], link[1], self._head.dst, now=now
             ):
                 continue
-            opportunity = _Opportunity(
-                link,
-                rssi1_mw=energy,
-                ack_allowance_mw=self._predicted_ack_power_mw(link),
-            )
-            opportunity.expires_handle = self.sim.schedule(
-                self.config.exposure_memory_ns, self._expire_opportunity, opportunity
-            )
-            self._opportunity = opportunity
+            self._open_opportunity(link, energy, self.config.exposure_memory_ns)
             self.comap_stats.signature_opportunities += 1
             return True
         return False
-
-    def on_medium_idle(self) -> None:
-        """Medium fully idle: an *active* exposed episode is over.
-
-        A pending (not yet activated) opportunity survives — the channel
-        reads idle for the zero-width instant between the announcement
-        header leaving the air and the data frame entering it.
-        """
-        if self._opportunity is not None:
-            self._clear_opportunity()
-        super().on_medium_idle()
-
-    def _transmit_head(self) -> None:
-        """Tag concurrent transmissions.
-
-        The opportunity stays alive across our own transmission: during
-        one exposed episode the sender streams several frames of its
-        selective-repeat window ("a transmitter sends a set of frames
-        with consecutive sequence numbers specified by a window size"),
-        so the next head keeps counting through the ongoing transmission
-        until the episode ends (expiry, rival ET, or an idle medium).
-        """
-        self._transmitting_exposed = self._opportunity is not None
-        self._exposed_link = (
-            self._opportunity.link if self._opportunity is not None else None
-        )
-        self._last_attempt_exposed = self._transmitting_exposed
-        if self._transmitting_exposed:
-            self.comap_stats.concurrent_transmissions += 1
-        try:
-            super()._transmit_head()
-        finally:
-            self._transmitting_exposed = False
 
     def _exposed_rate(self, dst: int, fallback):
         """Fastest rate safe under the location-predicted concurrent SIR."""
@@ -581,8 +467,12 @@ class CoMapMac(DcfMac):
         predicted = self.agent.predicted_concurrent_sir_db(self._exposed_link[0], dst)
         if predicted is None:
             return fallback
-        safe_sir = predicted - self._exposed_sir_margin_db
+        safe_sir = predicted - self._exposed_sir_margin_db - self._power_penalty_db()
         return self.rates.best_for_sir(safe_sir)
+
+    def _power_penalty_db(self) -> float:
+        """How far below the default power this attempt transmits (dB)."""
+        return 0.0
 
     def _environment_capped_rate(self, dst: int, fallback):
         """Cap the controller's rate by concurrent interference exposure.
@@ -631,7 +521,7 @@ class CoMapMac(DcfMac):
         fate reflects the interferer, and its rate was chosen from
         positions, not by the controller.
         """
-        if getattr(self, "_last_attempt_exposed", False):
+        if self._exposed_link is not None:
             return
         super()._report_rate_outcome(dst, success)
 
@@ -739,14 +629,10 @@ class CoMapMac(DcfMac):
         return super()._select_next()
 
     def suspend(self) -> None:
-        """Churn: also shed all exposure state when leaving the network."""
+        """Churn: also forget every link's RSSI signature."""
         if self._suspended:
             return
-        self._clear_opportunity()
         self._link_signatures.clear()
-        self._transmitting_exposed = False
-        self._exposed_link = None
-        self._last_attempt_exposed = False
         super().suspend()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.protocol import CoMapAgent
-from repro.mac.comap import CoMapMac, CoMapMacConfig, _Opportunity
+from repro.mac.comap import CoMapMac, CoMapMacConfig
 from repro.mac.dcf import MacState, Mpdu
 from repro.mac.frames import Frame
 from repro.net.backhaul import Backhaul, TxopRecord
@@ -131,7 +131,7 @@ class CsrMac(CoMapMac):
         window in which the capped power must be in effect.
         """
         if self.backhaul is not None:
-            if self._transmitting_exposed and self._csr_cap_dbm is not None:
+            if self._exposed_link is not None and self._csr_cap_dbm is not None:
                 self.radio.set_tx_power_dbm(self._csr_cap_dbm)
                 self._csr_restore_dbm = self._default_tx_power_dbm
                 self.csr_stats.power_capped_tx += 1
@@ -278,7 +278,7 @@ class CsrMac(CoMapMac):
     def _activate_csr_opportunity(
         self, record: TxopRecord, cap_dbm: float
     ) -> None:
-        """Open a standard exposed-transmission episode for the grant."""
+        """Open the shared exposed-transmission episode for the grant."""
         if self._state is not MacState.CONTEND or self._head is None:
             return
         if self._opportunity is not None or self._degraded():
@@ -286,15 +286,7 @@ class CsrMac(CoMapMac):
         remaining = record.expires_at - self.sim.now
         if remaining <= 0:
             return  # jitter outlived the TXOP
-        opportunity = _Opportunity(
-            record.link,
-            rssi1_mw=self.radio.energy_mw(),
-            ack_allowance_mw=self._predicted_ack_power_mw(record.link),
-        )
-        opportunity.expires_handle = self.sim.schedule(
-            remaining, self._expire_opportunity, opportunity
-        )
-        self._opportunity = opportunity
+        self._open_opportunity(record.link, self.radio.energy_mw(), remaining)
         self._csr_cap_dbm = (
             cap_dbm if cap_dbm < self._default_tx_power_dbm else None
         )
@@ -305,19 +297,11 @@ class CsrMac(CoMapMac):
             )
         self._resume_contention()
 
-    def _exposed_rate(self, dst: int, fallback):
-        """Account for the power cap in the episode's rate choice."""
+    def _power_penalty_db(self) -> float:
+        """The episode's power cap, charged against its rate choice."""
         if self._csr_cap_dbm is None:
-            return super()._exposed_rate(dst, fallback)
-        assert self._exposed_link is not None
-        predicted = self.agent.predicted_concurrent_sir_db(
-            self._exposed_link[0], dst
-        )
-        if predicted is None:
-            return fallback
-        penalty_db = self._default_tx_power_dbm - self._csr_cap_dbm
-        safe_sir = predicted - self._exposed_sir_margin_db - penalty_db
-        return self.rates.best_for_sir(safe_sir)
+            return 0.0
+        return self._default_tx_power_dbm - self._csr_cap_dbm
 
     # ------------------------------------------------------------------
     # Episode teardown

@@ -2,9 +2,9 @@
 
 A :class:`Network` instantiates one simulator + channel from a
 :class:`repro.experiments.params.ScenarioParams`, creates APs and clients
-with the configured MAC flavour ("dcf" or "comap"), performs the CO-MAP
-location exchange (with a pluggable position-error model), attaches
-traffic and measures per-flow goodput.
+with the configured MAC flavour (a key of :data:`MAC_KINDS`), performs
+the CO-MAP location exchange (with a pluggable position-error model),
+attaches traffic and measures per-flow goodput.
 
 Location exchange is modelled as the paper describes it operationally:
 every client reports its (localization-estimated) position to its AP and
@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.adaptation import AdaptationTable
 from repro.core.protocol import CoMapAgent
+from repro.mac.cmap import CmapMac, CmapMacConfig
 from repro.mac.comap import CoMapMac, CoMapMacConfig
 from repro.mac.csr import CsrMac, CsrMacConfig
 from repro.mac.dcf import DcfMac, MacConfig
@@ -43,11 +44,15 @@ from repro.util.geometry import Point
 from repro.util.rng import RngStreams
 from repro.util.units import SECOND, s_to_ns
 
-MAC_KINDS = ("dcf", "comap", "cmap", "csr")
-
-#: MAC kinds that run the CO-MAP location machinery (exchange, reports,
-#: adaptation).  "csr" is CO-MAP plus the wired-backhaul coordination.
-_LOCATION_MAC_KINDS = ("comap", "csr")
+#: mac_kind -> (MAC class, MAC config class).  A kind runs the CO-MAP
+#: location machinery (exchange, reports, adaptation) iff its MAC is a
+#: :class:`CoMapMac`; "csr" is CO-MAP plus the wired-backhaul coordination.
+MAC_KINDS = {
+    "dcf": (DcfMac, MacConfig),
+    "comap": (CoMapMac, CoMapMacConfig),
+    "cmap": (CmapMac, CmapMacConfig),
+    "csr": (CsrMac, CsrMacConfig),
+}
 
 
 @dataclass(frozen=True)
@@ -123,9 +128,14 @@ class Network:
         trace_categories: Optional[List[str]] = None,
     ) -> None:
         if mac_kind not in MAC_KINDS:
-            raise ValueError(f"mac_kind must be one of {MAC_KINDS}, got {mac_kind!r}")
+            raise ValueError(
+                f"mac_kind must be one of {tuple(MAC_KINDS)}, got {mac_kind!r}"
+            )
         self.params = params
         self.mac_kind = mac_kind
+        self._mac_cls, self._mac_config_cls = MAC_KINDS[mac_kind]
+        #: True when this kind's MACs run on positions (CO-MAP and C-SR).
+        self._location_aware = issubclass(self._mac_cls, CoMapMac)
         self.rngs = RngStreams(seed)
         self.sim = Simulator()
         self.trace = TraceRecorder(trace_categories)
@@ -259,7 +269,8 @@ class Network:
         )
         rate_policy = self._make_rate_policy(node_id)
         agent: Optional[CoMapAgent] = None
-        if self.mac_kind in _LOCATION_MAC_KINDS:
+        location_kwargs = {}
+        if self._location_aware:
             agent = CoMapAgent(
                 node_id=node_id,
                 propagation=self.propagation,
@@ -268,45 +279,19 @@ class Network:
                 t_cs_dbm=params.cs_threshold_dbm,
                 adaptation=self._adaptation(),
             )
-            mac_cls = CsrMac if self.mac_kind == "csr" else CoMapMac
-            mac = mac_cls(
-                node_id,
-                self.sim,
-                radio,
-                params.timing,
-                params.rates,
-                self.rngs,
-                config=self._mac_config(),
-                rate_policy=rate_policy,
-                trace=self.trace,
-                agent=agent,
-            )
-        elif self.mac_kind == "cmap":
-            from repro.mac.cmap import CmapMac
-
-            mac = CmapMac(
-                node_id,
-                self.sim,
-                radio,
-                params.timing,
-                params.rates,
-                self.rngs,
-                config=self._mac_config(),
-                rate_policy=rate_policy,
-                trace=self.trace,
-            )
-        else:
-            mac = DcfMac(
-                node_id,
-                self.sim,
-                radio,
-                params.timing,
-                params.rates,
-                self.rngs,
-                config=self._mac_config(),
-                rate_policy=rate_policy,
-                trace=self.trace,
-            )
+            location_kwargs["agent"] = agent
+        mac = self._mac_cls(
+            node_id,
+            self.sim,
+            radio,
+            params.timing,
+            params.rates,
+            self.rngs,
+            config=self._mac_config(),
+            rate_policy=rate_policy,
+            trace=self.trace,
+            **location_kwargs,
+        )
         node = Node(node_id, name, radio, mac, is_ap=is_ap, agent=agent)
         mac.register_counters(self.registry)
         self.nodes[node_id] = node
@@ -321,25 +306,18 @@ class Network:
 
     def _mac_config(self) -> MacConfig:
         params = self.params
-        common = dict(
+        kwargs = dict(
             cw_min=params.cw_min,
             cw_max=params.cw_max,
             retry_limit=params.retry_limit,
             queue_limit=params.queue_limit,
         )
-        if self.mac_kind in _LOCATION_MAC_KINDS:
-            config_cls = CsrMacConfig if self.mac_kind == "csr" else CoMapMacConfig
-            config = config_cls(
+        if self._location_aware:
+            kwargs.update(
                 sr_window=params.comap.sr_window,
                 announce_mode=params.comap.announce_mode,
-                **common,
             )
-        elif self.mac_kind == "cmap":
-            from repro.mac.cmap import CmapMacConfig
-
-            config = CmapMacConfig(**common)
-        else:
-            config = MacConfig(**common)
+        config = self._mac_config_cls(**kwargs)
         for key, value in self.mac_overrides.items():
             if not hasattr(config, key):
                 raise AttributeError(f"unknown MAC config field {key!r}")
@@ -380,7 +358,7 @@ class Network:
             # the as-built distribution.
             if channel.prepare_spatial() is not None:
                 channel.record_spatial_occupancy()
-        if self.mac_kind not in _LOCATION_MAC_KINDS:
+        if not self._location_aware:
             return
         for node in self.nodes.values():
             reported = self.error_model.apply(
@@ -556,7 +534,7 @@ class Network:
         its movement is larger than a certain distance").
         """
         node.radio.move_to(position)
-        if self.mac_kind not in _LOCATION_MAC_KINDS or node.agent is None:
+        if node.agent is None:
             return False
         if not node.agent.should_report_move(position):
             return False
@@ -613,7 +591,7 @@ class Network:
         node.radio.channel.attach(node.radio)
         self._detached.discard(node.node_id)
         node.mac.resume()
-        if self.mac_kind in _LOCATION_MAC_KINDS and node.agent is not None:
+        if node.agent is not None:
             reported = self.error_model.apply(
                 node.position, self._localization_rng(node)
             )

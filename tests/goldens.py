@@ -10,6 +10,11 @@ re-simulating its own baseline inline: equivalence is transitive
 through the golden, and a regression in the default run itself is
 caught exactly once, by :func:`assert_baseline_matches`.
 
+The ``cmap_et``, ``csr_floor`` and ``rival_et_cca`` scenarios pin the
+MAC paths the first three miss: CMAP's loss-learned conflict map, C-SR's
+coordinated power-capped joins, and CO-MAP's CCA-override ablation
+(``enhanced_scheduler=False``).
+
 Fixtures written before the vector backend was removed also carry
 ``vector_batches`` / ``vector_links`` keys; :func:`diff` ignores them.
 
@@ -32,8 +37,10 @@ from typing import Any, Callable, Dict, List, Tuple
 
 from repro.experiments.params import ns2_params, testbed_params
 from repro.experiments.topologies import (
+    enterprise_floor_topology,
     exposed_terminal_topology,
     office_floor_topology,
+    rival_et_topology,
 )
 from repro.net.network import Network
 
@@ -79,12 +86,45 @@ def _sparse_floor(cull=None):
     return _Built()
 
 
+def _cmap_et(cull=None):
+    """CMAP exposed-terminal pair in the safe geometry, fixed 12 Mbit/s."""
+    return exposed_terminal_topology(
+        "cmap", c2_x=30.0, seed=1,
+        params=testbed_params().with_overrides(
+            data_rate_bps=12_000_000, cull_margin_db=cull,
+        ),
+    )
+
+
+def _csr_floor(cull=None):
+    """C-SR 4-AP enterprise floor with the backhaul wired (power-capped joins)."""
+    return enterprise_floor_topology(
+        "csr", topology_seed=2000, seed=1,
+        params=ns2_params().with_overrides(
+            csr_backhaul_latency_ns=200_000, cull_margin_db=cull,
+        ),
+    )
+
+
+def _rival_et_cca(cull=None):
+    """Rival exposed terminals under the CCA-override ablation (no RSSI monitor)."""
+    return rival_et_topology(
+        "comap", seed=4, enhanced_scheduler=False,
+        params=testbed_params().with_overrides(
+            data_rate_bps=6_000_000, cull_margin_db=cull,
+        ),
+    )
+
+
 #: name -> (builder, simulated duration in seconds).  Builders return an
 #: object with a ``.network`` attribute (BuiltScenario shape).
 SCENARIOS: Dict[str, Tuple[Callable[[], Any], float]] = {
     "fig8": (_fig8, 0.25),
     "fig10": (_fig10, 0.2),
     "sparse_floor": (_sparse_floor, 0.2),
+    "cmap_et": (_cmap_et, 0.25),
+    "csr_floor": (_csr_floor, 0.2),
+    "rival_et_cca": (_rival_et_cca, 0.25),
 }
 
 

@@ -94,3 +94,30 @@ class TestLearning:
                     + results.goodput_mbps(c2.node_id, ap2.node_id))
 
         assert aggregate("cmap") > aggregate("dcf")
+
+
+class TestChurn:
+    def test_detach_sheds_the_exposed_episode(self, fixed_rate_params):
+        scenario = exposed_terminal_topology("cmap", c2_x=30.0, seed=1,
+                                             params=fixed_rate_params)
+        net = scenario.network
+        c1 = scenario.extra["c1"]
+        mac = c1.mac
+        for _ in range(50):
+            net.sim.run(max_events=1)
+            if mac._should_ignore_busy():
+                break
+        assert mac._should_ignore_busy(), "C1 never opened an exposed episode"
+        net.detach_node(c1)
+        # No timer of the detached MAC (the episode expiry included) is
+        # left to fire while it is off the air.
+        pending = [
+            handle.callback.__name__
+            for _time, _seq, handle in net.sim._queue
+            if handle.pending and getattr(handle.callback, "__self__", None) is mac
+        ]
+        assert pending == []
+        net.reattach_node(c1)
+        # A re-joined node must not count down through a busy medium on a
+        # link it overheard before it left.
+        assert not mac._should_ignore_busy()

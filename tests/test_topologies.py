@@ -11,6 +11,7 @@ from repro.experiments.topologies import (
     model_validation_topology,
     multi_et_topology,
     office_floor_topology,
+    rival_et_topology,
 )
 
 
@@ -142,3 +143,18 @@ class TestMultiEtTopology:
     def test_scheduler_flag_plumbed(self):
         s = multi_et_topology("comap", enhanced_scheduler=False)
         assert not s.extra["clients"][0].mac.config.enhanced_scheduler
+
+
+class TestSchedulerOverride:
+    @pytest.mark.parametrize("builder", [multi_et_topology, rival_et_topology])
+    @pytest.mark.parametrize("mac_kind", ["comap", "csr"])
+    def test_disabled_scheduler_reaches_every_mac(self, builder, mac_kind):
+        s = builder(mac_kind, seed=1, enhanced_scheduler=False)
+        macs = [node.mac for node in s.network.nodes.values()]
+        assert macs and not any(mac.config.enhanced_scheduler for mac in macs)
+
+    @pytest.mark.parametrize("builder", [multi_et_topology, rival_et_topology])
+    @pytest.mark.parametrize("mac_kind", ["dcf", "cmap"])
+    def test_kind_without_scheduler_rejects_disabling_it(self, builder, mac_kind):
+        with pytest.raises(AttributeError, match="enhanced_scheduler"):
+            builder(mac_kind, seed=1, enhanced_scheduler=False)
