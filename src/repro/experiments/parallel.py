@@ -18,13 +18,15 @@ sweep into independent :class:`SweepTask` records and hands them to
   shared mutable state can leak between sweep points.  ``jobs=1`` — the
   default — bypasses the pool entirely, and any pickling failure degrades
   gracefully to the same serial path.
-* **Content-keyed memoization.**  An optional on-disk
-  :class:`ResultCache` stores each task's result under a stable SHA-256
-  fingerprint of the task's callable and its full keyword set (scenario
-  parameters, topology arguments, seed, duration).  Changing *any* field
-  of :class:`~repro.experiments.params.ScenarioParams` changes the
+* **Content-keyed storage.**  An optional on-disk :class:`ResultCache`
+  stores each finished task — its result and the counter delta it
+  added — under a stable SHA-256 fingerprint of the task's callable and
+  its full keyword set (scenario parameters, topology arguments, seed,
+  duration).  Changing *any* field of
+  :class:`~repro.experiments.params.ScenarioParams` changes the
   fingerprint, so stale hits are impossible; corrupted cache files are
-  treated as misses.
+  treated as misses.  Entries land as each task finishes, so re-running
+  a crashed sweep on the same store resumes it.
 
 Per-task progress and wall-clock timings are recorded into the process
 global :func:`repro.sim.trace.global_recorder` under the ``sweep``
@@ -37,18 +39,19 @@ Observability (:mod:`repro.obs`)
 Pool workers are separate processes with their *own* module-global
 recorder and counter registry, so anything recorded there would
 silently vanish when the worker exits.  :func:`capture_deltas` snapshots
-both around each pool task (and each sweep-queue shard); the deltas
-travel back with the result and the parent merges them into its own
+both around each pool task; the deltas travel back with the result and
+the parent merges them into its own
 :func:`~repro.sim.trace.global_recorder` /
 :func:`~repro.obs.counters.global_registry`, making a 2-worker run's
 trace indistinguishable from a serial one (same events, worker PIDs in
-the ``task_run`` records).  When a manifest sink is active
-(``REPRO_MANIFEST_DIR`` or :func:`repro.obs.manifest.manifest_sink`),
-every :func:`run_tasks` call also writes a schema-validated
-``<label>.manifest.json`` (built by :func:`sweep_manifest`, as the
-queue's merged manifests are) recording the task grid, seeds, git SHA,
-wall time, and counter snapshot.  All of it costs nothing measurable
-when disabled: one env lookup and a handful of perf-counter reads per
+the ``task_run`` records).  A store hit replays the task's stored
+counter delta the same way, so a warm or resumed sweep counts what a
+cold one does.  When a manifest sink is active (``REPRO_MANIFEST_DIR``
+or :func:`repro.obs.manifest.manifest_sink`), every :func:`run_tasks`
+call also writes a schema-validated ``<label>.manifest.json`` (built by
+:func:`sweep_manifest`) recording the task grid, seeds, git SHA, wall
+time, and counter snapshot.  All of it costs nothing measurable when
+disabled: one env lookup and a handful of perf-counter reads per
 *sweep*, not per task.
 """
 
@@ -91,7 +94,9 @@ RETRIES_ENV = "REPRO_TASK_RETRIES"
 ON_ERROR_ENV = "REPRO_ON_ERROR"
 
 #: Bump when the cache payload format (not the keyed content) changes.
-CACHE_VERSION = 1
+#: Version 2 entries carry the task's counter delta next to its result;
+#: a version-1 entry misses rather than replay a hit without counters.
+CACHE_VERSION = 2
 
 # ``derive_seed`` (and its canonical encoding) lives in
 # :mod:`repro.util.rng` so the PHY layer can key per-link shadowing
@@ -208,6 +213,15 @@ def capture_deltas(
     return value, diff_snapshot(counters_base, registry.snapshot()), fresh
 
 
+class _ResultWontPickle(pickle.PicklingError):
+    """A pool task's result cannot travel home: the transport's failure.
+
+    Its own class, so that a task which itself raises ``PicklingError``
+    is judged as that task's outcome — under ``on_error="raise"`` too —
+    instead of re-running on the serial fallback.
+    """
+
+
 def _execute_shipping(
     task: SweepTask, timeout_s: Optional[float] = None
 ) -> Tuple[Any, float, list, Dict[str, Any]]:
@@ -215,8 +229,9 @@ def _execute_shipping(
 
     What the task records in the worker's globals would die with the
     worker, so the deltas travel home with the result.  A result that
-    cannot travel raises ``PicklingError`` here — a transport failure,
-    which sends the task to the serial path under every failure policy.
+    cannot travel raises :class:`_ResultWontPickle` here — a transport
+    failure, which sends the task to the serial path under every failure
+    policy.
     """
     (result, elapsed), counters, events = capture_deltas(
         _execute_indexed, task, timeout_s
@@ -224,21 +239,46 @@ def _execute_shipping(
     try:
         pickle.dumps(result)
     except Exception as exc:
-        raise pickle.PicklingError(f"task result does not pickle: {exc}") from exc
+        raise _ResultWontPickle(f"task result does not pickle: {exc}") from exc
     return result, elapsed, events_to_payload(events), counters
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker once its parent process is gone.
+
+    A SIGKILLed sweep cannot shut its pool down, and its workers would
+    live on as orphans holding open every pipe the dead sweep held.  The
+    parent PID is read here, inside the worker: under ``fork`` it is the
+    sweep, under ``forkserver`` the fork server, which exits with the
+    sweep — so the value changes once the sweep dies, either way.  A
+    daemon thread checks it twice a second.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
 
 
 # ----------------------------------------------------------------------
 # Result cache
 # ----------------------------------------------------------------------
 class ResultCache:
-    """Content-addressed on-disk memo of completed sweep tasks.
+    """Content-addressed on-disk store of finished sweep tasks.
 
-    One JSON file per task, named by the task fingerprint.  Values must
-    be JSON-round-trippable (the runners return floats and lists of
-    floats; JSON round-trips floats exactly).  Any unreadable, corrupt,
-    or wrong-version file is a miss — a broken cache can cost recompute
-    time but can never crash or corrupt a sweep.
+    One JSON document per task, named by the task fingerprint, holding
+    the task's result and the counter delta its execution added to the
+    process-global registry (``version``, ``key``, ``result``,
+    ``counters``).  :func:`run_tasks` writes each entry as its task
+    finishes and replays the delta on a hit, so re-running a crashed
+    sweep on the same store resumes it: finished tasks hit, failed and
+    missing ones run.  Results must be JSON-round-trippable (the runners
+    return floats and lists of floats; JSON round-trips floats exactly).
+    Any unreadable, corrupt, or wrong-version file is a miss — a broken
+    cache can cost recompute time but can never crash or corrupt a sweep.
     """
 
     def __init__(self, root: Optional[str] = None) -> None:
@@ -249,8 +289,8 @@ class ResultCache:
     def path_for(self, digest: str) -> str:
         return os.path.join(self.root, f"{digest}.json")
 
-    def get(self, digest: str) -> Tuple[bool, Any]:
-        """Return ``(hit, value)``; every failure mode is a miss."""
+    def get(self, digest: str) -> Tuple[bool, Any, Dict[str, Any]]:
+        """Return ``(hit, result, counters)``; every failure mode is a miss."""
         try:
             with open(self.path_for(digest), "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
@@ -259,16 +299,22 @@ class ResultCache:
                 or payload.get("version") != CACHE_VERSION
                 or payload.get("key") != digest
                 or "result" not in payload
+                or not isinstance(payload.get("counters"), dict)
+                or not all(
+                    isinstance(value, (int, float))
+                    for value in payload["counters"].values()
+                )
             ):
                 raise ValueError("malformed cache payload")
         except (OSError, ValueError):
             self.misses += 1
-            return False, None
+            return False, None, {}
         self.hits += 1
-        return True, payload["result"]
+        return True, payload["result"], payload["counters"]
 
-    def put(self, digest: str, value: Any) -> None:
-        """Store a result atomically; swallow storage failures.
+    def put(self, digest: str, value: Any, counters: Dict[str, Any]) -> None:
+        """Store a result and its counter delta atomically; swallow
+        storage failures.
 
         A process killed mid-write leaves at worst an orphaned ``.tmp``
         (reaped by :meth:`clear`), never a truncated ``.json`` that a
@@ -276,7 +322,12 @@ class ResultCache:
         """
         try:
             payload = json.dumps(
-                {"version": CACHE_VERSION, "key": digest, "result": value}
+                {
+                    "version": CACHE_VERSION,
+                    "key": digest,
+                    "result": value,
+                    "counters": counters,
+                }
             )
         except (TypeError, ValueError):
             return  # non-JSON result: simply don't memoize it
@@ -289,7 +340,7 @@ class ResultCache:
 
     #: ``clear()`` only reaps ``.tmp`` files at least this old (seconds).
     #: A fresh ``.tmp`` belongs to a *live* concurrent writer mid-
-    #: :meth:`put` — several queue workers share one cache directory —
+    #: :meth:`put` — sweeps in several processes may share one store —
     #: and deleting it would make the writer's ``os.replace`` fail,
     #: silently losing that entry.  A dead writer's orphan just waits
     #: out the guard before the next ``clear()`` removes it.
@@ -457,7 +508,11 @@ def run_tasks(
     re-attempted task re-derives the *same* seed from the same record,
     so a retry that succeeds is indistinguishable from a first-try
     success.  ``cache=None`` consults ``$REPRO_CACHE`` (off by default);
-    a provided :class:`ResultCache` is always used.
+    a provided :class:`ResultCache` is always used.  Each finished task
+    is stored as soon as it succeeds, and a hit replays the counter
+    delta the task added, so calling ``run_tasks`` again on the store of
+    a killed sweep resumes it and writes the manifest an uninterrupted
+    run would.
 
     ``timeout_s``/``retries``/``on_error`` build a
     :class:`FailurePolicy` (env knobs ``REPRO_TASK_TIMEOUT_S``,
@@ -486,14 +541,12 @@ def run_tasks(
 
     results: List[Any] = [None] * len(tasks)
     pending: List[int] = []
-    digests: Dict[int, str] = {}
     for index, task in enumerate(tasks):
         if cache is not None:
-            digest = task.fingerprint()
-            digests[index] = digest
-            hit, value = cache.get(digest)
+            hit, value, counters = cache.get(task.fingerprint())
             if hit:
                 results[index] = value
+                global_registry().merge_snapshot(counters)
                 trace.record("sweep", "cache_hit", label=label, key=task.key)
                 continue
         pending.append(index)
@@ -504,7 +557,9 @@ def run_tasks(
     )
 
     exec_started = time.perf_counter()
-    completed, failures = _run_pending(tasks, pending, jobs, label, trace, policy)
+    completed, failures = _run_pending(
+        tasks, pending, jobs, label, trace, policy, cache
+    )
     exec_elapsed = time.perf_counter() - exec_started
     trace.record(
         "sweep", "phase", label=label, phase="execute",
@@ -512,8 +567,6 @@ def run_tasks(
     )
     for index, (value, elapsed) in completed.items():
         results[index] = value
-        if cache is not None:
-            cache.put(digests[index], value)
         trace.record(
             "sweep", "task_done", label=label, key=tasks[index].key,
             elapsed_s=elapsed,
@@ -538,8 +591,9 @@ def run_tasks(
             label, tasks, jobs, wall_s,
             counters=global_registry().snapshot(),
             trace_counts=trace.counts(),
-            cache_hits=cache.hits if cache is not None else 0,
-            cache_misses=cache.misses if cache is not None else 0,
+            # This sweep's own counts: one store may serve many sweeps.
+            cache_hits=len(tasks) - len(pending) if cache is not None else 0,
+            cache_misses=len(pending) if cache is not None else 0,
             profile=profile_block,
             failures=[failure.as_dict() for failure in failures]
             if policy.on_error == "record"
@@ -585,15 +639,23 @@ def split_common_params(
     return common, overrides
 
 
-def manifest_task_rows(
+def sweep_manifest(
+    label: str,
     tasks: Sequence[SweepTask],
-) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
-    """Manifest task rows + common ``params`` for a task grid.
+    jobs: int,
+    wall_s: float,
+    counters: Dict[str, Any],
+    trace_counts: Dict[str, int],
+    **optional: Any,
+) -> obs_manifest.RunManifest:
+    """The run manifest of one task grid.
 
-    Used by :func:`sweep_manifest` and for the task rows of sweep-queue
-    shard fragments (:mod:`repro.experiments.queue`).
+    Task rows carry each task's key, seed and content fingerprint, plus
+    its deviations from the common ``params``.  ``optional`` carries the
+    optional blocks of :func:`~repro.obs.manifest.build_manifest` (cache
+    counts, ``profile``, ``failures``, ``spatial``).
     """
-    common, overrides = split_common_params(tasks)
+    params, overrides = split_common_params(tasks)
     rows = []
     for task, override in zip(tasks, overrides):
         try:
@@ -608,28 +670,6 @@ def manifest_task_rows(
         if override:
             row["overrides"] = override
         rows.append(row)
-    return rows, common
-
-
-def sweep_manifest(
-    label: str,
-    tasks: Sequence[SweepTask],
-    jobs: int,
-    wall_s: float,
-    counters: Dict[str, Any],
-    trace_counts: Dict[str, int],
-    **optional: Any,
-) -> obs_manifest.RunManifest:
-    """The run manifest of one task grid.
-
-    :func:`run_tasks` and the sweep-queue merge both build their
-    manifests here, so the deterministic grid fields — task rows, common
-    ``params``, seeds — of a merged manifest cannot drift from those of
-    an uninterrupted run.  ``optional`` carries the optional blocks of
-    :func:`~repro.obs.manifest.build_manifest` (cache counts,
-    ``profile``, ``failures``, ``shards``, ``spatial``).
-    """
-    rows, params = manifest_task_rows(tasks)
     seeds = sorted(
         {
             int(task.kwargs["seed"])
@@ -657,6 +697,7 @@ def _run_pending(
     label: str,
     trace,
     policy: FailurePolicy,
+    store: Optional[ResultCache] = None,
 ) -> Tuple[Dict[int, Tuple[Any, float]], List[TaskFailure]]:
     """Run the not-yet-cached tasks, parallel when possible.
 
@@ -678,8 +719,10 @@ def _run_pending(
         if len(pooled) > 1:
             serial_indices = sorted(set(pending) - set(pooled))
             try:
-                _run_parallel(tasks, pooled, jobs, policy, completed, failures)
-            except (pickle.PicklingError, _PoolUnavailable) as exc:
+                _run_parallel(
+                    tasks, pooled, jobs, policy, completed, failures, store
+                )
+            except (_ResultWontPickle, _PoolUnavailable) as exc:
                 # The sweep must finish either way — but resume only the
                 # unfinished indices, never the already-merged ones.
                 trace.record(
@@ -688,7 +731,7 @@ def _run_pending(
                 )
                 finished = set(completed) | set(failures)
                 serial_indices = [i for i in pending if i not in finished]
-    return _run_serial(tasks, serial_indices, policy, completed, failures)
+    return _run_serial(tasks, serial_indices, policy, completed, failures, store)
 
 
 def _picklable(task: SweepTask) -> bool:
@@ -715,18 +758,23 @@ def _attempt_loop(
     completed: Optional[Dict[int, Tuple[Any, float]]],
     failures: Optional[Dict[int, TaskFailure]],
     run_attempt: Callable[[List[int]], Iterator[Tuple[int, Any]]],
+    store: Optional[ResultCache] = None,
 ) -> Tuple[Dict[int, Tuple[Any, float]], List[TaskFailure]]:
     """Drive ``pending`` to an outcome: the one place attempts are judged.
 
     ``run_attempt(indices)`` runs one attempt of each index and yields
-    ``(index, outcome)`` as they finish: ``(value, elapsed_s)``, the
-    task's exception, or :data:`_VICTIM`.  A failed attempt is charged
-    to its task.  Budget left → re-attempt the *identical* task record
-    (same derived seed, so a successful retry is bit-identical to a
-    first-try success).  Budget spent → ``on_error="raise"`` propagates
-    the task's own exception, ``"record"`` files a :class:`TaskFailure`.
-    ``completed``/``failures`` may be passed in and are mutated in
-    place, so a caller still sees all progress made before an exception.
+    ``(index, outcome)`` as they finish: ``(value, elapsed_s, counters)``
+    with ``counters`` the counter delta the attempt added, the task's
+    exception, or :data:`_VICTIM`.  A success goes into ``store`` at
+    once — written by this process only — so a sweep killed later still
+    keeps it.  A failed attempt is charged to its task.  Budget left →
+    re-attempt the *identical* task record (same derived seed, so a
+    successful retry is bit-identical to a first-try success).  Budget
+    spent → ``on_error="raise"`` propagates the task's own exception,
+    ``"record"`` files a :class:`TaskFailure`; a failure is never
+    stored.  ``completed``/``failures`` may be passed in and are mutated
+    in place, so a caller still sees all progress made before an
+    exception.
     """
     completed = {} if completed is None else completed
     failures = {} if failures is None else failures
@@ -738,7 +786,10 @@ def _attempt_loop(
             if outcome is _VICTIM:
                 remaining.append(index)
             elif not isinstance(outcome, BaseException):
-                completed[index] = outcome
+                value, elapsed, counters = outcome
+                completed[index] = value, elapsed
+                if store is not None:
+                    store.put(tasks[index].fingerprint(), value, counters)
             else:
                 attempts[index] += 1
                 if attempts[index] <= policy.retries:
@@ -767,18 +818,29 @@ def _run_serial(
     policy: FailurePolicy,
     completed: Optional[Dict[int, Tuple[Any, float]]] = None,
     failures: Optional[Dict[int, TaskFailure]] = None,
+    store: Optional[ResultCache] = None,
 ) -> Tuple[Dict[int, Tuple[Any, float]], List[TaskFailure]]:
-    """In-process execution under the same attempt loop as the pool."""
+    """In-process execution under the same attempt loop as the pool.
+
+    A task here counts straight into this process's registry, so its
+    delta is only measured, for the store: merging it would count twice.
+    """
+    registry = global_registry()
 
     def run_attempt(indices: List[int]) -> Iterator[Tuple[int, Any]]:
         for index in indices:
+            before = registry.snapshot()
             try:
-                outcome = _execute_indexed(tasks[index], policy.timeout_s)
+                value, elapsed = _execute_indexed(tasks[index], policy.timeout_s)
             except Exception as exc:
-                outcome = exc
-            yield index, outcome
+                yield index, exc
+            else:
+                counters = diff_snapshot(before, registry.snapshot())
+                yield index, (value, elapsed, counters)
 
-    return _attempt_loop(tasks, pending, policy, completed, failures, run_attempt)
+    return _attempt_loop(
+        tasks, pending, policy, completed, failures, run_attempt, store
+    )
 
 
 def _shipped_outcome(future) -> Any:
@@ -786,7 +848,7 @@ def _shipped_outcome(future) -> Any:
     into this process's globals, or they would die with the worker."""
     try:
         value, elapsed, events_payload, counter_delta = future.result()
-    except pickle.PicklingError:
+    except _ResultWontPickle:
         raise  # transport, not the task: the serial fallback takes over
     except Exception as exc:
         return exc
@@ -794,7 +856,7 @@ def _shipped_outcome(future) -> Any:
         global_recorder().merge(events_from_payload(events_payload))
     if counter_delta:
         global_registry().merge_snapshot(counter_delta)
-    return value, elapsed
+    return value, elapsed, counter_delta
 
 
 def _run_parallel(
@@ -804,6 +866,7 @@ def _run_parallel(
     policy: FailurePolicy,
     completed: Optional[Dict[int, Tuple[Any, float]]] = None,
     failures: Optional[Dict[int, TaskFailure]] = None,
+    store: Optional[ResultCache] = None,
 ) -> Tuple[Dict[int, Tuple[Any, float]], List[TaskFailure]]:
     """Pooled execution that survives raising, hanging, and dying tasks.
 
@@ -814,14 +877,20 @@ def _run_parallel(
     dying pool refused at submission.  After more than two breaks each
     task runs in a throwaway single-worker pool, where a break is
     attributable to the task it ran and *is* charged (kind
-    ``"broken_pool"``), bounding the number of respawns.
+    ``"broken_pool"``), bounding the number of respawns.  Workers of
+    either kind exit once this process dies (:func:`_exit_with_parent`).
 
-    ``pickle.PicklingError`` and :class:`_PoolUnavailable` propagate so
-    :func:`_run_pending` can fall back to the serial path, which must
+    :class:`_ResultWontPickle` and :class:`_PoolUnavailable` propagate
+    so :func:`_run_pending` can fall back to the serial path, which must
     not re-run what the pool finished into ``completed``/``failures``.
     """
     shared: List[ProcessPoolExecutor] = []  # the live multi-worker pool
     breaks = 0
+
+    def start_pool(workers: int) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=workers, initializer=_exit_with_parent
+        )
 
     def submit(pool: ProcessPoolExecutor, index: int):
         return pool.submit(_execute_shipping, tasks[index], policy.timeout_s)
@@ -829,7 +898,7 @@ def _run_parallel(
     def batch(indices: List[int]) -> Iterator[Tuple[int, Any]]:
         nonlocal breaks
         if not shared:
-            shared.append(ProcessPoolExecutor(max_workers=min(jobs, len(pending))))
+            shared.append(start_pool(min(jobs, len(pending))))
         futures, unsent = {}, []
         for position, index in enumerate(indices):
             try:
@@ -851,7 +920,7 @@ def _run_parallel(
 
     def isolated(indices: List[int]) -> Iterator[Tuple[int, Any]]:
         for index in indices:
-            with ProcessPoolExecutor(max_workers=1) as solo:
+            with start_pool(1) as solo:
                 outcome = _shipped_outcome(submit(solo, index))
             yield index, outcome
 
@@ -864,7 +933,9 @@ def _run_parallel(
             raise _PoolUnavailable(f"process pool unavailable: {exc}") from exc
 
     try:
-        return _attempt_loop(tasks, pending, policy, completed, failures, run_attempt)
+        return _attempt_loop(
+            tasks, pending, policy, completed, failures, run_attempt, store
+        )
     finally:
         for pool in shared:
             pool.shutdown(wait=False)

@@ -37,17 +37,11 @@ MANIFEST_DIR_ENV = "REPRO_MANIFEST_DIR"
 #: Schema identifier and version written into every manifest.
 MANIFEST_SCHEMA = "repro.manifest"
 #: Version 2 added two *optional* fields — per-task ``overrides`` inside
-#: task rows (heterogeneous grids) and a ``shards`` block on manifests
-#: merged from sweep-queue fragments.  Required fields are unchanged, so
+#: task rows (heterogeneous grids) and a ``shards`` block, written only
+#: by the since-removed sweep queue.  Required fields are unchanged, so
 #: archived version-1 manifests still validate and load.
 MANIFEST_SCHEMA_VERSION = 2
 SUPPORTED_MANIFEST_VERSIONS = (1, 2)
-
-#: Per-shard manifest fragments written by sweep-queue workers
-#: (:mod:`repro.experiments.queue`); ``merge`` folds them into one
-#: :data:`MANIFEST_SCHEMA` document.
-FRAGMENT_SCHEMA = "repro.manifest.fragment"
-FRAGMENT_SCHEMA_VERSION = 1
 
 _REQUIRED_FIELDS = {
     "schema": str,
@@ -96,10 +90,10 @@ class RunManifest:
     #: ``profile``; fault-tolerant sweeps always include it (possibly
     #: empty) so "zero failures" is an explicit statement.
     failures: Optional[List[Dict[str, Any]]] = None
-    #: Present only on manifests merged from sweep-queue shard
-    #: fragments: shard count/digests, chunk size, grid fingerprint and
-    #: the worker ids that produced the fragments.  ``None`` on
-    #: single-``run_tasks`` manifests (schema version 2, optional).
+    #: Read-only legacy: the shard count/digests, chunk size, grid
+    #: fingerprint and worker ids of a manifest merged by the
+    #: since-removed sweep queue.  Nothing writes it any more; it stays
+    #: so archived manifests that carry it still load.
     shards: Optional[Dict[str, Any]] = None
     #: Candidate-grid cell-size and reach-radius aggregates at sweep
     #: completion (empty when no grid was built) — see
@@ -149,7 +143,7 @@ def validate_manifest(obj: Any) -> None:
 
 
 def json_bytes(obj: Any) -> bytes:
-    """The on-disk form of manifests, fragments and queue specs."""
+    """The on-disk form of manifests."""
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
@@ -187,17 +181,14 @@ def write_manifest(
     return path
 
 
-def _load_json(path: Union[str, "os.PathLike"], what: str) -> Any:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"unreadable {what} {path}: {exc}") from exc
-
-
 def load_manifest(path: Union[str, "os.PathLike"]) -> RunManifest:
     """Read and schema-validate one manifest file."""
-    return RunManifest.from_dict(_load_json(path, "manifest"))
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            obj = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"unreadable manifest {path}: {exc}") from exc
+    return RunManifest.from_dict(obj)
 
 
 def _safe_name(label: str) -> str:
@@ -254,9 +245,12 @@ def current_git_sha(cwd: Optional[str] = None) -> Optional[str]:
 def jsonable(value: Any) -> Any:
     """Best-effort JSON-safe rendering of arbitrary task parameters.
 
-    Dataclasses become ``{"__type__": name, ...fields}``; callables
-    become their qualified names; anything else unserializable falls
-    back to ``repr`` — a manifest must always be writable.
+    Dataclasses and plain objects with instance attributes (e.g. the
+    localization error models) become ``{"__type__": name, ...fields}``
+    — never a ``repr`` carrying a memory address, which would make two
+    runs of one grid disagree; callables become their qualified names;
+    anything else unserializable falls back to ``repr`` — a manifest
+    must always be writable.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -275,6 +269,10 @@ def jsonable(value: Any) -> Any:
         module = getattr(value, "__module__", "?")
         name = getattr(value, "__qualname__", repr(value))
         return f"{module}.{name}"
+    if hasattr(value, "__dict__"):
+        body = {str(k): jsonable(v) for k, v in vars(value).items()}
+        body["__type__"] = type(value).__qualname__
+        return body
     return repr(value)
 
 
@@ -291,7 +289,6 @@ def build_manifest(
     cache_misses: int = 0,
     profile: Optional[Dict[str, Any]] = None,
     failures: Optional[List[Dict[str, Any]]] = None,
-    shards: Optional[Dict[str, Any]] = None,
     spatial: Optional[Dict[str, Any]] = None,
 ) -> RunManifest:
     """Assemble a :class:`RunManifest` with provenance filled in."""
@@ -310,131 +307,6 @@ def build_manifest(
         cache_misses=int(cache_misses),
         profile=profile,
         failures=failures,
-        shards=shards,
         spatial=spatial,
     )
 
-
-# ----------------------------------------------------------------------
-# Manifest fragments (sweep-queue shards)
-# ----------------------------------------------------------------------
-#: Required fields of a :data:`FRAGMENT_SCHEMA` document.
-_FRAGMENT_REQUIRED = {
-    "schema": str,
-    "version": int,
-    "label": str,
-    "shard": dict,
-    "worker": str,
-    "created_unix": (int, float),
-    "wall_s": (int, float),
-    "tasks": list,
-    "counters": dict,
-    "trace_counts": dict,
-    "failures": list,
-}
-
-
-def build_fragment(
-    label: str,
-    shard_index: int,
-    shard_digest: str,
-    worker: str,
-    wall_s: float,
-    tasks: List[Dict[str, Any]],
-    counters: Dict[str, Any],
-    trace_counts: Dict[str, int],
-    failures: List[Dict[str, Any]],
-) -> Dict[str, Any]:
-    """Assemble one shard's manifest fragment.
-
-    ``tasks`` rows carry the shard's slice of the grid (global ``index``,
-    ``key``, ``seed``, ``fingerprint``) plus each task's JSON-rendered
-    ``result``; ``counters``/``trace_counts`` are the *deltas* this
-    shard's execution added to the worker's registry and recorder — the
-    merge step sums fragment deltas in shard order, which reproduces an
-    uninterrupted run's totals exactly because counter deltas are
-    integers.
-    """
-    return {
-        "schema": FRAGMENT_SCHEMA,
-        "version": FRAGMENT_SCHEMA_VERSION,
-        "label": label,
-        "shard": {"index": int(shard_index), "digest": shard_digest},
-        "worker": worker,
-        "created_unix": time.time(),
-        "wall_s": float(wall_s),
-        "tasks": tasks,
-        "counters": counters,
-        "trace_counts": trace_counts,
-        "failures": failures,
-    }
-
-
-def validate_fragment(obj: Any) -> None:
-    """Raise :class:`ManifestError` unless ``obj`` is a valid fragment."""
-    if not isinstance(obj, dict):
-        raise ManifestError(
-            f"fragment must be an object, got {type(obj).__name__}"
-        )
-    if obj.get("schema") != FRAGMENT_SCHEMA:
-        raise ManifestError(
-            f"not a {FRAGMENT_SCHEMA} document: {obj.get('schema')!r}"
-        )
-    if obj.get("version") != FRAGMENT_SCHEMA_VERSION:
-        raise ManifestError(
-            f"fragment version {obj.get('version')!r} unsupported "
-            f"(expected {FRAGMENT_SCHEMA_VERSION})"
-        )
-    problems = []
-    for name, types in _FRAGMENT_REQUIRED.items():
-        if name not in obj:
-            problems.append(f"missing field {name!r}")
-        elif not isinstance(obj[name], types):
-            problems.append(f"field {name!r} has type {type(obj[name]).__name__}")
-    shard = obj.get("shard")
-    if isinstance(shard, dict) and (
-        "index" not in shard or "digest" not in shard
-    ):
-        problems.append("shard block lacks index/digest")
-    for index, task in enumerate(obj.get("tasks", ())):
-        if not isinstance(task, dict) or "index" not in task or "fingerprint" not in task:
-            problems.append(f"task #{index} lacks index/fingerprint")
-            break
-    if problems:
-        raise ManifestError("invalid fragment: " + "; ".join(problems))
-
-
-def write_fragment(fragment: Dict[str, Any], path: Union[str, "os.PathLike"]) -> str:
-    """Atomically serialize one fragment; its existence means "shard done".
-
-    A worker SIGKILLed mid-write leaves no partial fragment, so resume
-    re-runs the whole shard instead of trusting a truncated record.
-    """
-    validate_fragment(fragment)
-    atomic_write_bytes(path, json_bytes(fragment))
-    return os.fspath(path)
-
-
-def load_fragment(path: Union[str, "os.PathLike"]) -> Dict[str, Any]:
-    """Read and schema-validate one fragment file."""
-    obj = _load_json(path, "fragment")
-    validate_fragment(obj)
-    return obj
-
-
-def merge_fragment_counters(
-    fragments: List[Dict[str, Any]],
-) -> Dict[str, Any]:
-    """Fold per-shard counter deltas into one summed snapshot.
-
-    Uses the same :meth:`~repro.obs.counters.CounterRegistry.merge_snapshot`
-    machinery that folds pool-worker deltas into the parent registry, so
-    a merged manifest's ``counters`` block is computed by the identical
-    code path a serial sweep's would be.
-    """
-    from repro.obs.counters import CounterRegistry
-
-    registry = CounterRegistry()
-    for fragment in fragments:
-        registry.merge_snapshot(fragment.get("counters", {}))
-    return registry.snapshot()

@@ -42,15 +42,6 @@ class TraceEvent:
         return f"[{self.time:>12d}] {self.category}/{self.name} {kv}"
 
 
-def event_counts(events: Iterable[TraceEvent]) -> Dict[str, int]:
-    """Histogram of ``category/name`` occurrences."""
-    hist: Dict[str, int] = {}
-    for event in events:
-        key = f"{event.category}/{event.name}"
-        hist[key] = hist.get(key, 0) + 1
-    return hist
-
-
 class TraceRecorder:
     """Collects :class:`TraceEvent` records during a run.
 
@@ -153,7 +144,11 @@ class TraceRecorder:
 
     def counts(self) -> Dict[str, int]:
         """Histogram of ``category/name`` occurrences."""
-        return event_counts(self._events)
+        hist: Dict[str, int] = {}
+        for event in self._events:
+            key = f"{event.category}/{event.name}"
+            hist[key] = hist.get(key, 0) + 1
+        return hist
 
     def clear(self) -> None:
         """Drop all recorded events (categories stay enabled)."""

@@ -11,7 +11,7 @@ all-zero ``csr/`` namespace), and even the engine's event count.
 
 A second suite pins margin-independence: the same C-SR floor must agree
 on physics counters with culling on and off, and the sweep runner must
-be bit-identical across serial, pooled, and queue-resume execution.
+be bit-identical across serial, pooled, and store-resumed execution.
 """
 
 import os
@@ -19,7 +19,7 @@ import os
 import pytest
 
 from repro.experiments.params import ns2_params
-from repro.experiments.parallel import SweepTask, run_tasks
+from repro.experiments.parallel import ResultCache, SweepTask, run_tasks
 from repro.experiments.runner import _csr_floor_cell, run_csr_floor
 from repro.experiments.topologies import enterprise_floor_topology
 
@@ -137,12 +137,7 @@ class TestExecutorBitIdentity:
         assert serial == pooled
 
     def test_serial_vs_queue_resume(self, tmp_path):
-        from repro.experiments.queue import (
-            queue_results,
-            resume,
-            shard_tasks,
-        )
-
+        """A sweep resumed on its store returns the serial results."""
         tasks = [
             SweepTask(
                 fn=_csr_floor_cell,
@@ -161,7 +156,7 @@ class TestExecutorBitIdentity:
             for mac_kind in ("dcf", "comap", "csr")
         ]
         serial = run_tasks(tasks, jobs=1, label="csr_queue")
-        qdir = str(tmp_path / "queue")
-        shard_tasks(tasks, qdir, chunk=1, label="csr_queue")
-        resume(qdir, lease_ttl_s=5.0)
-        assert queue_results(qdir) == serial
+        store = ResultCache(str(tmp_path / "store"))
+        run_tasks(tasks[:1], cache=store, label="csr_queue")  # before a crash
+        assert run_tasks(tasks, jobs=2, cache=store, label="csr_queue") == serial
+        assert (store.hits, store.misses) == (1, 3)

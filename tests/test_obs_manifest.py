@@ -6,31 +6,28 @@ import os
 
 import pytest
 
+import repro.obs.counters as counters_mod
 from repro.experiments.parallel import (
+    CACHE_VERSION,
+    ResultCache,
     SweepTask,
     run_tasks,
     split_common_params,
 )
+from repro.obs.counters import CounterRegistry, global_registry
 from repro.obs.manifest import (
-    FRAGMENT_SCHEMA,
-    FRAGMENT_SCHEMA_VERSION,
     MANIFEST_DIR_ENV,
     MANIFEST_SCHEMA,
     MANIFEST_SCHEMA_VERSION,
     ManifestError,
     RunManifest,
     active_manifest_dir,
-    build_fragment,
     build_manifest,
     current_git_sha,
     jsonable,
-    load_fragment,
     load_manifest,
     manifest_sink,
-    merge_fragment_counters,
-    validate_fragment,
     validate_manifest,
-    write_fragment,
     write_manifest,
 )
 
@@ -154,6 +151,15 @@ class TestProvenanceHelpers:
         assert "make_manifest" in out
         assert isinstance(jsonable(object()), str)
 
+    def test_jsonable_plain_object_renders_its_fields(self):
+        """A plain config object used to render as its ``repr``, memory
+        address included, so two runs' manifests could never agree."""
+        from repro.net.localization import UniformDiskError
+
+        out = jsonable(UniformDiskError(10.0))
+        assert out == {"radius_m": 10.0, "__type__": "UniformDiskError"}
+        assert jsonable(UniformDiskError(10.0)) == out
+
 
 def _square(x: int, seed: int = 0) -> int:
     return x * x
@@ -256,80 +262,96 @@ class TestParamsIntersection:
         validate_manifest(manifest.to_dict())  # overrides stay schema-valid
 
 
-def make_fragment(**overrides):
+DIGEST = "d" * 64
+
+
+def make_entry(**overrides):
+    """A well-formed store entry for the task fingerprinted ``DIGEST``."""
     base = dict(
-        label="q",
-        shard_index=0,
-        shard_digest="d" * 64,
-        worker="w-1",
-        wall_s=0.5,
-        tasks=[{"index": 0, "key": ["q", 0], "seed": 3,
-                "fingerprint": "abc", "result": 9}],
-        counters={"demo/cells": 1},
-        trace_counts={"sweep/task_done": 1},
-        failures=[],
+        version=CACHE_VERSION, key=DIGEST, result=9, counters={"demo/cells": 1}
     )
     base.update(overrides)
-    return build_fragment(**base)
+    return base
+
+
+def write_entry(cache, entry):
+    os.makedirs(cache.root, exist_ok=True)
+    with open(cache.path_for(DIGEST), "w") as handle:
+        handle.write(entry if isinstance(entry, str) else json.dumps(entry))
 
 
 class TestFragments:
+    """A sweep's per-task fragment is its store entry: the task's result
+    plus the counter delta it added (``ResultCache``).  An entry that
+    does not validate is a miss, never a partial read."""
+
     def test_round_trip(self, tmp_path):
-        fragment = make_fragment()
-        path = write_fragment(fragment, tmp_path / "frag.json")
-        loaded = load_fragment(path)
-        assert loaded == fragment
-        assert loaded["schema"] == FRAGMENT_SCHEMA
-        assert loaded["version"] == FRAGMENT_SCHEMA_VERSION
+        cache = ResultCache(str(tmp_path))
+        cache.put(DIGEST, [1.5, 2.5], {"a": 2, "b": 1})
+        assert cache.get(DIGEST) == (True, [1.5, 2.5], {"a": 2, "b": 1})
+        with open(cache.path_for(DIGEST)) as handle:
+            assert json.load(handle) == make_entry(
+                result=[1.5, 2.5], counters={"a": 2, "b": 1}
+            )
 
-    def test_foreign_schema_rejected(self):
-        fragment = make_fragment()
-        fragment["schema"] = "something.else"
-        with pytest.raises(ManifestError, match="not a repro.manifest.fragment"):
-            validate_fragment(fragment)
+    def test_foreign_schema_rejected(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        write_entry(cache, make_manifest().to_dict())
+        assert cache.get(DIGEST) == (False, None, {})
 
-    def test_version_mismatch_rejected(self):
-        fragment = make_fragment()
-        fragment["version"] = 99
-        with pytest.raises(ManifestError, match="version"):
-            validate_fragment(fragment)
+    def test_version_mismatch_rejected(self, tmp_path):
+        # A version-1 entry holds no counter delta: replaying it as a
+        # hit would undercount, so it misses.
+        cache = ResultCache(str(tmp_path))
+        v1 = make_entry(version=1)
+        del v1["counters"]
+        write_entry(cache, v1)
+        assert cache.get(DIGEST)[0] is False
+        write_entry(cache, make_entry(version=CACHE_VERSION + 1))
+        assert cache.get(DIGEST)[0] is False
 
-    def test_missing_field_rejected(self):
-        fragment = make_fragment()
-        del fragment["counters"]
-        with pytest.raises(ManifestError, match="counters"):
-            validate_fragment(fragment)
+    def test_missing_field_rejected(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        entry = make_entry()
+        del entry["counters"]
+        write_entry(cache, entry)
+        assert cache.get(DIGEST)[0] is False
 
-    def test_shard_block_needs_index_and_digest(self):
-        fragment = make_fragment()
-        del fragment["shard"]["digest"]
-        with pytest.raises(ManifestError, match="index/digest"):
-            validate_fragment(fragment)
+    def test_shard_block_needs_index_and_digest(self, tmp_path):
+        # The entry names the task it belongs to.
+        cache = ResultCache(str(tmp_path))
+        entry = make_entry()
+        del entry["key"]
+        write_entry(cache, entry)
+        assert cache.get(DIGEST)[0] is False
 
-    def test_task_row_needs_global_index(self):
-        fragment = make_fragment(
-            tasks=[{"key": ["q", 0], "fingerprint": "abc"}]
-        )
-        with pytest.raises(ManifestError, match="index/fingerprint"):
-            validate_fragment(fragment)
+    def test_task_row_needs_global_index(self, tmp_path):
+        # A delta that is not a map of numbers would crash the replay.
+        cache = ResultCache(str(tmp_path))
+        for counters in ([1, 2], {"demo/cells": "one"}):
+            write_entry(cache, make_entry(counters=counters))
+            assert cache.get(DIGEST)[0] is False
 
     def test_write_refuses_invalid_fragment(self, tmp_path):
-        fragment = make_fragment()
-        del fragment["worker"]
-        with pytest.raises(ManifestError):
-            write_fragment(fragment, tmp_path / "frag.json")
-        assert not (tmp_path / "frag.json").exists()
+        cache = ResultCache(str(tmp_path))
+        cache.put(DIGEST, {1.0, 2.0}, {})  # a set is not JSON
+        assert not os.path.exists(cache.path_for(DIGEST))
 
     def test_unreadable_fragment_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{truncated")
-        with pytest.raises(ManifestError, match="unreadable"):
-            load_fragment(path)
+        cache = ResultCache(str(tmp_path))
+        write_entry(cache, json.dumps(make_entry())[:-10])
+        assert cache.get(DIGEST) == (False, None, {})
 
-    def test_merge_fragment_counters_sums_deltas(self):
-        fragments = [
-            make_fragment(counters={"a": 2, "b": 1}),
-            make_fragment(shard_index=1, counters={"a": 3}),
-            make_fragment(shard_index=2, counters={}),
+    def test_replayed_fragment_counters_sum_deltas(self, tmp_path, monkeypatch):
+        """Hits fold their entries' deltas into the registry, summed."""
+        cache = ResultCache(str(tmp_path))
+        tasks = [
+            SweepTask(fn=_square, kwargs={"x": x}, key=("sum", x)) for x in range(3)
         ]
-        assert merge_fragment_counters(fragments) == {"a": 5, "b": 1}
+        deltas = [{"a": 2, "b": 1}, {"a": 3}, {}]
+        for task, delta in zip(tasks, deltas):
+            cache.put(task.fingerprint(), task.execute(), delta)
+        monkeypatch.setattr(counters_mod, "_global_registry", CounterRegistry())
+        assert run_tasks(tasks, cache=cache) == [0, 1, 4]
+        assert cache.hits == 3
+        assert global_registry().snapshot() == {"a": 5, "b": 1}

@@ -107,7 +107,7 @@ class TestPerTaskProbe:
         pooled_batches = []
 
         def observing_parallel(tasks, pending, jobs, policy,
-                               completed=None, failures=None):
+                               completed=None, failures=None, store=None):
             pooled_batches.append(list(pending))
             return _run_serial(tasks, pending, policy, completed, failures)
 
@@ -147,7 +147,7 @@ class TestFallbackResumesOnlyUnfinished:
 
         A fake pool completes task 0 for real (file-append side effect,
         mimicking a worker whose result and deltas already shipped) and
-        then dies with ``PicklingError`` — the old fallback re-ran *all*
+        then dies of a result that will not pickle — the old fallback re-ran *all*
         pending indices, executing task 0 twice and double-merging its
         already-shipped deltas.  The witness file must show each task
         exactly once.
@@ -163,9 +163,9 @@ class TestFallbackResumesOnlyUnfinished:
         ]
 
         def dying_parallel(tasks_, pending, jobs, policy,
-                           completed=None, failures=None):
+                           completed=None, failures=None, store=None):
             _run_serial(tasks_, [pending[0]], policy, completed, failures)
-            raise pickle.PicklingError("result will not pickle")
+            raise parallel_mod._ResultWontPickle("result will not pickle")
 
         monkeypatch.setattr(parallel_mod, "_run_parallel", dying_parallel)
         trace = _TraceStub()
@@ -187,9 +187,9 @@ class TestFallbackResumesOnlyUnfinished:
         either — its retry budget was spent and its failure recorded."""
 
         def dying_parallel(tasks_, pending, jobs, policy,
-                           completed=None, failures=None):
+                           completed=None, failures=None, store=None):
             _run_serial(tasks_, pending[:2], policy, completed, failures)
-            raise pickle.PicklingError("boom")
+            raise parallel_mod._ResultWontPickle("boom")
 
         tasks = [
             SweepTask(fn=_boom_cell, kwargs={"x": float(i)}, key=("fail", i))
@@ -244,6 +244,40 @@ class TestTaskErrorsAreNotPoolFailures:
         ]
         with pytest.raises(error, match="own error at x=1.0"):
             run_tasks(tasks, jobs=2)
+        with open(witness) as handle:
+            assert handle.read().split().count("1.0") == 1
+        assert global_recorder().events("sweep", "serial_fallback") == []
+
+    @pytest.mark.parametrize("on_error", ["record", "raise"])
+    def test_own_pickling_error_runs_once_without_fallback(
+        self, tmp_path, fresh_globals, on_error
+    ):
+        """2 workers: a task raising ``pickle.PicklingError`` itself was
+        taken for a result that will not pickle, so the serial fallback
+        ran it a second time and blamed the pool."""
+        global_recorder().enable("sweep")
+        witness = str(tmp_path / "witness.log")
+        tasks = [
+            SweepTask(
+                fn=_own_error_cell,
+                kwargs={
+                    "path": witness,
+                    "x": float(i),
+                    "error": pickle.PicklingError if i == 1 else None,
+                },
+                key=("own", i),
+            )
+            for i in range(3)
+        ]
+        if on_error == "raise":
+            with pytest.raises(pickle.PicklingError, match="own error at x=1.0"):
+                run_tasks(tasks, jobs=2, on_error=on_error)
+        else:
+            results = run_tasks(tasks, jobs=2, on_error=on_error)
+            assert results == [0.0, None, 2.0]
+            (failed,) = global_recorder().events("sweep", "task_failed")
+            assert failed.get("kind") == "exception"
+            assert "own error at x=1.0" in failed.get("error")
         with open(witness) as handle:
             assert handle.read().split().count("1.0") == 1
         assert global_recorder().events("sweep", "serial_fallback") == []

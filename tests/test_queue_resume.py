@@ -1,43 +1,26 @@
-"""Resume semantics under a real worker crash (SIGKILL).
+"""Resume semantics under a real crash (SIGKILL).
 
-The acceptance contract for the sweep service: kill a worker with
-SIGKILL after it finished its shard's work but *before* it recorded the
-fragment (the most adversarial instant — lease still held, nothing on
-disk), then ``resume`` and assert the merged manifest's deterministic
-fields and the per-node radio counters are bit-identical to an
-uninterrupted serial run of the same grid.
+The acceptance contract for the sweep store: SIGKILL a sweep right after
+``k`` of its ``n`` tasks were stored (the rest are unstarted or in
+flight, and nothing more reaches the disk), call ``run_tasks`` again on
+the same store, and assert that the re-run hits exactly those ``k``
+entries, runs the other ``n - k``, and writes a manifest whose
+deterministic fields — per-node radio counters included — are
+bit-identical to an uninterrupted serial run of the same grid.
 """
 
 import os
-import signal
-import subprocess
-import time
 
 import pytest
 
 import repro.obs.counters as counters_mod
 import repro.sim.trace as trace_mod
-from repro.experiments.parallel import SweepTask, run_tasks
-from repro.experiments.queue import (
-    LEASES_DIR,
-    _comparable,
-    _lease_expired,
-    _worker_argv,
-    _worker_env,
-    fig8_grid,
-    fragment_path,
-    lease_path,
-    queue_results,
-    read_lease,
-    resume,
-    shard_done,
-    shard_tasks,
-    slow_cell,
-    work,
-)
+from repro.experiments.parallel import ResultCache, run_tasks
 from repro.obs.counters import CounterRegistry
 from repro.obs.manifest import load_manifest, manifest_sink, validate_manifest
 from repro.sim.trace import TraceRecorder
+
+from tests.sweep_grids import _comparable, fig8_grid, sigkill_sweep, survivors
 
 pytestmark = pytest.mark.slow
 
@@ -52,135 +35,70 @@ GRID = dict(
     positions_m=(12.5, 27.5), mac_kinds=("dcf", "comap"),
     repeats=1, seed=0, duration_s=0.02,
 )
+#: Entries that land before the SIGKILL, out of the grid's 4.
+KILL_AFTER = 2
+
+
+def _crash_and_resume(tmp_path, monkeypatch, jobs):
+    """Baseline, killed sweep at ``jobs`` workers, serial re-run; returns
+    the killed sweep's worker PIDs."""
+    tasks = fig8_grid(**GRID)
+
+    # Uninterrupted serial baseline of the identical grid.
+    baseline_dir = str(tmp_path / "baseline")
+    with manifest_sink(baseline_dir):
+        baseline_results = run_tasks(tasks, jobs=1, label="crash", on_error="record")
+    baseline = load_manifest(os.path.join(baseline_dir, "crash.manifest.json"))
+
+    # The killed sweep left exactly its first KILL_AFTER entries, and
+    # none of its pool workers outlived it.
+    store = str(tmp_path / "store")
+    workers = sigkill_sweep(store, KILL_AFTER, jobs, "crash", GRID)
+    assert len(os.listdir(store)) == KILL_AFTER
+    assert survivors(workers) == []
+
+    # The same call on the same store, counting from zero as the
+    # baseline did: the stored tasks hit and replay their deltas.
+    monkeypatch.setattr(counters_mod, "_global_registry", CounterRegistry())
+    resumed_dir = str(tmp_path / "resumed")
+    with manifest_sink(resumed_dir):
+        results = run_tasks(
+            tasks, jobs=1, cache=ResultCache(store), label="crash",
+            on_error="record",
+        )
+    resumed = load_manifest(os.path.join(resumed_dir, "crash.manifest.json"))
+    validate_manifest(resumed.to_dict())
+    assert (resumed.cache_hits, resumed.cache_misses) == (
+        KILL_AFTER, len(tasks) - KILL_AFTER
+    )
+    assert _comparable(resumed) == _comparable(baseline)
+    assert results == baseline_results
+
+    # Per-node radio counters survive the crash/resume unchanged.
+    per_node = {
+        key: value
+        for key, value in resumed.counters.items()
+        if key.startswith("node/")
+    }
+    assert per_node
+    assert per_node == {
+        key: value
+        for key, value in baseline.counters.items()
+        if key.startswith("node/")
+    }
+    return workers
 
 
 class TestCrashResume:
-    def test_sigkilled_worker_resume_is_bit_identical(self, tmp_path, fresh_globals):
-        tasks = fig8_grid(**GRID)
+    def test_sigkilled_worker_resume_is_bit_identical(
+        self, tmp_path, fresh_globals, monkeypatch
+    ):
+        """Killed on 2 workers: entries land in the parent as results
+        arrive, and the pool dies with it."""
+        workers = _crash_and_resume(tmp_path, monkeypatch, jobs=2)
+        assert workers  # the survivor check above had workers to check
 
-        # Uninterrupted serial baseline of the identical grid.
-        baseline_dir = str(tmp_path / "baseline")
-        with manifest_sink(baseline_dir):
-            baseline_results = run_tasks(
-                tasks, jobs=1, label="crash", on_error="record"
-            )
-        baseline = load_manifest(
-            os.path.join(baseline_dir, "crash.manifest.json")
-        )
-
-        # Shard one task per shard, then let a worker *process* complete
-        # one shard and SIGKILL itself mid-way through its second.
-        qdir = str(tmp_path / "queue")
-        spec = shard_tasks(tasks, qdir, chunk=1, label="crash")
-        victim = subprocess.run(
-            _worker_argv(
-                qdir, "--kill-after-shards", "1", "--lease-ttl-s", "0.2",
-            ),
-            env=_worker_env(), capture_output=True, text=True, timeout=300,
-        )
-        assert victim.returncode == -signal.SIGKILL, victim.stderr
-
-        # Crash forensics: exactly one fragment landed, and the crashed
-        # shard's lease is still on disk (nobody released it).
-        done = [shard_done(spec, shard) for shard in spec.shards]
-        assert sum(done) == 1
-        held = [
-            name
-            for name in os.listdir(os.path.join(qdir, LEASES_DIR))
-            if name.endswith(".lease")
-        ]
-        assert len(held) == 1
-
-        # Resume outwaits the orphaned lease's TTL, re-runs the missing
-        # shards bit-identically, and merges.
-        merged = load_manifest(resume(qdir, lease_ttl_s=0.2))
-        validate_manifest(merged.to_dict())
-        assert _comparable(merged) == _comparable(baseline)
-
-        # Per-node radio counters survive the crash/resume unchanged.
-        per_node = {
-            key: value
-            for key, value in merged.counters.items()
-            if key.startswith("node/")
-        }
-        assert per_node
-        assert per_node == {
-            key: value
-            for key, value in baseline.counters.items()
-            if key.startswith("node/")
-        }
-
-        # The results read back from fragments equal the serial run's.
-        assert queue_results(qdir) == baseline_results
-
-        # Bookkeeping: merge records the grid split and both workers.
-        assert merged.shards["count"] == len(spec.shards)
-        assert merged.shards["grid_fingerprint"] == spec.grid_fingerprint
-        assert len(merged.shards["workers"]) == 2
-
-
-class TestLeaseRace:
-    def test_stalled_worker_loses_reclaimed_shard(self, tmp_path, fresh_globals):
-        """Two processes race one shard; the reclaiming owner records it.
-
-        A worker process claims the only shard with a tiny TTL and
-        stalls inside its only task (it cannot heartbeat mid-task).
-        From the instant its lease exists it must carry the worker's
-        nonce — a half-created lockfile would read as worker ``"?"``
-        through the mtime fallback and be reclaimable while the slow
-        starter still believes it holds the shard.  After the TTL
-        expires this process reclaims and completes the shard; the
-        stalled worker must then abandon it — exit cleanly, record
-        nothing, and leave the heir's fragment in place.
-        """
-        tasks = [
-            SweepTask(
-                fn=slow_cell,
-                kwargs={"x": 1.0, "seconds": 1.5},
-                key=("slow", 0),
-            )
-        ]
-        qdir = str(tmp_path / "queue")
-        spec = shard_tasks(tasks, qdir, chunk=1, label="race")
-        shard = spec.shards[0]
-        path = lease_path(spec, shard)
-
-        child = subprocess.Popen(
-            _worker_argv(qdir, "--lease-ttl-s", "0.3"),
-            env=_worker_env(),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-        try:
-            deadline = time.time() + 60.0
-            lease = None
-            while time.time() < deadline:
-                lease = read_lease(path)
-                if lease is not None:
-                    break
-                time.sleep(0.005)
-            assert lease is not None, "child never claimed the shard"
-            # The claim carried its owner's identity from the start.
-            assert lease["worker"] != "?"
-            child_worker = lease["worker"]
-
-            while not _lease_expired(lease) and time.time() < deadline:
-                time.sleep(0.02)
-                lease = read_lease(path) or lease
-            completed = work(qdir, worker_id="heir", lease_ttl_s=60.0)
-            assert completed == 1
-
-            out, err = child.communicate(timeout=60)
-            assert child.returncode == 0, err
-        finally:
-            if child.poll() is None:
-                child.kill()
-                child.communicate()
-
-        # Exactly one record of the shard, written by the reclaimer.
-        from repro.obs.manifest import load_fragment
-
-        fragment = load_fragment(fragment_path(spec, shard))
-        assert fragment["worker"] == "heir"
-        assert fragment["worker"] != child_worker
+    def test_sigkilled_serial_sweep_resume_is_bit_identical(
+        self, tmp_path, fresh_globals, monkeypatch
+    ):
+        assert _crash_and_resume(tmp_path, monkeypatch, jobs=1) == []

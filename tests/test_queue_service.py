@@ -1,51 +1,40 @@
-"""The sharded sweep queue: layout, leases, draining, merging.
+"""The durable sweep store: layout, entries, resume, shared use.
 
-The queue layer must preserve the executor's determinism contract —
-results are a pure function of each task record — while letting many
-independent worker processes drain one grid.  These tests exercise the
-pieces in-process (sharding, the lockfile lease protocol, the work loop,
-fragment merging, the CLI verbs); the crash/SIGKILL scenarios live in
+A finished task lands in its :class:`ResultCache` as one entry carrying
+its result and counter delta, and calling ``run_tasks`` again on the
+same store resumes the sweep.  The file keeps the name of the sweep
+queue the store replaced, and each test the name of the queue test
+whose behaviour it now checks.  The crash/SIGKILL scenarios live in
 ``test_queue_resume.py``.
 """
 
 import json
 import os
-import time
+import subprocess
+import sys
 
 import pytest
 
+import repro.experiments.parallel as parallel_mod
 import repro.obs.counters as counters_mod
 import repro.sim.trace as trace_mod
-from repro.experiments.parallel import SweepTask, resolve_policy, run_tasks
-from repro.experiments.queue import (
-    DEFAULT_LEASE_TTL_S,
-    QUEUE_FILE,
-    QueueError,
-    demo_grid,
-    fragment_path,
-    lease_path,
-    load_queue,
-    load_shard_tasks,
-    main,
-    merge,
-    queue_results,
-    read_lease,
-    release_shard,
-    resume,
-    shard_done,
-    shard_tasks,
-    try_claim_shard,
-    work,
-)
+from repro.experiments.parallel import CACHE_VERSION, ResultCache, SweepTask, run_tasks
 from repro.obs.counters import CounterRegistry, global_registry
-from repro.obs.manifest import load_fragment, load_manifest
+from repro.obs.manifest import load_manifest, manifest_sink
 from repro.sim.trace import TraceRecorder
+
+from tests.sweep_grids import ROOT, _comparable, child_env, demo_grid
 
 
 @pytest.fixture
 def fresh_globals(monkeypatch):
     """Isolate the process-wide recorder/registry for one test."""
     monkeypatch.setattr(trace_mod, "_global_recorder", TraceRecorder())
+    monkeypatch.setattr(counters_mod, "_global_registry", CounterRegistry())
+
+
+def _fresh_registry(monkeypatch) -> None:
+    """Start counting from zero, as a new process would."""
     monkeypatch.setattr(counters_mod, "_global_registry", CounterRegistry())
 
 
@@ -57,234 +46,214 @@ def _fail_if_marker(x: float, marker: str) -> float:
     return x * 10.0
 
 
+def _witness_cell(path: str, x: float) -> float:
+    """Appends one line per execution — an execution witness, which
+    unlike its counter is not replayed by a hit."""
+    with open(path, "a") as handle:
+        handle.write(f"{x}\n")
+    global_registry().counter("witness/runs").inc()
+    return x
+
+
+def _witness_grid(path: str, n: int):
+    return [
+        SweepTask(fn=_witness_cell, kwargs={"path": path, "x": float(i)}, key=("w", i))
+        for i in range(n)
+    ]
+
+
+def _entries_seen(store: str, x: float) -> int:
+    """How many entries ``store`` held when this task ran."""
+    if not os.path.isdir(store):
+        return 0
+    return sum(name.endswith(".json") for name in os.listdir(store))
+
+
+def _executions(path: str):
+    with open(path) as handle:
+        return handle.read().split()
+
+
+def _entry(store, task):
+    with open(os.path.join(store, f"{task.fingerprint()}.json")) as handle:
+        return json.load(handle)
+
+
 class TestSharding:
-    def test_layout_and_spec(self, tmp_path):
-        spec = shard_tasks(demo_grid(7), str(tmp_path), chunk=2, label="lay")
-        assert spec.total_tasks == 7
-        assert [s.index for s in spec.shards] == [0, 1, 2, 3]
-        assert [len(s.task_indices) for s in spec.shards] == [2, 2, 2, 1]
-        assert os.path.exists(tmp_path / QUEUE_FILE)
-        # Shard files are fingerprint-addressed: the digest in the name
-        # commits to the tasks inside.
-        for shard in spec.shards:
-            assert shard.digest[:12] in os.path.basename(
-                os.path.join(str(tmp_path), "shards", f"{shard.name}.pkl")
-            )
-            tasks = load_shard_tasks(spec, shard)
-            assert [t.key for t in tasks] == [
-                ("demo", i) for i in shard.task_indices
-            ]
+    def test_layout_and_spec(self, tmp_path, fresh_globals):
+        """One JSON document per task, named by its fingerprint, holding
+        the entry's version, key, result and counter delta."""
+        tasks = demo_grid(7)
+        run_tasks(tasks, cache=ResultCache(str(tmp_path)), label="lay")
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            f"{task.fingerprint()}.json" for task in tasks
+        )
+        for task in tasks:
+            assert _entry(str(tmp_path), task) == {
+                "version": CACHE_VERSION,
+                "key": task.fingerprint(),
+                "result": task.execute(),
+                "counters": {"demo/cells": 1},
+            }
 
-    def test_grid_fingerprint_tracks_content(self, tmp_path):
-        a = shard_tasks(demo_grid(4, seed=0), str(tmp_path / "a"), chunk=2)
-        b = shard_tasks(demo_grid(4, seed=1), str(tmp_path / "b"), chunk=2)
-        c = shard_tasks(demo_grid(4, seed=0), str(tmp_path / "c"), chunk=2)
-        assert a.grid_fingerprint == c.grid_fingerprint
-        assert a.grid_fingerprint != b.grid_fingerprint
+    def test_grid_fingerprint_tracks_content(self, tmp_path, fresh_globals):
+        """Entries are addressed by content: a grid finds its own
+        entries again, a reseeded grid finds none of them."""
+        cache = ResultCache(str(tmp_path))
+        run_tasks(demo_grid(4, seed=0), cache=cache)
+        run_tasks(demo_grid(4, seed=1), cache=cache)
+        assert (cache.hits, cache.misses) == (0, 8)
+        run_tasks(demo_grid(4, seed=0), cache=cache)
+        assert (cache.hits, cache.misses) == (4, 8)
+        assert len(os.listdir(tmp_path)) == 8
 
-    def test_empty_grid_rejected(self, tmp_path):
-        with pytest.raises(QueueError, match="empty"):
-            shard_tasks([], str(tmp_path))
-
-    def test_unpicklable_grid_rejected_at_shard_time(self, tmp_path):
-        bad = SweepTask(fn=_fail_if_marker, kwargs={"x": lambda: 1, "marker": ""})
-        with pytest.raises(QueueError, match="not fingerprintable|pickle"):
-            shard_tasks([bad], str(tmp_path))
-
-    def test_load_queue_accepts_dir_file_and_manifest(self, tmp_path, fresh_globals):
-        shard_tasks(demo_grid(3), str(tmp_path), chunk=1, label="forms")
-        work(str(tmp_path))
-        merged = merge(str(tmp_path))
-        for target in (str(tmp_path), str(tmp_path / QUEUE_FILE), merged):
-            assert load_queue(target).label == "forms"
-
-    def test_missing_shard_file_rejected(self, tmp_path):
-        spec = shard_tasks(demo_grid(3), str(tmp_path), chunk=1)
-        os.unlink(os.path.join(spec.root, "shards", f"{spec.shards[1].name}.pkl"))
-        with pytest.raises(QueueError, match="missing shard files"):
-            load_queue(str(tmp_path))
-
-    def test_corrupt_queue_json_rejected(self, tmp_path):
-        (tmp_path / QUEUE_FILE).write_text("{not json")
-        with pytest.raises(QueueError, match="unreadable"):
-            load_queue(str(tmp_path))
+    def test_load_queue_accepts_dir_file_and_manifest(
+        self, tmp_path, fresh_globals, monkeypatch
+    ):
+        """``cache=ResultCache(dir)`` and ``REPRO_CACHE=1
+        REPRO_CACHE_DIR=dir`` name the same store."""
+        store = str(tmp_path / "store")
+        tasks = demo_grid(3)
+        run_tasks(tasks[:2], cache=ResultCache(store))
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", store)
+        with manifest_sink(str(tmp_path)):
+            run_tasks(tasks, label="forms")
+        manifest = load_manifest(tmp_path / "forms.manifest.json")
+        assert (manifest.cache_hits, manifest.cache_misses) == (2, 1)
 
 
 class TestLeaseProtocol:
-    def setup_queue(self, tmp_path):
-        return shard_tasks(demo_grid(2), str(tmp_path), chunk=1)
-
-    def test_claim_is_exclusive(self, tmp_path):
-        spec = self.setup_queue(tmp_path)
-        shard = spec.shards[0]
-        assert try_claim_shard(spec, shard, "alice", 60.0)
-        assert not try_claim_shard(spec, shard, "bob", 60.0)
-        lease = read_lease(lease_path(spec, shard))
-        assert lease["worker"] == "alice"
-
-    def test_release_frees_the_shard(self, tmp_path):
-        spec = self.setup_queue(tmp_path)
-        shard = spec.shards[0]
-        assert try_claim_shard(spec, shard, "alice", 60.0)
-        release_shard(spec, shard, "alice")
-        assert try_claim_shard(spec, shard, "bob", 60.0)
-
-    def test_release_requires_ownership(self, tmp_path):
-        spec = self.setup_queue(tmp_path)
-        shard = spec.shards[0]
-        assert try_claim_shard(spec, shard, "alice", 60.0)
-        release_shard(spec, shard, "bob")  # not bob's to release
-        assert read_lease(lease_path(spec, shard))["worker"] == "alice"
-
-    def test_expired_lease_is_reclaimable(self, tmp_path):
-        spec = self.setup_queue(tmp_path)
-        shard = spec.shards[0]
-        assert try_claim_shard(spec, shard, "crashed", 0.01)
-        time.sleep(0.02)
-        assert try_claim_shard(spec, shard, "heir", 60.0)
-        assert read_lease(lease_path(spec, shard))["worker"] == "heir"
-
     def test_reclaim_race_has_one_winner(self, tmp_path):
-        spec = self.setup_queue(tmp_path)
-        shard = spec.shards[0]
-        assert try_claim_shard(spec, shard, "crashed", 0.01)
-        time.sleep(0.02)
-        winners = [
-            worker
-            for worker in ("heir-a", "heir-b", "heir-c")
-            if try_claim_shard(spec, shard, worker, 60.0)
+        """Two processes sweeping one grid into one store may compute a
+        task twice, but every task ends as one whole entry, identical
+        to what a lone sweep writes."""
+        store = str(tmp_path / "store")
+        script = (
+            "from repro.experiments.parallel import ResultCache, run_tasks\n"
+            "from tests.sweep_grids import demo_grid\n"
+            f"run_tasks(demo_grid(24), cache=ResultCache({store!r}))\n"
+        )
+        sweeps = [
+            subprocess.Popen([sys.executable, "-c", script], env=child_env(), cwd=ROOT)
+            for _ in range(2)
         ]
-        assert len(winners) == 1
-        assert read_lease(lease_path(spec, shard))["worker"] == winners[0]
-
-    def test_corrupt_lease_expires_by_mtime(self, tmp_path):
-        spec = self.setup_queue(tmp_path)
-        shard = spec.shards[0]
-        path = lease_path(spec, shard)
-        with open(path, "w") as handle:
-            handle.write("not json")
-        # Fresh corrupt lease: treated as live (a writer may be mid-create).
-        assert not try_claim_shard(spec, shard, "bob", 60.0)
-        stale = time.time() - 2 * DEFAULT_LEASE_TTL_S
-        os.utime(path, (stale, stale))
-        assert try_claim_shard(spec, shard, "bob", 60.0)
-
-    def test_claim_is_atomic_with_its_content(self, tmp_path):
-        # A successful claim's lease must carry the owner's nonce from
-        # the instant the file exists — never an empty lockfile readable
-        # only through the mtime fallback.  No temp artifacts survive.
-        spec = self.setup_queue(tmp_path)
-        shard = spec.shards[0]
-        assert try_claim_shard(spec, shard, "alice", 60.0)
-        lease = read_lease(lease_path(spec, shard))
-        assert lease["worker"] == "alice"
-        assert lease["ttl_s"] == 60.0
-        assert "acquired_unix" in lease
-        leases_dir = os.path.dirname(lease_path(spec, shard))
-        assert all(
-            name.endswith(".lease") for name in os.listdir(leases_dir)
-        ), os.listdir(leases_dir)
-
-    def test_fragment_write_reverifies_ownership(
-        self, tmp_path, fresh_globals, monkeypatch
-    ):
-        # A reclaim can land in the window between a worker's final
-        # heartbeat and its fragment write (the worker stalled past its
-        # TTL building the fragment).  The write must notice and abandon
-        # the shard: the new owner re-runs and records it.
-        import repro.experiments.queue as qmod
-
-        spec = shard_tasks(demo_grid(1), str(tmp_path), chunk=1, label="own")
-        shard = spec.shards[0]
-        real_run_shard = qmod._run_shard
-
-        def run_then_lose_lease(spec, shard, worker_id, ttl_s, policy):
-            fragment = real_run_shard(spec, shard, worker_id, ttl_s, policy)
-            os.unlink(lease_path(spec, shard))
-            assert try_claim_shard(spec, shard, "heir", 60.0)
-            return fragment
-
-        monkeypatch.setattr(qmod, "_run_shard", run_then_lose_lease)
-        assert work(str(tmp_path), worker_id="victim") == 0
-        assert not shard_done(spec, shard)
-        # The victim's release must not have clobbered the heir's claim.
-        assert read_lease(lease_path(spec, shard))["worker"] == "heir"
+        assert [sweep.wait(timeout=120) for sweep in sweeps] == [0, 0]
+        tasks = demo_grid(24)
+        assert sorted(os.listdir(store)) == sorted(
+            f"{task.fingerprint()}.json" for task in tasks
+        )
+        for task in tasks:
+            entry = _entry(store, task)
+            assert entry["result"] == task.execute()
+            assert entry["counters"] == {"demo/cells": 1}
 
 
 class TestWorkAndMerge:
     def test_single_worker_drains_queue(self, tmp_path, fresh_globals):
         tasks = demo_grid(5)
-        spec = shard_tasks(tasks, str(tmp_path), chunk=2, label="drain")
-        assert work(str(tmp_path), worker_id="solo") == 3
-        assert all(shard_done(spec, shard) for shard in spec.shards)
+        results = run_tasks(tasks, cache=ResultCache(str(tmp_path)), label="drain")
         # Results come back in grid order and match direct execution.
-        assert queue_results(str(tmp_path)) == [t.execute() for t in tasks]
-        # Leases are all released.
-        leases = os.listdir(os.path.join(spec.root, "leases"))
-        assert [n for n in leases if n.endswith(".lease")] == []
+        assert results == [task.execute() for task in tasks]
+        # Every entry was published whole: no temp file is left behind.
+        names = os.listdir(tmp_path)
+        assert len(names) == 5
+        assert all(name.endswith(".json") for name in names)
 
-    def test_max_shards_bounds_a_worker(self, tmp_path, fresh_globals):
-        spec = shard_tasks(demo_grid(6), str(tmp_path), chunk=2)
-        assert work(str(tmp_path), max_shards=2) == 2
-        assert sum(shard_done(spec, shard) for shard in spec.shards) == 2
+    def test_entries_land_as_each_task_finishes(self, tmp_path, fresh_globals):
+        """Each task is stored before the next one starts, so a sweep
+        killed part-way keeps every task it finished (entries used to be
+        written only once the whole sweep had run)."""
+        store = str(tmp_path / "store")
+        tasks = [
+            SweepTask(fn=_entries_seen, kwargs={"store": store, "x": float(i)})
+            for i in range(4)
+        ]
+        assert run_tasks(tasks, jobs=1, cache=ResultCache(store)) == [0, 1, 2, 3]
 
-    def test_second_worker_sees_nothing_to_do(self, tmp_path, fresh_globals):
-        shard_tasks(demo_grid(4), str(tmp_path), chunk=2)
-        assert work(str(tmp_path), worker_id="first") == 2
-        assert work(str(tmp_path), worker_id="second") == 0
+    def test_second_worker_sees_nothing_to_do(
+        self, tmp_path, fresh_globals, monkeypatch
+    ):
+        """A sweep whose store is complete starts no pool."""
+        witness = str(tmp_path / "witness.log")
+        tasks = _witness_grid(witness, 4)
+        store = str(tmp_path / "store")
+        run_tasks(tasks, jobs=2, cache=ResultCache(store))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a complete store must not start a pool")
+
+        monkeypatch.setattr(parallel_mod, "_run_parallel", no_pool)
+        second = ResultCache(store)
+        assert run_tasks(tasks, jobs=2, cache=second) == [0.0, 1.0, 2.0, 3.0]
+        assert (second.hits, second.misses) == (4, 0)
+        assert sorted(_executions(witness)) == ["0.0", "1.0", "2.0", "3.0"]
 
     def test_fragments_validate_and_carry_deltas(self, tmp_path, fresh_globals):
-        spec = shard_tasks(demo_grid(4), str(tmp_path), chunk=2, label="frag")
-        work(str(tmp_path), worker_id="w1")
-        for shard in spec.shards:
-            fragment = load_fragment(fragment_path(spec, shard))
-            assert fragment["label"] == "frag"
-            assert fragment["shard"]["digest"] == shard.digest
-            assert fragment["counters"] == {"demo/cells": 2}
-            assert [row["index"] for row in fragment["tasks"]] == list(
-                shard.task_indices
-            )
-            assert all("result" in row for row in fragment["tasks"])
+        """Each entry carries the counter delta of its own task alone."""
+        cache = ResultCache(str(tmp_path))
+        tasks = demo_grid(4)
+        run_tasks(tasks, jobs=2, cache=cache)
+        for task in tasks:
+            hit, result, counters = cache.get(task.fingerprint())
+            assert hit
+            assert result == task.execute()
+            assert counters == {"demo/cells": 1}
 
     def test_merge_requires_every_fragment(self, tmp_path, fresh_globals):
-        spec = shard_tasks(demo_grid(4), str(tmp_path), chunk=1)
-        work(str(tmp_path), max_shards=2)
-        with pytest.raises(QueueError, match=r"shards \[2, 3\]"):
-            merge(str(tmp_path))
+        """Entries missing from a store are recomputed and restored."""
+        witness = str(tmp_path / "witness.log")
+        tasks = _witness_grid(witness, 4)
+        store = str(tmp_path / "store")
+        run_tasks(tasks, cache=ResultCache(store))
+        for task in (tasks[1], tasks[3]):
+            os.unlink(os.path.join(store, f"{task.fingerprint()}.json"))
+        cache = ResultCache(store)
+        assert run_tasks(tasks, cache=cache) == [0.0, 1.0, 2.0, 3.0]
+        assert (cache.hits, cache.misses) == (2, 2)
+        assert _executions(witness).count("1.0") == 2
+        assert _executions(witness).count("2.0") == 1
+        assert len(os.listdir(store)) == 4
 
     def test_merge_rejects_foreign_fragment(self, tmp_path, fresh_globals):
-        spec = shard_tasks(demo_grid(2), str(tmp_path), chunk=1, label="x")
-        work(str(tmp_path))
-        a, b = (fragment_path(spec, shard) for shard in spec.shards)
-        with open(a) as handle:
-            fragment = json.load(handle)
-        fragment["shard"]["index"] = 1
-        with open(b, "w") as handle:
-            json.dump(fragment, handle)
-        with pytest.raises(QueueError, match="digest"):
-            merge(str(tmp_path))
+        """An entry copied over another task's file is a miss there,
+        recomputed and repaired — never served as that task's result."""
+        tasks = demo_grid(2)
+        store = str(tmp_path)
+        run_tasks(tasks, cache=ResultCache(store))
+        a, b = (os.path.join(store, f"{task.fingerprint()}.json") for task in tasks)
+        with open(a) as src, open(b, "w") as dst:
+            dst.write(src.read())
+        cache = ResultCache(store)
+        assert run_tasks(tasks, cache=cache) == [task.execute() for task in tasks]
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert _entry(store, tasks[1])["key"] == tasks[1].fingerprint()
 
     def test_merged_manifest_counters_sum_shard_deltas(
-        self, tmp_path, fresh_globals
+        self, tmp_path, fresh_globals, monkeypatch
     ):
-        shard_tasks(demo_grid(6), str(tmp_path), chunk=2, label="sum")
-        work(str(tmp_path))
-        manifest = load_manifest(merge(str(tmp_path)))
+        """A warm sweep's counters are the sum of its entries' deltas."""
+        store = str(tmp_path / "store")
+        run_tasks(demo_grid(6), cache=ResultCache(store))
+        _fresh_registry(monkeypatch)
+        with manifest_sink(str(tmp_path)):
+            run_tasks(
+                demo_grid(6), cache=ResultCache(store), label="sum",
+                on_error="record",
+            )
+        manifest = load_manifest(tmp_path / "sum.manifest.json")
+        assert manifest.cache_hits == 6
         assert manifest.counters == {"demo/cells": 6}
         assert manifest.failures == []
-        assert manifest.shards["count"] == 3
-        assert manifest.shards["workers"]  # the worker id is recorded
 
     def test_merge_matches_uninterrupted_run_tasks_manifest(
-        self, tmp_path, fresh_globals
+        self, tmp_path, fresh_globals, monkeypatch
     ):
         """The acceptance contract, cheap edition (demo grid).
 
-        Deterministic manifest fields of queue-merge ≡ one serial
-        ``run_tasks`` sweep of the identical grid.
+        Deterministic manifest fields of a sweep resumed on a partial
+        store ≡ one serial ``run_tasks`` sweep of the identical grid.
         """
-        from repro.obs.manifest import manifest_sink
-
         tasks = demo_grid(5)
         with manifest_sink(str(tmp_path / "serial")):
             serial_results = run_tasks(
@@ -292,19 +261,19 @@ class TestWorkAndMerge:
             )
         serial = load_manifest(tmp_path / "serial" / "contract.manifest.json")
 
-        qdir = str(tmp_path / "queue")
-        shard_tasks(tasks, qdir, chunk=2, label="contract")
-        work(qdir)
-        merged = load_manifest(merge(qdir))
-
-        assert merged.tasks == serial.tasks
-        assert merged.params == serial.params
-        assert merged.seeds == serial.seeds
-        assert merged.failures == serial.failures == []
-        # Serial counters double the queue's because the same fixture
-        # registry ran both sweeps — compare the queue's run directly.
-        assert merged.counters == {"demo/cells": 5}
-        assert queue_results(qdir) == serial_results
+        store = str(tmp_path / "store")
+        run_tasks(tasks[:3], cache=ResultCache(store))  # the part that finished
+        _fresh_registry(monkeypatch)
+        with manifest_sink(str(tmp_path / "resumed")):
+            resumed_results = run_tasks(
+                tasks, jobs=2, cache=ResultCache(store), label="contract",
+                on_error="record",
+            )
+        resumed = load_manifest(tmp_path / "resumed" / "contract.manifest.json")
+        assert (resumed.cache_hits, resumed.cache_misses) == (3, 2)
+        assert _comparable(resumed) == _comparable(serial)
+        assert resumed.counters == {"demo/cells": 5}
+        assert resumed_results == serial_results
 
 
 class TestResume:
@@ -318,58 +287,47 @@ class TestResume:
             )
             for i in range(3)
         ]
-        qdir = str(tmp_path / "queue")
-        shard_tasks(tasks, qdir, chunk=1, label="flaky")
+        store = str(tmp_path / "store")
         with open(marker, "w"):
             pass  # everything fails while the marker exists...
-        work(qdir, policy=resolve_policy(on_error="record"))
-        manifest = load_manifest(merge(qdir))
+        with manifest_sink(str(tmp_path / "first")):
+            first = run_tasks(
+                tasks, cache=ResultCache(store), label="flaky", on_error="record"
+            )
+        assert first == [None, None, None]
+        manifest = load_manifest(tmp_path / "first" / "flaky.manifest.json")
         assert len(manifest.failures) == 3
-        assert queue_results(qdir) == [None, None, None]
+        assert not os.path.exists(store) or os.listdir(store) == []  # never stored
 
         os.unlink(marker)  # ...the environment heals...
-        merged = load_manifest(resume(qdir))
-        # ...and resume re-ran every failed shard to a clean manifest.
-        assert merged.failures == []
-        assert queue_results(qdir) == [0.0, 10.0, 20.0]
+        with manifest_sink(str(tmp_path / "again")):
+            again = run_tasks(
+                tasks, cache=ResultCache(store), label="flaky", on_error="record"
+            )
+        # ...and the re-run ran every failed task to a clean manifest.
+        manifest = load_manifest(tmp_path / "again" / "flaky.manifest.json")
+        assert manifest.failures == []
+        assert (manifest.cache_hits, manifest.cache_misses) == (0, 3)
+        assert again == [0.0, 10.0, 20.0]
         assert global_registry().snapshot()["flaky/runs"] == 3
 
-    def test_resume_is_a_no_op_on_a_complete_queue(self, tmp_path, fresh_globals):
-        shard_tasks(demo_grid(4), str(tmp_path), chunk=2, label="idle")
-        work(str(tmp_path))
-        first = load_manifest(merge(str(tmp_path)))
-        again = load_manifest(resume(str(tmp_path)))
-        assert again.tasks == first.tasks
-        assert again.counters == first.counters
-        # No shard re-ran: the demo counter did not move.
-        assert global_registry().snapshot()["demo/cells"] == 4
-
-    def test_resume_accepts_the_merged_manifest_path(self, tmp_path, fresh_globals):
-        shard_tasks(demo_grid(2), str(tmp_path), chunk=1, label="byref")
-        work(str(tmp_path))
-        merged = merge(str(tmp_path))
-        assert resume(merged) == merged
-
-
-class TestCli:
-    def test_shard_work_merge_verbs(self, tmp_path, capsys, fresh_globals):
-        qdir = str(tmp_path / "q")
-        assert main(["shard", "--queue", qdir, "--grid", "demo",
-                     "--demo-tasks", "4", "--chunk", "2"]) == 0
-        assert "2 shards" in capsys.readouterr().out
-        assert main(["work", "--queue", qdir]) == 0
-        assert "completed 2 shards" in capsys.readouterr().out
-        assert main(["merge", "--queue", qdir]) == 0
-        out = capsys.readouterr().out
-        path = out.split("merged manifest:")[1].strip()
-        assert load_manifest(path).label == "demo_queue"
-
-    def test_resume_verb(self, tmp_path, capsys, fresh_globals):
-        qdir = str(tmp_path / "q")
-        main(["shard", "--queue", qdir, "--grid", "demo", "--demo-tasks", "3",
-              "--chunk", "1"])
-        main(["work", "--queue", qdir, "--max-shards", "1"])
-        capsys.readouterr()
-        assert main(["resume", qdir]) == 0
-        assert "resumed and merged" in capsys.readouterr().out
-        assert queue_results(qdir) == [t.execute() for t in demo_grid(3)]
+    def test_resume_is_a_no_op_on_a_complete_queue(
+        self, tmp_path, fresh_globals, monkeypatch
+    ):
+        witness = str(tmp_path / "witness.log")
+        tasks = _witness_grid(witness, 4)
+        store = str(tmp_path / "store")
+        with manifest_sink(str(tmp_path / "first")):
+            first = run_tasks(tasks, cache=ResultCache(store), label="idle")
+        _fresh_registry(monkeypatch)
+        with manifest_sink(str(tmp_path / "again")):
+            again = run_tasks(tasks, cache=ResultCache(store), label="idle")
+        assert again == first
+        before = load_manifest(tmp_path / "first" / "idle.manifest.json")
+        after = load_manifest(tmp_path / "again" / "idle.manifest.json")
+        assert after.tasks == before.tasks
+        assert after.counters == before.counters == {"witness/runs": 4}
+        # No task re-ran: nothing missed and the witness holds one
+        # execution per task.
+        assert (after.cache_hits, after.cache_misses) == (4, 0)
+        assert sorted(_executions(witness)) == ["0.0", "1.0", "2.0", "3.0"]

@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+import repro.obs.counters as counters_mod
 from repro.experiments.parallel import (
     CACHE_VERSION,
     ResultCache,
@@ -29,6 +30,10 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.params import testbed_params
 from repro.experiments.runner import run_exposed_sweep
+from repro.obs.counters import CounterRegistry
+from repro.obs.manifest import load_manifest, manifest_sink
+
+from tests.sweep_grids import ROOT, fig8_grid
 
 
 def _double(x: float) -> float:
@@ -49,6 +54,20 @@ class TestHitMiss:
         second = run_tasks(tasks, cache=cache)
         assert second == first
         assert cache.hits == 2
+
+    def test_manifest_counts_only_its_own_sweep(self, tmp_path):
+        """One store serves many sweeps; each manifest counts its own
+        lookups (the lifetime totals used to leak into the warm one)."""
+        cache = ResultCache(str(tmp_path / "store"))
+        tasks = [_task(1.0), _task(2.0), _task(3.0)]
+        for label in ("cold", "warm"):
+            with manifest_sink(str(tmp_path)):
+                run_tasks(tasks, cache=cache, label=label)
+        cold = load_manifest(tmp_path / "cold.manifest.json")
+        warm = load_manifest(tmp_path / "warm.manifest.json")
+        assert (cold.cache_hits, cold.cache_misses) == (0, 3)
+        assert (warm.cache_hits, warm.cache_misses) == (3, 0)
+        assert (cache.hits, cache.misses) == (3, 3)  # the instance's totals
 
     def test_float_results_roundtrip_exactly(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -152,7 +171,7 @@ class TestCorruptionTolerance:
         results = run_tasks([task], cache=cache)
         assert results == [8.0]
         # ... and the recompute repaired the entry.
-        hit, value = cache.get(task.fingerprint())
+        hit, value, _ = cache.get(task.fingerprint())
         assert hit and value == 8.0
 
     def test_wrong_key_field_is_a_miss(self, tmp_path):
@@ -162,7 +181,12 @@ class TestCorruptionTolerance:
             cache,
             task,
             json.dumps(
-                {"version": CACHE_VERSION, "key": "somebody-else", "result": 1.0}
+                {
+                    "version": CACHE_VERSION,
+                    "key": "somebody-else",
+                    "result": 1.0,
+                    "counters": {},
+                }
             ).encode(),
         )
         assert run_tasks([task], cache=cache) == [8.0]
@@ -176,7 +200,7 @@ class TestCorruptionTolerance:
         cache = ResultCache(str(tmp_path))
         task = SweepTask(fn=complex, kwargs={"real": 1.0, "imag": 2.0})
         assert run_tasks([task], cache=cache) == [complex(1.0, 2.0)]
-        hit, _ = cache.get(task.fingerprint())
+        hit, _, _ = cache.get(task.fingerprint())
         assert not hit
 
     def test_clear_removes_entries(self, tmp_path):
@@ -202,7 +226,7 @@ def _die(src, dst):
 
 os.replace = _die
 cache = parallel.ResultCache({root!r})
-cache.put({digest!r}, [1.0, 2.0, 3.0])
+cache.put({digest!r}, [1.0, 2.0, 3.0], {{"demo/cells": 3}})
 raise SystemExit("unreachable: the put above must have killed us")
 """
 
@@ -216,8 +240,8 @@ raise SystemExit("unreachable: the put above must have killed us")
         proc = subprocess.run(
             [sys.executable, "-c",
              self._KILLED_MID_PUT.format(root=root, digest=digest)],
-            env={**os.environ, "PYTHONPATH": "src"},
-            cwd="/root/repo",
+            env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
+            cwd=ROOT,
             capture_output=True,
             text=True,
             timeout=60,
@@ -228,7 +252,7 @@ raise SystemExit("unreachable: the put above must have killed us")
         names = os.listdir(root)
         assert not any(name.endswith(".json") for name in names)
         cache = ResultCache(root)
-        hit, _ = cache.get(digest)
+        hit, _, _ = cache.get(digest)
         assert not hit
         # The only debris is the orphaned temp file.  A *fresh* .tmp
         # could belong to a live concurrent writer, so clear() leaves
@@ -243,17 +267,17 @@ raise SystemExit("unreachable: the put above must have killed us")
         assert cache.clear() == 0
         assert os.listdir(root) == []
         # And the cache still works afterwards.
-        cache.put(digest, [4.0])
-        hit, value = cache.get(digest)
+        cache.put(digest, [4.0], {})
+        hit, value, _ = cache.get(digest)
         assert hit and value == [4.0]
 
 
 class TestClearOrphanAgeGuard:
     """``clear()`` must never reap a live concurrent writer's temp file.
 
-    Several sweep-queue workers share one cache directory; a ``.tmp``
-    that is *currently* between ``mkstemp`` and ``os.replace`` belongs
-    to one of them.  The old ``clear()`` unlinked every ``.tmp`` it saw,
+    Sweeps in several processes may share one store; a ``.tmp`` that
+    is *currently* between ``mkstemp`` and ``os.replace`` belongs to one
+    of them.  The old ``clear()`` unlinked every ``.tmp`` it saw,
     making the writer's rename fail and silently dropping the entry.
     """
 
@@ -306,7 +330,7 @@ class TestClearOrphanAgeGuard:
             real_replace(src, dst)
 
         monkeypatch.setattr(parallel.os, "replace", paused_replace)
-        writer = threading.Thread(target=cache.put, args=(digest, [1.0, 2.0]))
+        writer = threading.Thread(target=cache.put, args=(digest, [1.0, 2.0], {}))
         writer.start()
         try:
             assert tmp_written.wait(timeout=10.0)
@@ -319,7 +343,7 @@ class TestClearOrphanAgeGuard:
             clear_done.set()
             writer.join(timeout=10.0)
         assert not writer.is_alive()
-        hit, value = cache.get(digest)
+        hit, value, _ = cache.get(digest)
         assert hit and value == [1.0, 2.0]
 
 
@@ -337,6 +361,25 @@ class TestEndToEndSweepCaching:
         assert [(p.x, p.goodput_mbps) for p in cold] == [
             (p.x, p.goodput_mbps) for p in warm
         ]
+
+    def test_warm_manifest_counts_what_the_cold_one_did(
+        self, tmp_path, monkeypatch
+    ):
+        """Hits replay the counter deltas their tasks added, so a warm
+        sweep's manifest counts what the cold sweep's did (it used to
+        count nothing)."""
+        cache = ResultCache(str(tmp_path / "store"))
+        tasks = fig8_grid(positions_m=(12.5, 27.5), duration_s=0.02)
+        manifests = {}
+        for label in ("cold", "warm"):
+            monkeypatch.setattr(counters_mod, "_global_registry", CounterRegistry())
+            with manifest_sink(str(tmp_path)):
+                run_tasks(tasks, cache=cache, label=label)
+            manifests[label] = load_manifest(tmp_path / f"{label}.manifest.json")
+        cold, warm = manifests["cold"], manifests["warm"]
+        assert warm.cache_hits == len(tasks)
+        assert any(key.startswith("node/") for key in cold.counters)
+        assert warm.counters == cold.counters
 
     def test_different_seed_misses(self, tmp_path):
         cache = ResultCache(str(tmp_path))

@@ -30,6 +30,8 @@ from repro.experiments.parallel import (
 from repro.obs import manifest as obs_manifest
 from repro.util.rng import derive_seed
 
+from tests.sweep_grids import ROOT, child_env, survivors
+
 
 # ----------------------------------------------------------------------
 # Module-level task callables (must pickle by reference)
@@ -59,6 +61,14 @@ def flaky_once(marker, seed=0, key=()):
             handle.write("attempted")
         raise RuntimeError("transient failure")
     return seeded_value(base_seed=seed, key=key)
+
+
+def record_pid_then_sleep(path, seconds, i=0):
+    """Notes the executing process's PID, then naps."""
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(f"{os.getpid()}\n")
+    time.sleep(seconds)
+    return i
 
 
 def _ok_task(i):
@@ -241,3 +251,34 @@ class TestSweepSurvival:
         with open(tmp_path / manifest_name, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
         assert manifest["failures"] == []
+
+
+class TestParentDeath:
+    def test_pool_workers_exit_with_a_killed_sweep(self, tmp_path):
+        """A SIGKILLed sweep cannot shut its pool down; its workers used
+        to live on as orphans, holding open every pipe it held."""
+        pid_log = tmp_path / "pids.log"
+        script = (
+            "from repro.experiments.parallel import SweepTask, run_tasks\n"
+            "from tests.test_sweep_survival import record_pid_then_sleep\n"
+            "run_tasks([SweepTask(fn=record_pid_then_sleep, "
+            f"kwargs={{'path': {str(pid_log)!r}, 'seconds': 0.3, 'i': i}}, "
+            "key=('nap', i)) for i in range(8)], jobs=2)\n"
+        )
+        sweep = subprocess.Popen(
+            [sys.executable, "-c", script], env=child_env(), cwd=ROOT,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        workers = set()
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(workers) < 2 and time.monotonic() < deadline:
+                assert sweep.poll() is None, "the sweep ended before both workers ran"
+                time.sleep(0.02)
+                if pid_log.exists():
+                    workers = {int(pid) for pid in pid_log.read_text().split()}
+        finally:
+            sweep.send_signal(signal.SIGKILL)
+            sweep.wait(timeout=60)
+        assert len(workers) == 2
+        assert survivors(sorted(workers), within_s=10.0) == []

@@ -1,9 +1,9 @@
-"""End-to-end smoke checks of the sweep executor, the sweep queue and C-SR.
+"""End-to-end smoke checks of the sweep executor, its store and C-SR.
 
 Run from the root of a checkout::
 
     PYTHONPATH=src python tools/sweep_smoke.py fault --out fault-artifacts --jobs 2
-    PYTHONPATH=src python tools/sweep_smoke.py queue --out queue-artifacts
+    PYTHONPATH=src python tools/sweep_smoke.py resume --out resume-artifacts
     PYTHONPATH=src python tools/sweep_smoke.py csr --out csr-artifacts --jobs 2
 
 Each check runs a small sweep, leaves its run manifest and other
@@ -15,12 +15,13 @@ condition:
   ``on_error="record"``.  Every task completes, the manifest's
   ``failures`` list exists and is empty, the ``faults/`` counters fired,
   and the sweep's trace is exported as JSONL.
-* ``queue`` — a small Fig-8 grid sharded one task per shard.  One worker
-  process SIGKILLs itself after finishing its second shard's work but
-  before recording it (lease held, nothing on disk), a second drains
-  part of the rest, and ``resume`` finishes the queue.  The merged
-  manifest must equal an uninterrupted serial run's on tasks, params,
-  seeds, counters (per-node radio counters included) and failures.
+* ``resume`` — a small Fig-8 grid.  A child process sweeps it on 2
+  workers into a result store and is SIGKILLed right after its second
+  entry lands; none of its pool workers may outlive it.  Re-running the
+  grid serially on the same store must hit exactly those two entries,
+  run the rest, and write a manifest equal to an uninterrupted serial
+  run's on tasks, params, seeds, counters (per-node radio counters
+  included) and failures.
 * ``csr`` — the 4-AP enterprise floor, DCF vs CO-MAP vs C-SR.  Every
   flow delivers, C-SR goodput is at least DCF's on every topology, the
   C-SR cells coordinated (TXOP announcements over the backhaul), and
@@ -33,27 +34,24 @@ import argparse
 import glob
 import json
 import os
-import signal
-import subprocess
 import sys
 from typing import List, Optional
 
-from repro.experiments.parallel import SweepTask, run_tasks
-from repro.experiments.queue import (
-    LEASES_DIR,
-    _comparable,
-    _worker_argv,
-    _worker_env,
-    fig8_grid,
-    resume,
-    shard_done,
-    shard_tasks,
-)
+from repro.experiments.parallel import ResultCache, SweepTask, run_tasks
 from repro.experiments.runner import run_csr_floor
 from repro.obs import manifest as obs_manifest
 from repro.obs.counters import global_registry
 from repro.obs.trace_io import dump_jsonl
 from repro.sim.trace import global_recorder
+
+# The grids and the crash harness are the test suite's own.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.sweep_grids import (  # noqa: E402
+    _comparable,
+    fig8_grid,
+    sigkill_sweep,
+    survivors,
+)
 
 #: ``fault``: the faulted nodes and schedule.  The clients are the data
 #: transmitters in this topology, so the ACK burst targets a client
@@ -62,6 +60,14 @@ OUTAGE_NODE = "C1"
 ACK_NODE = "C2"
 FAULT_START_NS = 10_000_000
 FAULT_DURATION_NS = 60_000_000
+
+#: ``resume``: the grid, the killed sweep's worker count, and how many
+#: of its 6 entries land before the SIGKILL.
+RESUME_GRID = dict(
+    positions_m=(5.0, 20.0, 35.0), mac_kinds=("dcf", "comap"), repeats=1, seed=0
+)
+RESUME_JOBS = 2
+RESUME_KILL_AFTER = 2
 
 #: ``csr``: the floor grid (2 clients per AP, the runner's default).
 CSR_AP_COUNT = 4
@@ -167,72 +173,63 @@ def check_fault(args: argparse.Namespace, problems: List[str]) -> str:
     return f"{len(results)} tasks"
 
 
-def check_queue(args: argparse.Namespace, problems: List[str]) -> str:
-    tasks = fig8_grid(
-        positions_m=(5.0, 20.0, 35.0), mac_kinds=("dcf", "comap"),
-        repeats=1, seed=0, duration_s=args.duration_s,
-    )
-    print(f"[1/5] serial baseline: {len(tasks)} tasks")
+def check_resume(args: argparse.Namespace, problems: List[str]) -> str:
+    grid = dict(RESUME_GRID, duration_s=args.duration_s)
+    tasks = fig8_grid(**grid)
+    print(f"[1/3] serial baseline: {len(tasks)} tasks")
     baseline_dir = os.path.join(args.out, "baseline")
     with obs_manifest.manifest_sink(baseline_dir):
-        run_tasks(tasks, jobs=1, label="queue_smoke", on_error="record")
+        run_tasks(tasks, jobs=1, label="resume_smoke", on_error="record")
 
-    queue_dir = os.path.join(args.out, "queue")
-    spec = shard_tasks(tasks, queue_dir, chunk=1, label="queue_smoke")
-    print(f"[2/5] sharded into {len(spec.shards)} shards at {queue_dir}")
-
-    def worker(*extra: str) -> subprocess.CompletedProcess:
-        return subprocess.run(
-            _worker_argv(queue_dir, *extra), env=_worker_env(),
-            capture_output=True, text=True, timeout=300,
+    store = os.path.join(args.out, "store")
+    ResultCache(store).clear(orphan_age_s=0.0)  # a re-used --out starts cold
+    try:
+        workers = sigkill_sweep(
+            store, RESUME_KILL_AFTER, RESUME_JOBS, "resume_smoke", grid
         )
-
-    victim = worker(
-        "--kill-after-shards", "1", "--lease-ttl-s", str(args.lease_ttl_s)
+    except RuntimeError as exc:
+        problems.append(str(exc))
+        return ""
+    print(
+        f"[2/3] {RESUME_JOBS}-worker sweep SIGKILLed after "
+        f"{RESUME_KILL_AFTER}/{len(tasks)} entries; workers {workers}"
     )
-    if victim.returncode != -signal.SIGKILL:
-        problems.append(
-            f"victim worker exited {victim.returncode}, expected SIGKILL\n"
-            f"{victim.stderr}"
-        )
-        return ""
-    held = sorted(
-        name for name in os.listdir(os.path.join(queue_dir, LEASES_DIR))
-        if name.endswith(".lease")
-    )
-    print(f"[3/5] victim worker SIGKILLed mid-shard; leases held: {held}")
-    survivor = worker("--max-shards", "2")
-    if survivor.returncode != 0:
-        problems.append(
-            f"survivor worker exited {survivor.returncode}\n{survivor.stderr}"
-        )
-        return ""
-    done = sum(shard_done(spec, shard) for shard in spec.shards)
-    print(f"[4/5] survivor drained 2 shards ({done}/{len(spec.shards)} done)")
-    if done >= len(spec.shards):
-        problems.append("nothing left for resume to do")
-        return ""
+    left = survivors(workers)
+    if left:
+        problems.append(f"pool workers {left} outlived the killed sweep")
 
-    merged_path = resume(queue_dir, out_dir=args.out, lease_ttl_s=args.lease_ttl_s)
-    print(f"[5/5] resumed + merged -> {merged_path}")
+    # Count from zero, as the baseline did: hits replay their deltas.
+    global_registry().clear()
+    with obs_manifest.manifest_sink(args.out):
+        run_tasks(
+            tasks, jobs=1, cache=ResultCache(store), label="resume_smoke",
+            on_error="record",
+        )
+    print(f"[3/3] re-ran the grid on the store -> {args.out}")
     baseline = _manifest(baseline_dir, problems)
-    merged = _manifest(args.out, problems)
-    if baseline is None or merged is None:
+    resumed = _manifest(args.out, problems)
+    if baseline is None or resumed is None:
         return ""
-    if merged.shards is None or merged.shards["count"] != len(spec.shards):
-        problems.append(f"merged manifest shards block wrong: {merged.shards}")
-    expected, got = _comparable(baseline), _comparable(merged)
+    if (resumed.cache_hits, resumed.cache_misses) != (
+        RESUME_KILL_AFTER, len(tasks) - RESUME_KILL_AFTER
+    ):
+        problems.append(
+            f"resumed sweep hit {resumed.cache_hits} and missed "
+            f"{resumed.cache_misses}, expected {RESUME_KILL_AFTER} and "
+            f"{len(tasks) - RESUME_KILL_AFTER}"
+        )
+    expected, got = _comparable(baseline), _comparable(resumed)
     problems.extend(
-        f"merged manifest field {name!r} differs from the uninterrupted baseline"
+        f"resumed manifest field {name!r} differs from the uninterrupted baseline"
         for name in expected
         if expected[name] != got[name]
     )
-    per_node = [key for key in merged.counters if key.startswith("node/")]
+    per_node = [key for key in resumed.counters if key.startswith("node/")]
     if not per_node:
-        problems.append("merged manifest carries no per-node counters")
+        problems.append("resumed manifest carries no per-node counters")
     return (
-        f"{len(spec.shards)} shards, {len(per_node)} per-node counters "
-        f"bit-identical to baseline"
+        f"{resumed.cache_hits} hits, {resumed.cache_misses} misses, "
+        f"{len(per_node)} per-node counters bit-identical to baseline"
     )
 
 
@@ -292,7 +289,7 @@ def check_csr(args: argparse.Namespace, problems: List[str]) -> str:
     return f"{len(rows)} cells"
 
 
-CHECKS = {"fault": check_fault, "queue": check_queue, "csr": check_csr}
+CHECKS = {"fault": check_fault, "resume": check_resume, "csr": check_csr}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -300,16 +297,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="End-to-end smoke checks of the sweep machinery."
     )
     sub = parser.add_subparsers(dest="check", required=True)
-    for name, duration_s in (("fault", 0.1), ("queue", 0.04), ("csr", 0.2)):
+    for name, duration_s in (("fault", 0.1), ("resume", 0.04), ("csr", 0.2)):
         check = sub.add_parser(name, help=f"the {name} smoke check")
         check.add_argument("--out", default=f"{name}-artifacts",
                            help="artifact output directory")
         check.add_argument("--duration-s", type=float, default=duration_s,
                            help="simulated seconds per task")
-        if name == "queue":
-            check.add_argument("--lease-ttl-s", type=float, default=1.0,
-                               help="lease TTL of the queue workers")
-        else:
+        if name != "resume":
             check.add_argument("--jobs", type=int, default=2,
                                help="pool worker count")
         if name == "csr":
