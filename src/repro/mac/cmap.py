@@ -89,7 +89,9 @@ class CmapMac(ExposedMac):
             raise TypeError("CmapMac requires a CmapMacConfig")
         self.cmap_stats = self._episode_stats = CmapStats()
         self._conflict_map: Dict[Tuple[int, int, int], _Entry] = {}
-        self._probe_rng = self._rng  # reuse the backoff stream's generator
+        # Reuse the backoff stream's generator (the same object the first
+        # backoff draw will fetch).
+        self._probe_rng = self._rngs.stream("backoff", self.node_id)
 
     def register_counters(self, registry) -> None:
         """Add the learned-conflict-map counters to the registry."""

@@ -35,7 +35,7 @@ from repro.mac.frames import BROADCAST, Frame, FrameType
 from repro.obs.counters import SEP
 from repro.mac.rate_control import FixedRate, RatePolicy
 from repro.mac.timing import PhyTiming
-from repro.phy.radio import Radio
+from repro.phy.radio import Radio, noop_hook
 from repro.phy.rates import RateTable
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.trace import TraceRecorder
@@ -184,7 +184,11 @@ class DcfMac:
         self.rate_policy = rate_policy or FixedRate(rates.top)
         self.trace = trace if trace is not None else TraceRecorder()
         self.stats = LinkStats()
-        self._rng = rngs.stream("backoff", node_id)
+        self._rngs = rngs
+        #: The backoff stream, created at the first draw: in a large
+        #: topology most nodes never contend.  Its key fixes its seed, so
+        #: when it is created changes no value.
+        self._rng = None
         radio.bind_mac(self)
 
         self._queue: Deque[Mpdu] = deque()
@@ -321,22 +325,33 @@ class DcfMac:
 
     def _draw_backoff(self) -> int:
         """Uniform draw from the current contention window."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self._rngs.stream("backoff", self.node_id)
         if self.config.constant_cw is not None:
-            return int(self._rng.integers(0, self.config.constant_cw))
-        return int(self._rng.integers(0, self._cw + 1))
+            return int(rng.integers(0, self.config.constant_cw))
+        return int(rng.integers(0, self._cw + 1))
 
     def _resume_contention(self) -> None:
         """Arm the IFS wait if the medium permits counting down."""
-        if self._state is not MacState.CONTEND:
+        if not self._may_arm_ifs():
             return
-        if self._ifs_handle is not None or self._countdown_handle is not None:
-            return  # already counting or waiting out the IFS
-        if self._nav_active():
-            return  # virtual carrier sense: wait out the reservation
         if self.radio.medium_busy() and not self._should_ignore_busy():
             return  # stay frozen until on_medium_idle
-        ifs = self._current_ifs_ns()
-        self._ifs_handle = self.sim.schedule(ifs, self._ifs_elapsed)
+        self._arm_ifs()
+
+    def _may_arm_ifs(self) -> bool:
+        """Contending, neither waiting out the IFS nor counting, no NAV."""
+        return (
+            self._state is MacState.CONTEND
+            and self._ifs_handle is None
+            and self._countdown_handle is None
+            and not self._nav_active()
+        )
+
+    def _arm_ifs(self) -> None:
+        """Start the IFS wait; the caller has cleared the medium for it."""
+        self._ifs_handle = self.sim.schedule(self._current_ifs_ns(), self._ifs_elapsed)
 
     def _current_ifs_ns(self) -> int:
         """DIFS normally; EIFS after observing a corrupted frame."""
@@ -782,9 +797,13 @@ class DcfMac:
         self._freeze_contention()
 
     def on_medium_idle(self) -> None:
-        """Radio callback: CCA went idle."""
-        if self._state is MacState.CONTEND:
-            self._resume_contention()
+        """Radio callback: CCA went idle.
+
+        The radio has just read the medium free and nothing has run since,
+        so contention resumes without a second CCA query.
+        """
+        if self._may_arm_ifs():
+            self._arm_ifs()
 
     def _should_ignore_busy(self) -> bool:
         """Template method: CO-MAP keeps counting through exposed traffic."""
@@ -794,8 +813,13 @@ class DcfMac:
         """Radio callback: a reception failed the SIR test."""
         self._need_eifs = True
 
+    @noop_hook
     def on_energy_changed(self, energy_mw: float) -> None:
-        """Radio callback: in-air energy changed (CO-MAP RSSI monitor hook)."""
+        """Radio callback: in-air energy changed (CO-MAP RSSI monitor hook).
+
+        A no-op here, so the radio never calls it; subclasses that
+        override it are called.
+        """
 
     def on_header_overheard(self, frame: Frame, rssi_dbm: float) -> None:
         """Template method: a CO-MAP announcement header was decoded."""

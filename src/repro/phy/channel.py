@@ -33,6 +33,14 @@ independence is the precondition for below-floor culling: a culled
 link's draw is simply never taken, and every other link still sees
 exactly the sequence it would have seen with culling off.
 
+In ``per_frame`` mode a link takes its draws from a block of
+:data:`SHADOWING_BLOCK` values filled by one generator call
+(:meth:`~repro.phy.propagation.LogNormalShadowing.shadowing_block`),
+which holds exactly the values the same number of scalar draws would
+give.  A link keeps its block for the channel's lifetime: a radio that
+detaches (or moves) and comes back continues each of its links' streams
+where they stopped, as if every draw had been taken one at a time.
+
 Below-floor interference culling
 --------------------------------
 
@@ -111,6 +119,10 @@ if TYPE_CHECKING:  # avoid a phy <-> mac import cycle; hints only
 
 #: Valid values for the channel's ``shadowing_mode``.
 SHADOWING_MODES = ("per_frame", "per_link", "none")
+
+#: Per-frame shadowing draws taken per generator call, per link.  Larger
+#: blocks amortise the call further but hold more floats per link.
+SHADOWING_BLOCK = 16
 
 #: Environment knob: culling margin in dB, or ``off`` to disable culling.
 CULL_MARGIN_ENV = "REPRO_CULL_MARGIN_DB"
@@ -311,9 +323,10 @@ class Channel:
         self._mean_rx_cache = _PairCache()
         #: Cached fully-composed rx power in mW (``per_link`` mode only).
         self._link_rx_mw = _PairCache()
-        #: Memoized per-link shadowing generators (identity per (tx, rx);
-        #: avoids rebuilding the substream key tuple per frame).
-        self._link_rng_memo: Dict[Tuple[int, int], Any] = {}
+        #: ``per_frame`` mode: each link's not yet used shadowing draws as
+        #: linear ratios, next one last.  Semantic state like the draws of
+        #: ``per_link``, but never dropped: see the module docstring.
+        self._link_draws: Dict[Tuple[int, int], List[float]] = {}
         #: Counters for diagnostics and tests.
         self.frames_sent = 0
         self.links_culled = 0
@@ -416,10 +429,6 @@ class Channel:
         for tx in self._active:
             tx.rx_power_mw.pop(radio.radio_id, None)
         self.on_radio_moved(radio.radio_id)
-        for pair in [p for p in self._link_rng_memo if radio.radio_id in p]:
-            # Memory hygiene only: substream() memoizes per key, so a
-            # re-attached radio gets the identical generator back.
-            del self._link_rng_memo[pair]
         radio.on_detached()
 
     @property
@@ -714,21 +723,14 @@ class Channel:
             self._mean_rx_cache.put(key, entry)
         return entry
 
-    def _link_rng(self, tx_id: int, rx_id: int):
+    def _link_rng(self, key: Tuple[int, int]):
         """The ordered pair's private shadowing generator.
 
         Seeded via ``derive_seed(root, "shadowing", band, tx, rx)``, so
         the stream depends only on the link's identity — never on how
         many draws other links consumed or whether they were culled.
-        ``substream`` memoizes per key already; the local memo only
-        skips rebuilding the key tuple per frame.
         """
-        pair = (tx_id, rx_id)
-        rng = self._link_rng_memo.get(pair)
-        if rng is None:
-            rng = self._rngs.substream("shadowing", self.band, tx_id, rx_id)
-            self._link_rng_memo[pair] = rng
-        return rng
+        return self._rngs.substream("shadowing", self.band, *key)
 
     def _received_power_mw(self, sender: "Radio", receiver: "Radio", frame: "Frame") -> float:
         """Draw the received power of this frame at ``receiver``.
@@ -739,8 +741,9 @@ class Channel:
         * ``per_link`` — ``dbm_to_mw(mean_dbm + offset)``; the composed
           value is constant per pair, so it is cached whole.
         * ``per_frame`` — ``mean_mw * db_to_ratio(offset)``: the cached
-          linear mean times the fresh offset ratio, one multiply per
-          frame instead of a ``10 **`` of the recomposed dB sum.
+          linear mean times the link's next offset ratio (pre-converted
+          in its draw block), one multiply per frame instead of a
+          ``10 **`` of the recomposed dB sum.
         """
         mean_dbm, mean_mw = self._mean_rx(sender, receiver)
         mode = self.shadowing_mode
@@ -753,15 +756,18 @@ class Channel:
                 return rx_mw
             offset = self._link_shadowing_db.get(key)
             if offset is None:
-                offset = self.propagation.shadowing_db(
-                    self._link_rng(sender.radio_id, receiver.radio_id)
-                )
+                offset = self.propagation.shadowing_db(self._link_rng(key))
                 self._link_shadowing_db.put(key, offset)
             rx_mw = dbm_to_mw(mean_dbm + offset)
             self._link_rx_mw.put(key, rx_mw)
             return rx_mw
         # per_frame
-        offset = self.propagation.shadowing_db(
-            self._link_rng(sender.radio_id, receiver.radio_id)
-        )
-        return mean_mw * db_to_ratio(offset)
+        key = (sender.radio_id, receiver.radio_id)
+        draws = self._link_draws.get(key)
+        if not draws:
+            offsets = self.propagation.shadowing_block(
+                self._link_rng(key), SHADOWING_BLOCK
+            )
+            # Reversed, so that pop() takes them in stream order.
+            draws = self._link_draws[key] = list(map(db_to_ratio, reversed(offsets)))
+        return mean_mw * draws.pop()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -136,6 +137,18 @@ class LogNormalShadowing:
         add a fresh draw without recomputing the distance term.
         """
         return float(rng.normal(0.0, self.sigma_db)) if self.sigma_db > 0.0 else 0.0
+
+    def shadowing_block(self, rng: np.random.Generator, size: int) -> List[float]:
+        """The next ``size`` values :meth:`shadowing_db` would return on ``rng``.
+
+        One generator call instead of ``size``: numpy's ``normal`` fills an
+        array with the same per-value draws, in the same order, as
+        successive scalar calls, so the values are bit-identical.  With
+        sigma 0 nothing is drawn, as in :meth:`shadowing_db`.
+        """
+        if self.sigma_db > 0.0:
+            return rng.normal(0.0, self.sigma_db, size=size).tolist()
+        return [0.0] * size
 
     def sample_rx_dbm(
         self,

@@ -27,12 +27,23 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.phy.channel import Channel, Transmission
-from repro.phy.rates import sensitivity_mw, sir_threshold_ratio
 from repro.util.geometry import Point
 from repro.util.units import dbm_to_mw, mw_to_dbm
 
 if TYPE_CHECKING:  # avoid a phy <-> mac import cycle; hints only
     from repro.mac.frames import Frame
+
+
+def noop_hook(fn):
+    """Mark a MAC callback as a no-op that radios bound to the MAC skip.
+
+    :meth:`Radio.bind_mac` reads the mark once.  It is a function
+    attribute, not identity with the original function: ``functools.wraps``
+    copies ``__dict__``, so a wrapped no-op (a span tracer's, say) is still
+    recognised and skipped.
+    """
+    fn.noop_hook = True
+    return fn
 
 
 @dataclass
@@ -84,11 +95,12 @@ class Radio:
         self._cs_threshold_mw = dbm_to_mw(config.cs_threshold_dbm)
         self._noise_mw = dbm_to_mw(config.noise_floor_dbm)
         self._in_air: dict = {}  # Transmission -> rx power mW
-        # Memoized sum(self._in_air.values()); every _in_air mutation sets
-        # the dirty flag, so the memo is exactly the sum a recomputation
-        # over the same dict would give.
-        self._energy_cache = 0.0
-        self._energy_dirty = False
+        # sum(self._in_air.values()), recomputed by exactly that expression
+        # at every _in_air mutation, so it is the sum a recomputation over
+        # the same dict would give.
+        self._energy_mw = 0.0
+        #: False while the MAC's on_energy_changed is a marked no-op.
+        self._hears_energy = False
         self._current_tx: Optional[Transmission] = None
         self._lock: Optional[_ReceptionLock] = None
         self._busy = False
@@ -106,8 +118,13 @@ class Radio:
     # Wiring
     # ------------------------------------------------------------------
     def bind_mac(self, mac) -> None:
-        """Attach the MAC entity that receives PHY indications."""
+        """Attach the MAC entity that receives PHY indications.
+
+        Whether to deliver ``on_energy_changed`` is decided here, once: a
+        hook marked with :func:`noop_hook` (plain DCF's) is never called.
+        """
         self.mac = mac
+        self._hears_energy = not getattr(mac.on_energy_changed, "noop_hook", False)
 
     @property
     def attached(self) -> bool:
@@ -133,7 +150,7 @@ class Radio:
             self.frames_missed += 1
             self._lock = None
         self._in_air.clear()
-        self._energy_dirty = True
+        self._energy_mw = 0.0
         self._current_tx = None
         self._busy = False
 
@@ -175,14 +192,10 @@ class Radio:
     def energy_mw(self) -> float:
         """Total in-air power currently measured at this radio (mW).
 
-        Hot sites (CCA, interference tracking, capture tests) call this
-        several times per notification, so the sum is memoized and
-        recomputed only after ``_in_air`` changes.
+        A memo, recomputed whenever the in-air set changes rather than
+        per query.
         """
-        if self._energy_dirty:
-            self._energy_cache = sum(self._in_air.values()) if self._in_air else 0.0
-            self._energy_dirty = False
-        return self._energy_cache
+        return self._energy_mw
 
     def energy_dbm(self) -> float:
         """In-air power in dBm; the noise floor when nothing is in the air."""
@@ -193,7 +206,7 @@ class Radio:
 
     def medium_busy(self) -> bool:
         """Clear-channel assessment: own transmission or energy over T_cs."""
-        return self.transmitting or self.energy_mw() >= self._cs_threshold_mw
+        return self._current_tx is not None or self._energy_mw >= self._cs_threshold_mw
 
     @property
     def noise_mw(self) -> float:
@@ -240,68 +253,102 @@ class Radio:
     # Receive path (channel callbacks)
     # ------------------------------------------------------------------
     def on_air_start(self, tx: Transmission, power_mw: float) -> None:
-        """A foreign transmission began; update CCA and reception state."""
+        """A foreign transmission began: reception, CCA and MAC in one pass.
+
+        The one radio call per receiver per frame start.  Callback order:
+        the lock (or capture) and its embedded-decode scheduling, then the
+        busy/idle edge, then ``on_energy_changed`` — CO-MAP's RSSI monitor
+        sees the edge first.
+        """
         if not self._attached:
             return  # delivery raced a detach; the radio never saw this frame
-        self._in_air[tx] = power_mw
-        self._energy_dirty = True
+        in_air = self._in_air
+        in_air[tx] = power_mw
+        self._energy_mw = energy = sum(in_air.values())
+        # While transmitting we are deaf: the frame is silently missed but
+        # still contributes energy once our own transmission finishes.
         if self._current_tx is None:
-            if self._lock is None:
-                if power_mw >= sensitivity_mw(tx.frame.rate):
-                    interference = self.energy_mw() - power_mw
-                    self._lock = _ReceptionLock(tx, power_mw, interference)
-                    self._maybe_schedule_embedded_decode(self._lock)
+            lock = self._lock
+            rate = tx.frame.rate
+            if lock is None:
+                if power_mw >= rate.sensitivity_mw:
+                    self._lock_onto(tx, power_mw, energy)
                 elif power_mw >= self._noise_mw:
                     # Detectable but undecodable: a genuine miss.  Frames
                     # below the noise floor are invisible to a real radio
                     # and are not counted — keeping this counter identical
                     # whether or not below-floor culling skipped them.
                     self.frames_missed += 1
-            elif self.config.capture and self._captures_over_lock(tx, power_mw):
-                # Message-in-message capture: the new frame drowns out the
-                # ongoing reception; re-lock and count the old one lost.
+            elif (
+                self.config.capture
+                and power_mw >= rate.sensitivity_mw
+                and power_mw / (energy - power_mw + self._noise_mw)
+                >= rate.sir_threshold_ratio
+            ):
+                # Message-in-message capture: the new frame would decode
+                # with everything else (the lock included) as noise, so it
+                # drowns out the ongoing reception; re-lock and count the
+                # old one lost.
                 self.frames_missed += 1
-                interference = self.energy_mw() - power_mw
-                self._lock = _ReceptionLock(tx, power_mw, interference)
-                self._maybe_schedule_embedded_decode(self._lock)
+                self._lock_onto(tx, power_mw, energy)
             else:
                 # New arrival is interference for the ongoing reception.
-                lock = self._lock
-                interference = self.energy_mw() - lock.signal_mw
+                interference = energy - lock.signal_mw
                 if interference > lock.max_interference_mw:
                     lock.max_interference_mw = interference
-        # While transmitting we are deaf: the frame is silently missed but
-        # still contributes energy once our own transmission finishes.
-        self._update_busy()
-        if self.mac is not None:
-            self.mac.on_energy_changed(self.energy_mw())
+        busy = self._current_tx is not None or energy >= self._cs_threshold_mw
+        mac = self.mac
+        if busy != self._busy:
+            self._busy = busy
+            if mac is not None:
+                if busy:
+                    mac.on_medium_busy()
+                else:
+                    mac.on_medium_idle()
+        if self._hears_energy:
+            mac.on_energy_changed(self._energy_mw)
 
     def on_air_end(self, tx: Transmission) -> None:
-        """A foreign transmission ended; maybe complete a reception."""
+        """A foreign transmission ended: reception, CCA and MAC in one pass.
+
+        A lock on ``tx`` completes first; the edge and energy callbacks
+        follow in :meth:`on_air_start`'s order.
+        """
         if not self._attached:
             return  # detached while the frame was in flight
-        self._in_air.pop(tx, None)
-        self._energy_dirty = True
+        in_air = self._in_air
+        in_air.pop(tx, None)
+        self._energy_mw = sum(in_air.values()) if in_air else 0.0
         lock = self._lock
         if lock is not None and lock.tx is tx:
             self._lock = None
             self._finish_reception(lock)
-        self._update_busy()
-        if self.mac is not None:
-            self.mac.on_energy_changed(self.energy_mw())
+        busy = self._current_tx is not None or self._energy_mw >= self._cs_threshold_mw
+        mac = self.mac
+        if busy != self._busy:
+            self._busy = busy
+            if mac is not None:
+                if busy:
+                    mac.on_medium_busy()
+                else:
+                    mac.on_medium_idle()
+        if self._hears_energy:
+            mac.on_energy_changed(self._energy_mw)
 
-    def _maybe_schedule_embedded_decode(self, lock: _ReceptionLock) -> None:
-        """Partial packet decode of an embedded announcement (CO-MAP v1).
+    def _lock_onto(self, tx: Transmission, power_mw: float, energy_mw: float) -> None:
+        """Lock onto ``tx``; everything else in the air is interference.
 
-        The paper's first header implementation inserts an extra FCS
-        after the sequence-number field "so that the PHY layer can pass
-        the source and destination addresses to upper layers before the
-        receipt of frame payload".  We model it by delivering the
-        announcement once the address portion has been on the air —
-        provided the lock survives (no capture/abort) and the
-        interference seen so far leaves the header decodable.
+        Also models the partial packet decode of an embedded announcement
+        (CO-MAP v1).  The paper's first header implementation inserts an
+        extra FCS after the sequence-number field "so that the PHY layer
+        can pass the source and destination addresses to upper layers
+        before the receipt of frame payload".  We deliver the announcement
+        once the address portion has been on the air — provided the lock
+        survives (no capture/abort) and the interference seen so far
+        leaves the header decodable.
         """
-        frame = lock.tx.frame
+        lock = self._lock = _ReceptionLock(tx, power_mw, energy_mw - power_mw)
+        frame = tx.frame
         if not frame.meta.get("embedded_announce"):
             return
         from repro.mac.frames import EMBEDDED_DECODE_BYTES
@@ -314,25 +361,15 @@ class Radio:
         if self._lock is not lock or self.mac is None:
             return
         sir = lock.signal_mw / (lock.max_interference_mw + self._noise_mw)
-        threshold = sir_threshold_ratio(lock.tx.frame.rate)
-        if sir >= threshold:
+        if sir >= lock.tx.frame.rate.sir_threshold_ratio:
             self.mac.on_header_overheard(lock.tx.frame, mw_to_dbm(lock.signal_mw))
-
-    def _captures_over_lock(self, tx: Transmission, power_mw: float) -> bool:
-        """Would ``tx`` decode with everything else (incl. the lock) as noise?"""
-        if power_mw < sensitivity_mw(tx.frame.rate):
-            return False
-        interference = self.energy_mw() - power_mw
-        threshold = sir_threshold_ratio(tx.frame.rate)
-        return power_mw / (interference + self._noise_mw) >= threshold
 
     def _finish_reception(self, lock: _ReceptionLock) -> None:
         """Apply the SIR test and deliver or discard the frame."""
         frame = lock.tx.frame
         sir = lock.signal_mw / (lock.max_interference_mw + self._noise_mw)
-        threshold = sir_threshold_ratio(frame.rate)
         rssi_dbm = mw_to_dbm(lock.signal_mw)
-        if sir >= threshold:
+        if sir >= frame.rate.sir_threshold_ratio:
             self.frames_received += 1
             if self.mac is not None:
                 self.mac.on_frame_received(frame, rssi_dbm)
@@ -345,7 +382,10 @@ class Radio:
     # CCA transitions
     # ------------------------------------------------------------------
     def _update_busy(self) -> None:
-        """Recompute CCA and notify the MAC on busy/idle edges."""
+        """Recompute CCA and notify the MAC on busy/idle edges.
+
+        For the transmit path; the air edges test CCA inline.
+        """
         busy = self.medium_busy()
         if busy == self._busy:
             return

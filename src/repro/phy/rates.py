@@ -16,7 +16,6 @@ tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
 
@@ -33,11 +32,26 @@ class Rate:
         decoding at this rate.
     sensitivity_dbm:
         Minimum received power to lock onto a frame at this rate.
+    sensitivity_mw, sir_threshold_ratio:
+        The two thresholds in the linear domain (mW and power ratio), set
+        once at construction by exactly :func:`repro.util.units.dbm_to_mw`
+        and :func:`repro.util.units.db_to_ratio`.  The radio reads them
+        per receiver per frame.  They are plain attributes, not fields:
+        ``dataclasses.fields`` feeds ``derive_seed`` and result-store
+        keys, which must not change.
     """
 
     bps: int
     sir_threshold_db: float
     sensitivity_dbm: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "sensitivity_mw", 10.0 ** (self.sensitivity_dbm / 10.0)
+        )
+        object.__setattr__(
+            self, "sir_threshold_ratio", 10.0 ** (self.sir_threshold_db / 10.0)
+        )
 
     @property
     def mbps(self) -> float:
@@ -52,26 +66,6 @@ class Rate:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.mbps:g}Mbps"
-
-
-@lru_cache(maxsize=None)
-def sensitivity_mw(rate: Rate) -> float:
-    """``rate.sensitivity_dbm`` converted to mW, cached per rate.
-
-    The expression is exactly :func:`repro.util.units.dbm_to_mw`; rates
-    are frozen, so caching the conversion cannot change the value — the
-    *cache, never re-derive* discipline of the frame hot path.
-    """
-    return 10.0 ** (rate.sensitivity_dbm / 10.0)
-
-
-@lru_cache(maxsize=None)
-def sir_threshold_ratio(rate: Rate) -> float:
-    """``rate.sir_threshold_db`` as a linear power ratio, cached per rate.
-
-    Exactly :func:`repro.util.units.db_to_ratio` of the threshold.
-    """
-    return 10.0 ** (rate.sir_threshold_db / 10.0)
 
 
 class RateTable:

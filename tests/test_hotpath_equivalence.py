@@ -136,6 +136,11 @@ def _uncached_energy_mw(radio):
     return sum(radio._in_air.values()) if radio._in_air else 0.0
 
 
+#: Stands in for the radio's energy memo: every read re-derives the sum
+#: and every write is dropped.
+_UNCACHED_ENERGY = property(_uncached_energy_mw, lambda radio, value: None)
+
+
 class TestGoldenEquivalence:
     """Re-deriving mean powers and in-air energy per use reproduces the
     committed fixtures: the caches change no physics."""
@@ -144,7 +149,7 @@ class TestGoldenEquivalence:
     def test_rederivation_matches_golden(self, scenario):
         golden = assert_baseline_matches(scenario)
         with mock.patch.object(Channel, "_mean_rx", _uncached_mean_rx), \
-                mock.patch.object(Radio, "energy_mw", _uncached_energy_mw):
+                mock.patch.object(Radio, "_energy_mw", _UNCACHED_ENERGY, create=True):
             _, snap = run_scenario(scenario)
         assert diff(golden, snap) == []
         assert snap["events_fired"] == golden["events_fired"]

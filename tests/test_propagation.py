@@ -60,6 +60,17 @@ class TestLogNormalShadowing:
         assert np.mean(samples) == pytest.approx(model.mean_rx_dbm(0.0, 10.0), abs=0.3)
         assert np.std(samples) == pytest.approx(4.0, abs=0.3)
 
+    @pytest.mark.parametrize("sigma_db", [0.0, 4.0, 5.0])
+    def test_shadowing_block_equals_scalar_draws(self, sigma_db):
+        # The blocks are exactly the scalar draws, in order, and leave the
+        # generator where the scalar draws do (sigma 0: untouched).
+        model = LogNormalShadowing(alpha=3.3, sigma_db=sigma_db)
+        block_rng, scalar_rng = np.random.default_rng(9), np.random.default_rng(9)
+        blocks = model.shadowing_block(block_rng, 16)
+        blocks += model.shadowing_block(block_rng, 7)
+        assert blocks == [model.shadowing_db(scalar_rng) for _ in range(23)]
+        assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
+
     def test_range_for_rx_inverts_mean(self):
         model = LogNormalShadowing(alpha=3.3, sigma_db=5.0)
         r = model.range_for_rx_dbm(20.0, -80.0)

@@ -267,8 +267,10 @@ class TestVectorChannelContracts:
         second = _drive(world, rounds=1, reference=reference)
         assert 2 not in first[0][0] and 2 in second[0][0]
 
-    def test_detach_reattach_matches_scalar(self):
-        world = build_phy_world([NEAR, MID, (30.0, 0.0)], shadowing_mode="per_link",
+    @pytest.mark.parametrize("mode", ["per_link", "per_frame"])
+    def test_detach_reattach_matches_scalar(self, mode):
+        # per_frame: a re-attached radio's links continue their streams.
+        world = build_phy_world([NEAR, MID, (30.0, 0.0)], shadowing_mode=mode,
                                 sigma_db=4.0, seed=6)
         reference = ReferenceMedium(world, 6)
         _drive(world, rounds=1, reference=reference)

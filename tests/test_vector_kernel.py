@@ -1,7 +1,7 @@
 """Property tests for the numpy batch kernels and the exact scalar helpers.
 
-* exact helpers — dB↔ratio conversions via python pow/log, the cached
-  per-rate sensitivity and SIR constants, the radio's decode / SIR /
+* exact helpers — dB↔ratio conversions via python pow/log, the
+  per-rate sensitivity and SIR constants on ``Rate``, the radio's decode / SIR /
   capture decisions, link seed derivation — must agree **bit for bit**
   with the plain expressions that define them;
 * transcendental batch helpers (``mean_rx_dbm_batch``, ``prr_batch``,
@@ -11,6 +11,7 @@
   domain errors).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,12 +24,8 @@ from repro.phy.channel import Transmission
 from repro.phy.propagation import LogNormalShadowing
 from repro.phy.prr import PrrModel, _standard_normal_cdf
 from repro.phy.radio import Radio, RadioConfig, _ReceptionLock
-from repro.phy.rates import (
-    OFDM_RATES,
-    Rate,
-    sensitivity_mw,
-    sir_threshold_ratio,
-)
+from repro.experiments.params import ns2_params
+from repro.phy.rates import OFDM_RATES, Rate
 from repro.util.geometry import Point
 from repro.util.rng import derive_seed
 from repro.util.units import db_to_ratio, dbm_to_mw, mw_to_dbm, ratio_to_db
@@ -96,16 +93,29 @@ class TestDeriveSeeds:
 class TestRateConstants:
     @pytest.mark.parametrize("rate", list(OFDM_RATES))
     def test_matches_cached_scalar_helpers(self, rate):
-        # The cached helpers are exactly the conversions they replace.
-        assert sensitivity_mw(rate) == 10.0 ** (rate.sensitivity_dbm / 10.0)
-        assert sensitivity_mw(rate) == dbm_to_mw(rate.sensitivity_dbm)
-        assert sir_threshold_ratio(rate) == 10.0 ** (rate.sir_threshold_db / 10.0)
-        assert sir_threshold_ratio(rate) == db_to_ratio(rate.sir_threshold_db)
+        # The constants on Rate are exactly the conversions they replace.
+        assert rate.sensitivity_mw == 10.0 ** (rate.sensitivity_dbm / 10.0)
+        assert rate.sensitivity_mw == dbm_to_mw(rate.sensitivity_dbm)
+        assert rate.sir_threshold_ratio == 10.0 ** (rate.sir_threshold_db / 10.0)
+        assert rate.sir_threshold_ratio == db_to_ratio(rate.sir_threshold_db)
 
     def test_cached_identity(self):
         rate = OFDM_RATES.by_bps(6_000_000)
-        assert sensitivity_mw(rate) is sensitivity_mw(rate)
-        assert sir_threshold_ratio(rate) is sir_threshold_ratio(rate)
+        assert rate.sensitivity_mw is rate.sensitivity_mw
+        assert rate.sir_threshold_ratio is rate.sir_threshold_ratio
+
+    def test_constants_change_no_seed_or_cache_key(self):
+        # derive_seed, result-store keys and manifest params encode
+        # dataclasses.fields(): the constants must stay out of them.
+        assert [f.name for f in dataclasses.fields(Rate)] == [
+            "bps", "sir_threshold_db", "sensitivity_dbm",
+        ]
+        assert derive_seed(0, ns2_params()) == 7650223721518615266  # rates included
+
+    def test_replace_recomputes_constants(self):
+        rate = dataclasses.replace(OFDM_RATES.base, sensitivity_dbm=-70.0)
+        assert rate.sensitivity_mw == dbm_to_mw(-70.0)
+        assert rate.sir_threshold_ratio == OFDM_RATES.base.sir_threshold_ratio
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +149,7 @@ class TestDecisionMasks:
         # An idle radio locks iff the power clears the rate's
         # sensitivity, and otherwise counts a miss iff it clears noise.
         rate = Rate(6_000_000, 10.0, mw_to_dbm(db_to_ratio(sens_db) * 1e-9))
-        sens = sensitivity_mw(rate)
+        sens = rate.sensitivity_mw
         radio, sender = _listener(noise_dbm)
         for p in powers:
             missed = radio.frames_missed
@@ -161,7 +171,7 @@ class TestDecisionMasks:
         # signal / (max interference + noise) >= threshold.
         rate = Rate(6_000_000, thr_db, -200.0)
         radio, sender = _listener(mw_to_dbm(noise))
-        thr = sir_threshold_ratio(rate)
+        thr = rate.sir_threshold_ratio
         for s in signal:
             received = radio.frames_received
             radio._finish_reception(_ReceptionLock(_tx(sender, rate), s, interference))
@@ -184,7 +194,7 @@ class TestDecisionMasks:
         # A locked radio re-locks onto a new frame iff it is decodable
         # and clears SIR against all other in-air energy plus noise.
         rate = Rate(6_000_000, thr_db, sens_dbm)
-        sens, thr = sensitivity_mw(rate), sir_threshold_ratio(rate)
+        sens, thr = rate.sensitivity_mw, rate.sir_threshold_ratio
         radio, sender = _listener(mw_to_dbm(noise))
         first_mw = extra_mw + sens  # always lockable
         for p in powers:
