@@ -30,8 +30,8 @@ sweep into independent :class:`SweepTask` records and hands them to
 
 Per-task progress and wall-clock timings are recorded into the process
 global :func:`repro.sim.trace.global_recorder` under the ``sweep``
-category (enable with ``REPRO_TRACE_SWEEP=1``, the broader
-``REPRO_TRACE`` knob, or ``global_recorder().enable("sweep")``).
+category (enable with ``REPRO_TRACE=1`` or
+``global_recorder().enable("sweep")``).
 
 Observability (:mod:`repro.obs`)
 --------------------------------
@@ -50,9 +50,12 @@ cold one does.  When a manifest sink is active (``REPRO_MANIFEST_DIR``
 or :func:`repro.obs.manifest.manifest_sink`), every :func:`run_tasks`
 call also writes a schema-validated ``<label>.manifest.json`` (built by
 :func:`sweep_manifest`) recording the task grid, seeds, git SHA, wall
-time, and counter snapshot.  All of it costs nothing measurable when
-disabled: one env lookup and a handful of perf-counter reads per
-*sweep*, not per task.
+time, and what the sweep itself added to both globals — the baseline
+:func:`capture_deltas` takes around a task, taken around the whole
+sweep, so nothing the process counted before the sweep leaks into its
+manifest.  All of it costs nothing measurable when disabled: a few
+dict copies of the (small) global registry and perf-counter reads per
+task, no per-frame work.
 """
 
 from __future__ import annotations
@@ -73,8 +76,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 from repro.obs import manifest as obs_manifest
 from repro.obs.counters import diff_snapshot, global_registry
 from repro.obs.profile import maybe_profiler
-from repro.obs.trace_io import events_from_payload, events_to_payload
-from repro.phy.spatial import spatial_manifest_block
 from repro.sim.trace import TraceEvent, configure_from_env, global_recorder
 from repro.util.rng import _canonical, derive_seed
 
@@ -84,8 +85,6 @@ JOBS_ENV = "REPRO_JOBS"
 CACHE_ENV = "REPRO_CACHE"
 #: Environment knob: override the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: Environment knob: record sweep progress into the global trace recorder.
-TRACE_ENV = "REPRO_TRACE_SWEEP"
 #: Environment knob: per-task wall-clock limit in seconds (float).
 TIMEOUT_ENV = "REPRO_TASK_TIMEOUT_S"
 #: Environment knob: bounded re-attempts for failed/timed-out tasks.
@@ -179,7 +178,7 @@ def _execute_indexed(
     parent when serial, the worker when pooled) — the per-task half of
     the profiling hooks.
     """
-    trace = _sweep_trace()
+    trace = configure_from_env()
     started = time.perf_counter()
     with _alarm(timeout_s):
         result = task.execute()
@@ -190,27 +189,34 @@ def _execute_indexed(
     return result, elapsed
 
 
-def capture_deltas(
-    fn: Callable[..., Any], *args: Any
-) -> Tuple[Any, Dict[str, Any], List[TraceEvent]]:
-    """Run ``fn(*args)``; return its value, counter delta and new events.
+def _baseline() -> Callable[[], Tuple[Dict[str, Any], List[TraceEvent]]]:
+    """Mark the process globals; the returned call reports what they
+    gained since: the positive counter changes (what ``merge_snapshot``
+    elsewhere needs) and the new trace events.
 
-    Both are what the call added to the process globals: the positive
-    counter changes (what ``merge_snapshot`` elsewhere needs) and the
-    trace events.  Per-call baselines also fence off events inherited
-    over ``fork`` and those of earlier tasks on a reused worker.
+    A baseline fences off what came before it: events inherited over
+    ``fork``, earlier tasks on a reused worker, earlier sweeps.
     """
     recorder = global_recorder()
     registry = global_registry()
     events_base = len(recorder)
-    dropped_base = recorder.dropped_events
     counters_base = registry.snapshot()
+
+    def added() -> Tuple[Dict[str, Any], List[TraceEvent]]:
+        fresh = recorder.events()[events_base:]
+        return diff_snapshot(counters_base, registry.snapshot()), fresh
+
+    return added
+
+
+def capture_deltas(
+    fn: Callable[..., Any], *args: Any
+) -> Tuple[Any, Dict[str, Any], List[TraceEvent]]:
+    """Run ``fn(*args)``; return its value, counter delta and new events:
+    what the call added to the process globals (see :func:`_baseline`)."""
+    added = _baseline()
     value = fn(*args)
-    # Ring-buffer aware slice: events dropped during the call shift the
-    # baseline index left.
-    shift = recorder.dropped_events - dropped_base
-    fresh = recorder.events()[max(0, events_base - shift):]
-    return value, diff_snapshot(counters_base, registry.snapshot()), fresh
+    return (value, *added())
 
 
 class _ResultWontPickle(pickle.PicklingError):
@@ -224,7 +230,7 @@ class _ResultWontPickle(pickle.PicklingError):
 
 def _execute_shipping(
     task: SweepTask, timeout_s: Optional[float] = None
-) -> Tuple[Any, float, list, Dict[str, Any]]:
+) -> Tuple[Any, float, List[TraceEvent], Dict[str, Any]]:
     """Pool entry point: run one task and ship its observability deltas.
 
     What the task records in the worker's globals would die with the
@@ -240,7 +246,7 @@ def _execute_shipping(
         pickle.dumps(result)
     except Exception as exc:
         raise _ResultWontPickle(f"task result does not pickle: {exc}") from exc
-    return result, elapsed, events_to_payload(events), counters
+    return result, elapsed, events, counters
 
 
 def _exit_with_parent() -> None:
@@ -479,19 +485,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return max(1, int(jobs))
 
 
-def _sweep_trace():
-    """The global recorder, with env-requested categories enabled.
-
-    Runs in parent and workers alike, so ``REPRO_TRACE``/
-    ``REPRO_TRACE_SWEEP`` opt-ins follow the environment into pool
-    processes.
-    """
-    recorder = configure_from_env(global_recorder())
-    if os.environ.get(TRACE_ENV, "0") == "1":
-        recorder.enable("sweep")
-    return recorder
-
-
 def run_tasks(
     tasks: Sequence[SweepTask],
     jobs: Optional[int] = None,
@@ -525,7 +518,9 @@ def run_tasks(
     are never cached.
     """
     tasks = list(tasks)
-    trace = _sweep_trace()
+    # Parent and workers alike configure the global recorder, so the
+    # ``REPRO_TRACE`` opt-in follows the environment into pool processes.
+    trace = configure_from_env()
     if cache is None:
         cache = _env_cache()
     jobs = resolve_jobs(jobs)
@@ -533,6 +528,10 @@ def run_tasks(
     profiler = maybe_profiler()
     if profiler is not None:
         profiler.start()
+    # The manifest counts what lands after this mark: cache hits replay
+    # their stored deltas and pool results merge their shipped ones
+    # inside the window, as serial tasks count into it directly.
+    added = _baseline()
     sweep_started = time.perf_counter()
     trace.record(
         "sweep", "start", label=label, tasks=len(tasks), jobs=jobs,
@@ -587,10 +586,11 @@ def run_tasks(
         profile_block = profiler.as_block()
     manifest_dir = obs_manifest.active_manifest_dir()
     if manifest_dir:
+        counters, events = added()
         manifest = sweep_manifest(
             label, tasks, jobs, wall_s,
-            counters=global_registry().snapshot(),
-            trace_counts=trace.counts(),
+            counters=counters,
+            trace_counts=trace.counts(events),
             # This sweep's own counts: one store may serve many sweeps.
             cache_hits=len(tasks) - len(pending) if cache is not None else 0,
             cache_misses=len(pending) if cache is not None else 0,
@@ -598,7 +598,6 @@ def run_tasks(
             failures=[failure.as_dict() for failure in failures]
             if policy.on_error == "record"
             else None,
-            spatial=spatial_manifest_block(),
         )
         try:
             obs_manifest.write_manifest(manifest, manifest_dir)
@@ -653,7 +652,7 @@ def sweep_manifest(
     Task rows carry each task's key, seed and content fingerprint, plus
     its deviations from the common ``params``.  ``optional`` carries the
     optional blocks of :func:`~repro.obs.manifest.build_manifest` (cache
-    counts, ``profile``, ``failures``, ``spatial``).
+    counts, ``profile``, ``failures``).
     """
     params, overrides = split_common_params(tasks)
     rows = []
@@ -822,20 +821,20 @@ def _run_serial(
 ) -> Tuple[Dict[int, Tuple[Any, float]], List[TaskFailure]]:
     """In-process execution under the same attempt loop as the pool.
 
-    A task here counts straight into this process's registry, so its
-    delta is only measured, for the store: merging it would count twice.
+    A task here counts straight into this process's globals, so its
+    deltas are only measured, the counters for the store: merging them
+    would count twice.
     """
-    registry = global_registry()
 
     def run_attempt(indices: List[int]) -> Iterator[Tuple[int, Any]]:
         for index in indices:
-            before = registry.snapshot()
             try:
-                value, elapsed = _execute_indexed(tasks[index], policy.timeout_s)
+                (value, elapsed), counters, _ = capture_deltas(
+                    _execute_indexed, tasks[index], policy.timeout_s
+                )
             except Exception as exc:
                 yield index, exc
             else:
-                counters = diff_snapshot(before, registry.snapshot())
                 yield index, (value, elapsed, counters)
 
     return _attempt_loop(
@@ -847,13 +846,13 @@ def _shipped_outcome(future) -> Any:
     """A pool attempt's outcome; on success its shipped deltas are merged
     into this process's globals, or they would die with the worker."""
     try:
-        value, elapsed, events_payload, counter_delta = future.result()
+        value, elapsed, events, counter_delta = future.result()
     except _ResultWontPickle:
         raise  # transport, not the task: the serial fallback takes over
     except Exception as exc:
         return exc
-    if events_payload:
-        global_recorder().merge(events_from_payload(events_payload))
+    if events:
+        global_recorder().merge(events)
     if counter_delta:
         global_registry().merge_snapshot(counter_delta)
     return value, elapsed, counter_delta

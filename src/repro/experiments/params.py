@@ -37,10 +37,9 @@ class ScenarioParams:
     cs_threshold_dbm: float
     noise_floor_dbm: float = -95.0
     shadowing_mode: str = "per_frame"
-    #: Below-floor interference culling margin in dB.  ``None`` defers to
-    #: the ``REPRO_CULL_MARGIN_DB`` environment knob (default: 6σ of the
-    #: shadowing model); ``"off"`` or a negative value disables culling.
-    #: See :mod:`repro.phy.channel`.
+    #: Below-floor interference culling margin in dB.  ``None`` takes the
+    #: default (6σ of the shadowing model); ``"off"`` or a negative value
+    #: disables culling.  See :mod:`repro.phy.channel`.
     cull_margin_db: Union[float, str, None] = None
     # PHY.
     rates: RateTable = field(default_factory=lambda: OFDM_RATES)

@@ -27,7 +27,7 @@ Two seeding conventions, chosen per runner and kept deliberately:
   comparisons low-variance.
 
 Observability: because every runner goes through ``run_tasks``, each
-sweep records ``sweep``-category trace events (``REPRO_TRACE_SWEEP=1``)
+sweep records ``sweep``-category trace events (``REPRO_TRACE=1``)
 and — when a manifest sink is active (``REPRO_MANIFEST_DIR`` or
 :func:`repro.obs.manifest.manifest_sink`) — writes a schema-validated
 run manifest next to its results.  See ``docs/observability.md``.

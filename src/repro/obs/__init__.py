@@ -10,8 +10,8 @@ Four layers, all costing nothing measurable when unused:
   :class:`repro.sim.trace.TraceEvent` streams, so traces can be archived
   next to results and diffed across runs.
 * :mod:`repro.obs.manifest` — schema-validated run manifests (params,
-  seeds, git SHA, wall time, counter snapshot) written by every sweep
-  when a sink is active (``REPRO_MANIFEST_DIR`` or
+  seeds, git SHA, wall time, the sweep's counter delta) written by every
+  sweep when a sink is active (``REPRO_MANIFEST_DIR`` or
   :func:`~repro.obs.manifest.manifest_sink`).
 * :mod:`repro.obs.profile` — a cProfile/pstats harness
   (``REPRO_PROFILE``) whose per-phase timings and top-N cumulative
@@ -41,7 +41,6 @@ from repro.obs.manifest import (
 )
 from repro.obs.profile import (
     PROFILE_ENV,
-    PROFILE_TOP_ENV,
     Profiler,
     maybe_profiler,
     profiled,
@@ -51,8 +50,6 @@ from repro.obs.trace_io import (
     TRACE_SCHEMA_VERSION,
     TraceSchemaError,
     dump_jsonl,
-    events_from_payload,
-    events_to_payload,
     load_jsonl,
 )
 
@@ -73,7 +70,6 @@ __all__ = [
     "validate_manifest",
     "write_manifest",
     "PROFILE_ENV",
-    "PROFILE_TOP_ENV",
     "Profiler",
     "maybe_profiler",
     "profiled",
@@ -81,7 +77,5 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "TraceSchemaError",
     "dump_jsonl",
-    "events_from_payload",
-    "events_to_payload",
     "load_jsonl",
 ]

@@ -12,8 +12,9 @@ manifest records enough to reproduce and to diff runs:
   fingerprints) and representative task parameters;
 * the executor configuration (worker count, cache hit/miss counts);
 * provenance: git SHA (when available), schema version, wall time;
-* a snapshot of the process-wide counter registry and the trace-event
-  histogram at completion.
+* what the sweep added to the process-wide counter registry (its
+  counter delta) and to the global trace recorder (the histogram of its
+  events) — never what the process counted before it.
 
 Manifests are schema-validated on load — an archived manifest that does
 not validate is an error, never a silent partial read.
@@ -95,12 +96,11 @@ class RunManifest:
     #: since-removed sweep queue.  Nothing writes it any more; it stays
     #: so archived manifests that carry it still load.
     shards: Optional[Dict[str, Any]] = None
-    #: Candidate-grid cell-size and reach-radius aggregates at sweep
-    #: completion (empty when no grid was built) — see
-    #: :func:`repro.phy.spatial.spatial_manifest_block`.  Optional for
-    #: the same archival-compatibility reason as ``profile``: manifests
-    #: written before the spatial index existed validate unchanged, as
-    #: do those with the ``enabled`` flag of the switchable grid.
+    #: Read-only legacy: process-wide candidate-grid cell-size and
+    #: reach-radius aggregates (or the ``enabled`` flag of the since-
+    #: removed switchable grid).  Nothing writes it any more; it stays so
+    #: archived manifests that carry it still load.  Each network's
+    #: ``channel/spatial_*`` counters carry the grid's activity.
     spatial: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -289,7 +289,6 @@ def build_manifest(
     cache_misses: int = 0,
     profile: Optional[Dict[str, Any]] = None,
     failures: Optional[List[Dict[str, Any]]] = None,
-    spatial: Optional[Dict[str, Any]] = None,
 ) -> RunManifest:
     """Assemble a :class:`RunManifest` with provenance filled in."""
     return RunManifest(
@@ -307,6 +306,5 @@ def build_manifest(
         cache_misses=int(cache_misses),
         profile=profile,
         failures=failures,
-        spatial=spatial,
     )
 

@@ -8,9 +8,9 @@ through :func:`repro.experiments.parallel.run_tasks` records:
 * **per-phase wall times** — the sweep's cache-scan and execute phases
   (the same boundaries the trace recorder's ``sweep/phase`` events
   mark), plus any phases the caller adds;
-* **a top-N cumulative table** — the ``N`` most expensive functions by
-  cumulative time (``REPRO_PROFILE_TOP``, default 20), extracted from
-  the cProfile run via :mod:`pstats`.
+* **a top-N cumulative table** — the :data:`TOP` most expensive
+  functions by cumulative time, extracted from the cProfile run via
+  :mod:`pstats`.
 
 The block lands in the manifest's optional ``profile`` field, so the
 perf trajectory of a sweep is archived next to its provenance —
@@ -34,11 +34,8 @@ from typing import Any, Dict, Iterator, List, Optional
 #: Environment knob: truthy values enable the profiling harness.
 PROFILE_ENV = "REPRO_PROFILE"
 
-#: Environment knob: how many functions the cumulative table keeps.
-PROFILE_TOP_ENV = "REPRO_PROFILE_TOP"
-
-#: Default size of the top-N cumulative table.
-DEFAULT_TOP = 20
+#: How many functions the cumulative table keeps.
+TOP = 20
 
 _FALSY = ("", "0", "false", "no", "off")
 
@@ -46,13 +43,6 @@ _FALSY = ("", "0", "false", "no", "off")
 def profiling_enabled() -> bool:
     """True when ``REPRO_PROFILE`` asks for the harness."""
     return os.environ.get(PROFILE_ENV, "").strip().lower() not in _FALSY
-
-
-def _top_from_env() -> int:
-    raw = os.environ.get(PROFILE_TOP_ENV, "").strip()
-    if not raw:
-        return DEFAULT_TOP
-    return max(1, int(raw))  # a malformed knob should fail loudly
 
 
 class Profiler:
@@ -70,8 +60,7 @@ class Profiler:
             manifest_profile = prof.as_block()
     """
 
-    def __init__(self, top: Optional[int] = None) -> None:
-        self.top = top if top is not None else _top_from_env()
+    def __init__(self) -> None:
         self._profile = cProfile.Profile()
         self._active = False
         self._error: Optional[str] = None
@@ -120,21 +109,20 @@ class Profiler:
             self.add_phase(name, time.perf_counter() - begin)
 
     # -- reporting ------------------------------------------------------
-    def top_functions(self, n: Optional[int] = None) -> List[Dict[str, Any]]:
-        """The ``n`` most expensive functions by cumulative time.
+    def top_functions(self) -> List[Dict[str, Any]]:
+        """The :data:`TOP` most expensive functions by cumulative time.
 
         Each entry: ``function`` (``file:line(name)``), ``calls``,
         ``primitive_calls``, ``tottime_s``, ``cumtime_s``.
         """
         if self._error is not None:
             return []
-        limit = n if n is not None else self.top
         stats = pstats.Stats(self._profile)
         rows = sorted(
             stats.stats.items(), key=lambda item: item[1][3], reverse=True
         )
         out = []
-        for (filename, line, name), (cc, nc, tt, ct, _callers) in rows[:limit]:
+        for (filename, line, name), (cc, nc, tt, ct, _callers) in rows[:TOP]:
             out.append(
                 {
                     "function": f"{os.path.basename(filename)}:{line}({name})",
@@ -158,19 +146,19 @@ class Profiler:
         return block
 
 
-def maybe_profiler(top: Optional[int] = None) -> Optional[Profiler]:
+def maybe_profiler() -> Optional[Profiler]:
     """A fresh :class:`Profiler` when ``REPRO_PROFILE`` is set, else None."""
-    return Profiler(top) if profiling_enabled() else None
+    return Profiler() if profiling_enabled() else None
 
 
 @contextmanager
-def profiled(top: Optional[int] = None) -> Iterator[Profiler]:
+def profiled() -> Iterator[Profiler]:
     """Profile a block regardless of the env knob; yields the profiler.
 
     The profiler is stopped on exit; read :meth:`Profiler.as_block`
     (or :meth:`Profiler.top_functions`) afterwards.
     """
-    prof = Profiler(top)
+    prof = Profiler()
     prof.start()
     try:
         yield prof

@@ -38,7 +38,7 @@ TRACE_SCHEMA_VERSION = 1
 
 
 class TraceSchemaError(ValueError):
-    """A trace file/payload does not match the expected schema."""
+    """A trace file or event does not match the expected schema."""
 
 
 # ----------------------------------------------------------------------
@@ -73,16 +73,6 @@ def _tuplify(value: Any) -> Any:
     if isinstance(value, list):
         return tuple(_tuplify(v) for v in value)
     return value
-
-
-def events_to_payload(events: Iterable[TraceEvent]) -> List[Dict[str, Any]]:
-    """A picklable/JSON-safe list form, used to ship events across processes."""
-    return [event_to_obj(event) for event in events]
-
-
-def events_from_payload(payload: Iterable[Dict[str, Any]]) -> List[TraceEvent]:
-    """Inverse of :func:`events_to_payload`."""
-    return [event_from_obj(obj) for obj in payload]
 
 
 # ----------------------------------------------------------------------

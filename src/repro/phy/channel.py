@@ -13,10 +13,6 @@ Shadowing modes
 ``per_frame``
     A fresh ``X_sigma`` per (transmitter, receiver, frame).  Default;
     realizes the statistical PRR model.
-``per_link``
-    One draw per ordered (transmitter, receiver) pair, fixed for the whole
-    run.  Useful for deterministic unit tests and for studying stable
-    topologies.
 ``none``
     Pure deterministic path loss.
 
@@ -51,11 +47,12 @@ mean received power (path loss only — invalidated per radio on
 carrier-sense threshold, the receiver is skipped entirely for that
 frame: no shadowing draw, no ``rx_power_mw`` entry, and neither the
 ``on_air_start`` nor the ``on_air_end`` notification.  The margin
-defaults to 6σ of the shadowing model (20 dB when σ = 0), can be set
-explicitly via the ``REPRO_CULL_MARGIN_DB`` environment knob, and
-``REPRO_CULL_MARGIN_DB=off`` disables culling.  Culled notifications
-are counted in the ``channel/culled_links`` counter.  The margin is the
-channel's only execution setting.
+defaults to 6σ of the shadowing model (20 dB when σ = 0); the
+``cull_margin_db`` argument (``ScenarioParams.cull_margin_db``) sets it
+explicitly, and ``"off"`` disables culling — the reference the
+equivalence tests compare against.  Culled notifications are counted in
+the ``channel/culled_links`` counter.  The margin is the channel's only
+execution setting.
 
 Candidate generation
 --------------------
@@ -82,10 +79,9 @@ Linear-domain power caches and coalesced notifications
 
 Surviving (sender, receiver) notifications dominate dense topologies
 where nothing can be culled.  The pair cache therefore stores the
-**linear-domain (mW)** mean power alongside the dB value, per-frame
+**linear-domain (mW)** mean power alongside the dB value, and per-frame
 shadowing composes as a single multiply
-(``mean_mw * db_to_ratio(offset)``), and ``per_link`` mode caches the
-fully-composed rx power per pair.  The discipline is *cache, never
+(``mean_mw * db_to_ratio(offset)``).  The discipline is *cache, never
 re-derive*: every cached value is produced by exactly the expression a
 from-scratch derivation evaluates, so caching cannot change a result
 (``tests/test_hotpath_equivalence.py`` checks the channel against such
@@ -94,19 +90,18 @@ a derivation).
 A frame's per-receiver ``on_air_start`` (and ``on_air_end``)
 notifications all share one timestamp, so one engine event per frame
 edge delivers them all, in attach order: 4 events per frame instead of
-``2N + 2``.  With zero air latency they run inline instead.
+``2N + 2``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import (
     TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple, Union, ValuesView,
 )
 
 from repro.phy.propagation import LogNormalShadowing
-from repro.phy.spatial import SpatialIndex, record_grid_built, record_reach_radius
+from repro.phy.spatial import SpatialIndex
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
 from repro.util.rng import RngStreams
@@ -118,14 +113,20 @@ if TYPE_CHECKING:  # avoid a phy <-> mac import cycle; hints only
     from repro.phy.radio import Radio
 
 #: Valid values for the channel's ``shadowing_mode``.
-SHADOWING_MODES = ("per_frame", "per_link", "none")
+SHADOWING_MODES = ("per_frame", "none")
 
 #: Per-frame shadowing draws taken per generator call, per link.  Larger
 #: blocks amortise the call further but hold more floats per link.
 SHADOWING_BLOCK = 16
 
-#: Environment knob: culling margin in dB, or ``off`` to disable culling.
-CULL_MARGIN_ENV = "REPRO_CULL_MARGIN_DB"
+#: Propagation + CCA detection latency: a transmission becomes
+#: observable at other radios only this long after it starts (and stops
+#: being observable this long after it ends).  Without it, two stations
+#: whose backoff counters expire in the same slot would serialize instead
+#: of colliding (zero-latency carrier sense), and DCF would be
+#: collision-free — wildly unphysical.  1 us approximates
+#: aCCATime/propagation at WLAN ranges.
+AIR_LATENCY_NS = 1_000
 
 #: Default margin as a multiple of the shadowing sigma.
 CULL_SIGMA_FACTOR = 6.0
@@ -140,26 +141,22 @@ CULL_DETERMINISTIC_MARGIN_DB = 20.0
 def resolve_cull_margin_db(
     sigma_db: float, override: Union[float, str, None] = None
 ) -> Optional[float]:
-    """Resolve the culling margin: explicit override > env knob > default.
+    """Resolve the culling margin: an explicit override, else the default.
 
     Returns the margin in dB, or ``None`` when culling is disabled
     (``"off"``, case-insensitive, or any negative value).  With no
-    override and no ``REPRO_CULL_MARGIN_DB`` in the environment, the
-    default is ``6 * sigma_db`` (``20`` dB for a shadowing-free model).
+    override the default is ``6 * sigma_db`` (``20`` dB for a
+    shadowing-free model).
     """
     value: Union[float, str, None] = override
     if value is None:
-        raw = os.environ.get(CULL_MARGIN_ENV, "").strip()
-        if raw:
-            value = raw
-        elif sigma_db > 0.0:
+        if sigma_db > 0.0:
             return CULL_SIGMA_FACTOR * float(sigma_db)
-        else:
-            return CULL_DETERMINISTIC_MARGIN_DB
+        return CULL_DETERMINISTIC_MARGIN_DB
     if isinstance(value, str):
         if value.lower() == "off":
             return None
-        value = float(value)  # a malformed knob should fail loudly
+        value = float(value)  # a malformed margin should fail loudly
     margin = float(value)
     return None if margin < 0.0 else margin
 
@@ -250,7 +247,6 @@ class Channel:
         shadowing_mode: str = "per_frame",
         trace: Optional[TraceRecorder] = None,
         band: int = 0,
-        air_latency_ns: int = 1_000,
         registry=None,
         cull_margin_db: Union[float, str, None] = None,
     ) -> None:
@@ -267,15 +263,8 @@ class Channel:
         #: channels — matching the paper's floor where "only the ones using
         #: the same frequency band are considered".
         self.band = int(band)
-        #: Propagation + CCA detection latency: a transmission becomes
-        #: observable at other radios only after this delay.  Without it,
-        #: two stations whose backoff counters expire in the same slot
-        #: would serialize instead of colliding (zero-latency carrier
-        #: sense), and DCF would be collision-free — wildly unphysical.
-        #: 1 us approximates aCCATime/propagation at WLAN ranges.
-        self.air_latency_ns = int(air_latency_ns)
-        if self.air_latency_ns < 0:
-            raise ValueError("air latency cannot be negative")
+        #: :data:`AIR_LATENCY_NS`, for the callers that time against it.
+        self.air_latency_ns = AIR_LATENCY_NS
         # NB: "trace or ..." would discard an *empty* recorder (len == 0 is
         # falsy), so test identity explicitly.
         self.trace = trace if trace is not None else TraceRecorder()
@@ -315,17 +304,11 @@ class Channel:
         self.spatial_candidates = 0
         self.spatial_skipped = 0
         self._registry = None
-        #: Per-link shadowing offsets (``per_link`` mode only).  Semantic
-        #: state, not a perf cache: ``per_link`` means one draw per pair
-        #: for the whole run.
-        self._link_shadowing_db = _PairCache()
         #: Cached ``(mean_dbm, mean_mw)`` per (tx, rx) pair.
         self._mean_rx_cache = _PairCache()
-        #: Cached fully-composed rx power in mW (``per_link`` mode only).
-        self._link_rx_mw = _PairCache()
         #: ``per_frame`` mode: each link's not yet used shadowing draws as
-        #: linear ratios, next one last.  Semantic state like the draws of
-        #: ``per_link``, but never dropped: see the module docstring.
+        #: linear ratios, next one last.  Semantic state, not a perf
+        #: cache, and never dropped: see the module docstring.
         self._link_draws: Dict[Tuple[int, int], List[float]] = {}
         #: Counters for diagnostics and tests.
         self.frames_sent = 0
@@ -455,28 +438,15 @@ class Channel:
         """Number of attached radios (no copy)."""
         return len(self._radios_by_id)
 
-    def invalidate_link_shadowing(self, radio_id: int) -> int:
-        """Drop cached per-link shadowing draws involving ``radio_id``.
-
-        Only meaningful in ``per_link`` mode: a moved radio's old draws
-        describe paths that no longer exist.  Returns how many entries
-        were dropped.  The cache is indexed per radio, so this is
-        O(degree of the radio), not O(all cached links).
-        """
-        self._link_rx_mw.invalidate(radio_id)  # composed from the draws
-        return self._link_shadowing_db.invalidate(radio_id)
-
     def on_radio_moved(self, radio_id: int) -> None:
         """Invalidate everything position-dependent for ``radio_id``.
 
         Called by :meth:`repro.phy.radio.Radio.move_to`: drops the
-        radio's cached mean-power entries (they encode the old distance),
-        its per-link shadowing draws, and the composed per-link powers
-        derived from both, and rehashes it in the candidate grid.
+        radio's cached mean-power entries (they encode the old distance)
+        and rehashes it in the candidate grid.  Its links' shadowing
+        draws continue where they stopped.
         """
         self._mean_rx_cache.invalidate(radio_id)
-        self._link_shadowing_db.invalidate(radio_id)
-        self._link_rx_mw.invalidate(radio_id)
         if self._spatial is not None:
             radio = self._radios_by_id.get(radio_id)
             if radio is not None:  # detach scrubs the grid itself
@@ -487,14 +457,10 @@ class Channel:
         """Invalidate everything tx-power-dependent for ``radio_id``.
 
         Called by :meth:`repro.phy.radio.Radio.set_tx_power_dbm` (the
-        C-SR coordinated power capping).  Narrower than
-        :meth:`on_radio_moved`: mean powers and composed per-link powers
-        encode the old transmit power, but ``per_link`` shadowing draws
-        are a property of the *link*, not the power, and must survive —
-        redrawing them would silently change physics with the RNG.
+        C-SR coordinated power capping): the radio's cached mean powers
+        encode the old transmit power.  The grid position is unchanged.
         """
         self._mean_rx_cache.invalidate(radio_id)
-        self._link_rx_mw.invalidate(radio_id)
 
     @property
     def active_transmissions(self) -> List[Transmission]:
@@ -514,10 +480,10 @@ class Channel:
 
         :meth:`repro.net.network.Network.finalize` calls this once the
         topology is complete so the cell-size heuristic sees the full
-        extent and manifests/counters report the grid before traffic
-        starts.  Without it the first transmission builds the grid
-        lazily from whatever is attached at that point — still sound
-        (cell size is perf-only), possibly less well sized.
+        extent and the counters report the grid before traffic starts.
+        Without it the first transmission builds the grid lazily from
+        whatever is attached at that point — still sound (cell size is
+        perf-only), possibly less well sized.
         """
         return self._ensure_spatial()
 
@@ -533,7 +499,6 @@ class Channel:
             position = radio.position
             grid.add(radio.radio_id, position.x, position.y)
         self._spatial = grid
-        record_grid_built(grid.cell_size_m)
         return grid
 
     def _resolve_cell_size(self) -> float:
@@ -574,7 +539,6 @@ class Channel:
                 radius = self.propagation.reach_radius_m(
                     tx_power_dbm, self._weakest_threshold_dbm, self.cull_margin_db
                 )
-                record_reach_radius(radius)
             self._reach_memo[tx_power_dbm] = radius
         return radius
 
@@ -635,7 +599,6 @@ class Channel:
         self._active.append(tx)
         self.frames_sent += 1
         margin = self.cull_margin_db
-        latency = self.air_latency_ns
         candidates = self._spatial_candidates(sender)
         # The radios the grid skipped are exactly radios the cull test
         # below would have rejected, so they count as culled.
@@ -654,12 +617,11 @@ class Channel:
                     continue
             power_mw = self._received_power_mw(sender, radio, frame)
             tx.rx_power_mw[radio.radio_id] = power_mw
-            if latency:
-                receivers.append((radio, power_mw))
-            else:
-                radio.on_air_start(tx, power_mw)
+            receivers.append((radio, power_mw))
         if receivers:
-            self.sim.schedule(latency, self._deliver_air_start, tx, receivers)
+            self.sim.schedule(
+                AIR_LATENCY_NS, self._deliver_air_start, tx, receivers
+            )
         self.links_culled += culled
         if self.trace.wants("channel"):
             self.trace.record(
@@ -680,11 +642,8 @@ class Channel:
         self._active.remove(tx)
         if self.trace.wants("channel"):
             self.trace.record("channel", "tx-end", frame=tx.frame.describe())
-        latency = self.air_latency_ns
-        if not latency:
-            self._deliver_air_end(tx)
-        elif tx.rx_power_mw:
-            self.sim.schedule(latency, self._deliver_air_end, tx)
+        if tx.rx_power_mw:
+            self.sim.schedule(AIR_LATENCY_NS, self._deliver_air_end, tx)
         tx.sender.on_own_tx_end(tx)
 
     def _deliver_air_start(
@@ -738,30 +697,14 @@ class Channel:
         Composition per shadowing mode:
 
         * ``none`` — the linear mean, ``dbm_to_mw(mean_dbm)``.
-        * ``per_link`` — ``dbm_to_mw(mean_dbm + offset)``; the composed
-          value is constant per pair, so it is cached whole.
         * ``per_frame`` — ``mean_mw * db_to_ratio(offset)``: the cached
           linear mean times the link's next offset ratio (pre-converted
           in its draw block), one multiply per frame instead of a
           ``10 **`` of the recomposed dB sum.
         """
-        mean_dbm, mean_mw = self._mean_rx(sender, receiver)
-        mode = self.shadowing_mode
-        if mode == "none":
+        mean_mw = self._mean_rx(sender, receiver)[1]
+        if self.shadowing_mode == "none":
             return mean_mw
-        if mode == "per_link":
-            key = (sender.radio_id, receiver.radio_id)
-            rx_mw = self._link_rx_mw.get(key)
-            if rx_mw is not None:
-                return rx_mw
-            offset = self._link_shadowing_db.get(key)
-            if offset is None:
-                offset = self.propagation.shadowing_db(self._link_rng(key))
-                self._link_shadowing_db.put(key, offset)
-            rx_mw = dbm_to_mw(mean_dbm + offset)
-            self._link_rx_mw.put(key, rx_mw)
-            return rx_mw
-        # per_frame
         key = (sender.radio_id, receiver.radio_id)
         draws = self._link_draws.get(key)
         if not draws:

@@ -112,23 +112,6 @@ class LogNormalShadowing:
         """Expected received power (no shadowing draw) in dBm."""
         return tx_power_dbm - self.path_loss_db(distance_m)
 
-    def mean_rx_dbm_batch(
-        self, tx_power_dbm: float, distances_m: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`mean_rx_dbm` over an array of distances.
-
-        Uses ``numpy.log10``, which on SIMD-dispatched numpy builds can
-        differ from ``math.log10`` in the last ULP — so this helper
-        serves analytics and property tests, never the channel, whose
-        mean powers go through :meth:`mean_rx_dbm`.
-        """
-        d = np.maximum(np.asarray(distances_m, dtype=np.float64),
-                       self.reference_distance_m)
-        loss = self._reference_loss_db + 10.0 * self.alpha * np.log10(
-            d / self.reference_distance_m
-        )
-        return tx_power_dbm - loss
-
     def shadowing_db(self, rng: np.random.Generator) -> float:
         """One shadowing realization ``X_sigma`` in dB (0.0 when sigma is 0).
 

@@ -157,11 +157,12 @@ class Radio:
     def move_to(self, position: Point) -> None:
         """Update the radio's physical position (mobility support).
 
-        Cached position-dependent channel state involving this radio —
-        per-link shadowing draws and the deterministic path-loss cache
-        that drives below-floor culling — describes paths that no longer
-        exist, so it is dropped (via a per-radio index: O(degree), not
-        O(all links)).
+        The channel's cached mean powers involving this radio — the
+        deterministic path loss that drives below-floor culling —
+        describe paths that no longer exist, so they are dropped (via a
+        per-radio index: O(degree), not O(all links)), and the radio is
+        rehashed in the candidate grid.  Its links' shadowing draws
+        continue their streams where they stopped.
         """
         self.position = position
         self.channel.on_radio_moved(self.radio_id)
@@ -170,9 +171,9 @@ class Radio:
         """Change this radio's transmit power (C-SR power capping).
 
         Each radio owns its :class:`RadioConfig` instance, so the
-        mutation is node-local.  Cached channel state that encodes the
-        old power (mean rx powers, composed per-link powers) is
-        invalidated; per-link shadowing draws are untouched.
+        mutation is node-local.  The channel's cached mean rx powers,
+        which encode the old power, are invalidated; shadowing draws are
+        a property of the link and are untouched.
         No-op at the current power, so repeated caps/restores to the
         same value cost nothing.
         """

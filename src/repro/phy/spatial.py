@@ -160,74 +160,3 @@ class SpatialIndex:
     def occupancy(self) -> List[int]:
         """Member count of each non-empty cell (order unspecified)."""
         return [len(bucket) for bucket in self._cells.values()]
-
-
-# ----------------------------------------------------------------------
-# Process-level stats for run manifests (satellite: sweep attribution)
-# ----------------------------------------------------------------------
-class _Aggregate:
-    """Constant-memory min/max/sum/count over recorded samples."""
-
-    __slots__ = ("count", "total", "minimum", "maximum")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.minimum = inf
-        self.maximum = -inf
-
-    def record(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "min": self.minimum,
-            "max": self.maximum,
-            "mean": self.total / self.count,
-        }
-
-
-_cell_sizes = _Aggregate()
-_reach_radii = _Aggregate()
-
-
-def record_grid_built(cell_size_m: float) -> None:
-    """Channels report each grid they size; feeds the manifest block."""
-    _cell_sizes.record(cell_size_m)
-
-
-def record_reach_radius(radius_m: float) -> None:
-    """Channels report each distinct reach radius they resolve."""
-    _reach_radii.record(radius_m)
-
-
-def reset_spatial_stats() -> None:
-    """Forget recorded stats (test isolation)."""
-    global _cell_sizes, _reach_radii
-    _cell_sizes = _Aggregate()
-    _reach_radii = _Aggregate()
-
-
-def spatial_manifest_block() -> Dict[str, object]:
-    """The ``spatial`` block recorded in run manifests.
-
-    Reports cell-size / reach-radius aggregates of every grid built *in
-    this process* since the last reset (empty when none was).  Reach
-    radii are recorded only with culling on; with it off every query is
-    unbounded.  Sweep workers in a process pool size their own grids;
-    their stats are not shipped back to the parent — the block
-    attributes the parent-side configuration, and per-channel counters
-    (``channel/spatial_*``) carry the per-run detail.
-    """
-    block: Dict[str, object] = {}
-    if _cell_sizes.count:
-        block["cell_size_m"] = _cell_sizes.as_dict()
-    if _reach_radii.count:
-        block["reach_radius_m"] = _reach_radii.as_dict()
-    return block

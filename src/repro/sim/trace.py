@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import os
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 #: Environment knob: comma-separated trace categories to enable on the
 #: global recorder ("1" is shorthand for just ``sweep``).
@@ -47,25 +46,12 @@ class TraceRecorder:
 
     Recording is off unless categories are enabled, so the hot path costs a
     single set-membership test when tracing is unused.
-
-    ``max_events`` bounds memory on long runs: when set, the recorder
-    keeps only the newest ``max_events`` records (a ring buffer) and
-    counts what it evicted in :attr:`dropped_events`, so truncation is
-    always visible.  The default (``None``) keeps everything.
     """
 
-    def __init__(
-        self,
-        categories: Optional[List[str]] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        if max_events is not None and max_events < 1:
-            raise ValueError("max_events must be at least 1 (or None)")
+    def __init__(self, categories: Optional[List[str]] = None) -> None:
         self._enabled = set(categories or [])
-        self._max_events = max_events
-        self._events: Deque[TraceEvent] = deque(maxlen=max_events)
+        self._events: List[TraceEvent] = []
         self._clock: Callable[[], int] = lambda: 0
-        self.dropped_events = 0
 
     def bind_clock(self, clock: Callable[[], int]) -> None:
         """Attach the simulator clock used to timestamp records."""
@@ -79,25 +65,11 @@ class TraceRecorder:
         """True when ``category`` is being recorded (cheap guard for callers)."""
         return category in self._enabled
 
-    @property
-    def max_events(self) -> Optional[int]:
-        """The ring-buffer capacity, or None when unbounded."""
-        return self._max_events
-
-    def set_max_events(self, max_events: Optional[int]) -> None:
-        """Re-cap the buffer; the newest events survive a shrink."""
-        if max_events is not None and max_events < 1:
-            raise ValueError("max_events must be at least 1 (or None)")
-        kept = deque(self._events, maxlen=max_events)
-        self.dropped_events += len(self._events) - len(kept)
-        self._max_events = max_events
-        self._events = kept
-
     def record(self, category: str, name: str, **detail: Any) -> None:
         """Record one event if its category is enabled."""
         if category not in self._enabled:
             return
-        self._append(
+        self._events.append(
             TraceEvent(
                 time=self._clock(),
                 category=category,
@@ -105,11 +77,6 @@ class TraceRecorder:
                 detail=tuple(sorted(detail.items())),
             )
         )
-
-    def _append(self, event: TraceEvent) -> None:
-        if self._max_events is not None and len(self._events) == self._max_events:
-            self.dropped_events += 1  # deque evicts the oldest on append
-        self._events.append(event)
 
     def merge(self, events: Iterable[TraceEvent]) -> int:
         """Append already-recorded events (e.g. from a worker process).
@@ -119,11 +86,9 @@ class TraceRecorder:
         recorder configured identically in the worker.  Returns how many
         were merged.
         """
-        merged = 0
-        for event in events:
-            self._append(event)
-            merged += 1
-        return merged
+        before = len(self._events)
+        self._events.extend(events)
+        return len(self._events) - before
 
     def events(
         self, category: Optional[str] = None, name: Optional[str] = None
@@ -142,10 +107,14 @@ class TraceRecorder:
     def __len__(self) -> int:
         return len(self._events)
 
-    def counts(self) -> Dict[str, int]:
-        """Histogram of ``category/name`` occurrences."""
+    def counts(self, events: Optional[Iterable[TraceEvent]] = None) -> Dict[str, int]:
+        """Histogram of ``category/name`` occurrences in ``events``.
+
+        Counts every recorded event by default; pass a slice (e.g. the
+        events one sweep added) to count just those.
+        """
         hist: Dict[str, int] = {}
-        for event in self._events:
+        for event in self._events if events is None else events:
             key = f"{event.category}/{event.name}"
             hist[key] = hist.get(key, 0) + 1
         return hist

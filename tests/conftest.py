@@ -77,7 +77,6 @@ def build_phy_world(
     seed: int = 0,
     capture: bool = True,
     cull_margin_db=None,
-    air_latency_ns: int = 1_000,
 ) -> PhyWorld:
     """Create radios at ``positions`` with stub MACs on one channel."""
     sim = Simulator()
@@ -88,7 +87,6 @@ def build_phy_world(
         rngs=RngStreams(seed),
         shadowing_mode=shadowing_mode,
         cull_margin_db=cull_margin_db,
-        air_latency_ns=air_latency_ns,
     )
     radios, macs = [], []
     for i, (x, y) in enumerate(positions):

@@ -2,7 +2,7 @@
 
 Covers the channel hot-path overhaul:
 
-* margin resolution (explicit > ``REPRO_CULL_MARGIN_DB`` env > default);
+* margin resolution (explicit override > default);
 * the indexed pair cache that makes mobility invalidation O(degree);
 * culling behavior: skipped draws, skipped events, counters;
 * the mid-run-attach contract (no spurious ``on_air_end``);
@@ -20,7 +20,6 @@ from repro.experiments.params import testbed_params
 from repro.net.network import Network
 from repro.phy.channel import (
     CULL_DETERMINISTIC_MARGIN_DB,
-    CULL_MARGIN_ENV,
     CULL_SIGMA_FACTOR,
     _PairCache,
     resolve_cull_margin_db,
@@ -36,37 +35,24 @@ from tests.goldens import assert_baseline_matches, diff, run_scenario
 # Margin resolution
 # ----------------------------------------------------------------------
 class TestMarginResolution:
-    def test_default_is_six_sigma(self, monkeypatch):
-        monkeypatch.delenv(CULL_MARGIN_ENV, raising=False)
+    def test_default_is_six_sigma(self):
         assert resolve_cull_margin_db(5.0) == CULL_SIGMA_FACTOR * 5.0
 
-    def test_default_without_shadowing(self, monkeypatch):
-        monkeypatch.delenv(CULL_MARGIN_ENV, raising=False)
+    def test_default_without_shadowing(self):
         assert resolve_cull_margin_db(0.0) == CULL_DETERMINISTIC_MARGIN_DB
 
-    def test_env_knob_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(CULL_MARGIN_ENV, "12.5")
-        assert resolve_cull_margin_db(5.0) == 12.5
-
-    def test_env_off_disables(self, monkeypatch):
-        monkeypatch.setenv(CULL_MARGIN_ENV, "off")
-        assert resolve_cull_margin_db(5.0) is None
-        monkeypatch.setenv(CULL_MARGIN_ENV, "OFF")
-        assert resolve_cull_margin_db(0.0) is None
-
-    def test_explicit_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(CULL_MARGIN_ENV, "12.5")
+    def test_explicit_override_beats_default(self):
         assert resolve_cull_margin_db(5.0, 7.0) == 7.0
+        assert resolve_cull_margin_db(5.0, "12.5") == 12.5
         assert resolve_cull_margin_db(5.0, "off") is None
+        assert resolve_cull_margin_db(0.0, "OFF") is None
 
-    def test_negative_margin_disables(self, monkeypatch):
-        monkeypatch.delenv(CULL_MARGIN_ENV, raising=False)
+    def test_negative_margin_disables(self):
         assert resolve_cull_margin_db(5.0, -1.0) is None
 
-    def test_malformed_env_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(CULL_MARGIN_ENV, "lots")
+    def test_malformed_override_fails_loudly(self):
         with pytest.raises(ValueError):
-            resolve_cull_margin_db(5.0)
+            resolve_cull_margin_db(5.0, "lots")
 
 
 # ----------------------------------------------------------------------
@@ -147,14 +133,6 @@ class TestCulling:
         assert world.channel.links_culled == 0
         # Below the noise floor the frame is invisible, not "missed".
         assert world.radios[2].frames_missed == 0
-
-    def test_env_knob_reaches_channel(self, monkeypatch):
-        monkeypatch.setenv(CULL_MARGIN_ENV, "off")
-        world = build_phy_world([NEAR, FAR])
-        assert world.channel.cull_margin_db is None
-        monkeypatch.setenv(CULL_MARGIN_ENV, "40")
-        world = build_phy_world([NEAR, FAR])
-        assert world.channel.cull_margin_db == 40.0
 
     def test_counters_exposed(self):
         world = build_phy_world([NEAR, MID, FAR])
@@ -395,13 +373,6 @@ class TestSubstreamIsolation:
         )
         powers = _rx_sequence(world, 1)
         assert len(set(powers)) == len(powers)
-
-    def test_per_link_draw_is_stable(self):
-        world = build_phy_world(
-            [NEAR, MID], sigma_db=5.0, shadowing_mode="per_link", seed=11
-        )
-        powers = _rx_sequence(world, 1)
-        assert len(set(powers)) == 1
 
 
 # ----------------------------------------------------------------------

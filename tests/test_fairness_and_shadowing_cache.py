@@ -1,12 +1,9 @@
-"""Fairness reporting and per-link shadowing-cache invalidation."""
+"""Fairness reporting."""
 
 import pytest
 
 from repro.experiments.params import ns2_params
 from repro.net.network import Network
-from repro.util.geometry import Point
-
-from tests.conftest import build_phy_world
 
 
 class TestResultsFairness:
@@ -36,30 +33,3 @@ class TestResultsFairness:
         with pytest.raises(ValueError):
             results.fairness([])
 
-
-class TestShadowingCacheInvalidation:
-    def test_per_link_draw_refreshes_after_move(self):
-        world = build_phy_world([(0, 0), (20, 0)], sigma_db=6.0,
-                                shadowing_mode="per_link")
-        tx1 = world.radios[0].start_transmission(world.data_frame(0, 1))
-        world.sim.run()
-        before = tx1.rx_power_mw[1]
-        # Same position, no move: the draw is sticky.
-        tx2 = world.radios[0].start_transmission(world.data_frame(0, 1))
-        world.sim.run()
-        assert tx2.rx_power_mw[1] == before
-        # A move invalidates the cached draw (beyond the deterministic
-        # path-loss change, the shadowing realization itself refreshes).
-        world.radios[1].move_to(Point(20.0, 0.001))
-        tx3 = world.radios[0].start_transmission(world.data_frame(0, 1))
-        world.sim.run()
-        assert tx3.rx_power_mw[1] != before
-
-    def test_invalidation_counts_entries(self):
-        world = build_phy_world([(0, 0), (20, 0), (40, 0)], sigma_db=6.0,
-                                shadowing_mode="per_link")
-        world.radios[0].start_transmission(world.data_frame(0, 1))
-        world.sim.run()
-        # Draws exist for (0->1) and (0->2).
-        assert world.channel.invalidate_link_shadowing(0) == 2
-        assert world.channel.invalidate_link_shadowing(0) == 0

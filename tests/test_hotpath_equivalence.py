@@ -1,7 +1,7 @@
 """The frame hot path: caches against a from-scratch derivation.
 
-The channel caches linear-domain mean powers and composed per-link rx
-powers; the radio caches its in-air energy sum and per-rate
+The channel caches linear-domain mean powers and each link's block of
+shadowing ratios; the radio caches its in-air energy sum and per-rate
 sensitivity/SIR constants; ``PhyTiming`` memoizes airtimes.  The
 discipline is *cache, never re-derive*: every cached value comes from
 the exact expression a from-scratch derivation evaluates.  These tests
@@ -76,8 +76,8 @@ def _rx_powers(world, frames=4):
 def _derived_powers(world, seed, frames, offsets=None):
     """Frame-by-frame rx power at radio 1 from radio 0, derived from scratch.
 
-    ``offsets``: the ``per_link`` shadowing stream to continue, so a
-    test can follow one link across a move (a moved link redraws).
+    ``offsets``: the link's shadowing stream to continue, so a test can
+    follow one link across a move (a moved link continues its stream).
     """
     channel = world.channel
     sender, receiver = world.radios[0], world.radios[1]
@@ -88,9 +88,6 @@ def _derived_powers(world, seed, frames, offsets=None):
     mode = channel.shadowing_mode
     if mode == "none":
         return [{1: dbm_to_mw(mean_dbm)}] * frames
-    if mode == "per_link":
-        offset = channel.propagation.shadowing_db(offsets)
-        return [{1: dbm_to_mw(mean_dbm + offset)}] * frames
     return [
         {1: dbm_to_mw(mean_dbm) * db_to_ratio(channel.propagation.shadowing_db(offsets))}
         for _ in range(frames)
@@ -98,7 +95,7 @@ def _derived_powers(world, seed, frames, offsets=None):
 
 
 class TestPhyEquivalence:
-    @pytest.mark.parametrize("mode", ["none", "per_link", "per_frame"])
+    @pytest.mark.parametrize("mode", ["none", "per_frame"])
     def test_rx_power_identical_per_mode(self, mode):
         world = build_phy_world(
             [(0.0, 0.0), (10.0, 0.0)], sigma_db=5.0, shadowing_mode=mode, seed=11
@@ -109,13 +106,13 @@ class TestPhyEquivalence:
         world = build_phy_world(
             [(0.0, 0.0), (10.0, 0.0)],
             sigma_db=5.0,
-            shadowing_mode="per_link",
+            shadowing_mode="per_frame",
             seed=3,
         )
         offsets = RngStreams(3).substream("shadowing", 0, 0, 1)
         first = _rx_powers(world, frames=2)
         assert first == _derived_powers(world, 3, frames=2, offsets=offsets)
-        # The move drops the cached mean *and* the per-link draw: the
+        # The move drops the cached mean but not the link's draws: the
         # next frame sees the new distance and the link's next draw.
         world.radios[1].move_to(Point(25.0, 0.0))
         second = _rx_powers(world, frames=2)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import pickle
 
 import pytest
 
@@ -10,8 +11,7 @@ from repro.obs.trace_io import (
     TRACE_SCHEMA_VERSION,
     TraceSchemaError,
     dump_jsonl,
-    events_from_payload,
-    events_to_payload,
+    event_from_obj,
     load_jsonl,
 )
 from repro.sim.trace import TraceEvent, TraceRecorder
@@ -71,11 +71,11 @@ class TestRoundTrip:
         assert events == trace.events()
 
     def test_payload_round_trip(self):
+        # Pool workers ship their events home pickled, as TraceEvents.
         trace = make_recorder()
-        payload = events_to_payload(trace)
-        # Must survive JSON serialization (how workers would ship it).
-        restored = events_from_payload(json.loads(json.dumps(payload)))
+        restored = pickle.loads(pickle.dumps(trace.events()))
         assert restored == trace.events()
+        assert restored[0].get("key") == ("fig1", 3)
 
     def test_meta_cannot_shadow_reserved_keys(self, tmp_path):
         with pytest.raises(ValueError):
@@ -121,6 +121,6 @@ class TestSchemaValidation:
         with pytest.raises(TraceSchemaError, match="declares 2"):
             self.load_text(header + "\n" + line + "\n")
 
-    def test_events_from_payload_rejects_garbage(self):
+    def test_event_from_obj_rejects_garbage(self):
         with pytest.raises(TraceSchemaError):
-            events_from_payload([{"nope": 1}])
+            event_from_obj({"nope": 1})

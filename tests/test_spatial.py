@@ -17,8 +17,8 @@ The grid is the channel's only candidate generator.  Covered here:
 * the O(1) detach: removal preserves attach iteration order, re-attach
   appends;
 * copy discipline: ``Channel.radios`` copies, ``radios_view`` does not;
-* the ``spatial_*`` counters, the cull-margin knob, and the manifest
-  ``spatial`` block.
+* the ``spatial_*`` counters, the cull margin bounding the reach
+  radius, and the read-only ``spatial`` block of archived manifests.
 """
 
 import math
@@ -28,16 +28,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.obs.counters import CounterRegistry
 from repro.obs.manifest import RunManifest, build_manifest, validate_manifest
-from repro.phy.channel import CULL_MARGIN_ENV
 from repro.phy.propagation import REACH_RADIUS_SLACK, LogNormalShadowing
 from repro.phy.radio import Radio, RadioConfig
-from repro.phy.spatial import (
-    SpatialIndex,
-    record_grid_built,
-    record_reach_radius,
-    reset_spatial_stats,
-    spatial_manifest_block,
-)
+from repro.phy.spatial import SpatialIndex
 from repro.util.geometry import Point
 
 from tests.conftest import StubMac, build_phy_world
@@ -432,18 +425,11 @@ class TestChannelSpatial:
         # The grid-skipped radio is still charged as a culled link.
         assert counters["culled_links"] == 1
 
-    def test_env_knob_reaches_channel(self, monkeypatch):
-        # The cull margin is the candidate generator's only knob.
-        monkeypatch.setenv(CULL_MARGIN_ENV, "off")
-        world = build_phy_world([NEAR, MID, FAR])
+    def test_margin_bounds_reach_radius(self):
+        # The cull margin is the candidate generator's only setting.
+        world = build_phy_world([NEAR, MID, FAR], cull_margin_db="off")
         assert world.channel._reach_radius(20.0) == math.inf
-        monkeypatch.setenv(CULL_MARGIN_ENV, "40")
-        world = build_phy_world([NEAR, MID, FAR])
-        assert world.channel._reach_radius(20.0) < FAR[0]
-
-    def test_explicit_param_beats_knob(self, monkeypatch):
-        monkeypatch.setenv(CULL_MARGIN_ENV, "off")
-        world = build_phy_world([NEAR, MID, FAR], cull_margin_db=20.0)
+        world = build_phy_world([NEAR, MID, FAR], cull_margin_db=40.0)
         assert world.channel._reach_radius(20.0) < FAR[0]
 
     def test_inert_without_cull_margin(self):
@@ -519,69 +505,28 @@ class TestChannelSpatial:
 
 
 # ----------------------------------------------------------------------
-# Manifest spatial block (satellite)
+# The read-only manifest spatial block
 # ----------------------------------------------------------------------
 class TestManifestSpatialBlock:
-    def _manifest_kwargs(self, **extra):
-        base = dict(
+    def _manifest_kwargs(self):
+        return dict(
             label="t", tasks=[], jobs=1, wall_s=0.0, params={}, seeds=[],
             counters={}, trace_counts={},
         )
-        base.update(extra)
-        return base
-
-    def test_block_reports_grid_stats(self):
-        reset_spatial_stats()
-        try:
-            world = build_phy_world([NEAR, MID, FAR])
-            world.channel.prepare_spatial()
-            world.radios[0].start_transmission(world.data_frame(0, 1))
-            world.sim.run()
-            block = spatial_manifest_block()
-            assert block["cell_size_m"]["count"] == 1
-            assert block["cell_size_m"]["min"] > 0.0
-            assert block["reach_radius_m"]["count"] == 1
-            assert block["reach_radius_m"]["max"] > 0.0
-        finally:
-            reset_spatial_stats()
-
-    def test_block_minimal_when_nothing_built(self):
-        # The grid has no off state, so the block has no flag: it is
-        # empty until a grid is built.
-        reset_spatial_stats()
-        assert spatial_manifest_block() == {}
-        world = build_phy_world([NEAR, MID], cull_margin_db="off")
-        world.channel.prepare_spatial()
-        try:
-            block = spatial_manifest_block()
-            assert block["cell_size_m"]["count"] == 1
-            assert "reach_radius_m" not in block  # unbounded: not recorded
-        finally:
-            reset_spatial_stats()
-
-    def test_aggregate_folds_samples(self):
-        reset_spatial_stats()
-        try:
-            record_grid_built(10.0)
-            record_grid_built(30.0)
-            record_reach_radius(250.0)
-            block = spatial_manifest_block()
-            assert block["cell_size_m"] == {
-                "count": 2, "min": 10.0, "max": 30.0, "mean": 20.0,
-            }
-            assert block["reach_radius_m"]["count"] == 1
-        finally:
-            reset_spatial_stats()
 
     def test_manifest_roundtrip_with_spatial(self):
-        manifest = build_manifest(
-            **self._manifest_kwargs(),
-            spatial={"cell_size_m": {"count": 1}},
-        )
-        payload = manifest.to_dict()
+        # Nothing writes the block any more; archived manifests that
+        # carry one still load it.
+        payload = build_manifest(**self._manifest_kwargs()).to_dict()
+        assert payload["spatial"] is None
+        block = {
+            "cell_size_m": {"count": 1, "min": 30.0, "max": 30.0, "mean": 30.0},
+            "reach_radius_m": {"count": 1, "min": 250.0, "max": 250.0, "mean": 250.0},
+        }
+        payload["spatial"] = block
         validate_manifest(payload)
         loaded = RunManifest.from_dict(payload)
-        assert loaded.spatial == {"cell_size_m": {"count": 1}}
+        assert loaded.spatial == block
 
     def test_old_manifests_still_validate(self):
         # Archived manifests predate the spatial field entirely.

@@ -1,7 +1,5 @@
 """The trace recorder."""
 
-import pytest
-
 from repro.sim.trace import TRACE_ENV, TraceEvent, TraceRecorder, configure_from_env
 
 
@@ -58,6 +56,15 @@ class TestTraceRecorder:
         trace.record("a", "y")
         assert trace.counts() == {"a/x": 2, "a/y": 1}
 
+    def test_counts_of_a_slice(self):
+        trace = TraceRecorder(["a"])
+        trace.record("a", "x")
+        base = len(trace)
+        trace.record("a", "x")
+        trace.record("a", "y")
+        assert trace.counts(trace.events()[base:]) == {"a/x": 1, "a/y": 1}
+        assert trace.counts([]) == {}
+
     def test_empty_recorder_is_falsy_but_usable(self):
         # Regression guard: constructors must not use "trace or default()"
         # because an empty recorder has len() == 0.
@@ -68,53 +75,15 @@ class TestTraceRecorder:
 
 
 class TestRingBuffer:
+    """There is no ring buffer: a baseline index into the recorder stays
+    valid, so the slice from it is exactly what came after."""
+
     def test_unbounded_by_default(self):
         trace = TraceRecorder(["a"])
-        assert trace.max_events is None
         for i in range(1000):
             trace.record("a", "x", i=i)
         assert len(trace) == 1000
-        assert trace.dropped_events == 0
-
-    def test_cap_evicts_oldest_and_counts_drops(self):
-        # Regression: _events grew without bound; the cap must keep the
-        # newest records and make the truncation visible.
-        trace = TraceRecorder(["a"], max_events=3)
-        for i in range(5):
-            trace.record("a", "x", i=i)
-        assert len(trace) == 3
-        assert trace.dropped_events == 2
-        assert [e.get("i") for e in trace.events()] == [2, 3, 4]
-
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ValueError):
-            TraceRecorder(max_events=0)
-        with pytest.raises(ValueError):
-            TraceRecorder().set_max_events(-1)
-
-    def test_shrink_counts_dropped(self):
-        trace = TraceRecorder(["a"])
-        for i in range(5):
-            trace.record("a", "x", i=i)
-        trace.set_max_events(2)
-        assert len(trace) == 2
-        assert trace.dropped_events == 3
-        assert [e.get("i") for e in trace.events()] == [3, 4]
-
-    def test_grow_and_uncap_keep_events(self):
-        trace = TraceRecorder(["a"], max_events=2)
-        trace.record("a", "x")
-        trace.set_max_events(None)
-        assert trace.max_events is None
-        assert len(trace) == 1
-        assert trace.dropped_events == 0
-
-    def test_counts_reflect_only_retained_events(self):
-        trace = TraceRecorder(["a"], max_events=2)
-        trace.record("a", "old")
-        trace.record("a", "new")
-        trace.record("a", "new")
-        assert trace.counts() == {"a/new": 2}
+        assert [e.get("i") for e in trace.events()[990:]] == list(range(990, 1000))
 
 
 class TestMerge:
@@ -126,14 +95,6 @@ class TestMerge:
         assert parent.merge(events) == 1
         assert parent.events()[0].time == 7
         assert parent.events()[0].category == "sweep"
-
-    def test_merge_respects_ring_cap(self):
-        parent = TraceRecorder(max_events=2)
-        events = [TraceEvent(time=t, category="s", name="e") for t in range(4)]
-        assert parent.merge(events) == 4
-        assert len(parent) == 2
-        assert parent.dropped_events == 2
-        assert [e.time for e in parent.events()] == [2, 3]
 
 
 class TestConfigureFromEnv:

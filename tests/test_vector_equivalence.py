@@ -113,13 +113,7 @@ class ReferenceMedium:
     def __init__(self, world, seed):
         self.channel = world.channel
         self.rngs = RngStreams(seed)
-        self.link_offsets = {}
         self.culled = 0
-
-    def forget(self, radio_id):
-        """A moved or detached radio's ``per_link`` draws are redrawn."""
-        for key in [k for k in self.link_offsets if radio_id in k]:
-            del self.link_offsets[key]
 
     def frame(self, sender):
         channel = self.channel
@@ -144,10 +138,6 @@ class ReferenceMedium:
             stream = self.rngs.substream("shadowing", channel.band, *key)
             if channel.shadowing_mode == "none":
                 power = dbm_to_mw(mean_dbm)
-            elif channel.shadowing_mode == "per_link":
-                if key not in self.link_offsets:
-                    self.link_offsets[key] = propagation.shadowing_db(stream)
-                power = dbm_to_mw(mean_dbm + self.link_offsets[key])
             else:
                 power = dbm_to_mw(mean_dbm) * db_to_ratio(
                     propagation.shadowing_db(stream)
@@ -204,7 +194,7 @@ class TestDifferentialHarness:
         positions=_placement,
         seed=st.integers(min_value=0, max_value=2**16),
         sigma_db=st.sampled_from([0.0, 4.0]),
-        mode=st.sampled_from(["per_frame", "per_link", "none"]),
+        mode=st.sampled_from(["per_frame", "none"]),
     )
     def test_random_topologies_agree(self, positions, seed, sigma_db, mode):
         world = build_phy_world(
@@ -225,20 +215,6 @@ class TestDifferentialHarness:
             )
             _drive(world, reference=ReferenceMedium(world, seed))
 
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**16))
-    def test_zero_latency_inline_delivery_agrees(self, seed):
-        # Inline delivery (zero air latency) and one coalesced event per
-        # frame edge (the default) give the same observables when frames
-        # do not overlap.
-        positions = [(0.0, 0.0), (12.0, 0.0), (40.0, 5.0)]
-        kwargs = dict(sigma_db=4.0, shadowing_mode="per_frame", seed=seed)
-        inline = build_phy_world(positions, air_latency_ns=0, **kwargs)
-        delayed = build_phy_world(positions, **kwargs)
-        assert _drive(inline, reference=ReferenceMedium(inline, seed)) == _drive(
-            delayed
-        )
-
 
 # ----------------------------------------------------------------------
 # Culling, mobility, and the attach/detach contracts
@@ -258,25 +234,25 @@ class TestVectorChannelContracts:
         assert culled[1] == exhaustive[1]
 
     def test_mobility_invalidates_rows(self):
-        world = build_phy_world([NEAR, MID, FAR], shadowing_mode="per_link",
+        # The move drops the radio's mean powers; its links' draw
+        # streams continue where they stopped.
+        world = build_phy_world([NEAR, MID, FAR], shadowing_mode="per_frame",
                                 sigma_db=4.0, seed=5)
         reference = ReferenceMedium(world, 5)
         first = _drive(world, rounds=1, reference=reference)
         world.radios[2].move_to(Point(20.0, 0.0))
-        reference.forget(2)
         second = _drive(world, rounds=1, reference=reference)
         assert 2 not in first[0][0] and 2 in second[0][0]
 
-    @pytest.mark.parametrize("mode", ["per_link", "per_frame"])
+    @pytest.mark.parametrize("mode", ["per_frame"])
     def test_detach_reattach_matches_scalar(self, mode):
-        # per_frame: a re-attached radio's links continue their streams.
+        # A re-attached radio's links continue their streams.
         world = build_phy_world([NEAR, MID, (30.0, 0.0)], shadowing_mode=mode,
                                 sigma_db=4.0, seed=6)
         reference = ReferenceMedium(world, 6)
         _drive(world, rounds=1, reference=reference)
         victim = world.radios[2]
         world.channel.detach(victim)
-        reference.forget(2)
         gone = _drive(world, rounds=1, reference=reference)
         world.channel.attach(victim)
         back = _drive(world, rounds=1, reference=reference)

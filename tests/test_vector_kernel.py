@@ -1,28 +1,20 @@
-"""Property tests for the numpy batch kernels and the exact scalar helpers.
+"""Property tests for the exact scalar helpers.
 
-* exact helpers — dB↔ratio conversions via python pow/log, the
-  per-rate sensitivity and SIR constants on ``Rate``, the radio's decode / SIR /
-  capture decisions, link seed derivation — must agree **bit for bit**
-  with the plain expressions that define them;
-* transcendental batch helpers (``mean_rx_dbm_batch``, ``prr_batch``,
-  ``carrier_sense_miss_batch``) go through numpy/scipy SIMD code and
-  are pinned at ``allclose`` precision against their scalar loops plus
-  their analytic shape (monotonicity, step behavior at sigma = 0,
-  domain errors).
+dB↔ratio conversions via python pow/log, the per-rate sensitivity and
+SIR constants on ``Rate``, the radio's decode / SIR / capture decisions
+and link seed derivation must agree **bit for bit** with the plain
+expressions that define them.
 """
 
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mac.frames import Frame, FrameType
 from repro.phy.channel import Transmission
-from repro.phy.propagation import LogNormalShadowing
-from repro.phy.prr import PrrModel, _standard_normal_cdf
 from repro.phy.radio import Radio, RadioConfig, _ReceptionLock
 from repro.experiments.params import ns2_params
 from repro.phy.rates import OFDM_RATES, Rate
@@ -36,8 +28,6 @@ _db = st.floats(min_value=-200.0, max_value=200.0,
                 allow_nan=False, allow_infinity=False)
 _mw = st.floats(min_value=1e-15, max_value=1e6,
                 allow_nan=False, allow_infinity=False)
-_distance = st.floats(min_value=0.5, max_value=10_000.0,
-                      allow_nan=False, allow_infinity=False)
 
 
 # ----------------------------------------------------------------------
@@ -208,87 +198,3 @@ class TestDecisionMasks:
             radio.on_air_end(first)
             radio.on_air_end(second)
 
-
-# ----------------------------------------------------------------------
-# Analytics batch helpers (allclose vs scalar loops)
-# ----------------------------------------------------------------------
-def _model(sigma_db):
-    return PrrModel(
-        propagation=LogNormalShadowing(alpha=3.3, sigma_db=sigma_db),
-        t_sir_db=10.0,
-    )
-
-
-class TestAnalyticsBatches:
-    @given(
-        d=st.lists(_distance, min_size=1, max_size=16),
-        r=st.lists(_distance, min_size=1, max_size=16),
-        sigma=st.sampled_from([0.0, 4.0, 8.0]),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_prr_batch_matches_scalar_loop(self, d, r, sigma):
-        n = min(len(d), len(r))
-        d, r = d[:n], r[:n]
-        model = _model(sigma)
-        batch = model.prr_batch(d, r)
-        scalar = [model.prr(di, ri) for di, ri in zip(d, r)]
-        assert np.allclose(batch, scalar, rtol=1e-12, atol=1e-12)
-        assert bool(np.all((batch >= 0.0) & (batch <= 1.0)))
-
-    def test_prr_monotone_in_interferer_distance(self):
-        # A farther interferer can only help reception (paper eq. 3).
-        model = _model(4.0)
-        d = np.full(50, 30.0)
-        r = np.linspace(10.0, 500.0, 50)
-        prr = model.prr_batch(d, r)
-        assert bool(np.all(np.diff(prr) >= 0.0))
-
-    def test_prr_sigma_zero_is_step(self):
-        model = _model(0.0)
-        assert model.prr_batch([10.0], [1_000.0])[0] == 1.0
-        assert model.prr_batch([1_000.0], [10.0])[0] == 0.0
-
-    @given(
-        r=st.lists(_distance, min_size=1, max_size=16),
-        sigma=st.sampled_from([0.0, 4.0, 8.0]),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_cs_miss_batch_matches_scalar_loop(self, r, sigma):
-        model = _model(sigma)
-        batch = model.carrier_sense_miss_batch(r, 20.0, -80.0)
-        scalar = [
-            model.carrier_sense_miss_probability(ri, 20.0, -80.0) for ri in r
-        ]
-        assert np.allclose(batch, scalar, rtol=1e-12, atol=1e-12)
-
-    def test_cs_miss_monotone_in_distance(self):
-        model = _model(4.0)
-        r = np.linspace(10.0, 2_000.0, 50)
-        miss = model.carrier_sense_miss_batch(r, 20.0, -80.0)
-        assert bool(np.all(np.diff(miss) >= 0.0))
-
-    @pytest.mark.parametrize("bad", [[0.0], [-5.0], [10.0, 0.0]])
-    def test_batches_reject_non_positive_distances(self, bad):
-        model = _model(4.0)
-        with pytest.raises(ValueError):
-            model.prr_batch(bad, [10.0] * len(bad))
-        with pytest.raises(ValueError):
-            model.prr_batch([10.0] * len(bad), bad)
-        with pytest.raises(ValueError):
-            model.carrier_sense_miss_batch(bad, 20.0, -80.0)
-
-    @given(d=st.lists(_distance, min_size=1, max_size=16))
-    @settings(max_examples=40, deadline=None)
-    def test_mean_rx_batch_matches_scalar(self, d):
-        prop = LogNormalShadowing(alpha=3.3, sigma_db=4.0)
-        batch = prop.mean_rx_dbm_batch(20.0, np.asarray(d))
-        scalar = [prop.mean_rx_dbm(20.0, di) for di in d]
-        assert np.allclose(batch, scalar, rtol=1e-12, atol=1e-12)
-
-    def test_phi_batch_matches_scalar_phi(self):
-        x = np.linspace(-6.0, 6.0, 201)
-        from repro.phy.prr import _standard_normal_cdf_batch
-
-        batch = _standard_normal_cdf_batch(x)
-        scalar = [_standard_normal_cdf(xi) for xi in x]
-        assert np.allclose(batch, scalar, rtol=1e-13, atol=1e-15)

@@ -198,8 +198,6 @@ def check_resume(args: argparse.Namespace, problems: List[str]) -> str:
     if left:
         problems.append(f"pool workers {left} outlived the killed sweep")
 
-    # Count from zero, as the baseline did: hits replay their deltas.
-    global_registry().clear()
     with obs_manifest.manifest_sink(args.out):
         run_tasks(
             tasks, jobs=1, cache=ResultCache(store), label="resume_smoke",
