@@ -40,19 +40,18 @@ where they stopped, as if every draw had been taken one at a time.
 Below-floor interference culling
 --------------------------------
 
-For every (sender, receiver) pair the channel caches the deterministic
-mean received power (path loss only — invalidated per radio on
-:meth:`repro.phy.radio.Radio.move_to`).  When that mean sits more than
+For every (sender, receiver) pair the channel derives the deterministic
+mean received power (path loss only).  When that mean sits more than
 ``cull_margin_db`` below **both** the receiver's noise floor and its
-carrier-sense threshold, the receiver is skipped entirely for that
-frame: no shadowing draw, no ``rx_power_mw`` entry, and neither the
-``on_air_start`` nor the ``on_air_end`` notification.  The margin
-defaults to 6σ of the shadowing model (20 dB when σ = 0); the
+carrier-sense threshold, the receiver is skipped entirely for the
+sender's frames: no shadowing draw, no ``rx_power_mw`` entry, and
+neither the ``on_air_start`` nor the ``on_air_end`` notification.  The
+margin defaults to 6σ of the shadowing model (20 dB when σ = 0); the
 ``cull_margin_db`` argument (``ScenarioParams.cull_margin_db``) sets it
 explicitly, and ``"off"`` disables culling — the reference the
 equivalence tests compare against.  Culled notifications are counted in
-the ``channel/culled_links`` counter.  The margin is the channel's only
-execution setting.
+the ``channel/culled_links`` counter, per frame.  The margin is the
+channel's only execution setting.
 
 Candidate generation
 --------------------
@@ -66,38 +65,49 @@ threshold ever attached to the band, and the culling margin.  Every
 radio the grid skips would have failed the cull test, and every
 candidate still runs the exact cull test; grid skips are charged to
 ``channel/culled_links`` so the counter equals a full sweep's.
-Candidates are sorted into attach order before delivery, which keeps
-the notification order of a sweep over every attached radio.  With
-culling off the reach radius is infinite and the grid returns every
-attached radio.  The weakest threshold is never relaxed on detach (a
-stale, lower value only enlarges the radius — sound, and it keeps
-detach O(1)); per-radio configs are assumed fixed after attach, except
-transmit power, which enters per-sender radii at query time.
+Candidates are sorted into attach order, which keeps the notification
+order of a sweep over every attached radio.  With culling off the reach
+radius is infinite and the grid returns every attached radio.  The
+weakest threshold is never relaxed on detach (a stale, lower value only
+enlarges the radius — sound, and it keeps detach O(1)).
 
-Linear-domain power caches and coalesced notifications
-------------------------------------------------------
+Receiver tables
+---------------
 
-Surviving (sender, receiver) notifications dominate dense topologies
-where nothing can be culled.  The pair cache therefore stores the
-**linear-domain (mW)** mean power alongside the dB value, and per-frame
-shadowing composes as a single multiply
-(``mean_mw * db_to_ratio(offset)``).  The discipline is *cache, never
-re-derive*: every cached value is produced by exactly the expression a
-from-scratch derivation evaluates, so caching cannot change a result
-(``tests/test_hotpath_equivalence.py`` checks the channel against such
-a derivation).
+What a sender's frame reaches changes only when a radio attaches,
+detaches, moves or changes its transmit power, so the channel runs the
+grid query and the cull test once per such change, not once per frame.
+Each sender has a receiver table, built at its first frame and kept
+until invalidated: its cull survivors in attach order, each with the
+link's linear mean power and its shadowing draw block, plus the counts
+one frame adds to ``culled_links`` and ``spatial_skipped``.  A frame is
+then a walk over the table: one draw, one multiply and one dict store
+per receiver.  Attach, detach and any move drop every table;
+:meth:`repro.phy.radio.Radio.set_tx_power_dbm` drops only that
+sender's.  Receiver thresholds never invalidate a table: radio configs
+other than transmit power are fixed after attach (the radio itself
+reads them once, at construction).
+
+The discipline is *cache, never re-derive*: a table holds exactly the
+values the per-frame derivation would compute — the mean as
+``dbm_to_mw(mean_rx_dbm(...))``, each frame's power as ``mean_mw *
+db_to_ratio(offset)`` — so no result depends on when a table was built
+(``tests/test_hotpath_equivalence.py`` rebuilds on every frame and
+checks the goldens).
 
 A frame's per-receiver ``on_air_start`` (and ``on_air_end``)
 notifications all share one timestamp, so one engine event per frame
 edge delivers them all, in attach order: 4 events per frame instead of
-``2N + 2``.
+``2N + 2``.  Both edges go only to the radios still keyed in the
+frame's ``rx_power_mw``, which a detach scrubs: a radio that leaves and
+re-joins while a frame is on the air hears neither edge of that frame.
 """
 
 from __future__ import annotations
 
 import math
 from typing import (
-    TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple, Union, ValuesView,
+    TYPE_CHECKING, Dict, List, Optional, Tuple, Union, ValuesView,
 )
 
 from repro.phy.propagation import LogNormalShadowing
@@ -161,54 +171,27 @@ def resolve_cull_margin_db(
     return None if margin < 0.0 else margin
 
 
-class _PairCache:
-    """``(tx_id, rx_id) -> value`` cache with O(degree) invalidation.
+class _ReceiverTable:
+    """One sender's receivers, valid until the next topology or power change.
 
-    Values are floats or small tuples of floats — the mean-power cache
-    stores ``(dbm, mw)`` so the linear-domain conversion is computed
-    once per pair rather than once per frame.
-
-    A secondary index maps each radio id to the set of cached keys it
-    participates in, so :meth:`invalidate` (called on every
-    ``Radio.move_to``) touches only that radio's links instead of
-    scanning the whole table — mobility ticks stay O(N) rather than
-    degrading quadratically with the link count.
+    ``entries`` holds ``(radio_id, mean_mw, draws)`` per cull survivor,
+    in attach order: the link's linear mean power and its shadowing draw
+    block (the list kept in ``Channel._link_draws``, refilled in place;
+    ``None`` without shadowing).  ``culled`` is what each frame adds to
+    ``links_culled``, ``skipped`` the part of it the grid never visited.
     """
 
-    __slots__ = ("_values", "_by_radio")
+    __slots__ = ("entries", "culled", "skipped")
 
-    def __init__(self) -> None:
-        self._values: Dict[Tuple[int, int], Any] = {}
-        self._by_radio: Dict[int, Set[Tuple[int, int]]] = {}
-
-    def get(self, key: Tuple[int, int]) -> Optional[Any]:
-        return self._values.get(key)
-
-    def put(self, key: Tuple[int, int], value: Any) -> None:
-        self._values[key] = value
-        for radio_id in key:
-            self._by_radio.setdefault(radio_id, set()).add(key)
-
-    def invalidate(self, radio_id: int) -> int:
-        """Drop every cached entry involving ``radio_id``; returns the count."""
-        keys = self._by_radio.pop(radio_id, None)
-        if not keys:
-            return 0
-        dropped = 0
-        for key in keys:
-            if self._values.pop(key, None) is not None:
-                dropped += 1
-            for other in key:
-                if other != radio_id:
-                    peers = self._by_radio.get(other)
-                    if peers is not None:
-                        peers.discard(key)
-                        if not peers:
-                            del self._by_radio[other]
-        return dropped
-
-    def __len__(self) -> int:
-        return len(self._values)
+    def __init__(
+        self,
+        entries: List[Tuple[int, float, Optional[List[float]]]],
+        culled: int,
+        skipped: int,
+    ) -> None:
+        self.entries = entries
+        self.culled = culled
+        self.skipped = skipped
 
 
 class Transmission:
@@ -304,8 +287,9 @@ class Channel:
         self.spatial_candidates = 0
         self.spatial_skipped = 0
         self._registry = None
-        #: Cached ``(mean_dbm, mean_mw)`` per (tx, rx) pair.
-        self._mean_rx_cache = _PairCache()
+        #: Receiver table per sender id; dropped on topology and power
+        #: changes (see the module docstring).
+        self._tables: Dict[int, _ReceiverTable] = {}
         #: ``per_frame`` mode: each link's not yet used shadowing draws as
         #: linear ratios, next one last.  Semantic state, not a perf
         #: cache, and never dropped: see the module docstring.
@@ -343,12 +327,13 @@ class Channel:
             "cull_margin_db": (
                 self.cull_margin_db if self.cull_margin_db is not None else -1.0
             ),
-            # Candidate-grid activity, one query per frame: candidates =
-            # radios the queries returned (after sender exclusion),
-            # skipped = attached radios the queries never visited.  Every
-            # skipped radio is a link the cull test would have rejected,
-            # and skips are charged into ``culled_links`` too, so that
-            # counter equals a full sweep's.
+            # Candidate-grid activity.  One query per receiver-table
+            # build: candidates = radios the queries returned (after
+            # sender exclusion).  Per frame: skipped = attached radios
+            # the frame's table never visited.  Every skipped radio is a
+            # link the cull test would have rejected, and skips are
+            # charged into ``culled_links`` too, so that counter equals a
+            # full sweep's.
             "spatial_queries": self.spatial_queries,
             "spatial_candidates": self.spatial_candidates,
             "spatial_skipped": self.spatial_skipped,
@@ -363,16 +348,18 @@ class Channel:
         """Register a radio with the medium.
 
         Mid-run attach contract: a radio attached while transmissions are
-        in flight does **not** observe them — it receives no retroactive
-        ``on_air_start`` (its CCA never saw the frame begin) and, because
-        end-of-air is delivered only to radios keyed in the transmission's
-        ``rx_power_mw``, no spurious ``on_air_end`` either.  It starts
+        in flight does **not** observe them.  Both air edges are delivered
+        only to radios keyed in the transmission's ``rx_power_mw``, so it
+        receives no retroactive ``on_air_start`` (its CCA never saw the
+        frame begin) and no spurious ``on_air_end`` — also when it left
+        and re-joined within a frame's air latency.  It starts
         participating with the first transmission that begins after the
         attach.
         """
         if radio.radio_id in self._radios_by_id:
             raise ValueError(f"duplicate radio id {radio.radio_id}")
         self._radios_by_id[radio.radio_id] = radio
+        self._tables.clear()  # every sender may reach the newcomer
         self._attach_seq[radio.radio_id] = self._next_attach_seq
         self._next_attach_seq += 1
         config = radio.config
@@ -394,8 +381,8 @@ class Channel:
         scrubbed from every in-flight transmission's observer set, so it
         will never receive an ``on_air_end`` for a frame it stopped
         listening to — nor any notification for frames that start after
-        the detach.  Position-dependent caches involving the radio are
-        dropped (it may re-attach somewhere else).  The radio's own
+        the detach.  Every receiver table is dropped (it may re-attach
+        somewhere else).  The radio's own
         :meth:`repro.phy.radio.Radio.on_detached` resets its reception
         state (in-air frames, CCA, lock).
         """
@@ -411,7 +398,7 @@ class Channel:
             self._spatial.remove(radio.radio_id)
         for tx in self._active:
             tx.rx_power_mw.pop(radio.radio_id, None)
-        self.on_radio_moved(radio.radio_id)
+        self._tables.clear()
         radio.on_detached()
 
     @property
@@ -441,12 +428,12 @@ class Channel:
     def on_radio_moved(self, radio_id: int) -> None:
         """Invalidate everything position-dependent for ``radio_id``.
 
-        Called by :meth:`repro.phy.radio.Radio.move_to`: drops the
-        radio's cached mean-power entries (they encode the old distance)
+        Called by :meth:`repro.phy.radio.Radio.move_to`: drops every
+        receiver table (the radio's distance to every sender changed)
         and rehashes it in the candidate grid.  Its links' shadowing
         draws continue where they stopped.
         """
-        self._mean_rx_cache.invalidate(radio_id)
+        self._tables.clear()
         if self._spatial is not None:
             radio = self._radios_by_id.get(radio_id)
             if radio is not None:  # detach scrubs the grid itself
@@ -457,10 +444,11 @@ class Channel:
         """Invalidate everything tx-power-dependent for ``radio_id``.
 
         Called by :meth:`repro.phy.radio.Radio.set_tx_power_dbm` (the
-        C-SR coordinated power capping): the radio's cached mean powers
-        encode the old transmit power.  The grid position is unchanged.
+        C-SR coordinated power capping): drops the radio's own receiver
+        table, whose means and reach encode the old transmit power.
+        Other senders' tables and the grid position are unchanged.
         """
-        self._mean_rx_cache.invalidate(radio_id)
+        self._tables.pop(radio_id, None)
 
     @property
     def active_transmissions(self) -> List[Transmission]:
@@ -543,7 +531,7 @@ class Channel:
         return radius
 
     def _spatial_candidates(self, sender: "Radio") -> List["Radio"]:
-        """Candidate receivers for one frame, in attach order.
+        """Candidate receivers for one receiver-table build, in attach order.
 
         A provable superset of the cull survivors (every skipped radio
         fails ``mean + margin >= min(noise, T_cs)``); the caller still
@@ -598,30 +586,20 @@ class Channel:
         tx = Transmission(frame, sender, self.sim.now, self.sim.now + duration)
         self._active.append(tx)
         self.frames_sent += 1
-        margin = self.cull_margin_db
-        candidates = self._spatial_candidates(sender)
-        # The radios the grid skipped are exactly radios the cull test
-        # below would have rejected, so they count as culled.
-        culled = len(self._radios_by_id) - 1 - len(candidates)
-        self.spatial_skipped += culled
-        receivers: List[Tuple["Radio", float]] = []
-        for radio in candidates:
-            if margin is not None:
-                mean_dbm = self._mean_rx(sender, radio)[0]
-                config = radio.config
-                if (
-                    mean_dbm + margin < config.noise_floor_dbm
-                    and mean_dbm + margin < config.cs_threshold_dbm
-                ):
-                    culled += 1
-                    continue
-            power_mw = self._received_power_mw(sender, radio, frame)
-            tx.rx_power_mw[radio.radio_id] = power_mw
-            receivers.append((radio, power_mw))
-        if receivers:
-            self.sim.schedule(
-                AIR_LATENCY_NS, self._deliver_air_start, tx, receivers
-            )
+        table = self._tables.get(sender.radio_id) or self._build_table(sender)
+        rx_power_mw = tx.rx_power_mw
+        if self.shadowing_mode == "none":
+            for radio_id, mean_mw, _ in table.entries:
+                rx_power_mw[radio_id] = mean_mw
+        else:
+            for radio_id, mean_mw, draws in table.entries:
+                if not draws:
+                    self._fill_draws((sender.radio_id, radio_id), draws)
+                rx_power_mw[radio_id] = mean_mw * draws.pop()
+        if rx_power_mw:
+            self.sim.schedule(AIR_LATENCY_NS, self._deliver_air_start, tx)
+        culled = table.culled
+        self.spatial_skipped += table.skipped
         self.links_culled += culled
         if self.trace.wants("channel"):
             self.trace.record(
@@ -631,13 +609,51 @@ class Channel:
         self.sim.schedule(duration, self._end_transmission, tx)
         return tx
 
+    def _build_table(self, sender: "Radio") -> _ReceiverTable:
+        """Derive ``sender``'s receiver table and keep it until invalidated.
+
+        The one grid query and cull test per table: each candidate's
+        mean is ``mean_rx_dbm`` at the current distance and transmit
+        power, tested against the receiver's thresholds and stored as
+        ``dbm_to_mw`` of it.
+        """
+        candidates = self._spatial_candidates(sender)
+        # The radios the grid skipped are exactly radios the cull test
+        # below would have rejected, so they count as culled.
+        skipped = len(self._radios_by_id) - 1 - len(candidates)
+        culled = skipped
+        margin = self.cull_margin_db
+        mean_rx_dbm = self.propagation.mean_rx_dbm
+        tx_power_dbm = sender.config.tx_power_dbm
+        position = sender.position
+        sender_id = sender.radio_id
+        link_draws = self._link_draws if self.shadowing_mode == "per_frame" else None
+        entries = []
+        for radio in candidates:
+            mean_dbm = mean_rx_dbm(tx_power_dbm, position.distance_to(radio.position))
+            if margin is not None:
+                config = radio.config
+                if (
+                    mean_dbm + margin < config.noise_floor_dbm
+                    and mean_dbm + margin < config.cs_threshold_dbm
+                ):
+                    culled += 1
+                    continue
+            radio_id = radio.radio_id
+            draws = None
+            if link_draws is not None:
+                draws = link_draws.setdefault((sender_id, radio_id), [])
+            entries.append((radio_id, dbm_to_mw(mean_dbm), draws))
+        table = self._tables[sender_id] = _ReceiverTable(entries, culled, skipped)
+        return table
+
     def _end_transmission(self, tx: Transmission) -> None:
         """Remove a finished transmission and notify its observers.
 
-        Only radios keyed in ``tx.rx_power_mw`` — the ones that received
-        ``on_air_start`` — are notified.  Radios culled at transmit time
-        and radios attached while the frame was in flight never hear
-        about it (see :meth:`attach` for the mid-run attach contract).
+        Only radios keyed in ``tx.rx_power_mw`` are notified.  Radios
+        culled at transmit time and radios attached while the frame was
+        in flight never hear about it (see :meth:`attach` for the mid-run
+        attach contract).
         """
         self._active.remove(tx)
         if self.trace.wants("channel"):
@@ -646,12 +662,16 @@ class Channel:
             self.sim.schedule(AIR_LATENCY_NS, self._deliver_air_end, tx)
         tx.sender.on_own_tx_end(tx)
 
-    def _deliver_air_start(
-        self, tx: Transmission, receivers: List[Tuple["Radio", float]]
-    ) -> None:
-        """Start-of-air delivery to every receiver of a frame, in attach order."""
-        for radio, power_mw in receivers:
-            radio.on_air_start(tx, power_mw)
+    def _deliver_air_start(self, tx: Transmission) -> None:
+        """Start-of-air delivery to every receiver of a frame, in attach order.
+
+        Only radios still keyed in ``tx.rx_power_mw``: one detached since
+        :meth:`transmit` was scrubbed from it, and must not hear the frame
+        begin even if it has re-joined since.
+        """
+        radios_by_id = self._radios_by_id
+        for radio_id, power_mw in tx.rx_power_mw.items():
+            radios_by_id[radio_id].on_air_start(tx, power_mw)
 
     def _deliver_air_end(self, tx: Transmission) -> None:
         """End-of-air delivery to every radio that saw the frame start."""
@@ -664,24 +684,6 @@ class Channel:
     # ------------------------------------------------------------------
     # Propagation
     # ------------------------------------------------------------------
-    def _mean_rx(self, sender: "Radio", receiver: "Radio") -> Tuple[float, float]:
-        """Deterministic mean received power as ``(dbm, mw)``, cached per pair.
-
-        The cache assumes positions and transmit powers only change via
-        :meth:`repro.phy.radio.Radio.move_to` and
-        :meth:`repro.phy.radio.Radio.set_tx_power_dbm`, which invalidate
-        the radio's entries through :meth:`on_radio_moved` and
-        :meth:`on_radio_power_changed`.
-        """
-        key = (sender.radio_id, receiver.radio_id)
-        entry = self._mean_rx_cache.get(key)
-        if entry is None:
-            dist = sender.position.distance_to(receiver.position)
-            mean_dbm = self.propagation.mean_rx_dbm(sender.config.tx_power_dbm, dist)
-            entry = (mean_dbm, dbm_to_mw(mean_dbm))
-            self._mean_rx_cache.put(key, entry)
-        return entry
-
     def _link_rng(self, key: Tuple[int, int]):
         """The ordered pair's private shadowing generator.
 
@@ -691,26 +693,14 @@ class Channel:
         """
         return self._rngs.substream("shadowing", self.band, *key)
 
-    def _received_power_mw(self, sender: "Radio", receiver: "Radio", frame: "Frame") -> float:
-        """Draw the received power of this frame at ``receiver``.
+    def _fill_draws(self, key: Tuple[int, int], draws: List[float]) -> None:
+        """Refill the link's empty draw block, in place, with its next offsets.
 
-        Composition per shadowing mode:
-
-        * ``none`` — the linear mean, ``dbm_to_mw(mean_dbm)``.
-        * ``per_frame`` — ``mean_mw * db_to_ratio(offset)``: the cached
-          linear mean times the link's next offset ratio (pre-converted
-          in its draw block), one multiply per frame instead of a
-          ``10 **`` of the recomposed dB sum.
+        As linear ratios, so a frame's power is ``mean_mw *
+        db_to_ratio(offset)``: one multiply per frame instead of a ``10 **``
+        of the recomposed dB sum.  The link's generator is created at its
+        first fill.
         """
-        mean_mw = self._mean_rx(sender, receiver)[1]
-        if self.shadowing_mode == "none":
-            return mean_mw
-        key = (sender.radio_id, receiver.radio_id)
-        draws = self._link_draws.get(key)
-        if not draws:
-            offsets = self.propagation.shadowing_block(
-                self._link_rng(key), SHADOWING_BLOCK
-            )
-            # Reversed, so that pop() takes them in stream order.
-            draws = self._link_draws[key] = list(map(db_to_ratio, reversed(offsets)))
-        return mean_mw * draws.pop()
+        offsets = self.propagation.shadowing_block(self._link_rng(key), SHADOWING_BLOCK)
+        # Reversed, so that pop() takes them in stream order.
+        draws.extend(map(db_to_ratio, reversed(offsets)))

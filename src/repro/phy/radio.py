@@ -141,7 +141,8 @@ class Radio:
         Resets all reception state: frames still in the air no longer
         reach this radio (a half-received lock counts as missed), CCA
         reads idle, and an own transmission still in flight is disowned —
-        its ``on_own_tx_end`` will be ignored.  The MAC is expected to be
+        it stays on the air for its observers, but its ``on_own_tx_end``
+        is ignored, also after a re-join.  The MAC is expected to be
         suspended separately (see ``Network.detach_node``), so no busy or
         idle edge is delivered here.
         """
@@ -157,12 +158,11 @@ class Radio:
     def move_to(self, position: Point) -> None:
         """Update the radio's physical position (mobility support).
 
-        The channel's cached mean powers involving this radio — the
-        deterministic path loss that drives below-floor culling —
-        describe paths that no longer exist, so they are dropped (via a
-        per-radio index: O(degree), not O(all links)), and the radio is
-        rehashed in the candidate grid.  Its links' shadowing draws
-        continue their streams where they stopped.
+        The channel's receiver tables — which hold the deterministic
+        path loss that drives below-floor culling — describe paths that
+        no longer exist, so they are dropped, and the radio is rehashed
+        in the candidate grid.  Its links' shadowing draws continue their
+        streams where they stopped.
         """
         self.position = position
         self.channel.on_radio_moved(self.radio_id)
@@ -171,9 +171,9 @@ class Radio:
         """Change this radio's transmit power (C-SR power capping).
 
         Each radio owns its :class:`RadioConfig` instance, so the
-        mutation is node-local.  The channel's cached mean rx powers,
-        which encode the old power, are invalidated; shadowing draws are
-        a property of the link and are untouched.
+        mutation is node-local.  The channel's receiver table for this
+        sender, which encodes the old power, is dropped; shadowing draws
+        are a property of the link and are untouched.
         No-op at the current power, so repeated caps/restores to the
         same value cost nothing.
         """
@@ -240,9 +240,10 @@ class Radio:
 
     def on_own_tx_end(self, tx: Transmission) -> None:
         """Channel callback: this radio's own frame finished."""
-        if not self._attached:
-            return  # detached mid-own-transmission; state already reset
-        assert tx is self._current_tx, "transmission bookkeeping out of sync"
+        if tx is not self._current_tx:
+            # Disowned by a detach during its airtime (see on_detached);
+            # the radio may have re-joined, and even started a new frame.
+            return
         self._current_tx = None
         self.airtime_tx_ns += tx.duration_ns
         frame = tx.frame
@@ -259,10 +260,8 @@ class Radio:
         The one radio call per receiver per frame start.  Callback order:
         the lock (or capture) and its embedded-decode scheduling, then the
         busy/idle edge, then ``on_energy_changed`` — CO-MAP's RSSI monitor
-        sees the edge first.
+        sees the edge first.  The channel calls it only on attached radios.
         """
-        if not self._attached:
-            return  # delivery raced a detach; the radio never saw this frame
         in_air = self._in_air
         in_air[tx] = power_mw
         self._energy_mw = energy = sum(in_air.values())
@@ -315,10 +314,11 @@ class Radio:
         A lock on ``tx`` completes first; the edge and energy callbacks
         follow in :meth:`on_air_start`'s order.
         """
-        if not self._attached:
-            return  # detached while the frame was in flight
         in_air = self._in_air
-        in_air.pop(tx, None)
+        if in_air.pop(tx, None) is None:
+            # Detached while the frame was in flight (perhaps re-joined
+            # since): the radio no longer tracks it.
+            return
         self._energy_mw = sum(in_air.values()) if in_air else 0.0
         lock = self._lock
         if lock is not None and lock.tx is tx:

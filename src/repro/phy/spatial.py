@@ -1,15 +1,16 @@
 """Uniform hash-grid spatial index: O(density) candidate generation.
 
-The channel's candidate generator bounds its per-frame receiver sweep
-by *local density* instead of population.  The below-floor cull skips
-draws and events for receivers whose mean power sits ``cull_margin_db``
-below both thresholds, but a sweep over every attached radio would still
-*visit* each one to run that test — O(N) dict lookups and float compares
-per frame, the asymptotic wall for city-scale floors.  Radios hash into
-square grid cells keyed by ``(floor(x / cell), floor(y / cell))``, and a
-sender queries only the cells overlapping the disk of its *reach
-radius* — the distance at which the propagation mean provably falls
-``cull_margin_db`` below the weakest threshold on the channel (see
+The channel's candidate generator bounds the receiver sweep of each
+receiver-table build by *local density* instead of population.  The
+below-floor cull skips draws and events for receivers whose mean power
+sits ``cull_margin_db`` below both thresholds, but a sweep over every
+attached radio would still *visit* each one to run that test — O(N)
+dict lookups and float compares per build, the asymptotic wall for
+city-scale floors.  Radios hash into square grid cells keyed by
+``(floor(x / cell), floor(y / cell))``, and a sender queries only the
+cells overlapping the disk of its *reach radius* — the distance at which
+the propagation mean provably falls ``cull_margin_db`` below the weakest
+threshold on the channel (see
 :meth:`repro.phy.propagation.LogNormalShadowing.reach_radius_m`).  With
 culling off the radius is infinite and a query returns every member.
 

@@ -3,7 +3,6 @@
 Covers the channel hot-path overhaul:
 
 * margin resolution (explicit override > default);
-* the indexed pair cache that makes mobility invalidation O(degree);
 * culling behavior: skipped draws, skipped events, counters;
 * the mid-run-attach contract (no spurious ``on_air_end``);
 * RNG isolation: per-link substreams mean culling (or extra radios)
@@ -16,12 +15,12 @@ Covers the channel hot-path overhaul:
 
 import pytest
 
-from repro.experiments.params import testbed_params
+from repro.experiments.params import ns2_params, testbed_params
+from repro.faults import FaultPlan, NodeChurn
 from repro.net.network import Network
 from repro.phy.channel import (
     CULL_DETERMINISTIC_MARGIN_DB,
     CULL_SIGMA_FACTOR,
-    _PairCache,
     resolve_cull_margin_db,
 )
 from repro.phy.radio import Radio, RadioConfig
@@ -53,51 +52,6 @@ class TestMarginResolution:
     def test_malformed_override_fails_loudly(self):
         with pytest.raises(ValueError):
             resolve_cull_margin_db(5.0, "lots")
-
-
-# ----------------------------------------------------------------------
-# The indexed pair cache (O(degree) invalidation)
-# ----------------------------------------------------------------------
-class TestPairCache:
-    def test_get_put_roundtrip(self):
-        cache = _PairCache()
-        assert cache.get((1, 2)) is None
-        cache.put((1, 2), 3.5)
-        assert cache.get((1, 2)) == 3.5
-        assert len(cache) == 1
-
-    def test_invalidate_drops_both_directions(self):
-        cache = _PairCache()
-        cache.put((1, 2), 0.1)
-        cache.put((2, 1), 0.2)
-        cache.put((2, 3), 0.3)
-        assert cache.invalidate(1) == 2
-        assert cache.get((1, 2)) is None
-        assert cache.get((2, 1)) is None
-        assert cache.get((2, 3)) == 0.3
-
-    def test_invalidate_unknown_radio_is_noop(self):
-        cache = _PairCache()
-        cache.put((1, 2), 0.1)
-        assert cache.invalidate(99) == 0
-        assert len(cache) == 1
-
-    def test_peer_index_cleaned_up(self):
-        # After invalidating radio 1, radio 2's index must no longer
-        # reference the dead keys — a later invalidate(2) finds nothing.
-        cache = _PairCache()
-        cache.put((1, 2), 0.1)
-        cache.put((2, 1), 0.2)
-        cache.invalidate(1)
-        assert cache.invalidate(2) == 0
-
-    def test_reinsert_after_invalidate(self):
-        cache = _PairCache()
-        cache.put((1, 2), 0.1)
-        cache.invalidate(2)
-        cache.put((1, 2), 0.9)
-        assert cache.get((1, 2)) == 0.9
-        assert cache.invalidate(1) == 1
 
 
 # ----------------------------------------------------------------------
@@ -160,8 +114,8 @@ class TestCulling:
         world.radios[0].start_transmission(world.data_frame(0, 1))
         world.sim.run()
         assert world.channel.links_culled == 1
-        # The mean-power cache must be invalidated by the move, or the
-        # stale below-floor entry would keep culling a now-close radio.
+        # The move must drop the sender's receiver table, or its stale
+        # below-floor verdict would keep culling a now-close radio.
         world.radios[2].move_to(Point(20.0, 0.0))
         tx = world.radios[0].start_transmission(world.data_frame(0, 1))
         world.sim.run()
@@ -259,6 +213,74 @@ class TestMidRunDetach:
         world.sim.run()  # scheduled end-of-air events must not crash
         assert world.macs[0].completed == []  # no tx-complete after leaving
         assert world.radios[0].transmitting is False
+
+    def test_rejoin_within_air_latency_hears_no_edge(self):
+        # Radio 1 leaves and re-joins before the frame reaches anyone.
+        # Hearing its start but never its end would keep its CCA busy
+        # for the rest of the run.
+        world = build_phy_world([NEAR, MID, (20.0, 0.0)])
+        tx = world.radios[0].start_transmission(world.data_frame(0, 1))
+        victim = world.radios[1]
+        world.channel.detach(victim)
+        world.channel.attach(victim)
+        world.sim.run()
+        assert victim.radio_id not in tx.rx_power_mw
+        assert victim._in_air == {}
+        assert not victim.medium_busy()
+        assert world.macs[1].busy_edges == []
+        assert world.macs[1].energy_samples == []
+        # The radio that stayed heard the whole frame.
+        assert world.macs[2].busy_edges == ["busy", "idle"]
+
+    def test_rejoin_before_end_of_air_hears_no_end(self):
+        # The frame has left the air but its end has not reached radio 1
+        # when it leaves and re-joins: no end-of-air for a frame the
+        # re-joined radio does not track.
+        world = build_phy_world([NEAR, MID])
+        tx = world.radios[0].start_transmission(world.data_frame(0, 1))
+        world.sim.run(until=tx.end_ns)
+        victim = world.radios[1]
+        world.channel.detach(victim)
+        world.channel.attach(victim)
+        samples = list(world.macs[1].energy_samples)
+        world.sim.run()
+        assert world.macs[1].energy_samples == samples
+        assert world.macs[1].received == []
+        assert not victim.medium_busy()
+
+    def test_rejoin_while_own_frame_on_air(self):
+        # C's first data frame is on the air from 142 us to 1.53 ms; C
+        # leaves at 0.5 ms and re-joins at 0.7 ms, before the frame ends.
+        net = Network(ns2_params(), seed=1)
+        ap = net.add_ap("AP", 0.0, 0.0)
+        client = net.add_client("C", 10.0, 0.0, ap=ap)
+        net.finalize()
+        net.add_saturated(client, ap)
+        net.install_faults(FaultPlan(events=(NodeChurn("C", 500_000, 700_000),)))
+        radio, channel = client.radio, client.radio.channel
+        net.sim.run(until=499_999)
+        own = radio._current_tx
+        assert own is not None and own.end_ns > 700_000
+        completed = []
+        on_tx_complete = client.mac.on_tx_complete
+
+        def recording(frame):
+            completed.append(frame)
+            on_tx_complete(frame)
+
+        client.mac.on_tx_complete = recording
+        net.sim.run(until=own.end_ns + channel.air_latency_ns)
+        assert radio.attached
+        # The frame ended on the air for the AP, which heard it start ...
+        assert own not in channel.active_transmissions
+        assert own not in ap.radio._in_air
+        # ... but not for the re-joined sender: no completion, and the
+        # radio is not left transmitting it.
+        assert all(frame is not own.frame for frame in completed)
+        assert radio._current_tx is not own
+        # The re-joined client's traffic gets through.
+        net.sim.run(until=10_000_000)
+        assert ap.mac.stats.delivered_packets > 0
 
     def test_detached_radio_cannot_transmit(self):
         world = build_phy_world([NEAR, MID])

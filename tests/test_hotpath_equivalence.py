@@ -1,15 +1,16 @@
 """The frame hot path: caches against a from-scratch derivation.
 
-The channel caches linear-domain mean powers and each link's block of
-shadowing ratios; the radio caches its in-air energy sum and per-rate
-sensitivity/SIR constants; ``PhyTiming`` memoizes airtimes.  The
-discipline is *cache, never re-derive*: every cached value comes from
-the exact expression a from-scratch derivation evaluates.  These tests
-pin that against derivations written out here — per link on a PHY-only
-world, and end to end on the golden Fig. 8 / Fig. 10 / sparse-floor
-scenarios with the caches bypassed.  The caches and the coalesced air
-notifications are unconditional: the retired ``REPRO_HOTPATH`` variable
-selects nothing.
+The channel keeps a receiver table per sender (each link's
+linear-domain mean power and its block of shadowing ratios); the radio
+caches its in-air energy sum and per-rate sensitivity/SIR constants;
+``PhyTiming`` memoizes airtimes.  The discipline is *cache, never
+re-derive*: every cached value comes from the exact expression a
+from-scratch derivation evaluates.  These tests pin that against
+derivations written out here — per link on a PHY-only world, and end to
+end on the golden Fig. 8 / Fig. 10 / sparse-floor scenarios with the
+caches bypassed (every frame rebuilds its sender's receiver table).  The
+caches and the coalesced air notifications are unconditional: the
+retired ``REPRO_HOTPATH`` variable selects nothing.
 """
 
 from unittest import mock
@@ -112,8 +113,8 @@ class TestPhyEquivalence:
         offsets = RngStreams(3).substream("shadowing", 0, 0, 1)
         first = _rx_powers(world, frames=2)
         assert first == _derived_powers(world, 3, frames=2, offsets=offsets)
-        # The move drops the cached mean but not the link's draws: the
-        # next frame sees the new distance and the link's next draw.
+        # The move drops the receiver tables but not the link's draws:
+        # the next frame sees the new distance and the link's next draw.
         world.radios[1].move_to(Point(25.0, 0.0))
         second = _rx_powers(world, frames=2)
         assert second == _derived_powers(world, 3, frames=2, offsets=offsets)
@@ -123,10 +124,14 @@ class TestPhyEquivalence:
 # ----------------------------------------------------------------------
 # Golden end-to-end equivalence with the caches bypassed
 # ----------------------------------------------------------------------
-def _uncached_mean_rx(channel, sender, receiver):
-    dist = sender.position.distance_to(receiver.position)
-    mean_dbm = channel.propagation.mean_rx_dbm(sender.config.tx_power_dbm, dist)
-    return (mean_dbm, dbm_to_mw(mean_dbm))
+_transmit = Channel.transmit
+
+
+def _transmit_uncached(channel, sender, frame):
+    """Transmit with every receiver table dropped first: each frame
+    re-derives its survivors and mean powers."""
+    channel._tables.clear()
+    return _transmit(channel, sender, frame)
 
 
 def _uncached_energy_mw(radio):
@@ -139,14 +144,17 @@ _UNCACHED_ENERGY = property(_uncached_energy_mw, lambda radio, value: None)
 
 
 class TestGoldenEquivalence:
-    """Re-deriving mean powers and in-air energy per use reproduces the
-    committed fixtures: the caches change no physics."""
+    """Re-deriving receiver tables per frame and in-air energy per use
+    reproduces the committed fixtures: the caches change no physics."""
 
     @pytest.mark.parametrize("scenario", ["fig8", "fig10", "sparse_floor"])
     def test_rederivation_matches_golden(self, scenario):
         golden = assert_baseline_matches(scenario)
-        with mock.patch.object(Channel, "_mean_rx", _uncached_mean_rx), \
+        with mock.patch.object(Channel, "transmit", _transmit_uncached), \
                 mock.patch.object(Radio, "_energy_mw", _UNCACHED_ENERGY, create=True):
-            _, snap = run_scenario(scenario)
+            net, snap = run_scenario(scenario)
         assert diff(golden, snap) == []
         assert snap["events_fired"] == golden["events_fired"]
+        # One grid query per frame: no table outlived its frame.
+        for channel in net.channels.values():
+            assert channel.spatial_queries == channel.frames_sent > 0

@@ -11,9 +11,12 @@ The grid is the channel's only candidate generator.  Covered here:
   the exact cull test, across alpha / tx power / margin / threshold;
 * the brute-force candidate oracle: on every frame of randomized
   topologies with mobility, detach/re-attach and C-SR power changes,
-  at cull margins off / 0 / default, every attached radio whose mean
-  passes the cull test is a candidate, candidates come in attach order,
-  and ``culled_links`` equals the brute-force count;
+  at cull margins off / 0 / default, the frame reaches exactly the
+  attached radios whose mean passes the cull test, in attach order,
+  and ``culled_links`` grows by the brute-force count; at every
+  receiver-table rebuild every survivor is a candidate and candidates
+  come in attach order; a rebuild follows each move, churn and power
+  change, and only those;
 * the O(1) detach: removal preserves attach iteration order, re-attach
   appends;
 * copy discipline: ``Channel.radios`` copies, ``radios_view`` does not;
@@ -268,31 +271,40 @@ def every_attached_radio(channel, sender):
     return [radio for radio in channel.radios if radio is not sender]
 
 
-def transmit_checked(world, sender, dst):
-    """Send one frame and check the candidates against the oracle."""
-    channel = world.channel
-    survivors = brute_force_survivors(channel, sender)
-    attach_order = [radio.radio_id for radio in channel.radios]
-    seen = []
-    generate = channel._spatial_candidates
+class RebuildRecorder:
+    """Records every receiver-table rebuild of one channel.
 
-    def recording(radio):
-        candidates = generate(radio)
-        seen.append([c.radio_id for c in candidates])
+    Wraps the channel's candidate generator, which runs once per
+    rebuild, and checks each candidate list against the brute-force
+    oracle: every survivor is a candidate, and candidates come in attach
+    order.  ``senders`` lists the rebuilding senders' ids in order.
+    """
+
+    def __init__(self, channel):
+        self.channel = channel
+        self.senders = []
+        self._generate = channel._spatial_candidates
+        channel._spatial_candidates = self._recording
+
+    def _recording(self, sender):
+        candidates = self._generate(sender)
+        ids = [c.radio_id for c in candidates]
+        attach_order = [radio.radio_id for radio in self.channel.radios]
+        assert set(brute_force_survivors(self.channel, sender)) <= set(ids)
+        assert ids == sorted(ids, key=attach_order.index)
+        self.senders.append(sender.radio_id)
         return candidates
 
-    channel._spatial_candidates = recording
+
+def transmit_checked(world, sender, dst):
+    """Send one frame and check what it reached against the oracle."""
+    channel = world.channel
+    survivors = brute_force_survivors(channel, sender)
+    attached = channel.radio_count
     culled_before = channel.links_culled
-    try:
-        tx = sender.start_transmission(world.data_frame(sender.radio_id, dst))
-    finally:
-        del channel._spatial_candidates
+    tx = sender.start_transmission(world.data_frame(sender.radio_id, dst))
     world.sim.run()
-    [candidates] = seen
-    assert set(survivors) <= set(candidates)
-    assert candidates == sorted(candidates, key=attach_order.index)
-    assert list(tx.rx_power_mw) == survivors
-    attached = len(attach_order)
+    assert list(tx.rx_power_mw) == survivors  # attach order included
     assert channel.links_culled - culled_before == attached - 1 - len(survivors)
 
 
@@ -328,6 +340,7 @@ class TestCandidateOracle:
             cull_margin_db=margin,
         )
         channel = world.channel
+        rebuilds = RebuildRecorder(channel)
         # Re-attach in a drawn order so attach order differs from id order.
         for index in order:
             if index < len(world.radios):
@@ -340,15 +353,23 @@ class TestCandidateOracle:
                 if kind == "move":
                     radio.move_to(Point(x, y))
                 elif kind == "power":  # C-SR power capping
+                    changed = power != radio.config.tx_power_dbm
                     radio.set_tx_power_dbm(power)
                 elif radio.attached:
                     channel.detach(radio)
                 else:
                     channel.attach(radio)
             attached = channel.radios
+            # Every sender builds its first table, and a move or a churn
+            # drops every table; a power change drops only the sender's.
+            expected = [sender.radio_id for sender in attached]
+            if event is not None and kind == "power":
+                expected = [i for i in expected if changed and i == radio.radio_id]
+            before = len(rebuilds.senders)
             for i, sender in enumerate(attached):
                 transmit_checked(world, sender, attached[i - 1].radio_id)
-        assert channel.spatial_queries == channel.frames_sent
+            assert rebuilds.senders[before:] == expected
+        assert channel.spatial_queries == len(rebuilds.senders)
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ attached radio gives.  The sweep survives only here, patched over
 """
 
 import os
+from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
 
@@ -199,9 +200,26 @@ class TestMarginMatrix:
 # ----------------------------------------------------------------------
 # Golden end-to-end equivalence (fig8 / fig10 / sparse floor)
 # ----------------------------------------------------------------------
-def _queried_every_frame(net):
+@contextmanager
+def counting_rebuilds():
+    """Count receiver-table rebuilds per channel inside the block."""
+    rebuilds = Counter()
+    build = Channel._build_table
+
+    def counting(channel, sender):
+        rebuilds[channel] += 1
+        return build(channel, sender)
+
+    with mock.patch.object(Channel, "_build_table", counting):
+        yield rebuilds
+
+
+def _queried_every_rebuild(net, rebuilds):
+    """The grid answered every table rebuild, and tables outlived frames."""
     return all(
-        ch.spatial_queries == ch.frames_sent > 0 for ch in net.channels.values()
+        ch.spatial_queries == rebuilds[ch] > 0
+        and rebuilds[ch] < ch.frames_sent
+        for ch in net.channels.values()
     )
 
 
@@ -221,20 +239,21 @@ class TestGoldenEquivalence:
         # Neither retired knob can switch the grid off or a backend on.
         golden = assert_baseline_matches(scenario)
         retired = {"REPRO_SPATIAL": "0", "REPRO_VECTOR": "1"}
-        with mock.patch.dict(os.environ, retired):
+        with mock.patch.dict(os.environ, retired), counting_rebuilds() as rebuilds:
             net, snap = run_scenario(scenario)
         assert diff(golden, snap) == []
         assert snap["events_fired"] == golden["events_fired"]
-        assert _queried_every_frame(net)
+        assert _queried_every_rebuild(net, rebuilds)
 
     def test_spatial_with_hotpath_off_matches_golden(self):
         golden = assert_baseline_matches("fig8")
-        with mock.patch.dict(os.environ, {"REPRO_HOTPATH": "off"}):
+        with mock.patch.dict(os.environ, {"REPRO_HOTPATH": "off"}), \
+                counting_rebuilds() as rebuilds:
             net, snap = run_scenario("fig8")
         assert diff(golden, snap) == []
         # Air notifications stay coalesced: same event count.
         assert snap["events_fired"] == golden["events_fired"]
-        assert _queried_every_frame(net)
+        assert _queried_every_rebuild(net, rebuilds)
 
     def test_sparse_floor_grid_actually_skips(self):
         # The sparse floor's two cells sit 4 km apart — far outside
