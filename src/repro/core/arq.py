@@ -107,10 +107,6 @@ class SrSender(Generic[ItemT]):
         seq = next(iter(self._pending))
         return seq, self._pending.pop(seq)
 
-    def pending_seqs(self) -> List[int]:
-        """Sequences currently awaiting confirmation (oldest first)."""
-        return list(self._pending)
-
 
 class SrReceiver:
     """Receiver-side history used to populate ACK confirmation lists."""

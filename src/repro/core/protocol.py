@@ -58,7 +58,11 @@ class CoMapAgent:
             interference_prr_floor=config.interference_prr_floor,
         )
         self.adaptation = adaptation
-        self._last_reported_position: Optional[Point] = None
+        #: What this node's location service last produced for it (its
+        #: *report*), or None before the first one.  Peers may have been
+        #: told something else under a fault; only :meth:`mark_reported`
+        #: writes this.
+        self.reported_position: Optional[Point] = None
         self._announce_worthwhile: Dict[int, bool] = {}
         self.stale_denials = 0
         # Wire the optional co-occurrence freshness knobs (all None/off by
@@ -103,14 +107,14 @@ class CoMapAgent:
         A node re-reports its position only when it has moved more than
         the configured threshold (half the tolerable inaccuracy).
         """
-        if self._last_reported_position is None:
+        if self.reported_position is None:
             return True
-        moved = self._last_reported_position.distance_to(current)
+        moved = self.reported_position.distance_to(current)
         return moved > self.config.position_update_threshold_m
 
     def mark_reported(self, position: Point) -> None:
-        """Record that this node just broadcast ``position``."""
-        self._last_reported_position = position
+        """Record ``position`` as this node's report."""
+        self.reported_position = position
 
     def forget_neighbor(self, node_id: int) -> None:
         """Erase everything known about ``node_id`` (it left, or its

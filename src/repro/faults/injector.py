@@ -7,11 +7,15 @@ and MAC/network hooks:
 * **Location-service faults** run through a periodic *keep-alive
   ticker*.  When the plan contains any location fault the injector
   becomes the location service: each ``report_interval_ns`` it
-  republishes every CO-MAP node's last reported position — except where
-  a spec suppresses (outage), repeats stale coordinates (frozen), drops
-  (beacon loss), or biases (drift) the report.  Without keep-alives a
-  configured ``location_ttl_ns`` would age *healthy* nodes into
-  fallback too.
+  republishes every attached CO-MAP node's last report (its agent's
+  ``reported_position``) through :meth:`Network.publish_report` — except
+  where a spec suppresses it (outage), repeats it while fresh reports
+  are held back (frozen), drops it (beacon loss), or biases it (drift).
+  Frozen and drifted positions are publications only, never the node's
+  report, so the first keep-alive after a window republishes the report
+  again.  Scenario-driven reports pass :meth:`allow_report`.  Without
+  keep-alives a configured ``location_ttl_ns`` would age *healthy*
+  nodes into fallback too.
 * **Control-plane faults** hook the MAC receive path (``fault_hooks``)
   for ACK and announcement loss, and schedule point events for
   co-occurrence map expiry/corruption.
@@ -29,7 +33,7 @@ to certainty cannot shift later draws.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.faults.schedule import (
     AckLossBurst,
@@ -51,8 +55,6 @@ class FaultInjector:
     """Realizes one :class:`FaultPlan` against one finalized network."""
 
     def __init__(self, network, plan: FaultPlan) -> None:
-        if not network._finalized:
-            raise RuntimeError("install faults after Network.finalize()")
         for name in plan.node_names:
             if name not in network.nodes_by_name:
                 raise ValueError(f"fault plan targets unknown node {name!r}")
@@ -76,11 +78,6 @@ class FaultInjector:
         self._location_specs: Dict[str, Tuple] = {}
         self._ack_specs: Dict[int, Tuple[AckLossBurst, ...]] = {}
         self._announce_specs: Dict[int, Tuple[AnnouncementLoss, ...]] = {}
-        self._names_by_id: Dict[int, str] = {}
-        #: Window-start reported position per active drift spec (lazily
-        #: captured at the first tick inside the window, so the drift
-        #: biases whatever the node last reported, not its true spot).
-        self._drift_base: Dict[Tuple[str, int], Point] = {}
 
     # ------------------------------------------------------------------
     # Installation
@@ -115,7 +112,6 @@ class FaultInjector:
                 self._announce_specs[node.node_id] = announces
             if acks or announces:
                 node.mac.fault_hooks = self
-                self._names_by_id[node.node_id] = name
             for spec in specs:
                 if isinstance(spec, CoMapExpiry):
                     self.sim.schedule_at(
@@ -134,7 +130,6 @@ class FaultInjector:
                     )
 
         if self.plan.has_location_faults:
-            self.network.fault_filter = self
             self.sim.schedule(self.plan.report_interval_ns, self._tick)
 
     def _read_counters(self) -> Dict[str, int]:
@@ -196,13 +191,10 @@ class FaultInjector:
         """One keep-alive pass over every attached CO-MAP node."""
         now = self.sim.now
         net = self.network
-        for node_id in sorted(net.nodes):
-            node = net.nodes[node_id]
-            if node.agent is None or node_id in net._detached:
+        for node_id, node in net.nodes.items():
+            if node.agent is None or not node.radio.attached:
                 continue
-            reported = net._reported_positions.get(node_id)
-            if reported is None:
-                continue
+            report = node.agent.reported_position
             name = node.name
             if self._active(name, LocationOutage, now) is not None:
                 self._counters["reports_suppressed"] += 1
@@ -210,14 +202,14 @@ class FaultInjector:
                 continue
             drift = self._active(name, LocationDrift, now)
             if drift is not None:
-                net.publish_report(node, self._drifted(drift, reported, now))
+                net.publish_report(node, self._drifted(drift, report, now))
                 self._counters["drift_applied"] += 1
                 self._trace("report_drifted", node=node_id)
                 continue
             frozen = self._active(name, FrozenLocation, now)
             if frozen is not None:
-                # Refresh freshness with the stale pre-window position.
-                net.publish_report(node, reported)
+                # Refresh freshness with the stale pre-window report.
+                net.publish_report(node, report)
                 self._counters["reports_frozen"] += 1
                 self._trace("report_frozen", node=node_id)
                 continue
@@ -228,16 +220,14 @@ class FaultInjector:
                 self._counters["reports_dropped"] += 1
                 self._trace("report_dropped", node=node_id)
                 continue
-            net.publish_report(node, reported)  # healthy keep-alive
+            net.publish_report(node, report)  # healthy keep-alive
         self.sim.schedule(self.plan.report_interval_ns, self._tick)
 
-    def _drifted(self, spec: LocationDrift, reported: Point, now: int) -> Point:
+    def _drifted(self, spec: LocationDrift, base: Point, now: int) -> Point:
+        """``base`` moved at ``rate_mps`` along ``heading_deg`` since the
+        window opened."""
         import math
 
-        key = (spec.node, spec.start_ns)
-        base = self._drift_base.get(key)
-        if base is None:
-            base = self._drift_base[key] = reported
         elapsed_s = (now - spec.start_ns) / 1e9
         distance = spec.rate_mps * elapsed_s
         heading = math.radians(spec.heading_deg)
@@ -256,7 +246,7 @@ class FaultInjector:
         now = self.sim.now
         for spec in self._ack_specs.get(node_id, ()):
             if spec.active(now):
-                name = self._names_by_id[node_id]
+                name = self.network.nodes[node_id].name
                 if self._bernoulli("ack", name, spec.drop_prob):
                     self._counters["acks_dropped"] += 1
                     self._trace("ack_dropped", node=node_id, seq=frame.seq)
@@ -268,7 +258,7 @@ class FaultInjector:
         now = self.sim.now
         for spec in self._announce_specs.get(node_id, ()):
             if spec.active(now):
-                name = self._names_by_id[node_id]
+                name = self.network.nodes[node_id].name
                 if self._bernoulli("announce", name, spec.drop_prob):
                     self._counters["announcements_dropped"] += 1
                     self._trace("announcement_dropped", node=node_id)

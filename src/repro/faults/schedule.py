@@ -98,7 +98,8 @@ class LocationDrift(_Window):
 
     The drift is deterministic (rate and heading are part of the spec):
     the published position is the window-start report displaced by
-    ``rate_mps * elapsed`` along ``heading_deg``.
+    ``rate_mps * elapsed`` along ``heading_deg``.  It is never the node's
+    report, so peers see the report again once the window closes.
     """
 
     node: str

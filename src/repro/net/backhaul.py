@@ -17,9 +17,9 @@ each other's registrations, which delayed point-to-point messages alone
 cannot provide.
 
 Counters live under the ``csr/`` namespace of the network registry:
-``csr/backhaul_messages`` (publishes that reached at least one peer),
-``csr/backhaul_deliveries`` and the ``csr/backhaul_latency_ns``
-histogram (one observation per delivery).
+``csr/backhaul_messages`` (publishes that reached at least one peer) and
+``csr/backhaul_deliveries``.  Every delivery takes the configured
+``latency_ns``, so the latency needs no counter of its own.
 """
 
 from __future__ import annotations
@@ -30,13 +30,6 @@ from repro.sim.engine import Simulator
 
 #: A message handler: ``fn(src_id, kind, payload)``.
 BackhaulHandler = Callable[[int, str, dict], None]
-
-#: Bucket bounds (ns) for the backhaul latency histogram: cover the
-#: sub-microsecond to multi-millisecond range typical of switched wire.
-_LATENCY_BUCKETS_NS = (
-    1_000, 10_000, 50_000, 100_000, 500_000,
-    1_000_000, 5_000_000, 10_000_000,
-)
 
 
 class TxopRecord:
@@ -81,13 +74,9 @@ class Backhaul:
         if registry is not None:
             self._messages = registry.counter("csr/backhaul_messages")
             self._deliveries = registry.counter("csr/backhaul_deliveries")
-            self._latency_hist = registry.histogram(
-                "csr/backhaul_latency_ns", buckets=_LATENCY_BUCKETS_NS
-            )
         else:
             self._messages = None
             self._deliveries = None
-            self._latency_hist = None
 
     # ------------------------------------------------------------------
     # Message bus
@@ -102,10 +91,6 @@ class Backhaul:
         """Take an endpoint off the bus (churn); drops its ledger entry."""
         self._endpoints.pop(node_id, None)
         self._ledger.pop(node_id, None)
-
-    @property
-    def endpoint_count(self) -> int:
-        return len(self._endpoints)
 
     def publish(self, src_id: int, kind: str, payload: dict) -> int:
         """Deliver ``(kind, payload)`` to every *other* endpoint.
@@ -131,7 +116,6 @@ class Backhaul:
     ) -> None:
         if self._deliveries is not None:
             self._deliveries.inc()
-            self._latency_hist.observe(self.latency_ns)
         handler(src_id, kind, payload)
 
     # ------------------------------------------------------------------

@@ -30,7 +30,6 @@ from repro.mac.csr import CsrMac, CsrMacConfig
 from repro.mac.dcf import DcfMac, MacConfig
 from repro.mac.frames import MAC_DATA_OVERHEAD_BYTES
 from repro.mac.rate_control import FixedRate, MinstrelLite
-from repro.mac.timing import PhyTiming
 from repro.net.localization import NoError, PositionErrorModel
 from repro.net.node import Node
 from repro.net.traffic import CbrSource, SaturatedSource, TcpLiteFlow
@@ -152,15 +151,11 @@ class Network:
         self.mac_overrides = dict(mac_overrides or {})
         self.nodes: Dict[int, Node] = {}
         self.nodes_by_name: Dict[str, Node] = {}
-        self.sources: List[object] = []
-        self.tcp_flows: List[TcpLiteFlow] = []
         self._next_id = 0
         self._finalized = False
-        self._run_duration_ns = 0
         #: The AP coordination plane of a "csr" network (see finalize()).
         self.backhaul = None
         self._adaptation_table: Optional[AdaptationTable] = None
-        self._reported_positions: Dict[int, Point] = {}
         # Mobility-driven adaptation refreshes are filtered (only MACs
         # whose neighbor tables observed the move) and coalesced (one
         # refresh pass per sim-time instant) — see _mark_adaptation_dirty.
@@ -169,12 +164,9 @@ class Network:
         # queued).  A handle — not a bool — so an inline drain can cancel
         # a stale queued drain instead of letting both run.
         self._adaptation_drain_handle = None
-        #: Node ids currently detached from the medium (churn faults).
-        self._detached: set = set()
-        #: Optional fault injector vetoing scenario-driven position
-        #: reports (``allow_report(node, now) -> bool``); see
-        #: :meth:`install_faults`.
-        self.fault_filter = None
+        #: The installed :class:`repro.faults.FaultInjector`, if any; it
+        #: may veto scenario-driven reports (see :meth:`install_faults`).
+        self.faults = None
 
     # ------------------------------------------------------------------
     # Topology construction
@@ -347,7 +339,13 @@ class Network:
     # Location exchange
     # ------------------------------------------------------------------
     def finalize(self) -> None:
-        """Perform the location exchange and initial adaptation pass."""
+        """Perform the location exchange and initial adaptation pass.
+
+        Each node's first report goes out, in node-id order, through the
+        broadcast the run uses, so every agent learns its band peers in
+        node-id order.  One adaptation pass over every MAC follows, not
+        one per report.
+        """
         if self._finalized:
             return
         self._finalized = True
@@ -361,11 +359,7 @@ class Network:
         if not self._location_aware:
             return
         for node in self.nodes.values():
-            reported = self.error_model.apply(
-                node.position, self._localization_rng(node)
-            )
-            self._reported_positions[node.node_id] = reported
-        self._broadcast_positions()
+            self._broadcast(node, self._new_report(node))
         self._refresh_all_adaptation()
         if self.mac_kind == "csr":
             self._wire_backhaul()
@@ -389,45 +383,39 @@ class Network:
             if node.is_ap and isinstance(node.mac, CsrMac):
                 node.mac.bind_backhaul(self.backhaul)
 
-    def _localization_rng(self, node: Node):
-        """The per-node localization-error substream.
+    def _new_report(self, node: Node) -> Point:
+        """Run ``node``'s location service once and record the report.
 
-        Each node perturbs its reports from ``substream("locerr", id)``
-        rather than one shared stream, so the number of draws one node's
-        error model consumes (2 for a positive radius/sigma, 0 on the
-        certainty path) can never shift another node's realizations —
-        sweeping an error radius through 0 stays a local change.  Matches
-        the PR-5 "certainty consumes no draws" convention.
+        Each node perturbs its reports from its own
+        ``substream("locerr", id)`` rather than one shared stream, so the
+        number of draws one node's error model consumes (2 for a positive
+        radius/sigma, 0 on the certainty path) can never shift another
+        node's realizations: sweeping an error radius through 0 stays a
+        local change.
         """
-        return self.rngs.substream("locerr", node.node_id)
+        report = self.error_model.apply(
+            node.position, self.rngs.substream("locerr", node.node_id)
+        )
+        node.agent.mark_reported(report)
+        return report
 
-    def _broadcast_positions(self) -> None:
-        """Every agent learns the *reported* position of its band peers.
+    def _broadcast(self, node: Node, position: Point) -> None:
+        """Every attached same-band agent learns ``position`` for ``node``.
 
         Nodes on other (orthogonal) frequency bands can neither interfere
-        nor be sensed, so they are irrelevant to — and must be kept out
-        of — the interference reasoning.
+        nor be sensed, so they are kept out of the interference
+        reasoning; a detached node's location service is down too.
         """
+        ap_id = node.associated_ap.node_id if node.associated_ap is not None else None
         for observer in self.nodes.values():
-            agent = observer.agent
-            if agent is None:
+            if observer.agent is None or observer.band != node.band:
                 continue
-            for subject in self.nodes.values():
-                if subject.band != observer.band:
-                    continue
-                ap_id = (
-                    subject.associated_ap.node_id
-                    if subject.associated_ap is not None
-                    else None
-                )
-                agent.observe_neighbor(
-                    subject.node_id,
-                    self._reported_positions[subject.node_id],
-                    is_ap=subject.is_ap,
-                    associated_ap=ap_id,
-                    now=self.sim.now,
-                )
-            agent.mark_reported(self._reported_positions[observer.node_id])
+            if not observer.radio.attached:
+                continue
+            observer.agent.observe_neighbor(
+                node.node_id, position, is_ap=node.is_ap, associated_ap=ap_id,
+                now=self.sim.now,
+            )
 
     def _refresh_all_adaptation(self) -> None:
         """Re-run the (N_ht, c) -> (CW, payload) lookup on every CO-MAP MAC."""
@@ -500,30 +488,17 @@ class Network:
             if node is not None:
                 self._refresh_node_adaptation(node)
 
-    def publish_report(self, node: Node, reported: Point) -> None:
-        """Propagate one position report through the location service.
+    def publish_report(self, node: Node, position: Point) -> None:
+        """Tell ``node``'s peers it is at ``position``.
 
-        Every same-band CO-MAP agent (the ones that can hear the AP's
-        redistribution) observes ``reported`` as ``node``'s position; the
-        node's own agent records the report and affected MACs re-run
-        adaptation.  Fault injectors call this directly to publish
-        frozen, drifted, or periodic keep-alive reports.
+        Every attached same-band CO-MAP agent (the ones that can hear the
+        AP's redistribution) observes ``position`` as ``node``'s, and the
+        affected MACs re-run adaptation.  The node's report stays what its
+        location service last produced: the fault injector publishes
+        frozen and drifted positions through here, and those must never
+        become what a later keep-alive repeats.
         """
-        self._reported_positions[node.node_id] = reported
-        for observer in self.nodes.values():
-            if observer.agent is None or observer.band != node.band:
-                continue
-            if observer.node_id in self._detached:
-                continue  # a detached node's location service is down too
-            ap_id = (
-                node.associated_ap.node_id if node.associated_ap is not None else None
-            )
-            observer.agent.observe_neighbor(
-                node.node_id, reported, is_ap=node.is_ap, associated_ap=ap_id,
-                now=self.sim.now,
-            )
-        if node.agent is not None:
-            node.agent.mark_reported(reported)
+        self._broadcast(node, position)
         self._mark_adaptation_dirty(node)
 
     def update_node_position(self, node: Node, position: Point) -> bool:
@@ -534,16 +509,13 @@ class Network:
         its movement is larger than a certain distance").
         """
         node.radio.move_to(position)
-        if node.agent is None:
+        if node.agent is None or not node.agent.should_report_move(position):
             return False
-        if not node.agent.should_report_move(position):
-            return False
-        if self.fault_filter is not None and not self.fault_filter.allow_report(
+        if self.faults is not None and not self.faults.allow_report(
             node, self.sim.now
         ):
             return False
-        reported = self.error_model.apply(position, self._localization_rng(node))
-        self.publish_report(node, reported)
+        self.publish_report(node, self._new_report(node))
         return True
 
     # ------------------------------------------------------------------
@@ -559,9 +531,8 @@ class Network:
         positions, PRR verdicts, and co-occurrence entries describe a
         peer that is no longer there.
         """
-        if node.node_id in self._detached:
+        if not node.radio.attached:
             raise RuntimeError(f"node {node.name!r} is already detached")
-        self._detached.add(node.node_id)
         node.mac.suspend()
         node.radio.channel.detach(node.radio)
         dirty = False
@@ -586,21 +557,12 @@ class Network:
         network re-learns the node and the node's peers re-validate
         concurrency against it.
         """
-        if node.node_id not in self._detached:
+        if node.radio.attached:
             raise RuntimeError(f"node {node.name!r} is not detached")
         node.radio.channel.attach(node.radio)
-        self._detached.discard(node.node_id)
         node.mac.resume()
         if node.agent is not None:
-            reported = self.error_model.apply(
-                node.position, self._localization_rng(node)
-            )
-            self.publish_report(node, reported)
-
-    @property
-    def detached_nodes(self) -> set:
-        """Ids of nodes currently off the air."""
-        return set(self._detached)
+            self.publish_report(node, self._new_report(node))
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -608,14 +570,21 @@ class Network:
     def install_faults(self, plan):
         """Install a :class:`repro.faults.FaultPlan` on this network.
 
-        Must be called after :meth:`finalize`.  Returns the installed
-        :class:`repro.faults.FaultInjector` (its counters register under
-        the ``faults/`` prefix of this network's registry).
+        Must be called after :meth:`finalize`, and once: the injector
+        stays in :attr:`faults`, and a second plan is rejected rather
+        than left to take over the first one's hooks.  Returns the
+        installed :class:`repro.faults.FaultInjector` (its counters
+        register under the ``faults/`` prefix of this network's registry).
         """
+        if not self._finalized:
+            raise RuntimeError("install faults after Network.finalize()")
+        if self.faults is not None:
+            raise RuntimeError("a fault plan is already installed")
         from repro.faults.injector import FaultInjector
 
         injector = FaultInjector(self, plan)
         injector.install()
+        self.faults = injector
         return injector
 
     def location_overhead_bytes(self) -> int:
@@ -635,13 +604,11 @@ class Network:
     def add_saturated(self, src: Node, dst: Node, payload_bytes: Optional[int] = None) -> SaturatedSource:
         """Attach an always-backlogged flow src -> dst."""
         self._require_finalized()
-        source = SaturatedSource(
+        return SaturatedSource(
             self.sim, src, dst,
             payload_bytes=payload_bytes,
             default_payload=self.params.default_payload_bytes,
         )
-        self.sources.append(source)
-        return source
 
     def add_cbr(
         self,
@@ -653,14 +620,12 @@ class Network:
     ) -> CbrSource:
         """Attach a constant-bit-rate flow src -> dst (broadcast if dst None)."""
         self._require_finalized()
-        source = CbrSource(
+        return CbrSource(
             self.sim, src, dst, rate_bps,
             payload_bytes=payload_bytes,
             default_payload=self.params.default_payload_bytes,
             start_ns=start_ns,
         )
-        self.sources.append(source)
-        return source
 
     def add_tcp(
         self,
@@ -671,15 +636,12 @@ class Network:
     ) -> TcpLiteFlow:
         """Attach a TCP-lite flow src -> dst (ACKs ride the reverse path)."""
         self._require_finalized()
-        flow = TcpLiteFlow(
+        return TcpLiteFlow(
             self.sim, src, dst,
             payload_bytes=payload_bytes,
             default_payload=self.params.default_payload_bytes,
             window=window,
         )
-        self.sources.append(flow)
-        self.tcp_flows.append(flow)
-        return flow
 
     def _require_finalized(self) -> None:
         if not self._finalized:
@@ -691,14 +653,12 @@ class Network:
     def run(self, duration_s: float) -> RunResults:
         """Run the simulation for ``duration_s`` seconds of air time."""
         self._require_finalized()
-        horizon = self._run_duration_ns + s_to_ns(duration_s)
-        self.sim.run(until=horizon)
-        self._run_duration_ns = horizon
+        self.sim.run(until=self.sim.now + s_to_ns(duration_s))
         return self.results()
 
     def results(self) -> RunResults:
         """Per-flow goodput measured at the receivers' MACs."""
-        duration = self._run_duration_ns or self.sim.now
+        duration = self.sim.now
         results = RunResults(duration_ns=duration)
         if duration <= 0:
             return results

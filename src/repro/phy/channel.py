@@ -280,9 +280,6 @@ class Channel:
         self._weakest_threshold_dbm = math.inf
         #: Strongest attach-time transmit power (cell-size heuristic).
         self._max_tx_power_dbm = -math.inf
-        #: Memoized reach radius per transmit power; cleared whenever
-        #: the weakest threshold tightens.
-        self._reach_memo: Dict[float, float] = {}
         self.spatial_queries = 0
         self.spatial_candidates = 0
         self.spatial_skipped = 0
@@ -366,7 +363,6 @@ class Channel:
         threshold = min(config.noise_floor_dbm, config.cs_threshold_dbm)
         if threshold < self._weakest_threshold_dbm:
             self._weakest_threshold_dbm = threshold
-            self._reach_memo.clear()  # radii must cover the new weakest
         if config.tx_power_dbm > self._max_tx_power_dbm:
             self._max_tx_power_dbm = config.tx_power_dbm
         if self._spatial is not None:
@@ -515,20 +511,15 @@ class Channel:
         return max(cell, floor_m) if math.isfinite(cell) else floor_m
 
     def _reach_radius(self, tx_power_dbm: float) -> float:
-        """Sound culling radius for a transmit power (memoized).
+        """Sound culling radius for a transmit power.
 
         ``math.inf`` with culling off: no radio can be skipped.
         """
-        radius = self._reach_memo.get(tx_power_dbm)
-        if radius is None:
-            if self.cull_margin_db is None:
-                radius = math.inf
-            else:
-                radius = self.propagation.reach_radius_m(
-                    tx_power_dbm, self._weakest_threshold_dbm, self.cull_margin_db
-                )
-            self._reach_memo[tx_power_dbm] = radius
-        return radius
+        if self.cull_margin_db is None:
+            return math.inf
+        return self.propagation.reach_radius_m(
+            tx_power_dbm, self._weakest_threshold_dbm, self.cull_margin_db
+        )
 
     def _spatial_candidates(self, sender: "Radio") -> List["Radio"]:
         """Candidate receivers for one receiver-table build, in attach order.

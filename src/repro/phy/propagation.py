@@ -96,11 +96,6 @@ class LogNormalShadowing:
             reference_distance_m
         )
 
-    @property
-    def reference_loss_db(self) -> float:
-        """Friis loss at the reference distance ``d0``."""
-        return self._reference_loss_db
-
     def path_loss_db(self, distance_m: float) -> float:
         """Mean (deterministic) path loss at ``distance_m`` in dB."""
         d = max(float(distance_m), self.reference_distance_m)

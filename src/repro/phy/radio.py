@@ -11,9 +11,11 @@ validates its analytical model against):
 
   ``signal / (max_interference + noise_floor) >= sir_threshold(rate)``.
 
-* Frames arriving during a lock are pure interference (no mid-frame
-  capture by default); frames arriving while the radio transmits are
-  missed entirely but still contribute energy afterwards.
+* A frame arriving during a lock is interference, unless it would
+  decode over everything else on the air: then message-in-message
+  capture (``RadioConfig.capture``, on by default) re-locks onto it and
+  the old frame counts as missed.  Frames arriving while the radio
+  transmits are missed entirely but still contribute energy afterwards.
 
 Clear-channel assessment is pure energy detection against
 ``cs_threshold_dbm`` (the paper's ``T_cs``), which is what lets hidden

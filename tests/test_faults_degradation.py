@@ -20,6 +20,7 @@ from repro.core.neighbor_table import NeighborTable
 from repro.experiments.params import testbed_params
 from repro.experiments.topologies import exposed_terminal_topology
 from repro.faults import (
+    AckLossBurst,
     AnnouncementLoss,
     CoMapCorruption,
     CoMapExpiry,
@@ -249,7 +250,8 @@ class TestDegradedReports:
         assert net.counters()["comap/fallback_entered"] == 0
 
     def test_drift_publishes_biased_positions(self):
-        window = int(DURATION_S * 1e9)
+        # The window outlives the run, so the last keep-alive is drifted.
+        window = 2 * int(DURATION_S * 1e9)
         plan = FaultPlan(
             events=(
                 LocationDrift(
@@ -265,7 +267,59 @@ class TestDegradedReports:
         net, results, injector = _run("comap", plan, _params())
         assert injector.counters["drift_applied"] > 0
         c2 = net.node("C2")
-        reported = net._reported_positions[c2.node_id]
+        published = net.node("AP2").agent.neighbor_table.position_of(c2.node_id)
         # 50 m/s for 0.3 s along +y: the published position drifted ~15 m
         # away from the true (static) position.
-        assert reported.y - c2.position.y > 5.0
+        assert published.y - c2.position.y > 5.0
+        # A drifted position is a publication, not the node's report.
+        assert c2.agent.reported_position == c2.position
+
+    def test_drift_ends_with_its_window(self):
+        built = exposed_terminal_topology(
+            "comap", c2_x=20.0, seed=1, params=testbed_params()
+        )
+        net = built.network
+        net.install_faults(
+            FaultPlan(
+                events=(
+                    LocationDrift(
+                        "C1", start_ns=10_000_000, duration_ns=20_000_000,
+                        rate_mps=100.0, heading_deg=0.0,
+                    ),
+                ),
+                report_interval_ns=2_000_000,
+            )
+        )
+        c1 = net.node("C1")
+        table = net.node("AP1").agent.neighbor_table
+        net.run(0.025)
+        assert table.position_of(c1.node_id).x > c1.position.x + 1.0
+        # The window closes at 30 ms; that instant's keep-alive
+        # republishes C1's report (its true spot: no error model), and
+        # later ones keep it there.
+        net.run(0.006)
+        assert table.position_of(c1.node_id) == c1.position
+        net.run(0.069)
+        assert table.position_of(c1.node_id) == c1.position
+        assert c1.agent.reported_position == c1.position
+
+
+class TestOnePlanPerNetwork:
+    def test_rejected_second_plan_leaves_the_first_in_force(self):
+        def acks_dropped(second_plan):
+            net = exposed_terminal_topology(
+                "comap", c2_x=20.0, seed=1, params=testbed_params()
+            ).network
+            injector = net.install_faults(
+                FaultPlan(events=(AckLossBurst("C2", 0, 50_000_000),))
+            )
+            if second_plan is not None:
+                with pytest.raises(RuntimeError, match="already installed"):
+                    net.install_faults(second_plan)
+            net.run(0.05)
+            return injector.counters["acks_dropped"]
+
+        alone = acks_dropped(None)
+        assert alone > 0
+        second = FaultPlan(events=(AnnouncementLoss("C2", 0, 1_000),))
+        assert acks_dropped(second) == alone

@@ -102,6 +102,9 @@ class TestInstallValidation:
         injector = built.network.install_faults(FaultPlan())
         with pytest.raises(RuntimeError, match="already installed"):
             injector.install()
+        with pytest.raises(RuntimeError, match="already installed"):
+            built.network.install_faults(FaultPlan())
+        assert built.network.faults is injector
 
 
 class TestSpecValidation:

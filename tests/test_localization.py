@@ -93,6 +93,11 @@ def _two_client_net(error_model, seed=3):
     return net, ap, c1, c2
 
 
+def _reports(net):
+    """Each node's last report, by node id."""
+    return {i: node.agent.reported_position for i, node in net.nodes.items()}
+
+
 class TestPerNodeErrorStreams:
     """The draw-count contract: localization draws are per node.
 
@@ -112,7 +117,7 @@ class TestPerNodeErrorStreams:
         for net, c in ((reference, r1), (zeroed, z1)):
             net.add_saturated(c, c.associated_ap)
             net.run(0.05)
-        assert reference._reported_positions == zeroed._reported_positions
+        assert _reports(reference) == _reports(zeroed)
         assert reference.counters() == zeroed.counters()
 
     def test_one_nodes_draws_never_shift_anothers(self):
@@ -124,7 +129,4 @@ class TestPerNodeErrorStreams:
         assert net_a.update_node_position(a1, Point(30, 0))
         assert net_a.update_node_position(a2, Point(-30, 0))
         assert net_b.update_node_position(b2, Point(-30, 0))
-        assert (
-            net_a._reported_positions[a2.node_id]
-            == net_b._reported_positions[b2.node_id]
-        )
+        assert a2.agent.reported_position == b2.agent.reported_position

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.params import ns2_params
+from repro.experiments.topologies import full_floor_topology
 from repro.net.localization import UniformDiskError
 from repro.net.network import Network
 from repro.util.geometry import Point
@@ -149,6 +150,28 @@ class TestCoMapWiring:
         net.finalize()
         assert (ap.agent.neighbor_table.position_of(c.node_id)
                 == c.agent.neighbor_table.position_of(c.node_id))
+
+    def test_finalize_installs_each_band_in_node_order(self):
+        # 8 APs on 3 bands, 3 clients each, finalized by the builder.
+        # Every agent must learn exactly its own band's nodes, in node-id
+        # order, each at that node's report (which the error model moves
+        # off the truth).
+        net = full_floor_topology(
+            "comap", topology_seed=3, seed=1, error_model=UniformDiskError(5.0)
+        ).network
+        assert len(net.nodes) == 32
+        for node in net.nodes.values():
+            rows = node.agent.neighbor_table.neighbors(exclude_self=False)
+            band = [i for i, peer in net.nodes.items() if peer.band == node.band]
+            assert [row.node_id for row in rows] == band
+            for row in rows:
+                assert row.position == net.nodes[row.node_id].agent.reported_position
+            assert node.agent.reported_position != node.position
+
+    def test_finalize_refreshes_adaptation_once_per_mac(self):
+        net = full_floor_topology("comap", topology_seed=3, seed=1).network
+        # One refresh per CO-MAP MAC with a receiver, not one per report.
+        assert net.counters()["comap/adaptation_refreshes"] == 32
 
     def test_comap_goodput_comparable_on_single_link(self):
         # One clean link: CO-MAP's machinery must not break basic delivery.
