@@ -9,23 +9,31 @@ at all, on the exposed-terminal scenario at the NS-2-style fixed 6 Mbps
 and under Minstrel rate adaptation.
 """
 
+import dataclasses
+
 from repro.experiments.params import testbed_params
 from repro.experiments.topologies import exposed_terminal_topology
 
 from benchmarks._harness import banner, full_scale, paper_vs_measured, run_once, sweep, table
 
+#: mode -> (CoMapConfig overrides, CoMapMacConfig overrides).  The
+#: announcement method is a protocol setting; whether to announce at all
+#: is the MAC's.
 MODES = (
-    ("embedded", {"announce_mode": "embedded"}),
-    ("separate", {"announce_mode": "separate"}),
-    ("none", {"announce_headers": False, "persistent_exposure": False}),
+    ("embedded", {"announce_mode": "embedded"}, {}),
+    ("separate", {"announce_mode": "separate"}, {}),
+    ("none", {}, {"announce_headers": False, "persistent_exposure": False}),
 )
 SEEDS = (1, 2, 3)
 
 
-def _aggregate(params, overrides, seed, duration):
+def _aggregate(params, comap_overrides, mac_overrides, seed, duration):
+    params = params.with_overrides(
+        comap=dataclasses.replace(params.comap, **comap_overrides)
+    )
     scenario = exposed_terminal_topology("comap", c2_x=30.0, seed=seed, params=params)
     for node in scenario.network.nodes.values():
-        for key, value in overrides.items():
+        for key, value in mac_overrides.items():
             setattr(node.mac.config, key, value)
     results = scenario.network.run(duration)
     c2, ap2 = scenario.extra["c2"], scenario.extra["ap2"]
@@ -41,12 +49,13 @@ def regenerate():
     )
     cells = [
         (label, rate_label)
-        for label, _ in MODES
+        for label, _, _ in MODES
         for rate_label, _ in rate_params
     ]
     grid = [
-        dict(params=params, overrides=overrides, seed=seed, duration=duration)
-        for _, overrides in MODES
+        dict(params=params, comap_overrides=comap, mac_overrides=mac,
+             seed=seed, duration=duration)
+        for _, comap, mac in MODES
         for _, params in rate_params
         for seed in SEEDS
     ]
@@ -65,7 +74,7 @@ def test_ablation_announce_mode(benchmark):
             (label,
              out[(label, "6 Mbps fixed")],
              out[(label, "Minstrel")])
-            for label, _ in MODES
+            for label, _, _ in MODES
         ],
     )
     paper_vs_measured(

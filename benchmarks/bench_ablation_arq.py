@@ -7,21 +7,25 @@ scenario, and counts how often the piggybacked sequence lists rescued a
 frame whose own ACK was lost.
 """
 
+import dataclasses
+
 from repro.experiments.metrics import comap_counters
+from repro.experiments.params import testbed_params
 from repro.experiments.topologies import exposed_terminal_topology
 
 from benchmarks._harness import banner, full_scale, paper_vs_measured, run_once, sweep, table
 
 SEEDS = (1, 2, 3)
-VARIANTS = (("sr-arq", None), ("stop-and-wait", {"sr_window": 1}))
+#: variant -> CoMapConfig overrides (the protocol config owns the window).
+VARIANTS = (("sr-arq", {}), ("stop-and-wait", {"sr_window": 1}))
 
 
-def _arq_outcome(overrides, seed, duration):
-    scenario = exposed_terminal_topology("comap", c2_x=30.0, seed=seed)
-    if overrides:
-        for node in scenario.network.nodes.values():
-            for key, value in overrides.items():
-                setattr(node.mac.config, key, value)
+def _arq_outcome(comap_overrides, seed, duration):
+    params = testbed_params()
+    params = params.with_overrides(
+        comap=dataclasses.replace(params.comap, **comap_overrides)
+    )
+    scenario = exposed_terminal_topology("comap", c2_x=30.0, seed=seed, params=params)
     results = scenario.network.run(duration)
     c2, ap2 = scenario.extra["c2"], scenario.extra["ap2"]
     goodput = (results.goodput_mbps(*scenario.tagged_flow)
@@ -32,7 +36,7 @@ def _arq_outcome(overrides, seed, duration):
 def regenerate():
     duration = 2.0 if full_scale() else 1.0
     grid = [
-        dict(overrides=overrides, seed=seed, duration=duration)
+        dict(comap_overrides=overrides, seed=seed, duration=duration)
         for _, overrides in VARIANTS
         for seed in SEEDS
     ]

@@ -4,8 +4,8 @@
 best packet configurations for different numbers of HTs and contending
 nodes beforehand.  The results are recorded in a 2-dimension array" —
 this module is that precomputation: an exhaustive grid search over the
-configured CW and payload choices, maximizing the analytical goodput of
-:class:`repro.analytical.ht_model.HtGoodputModel`.
+given contention windows and payload sizes, maximizing the analytical
+goodput of :class:`repro.analytical.ht_model.HtGoodputModel`.
 """
 
 from __future__ import annotations
@@ -31,16 +31,16 @@ class SettingOptimizer:
     def __init__(
         self,
         model: HtGoodputModel,
-        cw_choices: Sequence[int],
-        payload_choices: Sequence[int],
+        windows: Sequence[int],
+        payloads: Sequence[int],
         attacker_window: int = None,
         attacker_payload: int = None,
     ) -> None:
-        if not cw_choices or not payload_choices:
+        if not windows or not payloads:
             raise ValueError("choice grids cannot be empty")
         self.model = model
-        self.cw_choices = tuple(sorted(set(int(w) for w in cw_choices)))
-        self.payload_choices = tuple(sorted(set(int(p) for p in payload_choices)))
+        self.windows = tuple(sorted(set(int(w) for w in windows)))
+        self.payloads = tuple(sorted(set(int(p) for p in payloads)))
         self.attacker_window = attacker_window
         self.attacker_payload = attacker_payload
         self._cache: Dict[Tuple[int, int], OptimalSetting] = {}
@@ -52,8 +52,8 @@ class SettingOptimizer:
         if cached is not None:
             return cached
         best: OptimalSetting | None = None
-        for window in self.cw_choices:
-            for payload in self.payload_choices:
+        for window in self.windows:
+            for payload in self.payloads:
                 goodput = self.model.goodput_bps(
                     window, key[1], key[0], payload,
                     attacker_window=self.attacker_window,

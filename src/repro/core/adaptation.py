@@ -20,6 +20,11 @@ if TYPE_CHECKING:  # hints only — core must stay import-independent of mac
     from repro.mac.timing import PhyTiming
     from repro.phy.rates import Rate
 
+#: The contention windows the optimizer searches (802.11's BEB stages).
+CW_CHOICES = (31, 63, 127, 255, 511, 1023)
+#: The MSDU payload sizes the optimizer searches (bytes).
+PAYLOAD_CHOICES = tuple(range(100, 2001, 100))
+
 
 @dataclass(frozen=True)
 class Setting:
@@ -59,8 +64,8 @@ class AdaptationTable:
         )
         self._optimizer = SettingOptimizer(
             model=HtGoodputModel(slot_model),
-            cw_choices=config.cw_choices,
-            payload_choices=config.payload_choices,
+            windows=CW_CHOICES,
+            payloads=PAYLOAD_CHOICES,
             attacker_window=config.attacker_window,
             attacker_payload=config.attacker_payload,
         )

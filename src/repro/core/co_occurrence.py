@@ -11,19 +11,14 @@ no off-line site survey — which is why lookups distinguish *unknown*
 (``None``: compute via eq. 3 and insert) from *known-disallowed*
 (``False``: stay silent without recomputing).
 
-Entries carry the simulated time they were recorded at, which feeds two
-optional freshness mechanisms (both disabled by default so the map is a
-pure cache, exactly as before):
-
-* a hard TTL (:attr:`ttl_ns`) past which a verdict reverts to *unknown*;
-* staleness-aware confidence decay (:attr:`confidence_halflife_ns`):
-  confidence is ``0.5 ** (age / halflife)`` and a verdict below
-  :attr:`min_confidence` no longer counts.
+A verdict stays until a position report invalidates it (the peer or the
+owner moved, see :meth:`CoOccurrenceMap.invalidate_node` and
+:meth:`CoOccurrenceMap.clear`); the map itself never ages an entry out.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 #: A directed link on the air: (source, destination).
 Link = Tuple[int, int]
@@ -34,83 +29,43 @@ class CoOccurrenceMap:
 
     def __init__(self, owner_id: int) -> None:
         self.owner_id = owner_id
-        # receiver -> simulated time (ns) the verdict was recorded at.
-        self._allowed: Dict[Link, Dict[int, int]] = {}
-        self._denied: Dict[Link, Dict[int, int]] = {}
+        # link -> the receivers whose verdict is allowed / denied.
+        self._allowed: Dict[Link, Set[int]] = {}
+        self._denied: Dict[Link, Set[int]] = {}
         self.lookups = 0
         self.hits = 0
-        self.expired = 0
-        #: Hard expiry for verdicts (ns); ``None`` disables.
-        self.ttl_ns: Optional[int] = None
-        #: Confidence-decay half-life (ns); ``None`` disables decay.
-        self.confidence_halflife_ns: Optional[int] = None
-        #: Confidence floor for decayed verdicts.
-        self.min_confidence: float = 0.5
 
-    def _stale(self, recorded_at: int, now: Optional[int]) -> bool:
-        """True when a verdict recorded at ``recorded_at`` no longer counts."""
-        if now is None:
-            return False
-        age = now - recorded_at
-        if self.ttl_ns is not None and age > self.ttl_ns:
-            return True
-        if self.confidence_halflife_ns is not None and age > 0:
-            confidence = 0.5 ** (age / self.confidence_halflife_ns)
-            if confidence < self.min_confidence:
-                return True
-        return False
-
-    def confidence(self, link: Link, my_dst: int, now: int) -> Optional[float]:
-        """Decayed confidence of a stored verdict, or None if absent.
-
-        With no half-life configured a present entry has confidence 1.0.
-        """
+    def confidence(self, link: Link, my_dst: int) -> Optional[float]:
+        """1.0 for a stored verdict, None if absent (verdicts never decay)."""
         for table in (self._allowed, self._denied):
-            recorded_at = table.get(link, {}).get(my_dst)
-            if recorded_at is not None:
-                if self.confidence_halflife_ns is None:
-                    return 1.0
-                age = max(0, now - recorded_at)
-                return 0.5 ** (age / self.confidence_halflife_ns)
+            if my_dst in table.get(link, ()):
+                return 1.0
         return None
 
-    def query(self, link: Link, my_dst: int, now: Optional[int] = None) -> Optional[bool]:
+    def query(self, link: Link, my_dst: int) -> Optional[bool]:
         """Can I transmit to ``my_dst`` while ``link`` is on the air?
 
         Returns True/False when previously validated, None when unknown.
-        Passing ``now`` enables the freshness checks: a stale verdict is
-        dropped (counted in :attr:`expired`) and reported as unknown, so
-        the caller revalidates via eq. 3 and re-inserts a fresh entry.
         """
         self.lookups += 1
         for table, verdict in ((self._allowed, True), (self._denied, False)):
             receivers = table.get(link)
-            if receivers is None:
-                continue
-            recorded_at = receivers.get(my_dst)
-            if recorded_at is None:
-                continue
-            if self._stale(recorded_at, now):
-                del receivers[my_dst]
-                if not receivers:
-                    del table[link]
-                self.expired += 1
-                return None
-            self.hits += 1
-            return verdict
+            if receivers is not None and my_dst in receivers:
+                self.hits += 1
+                return verdict
         return None
 
-    def record(self, link: Link, my_dst: int, allowed: bool, now: int = 0) -> None:
+    def record(self, link: Link, my_dst: int, allowed: bool) -> None:
         """Store the outcome of one concurrency validation."""
         bucket = self._allowed if allowed else self._denied
         other = self._denied if allowed else self._allowed
         # A revalidation may flip the verdict; never keep both.
         stale_side = other.get(link)
         if stale_side is not None:
-            stale_side.pop(my_dst, None)
+            stale_side.discard(my_dst)
             if not stale_side:
                 del other[link]
-        bucket.setdefault(link, {})[my_dst] = now
+        bucket.setdefault(link, set()).add(my_dst)
 
     def concurrent_receivers(self, link: Link) -> List[int]:
         """All receivers validated as concurrency-safe with ``link``."""
@@ -127,7 +82,7 @@ class CoOccurrenceMap:
             emptied = []
             for link, receivers in table.items():
                 if node_id in receivers:
-                    del receivers[node_id]
+                    receivers.remove(node_id)
                     removed += 1
                     if not receivers:
                         emptied.append(link)
@@ -144,25 +99,23 @@ class CoOccurrenceMap:
         """Flip stored verdicts with ``flip_prob``; returns the flip count.
 
         Models a corrupted control-plane update: an *allowed* entry
-        becomes *denied* and vice versa, keeping its timestamp.  The
-        iteration order is sorted, so the same ``rng`` state always
-        corrupts the same entries.
+        becomes *denied* and vice versa.  The iteration order is sorted,
+        so the same ``rng`` state always corrupts the same entries.
         """
         moves = []
         for allowed, table in ((True, self._allowed), (False, self._denied)):
             for link in sorted(table):
-                receivers = table[link]
-                for my_dst in sorted(receivers):
+                for my_dst in sorted(table[link]):
                     if flip_prob >= 1.0 or rng.random() < flip_prob:
-                        moves.append((allowed, link, my_dst, receivers[my_dst]))
-        for allowed, link, my_dst, recorded_at in moves:
+                        moves.append((allowed, link, my_dst))
+        for allowed, link, my_dst in moves:
             source = self._allowed if allowed else self._denied
             target = self._denied if allowed else self._allowed
             bucket = source[link]
-            del bucket[my_dst]
+            bucket.remove(my_dst)
             if not bucket:
                 del source[link]
-            target.setdefault(link, {})[my_dst] = recorded_at
+            target.setdefault(link, set()).add(my_dst)
         return len(moves)
 
     @property

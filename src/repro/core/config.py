@@ -7,13 +7,18 @@ override the propagation and threshold fields through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass
 class CoMapConfig:
     """Thresholds and knobs of the CO-MAP control plane.
+
+    Every agent of a network shares one instance (``ScenarioParams.comap``),
+    and it is the only place the announcement method and the
+    selective-repeat window are set: :class:`repro.mac.comap.CoMapMac`
+    reads both from its agent's config.
 
     Attributes
     ----------
@@ -24,26 +29,19 @@ class CoMapConfig:
         Required signal-to-interference ratio used inside the PRR model —
         the paper sets it to the threshold of the *lowest* rate (4 dB on
         the testbed) or 10 for NS-2.
-    hidden_prob_threshold:
-        A neighbor is treated as hidden when its carrier-sense-miss
-        probability (eq. 4) exceeds this (paper: 0.9).
-    interference_prr_floor:
-        A neighbor counts as an interferer of a link when its concurrent
-        transmission would push the link PRR below this value.
     sr_window:
-        Selective-repeat ARQ sending window ``W_send``.
+        Selective-repeat ARQ sending window ``W_send``; 1 degenerates to
+        stop-and-wait.
     position_update_threshold_m:
         A node re-reports its position after moving this far — the paper
         sets it to half of the highest tolerable position inaccuracy.
-    cw_choices / payload_choices:
-        The grid the adaptation optimizer searches (Section IV-D3's
-        precomputed 2-D array).
+    max_hidden_terminals / max_contenders:
+        The bounds of the precomputed (W, payload) array (Section IV-D3);
+        larger estimates are clamped to them.
     """
 
     t_prr: float = 0.95
     t_sir_db: float = 10.0
-    hidden_prob_threshold: float = 0.9
-    interference_prr_floor: float = 0.5
     sr_window: int = 8
     #: Announcement implementation: "separate" header packet (testbed
     #: method, robust under rate adaptation) or "embedded" 4-byte early
@@ -60,8 +58,6 @@ class CoMapConfig:
     #: Payload size assumed for non-adaptive hidden terminals (bytes).
     attacker_payload: int = 1000
     position_update_threshold_m: float = 5.0
-    cw_choices: Tuple[int, ...] = (31, 63, 127, 255, 511, 1023)
-    payload_choices: Tuple[int, ...] = tuple(range(100, 2001, 100))
     max_hidden_terminals: int = 10
     max_contenders: int = 10
     #: Freshness horizon (ns) for a node's *own* location report.  When
@@ -70,37 +66,20 @@ class CoMapConfig:
     #: ``None`` (the default) disables staleness tracking entirely, which
     #: keeps every pre-existing scenario bit-identical.
     location_ttl_ns: Optional[int] = None
-    #: Hard expiry (ns) for co-occurrence-map verdicts.  Entries older
-    #: than this behave as *unknown* (recomputed on next use).  ``None``
-    #: disables expiry.
-    co_map_ttl_ns: Optional[int] = None
-    #: Staleness-aware confidence decay half-life (ns) for co-occurrence
-    #: entries.  An entry's confidence is ``0.5 ** (age / halflife)``;
-    #: once it drops below :attr:`co_map_min_confidence` the verdict is
-    #: treated as unknown.  ``None`` disables decay.
-    co_map_confidence_halflife_ns: Optional[int] = None
-    #: Confidence floor below which a decayed co-occurrence verdict no
-    #: longer counts (used only when a half-life is configured).
-    co_map_min_confidence: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 < self.t_prr < 1.0:
             raise ValueError(f"t_prr must lie in (0, 1), got {self.t_prr}")
-        if not 0.0 < self.hidden_prob_threshold < 1.0:
-            raise ValueError("hidden_prob_threshold must lie in (0, 1)")
-        if not 0.0 < self.interference_prr_floor < 1.0:
-            raise ValueError("interference_prr_floor must lie in (0, 1)")
         if self.sr_window < 1:
             raise ValueError("selective-repeat window must be at least 1")
         if self.announce_mode not in ("separate", "embedded"):
-            raise ValueError("announce_mode must be 'separate' or 'embedded'")
+            raise ValueError(
+                f"announce_mode must be 'separate' or 'embedded', "
+                f"got {self.announce_mode!r}"
+            )
         if self.position_update_threshold_m < 0:
             raise ValueError("position update threshold cannot be negative")
-        if not self.cw_choices or not self.payload_choices:
-            raise ValueError("adaptation grids cannot be empty")
-        for name in ("location_ttl_ns", "co_map_ttl_ns", "co_map_confidence_halflife_ns"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive when set, got {value}")
-        if not 0.0 < self.co_map_min_confidence <= 1.0:
-            raise ValueError("co_map_min_confidence must lie in (0, 1]")
+        if self.location_ttl_ns is not None and self.location_ttl_ns <= 0:
+            raise ValueError(
+                f"location_ttl_ns must be positive when set, got {self.location_ttl_ns}"
+            )

@@ -44,7 +44,13 @@ class NeighborRole:
 
 
 class HtEstimator:
-    """Classifies a node's neighbors relative to one of its links."""
+    """Classifies a node's neighbors relative to one of its links.
+
+    The default thresholds are the ones every CO-MAP agent runs: a
+    neighbor is hidden when its eq. (4) miss probability exceeds 0.9 (the
+    paper's value), and it interferes when it would push the link's PRR
+    below 0.5.
+    """
 
     def __init__(
         self,
@@ -52,7 +58,7 @@ class HtEstimator:
         tx_power_dbm: float,
         t_cs_dbm: float,
         hidden_prob_threshold: float = 0.9,
-        interference_prr_floor: float = 0.95,
+        interference_prr_floor: float = 0.5,
     ) -> None:
         self.model = model
         self.tx_power_dbm = tx_power_dbm

@@ -4,7 +4,7 @@ Each node reports its position to its associated AP; APs redistribute the
 positions of nearby participants, so every node ends up knowing the
 (possibly imperfect) coordinates of its neighbors within two hops.  The
 table stores what *this* node currently believes, including when each
-entry was last refreshed — stale entries can be expired under mobility.
+entry was last refreshed, which :meth:`NeighborTable.is_fresh` checks.
 """
 
 from __future__ import annotations
@@ -74,13 +74,6 @@ class NeighborTable:
             return None
         return pa.distance_to(pb)
 
-    def age_of(self, node_id: int, now: int) -> Optional[int]:
-        """Nanoseconds since ``node_id``'s entry was refreshed, or None."""
-        entry = self._entries.get(node_id)
-        if entry is None:
-            return None
-        return max(0, now - entry.updated_at)
-
     def is_fresh(self, node_id: int, now: int, ttl_ns: Optional[int]) -> bool:
         """True when the entry exists and is within ``ttl_ns``.
 
@@ -94,19 +87,6 @@ class NeighborTable:
             return True
         return now - entry.updated_at <= ttl_ns
 
-    def confidence(self, node_id: int, now: int, halflife_ns: Optional[int]) -> float:
-        """Staleness-decayed confidence in an entry: ``0.5 ** (age / halflife)``.
-
-        Returns 0.0 for unknown nodes and 1.0 when decay is disabled.
-        """
-        entry = self._entries.get(node_id)
-        if entry is None:
-            return 0.0
-        if halflife_ns is None:
-            return 1.0
-        age = max(0, now - entry.updated_at)
-        return 0.5 ** (age / halflife_ns)
-
     def remove(self, node_id: int) -> bool:
         """Drop an entry (e.g. node left the network).  Returns True if present."""
         return self._entries.pop(node_id, None) is not None
@@ -117,25 +97,6 @@ class NeighborTable:
         if exclude_self:
             return [e for e in rows if e.node_id != self.owner_id]
         return list(rows)
-
-    def within(self, center: Point, radius_m: float) -> List[NeighborEntry]:
-        """Neighbors whose reported position lies within ``radius_m`` of a point."""
-        return [
-            e
-            for e in self.neighbors()
-            if e.position.distance_to(center) <= radius_m
-        ]
-
-    def expire_older_than(self, cutoff: int) -> int:
-        """Remove entries not refreshed since ``cutoff``; returns how many."""
-        stale = [
-            node_id
-            for node_id, e in self._entries.items()
-            if e.updated_at < cutoff and node_id != self.owner_id
-        ]
-        for node_id in stale:
-            del self._entries[node_id]
-        return len(stale)
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._entries

@@ -51,11 +51,7 @@ class CoMapAgent:
         self.co_map = CoOccurrenceMap(node_id)
         self.validator = ConcurrencyValidator(self.model, config.t_prr)
         self.estimator = HtEstimator(
-            model=self.model,
-            tx_power_dbm=tx_power_dbm,
-            t_cs_dbm=t_cs_dbm,
-            hidden_prob_threshold=config.hidden_prob_threshold,
-            interference_prr_floor=config.interference_prr_floor,
+            model=self.model, tx_power_dbm=tx_power_dbm, t_cs_dbm=t_cs_dbm
         )
         self.adaptation = adaptation
         #: What this node's location service last produced for it (its
@@ -65,11 +61,6 @@ class CoMapAgent:
         self.reported_position: Optional[Point] = None
         self._announce_worthwhile: Dict[int, bool] = {}
         self.stale_denials = 0
-        # Wire the optional co-occurrence freshness knobs (all None/off by
-        # default, so the map stays a pure cache unless explicitly enabled).
-        self.co_map.ttl_ns = config.co_map_ttl_ns
-        self.co_map.confidence_halflife_ns = config.co_map_confidence_halflife_ns
-        self.co_map.min_confidence = config.co_map_min_confidence
 
     # ------------------------------------------------------------------
     # Location exchange
@@ -158,8 +149,7 @@ class CoMapAgent:
     ) -> bool:
         """Full lookup path: co-occurrence map, then eq. (3), then cache.
 
-        Passing ``now`` activates the freshness machinery: expired
-        co-occurrence entries revert to unknown, and if the position of
+        Passing ``now`` activates the staleness check: if the position of
         any endpoint of the validation is stale (per
         :attr:`CoMapConfig.location_ttl_ns`) the answer is a conservative
         *deny* — not cached, counted in :attr:`stale_denials` — because
@@ -172,11 +162,11 @@ class CoMapAgent:
                     self.stale_denials += 1
                     return False
         link = (ongoing_src, ongoing_dst)
-        cached = self.co_map.query(link, my_dst, now=now)
+        cached = self.co_map.query(link, my_dst)
         if cached is not None:
             return cached
         result = self.validate(ongoing_src, ongoing_dst, my_dst)
-        self.co_map.record(link, my_dst, result.allowed, now=now if now is not None else 0)
+        self.co_map.record(link, my_dst, result.allowed)
         return result.allowed
 
     def validate(

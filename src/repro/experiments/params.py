@@ -28,7 +28,11 @@ from repro.phy.rates import DSSS_RATES, OFDM_RATES, RateTable
 
 @dataclass
 class ScenarioParams:
-    """Everything needed to instantiate a :class:`repro.net.network.Network`."""
+    """Everything needed to instantiate a :class:`repro.net.network.Network`.
+
+    The DCF settings are not here: :class:`repro.mac.dcf.MacConfig` owns
+    them, and a network changes them through ``Network(mac_overrides=...)``.
+    """
 
     # Propagation (eq. 1).
     alpha: float
@@ -46,11 +50,7 @@ class ScenarioParams:
     timing: PhyTiming = OFDM_TIMING
     #: Fixed data rate in bps; ``None`` enables Minstrel rate adaptation.
     data_rate_bps: Optional[int] = 6_000_000
-    # MAC.
-    cw_min: int = 31
-    cw_max: int = 1023
-    retry_limit: int = 7
-    queue_limit: int = 64
+    # Traffic.
     default_payload_bytes: int = 1000
     # CO-MAP control plane.
     comap: CoMapConfig = field(default_factory=CoMapConfig)

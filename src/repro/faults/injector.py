@@ -272,7 +272,7 @@ class FaultInjector:
         expired = agent.co_map.entry_count
         agent.co_map.clear()
         self._counters["comap_entries_expired"] += expired
-        self._trace("co_map_expired", node=spec.node, entries=expired)
+        self._trace("co_map_cleared", node=spec.node, entries=expired)
 
     def _corrupt_co_map(self, spec: CoMapCorruption) -> None:
         agent = self.network.nodes_by_name[spec.node].agent

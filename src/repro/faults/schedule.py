@@ -203,9 +203,6 @@ class NodeChurn:
 #: plan activates the injector's periodic keep-alive ticker.
 LOCATION_FAULTS = (LocationOutage, FrozenLocation, BeaconLoss, LocationDrift)
 
-#: Specs filtered at the MAC receive path via ``fault_hooks``.
-RX_FAULTS = (AckLossBurst, AnnouncementLoss)
-
 FaultSpec = Union[
     LocationOutage,
     FrozenLocation,

@@ -19,7 +19,7 @@ from repro.mac.frames import Frame, FrameType, MAC_DATA_OVERHEAD_BYTES, ACK_BYTE
 from repro.mac.timing import PhyTiming, DSSS_TIMING, OFDM_TIMING
 from repro.mac.dcf import DcfMac, MacConfig, LinkStats
 from repro.mac.comap import CoMapMac, CoMapMacConfig
-from repro.mac.cmap import CmapMac, CmapMacConfig
+from repro.mac.cmap import CmapMac
 from repro.mac.rate_control import MinstrelLite, FixedRate, RatePolicy
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "CoMapMac",
     "CoMapMacConfig",
     "CmapMac",
-    "CmapMacConfig",
     "MinstrelLite",
     "FixedRate",
     "RatePolicy",

@@ -14,11 +14,11 @@ This module implements that baseline so the claim can be measured:
   (an identification substrate both schemes need);
 * on overhearing a header for link L while holding a frame for ``dst``,
   the MAC consults its empirical table for (L, dst):
-  - fewer than ``min_trials`` attempts -> **probe** (transmit
+  - fewer than ``MIN_TRIALS`` attempts -> **probe** (transmit
     concurrently and see what happens — this is where the learning
     losses come from);
   - otherwise allow concurrency iff the observed success rate clears
-    ``success_threshold`` (with an occasional epsilon re-probe so the
+    ``SUCCESS_THRESHOLD`` (with an occasional epsilon re-probe so the
     map can recover from stale negatives);
 * every concurrent attempt's ACK outcome updates the entry.
 
@@ -36,20 +36,16 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.mac.dcf import MacState, Mpdu
-from repro.mac.exposed import ExposedMac, ExposedMacConfig, Link
+from repro.mac.exposed import ExposedMac, Link
 from repro.mac.frames import Frame
 
 
-@dataclass
-class CmapMacConfig(ExposedMacConfig):
-    """Knobs of the loss-learning conflict map."""
-
-    #: Attempts before an entry's verdict is trusted.
-    min_trials: int = 4
-    #: Concurrency allowed when the observed success rate clears this.
-    success_threshold: float = 0.7
-    #: Probability of re-probing a learned-negative entry.
-    reprobe_probability: float = 0.02
+#: Attempts before an entry's verdict is trusted.
+MIN_TRIALS = 4
+#: Concurrency allowed when the observed success rate clears this.
+SUCCESS_THRESHOLD = 0.7
+#: Probability of re-probing a learned-negative entry.
+REPROBE_PROBABILITY = 0.02
 
 
 @dataclass
@@ -85,8 +81,6 @@ class CmapMac(ExposedMac):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if not isinstance(self.config, CmapMacConfig):
-            raise TypeError("CmapMac requires a CmapMacConfig")
         self.cmap_stats = self._episode_stats = CmapStats()
         self._conflict_map: Dict[Tuple[int, int, int], _Entry] = {}
         # Reuse the backoff stream's generator (the same object the first
@@ -108,13 +102,13 @@ class CmapMac(ExposedMac):
     def _decide(self, link: Link, dst: int) -> bool:
         """Probe-then-exploit decision for one opportunity."""
         entry = self.entry(link, dst)
-        if entry.attempts < self.config.min_trials:
+        if entry.attempts < MIN_TRIALS:
             self.cmap_stats.probes += 1
             return True
-        if entry.success_rate >= self.config.success_threshold:
+        if entry.success_rate >= SUCCESS_THRESHOLD:
             self.cmap_stats.learned_allowed += 1
             return True
-        if self._probe_rng.random() < self.config.reprobe_probability:
+        if self._probe_rng.random() < REPROBE_PROBABILITY:
             self.cmap_stats.reprobes += 1
             return True
         self.cmap_stats.learned_denied += 1

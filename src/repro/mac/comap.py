@@ -34,15 +34,20 @@ estimated ``(N_ht, c)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.arq import SrReceiver, SrSender
 from repro.core.protocol import CoMapAgent
 from repro.mac.dcf import FlowId, MacState, Mpdu
-from repro.mac.exposed import ExposedMac, ExposedMacConfig
+from repro.mac.exposed import OPPORTUNITY_SLACK_NS, ExposedMac, ExposedMacConfig
 from repro.mac.frames import Frame, FrameType
 from repro.util.units import dbm_to_mw
+
+
+#: How long a link's RSSI signature stays usable for persistent exposure
+#: without hearing a fresh announcement header from it.
+EXPOSURE_MEMORY_NS = 5_000_000
 
 
 @dataclass
@@ -51,39 +56,22 @@ class CoMapMacConfig(ExposedMacConfig):
 
     ``enhanced_scheduler=False`` reproduces the paper's testbed emulation
     (concurrency by CCA override without RSSI monitoring) and powers the
-    multi-ET ablation; ``sr_window=1`` degenerates to stop-and-wait.
+    multi-ET ablation.  The announcement method and the selective-repeat
+    window are protocol settings: :class:`repro.core.config.CoMapConfig`
+    owns them, and the MAC reads them from its agent.
     """
 
-    #: "separate": a small header packet precedes each data frame (the
-    #: paper's testbed method — no PHY changes needed).  "embedded": an
-    #: extra FCS after the sequence-number field lets overhearers decode
-    #: the announcement from the data frame itself for 4 bytes of
-    #: overhead (the paper's first method, used in its NS-2 build).
-    announce_mode: str = "separate"
     enable_concurrency: bool = True
     enable_adaptation: bool = True
     enhanced_scheduler: bool = True
-    sr_window: int = 8
     #: Persistent exposure: once a link is validated as co-occurring,
     #: busy-channel energy attributable to that link (by RSSI signature,
     #: within T'_cs) no longer freezes the backoff.  This is the paper's
     #: testbed mechanism ("we enable the concurrent transmissions of one
     #: ET by disabling its carrier sense with a high CCA threshold"),
-    #: bounded here by per-link RSSI attribution and a recency window.
+    #: bounded here by per-link RSSI attribution and a recency window
+    #: (:data:`EXPOSURE_MEMORY_NS`).
     persistent_exposure: bool = True
-    #: How long a link's RSSI signature stays usable without hearing a
-    #: fresh announcement header from it.
-    exposure_memory_ns: int = 5_000_000
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.sr_window < 1:
-            raise ValueError("selective-repeat window must be at least 1")
-        if self.announce_mode not in ("separate", "embedded"):
-            raise ValueError(
-                f"announce_mode must be 'separate' or 'embedded', "
-                f"got {self.announce_mode!r}"
-            )
 
 
 @dataclass
@@ -171,10 +159,7 @@ class CoMapMac(ExposedMac):
 
     def _degradation_counters(self) -> Dict[str, int]:
         """Staleness counters kept on the agent, merged under ``comap/``."""
-        return {
-            "stale_denials": self.agent.stale_denials,
-            "co_map_expired": self.agent.co_map.expired,
-        }
+        return {"stale_denials": self.agent.stale_denials}
 
     # ------------------------------------------------------------------
     # Graceful degradation (fallback to plain DCF on stale location)
@@ -293,7 +278,7 @@ class CoMapMac(ExposedMac):
             # announcement would be pure overhead.
             return [data]
         self.comap_stats.headers_sent += 1
-        if self.config.announce_mode == "embedded":
+        if self.agent.config.announce_mode == "embedded":
             data.meta["embedded_announce"] = True
             data.meta["dur"] = self.timing.frame_airtime_ns(data)
             return [data]
@@ -338,7 +323,7 @@ class CoMapMac(ExposedMac):
             # air, so its energy is in the current reading — open now.
             self._open_opportunity(
                 link, self.radio.energy_mw(),
-                duration_ns + self.config.opportunity_slack_ns,
+                duration_ns + OPPORTUNITY_SLACK_NS,
             )
             self._resume_contention()
             return
@@ -446,7 +431,7 @@ class CoMapMac(ExposedMac):
             return False
         now = self.sim.now
         for link, (signature_mw, last_seen) in self._link_signatures.items():
-            if now - last_seen > self.config.exposure_memory_ns:
+            if now - last_seen > EXPOSURE_MEMORY_NS:
                 continue
             if energy > signature_mw + self._t_cs_prime_mw:
                 continue  # more power in the air than that link alone emits
@@ -456,7 +441,7 @@ class CoMapMac(ExposedMac):
                 link[0], link[1], self._head.dst, now=now
             ):
                 continue
-            self._open_opportunity(link, energy, self.config.exposure_memory_ns)
+            self._open_opportunity(link, energy, EXPOSURE_MEMORY_NS)
             self.comap_stats.signature_opportunities += 1
             return True
         return False
@@ -498,7 +483,7 @@ class CoMapMac(ExposedMac):
         """Recently announced links the co-occurrence map clears for ``dst``."""
         now = self.sim.now
         for link, (_sig, last_seen) in self._link_signatures.items():
-            if now - last_seen > self.config.exposure_memory_ns:
+            if now - last_seen > EXPOSURE_MEMORY_NS:
                 continue
             if link[0] == dst or link[1] == dst:
                 continue
@@ -512,7 +497,7 @@ class CoMapMac(ExposedMac):
 
     def co_occurrence_cached(self, link, dst):
         """Cached-only co-occurrence lookup (no fresh validation)."""
-        return self.agent.co_map.query(link, dst, now=self.sim.now)
+        return self.agent.co_map.query(link, dst)
 
     def _report_rate_outcome(self, dst: int, success: bool) -> None:
         """Keep exposed-transmission outcomes out of the rate controller.
@@ -531,14 +516,14 @@ class CoMapMac(ExposedMac):
     def _sr_sender(self, flow: FlowId) -> SrSender:
         sender = self._sr_senders.get(flow)
         if sender is None:
-            sender = SrSender(self.config.sr_window)
+            sender = SrSender(self.agent.config.sr_window)
             self._sr_senders[flow] = sender
         return sender
 
     def _sr_receiver(self, flow: FlowId) -> SrReceiver:
         receiver = self._sr_receivers.get(flow)
         if receiver is None:
-            receiver = SrReceiver(max(self.config.sr_window, 1))
+            receiver = SrReceiver(max(self.agent.config.sr_window, 1))
             self._sr_receivers[flow] = receiver
         return receiver
 
@@ -584,7 +569,7 @@ class CoMapMac(ExposedMac):
         stop-and-wait with exponential backoff handles those.
         """
         assert self._head is not None
-        if self.config.sr_window <= 1 or self._degraded():
+        if self.agent.config.sr_window <= 1 or self._degraded():
             # Degraded: no concurrency is being attempted, so a missing
             # ACK means collision/bad channel — plain stop-and-wait BEB.
             super()._handle_ack_timeout(frame)
@@ -619,7 +604,7 @@ class CoMapMac(ExposedMac):
 
     def _select_next(self) -> Optional[Mpdu]:
         """Serve window-exhausted retransmissions before fresh traffic."""
-        if self.config.sr_window > 1:
+        if self.agent.config.sr_window > 1:
             for flow, sender in self._sr_senders.items():
                 if sender.window_full or (sender.outstanding and not self._queue):
                     entry = sender.next_retransmit()

@@ -19,15 +19,14 @@ The protocol, per transmit opportunity:
    the AP frozen exactly as before.
 3. **Power capping** — an elected secondary computes the highest
    transmit power whose interference at each primary receiver stays
-   below ``noise_floor + interference_margin_db`` (the C-SR power rule)
+   below ``noise_floor + INTERFERENCE_MARGIN_DB`` (the C-SR power rule)
    and transmits at that cap, restoring its default power when the
    train leaves the air.  If the cap falls below
-   ``min_tx_power_dbm`` — or the capped link cannot sustain even the
+   ``MIN_TX_POWER_DBM`` — or the capped link cannot sustain even the
    base rate under the predicted SIR — the election is abandoned.
 4. **Jitter** — an elected secondary defers its join by a uniform draw
-   from ``[0, csr_jitter_ns]`` (its ``substream("csr", node)``), which
-   decorrelates simultaneous electors.  A zero window draws nothing
-   (the "certainty consumes no draws" convention).
+   from ``[0, CSR_JITTER_NS]`` (its ``substream("csr", node)``), which
+   decorrelates simultaneous electors.
 
 An unbound ``CsrMac`` (no backhaul: a single AP, or
 ``csr_backhaul_latency_ns=None``) takes none of these paths and behaves
@@ -40,26 +39,22 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.protocol import CoMapAgent
-from repro.mac.comap import CoMapMac, CoMapMacConfig
+from repro.mac.comap import CoMapMac
 from repro.mac.dcf import MacState, Mpdu
+from repro.mac.exposed import OPPORTUNITY_SLACK_NS
 from repro.mac.frames import Frame
 from repro.net.backhaul import Backhaul, TxopRecord
 
 
-@dataclass
-class CsrMacConfig(CoMapMacConfig):
-    """C-SR additions on top of the CO-MAP knobs."""
-
-    #: Interference budget at a primary receiver: a secondary's capped
-    #: transmit power must keep its mean received power there below
-    #: ``noise_floor_dbm + interference_margin_db``.
-    interference_margin_db: float = 6.0
-    #: Elections whose power cap falls below this are abandoned — a
-    #: whisper-quiet transmission wastes a TXOP on an undecodable frame.
-    min_tx_power_dbm: float = -10.0
-    #: Upper bound of the uniform join-jitter window (ns).  0 disables
-    #: the draw entirely.
-    csr_jitter_ns: int = 9_000
+#: Interference budget at a primary receiver: a secondary's capped
+#: transmit power must keep its mean received power there below
+#: ``noise_floor_dbm + INTERFERENCE_MARGIN_DB``.
+INTERFERENCE_MARGIN_DB = 6.0
+#: Elections whose power cap falls below this are abandoned — a
+#: whisper-quiet transmission wastes a TXOP on an undecodable frame.
+MIN_TX_POWER_DBM = -10.0
+#: Upper bound of the uniform join-jitter window (ns).
+CSR_JITTER_NS = 9_000
 
 
 @dataclass
@@ -90,8 +85,6 @@ class CsrMac(CoMapMac):
                  *, agent: CoMapAgent, **kwargs) -> None:
         super().__init__(node_id, sim, radio, timing, rates, rngs,
                          agent=agent, **kwargs)
-        if not isinstance(self.config, CsrMacConfig):
-            raise TypeError("CsrMac requires a CsrMacConfig")
         self.csr_stats = CsrStats()
         self.backhaul: Optional[Backhaul] = None
         self._rngs = rngs
@@ -155,7 +148,7 @@ class CsrMac(CoMapMac):
         expires_at = (
             self.sim.now
             + self._train_duration_ns
-            + self.config.opportunity_slack_ns
+            + OPPORTUNITY_SLACK_NS
         )
         record = TxopRecord(
             owner=self.node_id,
@@ -208,11 +201,7 @@ class CsrMac(CoMapMac):
             return
         cap_dbm, primary = grant
         self.csr_stats.concurrent_granted += 1
-        jitter = 0
-        if self.config.csr_jitter_ns > 0:
-            jitter = int(
-                self._csr_stream().integers(0, self.config.csr_jitter_ns + 1)
-            )
+        jitter = int(self._csr_stream().integers(0, CSR_JITTER_NS + 1))
         if jitter > 0:
             self.sim.schedule(
                 jitter, self._activate_csr_opportunity, primary, cap_dbm
@@ -255,7 +244,7 @@ class CsrMac(CoMapMac):
             )
             allowed = (
                 self.radio.config.noise_floor_dbm
-                + self.config.interference_margin_db
+                + INTERFERENCE_MARGIN_DB
                 + path_loss_db
             )
             if allowed < cap:
@@ -266,7 +255,7 @@ class CsrMac(CoMapMac):
             if worst_sir is None or predicted < worst_sir:
                 worst_sir = predicted
                 primary = record
-        if cap < self.config.min_tx_power_dbm:
+        if cap < MIN_TX_POWER_DBM:
             return None
         assert worst_sir is not None and primary is not None
         penalty_db = default_dbm - cap

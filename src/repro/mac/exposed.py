@@ -6,8 +6,8 @@ fixed sequence: a header frame announces the link; a contender arms the
 episode on the header and opens it when the announced frame's energy
 arrives (``RSSI_1``); while it is open the backoff counts down through
 the busy medium; it ends at expiry (announced duration plus
-``opportunity_slack_ns``), when the medium goes idle, when the subclass
-abandons it, or when the MAC leaves the network.
+:data:`OPPORTUNITY_SLACK_NS`), when the medium goes idle, when the
+subclass abandons it, or when the MAC leaves the network.
 
 Subclasses decide which episodes to take: :class:`repro.mac.cmap.CmapMac`
 from a conflict map learned from losses, :class:`repro.mac.comap.CoMapMac`
@@ -26,15 +26,16 @@ from repro.sim.engine import EventHandle
 
 Link = Tuple[int, int]
 
+#: Safety margin added to the announced duration before an unexpired
+#: opportunity is forcibly dropped (covers the peer's SIFS+ACK tail).
+OPPORTUNITY_SLACK_NS = 400_000
+
 
 @dataclass
 class ExposedMacConfig(MacConfig):
     """Knobs of the shared exposed-transmission episode."""
 
     announce_headers: bool = True
-    #: Safety margin added to the announced duration before an unexpired
-    #: opportunity is forcibly dropped (covers the peer's SIFS+ACK tail).
-    opportunity_slack_ns: int = 400_000
 
 
 class _Opportunity:
@@ -64,6 +65,8 @@ class ExposedMac(DcfMac):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        if not isinstance(self.config, ExposedMacConfig):
+            raise TypeError(f"{type(self).__name__} requires an ExposedMacConfig")
         self._opportunity: Optional[_Opportunity] = None
         self._pending_link: Optional[Link] = None  # armed, awaiting RSSI_1
         self._pending_duration_ns = 0
@@ -124,7 +127,7 @@ class ExposedMac(DcfMac):
         link, self._pending_link = self._pending_link, None
         self._open_opportunity(
             link, energy_mw,
-            self._pending_duration_ns + self.config.opportunity_slack_ns,
+            self._pending_duration_ns + OPPORTUNITY_SLACK_NS,
         )
         self._resume_contention()
 

@@ -24,10 +24,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.adaptation import AdaptationTable
 from repro.core.protocol import CoMapAgent
-from repro.mac.cmap import CmapMac, CmapMacConfig
+from repro.mac.cmap import CmapMac
 from repro.mac.comap import CoMapMac, CoMapMacConfig
-from repro.mac.csr import CsrMac, CsrMacConfig
+from repro.mac.csr import CsrMac
 from repro.mac.dcf import DcfMac, MacConfig
+from repro.mac.exposed import ExposedMacConfig
 from repro.mac.frames import MAC_DATA_OVERHEAD_BYTES
 from repro.mac.rate_control import FixedRate, MinstrelLite
 from repro.net.localization import NoError, PositionErrorModel
@@ -49,8 +50,8 @@ from repro.util.units import SECOND, s_to_ns
 MAC_KINDS = {
     "dcf": (DcfMac, MacConfig),
     "comap": (CoMapMac, CoMapMacConfig),
-    "cmap": (CmapMac, CmapMacConfig),
-    "csr": (CsrMac, CsrMacConfig),
+    "cmap": (CmapMac, ExposedMacConfig),
+    "csr": (CsrMac, CoMapMacConfig),
 }
 
 
@@ -190,7 +191,7 @@ class Network:
                 trace=self.trace,
                 band=band,
                 registry=self.registry,
-                cull_margin_db=getattr(self.params, "cull_margin_db", None),
+                cull_margin_db=self.params.cull_margin_db,
             )
             self._channels[band] = channel
         return channel
@@ -297,24 +298,17 @@ class Network:
         return MinstrelLite(params.rates, self.rngs.stream("minstrel", node_id))
 
     def _mac_config(self) -> MacConfig:
-        params = self.params
-        kwargs = dict(
-            cw_min=params.cw_min,
-            cw_max=params.cw_max,
-            retry_limit=params.retry_limit,
-            queue_limit=params.queue_limit,
-        )
-        if self._location_aware:
-            kwargs.update(
-                sr_window=params.comap.sr_window,
-                announce_mode=params.comap.announce_mode,
-            )
-        config = self._mac_config_cls(**kwargs)
-        for key, value in self.mac_overrides.items():
-            if not hasattr(config, key):
+        """A fresh MAC config of this kind, with the overrides applied.
+
+        The overrides go through the constructor, so the config's own
+        validation sees them.
+        """
+        cls = self._mac_config_cls
+        names = {f.name for f in dataclasses.fields(cls)}
+        for key in self.mac_overrides:
+            if key not in names:
                 raise AttributeError(f"unknown MAC config field {key!r}")
-            setattr(config, key, value)
-        return config
+        return cls(**self.mac_overrides)
 
     def _adaptation(self) -> AdaptationTable:
         """One shared (lazily built) adaptation table for all agents."""
@@ -372,7 +366,7 @@ class Network:
         events — the network is then bit-identical to plain CO-MAP.
         APs attach in node-id order so backhaul fan-out is deterministic.
         """
-        latency = getattr(self.params, "csr_backhaul_latency_ns", None)
+        latency = self.params.csr_backhaul_latency_ns
         if latency is None:
             return
         from repro.net.backhaul import Backhaul

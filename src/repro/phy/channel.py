@@ -301,19 +301,18 @@ class Channel:
         """Expose medium-level counters under the ``channel`` prefix.
 
         Per-band channels share the prefix, so a multi-band network's
-        snapshot reports medium-wide totals (``cull_margin_db`` included:
-        with several bands the snapshot sums the per-band margins, so
-        divide by ``len(network.channels)`` to recover the setting).
+        snapshot reports medium-wide totals.  Settings are not counters:
+        read the margin from :attr:`cull_margin_db` and the grid's cell
+        size from :attr:`spatial_index`.
         """
         self._registry = registry
         registry.register_source("channel", self.counters)
 
-    def counters(self) -> Dict[str, float]:
+    def counters(self) -> Dict[str, int]:
         """Registry-source view of this band's counters.
 
         ``culled_links`` counts per-radio notifications skipped by
-        below-floor culling; ``cull_margin_db`` is the resolved margin
-        (``-1.0`` when culling is off).
+        below-floor culling.
         """
         grid = self._spatial
         return {
@@ -321,9 +320,6 @@ class Channel:
             "active_transmissions": len(self._active),
             "radios": len(self._radios_by_id),
             "culled_links": self.links_culled,
-            "cull_margin_db": (
-                self.cull_margin_db if self.cull_margin_db is not None else -1.0
-            ),
             # Candidate-grid activity.  One query per receiver-table
             # build: candidates = radios the queries returned (after
             # sender exclusion).  Per frame: skipped = attached radios
@@ -334,7 +330,6 @@ class Channel:
             "spatial_queries": self.spatial_queries,
             "spatial_candidates": self.spatial_candidates,
             "spatial_skipped": self.spatial_skipped,
-            "spatial_cell_size_m": grid.cell_size_m if grid is not None else -1.0,
             "spatial_cells": grid.cell_count if grid is not None else 0,
         }
 

@@ -62,9 +62,7 @@ def fig8_cell(
     for name, value in sorted(net.counters().items()):
         # Only positive integer-valued counters are exported: float
         # aggregates would make the merged sum depend on addition order,
-        # and disabled-feature gauges report ``-1.0`` sentinels (e.g.
-        # ``channel/spatial_cell_size_m``, ``channel/cull_margin_db``)
-        # that a monotone Counter must never see.
+        # and a zero would add a key that no event ever incremented.
         if value > 0 and float(value) == int(value):
             registry.counter(f"net/{name}").inc(int(value))
     return {

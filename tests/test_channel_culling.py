@@ -94,9 +94,10 @@ class TestCulling:
         world.sim.run()
         counters = world.channel.counters()
         assert counters["culled_links"] == 1
-        assert counters["cull_margin_db"] == CULL_DETERMINISTIC_MARGIN_DB
+        assert "cull_margin_db" not in counters  # a setting, not a counter
+        assert world.channel.cull_margin_db == CULL_DETERMINISTIC_MARGIN_DB
         off = build_phy_world([NEAR], cull_margin_db="off")
-        assert off.channel.counters()["cull_margin_db"] == -1.0
+        assert off.channel.cull_margin_db is None
 
     def test_culled_radio_events_not_scheduled(self):
         # Event economy, not just delivery: a frame whose only receiver

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.params import testbed_params as make_testbed_params
 from repro.experiments.topologies import exposed_terminal_topology
-from repro.mac.cmap import CmapMac, CmapMacConfig, _Entry
+from repro.mac.cmap import MIN_TRIALS, CmapMac, _Entry
 from repro.util.geometry import Point
 
 
@@ -66,7 +66,7 @@ class TestLearning:
         c2 = scenario.extra["c2"]
         ap2 = scenario.extra["ap2"]
         entry = mac.entry((c2.node_id, ap2.node_id), scenario.extra["ap1"].node_id)
-        assert entry.attempts >= mac.config.min_trials
+        assert entry.attempts >= MIN_TRIALS
 
     def test_stale_map_after_mobility(self, fixed_rate_params):
         scenario = self.run_scenario(30.0, fixed_rate_params)

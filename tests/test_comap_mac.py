@@ -24,10 +24,15 @@ from tests.conftest import build_mac_world
 
 
 def comap_factory(positions, comap_config=None, tx_power=0.0, t_cs=-87.0,
-                  alpha=2.9, t_sir=4.0):
-    """Build a mac_factory producing CO-MAP MACs with populated agents."""
+                  alpha=2.9, t_sir=4.0, protocol_config=None):
+    """Build a mac_factory producing CO-MAP MACs with populated agents.
+
+    ``comap_config`` is each MAC's config; ``protocol_config`` the
+    agents' shared :class:`CoMapConfig` (announcement method, SR window).
+    """
     cfg = comap_config or CoMapMacConfig()
-    protocol_config = CoMapConfig(t_prr=0.95, t_sir_db=t_sir)
+    if protocol_config is None:
+        protocol_config = CoMapConfig(t_prr=0.95, t_sir_db=t_sir)
     agents = {}
 
     def factory(i, sim, radio, rngs):
@@ -49,13 +54,15 @@ def comap_factory(positions, comap_config=None, tx_power=0.0, t_cs=-87.0,
     return factory, agents
 
 
-def build_et_world(c2_x=30.0, comap_config=None, seed=0):
+def build_et_world(c2_x=30.0, comap_config=None, seed=0, protocol_config=None):
     """Fig. 1 geometry with CO-MAP MACs: AP1(0), C1(-8), AP2(36), C2(x).
 
     Node ids: 0=AP1, 1=AP2, 2=C1, 3=C2.
     """
     positions = [(0, 0), (36, 0), (-8, 0), (c2_x, 0)]
-    factory, agents = comap_factory(positions, comap_config)
+    factory, agents = comap_factory(
+        positions, comap_config, protocol_config=protocol_config
+    )
     world = build_mac_world(
         positions, mac_factory=factory,
         tx_power_dbm=0.0, cs_threshold_dbm=-87.0, alpha=2.9,
@@ -262,7 +269,7 @@ class TestEnhancedScheduler:
 
 class TestSelectiveRepeatIntegration:
     def test_sr_disabled_with_window_one(self):
-        world = build_et_world(comap_config=CoMapMacConfig(sr_window=1))
+        world = build_et_world(protocol_config=CoMapConfig(t_sir_db=4.0, sr_window=1))
         for _ in range(20):
             world.macs[2].enqueue(0, 1400)
             world.macs[3].enqueue(1, 1400)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import CoMapConfig
 from repro.mac.comap import CoMapMacConfig
 from repro.mac.frames import (
     EMBEDDED_ANNOUNCE_BYTES,
@@ -26,14 +27,15 @@ class TestFrameOverhead:
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
-            CoMapMacConfig(announce_mode="telepathy")
+            CoMapConfig(announce_mode="telepathy")
 
 
 class TestEmbeddedMode:
     def build(self, c2_x=30.0):
         world = build_et_world(
             c2_x=c2_x,
-            comap_config=CoMapMacConfig(announce_mode="embedded", queue_limit=300),
+            comap_config=CoMapMacConfig(queue_limit=300),
+            protocol_config=CoMapConfig(t_sir_db=4.0, announce_mode="embedded"),
         )
         return world
 
@@ -95,7 +97,8 @@ class TestEmbeddedMode:
         def aggregate(mode):
             world = build_et_world(
                 c2_x=30.0,
-                comap_config=CoMapMacConfig(announce_mode=mode, queue_limit=700),
+                comap_config=CoMapMacConfig(queue_limit=700),
+                protocol_config=CoMapConfig(t_sir_db=4.0, announce_mode=mode),
             )
             for _ in range(300):
                 world.macs[2].enqueue(0, 1400)

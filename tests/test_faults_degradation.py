@@ -123,33 +123,12 @@ class TestOutageDegradation:
 
 
 class TestStalenessMachinery:
-    """Unit-level: TTL decay, confidence, stale denials, map damage."""
-
-    def test_co_map_ttl_expiry(self):
-        co_map = CoOccurrenceMap(owner_id=9)
-        co_map.ttl_ns = 1_000
-        co_map.record((1, 2), 3, True, now=0)
-        assert co_map.query((1, 2), 3, now=500) is True
-        assert co_map.query((1, 2), 3, now=1_500) is None  # aged out
-        assert co_map.expired == 1
-        assert co_map.entry_count == 0  # expiry deletes the entry
-
-    def test_co_map_confidence_decay(self):
-        co_map = CoOccurrenceMap(owner_id=9)
-        co_map.confidence_halflife_ns = 1_000
-        co_map.min_confidence = 0.5
-        co_map.record((1, 2), 3, False, now=0)
-        assert co_map.confidence((1, 2), 3, now=0) == 1.0
-        assert co_map.confidence((1, 2), 3, now=1_000) == pytest.approx(0.5)
-        assert co_map.query((1, 2), 3, now=999) is False
-        # Below min confidence the entry expires on access.
-        assert co_map.query((1, 2), 3, now=2_000) is None
-        assert co_map.expired == 1
+    """Unit-level: location freshness, stale denials, map damage."""
 
     def test_co_map_corrupt_flips_verdicts(self):
         co_map = CoOccurrenceMap(owner_id=9)
-        co_map.record((1, 2), 3, True, now=7)
-        co_map.record((4, 5), 6, False, now=8)
+        co_map.record((1, 2), 3, True)
+        co_map.record((4, 5), 6, False)
         flipped = co_map.corrupt(rng=None, flip_prob=1.0)  # certainty: no draws
         assert flipped == 2
         assert co_map.query((1, 2), 3) is False
@@ -159,15 +138,10 @@ class TestStalenessMachinery:
     def test_neighbor_table_freshness(self):
         table = NeighborTable(owner_id=1)
         table.update(2, Point(0.0, 0.0), now=100)
-        assert table.age_of(2, now=150) == 50
-        assert table.age_of(99, now=150) is None
         assert table.is_fresh(2, now=150, ttl_ns=100)
         assert not table.is_fresh(2, now=300, ttl_ns=100)
         assert table.is_fresh(2, now=10**12, ttl_ns=None)  # TTL off
         assert not table.is_fresh(99, now=0, ttl_ns=None)
-        assert table.confidence(2, now=100, halflife_ns=None) == 1.0
-        assert table.confidence(2, now=200, halflife_ns=100) == pytest.approx(0.5)
-        assert table.confidence(99, now=0, halflife_ns=100) == 0.0
 
     def test_stale_neighbor_denies_concurrency(self):
         built = exposed_terminal_topology(

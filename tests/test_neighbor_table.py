@@ -51,11 +51,6 @@ class TestNeighborTable:
         ids = {e.node_id for e in fig3_table().neighbors(exclude_self=False)}
         assert 11 in ids
 
-    def test_within_radius(self):
-        table = fig3_table()
-        nearby = table.within(Point(7, -1), radius_m=4.0)
-        assert {e.node_id for e in nearby} == {2, 10, 12}
-
     def test_remove(self):
         table = fig3_table()
         assert table.remove(2)
@@ -65,15 +60,6 @@ class TestNeighborTable:
     def test_contains_and_len(self):
         table = fig3_table()
         assert 0 in table and len(table) == 6
-
-    def test_expire_older_than(self):
-        table = NeighborTable(owner_id=1)
-        table.update(1, Point(0, 0), now=100)  # self, never expired
-        table.update(2, Point(1, 0), now=10)
-        table.update(3, Point(2, 0), now=90)
-        removed = table.expire_older_than(50)
-        assert removed == 1
-        assert 2 not in table and 3 in table and 1 in table
 
     def test_ap_metadata(self):
         table = NeighborTable(owner_id=1)

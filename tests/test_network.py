@@ -1,9 +1,12 @@
 """The Network orchestrator."""
 
+import dataclasses
+
 import pytest
 
-from repro.experiments.params import ns2_params
-from repro.experiments.topologies import full_floor_topology
+from repro.experiments.params import ns2_params, testbed_params
+from repro.experiments.topologies import exposed_terminal_topology, full_floor_topology
+from repro.mac.frames import FrameType
 from repro.net.localization import UniformDiskError
 from repro.net.network import Network
 from repro.util.geometry import Point
@@ -65,6 +68,23 @@ class TestConstruction:
     def test_unknown_mac_override_rejected(self):
         with pytest.raises(AttributeError):
             net = Network(ns2_params(), mac_overrides={"bogus_field": 1})
+            net.add_ap("AP", 0, 0)
+
+    @pytest.mark.parametrize("override", [{"queue_limit": 0}, {"cw_min": 0}])
+    def test_invalid_mac_override_rejected(self, override):
+        # The override goes through MacConfig's own validation: a zero
+        # queue would otherwise drop every enqueue of a valid-looking run.
+        net = Network(ns2_params(), mac_kind="comap", seed=1, mac_overrides=override)
+        with pytest.raises(ValueError):
+            net.add_ap("AP", 0, 0)
+
+    @pytest.mark.parametrize(
+        "override", [{"sr_window": 1}, {"announce_mode": "embedded"}]
+    )
+    def test_protocol_setting_is_not_a_mac_override(self, override):
+        # CoMapConfig owns these; set them through params.comap.
+        net = Network(ns2_params(), mac_kind="comap", mac_overrides=override)
+        with pytest.raises(AttributeError, match="unknown MAC config field"):
             net.add_ap("AP", 0, 0)
 
 
@@ -186,6 +206,49 @@ class TestCoMapWiring:
         assert overhead > 0
         # 2 clients upload + redistribution of 3 records to 2 clients.
         assert overhead == 2 * 40 + 2 * 3 * 40
+
+
+def _frame_kinds(net, duration_s):
+    """Run ``net`` and return the kinds of every frame put on the air."""
+    kinds = []
+    transmit = net.channel.transmit
+
+    def spy(sender, frame):
+        kinds.append(frame.kind)
+        return transmit(sender, frame)
+
+    net.channel.transmit = spy
+    net.run(duration_s)
+    return set(kinds)
+
+
+class TestProtocolSettings:
+    """The CO-MAP MAC runs the announcement method and SR window of the
+    network's ``params.comap``, the only place they are set."""
+
+    def test_ns2_params_announce_embedded(self):
+        scenario = exposed_terminal_topology("comap", c2_x=30.0, seed=1,
+                                             params=ns2_params())
+        kinds = _frame_kinds(scenario.network, 0.05)
+        assert FrameType.COMAP_HEADER not in kinds
+        assert scenario.network.counters()["comap/headers_sent"] > 0
+        # The testbed preset keeps the separate header packet.
+        separate = exposed_terminal_topology("comap", c2_x=30.0, seed=1)
+        assert FrameType.COMAP_HEADER in _frame_kinds(separate.network, 0.05)
+
+    def test_sr_window_one_is_stop_and_wait(self):
+        def deferrals(sr_window):
+            params = testbed_params()
+            params = params.with_overrides(
+                comap=dataclasses.replace(params.comap, sr_window=sr_window)
+            )
+            scenario = exposed_terminal_topology("comap", c2_x=30.0, seed=1,
+                                                 params=params)
+            scenario.network.run(0.2)
+            return scenario.network.counters()["comap/sr_deferrals"]
+
+        assert deferrals(8) > 0
+        assert deferrals(1) == 0
 
 
 class TestPositionUpdates:

@@ -25,15 +25,15 @@ class TestSettingOptimizer:
     def test_best_is_from_grids(self):
         opt = make_optimizer()
         best = opt.best(2, 3)
-        assert best.window in opt.cw_choices
-        assert best.payload_bytes in opt.payload_choices
+        assert best.window in opt.windows
+        assert best.payload_bytes in opt.payloads
         assert best.predicted_goodput_bps > 0
 
     def test_best_actually_maximizes(self):
         opt = make_optimizer()
         best = opt.best(1, 2)
-        for w in opt.cw_choices:
-            for p in opt.payload_choices:
+        for w in opt.windows:
+            for p in opt.payloads:
                 assert best.predicted_goodput_bps >= opt.model.goodput_bps(
                     w, 2, 1, p, attacker_window=None, attacker_payload=None
                 ) - 1e-6 or True  # homogeneous reference below
@@ -41,7 +41,7 @@ class TestSettingOptimizer:
         values = [
             opt.model.goodput_bps(w, 2, 1, p, attacker_window=opt.attacker_window,
                                   attacker_payload=opt.attacker_payload)
-            for w in opt.cw_choices for p in opt.payload_choices
+            for w in opt.windows for p in opt.payloads
         ]
         assert best.predicted_goodput_bps == pytest.approx(max(values))
 

@@ -107,10 +107,6 @@ class TestInvalidation:
             noise_floor_dbm=base.noise_floor_dbm + 1.0,
             shadowing_mode="none",
             data_rate_bps=54_000_000,
-            cw_min=base.cw_min * 2 + 1,
-            cw_max=base.cw_max * 2 + 1,
-            retry_limit=base.retry_limit + 1,
-            queue_limit=base.queue_limit + 1,
             default_payload_bytes=base.default_payload_bytes + 1,
         )
         for name, value in perturbations.items():

@@ -442,7 +442,7 @@ class TestChannelSpatial:
         assert counters["spatial_candidates"] == 1  # FAR never visited
         assert counters["spatial_skipped"] == 1
         assert counters["spatial_cells"] >= 1
-        assert counters["spatial_cell_size_m"] > 0.0
+        assert world.channel.spatial_index.cell_size_m > 0.0
         # The grid-skipped radio is still charged as a culled link.
         assert counters["culled_links"] == 1
 
