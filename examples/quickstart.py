@@ -3,7 +3,8 @@
 Creates the paper's Fig. 1 exposed-terminal situation (two BSSes whose
 clients carrier-sense each other), runs it under basic DCF and under
 CO-MAP, prints per-link goodput and then dumps one node's neighbor
-table / PRR table / co-occurrence map — the Fig. 5 pipeline.
+table and co-occurrence map — the two stores of the Fig. 5 pipeline
+(its PRR step, eq. 3, is computed on demand between them).
 
 Run:  python examples/quickstart.py
 """

@@ -21,8 +21,9 @@ Package layout (see DESIGN.md for the full inventory):
 * ``repro.sim`` -- deterministic discrete-event engine;
 * ``repro.phy`` -- log-normal shadowing propagation, PRR model, radios;
 * ``repro.mac`` -- 802.11 DCF and the CO-MAP MAC;
-* ``repro.core`` -- CO-MAP control plane (neighbor table -> PRR table ->
-  co-occurrence map, HT estimation, adaptation, selective-repeat ARQ);
+* ``repro.core`` -- CO-MAP control plane (neighbor table -> eq. 3 PRR
+  test -> co-occurrence map, HT estimation, adaptation, selective-repeat
+  ARQ);
 * ``repro.analytical`` -- Bianchi model + hidden-terminal extension;
 * ``repro.net`` -- nodes, networks, traffic, localization error, mobility;
 * ``repro.experiments`` -- per-figure topology builders and runners.

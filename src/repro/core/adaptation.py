@@ -8,7 +8,6 @@ estimates degrade gracefully instead of triggering unbounded searches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.analytical.bianchi import BianchiSlotModel
@@ -24,24 +23,6 @@ if TYPE_CHECKING:  # hints only — core must stay import-independent of mac
 CW_CHOICES = (31, 63, 127, 255, 511, 1023)
 #: The MSDU payload sizes the optimizer searches (bytes).
 PAYLOAD_CHOICES = tuple(range(100, 2001, 100))
-
-
-@dataclass(frozen=True)
-class Setting:
-    """Advice handed to the MAC: constant CW and MSDU payload size."""
-
-    window: int
-    payload_bytes: int
-    predicted_goodput_bps: float
-
-    @staticmethod
-    def from_optimal(optimal: OptimalSetting) -> "Setting":
-        """Convert the optimizer's record into MAC-facing advice."""
-        return Setting(
-            window=optimal.window,
-            payload_bytes=optimal.payload_bytes,
-            predicted_goodput_bps=optimal.predicted_goodput_bps,
-        )
 
 
 class AdaptationTable:
@@ -70,7 +51,7 @@ class AdaptationTable:
             attacker_payload=config.attacker_payload,
         )
 
-    def best_settings(self, hidden: int, contenders: int) -> Setting:
+    def best_settings(self, hidden: int, contenders: int) -> OptimalSetting:
         """Advised (W, payload) for the estimated ``(h, c)`` counts.
 
         Counts are clamped to the table bounds, mirroring the paper's
@@ -78,7 +59,7 @@ class AdaptationTable:
         """
         h = max(0, min(int(hidden), self.config.max_hidden_terminals))
         c = max(0, min(int(contenders), self.config.max_contenders))
-        return Setting.from_optimal(self._optimizer.best(h, c))
+        return self._optimizer.best(h, c)
 
     def render(self) -> str:
         """The full matrix, rendered for reports and examples."""

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.neighbor_table import NeighborTable
-from repro.core.prr_table import PrrEntry
 from repro.phy.prr import PrrModel
 
 
@@ -32,13 +31,13 @@ class ValidationResult:
     prr_mine: float
     reason: str
 
-    def as_entry(self) -> PrrEntry:
-        """Convert to a cacheable :class:`PrrEntry`."""
-        return PrrEntry(prr_theirs=self.prr_theirs, prr_mine=self.prr_mine)
 
-
-#: Result used when positions are missing — never transmit blind.
-_UNKNOWN = ValidationResult(False, 0.0, 0.0, "missing position information")
+#: Result used when positions are missing — never transmit blind.  A
+#: cache must not store it: the position may arrive later (a peer that
+#: re-joins after churn), and a first report invalidates nothing.
+MISSING_POSITION = ValidationResult(
+    False, 0.0, 0.0, "missing position information"
+)
 
 
 class ConcurrencyValidator:
@@ -70,7 +69,7 @@ class ConcurrencyValidator:
         d2 = table.distance(me, my_dst)
         r2 = table.distance(ongoing_src, my_dst)
         if None in (d1, r1, d2, r2):
-            return _UNKNOWN
+            return MISSING_POSITION
         prr_theirs = self.model.prr(d1, r1)
         if prr_theirs < self.t_prr:
             return ValidationResult(
@@ -116,7 +115,7 @@ class ConcurrencyValidator:
             r1 = table.distance(me, dst)
             r2 = table.distance(src, my_dst)
             if None in (d1, r1, r2):
-                return _UNKNOWN
+                return MISSING_POSITION
             prr_theirs = self.model.prr(d1, r1)
             worst_theirs = min(worst_theirs, prr_theirs)
             if prr_theirs < self.t_prr:
@@ -127,7 +126,7 @@ class ConcurrencyValidator:
             interferer_distances.append(r2)
         d2 = table.distance(me, my_dst)
         if d2 is None:
-            return _UNKNOWN
+            return MISSING_POSITION
         prr_mine = self.model.prr_multi(d2, interferer_distances)
         if prr_mine < self.t_prr:
             return ValidationResult(

@@ -1,12 +1,13 @@
 """The CO-MAP agent: one node's complete control plane.
 
-Composes the Fig. 5 pipeline (neighbor table → PRR table → co-occurrence
-map), the hidden-terminal estimator and the adaptation table behind a
-small API that the CO-MAP MAC queries at runtime:
+Composes the Fig. 5 pipeline (neighbor table → eq. 3 PRR test →
+co-occurrence map), the hidden-terminal estimator and the adaptation
+table behind a small API that the CO-MAP MAC queries at runtime:
 
 * :meth:`CoMapAgent.concurrency_allowed` — "can I transmit to X while
   link (S, R) is on the air?", answered from the co-occurrence map when
-  cached, from eq. (3) otherwise (and then cached);
+  cached, from eq. (3) otherwise (and then cached, unless a position
+  was missing);
 * :meth:`CoMapAgent.choose_receiver` — for APs: pick a queued receiver
   that passes validation ("it may choose another receiver further away
   from the current transmitter and verify again");
@@ -19,13 +20,15 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.core.adaptation import AdaptationTable, Setting
+from repro.analytical.optimizer import OptimalSetting
+from repro.core.adaptation import AdaptationTable
 from repro.core.co_occurrence import CoOccurrenceMap
-from repro.core.concurrency import ConcurrencyValidator, ValidationResult
+from repro.core.concurrency import (
+    MISSING_POSITION, ConcurrencyValidator, ValidationResult,
+)
 from repro.core.config import CoMapConfig
 from repro.core.ht_estimation import HtEstimator
 from repro.core.neighbor_table import NeighborTable
-from repro.core.prr_table import PrrTable
 from repro.phy.prr import PrrModel
 from repro.phy.propagation import LogNormalShadowing
 from repro.util.geometry import Point
@@ -47,7 +50,6 @@ class CoMapAgent:
         self.config = config
         self.model = PrrModel(propagation=propagation, t_sir_db=config.t_sir_db)
         self.neighbor_table = NeighborTable(node_id)
-        self.prr_table = PrrTable()
         self.co_map = CoOccurrenceMap(node_id)
         self.validator = ConcurrencyValidator(self.model, config.t_prr)
         self.estimator = HtEstimator(
@@ -75,9 +77,11 @@ class CoMapAgent:
     ) -> None:
         """Ingest one position report (from the AP's redistribution).
 
-        A position change invalidates every cached PRR / co-occurrence
-        verdict involving that node — this is the "rapid update" property
-        that makes CO-MAP suitable for mobile WLANs.
+        A position change invalidates every co-occurrence verdict
+        involving that node — this is the "rapid update" property that
+        makes CO-MAP suitable for mobile WLANs.  A first report has
+        nothing to invalidate: no verdict is stored while a position is
+        missing (see :meth:`concurrency_allowed`).
         """
         previous = self.neighbor_table.position_of(node_id)
         self.neighbor_table.update(
@@ -86,10 +90,8 @@ class CoMapAgent:
         self._announce_worthwhile.clear()
         if previous is not None and previous != position:
             if node_id == self.node_id:
-                self.prr_table.clear()
                 self.co_map.clear()
             else:
-                self.prr_table.invalidate_node(node_id)
                 self.co_map.invalidate_node(node_id)
 
     def should_report_move(self, current: Point) -> bool:
@@ -109,12 +111,11 @@ class CoMapAgent:
 
     def forget_neighbor(self, node_id: int) -> None:
         """Erase everything known about ``node_id`` (it left, or its
-        location input failed): neighbor row, cached PRR verdicts and
-        co-occurrence entries.  Announcement-worthwhile caches are
-        position-dependent, so they are dropped too.
+        location input failed): neighbor row and co-occurrence entries.
+        Announcement-worthwhile caches are position-dependent, so they
+        are dropped too.
         """
         self.neighbor_table.remove(node_id)
-        self.prr_table.invalidate_node(node_id)
         self.co_map.invalidate_node(node_id)
         self._announce_worthwhile.clear()
 
@@ -154,7 +155,9 @@ class CoMapAgent:
         :attr:`CoMapConfig.location_ttl_ns`) the answer is a conservative
         *deny* — not cached, counted in :attr:`stale_denials` — because
         eq. (3) computed from stale coordinates could green-light a
-        transmission that now collides.
+        transmission that now collides.  A deny for a *missing* position
+        is not cached either: the peer's first report after it re-joins
+        must be validated afresh, and a first report invalidates nothing.
         """
         if now is not None and self.config.location_ttl_ns is not None:
             for endpoint in (ongoing_src, ongoing_dst, self.node_id, my_dst):
@@ -166,24 +169,18 @@ class CoMapAgent:
         if cached is not None:
             return cached
         result = self.validate(ongoing_src, ongoing_dst, my_dst)
+        if result is MISSING_POSITION:
+            return False
         self.co_map.record(link, my_dst, result.allowed)
         return result.allowed
 
     def validate(
         self, ongoing_src: int, ongoing_dst: int, my_dst: int
     ) -> ValidationResult:
-        """Run (and cache in the PRR table) one eq. (3) validation."""
-        cached = self.prr_table.lookup(ongoing_src, ongoing_dst, my_dst)
-        if cached is not None:
-            allowed = cached.passes(self.config.t_prr)
-            return ValidationResult(
-                allowed, cached.prr_theirs, cached.prr_mine, "from PRR table"
-            )
-        result = self.validator.validate(
+        """One eq. (3) validation over this node's neighbor table (uncached)."""
+        return self.validator.validate(
             self.neighbor_table, ongoing_src, ongoing_dst, self.node_id, my_dst
         )
-        self.prr_table.store(ongoing_src, ongoing_dst, my_dst, result.as_entry())
-        return result
 
     def predicted_concurrent_sir_db(self, ongoing_src: int, my_dst: int) -> Optional[float]:
         """Expected SIR at my receiver while ``ongoing_src`` transmits.
@@ -293,7 +290,7 @@ class CoMapAgent:
             self.neighbor_table, self.node_id, receiver
         )
 
-    def advised_settings(self, receiver: int) -> Optional[Setting]:
+    def advised_settings(self, receiver: int) -> Optional[OptimalSetting]:
         """Optimal (CW, payload) for the current (h, c) estimate.
 
         Returns None when no adaptation table was configured.
@@ -308,10 +305,4 @@ class CoMapAgent:
     # ------------------------------------------------------------------
     def describe(self) -> str:
         """Multi-line dump of the Fig. 5 pipeline state."""
-        return "\n\n".join(
-            [
-                self.neighbor_table.render(),
-                self.prr_table.render(),
-                self.co_map.render(),
-            ]
-        )
+        return "\n\n".join([self.neighbor_table.render(), self.co_map.render()])

@@ -85,13 +85,10 @@ class CoMapStats:
     signature_opportunities: int = 0
     concurrent_transmissions: int = 0
     receiver_switches: int = 0
-    sr_deferrals: int = 0
+    #: Window-exhausted resends.  The window's own counts (advances,
+    #: prompt and late confirmations) are :class:`SrSender`'s, under
+    #: ``arq/``.
     sr_retransmissions: int = 0
-    sr_late_confirms: int = 0
-    #: Deferred frames whose *own* (delayed) ACK confirmed them — split
-    #: from ``sr_late_confirms`` so that counter means what its name
-    #: says: frames rescued by a later ACK's piggybacked sequence list.
-    sr_prompt_confirms: int = 0
     #: (N_ht, c) -> (CW, payload) re-lookups this MAC performed.  Position
     #: reports refresh only the MACs that observed the move, so this
     #: counter is how tests assert unrelated MACs stay untouched.
@@ -389,7 +386,7 @@ class CoMapMac(ExposedMac):
         if dist is None or dist <= 0:
             return 0.0
         propagation = self.agent.model.propagation
-        rx_dbm = propagation.mean_rx_dbm(self.radio.config.tx_power_dbm, dist)
+        rx_dbm = propagation.mean_rx_dbm(self.radio.tx_power_dbm, dist)
         return dbm_to_mw(rx_dbm)
 
     def _remember_signature(self, link: tuple, rssi_dbm: float) -> None:
@@ -542,21 +539,15 @@ class CoMapMac(ExposedMac):
         The ACK's own sequence is passed through so a deferred frame
         confirmed by its *own* delayed ACK counts as a prompt
         confirmation, not a late one — only frames vouched for by a
-        later ACK's list belong in ``sr_late_confirms``.
+        later ACK's list belong in ``arq/late_confirms``.
         """
         flow = ack.flow
         received = ack.meta.get("sr_received")
         if flow is not None and received:
             sender = self._sr_senders.get(flow)
             if sender is not None:
-                prompt_before = sender.prompt_confirms
-                late_before = sender.late_confirms
                 confirmed = sender.confirm(received, own_seq=ack.seq)
                 self.stats.successes += len(confirmed)
-                self.comap_stats.sr_prompt_confirms += (
-                    sender.prompt_confirms - prompt_before
-                )
-                self.comap_stats.sr_late_confirms += sender.late_confirms - late_before
         super()._accept_ack(ack)
 
     def _handle_ack_timeout(self, frame: Frame) -> None:
@@ -591,7 +582,6 @@ class CoMapMac(ExposedMac):
             # the concurrent transmission's tail — move on, a later ACK
             # can still vouch for this frame.
             sender.defer(head.seq, head)
-            self.comap_stats.sr_deferrals += 1
             self._head = None
             self._state = MacState.IDLE
             self._start_next()

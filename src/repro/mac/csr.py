@@ -21,9 +21,12 @@ The protocol, per transmit opportunity:
    transmit power whose interference at each primary receiver stays
    below ``noise_floor + INTERFERENCE_MARGIN_DB`` (the C-SR power rule)
    and transmits at that cap, restoring its default power when the
-   train leaves the air.  If the cap falls below
-   ``MIN_TX_POWER_DBM`` — or the capped link cannot sustain even the
-   base rate under the predicted SIR — the election is abandoned.
+   train leaves the air.  The default is the radio's configured power
+   (``radio.config.tx_power_dbm``, frozen); the cap and the restore
+   write only the radio's current power (``radio.tx_power_dbm``).  If
+   the cap falls below ``MIN_TX_POWER_DBM`` — or the capped link cannot
+   sustain even the base rate under the predicted SIR — the election is
+   abandoned.
 4. **Jitter** — an elected secondary defers its join by a uniform draw
    from ``[0, CSR_JITTER_NS]`` (its ``substream("csr", node)``), which
    decorrelates simultaneous electors.
@@ -78,7 +81,9 @@ class CsrMac(CoMapMac):
     Only MACs bound to a :class:`~repro.net.backhaul.Backhaul` (the APs
     of a multi-AP "csr" network) coordinate; unbound instances — clients,
     or every node when the backhaul is disabled — run the inherited
-    CO-MAP machinery untouched.
+    CO-MAP machinery untouched.  A bound AP that leaves (churn) detaches
+    from the backhaul, which drops its TXOP from the ledger, and comes
+    back at its configured power; it re-attaches when it re-joins.
     """
 
     def __init__(self, node_id, sim, radio, timing, rates, rngs,
@@ -87,14 +92,10 @@ class CsrMac(CoMapMac):
                          agent=agent, **kwargs)
         self.csr_stats = CsrStats()
         self.backhaul: Optional[Backhaul] = None
-        self._rngs = rngs
         self._csr_rng = None  # lazily created substream("csr", node_id)
-        self._default_tx_power_dbm = radio.config.tx_power_dbm
         #: Power cap (dBm) for the current elected episode, None when
         #: transmitting at default power.
         self._csr_cap_dbm: Optional[float] = None
-        #: Default power to restore once the capped train leaves the air.
-        self._csr_restore_dbm: Optional[float] = None
         self._train_duration_ns = 0
 
     def bind_backhaul(self, backhaul: Backhaul) -> None:
@@ -126,7 +127,6 @@ class CsrMac(CoMapMac):
         if self.backhaul is not None:
             if self._exposed_link is not None and self._csr_cap_dbm is not None:
                 self.radio.set_tx_power_dbm(self._csr_cap_dbm)
-                self._csr_restore_dbm = self._default_tx_power_dbm
                 self.csr_stats.power_capped_tx += 1
         frames = super()._compose_frames(head, rate)
         if self.backhaul is not None:
@@ -154,7 +154,7 @@ class CsrMac(CoMapMac):
             owner=self.node_id,
             src=self.node_id,
             dst=head.dst,
-            tx_power_dbm=self.radio.config.tx_power_dbm,
+            tx_power_dbm=self.radio.tx_power_dbm,
             expires_at=expires_at,
         )
         self.backhaul.register_txop(record)
@@ -225,7 +225,7 @@ class CsrMac(CoMapMac):
         agent = self.agent
         now = self.sim.now
         propagation = agent.model.propagation
-        default_dbm = self._default_tx_power_dbm
+        default_dbm = self.radio.config.tx_power_dbm
         cap = default_dbm
         worst_sir: Optional[float] = None
         primary: Optional[TxopRecord] = None
@@ -277,7 +277,7 @@ class CsrMac(CoMapMac):
             return  # jitter outlived the TXOP
         self._open_opportunity(record.link, self.radio.energy_mw(), remaining)
         self._csr_cap_dbm = (
-            cap_dbm if cap_dbm < self._default_tx_power_dbm else None
+            cap_dbm if cap_dbm < self.radio.config.tx_power_dbm else None
         )
         if self.trace.wants("csr"):
             self.trace.record(
@@ -290,7 +290,7 @@ class CsrMac(CoMapMac):
         """The episode's power cap, charged against its rate choice."""
         if self._csr_cap_dbm is None:
             return 0.0
-        return self._default_tx_power_dbm - self._csr_cap_dbm
+        return self.radio.config.tx_power_dbm - self._csr_cap_dbm
 
     # ------------------------------------------------------------------
     # Episode teardown
@@ -298,29 +298,36 @@ class CsrMac(CoMapMac):
     def on_tx_complete(self, frame: Frame) -> None:
         """Restore the default transmit power once the train is off the air."""
         super().on_tx_complete(frame)
-        if (
-            self._csr_restore_dbm is not None
-            and not self._tx_train
-            and not self.radio.transmitting
-        ):
-            self.radio.set_tx_power_dbm(self._csr_restore_dbm)
-            self._csr_restore_dbm = None
+        if not self._tx_train and not self.radio.transmitting:
+            self._restore_tx_power()
+
+    def _restore_tx_power(self) -> None:
+        """Back to the configured power, when a cap left the radio below it."""
+        radio = self.radio
+        if radio.tx_power_dbm != radio.config.tx_power_dbm:
+            radio.set_tx_power_dbm(radio.config.tx_power_dbm)
 
     def _clear_opportunity(self) -> None:
         super()._clear_opportunity()
         self._csr_cap_dbm = None
 
     def suspend(self) -> None:
-        """Churn: also shed coordination state and the power cap."""
+        """Churn: also leave the backhaul (and its ledger) and drop the cap."""
         if self._suspended:
             return
-        if self._csr_restore_dbm is not None:
-            self.radio.set_tx_power_dbm(self._csr_restore_dbm)
-            self._csr_restore_dbm = None
+        self._restore_tx_power()
         self._csr_cap_dbm = None
         if self.backhaul is not None:
-            self.backhaul.clear_txop(self.node_id)
+            self.backhaul.detach(self.node_id)
         super().suspend()
+
+    def resume(self) -> None:
+        """Churn: re-join the backhaul before contending again."""
+        if not self._suspended:
+            return
+        if self.backhaul is not None:
+            self.backhaul.attach(self.node_id, self._on_backhaul)
+        super().resume()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CsrMac node={self.node_id} state={self._state.value}>"

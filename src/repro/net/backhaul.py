@@ -88,7 +88,10 @@ class Backhaul:
         self._endpoints[node_id] = handler
 
     def detach(self, node_id: int) -> None:
-        """Take an endpoint off the bus (churn); drops its ledger entry."""
+        """Take an endpoint off the bus (churn); drops its ledger entry.
+
+        Messages already on the wire to it are dropped at delivery.
+        """
         self._endpoints.pop(node_id, None)
         self._ledger.pop(node_id, None)
 
@@ -106,14 +109,14 @@ class Backhaul:
             self._messages.inc()
         for nid in peers:
             self.sim.schedule(
-                self.latency_ns, self._deliver, self._endpoints[nid],
-                src_id, kind, payload,
+                self.latency_ns, self._deliver, nid, src_id, kind, payload,
             )
         return len(peers)
 
-    def _deliver(
-        self, handler: BackhaulHandler, src_id: int, kind: str, payload: dict
-    ) -> None:
+    def _deliver(self, node_id: int, src_id: int, kind: str, payload: dict) -> None:
+        handler = self._endpoints.get(node_id)
+        if handler is None:
+            return  # the endpoint detached while the message was on the wire
         if self._deliveries is not None:
             self._deliveries.inc()
         handler(src_id, kind, payload)
@@ -124,9 +127,6 @@ class Backhaul:
     def register_txop(self, record: TxopRecord) -> None:
         """Record ``record`` as the owner's active transmit opportunity."""
         self._ledger[record.owner] = record
-
-    def clear_txop(self, owner: int) -> None:
-        self._ledger.pop(owner, None)
 
     def active_txops(self, now: int, exclude: Optional[int] = None) -> List[TxopRecord]:
         """Live ledger entries at ``now`` (pruning expired ones)."""

@@ -519,11 +519,11 @@ class Network:
         """Take a node off the air mid-run (it left the network).
 
         Suspends the MAC (cancelling all pending timers, requeueing the
-        in-flight MSDU), detaches the radio from its channel (scrubbing
-        it from in-flight transmissions' observer sets), and makes every
-        remaining same-band CO-MAP agent forget the node — its cached
-        positions, PRR verdicts, and co-occurrence entries describe a
-        peer that is no longer there.
+        in-flight MSDU; a C-SR AP also leaves the backhaul), detaches the
+        radio from its channel (scrubbing it from in-flight transmissions'
+        observer sets), and makes every remaining same-band CO-MAP agent
+        forget the node — its position and co-occurrence entries describe
+        a peer that is no longer there.
         """
         if not node.radio.attached:
             raise RuntimeError(f"node {node.name!r} is already detached")

@@ -40,7 +40,9 @@ MANIFEST_SCHEMA = "repro.manifest"
 #: Version 2 added two *optional* fields — per-task ``overrides`` inside
 #: task rows (heterogeneous grids) and a ``shards`` block, written only
 #: by the since-removed sweep queue.  Required fields are unchanged, so
-#: archived version-1 manifests still validate and load.
+#: archived version-1 manifests still validate and load.  Keys this
+#: class no longer has (``shards``, the grid's ``spatial`` block) are
+#: dropped on load, so archived manifests that carry them load too.
 MANIFEST_SCHEMA_VERSION = 2
 SUPPORTED_MANIFEST_VERSIONS = (1, 2)
 
@@ -91,17 +93,6 @@ class RunManifest:
     #: ``profile``; fault-tolerant sweeps always include it (possibly
     #: empty) so "zero failures" is an explicit statement.
     failures: Optional[List[Dict[str, Any]]] = None
-    #: Read-only legacy: the shard count/digests, chunk size, grid
-    #: fingerprint and worker ids of a manifest merged by the
-    #: since-removed sweep queue.  Nothing writes it any more; it stays
-    #: so archived manifests that carry it still load.
-    shards: Optional[Dict[str, Any]] = None
-    #: Read-only legacy: process-wide candidate-grid cell-size and
-    #: reach-radius aggregates (or the ``enabled`` flag of the since-
-    #: removed switchable grid).  Nothing writes it any more; it stays so
-    #: archived manifests that carry it still load.  Each network's
-    #: ``channel/spatial_*`` counters carry the grid's activity.
-    spatial: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
         out = {"schema": MANIFEST_SCHEMA, "version": MANIFEST_SCHEMA_VERSION}

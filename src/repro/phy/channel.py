@@ -85,8 +85,8 @@ then a walk over the table: one draw, one multiply and one dict store
 per receiver.  Attach, detach and any move drop every table;
 :meth:`repro.phy.radio.Radio.set_tx_power_dbm` drops only that
 sender's.  Receiver thresholds never invalidate a table: radio configs
-other than transmit power are fixed after attach (the radio itself
-reads them once, at construction).
+are frozen (the radio itself reads them once, at construction), and a
+sender's current power is the radio's own ``tx_power_dbm``.
 
 The discipline is *cache, never re-derive*: a table holds exactly the
 values the per-frame derivation would compute — the mean as
@@ -358,8 +358,8 @@ class Channel:
         threshold = min(config.noise_floor_dbm, config.cs_threshold_dbm)
         if threshold < self._weakest_threshold_dbm:
             self._weakest_threshold_dbm = threshold
-        if config.tx_power_dbm > self._max_tx_power_dbm:
-            self._max_tx_power_dbm = config.tx_power_dbm
+        if radio.tx_power_dbm > self._max_tx_power_dbm:
+            self._max_tx_power_dbm = radio.tx_power_dbm
         if self._spatial is not None:
             position = radio.position
             self._spatial.add(radio.radio_id, position.x, position.y)
@@ -528,7 +528,7 @@ class Channel:
         grid = self._spatial or self._ensure_spatial()
         position = sender.position
         ids = grid.query_disk(
-            position.x, position.y, self._reach_radius(sender.config.tx_power_dbm)
+            position.x, position.y, self._reach_radius(sender.tx_power_dbm)
         )
         self.spatial_queries += 1
         sender_id = sender.radio_id
@@ -610,7 +610,7 @@ class Channel:
         culled = skipped
         margin = self.cull_margin_db
         mean_rx_dbm = self.propagation.mean_rx_dbm
-        tx_power_dbm = sender.config.tx_power_dbm
+        tx_power_dbm = sender.tx_power_dbm
         position = sender.position
         sender_id = sender.radio_id
         link_draws = self._link_draws if self.shadowing_mode == "per_frame" else None

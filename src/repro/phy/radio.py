@@ -48,10 +48,13 @@ def noop_hook(fn):
     return fn
 
 
-@dataclass
+@dataclass(frozen=True)
 class RadioConfig:
-    """Per-radio PHY parameters.
+    """Per-radio PHY parameters, fixed for the radio's lifetime.
 
+    ``tx_power_dbm`` is the *configured* transmit power; the power the
+    radio transmits at right now is :attr:`Radio.tx_power_dbm`, which
+    C-SR's power cap lowers and restores.
     ``cs_threshold_dbm`` is the paper's ``T_cs``; ``noise_floor_dbm``
     defaults to the -95 dBm the paper quotes for 2.4 GHz WiFi.
     ``capture`` enables message-in-message capture: a later frame that is
@@ -91,6 +94,9 @@ class Radio:
         self.radio_id = radio_id
         self.position = position
         self.config = config
+        #: The current transmit power (dBm): the configured one until
+        #: :meth:`set_tx_power_dbm` changes it.
+        self.tx_power_dbm = config.tx_power_dbm
         self.channel = channel
         self.sim = channel.sim
         self.mac = None  # bound via bind_mac()
@@ -170,18 +176,19 @@ class Radio:
         self.channel.on_radio_moved(self.radio_id)
 
     def set_tx_power_dbm(self, dbm: float) -> None:
-        """Change this radio's transmit power (C-SR power capping).
+        """Change this radio's current transmit power (C-SR power capping).
 
-        Each radio owns its :class:`RadioConfig` instance, so the
-        mutation is node-local.  The channel's receiver table for this
-        sender, which encodes the old power, is dropped; shadowing draws
-        are a property of the link and are untouched.
-        No-op at the current power, so repeated caps/restores to the
-        same value cost nothing.
+        The only writer of :attr:`tx_power_dbm`; the configured power in
+        :attr:`config` never changes, so restoring it is
+        ``set_tx_power_dbm(radio.config.tx_power_dbm)``.  The channel's
+        receiver table for this sender, which encodes the old power, is
+        dropped; shadowing draws are a property of the link and are
+        untouched.  No-op at the current power, so repeated
+        caps/restores to the same value cost nothing.
         """
-        if dbm == self.config.tx_power_dbm:
+        if dbm == self.tx_power_dbm:
             return
-        self.config.tx_power_dbm = dbm
+        self.tx_power_dbm = dbm
         self.channel.on_radio_power_changed(self.radio_id)
 
     # ------------------------------------------------------------------

@@ -75,13 +75,6 @@ class TestValidation:
         if strict.allowed:
             assert lax.allowed
 
-    def test_as_entry_round_trip(self):
-        table = et_scenario_table(30.0)
-        result = make_validator().validate(table, 3, 1, 2, 0)
-        entry = result.as_entry()
-        assert entry.prr_theirs == result.prr_theirs
-        assert entry.passes(0.95) == result.allowed
-
     def test_invalid_t_prr_rejected(self):
         with pytest.raises(ValueError):
             make_validator(t_prr=1.0)

@@ -83,7 +83,7 @@ def _derived_powers(world, seed, frames, offsets=None):
     channel = world.channel
     sender, receiver = world.radios[0], world.radios[1]
     distance = sender.position.distance_to(receiver.position)
-    mean_dbm = channel.propagation.mean_rx_dbm(sender.config.tx_power_dbm, distance)
+    mean_dbm = channel.propagation.mean_rx_dbm(sender.tx_power_dbm, distance)
     if offsets is None:
         offsets = RngStreams(seed).substream("shadowing", channel.band, 0, 1)
     mode = channel.shadowing_mode

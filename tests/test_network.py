@@ -245,7 +245,7 @@ class TestProtocolSettings:
             scenario = exposed_terminal_topology("comap", c2_x=30.0, seed=1,
                                                  params=params)
             scenario.network.run(0.2)
-            return scenario.network.counters()["comap/sr_deferrals"]
+            return scenario.network.counters().get("arq/advances", 0)
 
         assert deferrals(8) > 0
         assert deferrals(1) == 0

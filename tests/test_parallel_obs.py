@@ -78,7 +78,7 @@ class TestParallelMerge:
 
 
 class TestManifestPerSweep:
-    FIELDS = ("counters", "trace_counts", "spatial", "tasks", "seeds", "params")
+    FIELDS = ("counters", "trace_counts", "tasks", "seeds", "params")
 
     def _fields(self, directory):
         manifest = load_manifest(directory / "second.manifest.json")
@@ -108,4 +108,3 @@ class TestManifestPerSweep:
         assert alone["trace_counts"]["sweep/start"] == 1
         assert alone["trace_counts"]["sweep/task_run"] == len(second)
         assert any(key.startswith("node/") for key in alone["counters"])
-        assert alone["spatial"] is None

@@ -57,12 +57,15 @@ class TestConcurrencyPath:
         populate_et_world(agent)
         assert not agent.concurrency_allowed(99, 1, 0)
 
-    def test_prr_table_caches_validations(self):
+    def test_co_map_holds_the_one_verdict(self):
         agent = make_agent()
         populate_et_world(agent)
-        agent.validate(3, 1, 0)
-        result = agent.validate(3, 1, 0)
-        assert result.reason == "from PRR table"
+        assert agent.concurrency_allowed(3, 1, 0)
+        assert agent.co_map.entry_count == 1
+        assert agent.co_map.query((3, 1), 0) is True
+        # validate() is eq. 3 itself: computed on each call, never stored.
+        assert agent.validate(3, 1, 0).reason == "concurrent transmission safe"
+        assert agent.co_map.entry_count == 1
 
     def test_position_update_invalidates_caches(self):
         agent = make_agent()
@@ -76,9 +79,9 @@ class TestConcurrencyPath:
         agent = make_agent()
         populate_et_world(agent, c2_x=30.0)
         agent.concurrency_allowed(3, 1, 0)
+        assert agent.co_map.entry_count == 1
         agent.observe_neighbor(2, Point(50, 0))  # self moved
         assert agent.co_map.entry_count == 0
-        assert len(agent.prr_table) == 0
 
     def test_choose_receiver_picks_first_passing(self):
         agent = make_agent()

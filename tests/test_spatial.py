@@ -21,7 +21,7 @@ The grid is the channel's only candidate generator.  Covered here:
   appends;
 * copy discipline: ``Channel.radios`` copies, ``radios_view`` does not;
 * the ``spatial_*`` counters, the cull margin bounding the reach
-  radius, and the read-only ``spatial`` block of archived manifests.
+  radius, and archived manifests carrying a ``spatial`` block.
 """
 
 import math
@@ -249,7 +249,7 @@ def brute_force_survivors(channel, sender):
             continue
         if margin is not None:
             mean_dbm = channel.propagation.mean_rx_dbm(
-                sender.config.tx_power_dbm,
+                sender.tx_power_dbm,
                 sender.position.distance_to(radio.position),
             )
             config = radio.config
@@ -353,7 +353,7 @@ class TestCandidateOracle:
                 if kind == "move":
                     radio.move_to(Point(x, y))
                 elif kind == "power":  # C-SR power capping
-                    changed = power != radio.config.tx_power_dbm
+                    changed = power != radio.tx_power_dbm
                     radio.set_tx_power_dbm(power)
                 elif radio.attached:
                     channel.detach(radio)
@@ -526,7 +526,7 @@ class TestChannelSpatial:
 
 
 # ----------------------------------------------------------------------
-# The read-only manifest spatial block
+# Archived manifests carrying a spatial block
 # ----------------------------------------------------------------------
 class TestManifestSpatialBlock:
     def _manifest_kwargs(self):
@@ -537,32 +537,29 @@ class TestManifestSpatialBlock:
 
     def test_manifest_roundtrip_with_spatial(self):
         # Nothing writes the block any more; archived manifests that
-        # carry one still load it.
-        payload = build_manifest(**self._manifest_kwargs()).to_dict()
-        assert payload["spatial"] is None
-        block = {
+        # carry one still validate and load, without it.
+        manifest = build_manifest(**self._manifest_kwargs())
+        payload = manifest.to_dict()
+        assert "spatial" not in payload
+        payload["spatial"] = {
             "cell_size_m": {"count": 1, "min": 30.0, "max": 30.0, "mean": 30.0},
             "reach_radius_m": {"count": 1, "min": 250.0, "max": 250.0, "mean": 250.0},
         }
-        payload["spatial"] = block
         validate_manifest(payload)
-        loaded = RunManifest.from_dict(payload)
-        assert loaded.spatial == block
+        assert RunManifest.from_dict(payload) == manifest
 
     def test_old_manifests_still_validate(self):
         # Archived manifests predate the spatial field entirely.
         manifest = build_manifest(**self._manifest_kwargs())
         payload = manifest.to_dict()
-        del payload["spatial"]
         validate_manifest(payload)
-        loaded = RunManifest.from_dict(payload)
-        assert loaded.spatial is None
+        assert RunManifest.from_dict(payload) == manifest
         # Manifests written while the grid could be switched off carry
-        # an ``enabled`` flag; they load unchanged.
+        # an ``enabled`` flag; they load unchanged otherwise.
         for version in (1, 2):
             payload = dict(
                 manifest.to_dict(), version=version,
                 spatial={"enabled": False},
             )
             validate_manifest(payload)
-            assert RunManifest.from_dict(payload).spatial == {"enabled": False}
+            assert RunManifest.from_dict(payload) == manifest

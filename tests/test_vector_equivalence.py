@@ -124,7 +124,7 @@ class ReferenceMedium:
             if radio is sender:
                 continue
             mean_dbm = propagation.mean_rx_dbm(
-                sender.config.tx_power_dbm,
+                sender.tx_power_dbm,
                 sender.position.distance_to(radio.position),
             )
             config = radio.config
