@@ -1,10 +1,10 @@
-"""The neighbor table (Fig. 3): per-neighbor position knowledge.
+"""The neighbor table (Fig. 3): the reported positions of one band.
 
 Each node reports its position to its associated AP; APs redistribute the
-positions of nearby participants, so every node ends up knowing the
-(possibly imperfect) coordinates of its neighbors within two hops.  The
-table stores what *this* node currently believes, including when each
-entry was last refreshed, which :meth:`NeighborTable.is_fresh` checks.
+positions of nearby participants, so every node ends up knowing the same
+(possibly imperfect) coordinates of its neighbors within two hops.  One
+table per band holds them for all of the band's agents, and records when
+each row was last refreshed, which :meth:`NeighborTable.is_fresh` checks.
 """
 
 from __future__ import annotations
@@ -27,11 +27,15 @@ class NeighborEntry:
 
 
 class NeighborTable:
-    """Position knowledge of one node about its 2-hop neighborhood."""
+    """One band's reported positions; the only writer of its rows."""
 
-    def __init__(self, owner_id: int) -> None:
-        self.owner_id = owner_id
+    def __init__(self) -> None:
         self._entries: Dict[int, NeighborEntry] = {}
+        self._readers: list = []
+
+    def join(self, agent) -> None:
+        """Tell ``agent`` of every later write, so it can drop what it derived."""
+        self._readers.append(agent)
 
     def update(
         self,
@@ -41,13 +45,14 @@ class NeighborTable:
         associated_ap: Optional[int] = None,
         now: int = 0,
     ) -> NeighborEntry:
-        """Insert or refresh a neighbor's entry; returns the stored row.
+        """Insert or refresh a node's row; returns the stored row.
 
-        Updating the owner's own row is allowed — a node keeps its own
-        (localization-estimated) position in the same structure, since all
-        distance computations must use the *reported* coordinates, not
-        ground truth.
+        Every reader then observes the write, told whether a known position
+        changed.  A node's own row lives here too: all distance
+        computations must use the *reported* coordinates, not ground truth.
         """
+        previous = self._entries.get(node_id)
+        moved = previous is not None and previous.position != position
         entry = NeighborEntry(
             node_id=node_id,
             position=position,
@@ -56,6 +61,8 @@ class NeighborTable:
             updated_at=now,
         )
         self._entries[node_id] = entry
+        for reader in self._readers:
+            reader.observe_neighbor(node_id, moved)
         return entry
 
     def get(self, node_id: int) -> Optional[NeighborEntry]:
@@ -88,15 +95,16 @@ class NeighborTable:
         return now - entry.updated_at <= ttl_ns
 
     def remove(self, node_id: int) -> bool:
-        """Drop an entry (e.g. node left the network).  Returns True if present."""
-        return self._entries.pop(node_id, None) is not None
+        """Drop a node's row (it left) and tell every reader; True if present."""
+        if self._entries.pop(node_id, None) is None:
+            return False
+        for reader in self._readers:
+            reader.forget_neighbor(node_id)
+        return True
 
-    def neighbors(self, exclude_self: bool = True) -> List[NeighborEntry]:
-        """All entries, optionally omitting the owner's own row."""
-        rows = self._entries.values()
-        if exclude_self:
-            return [e for e in rows if e.node_id != self.owner_id]
-        return list(rows)
+    def neighbors(self) -> List[NeighborEntry]:
+        """Every row, the reader's own included."""
+        return list(self._entries.values())
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._entries
@@ -107,9 +115,9 @@ class NeighborTable:
     def __iter__(self) -> Iterator[NeighborEntry]:
         return iter(self._entries.values())
 
-    def render(self) -> str:
-        """Human-readable table, mirroring Fig. 3's illustration."""
-        lines = [f"Neighbor table of node {self.owner_id}", "Neighbor      X        Y"]
+    def render(self, viewer: int) -> str:
+        """Human-readable table as ``viewer`` sees it, mirroring Fig. 3."""
+        lines = [f"Neighbor table of node {viewer}", "Neighbor      X        Y"]
         for e in sorted(self._entries.values(), key=lambda r: r.node_id):
             tag = " (AP)" if e.is_ap else ""
             lines.append(f"{e.node_id:>8d}{tag:5s} {e.position.x:8.1f} {e.position.y:8.1f}")

@@ -2,7 +2,8 @@
 
 Composes the Fig. 5 pipeline (neighbor table → eq. 3 PRR test →
 co-occurrence map), the hidden-terminal estimator and the adaptation
-table behind a small API that the CO-MAP MAC queries at runtime:
+table behind a small API that the CO-MAP MAC queries at runtime (the
+neighbor table is the band's; the agent keeps only what it derives):
 
 * :meth:`CoMapAgent.concurrency_allowed` — "can I transmit to X while
   link (S, R) is on the air?", answered from the co-occurrence map when
@@ -44,12 +45,14 @@ class CoMapAgent:
         config: CoMapConfig,
         tx_power_dbm: float,
         t_cs_dbm: float,
+        neighbor_table: NeighborTable,
         adaptation: Optional[AdaptationTable] = None,
     ) -> None:
         self.node_id = node_id
         self.config = config
         self.model = PrrModel(propagation=propagation, t_sir_db=config.t_sir_db)
-        self.neighbor_table = NeighborTable(node_id)
+        self.neighbor_table = neighbor_table
+        neighbor_table.join(self)
         self.co_map = CoOccurrenceMap(node_id)
         self.validator = ConcurrencyValidator(self.model, config.t_prr)
         self.estimator = HtEstimator(
@@ -67,32 +70,22 @@ class CoMapAgent:
     # ------------------------------------------------------------------
     # Location exchange
     # ------------------------------------------------------------------
-    def observe_neighbor(
-        self,
-        node_id: int,
-        position: Point,
-        is_ap: bool = False,
-        associated_ap: Optional[int] = None,
-        now: int = 0,
-    ) -> None:
-        """Ingest one position report (from the AP's redistribution).
+    def observe_neighbor(self, node_id: int, moved: bool) -> None:
+        """The band table wrote ``node_id``'s row (a position report).
 
         A position change invalidates every co-occurrence verdict
-        involving that node — this is the "rapid update" property that
-        makes CO-MAP suitable for mobile WLANs.  A first report has
-        nothing to invalidate: no verdict is stored while a position is
-        missing (see :meth:`concurrency_allowed`).
+        involving that node (all of them for this node's own) — the
+        "rapid update" property that makes CO-MAP suitable for mobile
+        WLANs.  A first report has nothing to invalidate: no verdict is
+        stored while a position is missing (see :meth:`concurrency_allowed`).
         """
-        previous = self.neighbor_table.position_of(node_id)
-        self.neighbor_table.update(
-            node_id, position, is_ap=is_ap, associated_ap=associated_ap, now=now
-        )
         self._announce_worthwhile.clear()
-        if previous is not None and previous != position:
-            if node_id == self.node_id:
-                self.co_map.clear()
-            else:
-                self.co_map.invalidate_node(node_id)
+        if not moved:
+            return
+        if node_id == self.node_id:
+            self.co_map.clear()
+        else:
+            self.co_map.invalidate_node(node_id)
 
     def should_report_move(self, current: Point) -> bool:
         """Mobility management (Section V): report only significant moves.
@@ -110,14 +103,9 @@ class CoMapAgent:
         self.reported_position = position
 
     def forget_neighbor(self, node_id: int) -> None:
-        """Erase everything known about ``node_id`` (it left, or its
-        location input failed): neighbor row and co-occurrence entries.
-        Announcement-worthwhile caches are position-dependent, so they
-        are dropped too.
-        """
-        self.neighbor_table.remove(node_id)
-        self.co_map.invalidate_node(node_id)
-        self._announce_worthwhile.clear()
+        """The band table dropped ``node_id``'s row (the node left): drop
+        what was derived from it, as for a move."""
+        self.observe_neighbor(node_id, moved=True)
 
     def location_stale(self, now: int) -> bool:
         """Is this node's *own* location knowledge stale or absent?
@@ -177,7 +165,7 @@ class CoMapAgent:
     def validate(
         self, ongoing_src: int, ongoing_dst: int, my_dst: int
     ) -> ValidationResult:
-        """One eq. (3) validation over this node's neighbor table (uncached)."""
+        """One eq. (3) validation over the band's neighbor table (uncached)."""
         return self.validator.validate(
             self.neighbor_table, ongoing_src, ongoing_dst, self.node_id, my_dst
         )
@@ -240,7 +228,7 @@ class CoMapAgent:
         clients = [
             e.node_id
             for e in self.neighbor_table.neighbors()
-            if e.associated_ap == entry.node_id
+            if e.associated_ap == entry.node_id and e.node_id != self.node_id
         ]
         if clients:
             return clients
@@ -250,7 +238,7 @@ class CoMapAgent:
         # knowledge").
         return [
             e.node_id
-            for e in self.neighbor_table.neighbors(exclude_self=False)
+            for e in self.neighbor_table.neighbors()
             if e.is_ap and e.node_id != entry.node_id
         ]
 
@@ -305,4 +293,5 @@ class CoMapAgent:
     # ------------------------------------------------------------------
     def describe(self) -> str:
         """Multi-line dump of the Fig. 5 pipeline state."""
-        return "\n\n".join([self.neighbor_table.render(), self.co_map.render()])
+        table = self.neighbor_table.render(self.node_id)
+        return "\n\n".join([table, self.co_map.render()])

@@ -85,8 +85,8 @@ class InterferenceSurvey:
 def survey_network(network: Network, flows: List[Flow]) -> InterferenceSurvey:
     """Classify every flow of a CO-MAP network.
 
-    Requires ``mac_kind="comap"`` (the classification lives in the
-    agents' neighbor tables).
+    Requires ``mac_kind="comap"`` (the classification runs on the band's
+    neighbor table, which only CO-MAP agents read).
     """
     survey = InterferenceSurvey()
     for src, dst in flows:

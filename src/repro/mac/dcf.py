@@ -203,6 +203,9 @@ class DcfMac:
         self._cts_timeout_handle: Optional[EventHandle] = None
         self._nav_until: int = 0
         self._nav_resume_handle: Optional[EventHandle] = None
+        #: What this MAC does SIFS after a reception: send the ACK or CTS
+        #: it owes, or the data a CTS cleared (at most one at a time).
+        self._sifs_handle: Optional[EventHandle] = None
         self._need_eifs = False
         self._tx_train: List[Frame] = []
         self._rts_data_frame: Optional[Frame] = None
@@ -455,7 +458,9 @@ class DcfMac:
             rate=self.rates.base, seq=rts.seq, flow=rts.flow,
             meta={"dur": remaining},
         )
-        self.sim.schedule(self.timing.sifs_ns, self._send_control, cts)
+        self._sifs_handle = self.sim.schedule(
+            self.timing.sifs_ns, self._send_control, cts
+        )
 
     def _send_control(self, frame: Frame) -> None:
         """Transmit a control response unless the radio is mid-frame."""
@@ -473,7 +478,9 @@ class DcfMac:
         if self._cts_timeout_handle is not None:
             self._cts_timeout_handle.cancel()
             self._cts_timeout_handle = None
-        self.sim.schedule(self.timing.sifs_ns, self._launch_protected_data)
+        self._sifs_handle = self.sim.schedule(
+            self.timing.sifs_ns, self._launch_protected_data
+        )
 
     def _launch_protected_data(self) -> None:
         """Send the data frame the CTS cleared."""
@@ -637,7 +644,9 @@ class DcfMac:
             if self.on_deliver is not None:
                 self.on_deliver(frame)
         ack = self._build_ack(frame)
-        self.sim.schedule(self.timing.sifs_ns, self._send_ack, ack)
+        self._sifs_handle = self.sim.schedule(
+            self.timing.sifs_ns, self._send_ack, ack
+        )
 
     def _observe_latency(self, flow: FlowId, frame: Frame) -> None:
         """Record enqueue-to-delivery latency for a unique reception.
@@ -738,6 +747,7 @@ class DcfMac:
             "_ack_timeout_handle",
             "_cts_timeout_handle",
             "_nav_resume_handle",
+            "_sifs_handle",
         ):
             handle = getattr(self, name)
             if handle is not None:
@@ -747,12 +757,15 @@ class DcfMac:
     def suspend(self) -> None:
         """Take the MAC off the air: the node left the network.
 
-        Cancels all pending timers, requeues the in-flight head MSDU at
-        the front of the queue (so :meth:`resume` retries it first, with
-        a fresh attempt history), and parks the state machine.  Safe to
-        call mid-transmission: the radio's detach path stops delivering
-        air events, and the :attr:`_suspended` guard swallows any
-        ``on_tx_complete`` for a frame already on the air.
+        Cancels all pending timers, and with them an owed ACK or CTS (the
+        node is gone before it comes due, so the peer times out as it
+        would on a lost response) or the data a CTS just cleared, requeues
+        the in-flight head MSDU at the front of the queue (so
+        :meth:`resume` retries it first, with a fresh attempt history),
+        and parks the state machine.  Safe to call mid-transmission: the
+        radio's detach path stops delivering air events, and the
+        :attr:`_suspended` guard swallows any ``on_tx_complete`` for a
+        frame already on the air.
         """
         if self._suspended:
             return

@@ -9,11 +9,12 @@ attaches traffic and measures per-flow goodput.
 Location exchange is modelled as the paper describes it operationally:
 every client reports its (localization-estimated) position to its AP and
 APs redistribute positions to nearby participants — the net effect being
-that every CO-MAP agent knows the *reported* coordinates of its 2-hop
-neighborhood.  The exchange itself costs a handful of tiny frames per
-node ("little communication overhead"), which we account for as an
-explicit overhead estimate rather than by injecting frames, so protocol
-benefits and costs stay separately measurable.
+that every CO-MAP agent knows the same *reported* coordinates of its 2-hop
+neighborhood, so the agents of a band read one neighbor table.  The
+exchange itself costs a handful of tiny frames per node ("little
+communication overhead"), which we account for as an explicit overhead
+estimate rather than by injecting frames, so protocol benefits and costs
+stay separately measurable.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.adaptation import AdaptationTable
+from repro.core.neighbor_table import NeighborTable
 from repro.core.protocol import CoMapAgent
 from repro.mac.cmap import CmapMac
 from repro.mac.comap import CoMapMac, CoMapMacConfig
@@ -146,6 +148,8 @@ class Network:
         self.registry.register_source("sim", self.sim.counters)
         self.propagation = LogNormalShadowing(params.alpha, params.sigma_db)
         self._channels: Dict[int, Channel] = {}
+        #: One neighbor table per band, read by the band's CO-MAP agents.
+        self._neighbor_tables: Dict[int, NeighborTable] = {}
         #: Band-0 medium (most scenarios are single-channel).
         self.channel = self.channel_for(0)
         self.error_model: PositionErrorModel = error_model or NoError()
@@ -157,9 +161,9 @@ class Network:
         #: The AP coordination plane of a "csr" network (see finalize()).
         self.backhaul = None
         self._adaptation_table: Optional[AdaptationTable] = None
-        # Mobility-driven adaptation refreshes are filtered (only MACs
-        # whose neighbor tables observed the move) and coalesced (one
-        # refresh pass per sim-time instant) — see _mark_adaptation_dirty.
+        # Mobility-driven adaptation refreshes are filtered (only the
+        # mover's attached same-band MACs) and coalesced (one refresh pass
+        # per sim-time instant) — see _mark_adaptation_dirty.
         self._dirty_adaptation: set = set()
         # Handle of the scheduled zero-delay drain (None when no drain is
         # queued).  A handle — not a bool — so an inline drain can cancel
@@ -194,6 +198,7 @@ class Network:
                 cull_margin_db=self.params.cull_margin_db,
             )
             self._channels[band] = channel
+            self._neighbor_tables[band] = NeighborTable()
         return channel
 
     @property
@@ -270,6 +275,7 @@ class Network:
                 config=params.comap,
                 tx_power_dbm=params.tx_power_dbm,
                 t_cs_dbm=params.cs_threshold_dbm,
+                neighbor_table=self._neighbor_tables[band],
                 adaptation=self._adaptation(),
             )
             location_kwargs["agent"] = agent
@@ -336,7 +342,7 @@ class Network:
         """Perform the location exchange and initial adaptation pass.
 
         Each node's first report goes out, in node-id order, through the
-        broadcast the run uses, so every agent learns its band peers in
+        band table the run writes, so every band table holds its nodes in
         node-id order.  One adaptation pass over every MAC follows, not
         one per report.
         """
@@ -353,7 +359,7 @@ class Network:
         if not self._location_aware:
             return
         for node in self.nodes.values():
-            self._broadcast(node, self._new_report(node))
+            self._write_row(node, self._new_report(node))
         self._refresh_all_adaptation()
         if self.mac_kind == "csr":
             self._wire_backhaul()
@@ -393,23 +399,18 @@ class Network:
         node.agent.mark_reported(report)
         return report
 
-    def _broadcast(self, node: Node, position: Point) -> None:
-        """Every attached same-band agent learns ``position`` for ``node``.
+    def _write_row(self, node: Node, position: Point) -> None:
+        """Write ``position`` as ``node``'s row of its band's table.
 
         Nodes on other (orthogonal) frequency bands can neither interfere
-        nor be sensed, so they are kept out of the interference
-        reasoning; a detached node's location service is down too.
+        nor be sensed, so their tables never hold it.
         """
-        ap_id = node.associated_ap.node_id if node.associated_ap is not None else None
-        for observer in self.nodes.values():
-            if observer.agent is None or observer.band != node.band:
-                continue
-            if not observer.radio.attached:
-                continue
-            observer.agent.observe_neighbor(
-                node.node_id, position, is_ap=node.is_ap, associated_ap=ap_id,
-                now=self.sim.now,
-            )
+        ap = node.associated_ap
+        self._neighbor_tables[node.band].update(
+            node.node_id, position, is_ap=node.is_ap,
+            associated_ap=ap.node_id if ap is not None else None,
+            now=self.sim.now,
+        )
 
     def _refresh_all_adaptation(self) -> None:
         """Re-run the (N_ht, c) -> (CW, payload) lookup on every CO-MAP MAC."""
@@ -429,25 +430,23 @@ class Network:
         node.mac.refresh_adaptation(receivers)
 
     def _mark_adaptation_dirty(self, moved: Node) -> None:
-        """Queue adaptation refreshes caused by ``moved``'s position report.
+        """Queue adaptation refreshes caused by a write to ``moved``'s row.
 
-        Only MACs whose neighbor tables actually observed the move — the
-        CO-MAP agents sharing ``moved``'s frequency band — are affected;
-        MACs on orthogonal bands never learn the position and their
-        (N_ht, c) estimates cannot change, so they are not touched (the
-        old behavior refreshed every MAC in the network on every accepted
-        report, making dense mobility O(N²) per tick).
+        Only the attached CO-MAP MACs sharing ``moved``'s frequency band
+        read that row; MACs on orthogonal bands cannot change their
+        (N_ht, c) estimates, and a detached MAC is refreshed by its own
+        report when it re-joins.
 
         While the simulator is running, refreshes are additionally
         coalesced to one pass per sim-time instant: the drain runs as a
         zero-delay event, after every same-instant report has updated the
-        neighbor tables, so K same-tick reports cost one refresh per
-        affected MAC instead of K.
+        band table, so K same-tick reports cost one refresh per affected
+        MAC instead of K.
         """
         for node in self.nodes.values():
             if node.agent is None or node.band != moved.band:
                 continue
-            if moved.node_id in node.agent.neighbor_table:
+            if node.radio.attached:
                 self._dirty_adaptation.add(node.node_id)
         if not self._dirty_adaptation:
             return
@@ -485,14 +484,14 @@ class Network:
     def publish_report(self, node: Node, position: Point) -> None:
         """Tell ``node``'s peers it is at ``position``.
 
-        Every attached same-band CO-MAP agent (the ones that can hear the
-        AP's redistribution) observes ``position`` as ``node``'s, and the
-        affected MACs re-run adaptation.  The node's report stays what its
-        location service last produced: the fault injector publishes
-        frozen and drifted positions through here, and those must never
-        become what a later keep-alive repeats.
+        The band table records ``position`` as ``node``'s row, which every
+        same-band CO-MAP agent reads, and the affected MACs re-run
+        adaptation.  The node's report stays what its location service
+        last produced: the fault injector publishes frozen and drifted
+        positions through here, and those must never become what a later
+        keep-alive repeats.
         """
-        self._broadcast(node, position)
+        self._write_row(node, position)
         self._mark_adaptation_dirty(node)
 
     def update_node_position(self, node: Node, position: Point) -> bool:
@@ -500,10 +499,14 @@ class Network:
 
         Returns True when a new position report was propagated (Section
         V's mobility management: "every node updates its position only if
-        its movement is larger than a certain distance").
+        its movement is larger than a certain distance").  A detached node
+        moves but reports nothing: its location service is down with it,
+        and :meth:`reattach_node` reports where it is on its return.
         """
         node.radio.move_to(position)
-        if node.agent is None or not node.agent.should_report_move(position):
+        if node.agent is None or not node.radio.attached:
+            return False
+        if not node.agent.should_report_move(position):
             return False
         if self.faults is not None and not self.faults.allow_report(
             node, self.sim.now
@@ -518,29 +521,20 @@ class Network:
     def detach_node(self, node: Node) -> None:
         """Take a node off the air mid-run (it left the network).
 
-        Suspends the MAC (cancelling all pending timers, requeueing the
-        in-flight MSDU; a C-SR AP also leaves the backhaul), detaches the
-        radio from its channel (scrubbing it from in-flight transmissions'
-        observer sets), and makes every remaining same-band CO-MAP agent
-        forget the node — its position and co-occurrence entries describe
-        a peer that is no longer there.
+        Suspends the MAC (cancelling all pending timers and owed
+        responses, requeueing the in-flight MSDU; a C-SR AP also leaves
+        the backhaul), detaches the radio from its channel (scrubbing it
+        from in-flight transmissions' observer sets), and drops the node's
+        row from its band table — its position describes a peer that is no
+        longer there, so every same-band agent drops the verdicts derived
+        from it.
         """
         if not node.radio.attached:
             raise RuntimeError(f"node {node.name!r} is already detached")
         node.mac.suspend()
         node.radio.channel.detach(node.radio)
-        dirty = False
-        for observer in self.nodes.values():
-            if observer is node or observer.agent is None:
-                continue
-            if observer.band != node.band:
-                continue
-            if node.node_id in observer.agent.neighbor_table:
-                observer.agent.forget_neighbor(node.node_id)
-                self._dirty_adaptation.add(observer.node_id)
-                dirty = True
-        if dirty:
-            self._request_adaptation_drain()
+        if self._neighbor_tables[node.band].remove(node.node_id):
+            self._mark_adaptation_dirty(node)
 
     def reattach_node(self, node: Node) -> None:
         """Bring a detached node back on the air (it re-joined).
@@ -549,7 +543,8 @@ class Network:
         does not observe transmissions already in flight), resumes the
         MAC, and — for CO-MAP — publishes a fresh position report so the
         network re-learns the node and the node's peers re-validate
-        concurrency against it.
+        concurrency against it.  The node itself reads its band's table,
+        which stayed current while it was away.
         """
         if node.radio.attached:
             raise RuntimeError(f"node {node.name!r} is not detached")

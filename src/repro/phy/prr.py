@@ -58,23 +58,36 @@ class PrrModel:
     propagation: LogNormalShadowing
     t_sir_db: float
 
+    def _floored(self, distance_m: float) -> float:
+        """``distance_m`` floored at the reference distance ``d0``.
+
+        Eq. (1)'s path loss is flat inside ``d0`` (see
+        :meth:`LogNormalShadowing.path_loss_db`), so two nodes that
+        report the same point are ``d0`` apart as far as power goes.
+        """
+        if distance_m < 0.0:
+            raise ValueError(f"distance cannot be negative, got {distance_m}")
+        return max(distance_m, self.propagation.reference_distance_m)
+
     def prr(self, link_distance_m: float, interferer_distance_m: float) -> float:
         """Eq. (3): reception probability of a link under one interferer.
 
         ``link_distance_m`` is sender→receiver (``d``);
         ``interferer_distance_m`` is interferer→receiver (``r``).
         Both transmitters are assumed to use the same power, as in the
-        paper's derivation.
+        paper's derivation.  Both distances are floored at ``d0``.
         """
-        if link_distance_m <= 0.0:
-            raise ValueError("link distance must be positive")
-        if interferer_distance_m <= 0.0:
-            raise ValueError("interferer distance must be positive")
+        if link_distance_m < 0.0 or interferer_distance_m < 0.0:
+            raise ValueError("distances cannot be negative")
+        d0 = self.propagation.reference_distance_m
+        return self._prr_at_ratio(
+            max(link_distance_m, d0) / max(interferer_distance_m, d0)
+        )
+
+    def _prr_at_ratio(self, d_over_r: float) -> float:
         sigma = self.propagation.sigma_db
         alpha = self.propagation.alpha
-        margin = self.t_sir_db + 10.0 * alpha * math.log10(
-            link_distance_m / interferer_distance_m
-        )
+        margin = self.t_sir_db + 10.0 * alpha * math.log10(d_over_r)
         if sigma == 0.0:
             # Degenerate (no shadowing): step function on the SIR margin.
             return 0.0 if margin >= 0.0 else 1.0
@@ -95,13 +108,12 @@ class PrrModel:
         which always satisfies ``r_eff <= min(r_i)`` (more interferers,
         closer equivalent).  Shadowing of the aggregate is approximated
         by the single-interferer sigma (a first-order Wilkinson-style
-        approximation).
+        approximation).  Each ``r_i`` is floored at ``d0`` first; the
+        result may lie inside ``d0`` (several interferers that close).
         """
-        distances = [float(r) for r in interferer_distances_m]
+        distances = [self._floored(float(r)) for r in interferer_distances_m]
         if not distances:
             raise ValueError("at least one interferer distance is required")
-        if any(r <= 0.0 for r in distances):
-            raise ValueError("interferer distances must be positive")
         alpha = self.propagation.alpha
         aggregate = sum(r ** (-alpha) for r in distances)
         return aggregate ** (-1.0 / alpha)
@@ -109,7 +121,7 @@ class PrrModel:
     def prr_multi(self, link_distance_m: float, interferer_distances_m) -> float:
         """Eq. (3) generalized to several simultaneous interferers."""
         r_eff = self.effective_interferer_distance(interferer_distances_m)
-        return self.prr(link_distance_m, r_eff)
+        return self._prr_at_ratio(self._floored(link_distance_m) / r_eff)
 
     def carrier_sense_miss_probability(
         self,
@@ -120,10 +132,11 @@ class PrrModel:
         """Eq. (4): probability a neighbor at ``distance_m`` cannot sense us.
 
         ``t_cs_dbm`` is the clear-channel-assessment threshold.  The result
-        grows monotonically with distance (verified by property tests).
+        grows monotonically with distance (verified by property tests),
+        and is flat inside ``d0``, where the mean received power is.
         """
-        if distance_m <= 0.0:
-            raise ValueError("distance must be positive")
+        if distance_m < 0.0:
+            raise ValueError("distance cannot be negative")
         sigma = self.propagation.sigma_db
         mean_rx = self.propagation.mean_rx_dbm(tx_power_dbm, distance_m)
         if sigma == 0.0:

@@ -4,9 +4,13 @@ A node's departure (:meth:`repro.net.network.Network.detach_node`) and
 return (:meth:`~repro.net.network.Network.reattach_node`) touch state
 other nodes derived from it.  After the round trip:
 
+* the band's neighbor table holds exactly the attached nodes, each at its
+  report — also for a node that was away while a peer re-joined or moved;
 * every verdict an agent's co-occurrence map stores equals eq. 3 on that
   agent's neighbor table — a deny taken while a peer was away (its
   position missing) must not outlive its return;
+* a node that leaves owes no one a response: an ACK or CTS due after it
+  left is never sent, and neither is data a CTS cleared just before;
 * the C-SR backhaul holds exactly the attached APs: a detached AP hears
   no coordination round and leaves the TXOP ledger, and re-attaches
   when it re-joins;
@@ -15,8 +19,10 @@ other nodes derived from it.  After the round trip:
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import CoMapConfig
+from repro.core.neighbor_table import NeighborTable
 from repro.core.protocol import CoMapAgent
 from repro.experiments.params import ns2_params
 from repro.experiments.topologies import (
@@ -24,10 +30,12 @@ from repro.experiments.topologies import (
     exposed_terminal_topology,
 )
 from repro.faults import FaultPlan, NodeChurn
+from repro.net.mobility import LinearMobility
 from repro.phy.propagation import LogNormalShadowing
 from repro.util.geometry import Point
 
 MS = 1_000_000
+US = 1_000
 
 
 def eq3_allows(agent, src, dst, my_dst):
@@ -54,22 +62,48 @@ def stale_verdicts(network):
     return stale
 
 
+def stale_rows(network):
+    """(reader, rows, expected) wherever a node's neighbor table is not
+    exactly the attached same-band nodes, each at its report."""
+    stale = []
+    for reader in network.nodes.values():
+        rows = {row.node_id: row.position for row in reader.agent.neighbor_table}
+        expected = {
+            node.node_id: node.agent.reported_position
+            for node in network.nodes.values()
+            if node.band == reader.band and node.radio.attached
+        }
+        if rows != expected:
+            stale.append((reader.name, rows, expected))
+    return stale
+
+
+def walk_c2(network, end_x):
+    """C2 walks from 30 m towards ``end_x`` at 60 m/s, in 10 ms ticks."""
+    LinearMobility(
+        network, network.node("C2"), [(30, 0), (end_x, 0)],
+        speed_mps=60, tick_s=0.01,
+    )
+
+
 class TestVerdictsAfterRejoin:
     def test_agent_revalidates_a_rejoined_peer(self):
+        table = NeighborTable()
         agent = CoMapAgent(
             node_id=0,
             propagation=LogNormalShadowing(alpha=2.9, sigma_db=4.0),
             config=CoMapConfig(t_sir_db=4.0),
             tx_power_dbm=0.0,
             t_cs_dbm=-75.0,
+            neighbor_table=table,
         )
         for node_id, x in ((0, 0.0), (1, 5.0), (2, 300.0), (3, 305.0)):
-            agent.observe_neighbor(node_id, Point(x, 0))
+            table.update(node_id, Point(x, 0))
         assert agent.concurrency_allowed(2, 3, 1)
-        agent.forget_neighbor(3)
+        table.remove(3)
         assert not agent.concurrency_allowed(2, 3, 1)  # never transmit blind
         assert agent.co_map.query((2, 3), 1) is None  # ... but store nothing
-        agent.observe_neighbor(3, Point(305, 0))  # the same spot again
+        table.update(3, Point(305, 0))  # the same spot again
         assert eq3_allows(agent, 2, 3, 1)
         assert agent.concurrency_allowed(2, 3, 1)
 
@@ -82,6 +116,146 @@ class TestVerdictsAfterRejoin:
         )))
         network.run(1.0)
         assert stale_verdicts(network) == []
+
+    def test_leaving_node_drops_its_own_verdicts(self):
+        network = exposed_terminal_topology("comap", c2_x=30.0, seed=2).network
+        c1 = network.node("C1")
+        network.run(0.1)
+        assert c1.agent.co_map.entry_count > 0
+        network.detach_node(c1)
+        assert c1.agent.co_map.entry_count == 0
+
+
+class TestTablesAfterChurn:
+    def test_node_away_while_a_peer_rejoins_relearns_it(self):
+        network = exposed_terminal_topology("comap", c2_x=30.0, seed=2).network
+        network.install_faults(FaultPlan(events=(
+            NodeChurn("AP1", leave_ns=100 * MS, rejoin_ns=300 * MS),
+            NodeChurn("C2", leave_ns=150 * MS, rejoin_ns=200 * MS),
+        )))
+        network.run(0.5)
+        c2 = network.node("C2")
+        assert c2.node_id in network.node("AP1").agent.neighbor_table
+        assert stale_rows(network) == []
+
+    def test_node_away_while_a_peer_moves_sees_where_it_went(self):
+        network = exposed_terminal_topology("comap", c2_x=30.0, seed=2).network
+        walk_c2(network, end_x=45)
+        network.install_faults(FaultPlan(events=(
+            NodeChurn("AP1", leave_ns=50 * MS, rejoin_ns=300 * MS),
+        )))
+        network.run(0.5)
+        c2 = network.node("C2")
+        seen = network.node("AP1").agent.neighbor_table.position_of(c2.node_id)
+        assert seen == c2.agent.reported_position
+        assert seen.x > 40.0
+        assert stale_rows(network) == []
+        assert stale_verdicts(network) == []
+
+    def test_detached_node_that_moves_publishes_nothing(self):
+        network = exposed_terminal_topology("comap", c2_x=30.0, seed=2).network
+        walk_c2(network, end_x=60)
+        network.install_faults(FaultPlan(events=(
+            NodeChurn("C2", leave_ns=100 * MS, rejoin_ns=400 * MS),
+        )))
+        c2 = network.node("C2")
+        network.run(0.3)
+        for name in ("AP1", "AP2", "C1"):
+            assert c2.node_id not in network.node(name).agent.neighbor_table
+        network.run(0.15)  # back at 400 ms, reporting where it is now
+        assert c2.agent.reported_position.x > 50.0
+        assert stale_rows(network) == []
+
+
+class TestLeavingWithinSifs:
+    @pytest.mark.parametrize("mac_kind", ["dcf", "comap"])
+    def test_owed_ack_is_not_sent(self, mac_kind):
+        # AP2 leaves 1 us after decoding a data frame, inside the SIFS
+        # before its ACK, and re-joins 5 ms later.
+        network = exposed_terminal_topology(mac_kind, c2_x=30.0, seed=1).network
+        ap2 = network.node("AP2")
+        acks = {}
+
+        def leave_before_the_ack(frame):
+            if acks or network.sim.now < 20 * MS:
+                return
+            acks["at_leave"] = ap2.mac.stats.acks_sent
+            network.sim.schedule(US, network.detach_node, ap2)
+            network.sim.schedule(
+                5 * MS, lambda: acks.setdefault("at_rejoin", ap2.mac.stats.acks_sent)
+            )
+            network.sim.schedule(5 * MS, network.reattach_node, ap2)
+
+        ap2.add_delivery_listener(leave_before_the_ack)
+        network.run(0.1)
+        assert acks["at_rejoin"] == acks["at_leave"]
+        assert ap2.mac.stats.acks_sent > acks["at_rejoin"]
+
+    def test_data_a_cts_cleared_waits_for_a_new_attempt(self):
+        # C1 leaves 1 us after its CTS arrives and is back 2 us later,
+        # still inside the SIFS before the data the CTS cleared: that
+        # data must not go out from the reset state machine.
+        network = exposed_terminal_topology("dcf", c2_x=30.0, seed=1).network
+        for node in network.nodes.values():
+            node.mac.config.use_rts_cts = True
+        c1 = network.node("C1")
+        accept_cts = c1.mac._accept_cts
+        left = []
+
+        def leave_after_the_cts(cts):
+            accept_cts(cts)
+            if left or network.sim.now < 20 * MS:
+                return
+            left.append(c1.mac.stats.successes)
+            network.sim.schedule(US, network.detach_node, c1)
+            network.sim.schedule(3 * US, network.reattach_node, c1)
+
+        c1.mac._accept_cts = leave_after_the_cts
+        network.run(0.1)
+        assert left
+        assert c1.mac.stats.successes > left[0]
+
+
+CHURNABLE = ("AP1", "AP2", "C1", "C2")
+
+
+@st.composite
+def churn_windows(draw):
+    """1-3 windows on distinct nodes of the Fig. 8 pair; they may overlap."""
+    names = draw(st.lists(
+        st.sampled_from(CHURNABLE), min_size=1, max_size=3, unique=True
+    ))
+    windows = []
+    for name in names:
+        leave_us = draw(st.integers(1, 190_000))
+        away_us = draw(st.integers(1, 150_000))
+        windows.append(NodeChurn(
+            name, leave_ns=leave_us * US, rejoin_ns=(leave_us + away_us) * US
+        ))
+    return tuple(windows)
+
+
+class TestChurnFuzz:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        mac_kind=st.sampled_from(["dcf", "comap", "cmap"]),
+        seed=st.integers(0, 2**16),
+        walks=st.booleans(),
+        windows=churn_windows(),
+    )
+    def test_churn_keeps_tables_and_verdicts_current(
+        self, mac_kind, seed, walks, windows
+    ):
+        network = exposed_terminal_topology(
+            mac_kind, c2_x=30.0, seed=seed
+        ).network
+        if walks:
+            walk_c2(network, end_x=45)
+        network.install_faults(FaultPlan(events=windows))
+        network.run(0.2)
+        if mac_kind == "comap":
+            assert stale_rows(network) == []
+            assert stale_verdicts(network) == []
 
 
 def csr_floor():

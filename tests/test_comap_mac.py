@@ -12,6 +12,7 @@ import dataclasses
 import pytest
 
 from repro.core.config import CoMapConfig
+from repro.core.neighbor_table import NeighborTable
 from repro.core.protocol import CoMapAgent
 from repro.mac.comap import CoMapMac, CoMapMacConfig
 from repro.mac.frames import FrameType
@@ -26,15 +27,16 @@ from tests.conftest import build_mac_world
 
 def comap_factory(positions, comap_config=None, tx_power=0.0, t_cs=-87.0,
                   alpha=2.9, t_sir=4.0, protocol_config=None):
-    """Build a mac_factory producing CO-MAP MACs with populated agents.
+    """Build a mac_factory producing CO-MAP MACs whose agents share a table.
 
     ``comap_config`` is each MAC's config; ``protocol_config`` the
     agents' shared :class:`CoMapConfig` (announcement method, SR window).
+    Returns the factory and the band's :class:`NeighborTable`.
     """
     cfg = comap_config or CoMapMacConfig()
     if protocol_config is None:
         protocol_config = CoMapConfig(t_prr=0.95, t_sir_db=t_sir)
-    agents = {}
+    table = NeighborTable()
 
     def factory(i, sim, radio, rngs):
         agent = CoMapAgent(
@@ -43,8 +45,8 @@ def comap_factory(positions, comap_config=None, tx_power=0.0, t_cs=-87.0,
             config=protocol_config,
             tx_power_dbm=tx_power,
             t_cs_dbm=t_cs,
+            neighbor_table=table,
         )
-        agents[i] = agent
         return CoMapMac(
             i, sim, radio, OFDM_TIMING, OFDM_RATES, rngs,
             config=dataclasses.replace(cfg),
@@ -52,7 +54,7 @@ def comap_factory(positions, comap_config=None, tx_power=0.0, t_cs=-87.0,
             agent=agent,
         )
 
-    return factory, agents
+    return factory, table
 
 
 def build_et_world(c2_x=30.0, comap_config=None, seed=0, protocol_config=None):
@@ -61,7 +63,7 @@ def build_et_world(c2_x=30.0, comap_config=None, seed=0, protocol_config=None):
     Node ids: 0=AP1, 1=AP2, 2=C1, 3=C2.
     """
     positions = [(0, 0), (36, 0), (-8, 0), (c2_x, 0)]
-    factory, agents = comap_factory(
+    factory, table = comap_factory(
         positions, comap_config, protocol_config=protocol_config
     )
     world = build_mac_world(
@@ -69,12 +71,11 @@ def build_et_world(c2_x=30.0, comap_config=None, seed=0, protocol_config=None):
         tx_power_dbm=0.0, cs_threshold_dbm=-87.0, alpha=2.9,
         sigma_db=4.0, shadowing_mode="none", seed=seed,
     )
-    # Location exchange: every agent learns every (exact) position.
+    # Location exchange: every agent reads every (exact) position.
     meta = {0: (True, None), 1: (True, None), 2: (False, 0), 3: (False, 1)}
-    for agent in agents.values():
-        for i, (x, y) in enumerate(positions):
-            is_ap, ap = meta[i]
-            agent.observe_neighbor(i, Point(x, y), is_ap=is_ap, associated_ap=ap)
+    for i, (x, y) in enumerate(positions):
+        is_ap, ap = meta[i]
+        table.update(i, Point(x, y), is_ap=is_ap, associated_ap=ap)
     return world
 
 
@@ -228,7 +229,7 @@ class TestEnhancedScheduler:
         spacing so all three sense each other.
         """
         positions = [(-8, 6), (36, 6), (64, 6), (0, 0), (28, 0), (56, 0)]
-        factory, agents = comap_factory(
+        factory, table = comap_factory(
             positions, comap_config=CoMapMacConfig(queue_limit=queue_limit)
         )
         world = build_mac_world(
@@ -238,10 +239,9 @@ class TestEnhancedScheduler:
         )
         meta = {0: (True, None), 1: (True, None), 2: (True, None),
                 3: (False, 0), 4: (False, 1), 5: (False, 2)}
-        for agent in agents.values():
-            for i, (x, y) in enumerate(positions):
-                is_ap, ap = meta[i]
-                agent.observe_neighbor(i, Point(x, y), is_ap=is_ap, associated_ap=ap)
+        for i, (x, y) in enumerate(positions):
+            is_ap, ap = meta[i]
+            table.update(i, Point(x, y), is_ap=is_ap, associated_ap=ap)
         return world
 
     def test_multi_et_aggregate_exceeds_serial(self):
@@ -317,10 +317,12 @@ class TestAdaptationIntegration:
         protocol_config = CoMapConfig(t_prr=0.95, t_sir_db=10.0)
         table = AdaptationTable(OFDM_TIMING, OFDM_RATES.by_bps(6_000_000),
                                 OFDM_RATES.base, protocol_config)
+        neighbors = NeighborTable()
 
         def factory(i, sim, radio, rngs):
             agent = CoMapAgent(i, radio.channel.propagation, protocol_config,
-                               tx_power_dbm=20.0, t_cs_dbm=-62.0, adaptation=table)
+                               tx_power_dbm=20.0, t_cs_dbm=-62.0,
+                               neighbor_table=neighbors, adaptation=table)
             return CoMapMac(i, sim, radio, OFDM_TIMING, OFDM_RATES, rngs,
                             config=dataclasses.replace(cfg),
                             rate_policy=FixedRate(OFDM_RATES.by_bps(6_000_000)),
@@ -330,8 +332,8 @@ class TestAdaptationIntegration:
                                 cs_threshold_dbm=-62.0, alpha=3.3)
         mac = world.macs[1]
         for i, (x, y) in enumerate(positions):
-            mac.agent.observe_neighbor(i, Point(x, y), is_ap=(i in (0, 3)),
-                                       associated_ap=3 if i == 2 else None)
+            neighbors.update(i, Point(x, y), is_ap=(i in (0, 3)),
+                             associated_ap=3 if i == 2 else None)
         counts = mac.refresh_adaptation([0])
         assert counts is not None
         hidden, _ = counts

@@ -3,6 +3,7 @@
 import dataclasses
 
 from repro.core.config import CoMapConfig
+from repro.core.neighbor_table import NeighborTable
 from repro.core.protocol import CoMapAgent
 from repro.mac.comap import CoMapMac, CoMapMacConfig
 from repro.mac.rate_control import FixedRate
@@ -37,7 +38,7 @@ def build_downlink_world():
         (8.0, 0.0),     # 4: Csafe
     ]
     protocol_config = CoMapConfig(t_prr=0.95, t_sir_db=4.0)
-    agents = {}
+    table = NeighborTable()
 
     def factory(i, sim, radio, rngs):
         agent = CoMapAgent(
@@ -46,8 +47,8 @@ def build_downlink_world():
             config=protocol_config,
             tx_power_dbm=0.0,
             t_cs_dbm=-87.0,
+            neighbor_table=table,
         )
-        agents[i] = agent
         return CoMapMac(
             i, sim, radio, OFDM_TIMING, OFDM_RATES, rngs,
             config=dataclasses.replace(CoMapMacConfig()),
@@ -61,10 +62,9 @@ def build_downlink_world():
     )
     meta = {0: (True, None), 1: (False, 0), 2: (True, None),
             3: (False, 2), 4: (False, 2)}
-    for agent in agents.values():
-        for i, (x, y) in enumerate(positions):
-            is_ap, ap = meta[i]
-            agent.observe_neighbor(i, Point(x, y), is_ap=is_ap, associated_ap=ap)
+    for i, (x, y) in enumerate(positions):
+        is_ap, ap = meta[i]
+        table.update(i, Point(x, y), is_ap=is_ap, associated_ap=ap)
     return world
 
 

@@ -16,7 +16,7 @@ def make_validator(t_prr=0.95, t_sir=4.0, sigma=4.0):
 
 def et_scenario_table(c2_x: float) -> NeighborTable:
     """The Fig. 1 line topology: AP1 at 0, C1 at -8, AP2 at 36, C2 at x."""
-    table = NeighborTable(owner_id=100)  # owner irrelevant here
+    table = NeighborTable()
     table.update(0, Point(0, 0), is_ap=True)      # AP1
     table.update(1, Point(36, 0), is_ap=True)     # AP2
     table.update(2, Point(-8, 0), associated_ap=0)  # C1
@@ -44,7 +44,7 @@ class TestValidation:
     def test_two_sided_check_direction_two(self):
         # Receiver too close to the ongoing transmitter: direction 2 fails
         # even though direction 1 passes.
-        table = NeighborTable(owner_id=9)
+        table = NeighborTable()
         table.update(10, Point(0, 0))     # ongoing src
         table.update(11, Point(3, 0))     # ongoing dst (short, robust link)
         table.update(12, Point(40, 0))    # me, far from the ongoing rx

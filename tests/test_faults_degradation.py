@@ -136,7 +136,7 @@ class TestStalenessMachinery:
         assert co_map.entry_count == 2
 
     def test_neighbor_table_freshness(self):
-        table = NeighborTable(owner_id=1)
+        table = NeighborTable()
         table.update(2, Point(0.0, 0.0), now=100)
         assert table.is_fresh(2, now=150, ttl_ns=100)
         assert not table.is_fresh(2, now=300, ttl_ns=100)

@@ -17,9 +17,9 @@ def make_estimator(t_cs=-75.0, alpha=2.9, sigma=4.0, t_sir=10.0,
 
 def ht_scenario_table():
     """The Fig. 2-style topology: C1(-10) -> AP1(0); C2 hidden at 15."""
-    table = NeighborTable(owner_id=1)
+    table = NeighborTable()
     table.update(0, Point(0, 0), is_ap=True)    # AP1 (receiver)
-    table.update(1, Point(-10, 0))              # C1 (sender, owner)
+    table.update(1, Point(-10, 0))              # C1 (sender)
     table.update(2, Point(15, 0))               # hidden interferer
     table.update(3, Point(-6, 3))               # contender near C1
     table.update(4, Point(70, 0))               # far independent node

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.params import ns2_params
+from repro.experiments.topologies import exposed_terminal_topology
 from repro.net.mobility import LinearMobility
 from repro.net.network import Network
 from repro.util.geometry import Point
@@ -79,6 +80,18 @@ class TestLinearMobility:
         with pytest.raises(ValueError):
             LinearMobility(net, c, [], speed_mps=1.0)
 
+    def test_report_on_top_of_a_peer(self):
+        # C2 walks through AP2 (36 m): at 60 ms it reports AP2's spot, so
+        # eq. 3 and eq. 4 see zero distances, which they floor at d0.
+        net = exposed_terminal_topology("comap", c2_x=30.0, seed=0).network
+        c2, ap2 = net.node("C2"), net.node("AP2")
+        LinearMobility(net, c2, [(30, 0), (50, 0)], speed_mps=100.0, tick_s=0.01)
+        refreshes = net.counters()["comap/adaptation_refreshes"]
+        net.run(0.06)
+        assert c2.agent.reported_position == ap2.agent.reported_position
+        assert net.counters()["comap/adaptation_refreshes"] > refreshes
+        net.run(0.1)
+
 
 def _refresh_counts(net):
     """adaptation_refreshes per node name (CO-MAP MACs only)."""
@@ -110,6 +123,21 @@ class TestAdaptationRefreshScope:
         assert after["C0"] > before["C0"]
         assert after["AP1"] == before["AP1"]
         assert after["C1"] == before["C1"]
+
+    def test_detached_mac_is_not_refreshed(self):
+        net = Network(ns2_params(), mac_kind="comap", seed=0)
+        ap = net.add_ap("AP", 0, 0)
+        c1 = net.add_client("C1", 10, 0, ap=ap)
+        c2 = net.add_client("C2", -10, 0, ap=ap)
+        net.finalize()
+        net.detach_node(c2)
+        before = _refresh_counts(net)
+        assert net.update_node_position(c1, Point(30, 0))
+        after = _refresh_counts(net)
+        assert after["C2"] == before["C2"]
+        assert after["AP"] == before["AP"] + 1
+        net.reattach_node(c2)  # its own report refreshes it
+        assert _refresh_counts(net)["C2"] == after["C2"] + 1
 
     def test_sub_threshold_move_refreshes_nothing(self):
         net, ap, c = make_net(threshold_m=5.0)

@@ -37,7 +37,10 @@ class TestEffectiveDistance:
         with pytest.raises(ValueError):
             model.effective_interferer_distance([])
         with pytest.raises(ValueError):
-            model.effective_interferer_distance([10.0, 0.0])
+            model.effective_interferer_distance([10.0, -1.0])
+        # A co-located interferer counts as one at d0 = 1 m.
+        assert model.effective_interferer_distance([0.0]) == 1.0
+        assert model.prr_multi(0.0, [0.0]) == model.prr(1.0, 1.0)
 
     @given(st.lists(st.floats(min_value=1.0, max_value=500.0), min_size=1, max_size=8))
     def test_effective_distance_bounded_by_minimum(self, distances):
@@ -56,7 +59,7 @@ class TestEffectiveDistance:
 class TestValidateMulti:
     def table(self):
         """Two far ongoing links plus me/my receiver in the middle."""
-        t = NeighborTable(owner_id=0)
+        t = NeighborTable()
         t.update(1, Point(-60, 0))    # ongoing src A
         t.update(2, Point(-52, 0))    # ongoing dst A
         t.update(3, Point(60, 0))     # ongoing src B
@@ -89,7 +92,7 @@ class TestValidateMulti:
     def test_aggregation_can_flip_a_marginal_verdict(self):
         # Each single interferer passes, but two of them together push the
         # combined interference over the line.
-        t = NeighborTable(owner_id=0)
+        t = NeighborTable()
         t.update(1, Point(-34, 0)); t.update(2, Point(-40, 6))
         t.update(3, Point(34, 0)); t.update(4, Point(40, 6))
         t.update(5, Point(0, 0)); t.update(6, Point(8, 0))
@@ -107,8 +110,9 @@ class TestValidateMulti:
             config=CoMapConfig(t_sir_db=4.0),
             tx_power_dbm=0.0,
             t_cs_dbm=-87.0,
+            neighbor_table=NeighborTable(),
         )
         for node_id, pos in ((1, (-60, 0)), (2, (-52, 0)), (3, (60, 0)),
                              (4, (52, 0)), (5, (0, 0)), (6, (6, 0))):
-            agent.observe_neighbor(node_id, Point(*pos))
+            agent.neighbor_table.update(node_id, Point(*pos))
         assert agent.concurrency_allowed_multi([(1, 2), (3, 4)], 6)

@@ -5,15 +5,28 @@ from repro.util.geometry import Point
 
 
 def fig3_table():
-    """The example network of Fig. 3, as seen by C11 (owner id 11)."""
-    table = NeighborTable(owner_id=11)
+    """The example network of Fig. 3 (C11 is the node the figure is drawn for)."""
+    table = NeighborTable()
     table.update(0, Point(0, 0))            # C0
     table.update(1, Point(0, -2))           # C1
     table.update(2, Point(4, -1))           # C2
     table.update(10, Point(6, 0))           # C10
     table.update(12, Point(10, 1))          # C12
-    table.update(11, Point(7, -1))          # own position
+    table.update(11, Point(7, -1))          # C11
     return table
+
+
+class Reader:
+    """Records what a table tells its readers."""
+
+    def __init__(self):
+        self.calls = []
+
+    def observe_neighbor(self, node_id, moved):
+        self.calls.append(("observe", node_id, moved))
+
+    def forget_neighbor(self, node_id):
+        self.calls.append(("forget", node_id))
 
 
 class TestNeighborTable:
@@ -41,15 +54,11 @@ class TestNeighborTable:
         assert entry.position == Point(5, 5)
         assert entry.updated_at == 17
 
-    def test_neighbors_excludes_self_by_default(self):
-        table = fig3_table()
-        ids = {e.node_id for e in table.neighbors()}
-        assert 11 not in ids
-        assert len(ids) == 5
-
     def test_neighbors_can_include_self(self):
-        ids = {e.node_id for e in fig3_table().neighbors(exclude_self=False)}
-        assert 11 in ids
+        # One table serves every reader, so it lists every row: each
+        # reader skips itself where that matters.
+        ids = [e.node_id for e in fig3_table().neighbors()]
+        assert ids == [0, 1, 2, 10, 12, 11]
 
     def test_remove(self):
         table = fig3_table()
@@ -62,13 +71,46 @@ class TestNeighborTable:
         assert 0 in table and len(table) == 6
 
     def test_ap_metadata(self):
-        table = NeighborTable(owner_id=1)
+        table = NeighborTable()
         table.update(5, Point(0, 0), is_ap=True)
         table.update(6, Point(1, 1), associated_ap=5)
         assert table.get(5).is_ap
         assert table.get(6).associated_ap == 5
 
     def test_render_mentions_all(self):
-        text = fig3_table().render()
-        for node_id in (0, 1, 2, 10, 11, 12):
-            assert str(node_id) in text
+        text = fig3_table().render(11)
+        assert text.startswith("Neighbor table of node 11\n")
+        rows = text.splitlines()[2:]
+        assert [int(row.split()[0]) for row in rows] == [0, 1, 2, 10, 11, 12]
+
+
+class TestReaders:
+    def test_update_tells_readers_whether_a_known_position_moved(self):
+        table = NeighborTable()
+        a, b = Reader(), Reader()
+        table.join(a)
+        table.join(b)
+        table.update(3, Point(0, 0))     # first report: nothing moved
+        table.update(3, Point(0, 0))     # keep-alive at the same spot
+        table.update(3, Point(4, 0))     # a move
+        expected = [("observe", 3, False), ("observe", 3, False),
+                    ("observe", 3, True)]
+        assert a.calls == expected and b.calls == expected
+
+    def test_remove_tells_readers_only_when_a_row_goes(self):
+        table = NeighborTable()
+        reader = Reader()
+        table.join(reader)
+        table.update(3, Point(0, 0))
+        assert table.remove(3)
+        assert not table.remove(3)
+        assert reader.calls == [("observe", 3, False), ("forget", 3)]
+
+    def test_row_written_after_a_remove_is_a_first_report(self):
+        table = NeighborTable()
+        reader = Reader()
+        table.update(3, Point(0, 0))
+        table.remove(3)
+        table.join(reader)
+        table.update(3, Point(9, 0))
+        assert reader.calls == [("observe", 3, False)]

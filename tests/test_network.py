@@ -181,7 +181,7 @@ class TestCoMapWiring:
         ).network
         assert len(net.nodes) == 32
         for node in net.nodes.values():
-            rows = node.agent.neighbor_table.neighbors(exclude_self=False)
+            rows = node.agent.neighbor_table.neighbors()
             band = [i for i, peer in net.nodes.items() if peer.band == node.band]
             assert [row.node_id for row in rows] == band
             for row in rows:

@@ -13,6 +13,7 @@ import dataclasses
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import CoMapConfig
+from repro.core.neighbor_table import NeighborTable
 from repro.core.protocol import CoMapAgent
 from repro.mac.comap import CoMapMac, CoMapMacConfig
 from repro.mac.dcf import MacConfig
@@ -108,12 +109,12 @@ class TestCoMapConservation:
         # retransmissions must not lose or duplicate MSDUs.
         positions = [(0, 0), (36, 0), (-8, 0), (30, 0)]
         protocol_config = CoMapConfig(t_prr=0.95, t_sir_db=4.0)
-        agents = {}
+        table = NeighborTable()
 
         def factory(i, sim, radio, rngs):
             agent = CoMapAgent(i, radio.channel.propagation, protocol_config,
-                               tx_power_dbm=0.0, t_cs_dbm=-87.0)
-            agents[i] = agent
+                               tx_power_dbm=0.0, t_cs_dbm=-87.0,
+                               neighbor_table=table)
             return CoMapMac(
                 i, sim, radio, OFDM_TIMING, OFDM_RATES, rngs,
                 config=dataclasses.replace(CoMapMacConfig(queue_limit=100)),
@@ -125,11 +126,9 @@ class TestCoMapConservation:
                                 tx_power_dbm=0.0, cs_threshold_dbm=-87.0,
                                 alpha=2.9, sigma_db=4.0, shadowing_mode="none")
         meta = {0: (True, None), 1: (True, None), 2: (False, 0), 3: (False, 1)}
-        for agent in agents.values():
-            for i, (x, y) in enumerate(positions):
-                is_ap, ap = meta[i]
-                agent.observe_neighbor(i, Point(x, y), is_ap=is_ap,
-                                       associated_ap=ap)
+        for i, (x, y) in enumerate(positions):
+            is_ap, ap = meta[i]
+            table.update(i, Point(x, y), is_ap=is_ap, associated_ap=ap)
         accepted = {2: 0, 3: 0}
         now_us = 0
         for sender, payload, gap_us in script:

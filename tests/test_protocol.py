@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.adaptation import AdaptationTable
 from repro.core.config import CoMapConfig
+from repro.core.neighbor_table import NeighborTable
 from repro.core.protocol import CoMapAgent
 from repro.mac.timing import DSSS_TIMING
 from repro.phy.propagation import LogNormalShadowing
@@ -24,16 +25,17 @@ def make_agent(node_id=2, t_sir=4.0, with_adaptation=False, threshold_m=5.0):
         config=config,
         tx_power_dbm=0.0,
         t_cs_dbm=-75.0,
+        neighbor_table=NeighborTable(),
         adaptation=adaptation,
     )
 
 
 def populate_et_world(agent, c2_x=30.0):
     """Fig. 1 world from the agent's (C1's) perspective."""
-    agent.observe_neighbor(0, Point(0, 0), is_ap=True)            # AP1
-    agent.observe_neighbor(1, Point(36, 0), is_ap=True)           # AP2
-    agent.observe_neighbor(2, Point(-8, 0), associated_ap=0)      # C1 (self)
-    agent.observe_neighbor(3, Point(c2_x, 0), associated_ap=1)    # C2
+    agent.neighbor_table.update(0, Point(0, 0), is_ap=True)            # AP1
+    agent.neighbor_table.update(1, Point(36, 0), is_ap=True)           # AP2
+    agent.neighbor_table.update(2, Point(-8, 0), associated_ap=0)      # C1 (self)
+    agent.neighbor_table.update(3, Point(c2_x, 0), associated_ap=1)    # C2
 
 
 class TestConcurrencyPath:
@@ -72,7 +74,7 @@ class TestConcurrencyPath:
         populate_et_world(agent, c2_x=30.0)
         assert agent.concurrency_allowed(3, 1, 0)
         # C2 moves right next to AP1: cached verdict must not survive.
-        agent.observe_neighbor(3, Point(5, 0), associated_ap=1)
+        agent.neighbor_table.update(3, Point(5, 0), associated_ap=1)
         assert not agent.concurrency_allowed(3, 1, 0)
 
     def test_own_move_clears_everything(self):
@@ -80,7 +82,7 @@ class TestConcurrencyPath:
         populate_et_world(agent, c2_x=30.0)
         agent.concurrency_allowed(3, 1, 0)
         assert agent.co_map.entry_count == 1
-        agent.observe_neighbor(2, Point(50, 0))  # self moved
+        agent.neighbor_table.update(2, Point(50, 0))  # self moved
         assert agent.co_map.entry_count == 0
 
     def test_choose_receiver_picks_first_passing(self):
@@ -121,19 +123,19 @@ class TestMobilityManagement:
 class TestHtPath:
     def test_link_counts(self):
         agent = make_agent(t_sir=10.0)
-        agent.observe_neighbor(0, Point(0, 0), is_ap=True)
-        agent.observe_neighbor(2, Point(-10, 0))          # self (sender)
-        agent.observe_neighbor(5, Point(15, 0))           # hidden interferer
-        agent.observe_neighbor(6, Point(-7, 2))           # contender
+        agent.neighbor_table.update(0, Point(0, 0), is_ap=True)
+        agent.neighbor_table.update(2, Point(-10, 0))          # self (sender)
+        agent.neighbor_table.update(5, Point(15, 0))           # hidden interferer
+        agent.neighbor_table.update(6, Point(-7, 2))           # contender
         hidden, contenders = agent.link_counts(0)
         assert hidden == 1
         assert contenders == 1
 
     def test_hidden_terminal_listing(self):
         agent = make_agent(t_sir=10.0)
-        agent.observe_neighbor(0, Point(0, 0), is_ap=True)
-        agent.observe_neighbor(2, Point(-10, 0))
-        agent.observe_neighbor(5, Point(15, 0))
+        agent.neighbor_table.update(0, Point(0, 0), is_ap=True)
+        agent.neighbor_table.update(2, Point(-10, 0))
+        agent.neighbor_table.update(5, Point(15, 0))
         assert agent.hidden_terminals(0) == [5]
 
     def test_advised_settings_none_without_table(self):
@@ -143,9 +145,9 @@ class TestHtPath:
 
     def test_advised_settings_with_table(self):
         agent = make_agent(t_sir=10.0, with_adaptation=True)
-        agent.observe_neighbor(0, Point(0, 0), is_ap=True)
-        agent.observe_neighbor(2, Point(-10, 0))
-        agent.observe_neighbor(5, Point(15, 0))
+        agent.neighbor_table.update(0, Point(0, 0), is_ap=True)
+        agent.neighbor_table.update(2, Point(-10, 0))
+        agent.neighbor_table.update(5, Point(15, 0))
         setting = agent.advised_settings(0)
         assert setting is not None
         assert setting.payload_bytes > 0
@@ -154,8 +156,8 @@ class TestHtPath:
 class TestAnnounceWorthwhile:
     def test_no_neighbors_means_no_header(self):
         agent = make_agent()
-        agent.observe_neighbor(0, Point(0, 0), is_ap=True)
-        agent.observe_neighbor(2, Point(-8, 0), associated_ap=0)
+        agent.neighbor_table.update(0, Point(0, 0), is_ap=True)
+        agent.neighbor_table.update(2, Point(-8, 0), associated_ap=0)
         assert not agent.announce_worthwhile(0)
 
     def test_exposed_candidate_triggers_headers(self):
@@ -172,7 +174,7 @@ class TestAnnounceWorthwhile:
         agent = make_agent()
         populate_et_world(agent, c2_x=12.0)
         assert not agent.announce_worthwhile(0)
-        agent.observe_neighbor(3, Point(30, 0), associated_ap=1)
+        agent.neighbor_table.update(3, Point(30, 0), associated_ap=1)
         assert agent.announce_worthwhile(0)
 
     def test_describe_renders_pipeline(self):

@@ -51,11 +51,16 @@ class TestPrr:
         assert model.prr(10.0, 10.0) == 0.0
 
     def test_rejects_nonpositive_distances(self):
+        # Negative distances are errors; a zero one (two nodes reporting
+        # the same point) is floored at d0 = 1 m, like eq. 1's path loss.
         model = make_model()
         with pytest.raises(ValueError):
-            model.prr(0.0, 10.0)
+            model.prr(-1.0, 10.0)
         with pytest.raises(ValueError):
-            model.prr(10.0, 0.0)
+            model.prr(10.0, -1.0)
+        assert model.prr(0.0, 10.0) == model.prr(1.0, 10.0)
+        assert model.prr(10.0, 0.0) == model.prr(10.0, 1.0)
+        assert model.prr(0.5, 0.0) == model.prr(1.0, 1.0)
 
     @given(st.floats(min_value=1.0, max_value=200.0),
            st.floats(min_value=1.0, max_value=200.0),
@@ -107,8 +112,12 @@ class TestCarrierSenseMiss:
         assert a <= b + 1e-12
 
     def test_rejects_nonpositive_distance(self):
+        model = make_model()
         with pytest.raises(ValueError):
-            make_model().carrier_sense_miss_probability(0.0, 0.0, -87.0)
+            model.carrier_sense_miss_probability(-1.0, 0.0, -87.0)
+        assert model.carrier_sense_miss_probability(
+            0.0, 0.0, -87.0
+        ) == model.carrier_sense_miss_probability(1.0, 0.0, -87.0)
 
 
 class TestInterferenceRange:

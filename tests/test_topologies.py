@@ -4,8 +4,10 @@ import pytest
 
 from repro.experiments.topologies import (
     _FIG9_SLOTS,
+    enterprise_floor_topology,
     exposed_terminal_topology,
     fig9_configurations,
+    full_floor_topology,
     hidden_terminal_topology,
     ht_adaptation_topology,
     model_validation_topology,
@@ -13,6 +15,35 @@ from repro.experiments.topologies import (
     office_floor_topology,
     rival_et_topology,
 )
+
+#: Every builder that takes a MAC kind, building a location-aware network.
+LOCATION_AWARE_BUILDERS = {
+    "exposed": lambda: exposed_terminal_topology("comap", c2_x=30.0),
+    "hidden": lambda: hidden_terminal_topology("comap", payload_bytes=500),
+    "multi_et": lambda: multi_et_topology("comap"),
+    "rival_et": lambda: rival_et_topology("csr"),
+    "ht_adaptation": lambda: ht_adaptation_topology(
+        "comap", fig9_configurations()[0]
+    ),
+    "office": lambda: office_floor_topology("comap", topology_seed=1),
+    "enterprise": lambda: enterprise_floor_topology("csr", topology_seed=1),
+    "full_floor": lambda: full_floor_topology("comap", topology_seed=3),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(LOCATION_AWARE_BUILDERS))
+def test_same_band_agents_read_one_table(builder):
+    network = LOCATION_AWARE_BUILDERS[builder]().network
+    by_band = {}
+    for node in network.nodes.values():
+        by_band.setdefault(node.band, []).append(node)
+    tables = set()
+    for band, nodes in by_band.items():
+        table = nodes[0].agent.neighbor_table
+        assert all(node.agent.neighbor_table is table for node in nodes)
+        assert [row.node_id for row in table] == [node.node_id for node in nodes]
+        tables.add(id(table))
+    assert len(tables) == len(by_band)
 
 
 class TestExposedTerminalTopology:
