@@ -9,8 +9,11 @@ DESIGN.md questions:
   right against saturated legacy interferers?
 """
 
+import dataclasses
+
 import numpy as np
 
+from repro.experiments.parallel import derive_seed
 from repro.experiments.params import ht_testbed_params
 from repro.experiments.runner import run_ht_cdf
 
@@ -23,27 +26,29 @@ def regenerate():
     # Full CO-MAP (decoupled attacker model, default config).
     variants["full"] = run_ht_cdf(duration_s=duration, seed=4)["comap"]
     # Homogeneous attacker assumption (the paper's literal eq. 9).
-    params = ht_testbed_params()
-    params.comap.attacker_window = None
+    base = ht_testbed_params()
+    params = base.with_overrides(
+        comap=dataclasses.replace(base.comap, attacker_window=None)
+    )
     variants["homogeneous-table"] = run_ht_cdf(
         mac_kinds=("comap",), duration_s=duration, seed=4, params=params
     )["comap"]
     # No adaptation at all (concurrency machinery only).
-    params2 = ht_testbed_params()
     variants["no-adaptation"] = _run_without_adaptation(duration)
     variants["dcf"] = run_ht_cdf(mac_kinds=("dcf",), duration_s=duration, seed=4)["dcf"]
     return variants
 
 
 def _run_without_adaptation(duration):
+    """CO-MAP with adaptation off, on the seeds of run_ht_cdf's arms."""
     from repro.experiments.topologies import fig9_configurations, ht_adaptation_topology
 
     samples = []
     for index, slots in enumerate(fig9_configurations()):
-        scenario = ht_adaptation_topology("comap", slots=slots, seed=4 + index)
-        for node in scenario.network.nodes.values():
-            node.mac.config.enable_adaptation = False
-            node.mac.config.constant_cw = None
+        scenario = ht_adaptation_topology(
+            "comap", slots=slots, seed=derive_seed(4, "ht_cdf", index),
+            mac_overrides={"enable_adaptation": False},
+        )
         samples.append(scenario.run_goodput_mbps(duration))
     return samples
 

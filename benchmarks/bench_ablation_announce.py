@@ -31,10 +31,9 @@ def _aggregate(params, comap_overrides, mac_overrides, seed, duration):
     params = params.with_overrides(
         comap=dataclasses.replace(params.comap, **comap_overrides)
     )
-    scenario = exposed_terminal_topology("comap", c2_x=30.0, seed=seed, params=params)
-    for node in scenario.network.nodes.values():
-        for key, value in mac_overrides.items():
-            setattr(node.mac.config, key, value)
+    scenario = exposed_terminal_topology(
+        "comap", c2_x=30.0, seed=seed, params=params, mac_overrides=mac_overrides
+    )
     results = scenario.network.run(duration)
     c2, ap2 = scenario.extra["c2"], scenario.extra["ap2"]
     return (results.goodput_mbps(*scenario.tagged_flow)

@@ -18,12 +18,7 @@ from benchmarks._harness import banner, full_scale, paper_vs_measured, run_once,
 SEEDS = (1, 2, 3)
 
 
-def _set_rts(network, enabled: bool) -> None:
-    for node in network.nodes.values():
-        node.mac.config.use_rts_cts = enabled
-
-
-def _ht_scenario_cbr(seed: int):
+def _ht_scenario_cbr(seed: int, rts: bool):
     """A hidden-terminal link under moderate (non-saturated) load.
 
     Two conditions matter for the classic virtual-carrier-sense rescue:
@@ -41,7 +36,8 @@ def _ht_scenario_cbr(seed: int):
     from repro.net.network import Network
 
     params = ht_params()
-    net = Network(params, mac_kind="dcf", seed=seed)
+    net = Network(params, mac_kind="dcf", seed=seed,
+                  mac_overrides={"use_rts_cts": rts})
     ap1 = net.add_ap("AP1", 0.0, 0.0)
     c1 = net.add_client("C1", -17.0, 0.0, ap=ap1)
     ap2 = net.add_ap("AP2", 31.0, 0.0)
@@ -53,15 +49,15 @@ def _ht_scenario_cbr(seed: int):
 
 
 def _ht_goodput(rts: bool, seed: int, duration: float) -> float:
-    net, tagged = _ht_scenario_cbr(seed)
-    _set_rts(net, rts)
+    net, tagged = _ht_scenario_cbr(seed, rts)
     results = net.run(duration)
     return results.goodput_mbps(*tagged)
 
 
 def _et_goodput(rts: bool, seed: int, duration: float) -> float:
-    scenario = exposed_terminal_topology("dcf", c2_x=30.0, seed=seed)
-    _set_rts(scenario.network, rts)
+    scenario = exposed_terminal_topology(
+        "dcf", c2_x=30.0, seed=seed, mac_overrides={"use_rts_cts": rts}
+    )
     results = scenario.network.run(duration)
     c2, ap2 = scenario.extra["c2"], scenario.extra["ap2"]
     return (results.goodput_mbps(*scenario.tagged_flow)

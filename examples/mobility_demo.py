@@ -14,7 +14,6 @@ from repro.net.mobility import LinearMobility
 
 def main() -> None:
     params = testbed_params()
-    params.comap.position_update_threshold_m = 5.0
     net = Network(params, mac_kind="comap", seed=1)
     ap1 = net.add_ap("AP1", 0, 0)
     ap2 = net.add_ap("AP2", 36, 0)

@@ -21,19 +21,14 @@ from repro.experiments.topologies import exposed_terminal_topology
 from repro.net.network import Network
 
 
-def set_rts(network, enabled):
-    for node in network.nodes.values():
-        node.mac.config.use_rts_cts = enabled
-
-
 def ht_link(params, rate_bps, duration, rts, seed=1):
-    net = Network(params, mac_kind="dcf", seed=seed)
+    net = Network(params, mac_kind="dcf", seed=seed,
+                  mac_overrides={"use_rts_cts": rts})
     ap1 = net.add_ap("AP1", 0.0, 0.0)
     c1 = net.add_client("C1", -17.0, 0.0, ap=ap1)
     ap2 = net.add_ap("AP2", 31.0, 0.0)
     c2 = net.add_client("C2", 24.0, 0.0, ap=ap2)
     net.finalize()
-    set_rts(net, rts)
     net.add_cbr(c1, ap1, rate_bps, payload_bytes=1470)
     net.add_cbr(c2, ap2, rate_bps, payload_bytes=1470)
     results = net.run(duration)
@@ -42,8 +37,10 @@ def ht_link(params, rate_bps, duration, rts, seed=1):
 
 def et_pair(duration, variant, seed=1):
     mac_kind = "comap" if variant == "comap" else "dcf"
-    scenario = exposed_terminal_topology(mac_kind, c2_x=30.0, seed=seed)
-    set_rts(scenario.network, variant == "rts")
+    scenario = exposed_terminal_topology(
+        mac_kind, c2_x=30.0, seed=seed,
+        mac_overrides={"use_rts_cts": variant == "rts"},
+    )
     results = scenario.network.run(duration)
     c2, ap2 = scenario.extra["c2"], scenario.extra["ap2"]
     return (results.goodput_mbps(*scenario.tagged_flow)

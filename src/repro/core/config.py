@@ -11,14 +11,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoMapConfig:
     """Thresholds and knobs of the CO-MAP control plane.
 
     Every agent of a network shares one instance (``ScenarioParams.comap``),
     and it is the only place the announcement method and the
     selective-repeat window are set: :class:`repro.mac.comap.CoMapMac`
-    reads both from its agent's config.
+    reads both from its agent's config.  Sharing is safe because the
+    config is frozen: a variant is a new config,
+    ``params.with_overrides(comap=dataclasses.replace(params.comap, ...))``,
+    never a write that every copy of the params object would see.
 
     Attributes
     ----------

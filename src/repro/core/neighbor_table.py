@@ -44,26 +44,28 @@ class NeighborTable:
         is_ap: bool = False,
         associated_ap: Optional[int] = None,
         now: int = 0,
-    ) -> NeighborEntry:
-        """Insert or refresh a node's row; returns the stored row.
+    ) -> bool:
+        """Insert or refresh a node's row; True if it added or moved one.
 
         Every reader then observes the write, told whether a known position
-        changed.  A node's own row lives here too: all distance
-        computations must use the *reported* coordinates, not ground truth.
+        changed.  A False return is a keep-alive: only the row's freshness
+        changed, so no position-derived estimate (hidden terminals,
+        contenders) can have.  A node's own row lives here too: all
+        distance computations must use the *reported* coordinates, not
+        ground truth.
         """
         previous = self._entries.get(node_id)
         moved = previous is not None and previous.position != position
-        entry = NeighborEntry(
+        self._entries[node_id] = NeighborEntry(
             node_id=node_id,
             position=position,
             is_ap=is_ap,
             associated_ap=associated_ap,
             updated_at=now,
         )
-        self._entries[node_id] = entry
         for reader in self._readers:
             reader.observe_neighbor(node_id, moved)
-        return entry
+        return previous is None or moved
 
     def get(self, node_id: int) -> Optional[NeighborEntry]:
         """Return the entry for ``node_id`` or None if unknown."""

@@ -26,12 +26,14 @@ from repro.mac.timing import DSSS_TIMING, OFDM_TIMING, PhyTiming
 from repro.phy.rates import DSSS_RATES, OFDM_RATES, RateTable
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioParams:
     """Everything needed to instantiate a :class:`repro.net.network.Network`.
 
-    The DCF settings are not here: :class:`repro.mac.dcf.MacConfig` owns
-    them, and a network changes them through ``Network(mac_overrides=...)``.
+    Frozen, like the configs it holds: a variant is a copy
+    (:meth:`with_overrides`).  The DCF settings are not here:
+    :class:`repro.mac.dcf.MacConfig` owns them, and a network sets them
+    through ``Network(mac_overrides=...)``.
     """
 
     # Propagation (eq. 1).

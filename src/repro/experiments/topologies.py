@@ -51,14 +51,17 @@ def exposed_terminal_topology(
     traffic: str = "saturated",
     payload_bytes: Optional[int] = None,
     error_model: Optional[PositionErrorModel] = None,
+    mac_overrides: Optional[dict] = None,
 ) -> BuiltScenario:
     """Two BSSes on a line: AP1—C1 at 8 m, AP2 36 m away, C2 swept.
 
     ``c2_x`` is C2's position in meters from AP1 (the Fig. 1/8 x-axis).
     Both clients carry uplink traffic; the tagged link is C1 → AP1.
+    ``mac_overrides`` sets the network's MAC config (RTS/CTS, headers).
     """
     params = params or testbed_params()
-    net = Network(params, mac_kind=mac_kind, seed=seed, error_model=error_model)
+    net = Network(params, mac_kind=mac_kind, seed=seed, error_model=error_model,
+                  mac_overrides=mac_overrides)
     ap1 = net.add_ap("AP1", 0.0, 0.0)
     ap2 = net.add_ap("AP2", 36.0, 0.0)
     c1 = net.add_client("C1", -8.0, 0.0, ap=ap1)
@@ -341,10 +344,14 @@ def ht_adaptation_topology(
     seed: int = 0,
     params: Optional[ScenarioParams] = None,
     payload_bytes: Optional[int] = 1000,
+    mac_overrides: Optional[dict] = None,
 ) -> BuiltScenario:
-    """One Fig. 9 configuration: tagged link + three AP2 clients in ``slots``."""
+    """One Fig. 9 configuration: tagged link + three AP2 clients in ``slots``.
+
+    ``mac_overrides`` sets the network's MAC config (e.g. adaptation off).
+    """
     params = params or ht_testbed_params()
-    net = Network(params, mac_kind=mac_kind, seed=seed)
+    net = Network(params, mac_kind=mac_kind, seed=seed, mac_overrides=mac_overrides)
     ap1 = net.add_ap("AP1", 0.0, 0.0)
     c1 = net.add_client("C1", -10.0, 0.0, ap=ap1)
     ap2 = net.add_ap("AP2", 24.0, 0.0)

@@ -26,9 +26,9 @@ Section IV:
    receiver's recent-sequence list and confirm retroactively.
 
 Hidden-terminal mitigation (Section IV-D) enters through
-:meth:`CoMapMac.refresh_adaptation`, which pins the contention window and
-advises the MSDU payload size from the analytical optimum for the
-estimated ``(N_ht, c)``.
+:meth:`CoMapMac.refresh_adaptation`, which pins the contention window in
+force (:attr:`DcfMac.constant_cw`, never the config) and advises the MSDU
+payload size from the analytical optimum for the estimated ``(N_ht, c)``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from repro.util.units import dbm_to_mw
 EXPOSURE_MEMORY_NS = 5_000_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoMapMacConfig(ExposedMacConfig):
     """CO-MAP additions on top of the DCF and episode knobs.
 
@@ -89,9 +89,12 @@ class CoMapStats:
     #: prompt and late confirmations) are :class:`SrSender`'s, under
     #: ``arq/``.
     sr_retransmissions: int = 0
-    #: (N_ht, c) -> (CW, payload) re-lookups this MAC performed.  Position
-    #: reports refresh only the MACs that observed the move, so this
-    #: counter is how tests assert unrelated MACs stay untouched.
+    #: (N_ht, c) -> (CW, payload) re-lookups this MAC performed: one at
+    #: finalize, then one each time a same-band report adds or moves a
+    #: row, or a node leaves (a keep-alive at an unchanged position
+    #: refreshes nothing).  Only the MACs that read the changed row are
+    #: refreshed, so this counter is how tests assert unrelated MACs stay
+    #: untouched.  A lookup while degraded counts too.
     adaptation_refreshes: int = 0
     #: Graceful-degradation fallback (stale/absent location input):
     #: transitions into plain-DCF operation, transitions back out, and
@@ -137,7 +140,12 @@ class CoMapMac(ExposedMac):
         self._exposed_sir_margin_db = math.sqrt(2.0) * (
             agent.model.propagation.sigma_db
         )
+        #: The last (N_ht, c) advice: payload (None until a refresh) and
+        #: window (None: binary exponential backoff; the configured one
+        #: until a refresh).  Kept through a fallback; the window is in
+        #: force only outside one.
         self._advised_payload: Optional[int] = None
+        self._advised_window = self.config.constant_cw
         self._fallback_active = False
         self._sr_senders: Dict[FlowId, SrSender] = {}
         self._sr_receivers: Dict[FlowId, SrReceiver] = {}
@@ -166,11 +174,15 @@ class CoMapMac(ExposedMac):
 
         With :attr:`CoMapConfig.location_ttl_ns` unset (the default) this
         is a constant ``False`` and every CO-MAP mechanism behaves exactly
-        as before.  Transitions are edge-detected: on entering fallback
-        the MAC sheds all location-derived state whose staleness could
-        hurt it — the live opportunity, the pinned contention window and
-        the advised payload — so its backoff behavior matches plain DCF
-        until the location service recovers.
+        as before.  Transitions are edge-detected by the MAC's own checks
+        (a launch, a refill, an overheard header, a busy medium, an ACK
+        timeout, a refresh) and by its own node's reports
+        (:meth:`location_reported`).  Entering fallback ends the live
+        opportunity and puts the configured window back in force, and
+        :meth:`preferred_payload` hides the advised payload, so backoff
+        matches plain DCF until the location service recovers.  The
+        advice itself is kept: leaving fallback pins its window again, so
+        no refresh is needed to restore it.
         """
         agent = self.agent
         if agent.config.location_ttl_ns is None:
@@ -180,16 +192,25 @@ class CoMapMac(ExposedMac):
             self._fallback_active = True
             self.comap_stats.fallback_entered += 1
             self._end_opportunity()
-            self.config.constant_cw = None
-            self._advised_payload = None
+            self.constant_cw = self.config.constant_cw
             if self.trace.wants("comap"):
                 self.trace.record("comap", "fallback_enter", node=self.node_id)
         elif not stale and self._fallback_active:
             self._fallback_active = False
             self.comap_stats.fallback_exited += 1
+            self.constant_cw = self._advised_window
             if self.trace.wants("comap"):
                 self.trace.record("comap", "fallback_exit", node=self.node_id)
         return self._fallback_active
+
+    def location_reported(self) -> None:
+        """This node's location service just published a report.
+
+        The report is what ends a fallback, so the exit is found here
+        rather than at the next check: the first backoff drawn after the
+        recovery already runs on the advised window.
+        """
+        self._degraded()
 
     def _arq_counters(self) -> Dict[str, int]:
         """Aggregate :class:`SrSender` counters across this node's flows."""
@@ -207,14 +228,11 @@ class CoMapMac(ExposedMac):
 
         For a client ``receivers`` holds just its AP; an AP passes all of
         its associated clients and the worst-case (max) counts are used.
-        Returns the ``(N_ht, c)`` estimate actually applied, or None when
+        The advice is kept while degraded and applied when fallback ends.
+        Returns the ``(N_ht, c)`` estimate behind the advice, or None when
         adaptation is disabled or no receiver is known.
         """
         if not self.config.enable_adaptation or self.agent.adaptation is None:
-            return None
-        if self._degraded():
-            # Stale positions would mis-estimate (N_ht, c); keep whatever
-            # advice fallback entry already cleared (plain-DCF behavior).
             return None
         if not receivers:
             return None
@@ -226,13 +244,12 @@ class CoMapMac(ExposedMac):
             contenders = max(contenders, c)
         setting = self.agent.adaptation.best_settings(hidden, contenders)
         self._advised_payload = setting.payload_bytes
-        if hidden == 0:
-            # Without distinguished hidden terminals, binary exponential
-            # backoff already adapts the window to the contention level —
-            # pinning a constant CW would only remove that adaptivity.
-            self.config.constant_cw = None
-        else:
-            self.config.constant_cw = setting.window
+        # Without distinguished hidden terminals, binary exponential
+        # backoff already adapts the window to the contention level —
+        # pinning a constant CW would only remove that adaptivity.
+        self._advised_window = setting.window if hidden else None
+        if not self._degraded():
+            self.constant_cw = self._advised_window
         return hidden, contenders
 
     def preferred_payload(self) -> Optional[int]:

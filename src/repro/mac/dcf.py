@@ -52,14 +52,17 @@ LATENCY_BUCKETS_NS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MacConfig:
-    """Tunable DCF parameters.
+    """Tunable DCF parameters, fixed once the MAC is built.
 
     ``constant_cw`` (when set) replaces binary exponential backoff with a
     fixed window of ``W`` slots, drawing uniformly from ``[0, W-1]`` —
     exactly the constant-backoff-window networks of the paper's system
-    model where ``tau = 2/(W+1)``.
+    model where ``tau = 2/(W+1)``.  It is the *configured* window: the
+    one in force is :attr:`DcfMac.constant_cw`, which CO-MAP's
+    adaptation may pin at run time.  A :class:`repro.net.network.Network`
+    builds one config for all its MACs (``mac_overrides`` sets it).
     """
 
     cw_min: int = 31
@@ -184,6 +187,10 @@ class DcfMac:
         self.rate_policy = rate_policy or FixedRate(rates.top)
         self.trace = trace if trace is not None else TraceRecorder()
         self.stats = LinkStats()
+        #: The constant window in force (``None``: binary exponential
+        #: backoff).  Starts as the configured one; CO-MAP's adaptation
+        #: pins and releases it, never the config.
+        self.constant_cw = self.config.constant_cw
         self._rngs = rngs
         #: The backoff stream, created at the first draw: in a large
         #: topology most nodes never contend.  Its key fixes its seed, so
@@ -331,8 +338,8 @@ class DcfMac:
         rng = self._rng
         if rng is None:
             rng = self._rng = self._rngs.stream("backoff", self.node_id)
-        if self.config.constant_cw is not None:
-            return int(rng.integers(0, self.config.constant_cw))
+        if self.constant_cw is not None:
+            return int(rng.integers(0, self.constant_cw))
         return int(rng.integers(0, self._cw + 1))
 
     def _resume_contention(self) -> None:
@@ -722,7 +729,7 @@ class DcfMac:
             self.stats.retry_drops += 1
             self._finish_attempt(success=False)
             return
-        if self.config.constant_cw is None:
+        if self.constant_cw is None:
             self._cw = min(2 * (self._cw + 1) - 1, self.config.cw_max)
         self._state = MacState.CONTEND
         self._backoff_slots = self._draw_backoff()

@@ -31,7 +31,7 @@ Link = Tuple[int, int]
 OPPORTUNITY_SLACK_NS = 400_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExposedMacConfig(MacConfig):
     """Knobs of the shared exposed-transmission episode."""
 

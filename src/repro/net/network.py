@@ -57,6 +57,16 @@ MAC_KINDS = {
 }
 
 
+def _build_mac_config(cls, overrides: Optional[dict]) -> MacConfig:
+    """``cls`` built with ``overrides``; an unknown field raises."""
+    overrides = overrides or {}
+    names = {f.name for f in dataclasses.fields(cls)}
+    for key in overrides:
+        if key not in names:
+            raise AttributeError(f"unknown MAC config field {key!r}")
+    return cls(**overrides)
+
+
 @dataclass(frozen=True)
 class FlowResult:
     """Outcome of one (src, dst) flow."""
@@ -135,7 +145,11 @@ class Network:
             )
         self.params = params
         self.mac_kind = mac_kind
-        self._mac_cls, self._mac_config_cls = MAC_KINDS[mac_kind]
+        self._mac_cls, mac_config_cls = MAC_KINDS[mac_kind]
+        #: The one MAC config every node of this network runs on: this
+        #: kind's config with ``mac_overrides`` applied through its
+        #: constructor, so the config's own validation sees them.
+        self.mac_config = _build_mac_config(mac_config_cls, mac_overrides)
         #: True when this kind's MACs run on positions (CO-MAP and C-SR).
         self._location_aware = issubclass(self._mac_cls, CoMapMac)
         self.rngs = RngStreams(seed)
@@ -153,7 +167,6 @@ class Network:
         #: Band-0 medium (most scenarios are single-channel).
         self.channel = self.channel_for(0)
         self.error_model: PositionErrorModel = error_model or NoError()
-        self.mac_overrides = dict(mac_overrides or {})
         self.nodes: Dict[int, Node] = {}
         self.nodes_by_name: Dict[str, Node] = {}
         self._next_id = 0
@@ -286,7 +299,7 @@ class Network:
             params.timing,
             params.rates,
             self.rngs,
-            config=self._mac_config(),
+            config=self.mac_config,
             rate_policy=rate_policy,
             trace=self.trace,
             **location_kwargs,
@@ -302,19 +315,6 @@ class Network:
         if params.data_rate_bps is not None:
             return FixedRate(params.rates.by_bps(params.data_rate_bps))
         return MinstrelLite(params.rates, self.rngs.stream("minstrel", node_id))
-
-    def _mac_config(self) -> MacConfig:
-        """A fresh MAC config of this kind, with the overrides applied.
-
-        The overrides go through the constructor, so the config's own
-        validation sees them.
-        """
-        cls = self._mac_config_cls
-        names = {f.name for f in dataclasses.fields(cls)}
-        for key in self.mac_overrides:
-            if key not in names:
-                raise AttributeError(f"unknown MAC config field {key!r}")
-        return cls(**self.mac_overrides)
 
     def _adaptation(self) -> AdaptationTable:
         """One shared (lazily built) adaptation table for all agents."""
@@ -399,14 +399,15 @@ class Network:
         node.agent.mark_reported(report)
         return report
 
-    def _write_row(self, node: Node, position: Point) -> None:
+    def _write_row(self, node: Node, position: Point) -> bool:
         """Write ``position`` as ``node``'s row of its band's table.
 
         Nodes on other (orthogonal) frequency bands can neither interfere
-        nor be sensed, so their tables never hold it.
+        nor be sensed, so their tables never hold it.  Returns True when
+        the write added the row or moved it.
         """
         ap = node.associated_ap
-        self._neighbor_tables[node.band].update(
+        return self._neighbor_tables[node.band].update(
             node.node_id, position, is_ap=node.is_ap,
             associated_ap=ap.node_id if ap is not None else None,
             now=self.sim.now,
@@ -485,14 +486,17 @@ class Network:
         """Tell ``node``'s peers it is at ``position``.
 
         The band table records ``position`` as ``node``'s row, which every
-        same-band CO-MAP agent reads, and the affected MACs re-run
-        adaptation.  The node's report stays what its location service
-        last produced: the fault injector publishes frozen and drifted
-        positions through here, and those must never become what a later
-        keep-alive repeats.
+        same-band CO-MAP agent reads.  When the write adds or moves the
+        row, the affected MACs re-run adaptation; a keep-alive at the same
+        position only refreshes the row's freshness, which no (N_ht, c)
+        estimate reads, and may end ``node``'s own fallback.  The node's
+        report stays what its location service last produced: the fault
+        injector publishes frozen and drifted positions through here, and
+        those must never become what a later keep-alive repeats.
         """
-        self._write_row(node, position)
-        self._mark_adaptation_dirty(node)
+        if self._write_row(node, position):
+            self._mark_adaptation_dirty(node)
+        node.mac.location_reported()
 
     def update_node_position(self, node: Node, position: Point) -> bool:
         """Move a node; re-report if the move exceeds the threshold.

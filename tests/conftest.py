@@ -138,9 +138,10 @@ def build_mac_world(
     config=None,
     rate_bps: int = 6_000_000,
 ) -> MacWorld:
-    """Create DCF MACs at ``positions`` (deterministic channel by default)."""
-    import dataclasses
+    """Create DCF MACs at ``positions`` (deterministic channel by default).
 
+    Every default-built MAC runs on the one ``config``, as in a network.
+    """
     from repro.mac.dcf import DcfMac, MacConfig
     from repro.mac.rate_control import FixedRate
 
@@ -153,6 +154,7 @@ def build_mac_world(
         rngs=rngs,
         shadowing_mode=shadowing_mode,
     )
+    config = config or MacConfig()
     radios, macs = [], []
     for i, (x, y) in enumerate(positions):
         radio = Radio(
@@ -166,7 +168,7 @@ def build_mac_world(
         else:
             mac = DcfMac(
                 i, sim, radio, OFDM_TIMING, OFDM_RATES, rngs,
-                config=dataclasses.replace(config) if config else MacConfig(),
+                config=config,
                 rate_policy=FixedRate(OFDM_RATES.by_bps(rate_bps)),
             )
         radios.append(radio)

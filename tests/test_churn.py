@@ -195,9 +195,9 @@ class TestLeavingWithinSifs:
         # C1 leaves 1 us after its CTS arrives and is back 2 us later,
         # still inside the SIFS before the data the CTS cleared: that
         # data must not go out from the reset state machine.
-        network = exposed_terminal_topology("dcf", c2_x=30.0, seed=1).network
-        for node in network.nodes.values():
-            node.mac.config.use_rts_cts = True
+        network = exposed_terminal_topology(
+            "dcf", c2_x=30.0, seed=1, mac_overrides={"use_rts_cts": True}
+        ).network
         c1 = network.node("C1")
         accept_cts = c1.mac._accept_cts
         left = []

@@ -7,8 +7,6 @@ overlap the ongoing one, rival ETs abandon, and deferred frames are
 confirmed by later ACKs.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.core.config import CoMapConfig
@@ -49,7 +47,7 @@ def comap_factory(positions, comap_config=None, tx_power=0.0, t_cs=-87.0,
         )
         return CoMapMac(
             i, sim, radio, OFDM_TIMING, OFDM_RATES, rngs,
-            config=dataclasses.replace(cfg),
+            config=cfg,
             rate_policy=FixedRate(OFDM_RATES.by_bps(6_000_000)),
             agent=agent,
         )
@@ -324,7 +322,7 @@ class TestAdaptationIntegration:
                                tx_power_dbm=20.0, t_cs_dbm=-62.0,
                                neighbor_table=neighbors, adaptation=table)
             return CoMapMac(i, sim, radio, OFDM_TIMING, OFDM_RATES, rngs,
-                            config=dataclasses.replace(cfg),
+                            config=cfg,
                             rate_policy=FixedRate(OFDM_RATES.by_bps(6_000_000)),
                             agent=agent)
 
@@ -338,7 +336,10 @@ class TestAdaptationIntegration:
         assert counts is not None
         hidden, _ = counts
         assert hidden >= 1
-        assert mac.config.constant_cw is not None
+        # The advice pins the MAC's window in force; the config keeps
+        # the configured one.
+        assert mac.constant_cw is not None
+        assert mac.config.constant_cw is None
         assert mac.preferred_payload() is not None
 
     def test_refresh_without_receivers_is_noop(self):

@@ -1,7 +1,5 @@
 """AP-side receiver switching and persistent-exposure mechanics."""
 
-import dataclasses
-
 from repro.core.config import CoMapConfig
 from repro.core.neighbor_table import NeighborTable
 from repro.core.protocol import CoMapAgent
@@ -14,8 +12,10 @@ from repro.util.geometry import Point
 from tests.conftest import build_mac_world
 
 
-def build_downlink_world():
+def build_downlink_world(config=CoMapMacConfig()):
     """An AP with two clients: one concurrency-safe, one not.
+
+    Every MAC runs on ``config``.
 
     Geometry (x-axis, meters):
 
@@ -51,7 +51,7 @@ def build_downlink_world():
         )
         return CoMapMac(
             i, sim, radio, OFDM_TIMING, OFDM_RATES, rngs,
-            config=dataclasses.replace(CoMapMacConfig()),
+            config=config,
             rate_policy=FixedRate(OFDM_RATES.by_bps(6_000_000)),
             agent=agent,
         )
@@ -128,9 +128,8 @@ class TestPersistentExposure:
         assert stats.signature_opportunities + stats.opportunities_validated > 0
 
     def test_persistent_exposure_can_be_disabled(self):
-        world = build_downlink_world()
+        world = build_downlink_world(CoMapMacConfig(persistent_exposure=False))
         ap = world.macs[2]
-        ap.config.persistent_exposure = False
         for _ in range(60):
             world.macs[1].enqueue(0, 1400)
         for _ in range(30):

@@ -1,9 +1,12 @@
 """Mobility with threshold-based position re-reporting (Section V)."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.params import ns2_params
-from repro.experiments.topologies import exposed_terminal_topology
+from repro.experiments.topologies import exposed_terminal_topology, office_floor_topology
+from repro.faults import BeaconLoss, FaultPlan, LocationDrift
 from repro.net.mobility import LinearMobility
 from repro.net.network import Network
 from repro.util.geometry import Point
@@ -11,7 +14,9 @@ from repro.util.geometry import Point
 
 def make_net(threshold_m=5.0):
     params = ns2_params()
-    params.comap.position_update_threshold_m = threshold_m
+    params = params.with_overrides(
+        comap=dataclasses.replace(params.comap, position_update_threshold_m=threshold_m)
+    )
     net = Network(params, mac_kind="comap", seed=0)
     ap = net.add_ap("AP", 0, 0)
     c = net.add_client("C", 10, 0, ap=ap)
@@ -138,6 +143,31 @@ class TestAdaptationRefreshScope:
         assert after["AP"] == before["AP"] + 1
         net.reattach_node(c2)  # its own report refreshes it
         assert _refresh_counts(net)["C2"] == after["C2"] + 1
+
+    def test_keep_alive_refreshes_nothing(self):
+        # Keep-alives every 2 ms republish each node's unchanged report:
+        # no row is added or moved, so no MAC re-runs adaptation after
+        # finalize's one pass.
+        net = office_floor_topology("comap", topology_seed=1, seed=1).network
+        finalized = net.counters()["comap/adaptation_refreshes"]
+        assert finalized == len(net.nodes) == 12
+        net.install_faults(FaultPlan(
+            events=(BeaconLoss("C0", 0, 10**12, drop_prob=0.0),),
+            report_interval_ns=2_000_000,
+        ))
+        net.run(0.3)
+        assert net.counters()["comap/adaptation_refreshes"] == finalized
+
+    def test_drifting_keep_alive_refreshes(self):
+        # A drifted publication moves C0's row: its band re-adapts.
+        net = office_floor_topology("comap", topology_seed=1, seed=1).network
+        finalized = net.counters()["comap/adaptation_refreshes"]
+        net.install_faults(FaultPlan(
+            events=(LocationDrift("C0", 50_000_000, 100_000_000, rate_mps=20.0),),
+            report_interval_ns=2_000_000,
+        ))
+        net.run(0.3)
+        assert net.counters()["comap/adaptation_refreshes"] > finalized
 
     def test_sub_threshold_move_refreshes_nothing(self):
         net, ap, c = make_net(threshold_m=5.0)

@@ -67,25 +67,23 @@ class TestConstruction:
 
     def test_unknown_mac_override_rejected(self):
         with pytest.raises(AttributeError):
-            net = Network(ns2_params(), mac_overrides={"bogus_field": 1})
-            net.add_ap("AP", 0, 0)
+            Network(ns2_params(), mac_overrides={"bogus_field": 1})
 
     @pytest.mark.parametrize("override", [{"queue_limit": 0}, {"cw_min": 0}])
     def test_invalid_mac_override_rejected(self, override):
-        # The override goes through MacConfig's own validation: a zero
-        # queue would otherwise drop every enqueue of a valid-looking run.
-        net = Network(ns2_params(), mac_kind="comap", seed=1, mac_overrides=override)
+        # The override goes through MacConfig's own validation, when the
+        # network is built: a zero queue would otherwise drop every
+        # enqueue of a valid-looking run.
         with pytest.raises(ValueError):
-            net.add_ap("AP", 0, 0)
+            Network(ns2_params(), mac_kind="comap", seed=1, mac_overrides=override)
 
     @pytest.mark.parametrize(
         "override", [{"sr_window": 1}, {"announce_mode": "embedded"}]
     )
     def test_protocol_setting_is_not_a_mac_override(self, override):
         # CoMapConfig owns these; set them through params.comap.
-        net = Network(ns2_params(), mac_kind="comap", mac_overrides=override)
         with pytest.raises(AttributeError, match="unknown MAC config field"):
-            net.add_ap("AP", 0, 0)
+            Network(ns2_params(), mac_kind="comap", mac_overrides=override)
 
 
 class TestRunsAndResults:

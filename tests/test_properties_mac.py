@@ -8,8 +8,6 @@ every ACK is lost, the receiver counts a delivery while the sender
 exhausts its retries and also counts a drop.
 """
 
-import dataclasses
-
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import CoMapConfig
@@ -117,7 +115,7 @@ class TestCoMapConservation:
                                neighbor_table=table)
             return CoMapMac(
                 i, sim, radio, OFDM_TIMING, OFDM_RATES, rngs,
-                config=dataclasses.replace(CoMapMacConfig(queue_limit=100)),
+                config=CoMapMacConfig(queue_limit=100),
                 rate_policy=FixedRate(OFDM_RATES.by_bps(6_000_000)),
                 agent=agent,
             )

@@ -66,6 +66,12 @@ class TestExposedTerminalTopology:
         s = exposed_terminal_topology("comap", c2_x=26.0)
         assert s.extra["c1"].agent is not None
 
+    def test_mac_overrides_reach_every_mac(self):
+        s = exposed_terminal_topology(
+            "dcf", c2_x=26.0, mac_overrides={"use_rts_cts": True}
+        )
+        assert all(node.mac.config.use_rts_cts for node in s.network.nodes.values())
+
 
 class TestHiddenTerminalTopology:
     def test_rejects_multiple_hts(self):
