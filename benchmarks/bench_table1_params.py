@@ -7,8 +7,10 @@ settings.
 
 import math
 
+from repro.core.concurrency import T_PRR
 from repro.experiments.params import NS2_TABLE_I, ns2_params
 from repro.net.network import Network
+from repro.phy.channel import NOISE_FLOOR_DBM
 from repro.util.units import dbm_to_mw, mw_to_dbm
 
 from benchmarks._harness import banner, paper_vs_measured, run_once, table
@@ -33,13 +35,13 @@ def test_table1_params(benchmark):
     # Cross-check the printed table against the live configuration.
     assert params.data_rate_bps == 6_000_000
     assert params.tx_power_dbm == 20.0
-    assert params.comap.t_prr == 0.95
+    assert T_PRR == 0.95
     assert params.cs_threshold_dbm == -80.0
     assert params.alpha == 3.3
     assert params.sigma_db == 5.0
     assert params.comap.t_sir_db == 10.0
     # T'_cs is T_cs minus the noise floor in the linear domain: -80.14 dBm.
-    t_cs_prime = mw_to_dbm(dbm_to_mw(-80.0) - dbm_to_mw(params.noise_floor_dbm))
+    t_cs_prime = mw_to_dbm(dbm_to_mw(-80.0) - dbm_to_mw(NOISE_FLOOR_DBM))
     assert math.isclose(t_cs_prime, -80.14, abs_tol=0.01)
 
     paper_vs_measured(

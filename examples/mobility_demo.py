@@ -1,7 +1,7 @@
 """Mobility demo: a walking client, throttled position reports.
 
 A client walks across the floor while uploading.  The network re-reports
-its position only when it has moved beyond the configured threshold
+its position only when it has moved beyond the 5 m threshold
 (Section V's mobility management), and every CO-MAP agent's cached
 interference state is invalidated on each report.
 
@@ -9,6 +9,7 @@ Run:  python examples/mobility_demo.py
 """
 
 from repro import Network, testbed_params
+from repro.core.protocol import POSITION_UPDATE_THRESHOLD_M
 from repro.net.mobility import LinearMobility
 
 
@@ -46,7 +47,7 @@ def main() -> None:
               f"{row[0]:11.2f} {row[1]:11.2f} {mover.reports_sent:8d}")
     print(f"\nDistance walked: {mover.distance_travelled_m:.1f} m, "
           f"position reports sent: {mover.reports_sent} "
-          f"(threshold {params.comap.position_update_threshold_m} m)")
+          f"(threshold {POSITION_UPDATE_THRESHOLD_M} m)")
 
 
 if __name__ == "__main__":

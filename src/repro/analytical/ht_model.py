@@ -109,12 +109,3 @@ class HtGoodputModel:
             window, contenders, hidden, payload_bytes,
             attacker_window=attacker_window, attacker_payload=attacker_payload,
         ).goodput_bps
-
-    def goodput_curve(
-        self, window: int, contenders: int, hidden: int, payloads
-    ) -> list:
-        """Goodput across a payload sweep — one Fig. 7 curve."""
-        return [
-            (payload, self.goodput_bps(window, contenders, hidden, payload))
-            for payload in payloads
-        ]

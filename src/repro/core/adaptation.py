@@ -2,8 +2,9 @@
 
 Binds the hidden-terminal estimator's ``(h, c)`` counts to the
 analytically optimal ``(W, payload)`` lookup.  The table is clamped at
-configured maxima (the paper precomputes a finite 2-D array), so outlier
-estimates degrade gracefully instead of triggering unbounded searches.
+:data:`MAX_HIDDEN_TERMINALS` and :data:`MAX_CONTENDERS` (the paper
+precomputes a finite 2-D array), so outlier estimates degrade gracefully
+instead of triggering unbounded searches.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ if TYPE_CHECKING:  # hints only — core must stay import-independent of mac
 CW_CHOICES = (31, 63, 127, 255, 511, 1023)
 #: The MSDU payload sizes the optimizer searches (bytes).
 PAYLOAD_CHOICES = tuple(range(100, 2001, 100))
+#: The bounds of the precomputed (W, payload) array (Section IV-D3):
+#: larger (N_ht, c) estimates are clamped to them.
+MAX_HIDDEN_TERMINALS = 10
+MAX_CONTENDERS = 10
 
 
 class AdaptationTable:
@@ -36,7 +41,6 @@ class AdaptationTable:
         config: CoMapConfig,
         extra_header_ns: int = 0,
     ) -> None:
-        self.config = config
         slot_model = BianchiSlotModel(
             timing=timing,
             data_rate=data_rate,
@@ -57,12 +61,10 @@ class AdaptationTable:
         Counts are clamped to the table bounds, mirroring the paper's
         finite precomputed array.
         """
-        h = max(0, min(int(hidden), self.config.max_hidden_terminals))
-        c = max(0, min(int(contenders), self.config.max_contenders))
+        h = max(0, min(int(hidden), MAX_HIDDEN_TERMINALS))
+        c = max(0, min(int(contenders), MAX_CONTENDERS))
         return self._optimizer.best(h, c)
 
     def render(self) -> str:
         """The full matrix, rendered for reports and examples."""
-        return self._optimizer.render_table(
-            self.config.max_hidden_terminals, self.config.max_contenders
-        )
+        return self._optimizer.render_table(MAX_HIDDEN_TERMINALS, MAX_CONTENDERS)

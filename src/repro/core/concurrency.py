@@ -9,7 +9,7 @@ both directions of mutual impact using eq. (3):
    interferer distance ``r2`` = ongoing sender→my receiver.
 
 The transmission may proceed concurrently only if **both** PRRs clear
-``T_PRR``.  All distances come from *reported* positions in the neighbor
+:data:`T_PRR`.  All distances come from *reported* positions in the neighbor
 table, which is how localization error enters the protocol.
 """
 
@@ -20,6 +20,11 @@ from typing import Optional
 
 from repro.core.neighbor_table import NeighborTable
 from repro.phy.prr import PrrModel
+
+
+#: Table I's concurrency-validation threshold: both directions of the
+#: mutual-impact test must keep the PRR at or above 95 %.
+T_PRR = 0.95
 
 
 @dataclass(frozen=True)
@@ -43,11 +48,8 @@ MISSING_POSITION = ValidationResult(
 class ConcurrencyValidator:
     """Applies the two-sided eq. (3) test over a neighbor table."""
 
-    def __init__(self, model: PrrModel, t_prr: float) -> None:
-        if not 0.0 < t_prr < 1.0:
-            raise ValueError(f"T_PRR must lie in (0, 1), got {t_prr}")
+    def __init__(self, model: PrrModel) -> None:
         self.model = model
-        self.t_prr = t_prr
 
     def validate(
         self,
@@ -71,12 +73,12 @@ class ConcurrencyValidator:
         if None in (d1, r1, d2, r2):
             return MISSING_POSITION
         prr_theirs = self.model.prr(d1, r1)
-        if prr_theirs < self.t_prr:
+        if prr_theirs < T_PRR:
             return ValidationResult(
                 False, prr_theirs, 0.0, "my transmission would corrupt the ongoing link"
             )
         prr_mine = self.model.prr(d2, r2)
-        if prr_mine < self.t_prr:
+        if prr_mine < T_PRR:
             return ValidationResult(
                 False,
                 prr_theirs,
@@ -118,7 +120,7 @@ class ConcurrencyValidator:
                 return MISSING_POSITION
             prr_theirs = self.model.prr(d1, r1)
             worst_theirs = min(worst_theirs, prr_theirs)
-            if prr_theirs < self.t_prr:
+            if prr_theirs < T_PRR:
                 return ValidationResult(
                     False, prr_theirs, 0.0,
                     "my transmission would corrupt an ongoing link",
@@ -128,7 +130,7 @@ class ConcurrencyValidator:
         if d2 is None:
             return MISSING_POSITION
         prr_mine = self.model.prr_multi(d2, interferer_distances)
-        if prr_mine < self.t_prr:
+        if prr_mine < T_PRR:
             return ValidationResult(
                 False, worst_theirs, prr_mine,
                 "combined ongoing interference would corrupt my receiver",

@@ -23,11 +23,14 @@ class CoMapConfig:
     ``params.with_overrides(comap=dataclasses.replace(params.comap, ...))``,
     never a write that every copy of the params object would see.
 
+    Table I's ``T_PRR`` (95 %) is :data:`repro.core.concurrency.T_PRR`,
+    the movement threshold of Section V's update rule is
+    :data:`repro.core.protocol.POSITION_UPDATE_THRESHOLD_M`, and the
+    adaptation table's bounds are in :mod:`repro.core.adaptation`: every
+    scenario runs one value of each.
+
     Attributes
     ----------
-    t_prr:
-        Concurrency-validation threshold ``T_PRR`` (Table I: 95 %).  Both
-        directions of the mutual-impact test must clear it.
     t_sir_db:
         Required signal-to-interference ratio used inside the PRR model —
         the paper sets it to the threshold of the *lowest* rate (4 dB on
@@ -35,15 +38,8 @@ class CoMapConfig:
     sr_window:
         Selective-repeat ARQ sending window ``W_send``; 1 degenerates to
         stop-and-wait.
-    position_update_threshold_m:
-        A node re-reports its position after moving this far — the paper
-        sets it to half of the highest tolerable position inaccuracy.
-    max_hidden_terminals / max_contenders:
-        The bounds of the precomputed (W, payload) array (Section IV-D3);
-        larger estimates are clamped to them.
     """
 
-    t_prr: float = 0.95
     t_sir_db: float = 10.0
     sr_window: int = 8
     #: Announcement implementation: "separate" header packet (testbed
@@ -60,19 +56,14 @@ class CoMapConfig:
     attacker_window: int = 32
     #: Payload size assumed for non-adaptive hidden terminals (bytes).
     attacker_payload: int = 1000
-    position_update_threshold_m: float = 5.0
-    max_hidden_terminals: int = 10
-    max_contenders: int = 10
-    #: Freshness horizon (ns) for a node's *own* location report.  When
-    #: the node has not produced a position report within this window, the
-    #: MAC reverts to plain DCF until the location service recovers.
+    #: Freshness horizon (ns) for a node's *own* location report.  The
+    #: instant the node's row has gone this long without a report, the
+    #: MAC reverts to plain DCF, until its next report.
     #: ``None`` (the default) disables staleness tracking entirely, which
     #: keeps every pre-existing scenario bit-identical.
     location_ttl_ns: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.t_prr < 1.0:
-            raise ValueError(f"t_prr must lie in (0, 1), got {self.t_prr}")
         if self.sr_window < 1:
             raise ValueError("selective-repeat window must be at least 1")
         if self.announce_mode not in ("separate", "embedded"):
@@ -80,8 +71,6 @@ class CoMapConfig:
                 f"announce_mode must be 'separate' or 'embedded', "
                 f"got {self.announce_mode!r}"
             )
-        if self.position_update_threshold_m < 0:
-            raise ValueError("position update threshold cannot be negative")
         if self.location_ttl_ns is not None and self.location_ttl_ns <= 0:
             raise ValueError(
                 f"location_ttl_ns must be positive when set, got {self.location_ttl_ns}"

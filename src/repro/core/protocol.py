@@ -34,6 +34,11 @@ from repro.phy.prr import PrrModel
 from repro.phy.propagation import LogNormalShadowing
 from repro.util.geometry import Point
 
+#: Section V's update rule: a node re-reports its position once it has
+#: moved more than this far (m) from where it last reported — half of
+#: the highest tolerable position inaccuracy.
+POSITION_UPDATE_THRESHOLD_M = 5.0
+
 
 class CoMapAgent:
     """Location-driven interference reasoning for one node."""
@@ -54,7 +59,7 @@ class CoMapAgent:
         self.neighbor_table = neighbor_table
         neighbor_table.join(self)
         self.co_map = CoOccurrenceMap(node_id)
-        self.validator = ConcurrencyValidator(self.model, config.t_prr)
+        self.validator = ConcurrencyValidator(self.model)
         self.estimator = HtEstimator(
             model=self.model, tx_power_dbm=tx_power_dbm, t_cs_dbm=t_cs_dbm
         )
@@ -64,6 +69,9 @@ class CoMapAgent:
         #: told something else under a fault; only :meth:`mark_reported`
         #: writes this.
         self.reported_position: Optional[Point] = None
+        #: Where the node was when it made that report: the movement rule
+        #: measures from here, not from the (error-perturbed) report.
+        self._reported_from: Optional[Point] = None
         self._announce_worthwhile: Dict[int, bool] = {}
         self.stale_denials = 0
 
@@ -91,16 +99,19 @@ class CoMapAgent:
         """Mobility management (Section V): report only significant moves.
 
         A node re-reports its position only when it has moved more than
-        the configured threshold (half the tolerable inaccuracy).
+        :data:`POSITION_UPDATE_THRESHOLD_M` since its last report — a
+        move of the node itself, measured between true positions, so
+        localization error in the reports never triggers one.
         """
-        if self.reported_position is None:
+        if self._reported_from is None:
             return True
-        moved = self.reported_position.distance_to(current)
-        return moved > self.config.position_update_threshold_m
+        moved = self._reported_from.distance_to(current)
+        return moved > POSITION_UPDATE_THRESHOLD_M
 
-    def mark_reported(self, position: Point) -> None:
-        """Record ``position`` as this node's report."""
-        self.reported_position = position
+    def mark_reported(self, report: Point, position: Point) -> None:
+        """Record ``report`` as this node's report, made at ``position``."""
+        self.reported_position = report
+        self._reported_from = position
 
     def forget_neighbor(self, node_id: int) -> None:
         """The band table dropped ``node_id``'s row (the node left): drop

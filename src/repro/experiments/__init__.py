@@ -37,7 +37,7 @@ from repro.experiments.parallel import (
     resolve_jobs,
     run_tasks,
 )
-from repro.experiments.metrics import flow_goodputs_mbps, link_goodput_mbps
+from repro.experiments.metrics import flow_goodputs_mbps
 from repro.experiments.inspect import InterferenceSurvey, survey_network
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
     "resolve_jobs",
     "run_tasks",
     "flow_goodputs_mbps",
-    "link_goodput_mbps",
     "InterferenceSurvey",
     "survey_network",
 ]

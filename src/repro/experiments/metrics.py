@@ -4,12 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.net.network import Network, RunResults
-
-
-def link_goodput_mbps(results: RunResults, src: int, dst: int) -> float:
-    """Goodput of one directed link in Mbit/s."""
-    return results.goodput_mbps(src, dst)
+from repro.net.network import RunResults
 
 
 def flow_goodputs_mbps(
@@ -25,28 +20,3 @@ def average_link_goodput_mbps(results: RunResults, flows: List[Tuple[int, int]])
         raise ValueError("flow list cannot be empty")
     values = flow_goodputs_mbps(results, flows)
     return sum(values.values()) / len(values)
-
-
-def network_counters(network: Network) -> Dict[str, float]:
-    """The full typed-counter snapshot (``prefix/name`` keys).
-
-    Every MAC, channel, and the engine register sources into
-    ``network.registry``; this is the aggregated network-wide view.
-    """
-    return network.counters()
-
-
-def comap_counters(network: Network) -> Dict[str, int]:
-    """Aggregate the CO-MAP-specific counters across all nodes.
-
-    Reads the network's counter registry (the ``comap/`` namespace each
-    :class:`~repro.mac.comap.CoMapMac` registers into) rather than
-    scraping ``comap_stats`` attributes; keys keep their short names for
-    backward compatibility.  Empty for networks without CO-MAP nodes.
-    """
-    prefix = "comap/"
-    return {
-        key[len(prefix):]: int(value)
-        for key, value in network.counters().items()
-        if key.startswith(prefix)
-    }

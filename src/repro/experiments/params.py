@@ -41,7 +41,6 @@ class ScenarioParams:
     sigma_db: float
     tx_power_dbm: float
     cs_threshold_dbm: float
-    noise_floor_dbm: float = -95.0
     shadowing_mode: str = "per_frame"
     #: Below-floor interference culling margin in dB.  ``None`` takes the
     #: default (6σ of the shadowing model); ``"off"`` or a negative value
@@ -85,7 +84,7 @@ def testbed_params() -> ScenarioParams:
         timing=OFDM_TIMING,
         data_rate_bps=None,  # Minstrel, as on the laptops
         default_payload_bytes=1470,
-        comap=CoMapConfig(t_prr=0.95, t_sir_db=6.0),
+        comap=CoMapConfig(t_sir_db=6.0),
     )
 
 
@@ -104,7 +103,7 @@ def testbed_dsss_params() -> ScenarioParams:
         timing=DSSS_TIMING,
         data_rate_bps=None,
         default_payload_bytes=1470,
-        comap=CoMapConfig(t_prr=0.95, t_sir_db=4.0),
+        comap=CoMapConfig(t_sir_db=4.0),
     )
 
 
@@ -121,7 +120,7 @@ def ns2_params() -> ScenarioParams:
         default_payload_bytes=1000,
         # The paper implemented its first (embedded, 4-byte) header method
         # in NS-2; at a fixed 6 Mbps every overhearer can decode it.
-        comap=CoMapConfig(t_prr=0.95, t_sir_db=10.0, announce_mode="embedded"),
+        comap=CoMapConfig(t_sir_db=10.0, announce_mode="embedded"),
     )
 
 
@@ -142,7 +141,7 @@ def ht_params() -> ScenarioParams:
     base = ns2_params()
     return base.with_overrides(
         cs_threshold_dbm=-62.0,
-        comap=CoMapConfig(t_prr=0.95, t_sir_db=10.0, announce_mode="embedded"),
+        comap=CoMapConfig(t_sir_db=10.0, announce_mode="embedded"),
     )
 
 
@@ -171,7 +170,7 @@ def ht_testbed_params() -> ScenarioParams:
         timing=DSSS_TIMING,
         data_rate_bps=11_000_000,
         default_payload_bytes=1470,
-        comap=CoMapConfig(t_prr=0.95, t_sir_db=10.0, attacker_payload=1470),
+        comap=CoMapConfig(t_sir_db=10.0, attacker_payload=1470),
     )
 
 

@@ -39,9 +39,10 @@ from typing import Dict, List, Optional
 
 from repro.core.arq import SrReceiver, SrSender
 from repro.core.protocol import CoMapAgent
-from repro.mac.dcf import FlowId, MacState, Mpdu
+from repro.mac.dcf import RETRY_LIMIT, FlowId, MacState, Mpdu
 from repro.mac.exposed import OPPORTUNITY_SLACK_NS, ExposedMac, ExposedMacConfig
 from repro.mac.frames import Frame, FrameType
+from repro.sim.engine import EventHandle
 from repro.util.units import dbm_to_mw
 
 
@@ -61,7 +62,6 @@ class CoMapMacConfig(ExposedMacConfig):
     owns them, and the MAC reads them from its agent.
     """
 
-    enable_concurrency: bool = True
     enable_adaptation: bool = True
     enhanced_scheduler: bool = True
     #: Persistent exposure: once a link is validated as co-occurring,
@@ -96,9 +96,10 @@ class CoMapStats:
     #: refreshed, so this counter is how tests assert unrelated MACs stay
     #: untouched.  A lookup while degraded counts too.
     adaptation_refreshes: int = 0
-    #: Graceful-degradation fallback (stale/absent location input):
-    #: transitions into plain-DCF operation, transitions back out, and
-    #: data frames transmitted while degraded.
+    #: Graceful-degradation fallback (stale location input): fallbacks
+    #: started (the instant the node's own row outlived
+    #: ``location_ttl_ns``), fallbacks ended (by the node's next report),
+    #: and data frames transmitted while degraded.
     fallback_entered: int = 0
     fallback_exited: int = 0
     fallback_tx_frames: int = 0
@@ -147,6 +148,10 @@ class CoMapMac(ExposedMac):
         self._advised_payload: Optional[int] = None
         self._advised_window = self.config.constant_cw
         self._fallback_active = False
+        #: The pending staleness check: at most one, armed from the node's
+        #: first report on while ``location_ttl_ns`` is set; None without
+        #: a TTL, during a fallback and while suspended.
+        self._staleness_handle: Optional[EventHandle] = None
         self._sr_senders: Dict[FlowId, SrSender] = {}
         self._sr_receivers: Dict[FlowId, SrReceiver] = {}
         # The carrier-sense quantum T'_cs: the part of T_cs that is not
@@ -170,47 +175,60 @@ class CoMapMac(ExposedMac):
     # Graceful degradation (fallback to plain DCF on stale location)
     # ------------------------------------------------------------------
     def _degraded(self) -> bool:
-        """True while this node's location input is stale or absent.
+        """True while this node is in a location fallback (plain DCF).
 
-        With :attr:`CoMapConfig.location_ttl_ns` unset (the default) this
-        is a constant ``False`` and every CO-MAP mechanism behaves exactly
-        as before.  Transitions are edge-detected by the MAC's own checks
-        (a launch, a refill, an overheard header, a busy medium, an ACK
-        timeout, a refresh) and by its own node's reports
-        (:meth:`location_reported`).  Entering fallback ends the live
-        opportunity and puts the configured window back in force, and
-        :meth:`preferred_payload` hides the advised payload, so backoff
-        matches plain DCF until the location service recovers.  The
-        advice itself is kept: leaving fallback pins its window again, so
-        no refresh is needed to restore it.
+        Only reads the state: :meth:`_location_expired` starts a fallback
+        the instant the node's own row outlives
+        :attr:`CoMapConfig.location_ttl_ns`, and :meth:`location_reported`
+        ends it.  With the TTL unset (the default) it is always False.
         """
-        agent = self.agent
-        if agent.config.location_ttl_ns is None:
-            return False
-        stale = agent.location_stale(self.sim.now)
-        if stale and not self._fallback_active:
-            self._fallback_active = True
-            self.comap_stats.fallback_entered += 1
-            self._end_opportunity()
-            self.constant_cw = self.config.constant_cw
-            if self.trace.wants("comap"):
-                self.trace.record("comap", "fallback_enter", node=self.node_id)
-        elif not stale and self._fallback_active:
-            self._fallback_active = False
-            self.comap_stats.fallback_exited += 1
-            self.constant_cw = self._advised_window
-            if self.trace.wants("comap"):
-                self.trace.record("comap", "fallback_exit", node=self.node_id)
         return self._fallback_active
 
     def location_reported(self) -> None:
         """This node's location service just published a report.
 
-        The report is what ends a fallback, so the exit is found here
-        rather than at the next check: the first backoff drawn after the
-        recovery already runs on the advised window.
+        The report ends a fallback, so the first backoff drawn after the
+        recovery already runs on the advised window, and it makes sure a
+        staleness check is pending for the row it refreshed.
         """
-        self._degraded()
+        if self.agent.config.location_ttl_ns is None:
+            return
+        if self._fallback_active:
+            self._fallback_active = False
+            self.comap_stats.fallback_exited += 1
+            self.constant_cw = self._advised_window
+            if self.trace.wants("comap"):
+                self.trace.record("comap", "fallback_exit", node=self.node_id)
+        if self._staleness_handle is None:
+            self._arm_staleness_check()
+
+    def _arm_staleness_check(self) -> None:
+        """Check the node's own row again the instant it would go stale."""
+        agent = self.agent
+        updated_at = agent.neighbor_table.get(self.node_id).updated_at
+        self._staleness_handle = self.sim.schedule_at(
+            updated_at + agent.config.location_ttl_ns + 1, self._location_expired
+        )
+
+    def _location_expired(self) -> None:
+        """Start a fallback if the node's row was not refreshed in time.
+
+        Entering fallback ends the live opportunity and puts the
+        configured window back in force, and :meth:`preferred_payload`
+        hides the advised payload, so backoff matches plain DCF until the
+        next report.  The advice itself is kept: leaving fallback pins
+        its window again, so no refresh is needed to restore it.
+        """
+        self._staleness_handle = None
+        if not self.agent.location_stale(self.sim.now):
+            self._arm_staleness_check()
+            return
+        self._fallback_active = True
+        self.comap_stats.fallback_entered += 1
+        self._end_opportunity()
+        self.constant_cw = self.config.constant_cw
+        if self.trace.wants("comap"):
+            self.trace.record("comap", "fallback_enter", node=self.node_id)
 
     def _arq_counters(self) -> Dict[str, int]:
         """Aggregate :class:`SrSender` counters across this node's flows."""
@@ -312,8 +330,6 @@ class CoMapMac(ExposedMac):
         if self.fault_hooks is not None and self.fault_hooks.drop_announcement(
             self.node_id, frame
         ):
-            return
-        if not self.config.enable_concurrency:
             return
         if self._degraded():
             return  # stale positions cannot validate concurrency
@@ -436,7 +452,7 @@ class CoMapMac(ExposedMac):
         links running concurrently even while each is deaf to the other's
         headers during its own transmissions.
         """
-        if not self.config.persistent_exposure or not self.config.enable_concurrency:
+        if not self.config.persistent_exposure:
             return False
         if self._state is not MacState.CONTEND or self._head is None:
             return False
@@ -589,7 +605,7 @@ class CoMapMac(ExposedMac):
             super()._handle_ack_timeout(frame)
             return
         head = self._head
-        if head.attempts > self.config.retry_limit:
+        if head.attempts > RETRY_LIMIT:
             self.stats.retry_drops += 1
             self._finish_attempt(success=False)
             return
@@ -621,10 +637,14 @@ class CoMapMac(ExposedMac):
         return super()._select_next()
 
     def suspend(self) -> None:
-        """Churn: also forget every link's RSSI signature."""
+        """Churn: also forget every link's RSSI signature and stop the
+        staleness check (the re-join report re-arms it)."""
         if self._suspended:
             return
         self._link_signatures.clear()
+        if self._staleness_handle is not None:
+            self._staleness_handle.cancel()
+            self._staleness_handle = None
         super().suspend()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

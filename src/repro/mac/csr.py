@@ -19,7 +19,7 @@ The protocol, per transmit opportunity:
    the AP frozen exactly as before.
 3. **Power capping** — an elected secondary computes the highest
    transmit power whose interference at each primary receiver stays
-   below ``noise_floor + INTERFERENCE_MARGIN_DB`` (the C-SR power rule)
+   below ``NOISE_FLOOR_DBM + INTERFERENCE_MARGIN_DB`` (the C-SR power rule)
    and transmits at that cap, restoring its default power when the
    train leaves the air.  The default is the radio's configured power
    (``radio.config.tx_power_dbm``, frozen); the cap and the restore
@@ -47,11 +47,12 @@ from repro.mac.dcf import MacState, Mpdu
 from repro.mac.exposed import OPPORTUNITY_SLACK_NS
 from repro.mac.frames import Frame
 from repro.net.backhaul import Backhaul, TxopRecord
+from repro.phy.channel import NOISE_FLOOR_DBM
 
 
 #: Interference budget at a primary receiver: a secondary's capped
 #: transmit power must keep its mean received power there below
-#: ``noise_floor_dbm + INTERFERENCE_MARGIN_DB``.
+#: ``NOISE_FLOOR_DBM + INTERFERENCE_MARGIN_DB``.
 INTERFERENCE_MARGIN_DB = 6.0
 #: Elections whose power cap falls below this are abandoned — a
 #: whisper-quiet transmission wastes a TXOP on an undecodable frame.
@@ -183,7 +184,7 @@ class CsrMac(CoMapMac):
 
     def _consider_csr_join(self) -> None:
         """Try to elect a concurrent transmission against the ledger."""
-        if self.backhaul is None or not self.config.enable_concurrency:
+        if self.backhaul is None:
             return
         if self._state is not MacState.CONTEND or self._head is None:
             return
@@ -242,11 +243,7 @@ class CsrMac(CoMapMac):
             path_loss_db = default_dbm - propagation.mean_rx_dbm(
                 default_dbm, distance
             )
-            allowed = (
-                self.radio.config.noise_floor_dbm
-                + INTERFERENCE_MARGIN_DB
-                + path_loss_db
-            )
+            allowed = NOISE_FLOOR_DBM + INTERFERENCE_MARGIN_DB + path_loss_db
             if allowed < cap:
                 cap = allowed
             predicted = agent.predicted_concurrent_sir_db(record.src, head.dst)

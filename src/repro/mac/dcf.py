@@ -5,15 +5,15 @@ MAC extends.  The state machine follows the standard's Distributed
 Coordination Function as abstracted by Bianchi's model (which the paper
 builds on):
 
-* a station draws a backoff before **every** data transmission
-  (``immediate_access`` exists but defaults off, matching both Bianchi's
-  assumption and saturated operation);
+* a station draws a backoff before **every** data transmission, matching
+  both Bianchi's assumption and saturated operation;
 * the backoff counter decrements only while the medium has been idle for
   DIFS (EIFS after a corrupted reception), freezes on busy, and resumes
   without a new draw;
 * unicast data is acknowledged SIFS after reception; a missing ACK doubles
-  the contention window (up to ``cw_max``) and retries up to
-  ``retry_limit`` times;
+  the contention window (from :data:`CW_MIN` up to :data:`CW_MAX`) and
+  retries up to :data:`RETRY_LIMIT` times;
+* with RTS/CTS on, every unicast data frame is protected by the exchange;
 * a **constant contention window** mode (``constant_cw=W`` drawing
   uniformly from ``[0, W-1]``) reproduces the constant-W networks of the
   paper's analytical model (Fig. 7), where ``tau = 2 / (W + 1)``.
@@ -52,9 +52,19 @@ LATENCY_BUCKETS_NS = (
 )
 
 
+#: The DCF constants every scenario runs: the binary exponential backoff
+#: window runs from ``CW_MIN`` to ``CW_MAX`` slots, a frame is dropped
+#: after ``RETRY_LIMIT`` retransmissions, and a MAC holds at most
+#: ``QUEUE_LIMIT`` MSDUs behind its head.
+CW_MIN = 31
+CW_MAX = 1023
+RETRY_LIMIT = 7
+QUEUE_LIMIT = 64
+
+
 @dataclass(frozen=True)
 class MacConfig:
-    """Tunable DCF parameters, fixed once the MAC is built.
+    """The DCF switches a scenario chooses, fixed once the MAC is built.
 
     ``constant_cw`` (when set) replaces binary exponential backoff with a
     fixed window of ``W`` slots, drawing uniformly from ``[0, W-1]`` —
@@ -65,28 +75,14 @@ class MacConfig:
     builds one config for all its MACs (``mac_overrides`` sets it).
     """
 
-    cw_min: int = 31
-    cw_max: int = 1023
-    retry_limit: int = 7
-    queue_limit: int = 64
-    use_eifs: bool = True
-    immediate_access: bool = False
     constant_cw: Optional[int] = None
     #: Virtual carrier sense.  The paper disables RTS/CTS everywhere
     #: ("due to its overhead, inefficiency, and aggravation of the ET
     #: problem"); it is implemented here as a baseline so those claims
     #: can be *demonstrated* (see bench_rts_cts_baseline).
     use_rts_cts: bool = False
-    #: Payloads at or above this size use the RTS/CTS exchange.
-    rts_threshold_bytes: int = 0
 
     def __post_init__(self) -> None:
-        if self.cw_min < 1 or self.cw_max < self.cw_min:
-            raise ValueError(f"invalid CW range [{self.cw_min}, {self.cw_max}]")
-        if self.retry_limit < 0:
-            raise ValueError("retry limit cannot be negative")
-        if self.queue_limit < 1:
-            raise ValueError("queue must hold at least one frame")
         if self.constant_cw is not None and self.constant_cw < 1:
             raise ValueError("constant CW must be at least 1 slot")
 
@@ -201,7 +197,7 @@ class DcfMac:
         self._queue: Deque[Mpdu] = deque()
         self._head: Optional[Mpdu] = None
         self._state = MacState.IDLE
-        self._cw = self.config.cw_min
+        self._cw = CW_MIN
         self._backoff_slots: Optional[int] = None
         self._countdown_started_at: Optional[int] = None
         self._ifs_handle: Optional[EventHandle] = None
@@ -258,7 +254,7 @@ class DcfMac:
         """
         if payload_bytes <= 0:
             raise ValueError("payload must be positive")
-        if len(self._queue) >= self.config.queue_limit:
+        if len(self._queue) >= QUEUE_LIMIT:
             self.stats.queue_drops += 1
             return False
         flow = flow or (self.node_id, dst)
@@ -306,8 +302,8 @@ class DcfMac:
             self._state = MacState.IDLE
             return
         self._head = head
-        self._cw = self.config.cw_min
-        self._begin_contention(first_attempt=True)
+        self._cw = CW_MIN
+        self._begin_contention()
         if self.on_queue_space is not None:
             self.on_queue_space()
 
@@ -317,20 +313,10 @@ class DcfMac:
             return None
         return self._queue.popleft()
 
-    def _begin_contention(self, first_attempt: bool) -> None:
+    def _begin_contention(self) -> None:
         """Draw a backoff and start (or wait for) the countdown."""
         self._state = MacState.CONTEND
-        if (
-            first_attempt
-            and self.config.immediate_access
-            and not self.radio.medium_busy()
-            and self._backoff_slots is None
-        ):
-            # 802.11 allows transmission after a bare DIFS when the medium
-            # was idle; disabled by default (see module docstring).
-            self._backoff_slots = 0
-        else:
-            self._backoff_slots = self._draw_backoff()
+        self._backoff_slots = self._draw_backoff()
         self._resume_contention()
 
     def _draw_backoff(self) -> int:
@@ -365,7 +351,7 @@ class DcfMac:
 
     def _current_ifs_ns(self) -> int:
         """DIFS normally; EIFS after observing a corrupted frame."""
-        if self._need_eifs and self.config.use_eifs:
+        if self._need_eifs:
             return self.timing.eifs_ns(self.rates.base)
         return self.timing.difs_ns
 
@@ -431,11 +417,7 @@ class DcfMac:
     # ------------------------------------------------------------------
     def _rts_applies(self, head: Mpdu) -> bool:
         """Should this attempt be protected by an RTS/CTS exchange?"""
-        return (
-            self.config.use_rts_cts
-            and head.dst != BROADCAST
-            and head.payload_bytes >= self.config.rts_threshold_bytes
-        )
+        return self.config.use_rts_cts and head.dst != BROADCAST
 
     def _send_rts(self, head: Mpdu, rate) -> None:
         """Open the exchange with an RTS carrying the full reservation."""
@@ -725,12 +707,12 @@ class DcfMac:
     def _handle_ack_timeout(self, frame: Frame) -> None:
         """Template method: stop-and-wait retry with BEB (base behaviour)."""
         assert self._head is not None
-        if self._head.attempts > self.config.retry_limit:
+        if self._head.attempts > RETRY_LIMIT:
             self.stats.retry_drops += 1
             self._finish_attempt(success=False)
             return
         if self.constant_cw is None:
-            self._cw = min(2 * (self._cw + 1) - 1, self.config.cw_max)
+            self._cw = min(2 * (self._cw + 1) - 1, CW_MAX)
         self._state = MacState.CONTEND
         self._backoff_slots = self._draw_backoff()
         self._resume_contention()
@@ -790,7 +772,7 @@ class DcfMac:
             self._head = None
             self._queue.appendleft(head)
         self._state = MacState.IDLE
-        self._cw = self.config.cw_min
+        self._cw = CW_MIN
 
     def resume(self) -> None:
         """Bring a suspended MAC back on the air (the node re-joined)."""

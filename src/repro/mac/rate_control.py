@@ -123,8 +123,3 @@ class MinstrelLite:
         i = state.last_rate_index
         observation = 1.0 if success else 0.0
         state.ewma_prob[i] += self.ewma_weight * (observation - state.ewma_prob[i])
-
-    def success_probability(self, dst: int, rate: Rate) -> float:
-        """Current EWMA estimate for ``rate`` toward ``dst`` (diagnostics)."""
-        state = self._state(dst)
-        return state.ewma_prob[self.rates.index_of(rate)]

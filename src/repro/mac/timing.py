@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.mac.frames import ACK_BYTES, CTS_BYTES, Frame
-from repro.phy.rates import Rate, RateTable
+from repro.phy.rates import Rate
 from repro.util.units import MICROSECOND
 
 
@@ -154,8 +154,3 @@ OFDM_TIMING = PhyTiming(
     preamble_ns=20 * MICROSECOND,
     ack_timeout_slack_ns=2 * 9 * MICROSECOND,
 )
-
-
-def timing_for_rates(rates: RateTable) -> PhyTiming:
-    """Pick the natural timing profile for a rate table (by base rate)."""
-    return DSSS_TIMING if rates.base.bps <= 2_000_000 else OFDM_TIMING

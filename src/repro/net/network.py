@@ -274,7 +274,6 @@ class Network:
                     if cs_threshold_dbm is not None
                     else params.cs_threshold_dbm
                 ),
-                noise_floor_dbm=params.noise_floor_dbm,
             ),
             channel=self.channel_for(band),
         )
@@ -343,8 +342,9 @@ class Network:
 
         Each node's first report goes out, in node-id order, through the
         band table the run writes, so every band table holds its nodes in
-        node-id order.  One adaptation pass over every MAC follows, not
-        one per report.
+        node-id order, and (with a location TTL) arms its MAC's staleness
+        check.  One adaptation pass over every MAC follows, not one per
+        report.
         """
         if self._finalized:
             return
@@ -360,6 +360,7 @@ class Network:
             return
         for node in self.nodes.values():
             self._write_row(node, self._new_report(node))
+            node.mac.location_reported()
         self._refresh_all_adaptation()
         if self.mac_kind == "csr":
             self._wire_backhaul()
@@ -396,7 +397,7 @@ class Network:
         report = self.error_model.apply(
             node.position, self.rngs.substream("locerr", node.node_id)
         )
-        node.agent.mark_reported(report)
+        node.agent.mark_reported(report, node.position)
         return report
 
     def _write_row(self, node: Node, position: Point) -> bool:

@@ -239,11 +239,6 @@ class CounterRegistry:
         """
         self._sources.append((prefix, fn))
 
-    @property
-    def source_count(self) -> int:
-        """Number of registered pull sources."""
-        return len(self._sources)
-
     # -- snapshots -----------------------------------------------------
     def snapshot(self) -> Dict[str, Number]:
         """All metrics and sources flattened to ``{name: number}``.

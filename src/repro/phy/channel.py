@@ -106,9 +106,7 @@ re-joins while a frame is on the air hears neither edge of that frame.
 from __future__ import annotations
 
 import math
-from typing import (
-    TYPE_CHECKING, Dict, List, Optional, Tuple, Union, ValuesView,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.phy.propagation import LogNormalShadowing
 from repro.phy.spatial import SpatialIndex
@@ -137,6 +135,10 @@ SHADOWING_BLOCK = 16
 #: collision-free — wildly unphysical.  1 us approximates
 #: aCCATime/propagation at WLAN ranges.
 AIR_LATENCY_NS = 1_000
+
+#: The thermal noise floor of every receiver (dBm): the -95 dBm the paper
+#: quotes for 2.4 GHz WiFi.
+NOISE_FLOOR_DBM = -95.0
 
 #: Default margin as a multiple of the shadowing sigma.
 CULL_SIGMA_FACTOR = 6.0
@@ -354,8 +356,7 @@ class Channel:
         self._tables.clear()  # every sender may reach the newcomer
         self._attach_seq[radio.radio_id] = self._next_attach_seq
         self._next_attach_seq += 1
-        config = radio.config
-        threshold = min(config.noise_floor_dbm, config.cs_threshold_dbm)
+        threshold = min(NOISE_FLOOR_DBM, radio.config.cs_threshold_dbm)
         if threshold < self._weakest_threshold_dbm:
             self._weakest_threshold_dbm = threshold
         if radio.tx_power_dbm > self._max_tx_power_dbm:
@@ -396,25 +397,9 @@ class Channel:
     def radios(self) -> List["Radio"]:
         """All attached radios, in attach order (a fresh copy per call).
 
-        Safe to mutate or hold across attach/detach; hot loops should
-        use :meth:`radios_view` instead — this property builds a new
-        list on every access.
+        Safe to mutate or hold across attach/detach.
         """
         return list(self._radios_by_id.values())
-
-    def radios_view(self) -> ValuesView["Radio"]:
-        """Non-copying attach-ordered view of the attached radios.
-
-        The internal accessor for hot loops: a live ``dict`` values view
-        — O(1), reflects later attaches/detaches, and must not be
-        mutated or held across topology changes while iterating.
-        """
-        return self._radios_by_id.values()
-
-    @property
-    def radio_count(self) -> int:
-        """Number of attached radios (no copy)."""
-        return len(self._radios_by_id)
 
     def on_radio_moved(self, radio_id: int) -> None:
         """Invalidate everything position-dependent for ``radio_id``.
@@ -618,10 +603,9 @@ class Channel:
         for radio in candidates:
             mean_dbm = mean_rx_dbm(tx_power_dbm, position.distance_to(radio.position))
             if margin is not None:
-                config = radio.config
                 if (
-                    mean_dbm + margin < config.noise_floor_dbm
-                    and mean_dbm + margin < config.cs_threshold_dbm
+                    mean_dbm + margin < NOISE_FLOOR_DBM
+                    and mean_dbm + margin < radio.config.cs_threshold_dbm
                 ):
                     culled += 1
                     continue

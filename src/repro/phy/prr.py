@@ -142,40 +142,3 @@ class PrrModel:
         if sigma == 0.0:
             return 1.0 if mean_rx < t_cs_dbm else 0.0
         return _standard_normal_cdf((t_cs_dbm - mean_rx) / sigma)
-
-    def interference_range(
-        self, link_distance_m: float, prr_floor: float = 0.5
-    ) -> float:
-        """Distance inside which an interferer pushes the link PRR below
-        ``prr_floor``.
-
-        Solves eq. (3) for ``r``; used to size the 2-hop neighborhood a
-        node must know about (Section V: ``R_t + R_in``).
-        """
-        if not 0.0 < prr_floor < 1.0:
-            raise ValueError("prr_floor must lie strictly between 0 and 1")
-        sigma = self.propagation.sigma_db
-        alpha = self.propagation.alpha
-        if sigma == 0.0:
-            # PRR is a step at margin == 0.
-            exponent = self.t_sir_db / (10.0 * alpha)
-        else:
-            # 1 - Phi(m / (sqrt(2) sigma)) = prr_floor  =>  m = sqrt(2) sigma z
-            z = _inverse_standard_normal_cdf(1.0 - prr_floor)
-            margin = math.sqrt(2.0) * sigma * z
-            exponent = (self.t_sir_db - margin) / (10.0 * alpha)
-        return link_distance_m * 10.0**exponent
-
-
-def _inverse_standard_normal_cdf(p: float) -> float:
-    """Phi^-1(p) via bisection on the well-behaved CDF (|z| <= 12)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
-    lo, hi = -12.0, 12.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _standard_normal_cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

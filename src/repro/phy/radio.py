@@ -13,9 +13,15 @@ validates its analytical model against):
 
 * A frame arriving during a lock is interference, unless it would
   decode over everything else on the air: then message-in-message
-  capture (``RadioConfig.capture``, on by default) re-locks onto it and
-  the old frame counts as missed.  Frames arriving while the radio
-  transmits are missed entirely but still contribute energy afterwards.
+  capture re-locks onto it and the old frame counts as missed (standard
+  on commodity 802.11 hardware, and required for an exposed terminal's
+  receiver to pick its own sender's frame out of an overheard weaker
+  transmission it happened to lock first).  Frames arriving while the
+  radio transmits are missed entirely but still contribute energy
+  afterwards.
+
+The noise floor is :data:`repro.phy.channel.NOISE_FLOOR_DBM` at every
+radio.
 
 Clear-channel assessment is pure energy detection against
 ``cs_threshold_dbm`` (the paper's ``T_cs``), which is what lets hidden
@@ -28,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.phy.channel import Channel, Transmission
+from repro.phy.channel import NOISE_FLOOR_DBM, Channel, Transmission
 from repro.util.geometry import Point
 from repro.util.units import dbm_to_mw, mw_to_dbm
 
@@ -55,19 +61,11 @@ class RadioConfig:
     ``tx_power_dbm`` is the *configured* transmit power; the power the
     radio transmits at right now is :attr:`Radio.tx_power_dbm`, which
     C-SR's power cap lowers and restores.
-    ``cs_threshold_dbm`` is the paper's ``T_cs``; ``noise_floor_dbm``
-    defaults to the -95 dBm the paper quotes for 2.4 GHz WiFi.
-    ``capture`` enables message-in-message capture: a later frame that is
-    decodable *over* the ongoing reception re-locks the receiver (standard
-    on commodity 802.11 hardware, and required for an exposed terminal's
-    receiver to pick its own sender's frame out of an overheard weaker
-    transmission it happened to lock first).
+    ``cs_threshold_dbm`` is the paper's ``T_cs``.
     """
 
     tx_power_dbm: float = 0.0
     cs_threshold_dbm: float = -82.0
-    noise_floor_dbm: float = -95.0
-    capture: bool = True
 
 
 class _ReceptionLock:
@@ -101,7 +99,7 @@ class Radio:
         self.sim = channel.sim
         self.mac = None  # bound via bind_mac()
         self._cs_threshold_mw = dbm_to_mw(config.cs_threshold_dbm)
-        self._noise_mw = dbm_to_mw(config.noise_floor_dbm)
+        self._noise_mw = dbm_to_mw(NOISE_FLOOR_DBM)
         self._in_air: dict = {}  # Transmission -> rx power mW
         # sum(self._in_air.values()), recomputed by exactly that expression
         # at every _in_air mutation, so it is the sum a recomputation over
@@ -207,13 +205,6 @@ class Radio:
         """
         return self._energy_mw
 
-    def energy_dbm(self) -> float:
-        """In-air power in dBm; the noise floor when nothing is in the air."""
-        energy = self.energy_mw()
-        if energy <= 0.0:
-            return self.config.noise_floor_dbm
-        return mw_to_dbm(energy + self._noise_mw)
-
     def medium_busy(self) -> bool:
         """Clear-channel assessment: own transmission or energy over T_cs."""
         return self._current_tx is not None or self._energy_mw >= self._cs_threshold_mw
@@ -289,8 +280,7 @@ class Radio:
                     # whether or not below-floor culling skipped them.
                     self.frames_missed += 1
             elif (
-                self.config.capture
-                and power_mw >= rate.sensitivity_mw
+                power_mw >= rate.sensitivity_mw
                 and power_mw / (energy - power_mw + self._noise_mw)
                 >= rate.sir_threshold_ratio
             ):

@@ -9,7 +9,7 @@ aggregations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
@@ -62,11 +62,6 @@ class EmpiricalCdf:
     def median(self) -> float:
         """Median of the samples."""
         return self.quantile(0.5)
-
-    def as_plot_series(self) -> List[tuple]:
-        """Return ``(x, F(x))`` pairs suitable for step plotting/printing."""
-        n = len(self._samples)
-        return [(x, (i + 1) / n) for i, x in enumerate(self._samples)]
 
 
 def jain_fairness(values: Sequence[float]) -> float:

@@ -1,7 +1,8 @@
 """Shared test fixtures and stub objects."""
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import pytest
 
@@ -75,7 +76,6 @@ def build_phy_world(
     sigma_db: float = 0.0,
     shadowing_mode: str = "none",
     seed: int = 0,
-    capture: bool = True,
     cull_margin_db=None,
 ) -> PhyWorld:
     """Create radios at ``positions`` with stub MACs on one channel."""
@@ -94,9 +94,7 @@ def build_phy_world(
             radio_id=i,
             position=Point(x, y),
             config=RadioConfig(
-                tx_power_dbm=tx_power_dbm,
-                cs_threshold_dbm=cs_threshold_dbm,
-                capture=capture,
+                tx_power_dbm=tx_power_dbm, cs_threshold_dbm=cs_threshold_dbm
             ),
             channel=channel,
         )
@@ -115,6 +113,27 @@ class MacWorld:
     channel: Channel
     radios: List[Radio]
     macs: list
+    #: Frames offered beyond what a sender's queue holds, per sender.
+    backlogs: Dict[int, Deque[Tuple[int, int]]] = field(default_factory=dict)
+
+    def offer(self, src: int, dst: int, payload_bytes: int, count: int) -> None:
+        """Offer ``count`` frames src -> dst, more than a MAC queue holds.
+
+        What does not fit waits here and tops the queue up as it drains
+        (through ``on_queue_space``, as ``SaturatedSource`` does for a
+        node), so the sender stays backlogged until all were sent.
+        """
+        backlog = self.backlogs.get(src)
+        if backlog is None:
+            backlog = self.backlogs[src] = deque()
+            self.macs[src].on_queue_space = lambda: self._top_up(src)
+        backlog.extend([(dst, payload_bytes)] * count)
+        self._top_up(src)
+
+    def _top_up(self, src: int) -> None:
+        mac, backlog = self.macs[src], self.backlogs[src]
+        while backlog and mac.enqueue(*backlog[0]):
+            backlog.popleft()
 
     def run(self, seconds: float) -> None:
         self.sim.run(until=self.sim.now + int(seconds * 1e9))

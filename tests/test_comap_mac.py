@@ -33,7 +33,7 @@ def comap_factory(positions, comap_config=None, tx_power=0.0, t_cs=-87.0,
     """
     cfg = comap_config or CoMapMacConfig()
     if protocol_config is None:
-        protocol_config = CoMapConfig(t_prr=0.95, t_sir_db=t_sir)
+        protocol_config = CoMapConfig(t_sir_db=t_sir)
     table = NeighborTable()
 
     def factory(i, sim, radio, rngs):
@@ -152,18 +152,6 @@ class TestExposedConcurrency:
         assert world.delivered(0, (2, 0)) == 5
         assert world.delivered(1, (3, 1)) == 5
 
-    def test_no_concurrency_when_disabled(self):
-        world = build_et_world(
-            comap_config=CoMapMacConfig(enable_concurrency=False,
-                                        persistent_exposure=False)
-        )
-        for _ in range(5):
-            world.macs[3].enqueue(1, 1400)
-            world.macs[2].enqueue(0, 1400)
-        world.run(0.5)
-        assert world.macs[2].comap_stats.concurrent_transmissions == 0
-        assert world.macs[3].comap_stats.concurrent_transmissions == 0
-
     def test_validation_rejects_close_interferer(self):
         world = build_et_world(c2_x=16.0)
         for _ in range(5):
@@ -179,23 +167,16 @@ class TestExposedConcurrency:
             # Saturated: far more offered traffic than a serial channel
             # can carry in the measurement window.
             world = mac_kind_world
-            for _ in range(400):
-                world.macs[2].enqueue(0, 1400)
-                world.macs[3].enqueue(1, 1400)
+            world.offer(2, 0, 1400, 400)
+            world.offer(3, 1, 1400, 400)
             world.run(1.0)
             return world.delivered(0, (2, 0)) + world.delivered(1, (3, 1))
 
-        from repro.mac.dcf import MacConfig
-
-        comap = total_goodput(
-            build_et_world(c2_x=30.0,
-                           comap_config=CoMapMacConfig(queue_limit=900))
-        )
+        comap = total_goodput(build_et_world(c2_x=30.0))
         dcf = total_goodput(
             build_mac_world([(0, 0), (36, 0), (-8, 0), (30, 0)],
                             tx_power_dbm=0.0, cs_threshold_dbm=-87.0,
-                            alpha=2.9, sigma_db=4.0, shadowing_mode="none",
-                            config=MacConfig(queue_limit=900))
+                            alpha=2.9, sigma_db=4.0, shadowing_mode="none")
         )
         assert comap > dcf * 1.2
 
@@ -218,7 +199,7 @@ class TestExposedConcurrency:
 
 
 class TestEnhancedScheduler:
-    def build_three_et_world(self, queue_limit=300):
+    def build_three_et_world(self):
         """Three mutually-exposed clients, far-apart receivers.
 
         ids: 0,1,2 = APs; 3,4,5 = clients at 0/30/60 m (all within the
@@ -227,9 +208,7 @@ class TestEnhancedScheduler:
         spacing so all three sense each other.
         """
         positions = [(-8, 6), (36, 6), (64, 6), (0, 0), (28, 0), (56, 0)]
-        factory, table = comap_factory(
-            positions, comap_config=CoMapMacConfig(queue_limit=queue_limit)
-        )
+        factory, table = comap_factory(positions)
         world = build_mac_world(
             positions, mac_factory=factory, tx_power_dbm=0.0,
             cs_threshold_dbm=-87.0, alpha=2.9, sigma_db=4.0,
@@ -244,9 +223,8 @@ class TestEnhancedScheduler:
 
     def test_multi_et_aggregate_exceeds_serial(self):
         world = self.build_three_et_world()
-        for _ in range(100):
-            for client, ap in ((3, 0), (4, 1), (5, 2)):
-                world.macs[client].enqueue(ap, 1400)
+        for client, ap in ((3, 0), (4, 1), (5, 2)):
+            world.offer(client, ap, 1400, 100)
         world.run(1.0)
         delivered = sum(world.delivered(ap, (client, ap))
                         for client, ap in ((3, 0), (4, 1), (5, 2)))
@@ -256,9 +234,8 @@ class TestEnhancedScheduler:
 
     def test_abandons_counted_under_contention(self):
         world = self.build_three_et_world()
-        for _ in range(100):
-            for client, ap in ((3, 0), (4, 1), (5, 2)):
-                world.macs[client].enqueue(ap, 1400)
+        for client, ap in ((3, 0), (4, 1), (5, 2)):
+            world.offer(client, ap, 1400, 100)
         world.run(0.5)
         stats = [world.macs[c].comap_stats for c in (3, 4, 5)]
         # The RSSI monitor must have fired at least occasionally.
@@ -312,7 +289,7 @@ class TestAdaptationIntegration:
         from repro.core.adaptation import AdaptationTable
 
         cfg = CoMapMacConfig()
-        protocol_config = CoMapConfig(t_prr=0.95, t_sir_db=10.0)
+        protocol_config = CoMapConfig(t_sir_db=10.0)
         table = AdaptationTable(OFDM_TIMING, OFDM_RATES.by_bps(6_000_000),
                                 OFDM_RATES.base, protocol_config)
         neighbors = NeighborTable()

@@ -37,7 +37,7 @@ def build_downlink_world(config=CoMapMacConfig()):
         (-12.0, 0.0),   # 3: Cnear
         (8.0, 0.0),     # 4: Csafe
     ]
-    protocol_config = CoMapConfig(t_prr=0.95, t_sir_db=4.0)
+    protocol_config = CoMapConfig(t_sir_db=4.0)
     table = NeighborTable()
 
     def factory(i, sim, radio, rngs):

@@ -1,7 +1,5 @@
 """Concurrency validation (Fig. 4 geometry)."""
 
-import pytest
-
 from repro.core.concurrency import ConcurrencyValidator
 from repro.core.neighbor_table import NeighborTable
 from repro.phy.propagation import LogNormalShadowing
@@ -9,9 +7,9 @@ from repro.phy.prr import PrrModel
 from repro.util.geometry import Point
 
 
-def make_validator(t_prr=0.95, t_sir=4.0, sigma=4.0):
+def make_validator(t_sir=4.0, sigma=4.0):
     model = PrrModel(LogNormalShadowing(alpha=2.9, sigma_db=sigma), t_sir_db=t_sir)
-    return ConcurrencyValidator(model, t_prr=t_prr)
+    return ConcurrencyValidator(model)
 
 
 def et_scenario_table(c2_x: float) -> NeighborTable:
@@ -68,16 +66,15 @@ class TestValidation:
         assert not validator.validate(table, 3, 1, 2, 1).allowed
 
     def test_threshold_strictness_monotone(self):
-        # A stricter T_PRR can only turn allowed into denied.
-        table = et_scenario_table(26.0)
-        lax = make_validator(t_prr=0.5).validate(table, 3, 1, 2, 0)
-        strict = make_validator(t_prr=0.99).validate(table, 3, 1, 2, 0)
-        if strict.allowed:
-            assert lax.allowed
-
-    def test_invalid_t_prr_rejected(self):
-        with pytest.raises(ValueError):
-            make_validator(t_prr=1.0)
+        # Moving C2 from AP1 toward its own AP raises both PRRs, so along
+        # the line the T_PRR bar can only turn denied into allowed.
+        validator = make_validator()
+        verdicts = [
+            validator.validate(et_scenario_table(float(x)), 3, 1, 2, 0).allowed
+            for x in range(14, 36, 2)
+        ]
+        assert verdicts == sorted(verdicts)
+        assert not verdicts[0] and verdicts[-1]
 
     def test_et_region_boundary_matches_paper(self):
         # With the testbed parameters the validated ET region opens a few

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mac.dcf import MacConfig, MacState
+from repro.mac.dcf import CW_MIN, QUEUE_LIMIT, RETRY_LIMIT, MacConfig, MacState
 from repro.mac.frames import BROADCAST
 
 from tests.conftest import build_mac_world
@@ -59,10 +59,10 @@ class TestBasicExchange:
 
 class TestQueueing:
     def test_queue_overflow_drops(self):
-        world = build_mac_world([(0, 0), (10, 0)], config=MacConfig(queue_limit=2))
-        accepted = [world.macs[0].enqueue(1, 100) for _ in range(5)]
+        world = build_mac_world([(0, 0), (10, 0)])
+        accepted = [world.macs[0].enqueue(1, 100) for _ in range(QUEUE_LIMIT + 3)]
         # Head is pulled immediately, so limit+1 fit before drops begin.
-        assert accepted.count(True) == 3
+        assert accepted.count(True) == QUEUE_LIMIT + 1
         assert world.macs[0].stats.queue_drops == 2
 
     def test_on_queue_space_fires(self):
@@ -96,7 +96,6 @@ class TestHiddenTerminalCollision:
     def test_retries_eventually_drop(self):
         # Receiver permanently jammed by a third hidden node.
         world = self.build()
-        config = world.macs[0].config
         for _ in range(1):
             world.macs[0].enqueue(1, 1000)
         # Jam: node 2 saturated with broadcasts that always overlap.
@@ -107,7 +106,7 @@ class TestHiddenTerminalCollision:
         assert stats.retry_drops + stats.successes >= 1
         if stats.retry_drops:
             # Retransmission count respects the retry limit.
-            assert stats.data_transmissions <= config.retry_limit + 2
+            assert stats.data_transmissions <= RETRY_LIMIT + 2
 
 
 class TestCarrierSenseDeferral:
@@ -160,17 +159,9 @@ class TestBackoffWindows:
     def test_beb_draws_within_cw(self):
         world = build_mac_world([(0, 0), (10, 0)])
         draws = [world.macs[0]._draw_backoff() for _ in range(300)]
-        assert max(draws) <= world.macs[0].config.cw_min
+        assert max(draws) <= CW_MIN
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            MacConfig(cw_min=0)
-        with pytest.raises(ValueError):
-            MacConfig(cw_min=63, cw_max=31)
-        with pytest.raises(ValueError):
-            MacConfig(retry_limit=-1)
-        with pytest.raises(ValueError):
-            MacConfig(queue_limit=0)
         with pytest.raises(ValueError):
             MacConfig(constant_cw=0)
 
@@ -188,7 +179,7 @@ class TestBackoffWindows:
         # the window resets.
         mac.enqueue(1, 1000)
         world.run(0.5)
-        assert mac._cw == mac.config.cw_min
+        assert mac._cw == CW_MIN
 
     def test_duplicate_data_counted_not_delivered_twice(self):
         world = build_mac_world([(0, 0), (10, 0)])

@@ -118,32 +118,6 @@ class TestEifs:
         assert not mac._need_eifs
         assert world.delivered(1) == 1
 
-    def test_eifs_disabled_by_config(self):
-        world = build_mac_world([(0, 0), (10, 0)], config=MacConfig(use_eifs=False))
-        mac = world.macs[0]
-        from repro.mac.frames import Frame, FrameType
-
-        mac.on_frame_corrupted(Frame(kind=FrameType.DATA, src=5, dst=6,
-                                     rate=OFDM_RATES.base, payload_bytes=100))
-        assert mac._current_ifs_ns() == OFDM_TIMING.difs_ns
-
-
-class TestImmediateAccess:
-    def test_immediate_access_skips_backoff_on_idle(self):
-        config = MacConfig(immediate_access=True)
-        world = build_mac_world([(0, 0), (10, 0)], config=config)
-        starts = []
-        orig = world.channel.transmit
-
-        def spy(sender, frame):
-            starts.append(world.sim.now)
-            return orig(sender, frame)
-
-        world.channel.transmit = spy
-        world.macs[0].enqueue(1, 500)
-        world.run(0.01)
-        assert starts[0] == OFDM_TIMING.difs_ns
-
 
 class TestAirLatency:
     def test_same_slot_expiries_collide(self):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.config import CoMapConfig
-from repro.mac.comap import CoMapMacConfig
 from repro.mac.frames import (
     EMBEDDED_ANNOUNCE_BYTES,
     MAC_DATA_OVERHEAD_BYTES,
@@ -34,7 +33,6 @@ class TestEmbeddedMode:
     def build(self, c2_x=30.0):
         world = build_et_world(
             c2_x=c2_x,
-            comap_config=CoMapMacConfig(queue_limit=300),
             protocol_config=CoMapConfig(t_sir_db=4.0, announce_mode="embedded"),
         )
         return world
@@ -97,12 +95,10 @@ class TestEmbeddedMode:
         def aggregate(mode):
             world = build_et_world(
                 c2_x=30.0,
-                comap_config=CoMapMacConfig(queue_limit=700),
                 protocol_config=CoMapConfig(t_sir_db=4.0, announce_mode=mode),
             )
-            for _ in range(300):
-                world.macs[2].enqueue(0, 1400)
-                world.macs[3].enqueue(1, 1400)
+            world.offer(2, 0, 1400, 300)
+            world.offer(3, 1, 1400, 300)
             world.run(1.0)
             return world.delivered(0, (2, 0)) + world.delivered(1, (3, 1))
 

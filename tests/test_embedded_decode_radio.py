@@ -55,9 +55,10 @@ class TestPartialDecode:
         assert sink.headers == []
 
     def test_interfered_header_not_delivered(self):
-        # A strong interferer present during the header portion makes the
-        # partial decode fail even though the announcement bit is set.
-        world = build_phy_world([(0, 0), (10, 0), (11, 0)], capture=False)
+        # An equal-power interferer present during the header portion (too
+        # weak to capture the receiver) makes the partial decode fail even
+        # though the announcement bit is set.
+        world = build_phy_world([(0, 0), (10, 0), (20, 0)])
         sink = StubHeaderSink(world.macs[1]).install(world.radios[1])
         frame = announced_frame(world, 0, 1, payload=1500)
         world.radios[0].start_transmission(frame)

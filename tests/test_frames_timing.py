@@ -10,7 +10,7 @@ from repro.mac.frames import (
     Frame,
     FrameType,
 )
-from repro.mac.timing import DSSS_TIMING, OFDM_TIMING, timing_for_rates
+from repro.mac.timing import DSSS_TIMING, OFDM_TIMING
 from repro.phy.rates import DSSS_RATES, OFDM_RATES
 from repro.util.units import MICROSECOND
 
@@ -105,7 +105,3 @@ class TestTiming:
     def test_ts_exceeds_tc(self):
         rate = OFDM_RATES.base
         assert OFDM_TIMING.data_exchange_ns(rate, 500, rate) > OFDM_TIMING.collision_ns(rate, 500)
-
-    def test_timing_for_rates(self):
-        assert timing_for_rates(DSSS_RATES) is DSSS_TIMING
-        assert timing_for_rates(OFDM_RATES) is OFDM_TIMING

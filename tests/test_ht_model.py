@@ -54,11 +54,6 @@ class TestHtPenalty:
         best = payloads[curve.index(max(curve))]
         assert best < 2000
 
-    def test_goodput_curve_helper(self):
-        curve = make_model().goodput_curve(63, 5, 1, [200, 1000])
-        assert len(curve) == 2
-        assert curve[0][0] == 200 and curve[0][1] > 0
-
 
 class TestDecoupledAttackers:
     def test_attacker_window_changes_survival(self):

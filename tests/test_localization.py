@@ -1,7 +1,5 @@
 """Localization error models."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -85,11 +83,7 @@ class TestGaussianError:
 
 
 def _two_client_net(error_model, seed=3):
-    params = ns2_params()
-    params = params.with_overrides(
-        comap=dataclasses.replace(params.comap, position_update_threshold_m=1.0)
-    )
-    net = Network(params, mac_kind="comap", seed=seed, error_model=error_model)
+    net = Network(ns2_params(), mac_kind="comap", seed=seed, error_model=error_model)
     ap = net.add_ap("AP", 0, 0)
     c1 = net.add_client("C1", 10, 0, ap=ap)
     c2 = net.add_client("C2", -10, 0, ap=ap)

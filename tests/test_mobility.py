@@ -1,23 +1,19 @@
 """Mobility with threshold-based position re-reporting (Section V)."""
 
-import dataclasses
-
 import pytest
 
+from repro.core.protocol import POSITION_UPDATE_THRESHOLD_M
 from repro.experiments.params import ns2_params
 from repro.experiments.topologies import exposed_terminal_topology, office_floor_topology
 from repro.faults import BeaconLoss, FaultPlan, LocationDrift
+from repro.net.localization import UniformDiskError
 from repro.net.mobility import LinearMobility
 from repro.net.network import Network
 from repro.util.geometry import Point
 
 
-def make_net(threshold_m=5.0):
-    params = ns2_params()
-    params = params.with_overrides(
-        comap=dataclasses.replace(params.comap, position_update_threshold_m=threshold_m)
-    )
-    net = Network(params, mac_kind="comap", seed=0)
+def make_net():
+    net = Network(ns2_params(), mac_kind="comap", seed=0)
     ap = net.add_ap("AP", 0, 0)
     c = net.add_client("C", 10, 0, ap=ap)
     net.finalize()
@@ -46,28 +42,20 @@ class TestLinearMobility:
         assert c.position == Point(20, 10)
 
     def test_reports_throttled_by_threshold(self):
-        net, ap, c = make_net(threshold_m=5.0)
+        net, ap, c = make_net()
         mover = LinearMobility(net, c, [(10, 40)], speed_mps=10.0, tick_s=0.05)
         net.run(5.0)
         # 40 m of travel with a 5 m threshold: roughly 8 reports, far
         # fewer than the 80 movement ticks.
         assert 4 <= mover.reports_sent <= 10
 
-    def test_tight_threshold_reports_more(self):
-        net_loose, _, c1 = make_net(threshold_m=10.0)
-        loose = LinearMobility(net_loose, c1, [(10, 40)], speed_mps=10.0, tick_s=0.05)
-        net_loose.run(5.0)
-        net_tight, _, c2 = make_net(threshold_m=2.0)
-        tight = LinearMobility(net_tight, c2, [(10, 40)], speed_mps=10.0, tick_s=0.05)
-        net_tight.run(5.0)
-        assert tight.reports_sent > loose.reports_sent
-
     def test_neighbors_learn_final_position(self):
-        net, ap, c = make_net(threshold_m=2.0)
+        net, ap, c = make_net()
         LinearMobility(net, c, [(10, 40)], speed_mps=10.0, tick_s=0.05)
         net.run(5.0)
         reported = ap.agent.neighbor_table.position_of(c.node_id)
-        assert reported.distance_to(Point(10, 40)) <= 2.5
+        # Within the threshold plus one 0.5 m tick of the final spot.
+        assert reported.distance_to(Point(10, 40)) <= POSITION_UPDATE_THRESHOLD_M + 0.5
 
     def test_traffic_survives_mobility(self):
         net, ap, c = make_net()
@@ -96,6 +84,31 @@ class TestLinearMobility:
         assert c2.agent.reported_position == ap2.agent.reported_position
         assert net.counters()["comap/adaptation_refreshes"] > refreshes
         net.run(0.1)
+
+
+class TestReportsUnderLocalizationError:
+    """The 5 m rule measures the node's walk, not its error-perturbed reports."""
+
+    @staticmethod
+    def _walk(distance_m, speed_mps, seconds):
+        net = office_floor_topology(
+            "comap", topology_seed=1001, seed=1, error_model=UniformDiskError(10.0)
+        ).network
+        c0 = net.node("C0")
+        start = c0.position
+        mover = LinearMobility(
+            net, c0, [(start.x + distance_m, start.y)], speed_mps=speed_mps, tick_s=0.2
+        )
+        net.run(seconds)
+        return mover.reports_sent, net.counters()["comap/adaptation_refreshes"]
+
+    def test_sub_threshold_walk_sends_no_report(self):
+        # 2 m at 1 m/s: no report, and only finalize's 12 refreshes.
+        assert self._walk(2.0, 1.0, 3.0) == (0, 12)
+
+    def test_walk_past_threshold_reports(self):
+        reports, _ = self._walk(8.0, 4.0, 2.2)
+        assert reports == 1
 
 
 def _refresh_counts(net):
@@ -170,7 +183,7 @@ class TestAdaptationRefreshScope:
         assert net.counters()["comap/adaptation_refreshes"] > finalized
 
     def test_sub_threshold_move_refreshes_nothing(self):
-        net, ap, c = make_net(threshold_m=5.0)
+        net, ap, c = make_net()
         before = _refresh_counts(net)
         assert not net.update_node_position(c, Point(11, 0))  # 1 m move
         assert _refresh_counts(net) == before
@@ -193,7 +206,7 @@ class TestAdaptationRefreshScope:
     def test_between_run_report_refreshes_synchronously(self):
         # Outside sim.run a deferred refresh would never fire; the drain
         # must happen inline so direct calls see the adapted state.
-        net, ap, c = make_net(threshold_m=5.0)
+        net, ap, c = make_net()
         before = _refresh_counts(net)
         assert net.update_node_position(c, Point(30, 0))
         after = _refresh_counts(net)
@@ -205,7 +218,7 @@ class TestAdaptationRefreshScope:
         # arriving between runs drains inline — it must consume the dirty
         # set exactly once AND cancel the stale queued drain, or the same
         # MACs get a second (phantom) refresh pass at sim start.
-        net, ap, c = make_net(threshold_m=5.0)
+        net, ap, c = make_net()
         net.sim.schedule(1_000, net.update_node_position, c, Point(30, 0))
         net.sim.run(max_events=1)  # report fired; its drain is still queued
         before = _refresh_counts(net)

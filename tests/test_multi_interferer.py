@@ -68,8 +68,8 @@ class TestValidateMulti:
         t.update(6, Point(6, 0))      # my receiver
         return t
 
-    def validator(self, t_prr=0.95):
-        return ConcurrencyValidator(make_model(), t_prr=t_prr)
+    def validator(self):
+        return ConcurrencyValidator(make_model())
 
     def test_two_far_links_allowed(self):
         result = self.validator().validate_multi(self.table(), [(1, 2), (3, 4)], 5, 6)
@@ -91,17 +91,19 @@ class TestValidateMulti:
 
     def test_aggregation_can_flip_a_marginal_verdict(self):
         # Each single interferer passes, but two of them together push the
-        # combined interference over the line.
+        # combined interference over the line (my PRR: 0.96 alone, 0.94
+        # from both, against T_PRR = 0.95).
         t = NeighborTable()
-        t.update(1, Point(-34, 0)); t.update(2, Point(-40, 6))
-        t.update(3, Point(34, 0)); t.update(4, Point(40, 6))
+        t.update(1, Point(-32, 0)); t.update(2, Point(-38, 6))
+        t.update(3, Point(32, 0)); t.update(4, Point(38, 6))
         t.update(5, Point(0, 0)); t.update(6, Point(8, 0))
-        validator = self.validator(t_prr=0.93)
+        validator = self.validator()
         single_a = validator.validate(t, 1, 2, 5, 6)
         single_b = validator.validate(t, 3, 4, 5, 6)
         both = validator.validate_multi(t, [(1, 2), (3, 4)], 5, 6)
         assert single_a.allowed and single_b.allowed
         assert both.prr_mine < min(single_a.prr_mine, single_b.prr_mine)
+        assert not both.allowed
 
     def test_agent_facade(self):
         agent = CoMapAgent(

@@ -69,11 +69,11 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             Network(ns2_params(), mac_overrides={"bogus_field": 1})
 
-    @pytest.mark.parametrize("override", [{"queue_limit": 0}, {"cw_min": 0}])
+    @pytest.mark.parametrize("override", [{"constant_cw": 0}])
     def test_invalid_mac_override_rejected(self, override):
         # The override goes through MacConfig's own validation, when the
-        # network is built: a zero queue would otherwise drop every
-        # enqueue of a valid-looking run.
+        # network is built, not at the first backoff drawn from an empty
+        # window.
         with pytest.raises(ValueError):
             Network(ns2_params(), mac_kind="comap", seed=1, mac_overrides=override)
 

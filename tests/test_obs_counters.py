@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.experiments.metrics import comap_counters, network_counters
 from repro.experiments.params import ns2_params
 from repro.net.network import Network
 from repro.obs.counters import (
@@ -153,7 +152,6 @@ class TestRegistry:
         reg.register_source("mac", lambda: {"tx": 2, "rx": 1})
         reg.register_source("mac", lambda: {"tx": 3})
         reg.register_source("", lambda: {"bare": 9})
-        assert reg.source_count == 3
         snap = reg.snapshot()
         assert snap["mac/tx"] == 5
         assert snap["mac/rx"] == 1
@@ -219,22 +217,14 @@ class TestNetworkIntegration:
 
     def test_network_registers_all_layers(self):
         net = self.run_network("comap")
-        snap = network_counters(net)
+        snap = net.counters()
         assert "comap/headers_sent" in snap
         assert snap["mac/data_transmissions"] > 0
         assert snap["channel/frames_sent"] > 0
         assert snap["sim/events_fired"] > 0
 
-    def test_comap_counters_match_registry_namespace(self):
-        net = self.run_network("comap")
-        snap = network_counters(net)
-        derived = comap_counters(net)
-        assert derived  # non-empty for comap networks
-        for name, value in derived.items():
-            assert snap[f"comap/{name}"] == value
-
     def test_dcf_network_has_mac_but_no_comap(self):
         net = self.run_network("dcf")
-        snap = network_counters(net)
+        snap = net.counters()
         assert snap["mac/data_transmissions"] > 0
         assert not any(key.startswith("comap/") for key in snap)

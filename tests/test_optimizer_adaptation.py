@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analytical.bianchi import BianchiSlotModel
 from repro.analytical.ht_model import HtGoodputModel
 from repro.analytical.optimizer import SettingOptimizer
-from repro.core.adaptation import AdaptationTable
+from repro.core.adaptation import MAX_CONTENDERS, MAX_HIDDEN_TERMINALS, AdaptationTable
 from repro.core.config import CoMapConfig
 from repro.mac.timing import OFDM_TIMING
 from repro.phy.rates import OFDM_RATES
@@ -71,10 +71,9 @@ class TestSettingOptimizer:
 
 
 class TestAdaptationTable:
-    def make_table(self, **config_kwargs):
-        config = CoMapConfig(**config_kwargs)
+    def make_table(self):
         return AdaptationTable(
-            OFDM_TIMING, OFDM_RATES.by_bps(6_000_000), OFDM_RATES.base, config
+            OFDM_TIMING, OFDM_RATES.by_bps(6_000_000), OFDM_RATES.base, CoMapConfig()
         )
 
     def test_best_settings_basic(self):
@@ -83,8 +82,10 @@ class TestAdaptationTable:
         assert 100 <= setting.payload_bytes <= 2000
 
     def test_counts_clamped_to_bounds(self):
-        table = self.make_table(max_hidden_terminals=3, max_contenders=3)
-        assert table.best_settings(99, 99) == table.best_settings(3, 3)
+        table = self.make_table()
+        assert table.best_settings(99, 99) == table.best_settings(
+            MAX_HIDDEN_TERMINALS, MAX_CONTENDERS
+        )
         assert table.best_settings(-2, -2) == table.best_settings(0, 0)
 
     def test_hidden_terminals_shrink_payload(self):
@@ -96,8 +97,9 @@ class TestAdaptationTable:
         assert p5 <= p0
 
     def test_render(self):
-        text = self.make_table(max_hidden_terminals=1, max_contenders=1).render()
+        text = self.make_table().render()
         assert "h\\c" in text
+        assert len(text.splitlines()) == MAX_HIDDEN_TERMINALS + 2
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6))

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.experiments.metrics import (
-    average_link_goodput_mbps,
-    comap_counters,
-    flow_goodputs_mbps,
-    link_goodput_mbps,
-)
+from repro.core.concurrency import T_PRR
+from repro.experiments.metrics import average_link_goodput_mbps, flow_goodputs_mbps
 from repro.experiments.params import NS2_TABLE_I, ht_params, ht_testbed_params, ns2_params
 from repro.experiments.params import testbed_params as make_testbed_params
 from repro.net.network import Network
@@ -18,7 +14,7 @@ class TestParams:
         params = ns2_params()
         assert params.data_rate_bps == 6_000_000
         assert params.tx_power_dbm == 20.0
-        assert params.comap.t_prr == 0.95
+        assert T_PRR == 0.95
         assert params.cs_threshold_dbm == -80.0
         assert params.alpha == 3.3
         assert params.sigma_db == 5.0
@@ -66,10 +62,6 @@ class TestMetrics:
         net.add_saturated(c2, ap)
         return net, net.run(0.2), [(c1.node_id, ap.node_id), (c2.node_id, ap.node_id)]
 
-    def test_link_goodput(self):
-        net, results, flows = self.make_results()
-        assert link_goodput_mbps(results, *flows[0]) > 0
-
     def test_flow_goodputs(self):
         net, results, flows = self.make_results()
         table = flow_goodputs_mbps(results, flows)
@@ -85,17 +77,3 @@ class TestMetrics:
         net, results, _ = self.make_results()
         with pytest.raises(ValueError):
             average_link_goodput_mbps(results, [])
-
-    def test_comap_counters_empty_for_dcf(self):
-        net, *_ = self.make_results()
-        assert comap_counters(net) == {}
-
-    def test_comap_counters_aggregate(self):
-        net = Network(ns2_params(), mac_kind="comap", seed=0)
-        ap = net.add_ap("AP", 0, 0)
-        c = net.add_client("C", 10, 0, ap=ap)
-        net.finalize()
-        net.add_saturated(c, ap)
-        net.run(0.1)
-        counters = comap_counters(net)
-        assert "headers_sent" in counters

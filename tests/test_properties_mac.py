@@ -14,7 +14,6 @@ from repro.core.config import CoMapConfig
 from repro.core.neighbor_table import NeighborTable
 from repro.core.protocol import CoMapAgent
 from repro.mac.comap import CoMapMac, CoMapMacConfig
-from repro.mac.dcf import MacConfig
 from repro.mac.rate_control import FixedRate
 from repro.mac.timing import OFDM_TIMING
 from repro.phy.rates import OFDM_RATES
@@ -40,10 +39,7 @@ class TestDcfConservation:
     def test_every_packet_delivered_or_dropped(self, script):
         # Three senders around one AP (receiver id 3); mixed distances so
         # collisions and capture both occur.
-        world = build_mac_world(
-            [(10, 0), (-10, 0), (0, 12), (0, 0)],
-            config=MacConfig(queue_limit=100),
-        )
+        world = build_mac_world([(10, 0), (-10, 0), (0, 12), (0, 0)])
         accepted = 0
         now_us = 0
         for sender, payload, gap_us in script:
@@ -74,7 +70,6 @@ class TestDcfConservation:
         world = build_mac_world(
             [(-10, 0), (10, 0), (0, 8), (0, 0)],
             cs_threshold_dbm=-55.0,
-            config=MacConfig(queue_limit=100, retry_limit=3),
         )
         accepted = 0
         now_us = 0
@@ -106,7 +101,8 @@ class TestCoMapConservation:
         # The Fig. 1 ET geometry with CO-MAP: concurrency, SR-ARQ and
         # retransmissions must not lose or duplicate MSDUs.
         positions = [(0, 0), (36, 0), (-8, 0), (30, 0)]
-        protocol_config = CoMapConfig(t_prr=0.95, t_sir_db=4.0)
+        protocol_config = CoMapConfig(t_sir_db=4.0)
+        config = CoMapMacConfig()
         table = NeighborTable()
 
         def factory(i, sim, radio, rngs):
@@ -115,7 +111,7 @@ class TestCoMapConservation:
                                neighbor_table=table)
             return CoMapMac(
                 i, sim, radio, OFDM_TIMING, OFDM_RATES, rngs,
-                config=CoMapMacConfig(queue_limit=100),
+                config=config,
                 rate_policy=FixedRate(OFDM_RATES.by_bps(6_000_000)),
                 agent=agent,
             )

@@ -12,8 +12,8 @@ from repro.phy.rates import DSSS_RATES
 from repro.util.geometry import Point
 
 
-def make_agent(node_id=2, t_sir=4.0, with_adaptation=False, threshold_m=5.0):
-    config = CoMapConfig(t_sir_db=t_sir, position_update_threshold_m=threshold_m)
+def make_agent(node_id=2, t_sir=4.0, with_adaptation=False):
+    config = CoMapConfig(t_sir_db=t_sir)
     adaptation = None
     if with_adaptation:
         adaptation = AdaptationTable(
@@ -114,8 +114,10 @@ class TestMobilityManagement:
         assert agent.should_report_move(Point(0, 0))
 
     def test_small_moves_suppressed(self):
-        agent = make_agent(threshold_m=5.0)
-        agent.mark_reported(Point(0, 0))
+        agent = make_agent()
+        # Reported (4, 4) while at (0, 0): the 5 m rule measures the
+        # node's own move, not the distance to its perturbed report.
+        agent.mark_reported(Point(4, 4), Point(0, 0))
         assert not agent.should_report_move(Point(3, 0))
         assert agent.should_report_move(Point(6, 0))
 

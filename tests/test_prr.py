@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.phy.propagation import LogNormalShadowing
-from repro.phy.prr import PrrModel, _inverse_standard_normal_cdf, _standard_normal_cdf
+from repro.phy.prr import PrrModel, _standard_normal_cdf
 
 
 def make_model(alpha=2.9, sigma=4.0, t_sir=4.0):
@@ -17,14 +17,6 @@ class TestNormalCdfHelpers:
 
     def test_cdf_known_value(self):
         assert _standard_normal_cdf(1.645) == pytest.approx(0.95, abs=1e-3)
-
-    def test_inverse_round_trip(self):
-        for p in (0.05, 0.5, 0.9, 0.99):
-            assert _standard_normal_cdf(_inverse_standard_normal_cdf(p)) == pytest.approx(p, abs=1e-6)
-
-    def test_inverse_rejects_bounds(self):
-        with pytest.raises(ValueError):
-            _inverse_standard_normal_cdf(0.0)
 
 
 class TestPrr:
@@ -118,25 +110,3 @@ class TestCarrierSenseMiss:
         assert model.carrier_sense_miss_probability(
             0.0, 0.0, -87.0
         ) == model.carrier_sense_miss_probability(1.0, 0.0, -87.0)
-
-
-class TestInterferenceRange:
-    def test_range_respects_prr_floor(self):
-        model = make_model()
-        r = model.interference_range(10.0, prr_floor=0.5)
-        # At exactly r the PRR equals the floor.
-        assert model.prr(10.0, r) == pytest.approx(0.5, abs=1e-6)
-
-    def test_tighter_floor_means_larger_range(self):
-        model = make_model()
-        assert model.interference_range(10.0, 0.9) > model.interference_range(10.0, 0.5)
-
-    def test_floor_bounds(self):
-        with pytest.raises(ValueError):
-            make_model().interference_range(10.0, prr_floor=1.0)
-
-    def test_no_shadowing_range(self):
-        model = make_model(sigma=0.0, t_sir=10.0)
-        r = model.interference_range(10.0, 0.5)
-        # Deterministic: SIR threshold crossing at d * 10^(T_sir/(10 alpha)).
-        assert r == pytest.approx(10.0 * 10 ** (10.0 / 29.0), rel=1e-6)

@@ -48,9 +48,6 @@ class TestCarrierSense:
         assert world.radios[0].medium_busy()
         world.sim.run()
 
-    def test_energy_dbm_is_noise_floor_when_idle(self, phy_pair):
-        assert phy_pair.radios[0].energy_dbm() == pytest.approx(-95.0)
-
     def test_energy_sums_concurrent_transmissions(self):
         world = build_phy_world([(0, 0), (5, 0), (10, 0)])
         latency = world.channel.air_latency_ns
@@ -84,7 +81,7 @@ class TestReception:
 
     def test_interference_corrupts_weak_frame(self):
         # Receiver in the middle of two equal-power senders.
-        world = build_phy_world([(0, 0), (10, 0), (20, 0)], capture=False)
+        world = build_phy_world([(0, 0), (10, 0), (20, 0)])
         world.radios[0].start_transmission(world.data_frame(0, 1))
         world.radios[2].start_transmission(world.data_frame(2, 1))
         world.sim.run()
@@ -92,8 +89,9 @@ class TestReception:
         assert world.radios[1].frames_corrupted == 1
 
     def test_late_interference_still_corrupts(self):
-        # Interference arriving mid-frame counts via max tracking.
-        world = build_phy_world([(0, 0), (10, 0), (20, 0)], capture=False)
+        # Interference arriving mid-frame counts via max tracking (equal
+        # powers, so the late frame cannot capture the receiver).
+        world = build_phy_world([(0, 0), (10, 0), (20, 0)])
         world.radios[0].start_transmission(world.data_frame(0, 1, payload=1500))
         world.sim.run(until=world.sim.now + 500_000)  # 0.5 ms into the frame
         world.radios[2].start_transmission(world.data_frame(2, 1, payload=100))
@@ -109,7 +107,8 @@ class TestReception:
         assert len(world.macs[1].received) == 1
 
     def test_receiver_locks_single_frame_at_a_time(self):
-        world = build_phy_world([(0, 0), (10, 0), (11, 0)], capture=False)
+        # Equal powers: the second frame cannot capture the receiver.
+        world = build_phy_world([(0, 0), (10, 0), (20, 0)])
         world.radios[0].start_transmission(world.data_frame(0, 1))
         world.radios[2].start_transmission(world.data_frame(2, 1))
         world.sim.run()
@@ -128,13 +127,6 @@ class TestCapture:
         received = [f.src for f, _ in world.macs[1].received]
         assert received == [2]
         assert world.radios[1].frames_missed == 1  # the trampled weak frame
-
-    def test_capture_disabled_keeps_first_lock(self):
-        world = build_phy_world([(60, 0), (0, 0), (5, 0)], capture=False)
-        world.radios[0].start_transmission(world.data_frame(0, 1, payload=1500))
-        world.radios[2].start_transmission(world.data_frame(2, 1, payload=200))
-        world.sim.run()
-        assert [f.src for f, _ in world.macs[1].received] != [2]
 
     def test_comparable_late_frame_does_not_capture(self):
         # Equal powers: the newcomer cannot clear the SIR bar.

@@ -54,12 +54,6 @@ class TestMinstrelLite:
             policy.report(1, success=True)
         assert policy.best_index(1) == len(OFDM_RATES) - 1
 
-    def test_success_probability_query(self):
-        policy = make_minstrel(probe=0.0)
-        policy.select(1)
-        policy.report(1, success=False)
-        assert policy.success_probability(1, OFDM_RATES.top) < 1.0
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             MinstrelLite(OFDM_RATES, np.random.default_rng(0), ewma_weight=0.0)

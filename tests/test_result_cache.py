@@ -104,7 +104,7 @@ class TestInvalidation:
             sigma_db=base.sigma_db + 1.0,
             tx_power_dbm=base.tx_power_dbm + 3.0,
             cs_threshold_dbm=base.cs_threshold_dbm + 1.0,
-            noise_floor_dbm=base.noise_floor_dbm + 1.0,
+            cull_margin_db=10.0,
             shadowing_mode="none",
             data_rate_bps=54_000_000,
             default_payload_bytes=base.default_payload_bytes + 1,
@@ -119,7 +119,7 @@ class TestInvalidation:
         from repro.core.config import CoMapConfig
 
         base = testbed_params()
-        changed = base.with_overrides(comap=CoMapConfig(t_prr=0.90, t_sir_db=6.0))
+        changed = base.with_overrides(comap=CoMapConfig(t_sir_db=6.0, sr_window=4))
         a = SweepTask(fn=_double, kwargs={"params": base}).fingerprint()
         b = SweepTask(fn=_double, kwargs={"params": changed}).fingerprint()
         assert a != b

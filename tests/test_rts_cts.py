@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.mac.dcf import MacConfig, MacState
+from repro.mac.dcf import RETRY_LIMIT, MacConfig, MacState
 from repro.mac.frames import FrameType
 
 from tests.conftest import build_mac_world
 
 
-def rts_world(positions=((0, 0), (10, 0), (2, 0)), threshold=0, **kwargs):
-    config = MacConfig(use_rts_cts=True, rts_threshold_bytes=threshold)
+def rts_world(positions=((0, 0), (10, 0), (2, 0)), **kwargs):
+    config = MacConfig(use_rts_cts=True)
     return build_mac_world(list(positions), config=config, **kwargs)
 
 
@@ -40,16 +40,6 @@ class TestExchange:
         assert world.delivered(1) == 1
         assert world.macs[0].stats.rts_sent == 1
         assert world.macs[1].stats.cts_sent == 1
-
-    def test_threshold_bypasses_small_frames(self):
-        world = rts_world(positions=((0, 0), (10, 0)), threshold=500)
-        kinds = frame_kinds(world)
-        world.macs[0].enqueue(1, 100)
-        world.macs[0].enqueue(1, 1000)
-        world.run(0.1)
-        rts_count = sum(1 for _, k in kinds if k is FrameType.RTS)
-        assert rts_count == 1
-        assert world.delivered(1) == 2
 
     def test_broadcast_never_uses_rts(self):
         from repro.mac.frames import BROADCAST
@@ -104,7 +94,7 @@ class TestNav:
         mac.enqueue(1, 1000)
         world.run(1.0)
         assert mac.stats.retry_drops == 1
-        assert mac.stats.rts_sent == mac.config.retry_limit + 1
+        assert mac.stats.rts_sent == RETRY_LIMIT + 1
 
 
 class TestHiddenTerminalRescue:

@@ -83,3 +83,35 @@ def test_advice_outlives_a_fallback():
             c1.constant_cw, c1.preferred_payload(), c1.comap_stats.adaptation_refreshes
         )
     assert seen == {40: (31, 900, 1), 100: (None, None, 1), 200: (31, 900, 1)}
+
+
+def test_fallback_starts_when_the_ttl_expires():
+    # The scenario above: C1's row was last refreshed at 48 ms, so it is
+    # stale from 54.000001 ms on.  The fallback starts then, before
+    # anything reads C1's MAC, and no backoff C1 draws on a stale row
+    # comes from the advised window.
+    base = ht_testbed_params()
+    params = base.with_overrides(
+        comap=dataclasses.replace(base.comap, location_ttl_ns=6 * MS)
+    )
+    net = _fig9_network(params)
+    net.install_faults(FaultPlan(
+        events=(LocationOutage("C1", 50 * MS, 100 * MS),),
+        report_interval_ns=2 * MS,
+    ))
+    c1 = net.node("C1").mac
+    draws = []
+    draw = c1._draw_backoff
+
+    def recording_draw():
+        draws.append((c1.constant_cw, c1.agent.location_stale(net.sim.now)))
+        return draw()
+
+    c1._draw_backoff = recording_draw
+    net.sim.run(until=54 * MS + 1)
+    assert c1.agent.neighbor_table.get(c1.node_id).updated_at == 48 * MS
+    assert c1.comap_stats.fallback_entered == 1
+    assert c1.constant_cw is None
+    net.run(0.1)
+    assert any(stale for _, stale in draws)
+    assert (31, True) not in draws

@@ -19,7 +19,7 @@ The grid is the channel's only candidate generator.  Covered here:
   change, and only those;
 * the O(1) detach: removal preserves attach iteration order, re-attach
   appends;
-* copy discipline: ``Channel.radios`` copies, ``radios_view`` does not;
+* copy discipline: ``Channel.radios`` copies;
 * the ``spatial_*`` counters, the cull margin bounding the reach
   radius, and archived manifests carrying a ``spatial`` block.
 """
@@ -31,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.obs.counters import CounterRegistry
 from repro.obs.manifest import RunManifest, build_manifest, validate_manifest
+from repro.phy.channel import NOISE_FLOOR_DBM
 from repro.phy.propagation import REACH_RADIUS_SLACK, LogNormalShadowing
 from repro.phy.radio import Radio, RadioConfig
 from repro.phy.spatial import SpatialIndex
@@ -252,10 +253,9 @@ def brute_force_survivors(channel, sender):
                 sender.tx_power_dbm,
                 sender.position.distance_to(radio.position),
             )
-            config = radio.config
             if (
-                mean_dbm + margin < config.noise_floor_dbm
-                and mean_dbm + margin < config.cs_threshold_dbm
+                mean_dbm + margin < NOISE_FLOOR_DBM
+                and mean_dbm + margin < radio.config.cs_threshold_dbm
             ):
                 continue
         survivors.append(radio.radio_id)
@@ -300,7 +300,7 @@ def transmit_checked(world, sender, dst):
     """Send one frame and check what it reached against the oracle."""
     channel = world.channel
     survivors = brute_force_survivors(channel, sender)
-    attached = channel.radio_count
+    attached = len(channel.radios)
     culled_before = channel.links_culled
     tx = sender.start_transmission(world.data_frame(sender.radio_id, dst))
     world.sim.run()
@@ -402,7 +402,7 @@ class TestDetachOrder:
 
 
 # ----------------------------------------------------------------------
-# Copy discipline (satellite): radios copies, radios_view does not
+# Copy discipline: radios copies
 # ----------------------------------------------------------------------
 class TestRadiosAccessors:
     def test_radios_property_copies(self):
@@ -411,14 +411,6 @@ class TestRadiosAccessors:
         assert snapshot is not world.channel.radios  # fresh list per call
         world.channel.detach(world.radios[1])
         assert len(snapshot) == 2  # caller's copy unaffected
-
-    def test_radios_view_is_live(self):
-        world = build_phy_world([NEAR, MID])
-        view = world.channel.radios_view()
-        assert len(view) == 2
-        world.channel.detach(world.radios[1])
-        assert len(view) == 1  # same underlying dict, no copy
-        assert world.channel.radio_count == 1
 
 
 # ----------------------------------------------------------------------

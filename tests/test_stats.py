@@ -33,15 +33,6 @@ class TestEmpiricalCdf:
         with pytest.raises(ValueError):
             cdf.quantile(1.5)
 
-    def test_plot_series_is_monotone(self):
-        cdf = EmpiricalCdf([3, 1, 2])
-        series = cdf.as_plot_series()
-        xs = [x for x, _ in series]
-        ys = [y for _, y in series]
-        assert xs == sorted(xs)
-        assert ys == sorted(ys)
-        assert ys[-1] == pytest.approx(1.0)
-
     @given(samples_strategy)
     def test_evaluate_is_monotone(self, samples):
         cdf = EmpiricalCdf(samples)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.phy.channel import NOISE_FLOOR_DBM
 from repro.phy.propagation import LogNormalShadowing
 from repro.util.geometry import Point
 from repro.util.hotpath import mode_enabled
@@ -127,10 +128,9 @@ class ReferenceMedium:
                 sender.tx_power_dbm,
                 sender.position.distance_to(radio.position),
             )
-            config = radio.config
             if margin is not None and (
-                mean_dbm + margin < config.noise_floor_dbm
-                and mean_dbm + margin < config.cs_threshold_dbm
+                mean_dbm + margin < NOISE_FLOOR_DBM
+                and mean_dbm + margin < radio.config.cs_threshold_dbm
             ):
                 self.culled += 1
                 continue

@@ -11,9 +11,11 @@ artifacts in ``--out``, and exits 0, or 1 after printing every violated
 condition:
 
 * ``fault`` — a location-report outage plus an ACK-loss burst on the
-  exposed-terminal topology, 4 seeds on a worker pool with
-  ``on_error="record"``.  Every task completes, the manifest's
-  ``failures`` list exists and is empty, the ``faults/`` counters fired,
+  exposed-terminal topology, with a location TTL and keep-alives, 4 seeds
+  on a worker pool with ``on_error="record"``.  Every task completes,
+  the manifest's ``failures`` list exists and is empty, the ``faults/``
+  counters fired, the outaged node fell back to plain DCF and recovered
+  (``comap/fallback_entered`` and ``comap/fallback_exited`` positive),
   and the sweep's trace is exported as JSONL.
 * ``resume`` — a small Fig-8 grid.  A child process sweeps it on 2
   workers into a result store and is SIGKILLed right after its second
@@ -55,11 +57,17 @@ from tests.sweep_grids import (  # noqa: E402
 
 #: ``fault``: the faulted nodes and schedule.  The clients are the data
 #: transmitters in this topology, so the ACK burst targets a client
-#: (ACKs flow AP -> client).
+#: (ACKs flow AP -> client).  The TTL and keep-alive interval are the
+#: degradation tests' pair: healthy nodes stay fresh, and the outage
+#: (which heals inside the run) starts and ends a fallback.
 OUTAGE_NODE = "C1"
 ACK_NODE = "C2"
 FAULT_START_NS = 10_000_000
 FAULT_DURATION_NS = 60_000_000
+LOCATION_TTL_NS = 6_000_000
+REPORT_INTERVAL_NS = 2_000_000
+#: Network counters ``fault_cell`` folds into the global registry.
+FALLBACK_COUNTERS = ("comap/fallback_entered", "comap/fallback_exited")
 
 #: ``resume``: the grid, the killed sweep's worker count, and how many
 #: of its 6 entries land before the SIGKILL.
@@ -80,15 +88,22 @@ def fault_cell(seed: int = 0, duration_s: float = 0.1) -> dict:
     """One fault-injected exposed-terminal run (module-level: pickles).
 
     Returns per-flow goodput plus the injector's counters, and merges
-    the fault counters into the process-global registry so they survive
-    the trip back from a pool worker into the sweep manifest.
+    the fault counters and the network's fallback edges into the
+    process-global registry so they survive the trip back from a pool
+    worker into the sweep manifest.
     """
+    import dataclasses
+
     from repro.experiments.params import testbed_params
     from repro.experiments.topologies import exposed_terminal_topology
     from repro.faults import AckLossBurst, FaultPlan, LocationOutage
 
+    params = testbed_params()
+    params = params.with_overrides(
+        comap=dataclasses.replace(params.comap, location_ttl_ns=LOCATION_TTL_NS)
+    )
     net = exposed_terminal_topology(
-        "comap", c2_x=20.0, seed=seed, params=testbed_params()
+        "comap", c2_x=20.0, seed=seed, params=params
     ).network
     window = dict(start_ns=FAULT_START_NS, duration_ns=FAULT_DURATION_NS)
     injector = net.install_faults(
@@ -96,14 +111,18 @@ def fault_cell(seed: int = 0, duration_s: float = 0.1) -> dict:
             events=(
                 LocationOutage(node=OUTAGE_NODE, **window),
                 AckLossBurst(node=ACK_NODE, **window),
-            )
+            ),
+            report_interval_ns=REPORT_INTERVAL_NS,
         )
     )
     results = net.run(duration_s)
     registry = global_registry()
-    for name, value in sorted(injector.counters.items()):
+    fired = {f"faults/{name}": value for name, value in injector.counters.items()}
+    network = net.counters()
+    fired.update((name, network.get(name, 0)) for name in FALLBACK_COUNTERS)
+    for name, value in sorted(fired.items()):
         if value:
-            registry.counter(f"faults/{name}").inc(value)
+            registry.counter(name).inc(value)
     return {
         "per_flow_mbps": {
             f"{src}->{dst}": mbps
@@ -170,6 +189,13 @@ def check_fault(args: argparse.Namespace, problems: List[str]) -> str:
             print(f"injected faults recorded in manifest: {fired}")
         else:
             problems.append(f"no faults/ counter fired: {fired}")
+        fallback = {
+            name: manifest.counters.get(name, 0) for name in FALLBACK_COUNTERS
+        }
+        if all(value > 0 for value in fallback.values()):
+            print(f"location fallbacks recorded in manifest: {fallback}")
+        else:
+            problems.append(f"a fallback edge never fired: {fallback}")
     return f"{len(results)} tasks"
 
 
