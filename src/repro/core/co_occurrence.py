@@ -32,8 +32,6 @@ class CoOccurrenceMap:
         # link -> the receivers whose verdict is allowed / denied.
         self._allowed: Dict[Link, Set[int]] = {}
         self._denied: Dict[Link, Set[int]] = {}
-        self.lookups = 0
-        self.hits = 0
 
     def confidence(self, link: Link, my_dst: int) -> Optional[float]:
         """1.0 for a stored verdict, None if absent (verdicts never decay)."""
@@ -47,11 +45,9 @@ class CoOccurrenceMap:
 
         Returns True/False when previously validated, None when unknown.
         """
-        self.lookups += 1
         for table, verdict in ((self._allowed, True), (self._denied, False)):
             receivers = table.get(link)
             if receivers is not None and my_dst in receivers:
-                self.hits += 1
                 return verdict
         return None
 

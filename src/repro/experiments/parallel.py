@@ -89,8 +89,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 TIMEOUT_ENV = "REPRO_TASK_TIMEOUT_S"
 #: Environment knob: bounded re-attempts for failed/timed-out tasks.
 RETRIES_ENV = "REPRO_TASK_RETRIES"
-#: Environment knob: "raise" (default) or "record" failed tasks.
-ON_ERROR_ENV = "REPRO_ON_ERROR"
 
 #: Bump when the cache payload format (not the keyed content) changes.
 #: Version 2 entries carry the task's counter delta next to its result;
@@ -289,8 +287,6 @@ class ResultCache:
 
     def __init__(self, root: Optional[str] = None) -> None:
         self.root = root or default_cache_dir()
-        self.hits = 0
-        self.misses = 0
 
     def path_for(self, digest: str) -> str:
         return os.path.join(self.root, f"{digest}.json")
@@ -313,9 +309,7 @@ class ResultCache:
             ):
                 raise ValueError("malformed cache payload")
         except (OSError, ValueError):
-            self.misses += 1
             return False, None, {}
-        self.hits += 1
         return True, payload["result"], payload["counters"]
 
     def put(self, digest: str, value: Any, counters: Dict[str, Any]) -> None:
@@ -435,15 +429,19 @@ def _env_number(name: str, parse: Callable[[str], Any], default: Any) -> Any:
 def resolve_policy(
     timeout_s: Optional[float] = None,
     retries: Optional[int] = None,
-    on_error: Optional[str] = None,
+    on_error: str = "raise",
 ) -> FailurePolicy:
-    """Explicit arguments win; the ``REPRO_TASK_*`` env knobs back-fill."""
+    """Explicit arguments win; the ``REPRO_TASK_*`` env knobs back-fill.
+
+    ``on_error`` has no environment knob: a ``"record"`` sweep returns
+    ``None`` for each failed task, which only a caller written for it
+    can handle, so the runners, ``report`` and the benches always run
+    in raise mode.
+    """
     if timeout_s is None:
         timeout_s = _env_number(TIMEOUT_ENV, float, None)
     if retries is None:
         retries = _env_number(RETRIES_ENV, int, 0)
-    if on_error is None:
-        on_error = os.environ.get(ON_ERROR_ENV, "") or "raise"
     if on_error not in ("raise", "record"):
         raise ValueError(f"on_error must be 'raise' or 'record', got {on_error!r}")
     if timeout_s is not None and timeout_s <= 0:
@@ -492,7 +490,7 @@ def run_tasks(
     label: str = "sweep",
     timeout_s: Optional[float] = None,
     retries: Optional[int] = None,
-    on_error: Optional[str] = None,
+    on_error: str = "raise",
 ) -> List[Any]:
     """Execute ``tasks`` and return their results in task order.
 
@@ -508,14 +506,13 @@ def run_tasks(
     run would.
 
     ``timeout_s``/``retries``/``on_error`` build a
-    :class:`FailurePolicy` (env knobs ``REPRO_TASK_TIMEOUT_S``,
-    ``REPRO_TASK_RETRIES``, ``REPRO_ON_ERROR`` back-fill unset
-    arguments).  With ``on_error="record"``, failed tasks return
-    ``None`` in the result list and are recorded as ``sweep/task_failed``
-    trace events plus ``failures`` entries in the run manifest; a worker
-    process dying (``BrokenProcessPool``) respawns the pool and resumes
-    the unfinished tasks rather than aborting the sweep.  Failed tasks
-    are never cached.
+    :class:`FailurePolicy` (env knobs ``REPRO_TASK_TIMEOUT_S`` and
+    ``REPRO_TASK_RETRIES`` back-fill unset arguments).  With
+    ``on_error="record"``, failed tasks return ``None`` in the result
+    list and are recorded as ``sweep/task_failed`` trace events plus
+    ``failures`` entries in the run manifest; a worker process dying
+    (``BrokenProcessPool``) respawns the pool and resumes the unfinished
+    tasks rather than aborting the sweep.  Failed tasks are never cached.
     """
     tasks = list(tasks)
     # Parent and workers alike configure the global recorder, so the

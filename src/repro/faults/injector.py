@@ -143,10 +143,6 @@ class FaultInjector:
     def _rng(self, kind: str, node: str):
         return self.network.rngs.substream("fault", kind, node)
 
-    def _trace(self, event: str, **fields) -> None:
-        if self.network.trace.wants("faults"):
-            self.network.trace.record("faults", event, **fields)
-
     # ------------------------------------------------------------------
     # Location-service faults (keep-alive ticker + report filter)
     # ------------------------------------------------------------------
@@ -171,12 +167,10 @@ class FaultInjector:
             or self._active(name, LocationDrift, now) is not None
         ):
             self._counters["reports_suppressed"] += 1
-            self._trace("report_suppressed", node=node.node_id)
             return False
         beacon = self._active(name, BeaconLoss, now)
         if beacon is not None and self._bernoulli("beacon", name, beacon.drop_prob):
             self._counters["reports_dropped"] += 1
-            self._trace("report_dropped", node=node.node_id)
             return False
         return True
 
@@ -198,27 +192,23 @@ class FaultInjector:
             name = node.name
             if self._active(name, LocationOutage, now) is not None:
                 self._counters["reports_suppressed"] += 1
-                self._trace("report_suppressed", node=node_id)
                 continue
             drift = self._active(name, LocationDrift, now)
             if drift is not None:
                 net.publish_report(node, self._drifted(drift, report, now))
                 self._counters["drift_applied"] += 1
-                self._trace("report_drifted", node=node_id)
                 continue
             frozen = self._active(name, FrozenLocation, now)
             if frozen is not None:
                 # Refresh freshness with the stale pre-window report.
                 net.publish_report(node, report)
                 self._counters["reports_frozen"] += 1
-                self._trace("report_frozen", node=node_id)
                 continue
             beacon = self._active(name, BeaconLoss, now)
             if beacon is not None and self._bernoulli(
                 "beacon", name, beacon.drop_prob
             ):
                 self._counters["reports_dropped"] += 1
-                self._trace("report_dropped", node=node_id)
                 continue
             net.publish_report(node, report)  # healthy keep-alive
         self.sim.schedule(self.plan.report_interval_ns, self._tick)
@@ -249,7 +239,6 @@ class FaultInjector:
                 name = self.network.nodes[node_id].name
                 if self._bernoulli("ack", name, spec.drop_prob):
                     self._counters["acks_dropped"] += 1
-                    self._trace("ack_dropped", node=node_id, seq=frame.seq)
                     return True
         return False
 
@@ -261,7 +250,6 @@ class FaultInjector:
                 name = self.network.nodes[node_id].name
                 if self._bernoulli("announce", name, spec.drop_prob):
                     self._counters["announcements_dropped"] += 1
-                    self._trace("announcement_dropped", node=node_id)
                     return True
         return False
 
@@ -272,7 +260,6 @@ class FaultInjector:
         expired = agent.co_map.entry_count
         agent.co_map.clear()
         self._counters["comap_entries_expired"] += expired
-        self._trace("co_map_cleared", node=spec.node, entries=expired)
 
     def _corrupt_co_map(self, spec: CoMapCorruption) -> None:
         agent = self.network.nodes_by_name[spec.node].agent
@@ -282,7 +269,6 @@ class FaultInjector:
             self._rng("corrupt", spec.node), spec.flip_prob
         )
         self._counters["comap_entries_corrupted"] += flipped
-        self._trace("co_map_corrupted", node=spec.node, entries=flipped)
 
     # ------------------------------------------------------------------
     # Churn
@@ -291,10 +277,8 @@ class FaultInjector:
         node = self.network.nodes_by_name[spec.node]
         self.network.detach_node(node)
         self._counters["churn_leaves"] += 1
-        self._trace("node_left", node=node.node_id)
 
     def _rejoin(self, spec: NodeChurn) -> None:
         node = self.network.nodes_by_name[spec.node]
         self.network.reattach_node(node)
         self._counters["churn_joins"] += 1
-        self._trace("node_rejoined", node=node.node_id)

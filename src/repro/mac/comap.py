@@ -39,7 +39,7 @@ from typing import Dict, List, Optional
 
 from repro.core.arq import SrReceiver, SrSender
 from repro.core.protocol import CoMapAgent
-from repro.mac.dcf import RETRY_LIMIT, FlowId, MacState, Mpdu
+from repro.mac.dcf import FlowId, MacState, Mpdu
 from repro.mac.exposed import OPPORTUNITY_SLACK_NS, ExposedMac, ExposedMacConfig
 from repro.mac.frames import Frame, FrameType
 from repro.sim.engine import EventHandle
@@ -197,8 +197,6 @@ class CoMapMac(ExposedMac):
             self._fallback_active = False
             self.comap_stats.fallback_exited += 1
             self.constant_cw = self._advised_window
-            if self.trace.wants("comap"):
-                self.trace.record("comap", "fallback_exit", node=self.node_id)
         if self._staleness_handle is None:
             self._arm_staleness_check()
 
@@ -227,8 +225,6 @@ class CoMapMac(ExposedMac):
         self.comap_stats.fallback_entered += 1
         self._end_opportunity()
         self.constant_cw = self.config.constant_cw
-        if self.trace.wants("comap"):
-            self.trace.record("comap", "fallback_enter", node=self.node_id)
 
     def _arq_counters(self) -> Dict[str, int]:
         """Aggregate :class:`SrSender` counters across this node's flows."""
@@ -351,17 +347,12 @@ class CoMapMac(ExposedMac):
         if frame.kind is FrameType.DATA:
             # Embedded announcement: the announced frame is already on the
             # air, so its energy is in the current reading — open now.
-            self._open_opportunity(
+            self._take_opportunity(
                 link, self.radio.energy_mw(),
                 duration_ns + OPPORTUNITY_SLACK_NS,
             )
-            self._resume_contention()
             return
         self._arm_opportunity(link, duration_ns)
-        if self.trace.wants("comap"):
-            self.trace.record(
-                "comap", "opportunity", node=self.node_id, link=f"{link[0]}->{link[1]}"
-            )
 
     def _aim_at_concurrent_receiver(self, link) -> bool:
         """Validate the head's receiver; APs may switch to another queued one."""
@@ -517,17 +508,13 @@ class CoMapMac(ExposedMac):
                 continue
             if link[0] == dst or link[1] == dst:
                 continue
-            if self.co_occurrence_cached(link, dst) is not True:
+            if self.agent.co_map.query(link, dst) is not True:
                 continue
             yield link
 
     def _in_concurrency_environment(self, dst: int) -> bool:
         """True when a validated exposed link has been active recently."""
         return next(iter(self._fresh_allowed_links(dst)), None) is not None
-
-    def co_occurrence_cached(self, link, dst):
-        """Cached-only co-occurrence lookup (no fresh validation)."""
-        return self.agent.co_map.query(link, dst)
 
     def _report_rate_outcome(self, dst: int, success: bool) -> None:
         """Keep exposed-transmission outcomes out of the rate controller.
@@ -583,7 +570,7 @@ class CoMapMac(ExposedMac):
                 self.stats.successes += len(confirmed)
         super()._accept_ack(ack)
 
-    def _handle_ack_timeout(self, frame: Frame) -> None:
+    def _retry(self, frame: Frame) -> None:
         """Advance the window instead of retransmitting, when possible.
 
         Selective repeat exists for the exposed-transmission ACK-loss
@@ -592,23 +579,18 @@ class CoMapMac(ExposedMac):
         loss on a *normal* attempt means collision or bad channel —
         stop-and-wait with exponential backoff handles those.
         """
-        assert self._head is not None
         if self.agent.config.sr_window <= 1 or self._degraded():
             # Degraded: no concurrency is being attempted, so a missing
             # ACK means collision/bad channel — plain stop-and-wait BEB.
-            super()._handle_ack_timeout(frame)
+            super()._retry(frame)
             return
         concurrency_loss = frame.meta.get("exposed") or self._in_concurrency_environment(
             frame.dst
         )
         if not concurrency_loss:
-            super()._handle_ack_timeout(frame)
+            super()._retry(frame)
             return
         head = self._head
-        if head.attempts > RETRY_LIMIT:
-            self.stats.retry_drops += 1
-            self._finish_attempt(success=False)
-            return
         sender = self._sr_sender(head.flow)
         if not sender.window_full and self._queue:
             # Selective repeat: the ACK may merely have been corrupted by
@@ -621,9 +603,7 @@ class CoMapMac(ExposedMac):
             return
         # Window exhausted (or nothing else to send): retransmit now.
         self.comap_stats.sr_retransmissions += 1
-        self._state = MacState.CONTEND
-        self._backoff_slots = self._draw_backoff()
-        self._resume_contention()
+        self._begin_contention()
 
     def _select_next(self) -> Optional[Mpdu]:
         """Serve window-exhausted retransmissions before fresh traffic."""

@@ -9,9 +9,10 @@ transmissions* at TXOP granularity.
 The protocol, per transmit opportunity:
 
 1. **Announcement** — the AP that wins a TXOP (its backoff expired and
-   its data train hits the air) registers the TXOP in the backhaul's
-   shared ledger and publishes ``(src, dst, expires_at, tx_power)`` to
-   its peer APs, delivered after the configured wire latency.
+   its data train hits the air) registers the TXOP ``(src, dst,
+   expires_at)`` in the backhaul's shared ledger and publishes that it
+   did to its peer APs, who hear of it after the configured wire
+   latency and read the TXOP from the ledger.
 2. **Election** — a peer AP with a frame pending consults the shared
    co-occurrence map: its own receiver must be compatible with *every*
    active TXOP in the ledger (the same eq. 3 validation CO-MAP applies
@@ -146,39 +147,16 @@ class CsrMac(CoMapMac):
         head = self._head
         if head is None:
             return
-        expires_at = (
-            self.sim.now
-            + self._train_duration_ns
-            + OPPORTUNITY_SLACK_NS
-        )
-        record = TxopRecord(
-            owner=self.node_id,
-            src=self.node_id,
-            dst=head.dst,
-            tx_power_dbm=self.radio.tx_power_dbm,
-            expires_at=expires_at,
-        )
-        self.backhaul.register_txop(record)
-        delivered = self.backhaul.publish(
-            self.node_id,
-            "txop",
-            {
-                "src": self.node_id,
-                "dst": head.dst,
-                "expires_at": expires_at,
-                "tx_power_dbm": record.tx_power_dbm,
-            },
-        )
-        if delivered:
+        expires_at = self.sim.now + self._train_duration_ns + OPPORTUNITY_SLACK_NS
+        self.backhaul.register_txop(TxopRecord(self.node_id, head.dst, expires_at))
+        if self.backhaul.publish(self.node_id):
             self.csr_stats.txop_announced += 1
 
     # ------------------------------------------------------------------
     # Secondary side: election and power capping
     # ------------------------------------------------------------------
-    def _on_backhaul(self, src_id: int, kind: str, payload: dict) -> None:
-        """A peer AP's coordination message arrived (after wire latency)."""
-        if kind != "txop":
-            return
+    def _on_backhaul(self, src_id: int) -> None:
+        """A peer AP registered a TXOP (heard after the wire latency)."""
         self.csr_stats.coordination_rounds += 1
         self._consider_csr_join()
 
@@ -272,16 +250,10 @@ class CsrMac(CoMapMac):
         remaining = record.expires_at - self.sim.now
         if remaining <= 0:
             return  # jitter outlived the TXOP
-        self._open_opportunity(record.link, self.radio.energy_mw(), remaining)
         self._csr_cap_dbm = (
             cap_dbm if cap_dbm < self.radio.config.tx_power_dbm else None
         )
-        if self.trace.wants("csr"):
-            self.trace.record(
-                "csr", "join", node=self.node_id,
-                link=f"{record.src}->{record.dst}", cap_dbm=cap_dbm,
-            )
-        self._resume_contention()
+        self._take_opportunity(record.link, self.radio.energy_mw(), remaining)
 
     def _power_penalty_db(self) -> float:
         """The episode's power cap, charged against its rate choice."""

@@ -38,7 +38,6 @@ from repro.mac.timing import PhyTiming
 from repro.phy.radio import Radio, noop_hook
 from repro.phy.rates import RateTable
 from repro.sim.engine import EventHandle, Simulator
-from repro.sim.trace import TraceRecorder
 from repro.util.rng import RngStreams
 
 FlowId = Tuple[int, int]
@@ -172,7 +171,6 @@ class DcfMac:
         rngs: RngStreams,
         config: Optional[MacConfig] = None,
         rate_policy: Optional[RatePolicy] = None,
-        trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.node_id = node_id
         self.sim = sim
@@ -181,7 +179,6 @@ class DcfMac:
         self.rates = rates
         self.config = config or MacConfig()
         self.rate_policy = rate_policy or FixedRate(rates.top)
-        self.trace = trace if trace is not None else TraceRecorder()
         self.stats = LinkStats()
         #: The constant window in force (``None``: binary exponential
         #: backoff).  Starts as the configured one; CO-MAP's adaptation
@@ -545,8 +542,6 @@ class DcfMac:
         frame = self._tx_train.pop(0)
         if frame.kind is FrameType.DATA:
             self.stats.data_transmissions += 1
-        if self.trace.wants("mac"):
-            self.trace.record("mac", "tx", node=self.node_id, frame=frame.describe())
         self.radio.start_transmission(frame)
 
     # ------------------------------------------------------------------
@@ -705,17 +700,19 @@ class DcfMac:
         self.rate_policy.report(dst, success=success)
 
     def _handle_ack_timeout(self, frame: Frame) -> None:
-        """Template method: stop-and-wait retry with BEB (base behaviour)."""
+        """Drop the head past the retry limit, else retry it."""
         assert self._head is not None
         if self._head.attempts > RETRY_LIMIT:
             self.stats.retry_drops += 1
             self._finish_attempt(success=False)
             return
+        self._retry(frame)
+
+    def _retry(self, frame: Frame) -> None:
+        """Template method: stop-and-wait retry with BEB (base behaviour)."""
         if self.constant_cw is None:
             self._cw = min(2 * (self._cw + 1) - 1, CW_MAX)
-        self._state = MacState.CONTEND
-        self._backoff_slots = self._draw_backoff()
-        self._resume_contention()
+        self._begin_contention()
 
     def _finish_attempt(self, success: bool) -> None:
         """Head MSDU leaves the MAC (delivered or dropped); move on."""

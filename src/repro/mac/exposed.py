@@ -112,6 +112,11 @@ class ExposedMac(DcfMac):
         )
         self._opportunity = opportunity
 
+    def _take_opportunity(self, link: Link, rssi1_mw: float, horizon_ns: int) -> None:
+        """Open an episode over ``link`` and count down through it."""
+        self._open_opportunity(link, rssi1_mw, horizon_ns)
+        self._resume_contention()
+
     def _predicted_ack_power_mw(self, link: Link) -> float:
         """Expected RSSI of ``link``'s ACKs here (0: no location model)."""
         return 0.0
@@ -125,11 +130,10 @@ class ExposedMac(DcfMac):
         # This energy level is RSSI_1, the baseline the enhanced
         # scheduler compares to.
         link, self._pending_link = self._pending_link, None
-        self._open_opportunity(
+        self._take_opportunity(
             link, energy_mw,
             self._pending_duration_ns + OPPORTUNITY_SLACK_NS,
         )
-        self._resume_contention()
 
     def _expire_opportunity(self, opportunity: _Opportunity) -> None:
         """The announced transmission (plus slack) is over."""

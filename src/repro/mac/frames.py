@@ -100,7 +100,7 @@ class Frame:
         return self.dst == BROADCAST
 
     def describe(self) -> str:
-        """Compact human-readable rendering used by traces and errors."""
+        """Compact human-readable rendering used by reprs and errors."""
         return (
             f"{self.kind.value}#{self.seq} {self.src}->{self.dst} "
             f"{self.payload_bytes}B @{self.rate}"

@@ -9,11 +9,13 @@ endpoints nothing is scheduled at all, so a single-AP C-SR network
 fires bit-identically (including ``sim/events_fired``) to plain CO-MAP.
 
 The backhaul also owns the **shared TXOP ledger** — the switch-side
-view of which transmit opportunities are currently active.  Wire
-latency delays *notification* of peers, but the ledger itself is the
-authoritative shared state the coordination protocol reads and writes:
-two APs electing concurrent transmissions in the same instant must see
-each other's registrations, which delayed point-to-point messages alone
+view of which transmit opportunities are currently active, one per AP.
+A message carries only its sender's id: it tells a peer, one wire
+latency later, that the sender registered a TXOP, and the peer reads
+the TXOPs themselves from the ledger.  The ledger is the authoritative
+shared state the coordination protocol reads and writes: two APs
+electing concurrent transmissions in the same instant must see each
+other's registrations, which delayed point-to-point messages alone
 cannot provide.
 
 Counters live under the ``csr/`` namespace of the network registry:
@@ -28,22 +30,19 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.engine import Simulator
 
-#: A message handler: ``fn(src_id, kind, payload)``.
-BackhaulHandler = Callable[[int, str, dict], None]
+#: A message handler: ``fn(src_id)``, told that ``src_id`` registered a TXOP.
+BackhaulHandler = Callable[[int], None]
 
 
 class TxopRecord:
-    """One active transmit opportunity in the shared ledger."""
+    """One active transmit opportunity in the shared ledger: the AP
+    ``src`` sends to ``dst`` until ``expires_at``."""
 
-    __slots__ = ("owner", "src", "dst", "tx_power_dbm", "expires_at")
+    __slots__ = ("src", "dst", "expires_at")
 
-    def __init__(
-        self, owner: int, src: int, dst: int, tx_power_dbm: float, expires_at: int
-    ) -> None:
-        self.owner = owner
+    def __init__(self, src: int, dst: int, expires_at: int) -> None:
         self.src = src
         self.dst = dst
-        self.tx_power_dbm = tx_power_dbm
         self.expires_at = expires_at
 
     @property
@@ -51,10 +50,7 @@ class TxopRecord:
         return (self.src, self.dst)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<TxopRecord {self.src}->{self.dst} "
-            f"@{self.tx_power_dbm}dBm until={self.expires_at}>"
-        )
+        return f"<TxopRecord {self.src}->{self.dst} until={self.expires_at}>"
 
 
 class Backhaul:
@@ -95,8 +91,8 @@ class Backhaul:
         self._endpoints.pop(node_id, None)
         self._ledger.pop(node_id, None)
 
-    def publish(self, src_id: int, kind: str, payload: dict) -> int:
-        """Deliver ``(kind, payload)`` to every *other* endpoint.
+    def publish(self, src_id: int) -> int:
+        """Tell every *other* endpoint that ``src_id`` registered a TXOP.
 
         Returns the number of deliveries scheduled.  With fewer than two
         endpoints this is 0 and **no event is scheduled** — the lonely
@@ -108,36 +104,32 @@ class Backhaul:
         if self._messages is not None:
             self._messages.inc()
         for nid in peers:
-            self.sim.schedule(
-                self.latency_ns, self._deliver, nid, src_id, kind, payload,
-            )
+            self.sim.schedule(self.latency_ns, self._deliver, nid, src_id)
         return len(peers)
 
-    def _deliver(self, node_id: int, src_id: int, kind: str, payload: dict) -> None:
+    def _deliver(self, node_id: int, src_id: int) -> None:
         handler = self._endpoints.get(node_id)
         if handler is None:
             return  # the endpoint detached while the message was on the wire
         if self._deliveries is not None:
             self._deliveries.inc()
-        handler(src_id, kind, payload)
+        handler(src_id)
 
     # ------------------------------------------------------------------
     # Shared TXOP ledger
     # ------------------------------------------------------------------
     def register_txop(self, record: TxopRecord) -> None:
-        """Record ``record`` as the owner's active transmit opportunity."""
-        self._ledger[record.owner] = record
+        """Record ``record`` as its sender's active transmit opportunity."""
+        self._ledger[record.src] = record
 
     def active_txops(self, now: int, exclude: Optional[int] = None) -> List[TxopRecord]:
         """Live ledger entries at ``now`` (pruning expired ones)."""
         expired = [
-            owner for owner, rec in self._ledger.items() if rec.expires_at <= now
+            src for src, rec in self._ledger.items() if rec.expires_at <= now
         ]
-        for owner in expired:
-            del self._ledger[owner]
-        return [
-            rec for owner, rec in self._ledger.items() if owner != exclude
-        ]
+        for src in expired:
+            del self._ledger[src]
+        return [rec for src, rec in self._ledger.items() if src != exclude]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -41,7 +41,6 @@ from repro.phy.channel import Channel
 from repro.phy.propagation import LogNormalShadowing
 from repro.phy.radio import Radio, RadioConfig
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceRecorder
 from repro.util.geometry import Point
 from repro.util.rng import RngStreams
 from repro.util.units import SECOND, s_to_ns
@@ -137,7 +136,6 @@ class Network:
         seed: int = 0,
         error_model: Optional[PositionErrorModel] = None,
         mac_overrides: Optional[dict] = None,
-        trace_categories: Optional[List[str]] = None,
     ) -> None:
         if mac_kind not in MAC_KINDS:
             raise ValueError(
@@ -154,8 +152,6 @@ class Network:
         self._location_aware = issubclass(self._mac_cls, CoMapMac)
         self.rngs = RngStreams(seed)
         self.sim = Simulator()
-        self.trace = TraceRecorder(trace_categories)
-        self.trace.bind_clock(lambda: self.sim.now)
         #: Per-network counter registry: every MAC, channel, and the
         #: engine register sources here (see ``docs/observability.md``).
         self.registry = CounterRegistry()
@@ -205,7 +201,6 @@ class Network:
                 timing=self.params.timing,
                 rngs=self.rngs,
                 shadowing_mode=self.params.shadowing_mode,
-                trace=self.trace,
                 band=band,
                 registry=self.registry,
                 cull_margin_db=self.params.cull_margin_db,
@@ -300,7 +295,6 @@ class Network:
             self.rngs,
             config=self.mac_config,
             rate_policy=rate_policy,
-            trace=self.trace,
             **location_kwargs,
         )
         node = Node(node_id, name, radio, mac, is_ap=is_ap, agent=agent)

@@ -2,7 +2,7 @@
 
 Four layers, all costing nothing measurable when unused:
 
-* :mod:`repro.obs.counters` — typed ``Counter``/``Gauge``/``Histogram``
+* :mod:`repro.obs.counters` — typed ``Counter``/``Histogram``
   metrics behind a :class:`~repro.obs.counters.CounterRegistry` that the
   MAC/PHY/engine layers register into (per-network) and that sweeps
   aggregate process-wide (:func:`~repro.obs.counters.global_registry`).
@@ -23,7 +23,6 @@ See ``docs/observability.md`` for the user-facing guide.
 from repro.obs.counters import (
     Counter,
     CounterRegistry,
-    Gauge,
     Histogram,
     diff_snapshot,
     global_registry,
@@ -56,7 +55,6 @@ from repro.obs.trace_io import (
 __all__ = [
     "Counter",
     "CounterRegistry",
-    "Gauge",
     "Histogram",
     "diff_snapshot",
     "global_registry",

@@ -6,8 +6,8 @@ Subsystems (``mac.dcf``, ``mac.comap``, ``core.arq``, ``phy.channel``,
 in:
 
 * **Owned metrics** — :meth:`CounterRegistry.counter` /
-  :meth:`~CounterRegistry.gauge` / :meth:`~CounterRegistry.histogram`
-  return live, typed metric objects the caller increments directly.
+  :meth:`~CounterRegistry.histogram` return live, typed metric objects
+  the caller increments directly.
 * **Sources** — :meth:`CounterRegistry.register_source` attaches a
   zero-argument callable returning ``{name: number}``.  Hot-path code
   keeps its cheap dataclass counters (a bare attribute increment) and
@@ -51,22 +51,6 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Counter {self.name}={self.value}>"
-
-
-class Gauge:
-    """A point-in-time numeric metric (set, not accumulated)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: Number = 0
-
-    def set(self, value: Number) -> None:
-        self.value = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Gauge {self.name}={self.value}>"
 
 
 class Histogram:
@@ -168,7 +152,7 @@ class CounterRegistry:
     """A namespace of typed metrics plus pull-based counter sources."""
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, Union[Counter, Gauge, Histogram]] = {}
+        self._metrics: Dict[str, Union[Counter, Histogram]] = {}
         self._sources: List[Tuple[str, SourceFn]] = []
 
     # -- owned metrics -------------------------------------------------
@@ -187,10 +171,6 @@ class CounterRegistry:
     def counter(self, name: str) -> Counter:
         """Get-or-create the :class:`Counter` called ``name``."""
         return self._get_or_create(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        """Get-or-create the :class:`Gauge` called ``name``."""
-        return self._get_or_create(name, Gauge)
 
     def histogram(
         self, name: str, buckets: Optional[Iterable[Number]] = None
@@ -220,7 +200,7 @@ class CounterRegistry:
                 )
         return metric
 
-    def get(self, name: str) -> Optional[Union[Counter, Gauge, Histogram]]:
+    def get(self, name: str) -> Optional[Union[Counter, Histogram]]:
         """The owned metric called ``name``, or None when absent.
 
         Read-only lookup for in-process queries (e.g. histogram
@@ -262,20 +242,14 @@ class CounterRegistry:
     def merge_snapshot(self, snapshot: Dict[str, Number]) -> None:
         """Fold a snapshot (e.g. a worker-process delta) into counters.
 
-        Each value is added to the same-named owned :class:`Counter`
-        (created on first sight).  Negative values are ignored rather
-        than violating counter monotonicity.
+        Each positive value is added to the same-named owned
+        :class:`Counter` (created on first sight); a name a histogram
+        holds raises ``TypeError``, as :meth:`counter` does.  Negative
+        values are ignored rather than violating counter monotonicity.
         """
         for name, value in snapshot.items():
-            if value <= 0:
-                continue
-            metric = self._metrics.setdefault(name, Counter(name))
-            if isinstance(metric, Counter):
-                metric.value += value
-            elif isinstance(metric, Gauge):
-                metric.set(metric.value + value)
-            else:  # Histogram: treat the merged value as one sample
-                metric.observe(value)
+            if value > 0:
+                self.counter(name).value += value
 
     def clear(self) -> None:
         """Drop every owned metric and registered source."""

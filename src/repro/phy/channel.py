@@ -111,7 +111,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 from repro.phy.propagation import LogNormalShadowing
 from repro.phy.spatial import SpatialIndex
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceRecorder
 from repro.util.rng import RngStreams
 from repro.util.units import db_to_ratio, dbm_to_mw
 
@@ -230,7 +229,6 @@ class Channel:
         timing: "PhyTiming",
         rngs: RngStreams,
         shadowing_mode: str = "per_frame",
-        trace: Optional[TraceRecorder] = None,
         band: int = 0,
         registry=None,
         cull_margin_db: Union[float, str, None] = None,
@@ -250,10 +248,6 @@ class Channel:
         self.band = int(band)
         #: :data:`AIR_LATENCY_NS`, for the callers that time against it.
         self.air_latency_ns = AIR_LATENCY_NS
-        # NB: "trace or ..." would discard an *empty* recorder (len == 0 is
-        # falsy), so test identity explicitly.
-        self.trace = trace if trace is not None else TraceRecorder()
-        self.trace.bind_clock(lambda: sim.now)
         self._rngs = rngs
         #: Resolved culling margin in dB, or None with culling off.
         self.cull_margin_db = resolve_cull_margin_db(
@@ -569,14 +563,8 @@ class Channel:
                 rx_power_mw[radio_id] = mean_mw * draws.pop()
         if rx_power_mw:
             self.sim.schedule(AIR_LATENCY_NS, self._deliver_air_start, tx)
-        culled = table.culled
         self.spatial_skipped += table.skipped
-        self.links_culled += culled
-        if self.trace.wants("channel"):
-            self.trace.record(
-                "channel", "tx-start",
-                frame=frame.describe(), sender=sender.radio_id, culled=culled,
-            )
+        self.links_culled += table.culled
         self.sim.schedule(duration, self._end_transmission, tx)
         return tx
 
@@ -626,8 +614,6 @@ class Channel:
         attach contract).
         """
         self._active.remove(tx)
-        if self.trace.wants("channel"):
-            self.trace.record("channel", "tx-end", frame=tx.frame.describe())
         if tx.rx_power_mw:
             self.sim.schedule(AIR_LATENCY_NS, self._deliver_air_end, tx)
         tx.sender.on_own_tx_end(tx)

@@ -1,11 +1,13 @@
 """Structured event tracing.
 
-A lightweight, optional recorder that subsystems call into (``channel``,
-``mac``, ``arq`` categories).  Traces power the timeline-style analyses of
-the paper's Fig. 6 (DCF vs CO-MAP communication procedure) and are heavily
-used by integration tests to assert *sequencing* properties that end-state
-metrics cannot see (e.g. "the exposed terminal started while the first
-transmission was still in the air").
+A :class:`TraceRecorder` keeps the events of the categories enabled on
+it and drops every other record call.  The one recorder the simulator
+writes to is the process-global :func:`global_recorder`: the sweep
+executor (:mod:`repro.experiments.parallel`) records its ``sweep``
+progress and timing events there, pool workers ship theirs home, and
+run manifests and ``trace.jsonl`` (:mod:`repro.obs.trace_io`) are read
+from it.  Per-network observability is the counter registry
+(:mod:`repro.obs.counters`).
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-#: Environment knob: comma-separated trace categories to enable on the
-#: global recorder ("1" is shorthand for just ``sweep``).
+#: Environment switch: any value except empty or "0" enables the ``sweep``
+#: category on the global recorder.
 TRACE_ENV = "REPRO_TRACE"
 
 
@@ -44,8 +46,8 @@ class TraceEvent:
 class TraceRecorder:
     """Collects :class:`TraceEvent` records during a run.
 
-    Recording is off unless categories are enabled, so the hot path costs a
-    single set-membership test when tracing is unused.
+    Recording is off unless categories are enabled: a record call for a
+    disabled category appends nothing.
     """
 
     def __init__(self, categories: Optional[List[str]] = None) -> None:
@@ -54,7 +56,7 @@ class TraceRecorder:
         self._clock: Callable[[], int] = lambda: 0
 
     def bind_clock(self, clock: Callable[[], int]) -> None:
-        """Attach the simulator clock used to timestamp records."""
+        """Attach the clock used to timestamp records."""
         self._clock = clock
 
     def enable(self, category: str) -> None:
@@ -130,12 +132,11 @@ _global_recorder: Optional[TraceRecorder] = None
 def global_recorder() -> TraceRecorder:
     """The process-wide recorder for cross-run instrumentation.
 
-    Per-network recorders are clocked by simulated time; this one spans
-    whole sweeps (many networks, possibly many worker processes), so it
-    is clocked by wall time in nanoseconds.  The sweep executor in
-    :mod:`repro.experiments.parallel` records ``sweep``-category
-    progress/timing events here; like any recorder it stays silent until
-    a category is enabled.
+    It spans whole sweeps (many networks, possibly many worker
+    processes), so it is clocked by wall time in nanoseconds.  The sweep
+    executor in :mod:`repro.experiments.parallel` records
+    ``sweep``-category progress/timing events here; like any recorder it
+    stays silent until a category is enabled.
     """
     global _global_recorder
     if _global_recorder is None:
@@ -145,20 +146,14 @@ def global_recorder() -> TraceRecorder:
 
 
 def configure_from_env(recorder: Optional[TraceRecorder] = None) -> TraceRecorder:
-    """Enable the categories named by ``$REPRO_TRACE`` on a recorder.
+    """Enable the ``sweep`` category on a recorder when ``$REPRO_TRACE`` is on.
 
-    ``REPRO_TRACE=1`` enables the ``sweep`` category (the profiling
-    hooks of the parallel executor); any other non-empty value is read
-    as a comma-separated category list (e.g. ``REPRO_TRACE=sweep,mac``).
-    Defaults to the global recorder; called by every sweep worker so the
-    opt-in follows the environment into child processes.
+    Any value except empty or ``0`` turns the sweep trace on: the sweep
+    executor records nothing else.  Defaults to the global recorder;
+    called by every sweep worker so the opt-in follows the environment
+    into child processes.
     """
     rec = recorder if recorder is not None else global_recorder()
-    raw = os.environ.get(TRACE_ENV, "")
-    if raw and raw != "0":
-        categories = ["sweep"] if raw == "1" else raw.split(",")
-        for category in categories:
-            category = category.strip()
-            if category:
-                rec.enable(category)
+    if os.environ.get(TRACE_ENV, "") not in ("", "0"):
+        rec.enable("sweep")
     return rec

@@ -311,12 +311,12 @@ class TestCsrChurn:
             )
         assert capped is not None, "no AP transmitted at a capped power"
         backhaul = network.backhaul
-        owners = {r.owner for r in backhaul.active_txops(network.sim.now)}
+        owners = {r.src for r in backhaul.active_txops(network.sim.now)}
         assert capped.node_id in owners
 
         network.detach_node(capped)
         assert capped.radio.tx_power_dbm == capped.radio.config.tx_power_dbm
-        owners = {r.owner for r in backhaul.active_txops(network.sim.now)}
+        owners = {r.src for r in backhaul.active_txops(network.sim.now)}
         assert capped.node_id not in owners
         assert capped.node_id not in backhaul._endpoints
 

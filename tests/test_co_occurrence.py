@@ -29,14 +29,6 @@ class TestCoOccurrenceMap:
         comap.record((2, 3), 5, allowed=False)
         assert comap.concurrent_receivers((2, 3)) == [4, 6]
 
-    def test_hit_statistics(self):
-        comap = CoOccurrenceMap(1)
-        comap.query((2, 3), 4)
-        comap.record((2, 3), 4, allowed=True)
-        comap.query((2, 3), 4)
-        assert comap.lookups == 2
-        assert comap.hits == 1
-
     def test_invalidate_node_as_link_member(self):
         comap = CoOccurrenceMap(1)
         comap.record((2, 3), 4, allowed=True)

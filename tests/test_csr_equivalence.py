@@ -136,7 +136,7 @@ class TestExecutorBitIdentity:
         pooled = run_csr_floor(jobs=2, **self.KW)
         assert serial == pooled
 
-    def test_serial_vs_queue_resume(self, tmp_path):
+    def test_serial_vs_queue_resume(self, tmp_path, store_lookups):
         """A sweep resumed on its store returns the serial results."""
         tasks = [
             SweepTask(
@@ -159,4 +159,4 @@ class TestExecutorBitIdentity:
         store = ResultCache(str(tmp_path / "store"))
         run_tasks(tasks[:1], cache=store, label="csr_queue")  # before a crash
         assert run_tasks(tasks, jobs=2, cache=store, label="csr_queue") == serial
-        assert (store.hits, store.misses) == (1, 3)
+        assert (store_lookups.hits, store_lookups.misses) == (1, 3)

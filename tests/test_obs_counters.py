@@ -7,7 +7,6 @@ from repro.net.network import Network
 from repro.obs.counters import (
     Counter,
     CounterRegistry,
-    Gauge,
     Histogram,
     diff_snapshot,
 )
@@ -23,12 +22,6 @@ class TestMetricPrimitives:
     def test_counter_rejects_negative(self):
         with pytest.raises(ValueError):
             Counter("x").inc(-1)
-
-    def test_gauge_sets(self):
-        g = Gauge("depth")
-        g.set(3)
-        g.set(1.5)
-        assert g.value == 1.5
 
     def test_histogram_streaming_summary(self):
         h = Histogram("lat")
@@ -130,16 +123,14 @@ class TestRegistry:
         reg = CounterRegistry()
         reg.counter("a")
         with pytest.raises(TypeError):
-            reg.gauge("a")
+            reg.histogram("a")
 
     def test_snapshot_flattens_histograms(self):
         reg = CounterRegistry()
         reg.counter("sent").inc(2)
-        reg.gauge("depth").set(7)
         reg.histogram("lat").observe(3.0)
         snap = reg.snapshot()
         assert snap["sent"] == 2
-        assert snap["depth"] == 7
         assert snap["lat/count"] == 1
         assert snap["lat/sum"] == 3.0
         assert snap["lat/min"] == 3.0
@@ -173,14 +164,12 @@ class TestRegistry:
         assert "neg" not in snap
         assert "zero" not in snap
 
-    def test_merge_into_existing_gauge_and_histogram(self):
+    def test_merge_into_histogram_name_raises(self):
+        # A snapshot folds into counters only, as counter() would.
         reg = CounterRegistry()
-        reg.gauge("depth").set(2)
         reg.histogram("lat").observe(1.0)
-        reg.merge_snapshot({"depth": 3, "lat": 4.0})
-        snap = reg.snapshot()
-        assert snap["depth"] == 5
-        assert snap["lat/count"] == 2
+        with pytest.raises(TypeError):
+            reg.merge_snapshot({"lat": 4.0})
 
     def test_clear_and_len(self):
         reg = CounterRegistry()

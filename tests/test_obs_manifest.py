@@ -348,7 +348,9 @@ class TestFragments:
         write_entry(cache, json.dumps(make_entry())[:-10])
         assert cache.get(DIGEST) == (False, None, {})
 
-    def test_replayed_fragment_counters_sum_deltas(self, tmp_path, monkeypatch):
+    def test_replayed_fragment_counters_sum_deltas(
+        self, tmp_path, monkeypatch, store_lookups
+    ):
         """Hits fold their entries' deltas into the registry, summed."""
         cache = ResultCache(str(tmp_path))
         tasks = [
@@ -359,5 +361,5 @@ class TestFragments:
             cache.put(task.fingerprint(), task.execute(), delta)
         monkeypatch.setattr(counters_mod, "_global_registry", CounterRegistry())
         assert run_tasks(tasks, cache=cache) == [0, 1, 4]
-        assert cache.hits == 3
+        assert store_lookups.hits == 3
         assert global_registry().snapshot() == {"a": 5, "b": 1}

@@ -39,15 +39,17 @@ def populate_et_world(agent, c2_x=30.0):
 
 
 class TestConcurrencyPath:
-    def test_allowed_and_cached(self):
+    def test_allowed_and_cached(self, monkeypatch):
         agent = make_agent()
         populate_et_world(agent, c2_x=30.0)
         assert agent.concurrency_allowed(3, 1, 0)
+
+        def validate_again(*args):
+            raise AssertionError("eq. 3 computed again")
+
         # Second query is served from the co-occurrence map.
-        lookups_before = agent.co_map.lookups
-        hits_before = agent.co_map.hits
+        monkeypatch.setattr(agent, "validate", validate_again)
         assert agent.concurrency_allowed(3, 1, 0)
-        assert agent.co_map.hits == hits_before + 1
 
     def test_denied_near_interferer(self):
         agent = make_agent()

@@ -96,15 +96,17 @@ class TestSharding:
                 "counters": {"demo/cells": 1},
             }
 
-    def test_grid_fingerprint_tracks_content(self, tmp_path, fresh_globals):
+    def test_grid_fingerprint_tracks_content(
+        self, tmp_path, fresh_globals, store_lookups
+    ):
         """Entries are addressed by content: a grid finds its own
         entries again, a reseeded grid finds none of them."""
         cache = ResultCache(str(tmp_path))
         run_tasks(demo_grid(4, seed=0), cache=cache)
         run_tasks(demo_grid(4, seed=1), cache=cache)
-        assert (cache.hits, cache.misses) == (0, 8)
+        assert (store_lookups.hits, store_lookups.misses) == (0, 8)
         run_tasks(demo_grid(4, seed=0), cache=cache)
-        assert (cache.hits, cache.misses) == (4, 8)
+        assert (store_lookups.hits, store_lookups.misses) == (4, 8)
         assert len(os.listdir(tmp_path)) == 8
 
     def test_load_queue_accepts_dir_file_and_manifest(
@@ -172,7 +174,7 @@ class TestWorkAndMerge:
         assert run_tasks(tasks, jobs=1, cache=ResultCache(store)) == [0, 1, 2, 3]
 
     def test_second_worker_sees_nothing_to_do(
-        self, tmp_path, fresh_globals, monkeypatch
+        self, tmp_path, fresh_globals, monkeypatch, store_lookups
     ):
         """A sweep whose store is complete starts no pool."""
         witness = str(tmp_path / "witness.log")
@@ -184,9 +186,11 @@ class TestWorkAndMerge:
             raise AssertionError("a complete store must not start a pool")
 
         monkeypatch.setattr(parallel_mod, "_run_parallel", no_pool)
-        second = ResultCache(store)
-        assert run_tasks(tasks, jobs=2, cache=second) == [0.0, 1.0, 2.0, 3.0]
-        assert (second.hits, second.misses) == (4, 0)
+        assert run_tasks(tasks, jobs=2, cache=ResultCache(store)) == [
+            0.0, 1.0, 2.0, 3.0
+        ]
+        # The first sweep missed all four tasks, the second hit them all.
+        assert (store_lookups.hits, store_lookups.misses) == (4, 4)
         assert sorted(_executions(witness)) == ["0.0", "1.0", "2.0", "3.0"]
 
     def test_fragments_validate_and_carry_deltas(self, tmp_path, fresh_globals):
@@ -200,7 +204,9 @@ class TestWorkAndMerge:
             assert result == task.execute()
             assert counters == {"demo/cells": 1}
 
-    def test_merge_requires_every_fragment(self, tmp_path, fresh_globals):
+    def test_merge_requires_every_fragment(
+        self, tmp_path, fresh_globals, store_lookups
+    ):
         """Entries missing from a store are recomputed and restored."""
         witness = str(tmp_path / "witness.log")
         tasks = _witness_grid(witness, 4)
@@ -208,14 +214,16 @@ class TestWorkAndMerge:
         run_tasks(tasks, cache=ResultCache(store))
         for task in (tasks[1], tasks[3]):
             os.unlink(os.path.join(store, f"{task.fingerprint()}.json"))
-        cache = ResultCache(store)
-        assert run_tasks(tasks, cache=cache) == [0.0, 1.0, 2.0, 3.0]
-        assert (cache.hits, cache.misses) == (2, 2)
+        assert run_tasks(tasks, cache=ResultCache(store)) == [0.0, 1.0, 2.0, 3.0]
+        # The first sweep missed all four, the second the two deleted.
+        assert (store_lookups.hits, store_lookups.misses) == (2, 6)
         assert _executions(witness).count("1.0") == 2
         assert _executions(witness).count("2.0") == 1
         assert len(os.listdir(store)) == 4
 
-    def test_merge_rejects_foreign_fragment(self, tmp_path, fresh_globals):
+    def test_merge_rejects_foreign_fragment(
+        self, tmp_path, fresh_globals, store_lookups
+    ):
         """An entry copied over another task's file is a miss there,
         recomputed and repaired — never served as that task's result."""
         tasks = demo_grid(2)
@@ -224,9 +232,11 @@ class TestWorkAndMerge:
         a, b = (os.path.join(store, f"{task.fingerprint()}.json") for task in tasks)
         with open(a) as src, open(b, "w") as dst:
             dst.write(src.read())
-        cache = ResultCache(store)
-        assert run_tasks(tasks, cache=cache) == [task.execute() for task in tasks]
-        assert (cache.hits, cache.misses) == (1, 1)
+        assert run_tasks(tasks, cache=ResultCache(store)) == [
+            task.execute() for task in tasks
+        ]
+        # The first sweep missed both, the second the overwritten one.
+        assert (store_lookups.hits, store_lookups.misses) == (1, 3)
         assert _entry(store, tasks[1])["key"] == tasks[1].fingerprint()
 
     def test_merged_manifest_counters_sum_shard_deltas(

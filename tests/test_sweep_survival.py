@@ -16,8 +16,8 @@ import time
 
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.parallel import (
-    ON_ERROR_ENV,
     RETRIES_ENV,
     TIMEOUT_ENV,
     FailurePolicy,
@@ -82,7 +82,7 @@ def _ok_task(i):
 # ----------------------------------------------------------------------
 class TestPolicy:
     def test_defaults_preserve_old_contract(self, monkeypatch):
-        for env in (TIMEOUT_ENV, RETRIES_ENV, ON_ERROR_ENV):
+        for env in (TIMEOUT_ENV, RETRIES_ENV):
             monkeypatch.delenv(env, raising=False)
         policy = resolve_policy()
         assert policy == FailurePolicy(timeout_s=None, retries=0, on_error="raise")
@@ -90,9 +90,8 @@ class TestPolicy:
     def test_env_backfill(self, monkeypatch):
         monkeypatch.setenv(TIMEOUT_ENV, "2.5")
         monkeypatch.setenv(RETRIES_ENV, "3")
-        monkeypatch.setenv(ON_ERROR_ENV, "record")
         policy = resolve_policy()
-        assert policy == FailurePolicy(timeout_s=2.5, retries=3, on_error="record")
+        assert policy == FailurePolicy(timeout_s=2.5, retries=3, on_error="raise")
 
     def test_arguments_win_over_env(self, monkeypatch):
         monkeypatch.setenv(TIMEOUT_ENV, "2.5")
@@ -217,7 +216,7 @@ class TestSweepSurvival:
         kinds = {tuple(f["key"]): f["kind"] for f in manifest["failures"]}
         assert kinds == {("die",): "broken_pool"}
 
-    def test_failures_are_never_cached(self, tmp_path):
+    def test_failures_are_never_cached(self, tmp_path, store_lookups):
         from repro.experiments.parallel import ResultCache
 
         cache = ResultCache(root=str(tmp_path / "cache"))
@@ -226,11 +225,29 @@ class TestSweepSurvival:
             tasks, jobs=1, cache=cache, retries=0, on_error="record"
         )
         assert results[0] is None
+        assert (store_lookups.hits, store_lookups.misses) == (0, 2)
         # Re-running hits the cache only for the healthy task.
-        cache.hits = cache.misses = 0
         run_tasks(tasks, jobs=1, cache=cache, retries=0, on_error="record")
-        assert cache.hits == 1
-        assert cache.misses == 1
+        assert (store_lookups.hits, store_lookups.misses) == (1, 3)
+
+    def test_runner_raises_the_task_error_whatever_the_env(self, monkeypatch):
+        """A runner regroups every task's result, so it runs in raise
+        mode: ``REPRO_ON_ERROR=record`` used to hand it a failed cell's
+        ``None``, and the sweep died of a ``TypeError`` in the regroup
+        instead of the cell's own error."""
+        goodput = runner._exposed_goodput
+
+        def fail_one_cell(**kwargs):
+            if kwargs["c2_x"] == 26.0:
+                raise RuntimeError("injected cell failure")
+            return goodput(**kwargs)
+
+        monkeypatch.setenv("REPRO_ON_ERROR", "record")
+        monkeypatch.setattr(runner, "_exposed_goodput", fail_one_cell)
+        with pytest.raises(RuntimeError, match="injected cell failure"):
+            runner.run_exposed_sweep(
+                [22.0, 26.0], duration_s=0.02, repeats=1, seed=1, jobs=1
+            )
 
     def test_manifest_omits_failures_in_raise_mode(self, tmp_path):
         with obs_manifest.manifest_sink(str(tmp_path)):
