@@ -13,9 +13,10 @@ and MAC/network hooks:
   are held back (frozen), drops it (beacon loss), or biases it (drift).
   Frozen and drifted positions are publications only, never the node's
   report, so the first keep-alive after a window republishes the report
-  again.  Scenario-driven reports pass :meth:`allow_report`.  Without
-  keep-alives a configured ``location_ttl_ns`` would age *healthy*
-  nodes into fallback too.
+  again.  Fresh reports, a move's or a re-join's, pass
+  :meth:`allow_report`.  Both read one precedence,
+  :meth:`_location_fault`.  Without keep-alives a configured
+  ``location_ttl_ns`` would age *healthy* nodes into fallback too.
 * **Control-plane faults** hook the MAC receive path (``fault_hooks``)
   for ACK and announcement loss, and schedule point events for
   co-occurrence map expiry/corruption.
@@ -36,6 +37,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.faults.schedule import (
+    LOCATION_FAULTS,
     AckLossBurst,
     AnnouncementLoss,
     BeaconLoss,
@@ -52,7 +54,12 @@ from repro.util.geometry import Point
 
 
 class FaultInjector:
-    """Realizes one :class:`FaultPlan` against one finalized network."""
+    """Realizes one :class:`FaultPlan` against one finalized network.
+
+    Construction installs the plan: it registers the counters, hooks the
+    MACs and schedules every planned fault.  :meth:`Network.install_faults`
+    is the one caller, and the one guard against a second plan.
+    """
 
     def __init__(self, network, plan: FaultPlan) -> None:
         for name in plan.node_names:
@@ -61,7 +68,6 @@ class FaultInjector:
         self.network = network
         self.plan = plan
         self.sim = network.sim
-        self._installed = False
         self._counters: Dict[str, int] = {
             "reports_suppressed": 0,
             "reports_frozen": 0,
@@ -78,30 +84,15 @@ class FaultInjector:
         self._location_specs: Dict[str, Tuple] = {}
         self._ack_specs: Dict[int, Tuple[AckLossBurst, ...]] = {}
         self._announce_specs: Dict[int, Tuple[AnnouncementLoss, ...]] = {}
-
-    # ------------------------------------------------------------------
-    # Installation
-    # ------------------------------------------------------------------
-    def install(self) -> None:
-        """Register counters/hooks and schedule every planned fault."""
-        if self._installed:
-            raise RuntimeError("fault plan already installed")
-        self._installed = True
         # Counters are registered even for an empty plan, so manifests
         # always show the faults/ namespace (at zero) once an injector
         # is attached — "no faults fired" is then an explicit statement.
-        self.network.registry.register_source("faults", self._read_counters)
+        network.registry.register_source("faults", self._counters.copy)
 
-        for name in self.plan.node_names:
-            node = self.network.nodes_by_name[name]
-            specs = self.plan.for_node(name)
-            location = tuple(
-                s
-                for s in specs
-                if isinstance(
-                    s, (LocationOutage, FrozenLocation, BeaconLoss, LocationDrift)
-                )
-            )
+        for name in plan.node_names:
+            node = network.nodes_by_name[name]
+            specs = plan.for_node(name)
+            location = tuple(s for s in specs if isinstance(s, LOCATION_FAULTS))
             if location:
                 self._location_specs[name] = location
             acks = tuple(s for s in specs if isinstance(s, AckLossBurst))
@@ -112,6 +103,15 @@ class FaultInjector:
                 self._announce_specs[node.node_id] = announces
             if acks or announces:
                 node.mac.fault_hooks = self
+            # The node's churn windows take their slots in time order, so
+            # a re-join fires before a leave at the same instant.
+            churn = iter(sorted(
+                (s for s in specs if isinstance(s, NodeChurn)),
+                key=lambda s: s.leave_ns,
+            ))
+            specs = tuple(
+                next(churn) if isinstance(s, NodeChurn) else s for s in specs
+            )
             for spec in specs:
                 if isinstance(spec, CoMapExpiry):
                     self.sim.schedule_at(
@@ -129,11 +129,8 @@ class FaultInjector:
                         spec.rejoin_ns, lambda s=spec: self._rejoin(s)
                     )
 
-        if self.plan.has_location_faults:
-            self.sim.schedule(self.plan.report_interval_ns, self._tick)
-
-    def _read_counters(self) -> Dict[str, int]:
-        return dict(self._counters)
+        if plan.has_location_faults:
+            self.sim.schedule(plan.report_interval_ns, self._tick)
 
     @property
     def counters(self) -> Dict[str, int]:
@@ -143,37 +140,6 @@ class FaultInjector:
     def _rng(self, kind: str, node: str):
         return self.network.rngs.substream("fault", kind, node)
 
-    # ------------------------------------------------------------------
-    # Location-service faults (keep-alive ticker + report filter)
-    # ------------------------------------------------------------------
-    def _active(self, name: str, cls, now: int):
-        for spec in self._location_specs.get(name, ()):
-            if isinstance(spec, cls) and spec.active(now):
-                return spec
-        return None
-
-    def allow_report(self, node, now: int) -> bool:
-        """Veto scenario-driven position reports under active faults.
-
-        During outage/frozen/drift windows the injector owns the node's
-        reporting (the ticker publishes what the faulty service would);
-        under beacon loss, scenario reports face the same Bernoulli drop
-        as keep-alives.
-        """
-        name = node.name
-        if (
-            self._active(name, LocationOutage, now) is not None
-            or self._active(name, FrozenLocation, now) is not None
-            or self._active(name, LocationDrift, now) is not None
-        ):
-            self._counters["reports_suppressed"] += 1
-            return False
-        beacon = self._active(name, BeaconLoss, now)
-        if beacon is not None and self._bernoulli("beacon", name, beacon.drop_prob):
-            self._counters["reports_dropped"] += 1
-            return False
-        return True
-
     def _bernoulli(self, kind: str, name: str, prob: float) -> bool:
         if prob <= 0.0:
             return False
@@ -181,36 +147,70 @@ class FaultInjector:
             return True  # certainty never consumes a draw
         return self._rng(kind, name).random() < prob
 
+    # ------------------------------------------------------------------
+    # Location-service faults (keep-alive ticker + report filter)
+    # ------------------------------------------------------------------
+    def _location_fault(self, name: str, now: int):
+        """The location spec governing ``name``'s reports at ``now``, or None.
+
+        An active outage governs first, then a drift, then a frozen
+        window (of one class, the first in plan order).  Otherwise an
+        active beacon-loss window governs a report its drop draw loses;
+        that draw is the only one, made only when none of the three is
+        active.
+        """
+        active = [
+            spec for spec in self._location_specs.get(name, ()) if spec.active(now)
+        ]
+        for cls in (LocationOutage, LocationDrift, FrozenLocation, BeaconLoss):
+            for spec in active:
+                if isinstance(spec, cls):
+                    if cls is BeaconLoss and not self._bernoulli(
+                        "beacon", name, spec.drop_prob
+                    ):
+                        return None
+                    return spec
+        return None
+
+    def allow_report(self, node, now: int) -> bool:
+        """May ``node`` publish a fresh report (a move's or a re-join's)?
+
+        During outage/frozen/drift windows the injector owns the node's
+        reporting (the ticker publishes what the faulty service would);
+        under beacon loss, fresh reports face the same Bernoulli drop as
+        keep-alives.
+        """
+        spec = self._location_fault(node.name, now)
+        if spec is None:
+            return True
+        if isinstance(spec, BeaconLoss):
+            self._counters["reports_dropped"] += 1
+        else:
+            self._counters["reports_suppressed"] += 1
+        return False
+
     def _tick(self) -> None:
         """One keep-alive pass over every attached CO-MAP node."""
         now = self.sim.now
         net = self.network
-        for node_id, node in net.nodes.items():
+        for node in net.nodes.values():
             if node.agent is None or not node.radio.attached:
                 continue
+            spec = self._location_fault(node.name, now)
             report = node.agent.reported_position
-            name = node.name
-            if self._active(name, LocationOutage, now) is not None:
-                self._counters["reports_suppressed"] += 1
-                continue
-            drift = self._active(name, LocationDrift, now)
-            if drift is not None:
-                net.publish_report(node, self._drifted(drift, report, now))
+            if spec is None:
+                net.publish_report(node, report)  # healthy keep-alive
+            elif isinstance(spec, LocationDrift):
+                net.publish_report(node, self._drifted(spec, report, now))
                 self._counters["drift_applied"] += 1
-                continue
-            frozen = self._active(name, FrozenLocation, now)
-            if frozen is not None:
+            elif isinstance(spec, FrozenLocation):
                 # Refresh freshness with the stale pre-window report.
                 net.publish_report(node, report)
                 self._counters["reports_frozen"] += 1
-                continue
-            beacon = self._active(name, BeaconLoss, now)
-            if beacon is not None and self._bernoulli(
-                "beacon", name, beacon.drop_prob
-            ):
+            elif isinstance(spec, BeaconLoss):
                 self._counters["reports_dropped"] += 1
-                continue
-            net.publish_report(node, report)  # healthy keep-alive
+            else:  # an outage: no report at all
+                self._counters["reports_suppressed"] += 1
         self.sim.schedule(self.plan.report_interval_ns, self._tick)
 
     def _drifted(self, spec: LocationDrift, base: Point, now: int) -> Point:
@@ -233,24 +233,24 @@ class FaultInjector:
         """``DcfMac.on_frame_received`` hook: lose the frame entirely."""
         if frame.kind is not FrameType.ACK or frame.dst != node_id:
             return False
-        now = self.sim.now
-        for spec in self._ack_specs.get(node_id, ()):
-            if spec.active(now):
-                name = self.network.nodes[node_id].name
-                if self._bernoulli("ack", name, spec.drop_prob):
-                    self._counters["acks_dropped"] += 1
-                    return True
-        return False
+        return self._lose(node_id, self._ack_specs, "ack", "acks_dropped")
 
     def drop_announcement(self, node_id: int, frame) -> bool:
         """``CoMapMac.on_header_overheard`` hook: lose the announcement."""
+        return self._lose(
+            node_id, self._announce_specs, "announce", "announcements_dropped"
+        )
+
+    def _lose(self, node_id: int, specs, kind: str, counter: str) -> bool:
+        """One drop draw per active loss window of the node, in plan order;
+        the first that loses the item counts under ``counter``."""
         now = self.sim.now
-        for spec in self._announce_specs.get(node_id, ()):
-            if spec.active(now):
-                name = self.network.nodes[node_id].name
-                if self._bernoulli("announce", name, spec.drop_prob):
-                    self._counters["announcements_dropped"] += 1
-                    return True
+        for spec in specs.get(node_id, ()):
+            if spec.active(now) and self._bernoulli(
+                kind, spec.node, spec.drop_prob
+            ):
+                self._counters[counter] += 1
+                return True
         return False
 
     def _expire_co_map(self, spec: CoMapExpiry) -> None:

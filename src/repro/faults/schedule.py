@@ -25,24 +25,41 @@ from typing import Tuple, Union
 DEFAULT_REPORT_INTERVAL_NS = 20_000_000
 
 
-def _require_window(start_ns: int, duration_ns: int) -> None:
-    if start_ns < 0:
-        raise ValueError(f"start_ns cannot be negative, got {start_ns}")
-    if duration_ns <= 0:
-        raise ValueError(f"duration_ns must be positive, got {duration_ns}")
-
-
 def _require_prob(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
+@dataclass(frozen=True)
 class _Window:
-    """Mixin for window-based specs: ``active(now)`` membership test."""
+    """A spec that holds one node for ``start_ns <= now < start_ns + duration_ns``."""
+
+    node: str
+    start_ns: int
+    duration_ns: int
+
+    def __post_init__(self) -> None:
+        if self.start_ns < 0:
+            raise ValueError(f"start_ns cannot be negative, got {self.start_ns}")
+        if self.duration_ns <= 0:
+            raise ValueError(
+                f"duration_ns must be positive, got {self.duration_ns}"
+            )
 
     def active(self, now: int) -> bool:
         """True while ``now`` falls inside the fault window."""
         return self.start_ns <= now < self.start_ns + self.duration_ns
+
+
+@dataclass(frozen=True)
+class _LossWindow(_Window):
+    """A window that loses each of the node's items with ``drop_prob``."""
+
+    drop_prob: float = 1.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _require_prob("drop_prob", self.drop_prob)
 
 
 @dataclass(frozen=True)
@@ -54,13 +71,6 @@ class LocationOutage(_Window):
     and CO-MAP degrades to plain DCF until the window ends.
     """
 
-    node: str
-    start_ns: int
-    duration_ns: int
-
-    def __post_init__(self) -> None:
-        _require_window(self.start_ns, self.duration_ns)
-
 
 @dataclass(frozen=True)
 class FrozenLocation(_Window):
@@ -70,26 +80,12 @@ class FrozenLocation(_Window):
     eq. (3) silently stop tracking the node's true movement.
     """
 
-    node: str
-    start_ns: int
-    duration_ns: int
-
-    def __post_init__(self) -> None:
-        _require_window(self.start_ns, self.duration_ns)
-
 
 @dataclass(frozen=True)
-class BeaconLoss(_Window):
+class BeaconLoss(_LossWindow):
     """Individual position beacons are dropped with ``drop_prob``."""
 
-    node: str
-    start_ns: int
-    duration_ns: int
     drop_prob: float = 0.5
-
-    def __post_init__(self) -> None:
-        _require_window(self.start_ns, self.duration_ns)
-        _require_prob("drop_prob", self.drop_prob)
 
 
 @dataclass(frozen=True)
@@ -102,53 +98,32 @@ class LocationDrift(_Window):
     report, so peers see the report again once the window closes.
     """
 
-    node: str
-    start_ns: int
-    duration_ns: int
     rate_mps: float = 1.0
     heading_deg: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_window(self.start_ns, self.duration_ns)
+        super().__post_init__()
         if self.rate_mps < 0:
             raise ValueError(f"rate_mps cannot be negative, got {self.rate_mps}")
 
 
 @dataclass(frozen=True)
-class AckLossBurst(_Window):
+class AckLossBurst(_LossWindow):
     """ACKs addressed to the node are dropped at its receiver.
 
     Stresses the selective-repeat ARQ exactly where the paper motivates
     it: the data arrives, only the acknowledgement is lost.
     """
 
-    node: str
-    start_ns: int
-    duration_ns: int
-    drop_prob: float = 1.0
-
-    def __post_init__(self) -> None:
-        _require_window(self.start_ns, self.duration_ns)
-        _require_prob("drop_prob", self.drop_prob)
-
 
 @dataclass(frozen=True)
-class AnnouncementLoss(_Window):
+class AnnouncementLoss(_LossWindow):
     """CO-MAP announcements are not decoded by the node.
 
     Covers both announcement implementations: separate header frames and
     embedded early-FCS announcements.  The node loses exposed-terminal
     opportunities it would otherwise have exploited.
     """
-
-    node: str
-    start_ns: int
-    duration_ns: int
-    drop_prob: float = 1.0
-
-    def __post_init__(self) -> None:
-        _require_window(self.start_ns, self.duration_ns)
-        _require_prob("drop_prob", self.drop_prob)
 
 
 @dataclass(frozen=True)
@@ -239,6 +214,18 @@ class FaultPlan:
                 f"report_interval_ns must be positive, got {self.report_interval_ns}"
             )
         object.__setattr__(self, "events", tuple(self.events))
+        # A node can leave only while attached: its churn windows may
+        # touch (re-join and leave at one instant) but not overlap.
+        churn = sorted(
+            (event for event in self.events if isinstance(event, NodeChurn)),
+            key=lambda event: (event.node, event.leave_ns),
+        )
+        for before, after in zip(churn, churn[1:]):
+            if after.node == before.node and after.leave_ns < before.rejoin_ns:
+                raise ValueError(
+                    f"churn windows of node {after.node!r} overlap: it leaves "
+                    f"at {after.leave_ns} before re-joining at {before.rejoin_ns}"
+                )
 
     @property
     def has_location_faults(self) -> bool:

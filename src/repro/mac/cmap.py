@@ -160,23 +160,16 @@ class CmapMac(ExposedMac):
     # ------------------------------------------------------------------
     # Learning from outcomes
     # ------------------------------------------------------------------
-    def _accept_ack(self, ack: Frame) -> None:
-        if (
-            self._state is MacState.WAIT_ACK
-            and self._head is not None
-            and ack.flow == self._head.flow
-            and ack.seq == self._head.seq
-            and self._exposed_link is not None
-        ):
-            self._record_outcome(self._exposed_link, self._head.dst, success=True)
-            self._exposed_link = None
-        super()._accept_ack(ack)
+    def _report_rate_outcome(self, dst: int, success: bool) -> None:
+        """Learn from a concurrent attempt's ACK outcome, then pass it on.
 
-    def _handle_ack_timeout(self, frame: Frame) -> None:
+        DCF calls this once per attempt: on the matching ACK and on every
+        ACK or CTS timeout.
+        """
         if self._exposed_link is not None:
-            self._record_outcome(self._exposed_link, frame.dst, success=False)
+            self._record_outcome(self._exposed_link, dst, success)
             self._exposed_link = None
-        super()._handle_ack_timeout(frame)
+        super()._report_rate_outcome(dst, success)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CmapMac node={self.node_id} entries={self.map_size()}>"

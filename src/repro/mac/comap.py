@@ -98,8 +98,9 @@ class CoMapStats:
     adaptation_refreshes: int = 0
     #: Graceful-degradation fallback (stale location input): fallbacks
     #: started (the instant the node's own row outlived
-    #: ``location_ttl_ns``), fallbacks ended (by the node's next report),
-    #: and data frames transmitted while degraded.
+    #: ``location_ttl_ns``, or a re-join without a row), fallbacks ended
+    #: (by the node's next report), and data frames transmitted while
+    #: degraded.
     fallback_entered: int = 0
     fallback_exited: int = 0
     fallback_tx_frames: int = 0
@@ -179,8 +180,9 @@ class CoMapMac(ExposedMac):
 
         Only reads the state: :meth:`_location_expired` starts a fallback
         the instant the node's own row outlives
-        :attr:`CoMapConfig.location_ttl_ns`, and :meth:`location_reported`
-        ends it.  With the TTL unset (the default) it is always False.
+        :attr:`CoMapConfig.location_ttl_ns`, :meth:`resume` one for a
+        node back without its row, and :meth:`location_reported` ends
+        it.  With the TTL unset (the default) it is always False.
         """
         return self._fallback_active
 
@@ -209,7 +211,15 @@ class CoMapMac(ExposedMac):
         )
 
     def _location_expired(self) -> None:
-        """Start a fallback if the node's row was not refreshed in time.
+        """Start a fallback if the node's row was not refreshed in time."""
+        self._staleness_handle = None
+        if not self.agent.location_stale(self.sim.now):
+            self._arm_staleness_check()
+            return
+        self._enter_fallback()
+
+    def _enter_fallback(self) -> None:
+        """Fall back to plain DCF until the node's next report.
 
         Entering fallback ends the live opportunity and puts the
         configured window back in force, and :meth:`preferred_payload`
@@ -217,10 +227,6 @@ class CoMapMac(ExposedMac):
         next report.  The advice itself is kept: leaving fallback pins
         its window again, so no refresh is needed to restore it.
         """
-        self._staleness_handle = None
-        if not self.agent.location_stale(self.sim.now):
-            self._arm_staleness_check()
-            return
         self._fallback_active = True
         self.comap_stats.fallback_entered += 1
         self._end_opportunity()
@@ -618,7 +624,7 @@ class CoMapMac(ExposedMac):
 
     def suspend(self) -> None:
         """Churn: also forget every link's RSSI signature and stop the
-        staleness check (the re-join report re-arms it)."""
+        staleness check (the node's next report re-arms it)."""
         if self._suspended:
             return
         self._link_signatures.clear()
@@ -626,6 +632,23 @@ class CoMapMac(ExposedMac):
             self._staleness_handle.cancel()
             self._staleness_handle = None
         super().suspend()
+
+    def resume(self) -> None:
+        """Churn: a node back without its own row is in fallback.
+
+        Its re-join report was held back by a location fault, so with a
+        ``location_ttl_ns`` it has no fresh location input: it contends
+        as plain DCF until its next publication ends the fallback.
+        """
+        if not self._suspended:
+            return
+        if (
+            self.agent.config.location_ttl_ns is not None
+            and not self._fallback_active
+            and self.node_id not in self.agent.neighbor_table
+        ):
+            self._enter_fallback()
+        super().resume()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CoMapMac node={self.node_id} state={self._state.value}>"

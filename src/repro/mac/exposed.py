@@ -101,7 +101,13 @@ class ExposedMac(DcfMac):
         self._pending_duration_ns = duration_ns
 
     def _open_opportunity(self, link: Link, rssi1_mw: float, horizon_ns: int) -> None:
-        """Open an episode over ``link`` that expires ``horizon_ns`` from now."""
+        """Open an episode over ``link`` that expires ``horizon_ns`` from now.
+
+        An episode still open is replaced, and its expiry timer with it.
+        """
+        replaced = self._opportunity
+        if replaced is not None and replaced.expires_handle is not None:
+            replaced.expires_handle.cancel()
         opportunity = _Opportunity(
             link,
             rssi1_mw=rssi1_mw,

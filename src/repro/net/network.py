@@ -179,7 +179,7 @@ class Network:
         # a stale queued drain instead of letting both run.
         self._adaptation_drain_handle = None
         #: The installed :class:`repro.faults.FaultInjector`, if any; it
-        #: may veto scenario-driven reports (see :meth:`install_faults`).
+        #: may hold back fresh reports (see :meth:`_report_fresh`).
         self.faults = None
 
     # ------------------------------------------------------------------
@@ -493,6 +493,22 @@ class Network:
             self._mark_adaptation_dirty(node)
         node.mac.location_reported()
 
+    def _report_fresh(self, node: Node) -> bool:
+        """Run ``node``'s location service mid-run and publish the report.
+
+        The one mid-run report path, for moves and re-joins alike.  The
+        installed fault injector may hold the report back (outage, frozen
+        or drift window) or drop it (beacon loss); then no report is made
+        and the node's row keeps whatever the last publication left.
+        Returns True when a report was published.
+        """
+        if self.faults is not None and not self.faults.allow_report(
+            node, self.sim.now
+        ):
+            return False
+        self.publish_report(node, self._new_report(node))
+        return True
+
     def update_node_position(self, node: Node, position: Point) -> bool:
         """Move a node; re-report if the move exceeds the threshold.
 
@@ -507,12 +523,7 @@ class Network:
             return False
         if not node.agent.should_report_move(position):
             return False
-        if self.faults is not None and not self.faults.allow_report(
-            node, self.sim.now
-        ):
-            return False
-        self.publish_report(node, self._new_report(node))
-        return True
+        return self._report_fresh(node)
 
     # ------------------------------------------------------------------
     # Churn (nodes leaving and re-joining mid-run)
@@ -539,18 +550,21 @@ class Network:
         """Bring a detached node back on the air (it re-joined).
 
         Re-attaches the radio (the mid-run attach contract applies: it
-        does not observe transmissions already in flight), resumes the
-        MAC, and — for CO-MAP — publishes a fresh position report so the
-        network re-learns the node and the node's peers re-validate
-        concurrency against it.  The node itself reads its band's table,
+        does not observe transmissions already in flight), makes — for
+        CO-MAP — a fresh position report through the path a move takes,
+        so the network re-learns the node and the node's peers
+        re-validate concurrency against it, and resumes the MAC.  The
+        report goes first, so the MAC contends on what it says; a report
+        the fault injector holds back leaves the node's row absent until
+        its next keep-alive.  The node itself reads its band's table,
         which stayed current while it was away.
         """
         if node.radio.attached:
             raise RuntimeError(f"node {node.name!r} is not detached")
         node.radio.channel.attach(node.radio)
-        node.mac.resume()
         if node.agent is not None:
-            self.publish_report(node, self._new_report(node))
+            self._report_fresh(node)
+        node.mac.resume()
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -570,10 +584,8 @@ class Network:
             raise RuntimeError("a fault plan is already installed")
         from repro.faults.injector import FaultInjector
 
-        injector = FaultInjector(self, plan)
-        injector.install()
-        self.faults = injector
-        return injector
+        self.faults = FaultInjector(self, plan)
+        return self.faults
 
     def location_overhead_bytes(self) -> int:
         """Estimated one-shot location-exchange cost (Section V).

@@ -15,8 +15,14 @@ other nodes derived from it.  After the round trip:
   no coordination round and leaves the TXOP ledger, and re-attaches
   when it re-joins;
 * a C-SR AP caught transmitting at a capped power leaves at, and comes
-  back at, its configured power.
+  back at, its configured power;
+* a re-join is a fresh report like a move's: the node's location faults
+  govern it, so an outage publishes nothing, a frozen or drift window
+  holds the report back, and with a location TTL a node back without
+  its row is in fallback until its next keep-alive.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,18 +30,27 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import CoMapConfig
 from repro.core.neighbor_table import NeighborTable
 from repro.core.protocol import CoMapAgent
-from repro.experiments.params import ns2_params
+from repro.experiments.params import ns2_params, testbed_params
 from repro.experiments.topologies import (
     enterprise_floor_topology,
     exposed_terminal_topology,
 )
-from repro.faults import FaultPlan, NodeChurn
+from repro.faults import (
+    BeaconLoss,
+    FaultPlan,
+    FrozenLocation,
+    LocationDrift,
+    LocationOutage,
+    NodeChurn,
+)
 from repro.net.mobility import LinearMobility
 from repro.phy.propagation import LogNormalShadowing
 from repro.util.geometry import Point
 
 MS = 1_000_000
 US = 1_000
+KEEP_ALIVE_NS = 2 * MS
+TTL_NS = 6 * MS
 
 
 def eq3_allows(agent, src, dst, my_dst):
@@ -76,6 +91,18 @@ def stale_rows(network):
         if rows != expected:
             stale.append((reader.name, rows, expected))
     return stale
+
+
+def fig8_pair(mac_kind="comap", seed=3, ttl_ns=None):
+    """The Fig. 8 pair with C2 at 30 m, optionally with a location TTL."""
+    params = testbed_params()
+    if ttl_ns is not None:
+        params = params.with_overrides(
+            comap=dataclasses.replace(params.comap, location_ttl_ns=ttl_ns)
+        )
+    return exposed_terminal_topology(
+        mac_kind, c2_x=30.0, seed=seed, params=params
+    ).network
 
 
 def walk_c2(network, end_x):
@@ -216,6 +243,121 @@ class TestLeavingWithinSifs:
         assert c1.mac.stats.successes > left[0]
 
 
+class TestChurnPlans:
+    def test_overlapping_windows_of_one_node_are_rejected(self):
+        with pytest.raises(ValueError, match="overlap"):
+            FaultPlan(events=(
+                NodeChurn("C2", leave_ns=10 * MS, rejoin_ns=50 * MS),
+                NodeChurn("C2", leave_ns=30 * MS, rejoin_ns=70 * MS),
+            ))
+        FaultPlan(events=(  # other nodes' windows may overlap
+            NodeChurn("C1", leave_ns=10 * MS, rejoin_ns=50 * MS),
+            NodeChurn("C2", leave_ns=30 * MS, rejoin_ns=70 * MS),
+        ))
+
+    @pytest.mark.parametrize("listed", ["in time order", "later first"])
+    def test_touching_windows_run_in_either_list_order(self, listed):
+        windows = (
+            NodeChurn("C2", leave_ns=10 * MS, rejoin_ns=50 * MS),
+            NodeChurn("C2", leave_ns=50 * MS, rejoin_ns=70 * MS),
+        )
+        if listed == "later first":
+            windows = windows[::-1]
+        network = fig8_pair()
+        injector = network.install_faults(FaultPlan(events=windows))
+        network.run(0.1)
+        assert injector.counters["churn_leaves"] == 2
+        assert injector.counters["churn_joins"] == 2
+        assert network.node("C2").radio.attached
+        assert stale_rows(network) == []
+
+
+class TestLocationFaultsAtRejoin:
+    """A re-join while the node's location service fails reports nothing."""
+
+    def run_with_a_move_while_away(self, window):
+        # C2 leaves at 50 ms, moves 10 m at 70 ms and re-joins at 100 ms.
+        network = fig8_pair()
+        c2 = network.node("C2")
+        network.install_faults(FaultPlan(
+            events=(window, NodeChurn("C2", leave_ns=50 * MS, rejoin_ns=100 * MS)),
+            report_interval_ns=KEEP_ALIVE_NS,
+        ))
+        network.sim.schedule_at(
+            70 * MS, network.update_node_position, c2, Point(40, 0)
+        )
+        network.run(0.2)
+        return network, c2
+
+    def test_outage_holds_back_the_rejoin_report(self):
+        network, c2 = self.run_with_a_move_while_away(
+            LocationOutage("C2", start_ns=0, duration_ns=10**12)
+        )
+        assert c2.node_id not in c2.agent.neighbor_table
+        assert c2.agent.reported_position == Point(30, 0)
+        assert network.faults.counters["reports_suppressed"] > 0
+        assert stale_verdicts(network) == []
+
+    def test_frozen_window_keeps_the_pre_window_report(self):
+        network, c2 = self.run_with_a_move_while_away(
+            FrozenLocation("C2", start_ns=0, duration_ns=10**12)
+        )
+        row = c2.agent.neighbor_table.get(c2.node_id)
+        assert row.position == Point(30, 0)
+        assert row.updated_at == 200 * MS  # the last keep-alive
+        assert stale_rows(network) == []
+
+    @pytest.mark.parametrize(
+        "outage_ms, leave_ms, rejoin_ms",
+        [(0, 50, 100), (40, 20, 60)],
+        ids=["left-in-fallback", "outage-began-while-away"],
+    )
+    def test_rejoin_without_a_row_is_in_fallback(
+        self, outage_ms, leave_ms, rejoin_ms
+    ):
+        network = fig8_pair(ttl_ns=TTL_NS)
+        c2 = network.node("C2")
+        network.install_faults(FaultPlan(
+            events=(
+                LocationOutage("C2", start_ns=outage_ms * MS, duration_ns=10**12),
+                NodeChurn("C2", leave_ns=leave_ms * MS, rejoin_ns=rejoin_ms * MS),
+            ),
+            report_interval_ns=KEEP_ALIVE_NS,
+        ))
+        network.sim.run(until=rejoin_ms * MS)
+        assert c2.radio.attached
+        assert c2.mac._degraded()
+        network.run(0.1)
+        stats = c2.mac.comap_stats
+        assert (stats.fallback_entered, stats.fallback_exited) == (1, 0)
+        assert c2.mac._degraded()
+
+    def test_rejoin_report_ends_a_fallback_before_the_mac_contends(self):
+        # C2 falls back in a 0-40 ms outage, leaves at 20 ms still in
+        # fallback, and re-joins at 60 ms with a report.
+        network = fig8_pair(ttl_ns=TTL_NS)
+        c2 = network.node("C2")
+        network.install_faults(FaultPlan(
+            events=(
+                LocationOutage("C2", start_ns=0, duration_ns=40 * MS),
+                NodeChurn("C2", leave_ns=20 * MS, rejoin_ns=60 * MS),
+            ),
+            report_interval_ns=KEEP_ALIVE_NS,
+        ))
+        resume = c2.mac.resume
+        degraded_at_resume = []
+
+        def logged_resume():
+            degraded_at_resume.append(c2.mac._degraded())
+            resume()
+
+        c2.mac.resume = logged_resume
+        network.run(0.1)
+        assert degraded_at_resume == [False]
+        stats = c2.mac.comap_stats
+        assert (stats.fallback_entered, stats.fallback_exited) == (1, 1)
+
+
 CHURNABLE = ("AP1", "AP2", "C1", "C2")
 
 
@@ -256,6 +398,94 @@ class TestChurnFuzz:
         if mac_kind == "comap":
             assert stale_rows(network) == []
             assert stale_verdicts(network) == []
+
+
+LOCATION_SPECS = (LocationOutage, FrozenLocation, LocationDrift, BeaconLoss)
+#: Specs that hold a node's fresh reports back while active.
+HOLDING = (LocationOutage, FrozenLocation, LocationDrift)
+
+
+@st.composite
+def churn_and_location_windows(draw):
+    """Per node of the Fig. 8 pair: 0-2 disjoint churn windows and 0-2
+    location windows, every location window closed by 150 ms."""
+    events = []
+    for name in CHURNABLE:
+        edges = sorted(draw(st.lists(
+            st.integers(1, 199_000), max_size=4, unique=True
+        )))
+        for leave_us, rejoin_us in zip(edges[::2], edges[1::2]):
+            events.append(NodeChurn(
+                name, leave_ns=leave_us * US, rejoin_ns=rejoin_us * US
+            ))
+        for _ in range(draw(st.integers(0, 2))):
+            start_us = draw(st.integers(0, 149_000))
+            end_us = draw(st.integers(start_us + 1, 150_000))
+            window = (name, start_us * US, (end_us - start_us) * US)
+            spec = draw(st.sampled_from(LOCATION_SPECS))
+            if spec is BeaconLoss:
+                drop_prob = draw(st.sampled_from((0.0, 0.5, 1.0)))
+                events.append(BeaconLoss(*window, drop_prob=drop_prob))
+            else:
+                events.append(spec(*window))
+    return tuple(events)
+
+
+class TestLocationFaultFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mac_kind=st.sampled_from(["comap", "cmap", "dcf"]),
+        seed=st.integers(0, 2**16),
+        ttl_ns=st.sampled_from([None, TTL_NS]),
+        walks=st.booleans(),
+        events=churn_and_location_windows(),
+    )
+    def test_location_faults_govern_every_report(
+        self, mac_kind, seed, ttl_ns, walks, events
+    ):
+        network = fig8_pair(mac_kind, seed, ttl_ns)
+        if walks:
+            walk_c2(network, end_x=45)
+        published, reported = [], []
+        publish = network.publish_report
+
+        def logged_publish(node, position):
+            published.append((node.name, network.sim.now))
+            publish(node, position)
+
+        network.publish_report = logged_publish
+        for node in network.nodes.values():
+            if node.agent is not None:
+                mark = node.agent.mark_reported
+
+                def logged_mark(report, position, name=node.name, mark=mark):
+                    reported.append((name, network.sim.now))
+                    mark(report, position)
+
+                node.agent.mark_reported = logged_mark
+        network.install_faults(FaultPlan(
+            events=events, report_interval_ns=KEEP_ALIVE_NS
+        ))
+        network.run(0.2)
+
+        def held(name, now, kinds):
+            return any(
+                isinstance(event, kinds) and event.node == name
+                and event.active(now)
+                for event in events
+            )
+
+        assert [p for p in published if held(*p, LocationOutage)] == []
+        assert [r for r in reported if held(*r, HOLDING)] == []
+        if mac_kind != "comap":
+            return
+        assert stale_verdicts(network) == []
+        assert stale_rows(network) == []
+        if ttl_ns is not None:
+            now = network.sim.now
+            for node in network.nodes.values():
+                if node.radio.attached and node.agent.location_stale(now):
+                    assert node.mac._degraded(), node.name
 
 
 def csr_floor():

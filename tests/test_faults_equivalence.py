@@ -9,6 +9,8 @@ the pre-faults code on the paper's golden topologies (the same style of
 pin as ``tests/test_channel_culling.py``).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.params import ns2_params, testbed_params
@@ -16,7 +18,19 @@ from repro.experiments.topologies import (
     exposed_terminal_topology,
     office_floor_topology,
 )
-from repro.faults import FaultPlan
+from repro.faults import (
+    AckLossBurst,
+    AnnouncementLoss,
+    BeaconLoss,
+    CoMapCorruption,
+    CoMapExpiry,
+    FaultPlan,
+    FrozenLocation,
+    LocationDrift,
+    LocationOutage,
+    NodeChurn,
+)
+from repro.util.rng import _canonical
 
 from tests.goldens import _sparse_floor, node_counters
 
@@ -101,8 +115,6 @@ class TestInstallValidation:
         )
         injector = built.network.install_faults(FaultPlan())
         with pytest.raises(RuntimeError, match="already installed"):
-            injector.install()
-        with pytest.raises(RuntimeError, match="already installed"):
             built.network.install_faults(FaultPlan())
         assert built.network.faults is injector
 
@@ -144,3 +156,71 @@ class TestSpecValidation:
         assert plan.node_names == ("B",)
         assert plan.for_node("B") == plan.events
         assert plan.for_node("A") == ()
+
+
+REQUIRED = dataclasses.MISSING
+WINDOW = (("node", REQUIRED), ("start_ns", REQUIRED), ("duration_ns", REQUIRED))
+
+
+class TestSpecLayout:
+    """A plan's canonical encoding keys every stored sweep result, so the
+    specs' fields, their order and defaults, and their encodings are
+    pinned."""
+
+    FIELDS = {
+        LocationOutage: WINDOW,
+        FrozenLocation: WINDOW,
+        BeaconLoss: WINDOW + (("drop_prob", 0.5),),
+        LocationDrift: WINDOW + (("rate_mps", 1.0), ("heading_deg", 0.0)),
+        AckLossBurst: WINDOW + (("drop_prob", 1.0),),
+        AnnouncementLoss: WINDOW + (("drop_prob", 1.0),),
+        CoMapExpiry: (("node", REQUIRED), ("at_ns", REQUIRED)),
+        CoMapCorruption: (
+            ("node", REQUIRED), ("at_ns", REQUIRED), ("flip_prob", 1.0),
+        ),
+        NodeChurn: (
+            ("node", REQUIRED), ("leave_ns", REQUIRED), ("rejoin_ns", REQUIRED),
+        ),
+    }
+
+    ENCODINGS = (
+        (LocationOutage("C1", 1, 2),
+         "dc:LocationOutage:d:{s:11:duration_ns=i:2,s:4:node=s:2:C1,"
+         "s:8:start_ns=i:1}"),
+        (FrozenLocation("C2", 3, 4),
+         "dc:FrozenLocation:d:{s:11:duration_ns=i:4,s:4:node=s:2:C2,"
+         "s:8:start_ns=i:3}"),
+        (BeaconLoss("AP1", 5, 6),
+         "dc:BeaconLoss:d:{s:9:drop_prob=f:0.5,s:11:duration_ns=i:6,"
+         "s:4:node=s:3:AP1,s:8:start_ns=i:5}"),
+        (LocationDrift("C2", 7, 8),
+         "dc:LocationDrift:d:{s:11:duration_ns=i:8,s:11:heading_deg=f:0.0,"
+         "s:4:node=s:2:C2,s:8:rate_mps=f:1.0,s:8:start_ns=i:7}"),
+        (AckLossBurst("C1", 9, 10),
+         "dc:AckLossBurst:d:{s:9:drop_prob=f:1.0,s:11:duration_ns=i:10,"
+         "s:4:node=s:2:C1,s:8:start_ns=i:9}"),
+        (AnnouncementLoss("C2", 11, 12),
+         "dc:AnnouncementLoss:d:{s:9:drop_prob=f:1.0,s:11:duration_ns=i:12,"
+         "s:4:node=s:2:C2,s:8:start_ns=i:11}"),
+        (CoMapExpiry("C1", 13), "dc:CoMapExpiry:d:{s:5:at_ns=i:13,s:4:node=s:2:C1}"),
+        (CoMapCorruption("C2", 14),
+         "dc:CoMapCorruption:d:{s:5:at_ns=i:14,s:9:flip_prob=f:1.0,"
+         "s:4:node=s:2:C2}"),
+        (NodeChurn("AP2", 15, 16),
+         "dc:NodeChurn:d:{s:8:leave_ns=i:15,s:4:node=s:3:AP2,s:9:rejoin_ns=i:16}"),
+    )
+
+    @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
+    def test_fields_order_and_defaults(self, cls):
+        fields = tuple((f.name, f.default) for f in dataclasses.fields(cls))
+        assert fields == self.FIELDS[cls]
+
+    def test_canonical_encodings(self):
+        for spec, encoding in self.ENCODINGS:
+            assert _canonical(spec).decode() == encoding
+        plan = FaultPlan(events=tuple(spec for spec, _ in self.ENCODINGS))
+        assert _canonical(plan).decode() == (
+            "dc:FaultPlan:d:{s:6:events=t:["
+            + ",".join(encoding for _, encoding in self.ENCODINGS)
+            + "],s:18:report_interval_ns=i:20000000}"
+        )

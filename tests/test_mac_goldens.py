@@ -8,7 +8,7 @@ Each default run must match its committed fixture field for field.
 
 import pytest
 
-from tests.goldens import assert_baseline_matches, run_scenario
+from tests.goldens import SCENARIOS, assert_baseline_matches, run_scenario
 
 #: scenario -> counters that must be non-zero, so a fixture regenerated
 #: after some future change still exercises the path it exists to pin.
@@ -30,3 +30,22 @@ def test_scenario_exercises_its_mac_path(name):
     counters = network.counters()
     for key in EXERCISED[name]:
         assert counters[key] > 0, key
+
+
+def test_every_expiry_finds_its_own_episode_current():
+    # An episode replaced while still open (an announced one opening over
+    # a persistent-exposure one) takes its expiry timer with it.
+    build, duration_s = SCENARIOS["rival_et_cca"]
+    network = build().network
+    current = []
+    for node in network.nodes.values():
+        mac = node.mac
+
+        def logged_expiry(opportunity, mac=mac, expire=mac._expire_opportunity):
+            current.append(mac._opportunity is opportunity)
+            expire(opportunity)
+
+        mac._expire_opportunity = logged_expiry
+    network.run(duration_s)
+    assert current
+    assert current.count(False) == 0
