@@ -16,8 +16,8 @@ sweep into independent :class:`SweepTask` records and hands them to
   knob, explicit ``jobs=`` argument wins).  The simulator is
   bit-reproducible *per process*; separate processes per task mean no
   shared mutable state can leak between sweep points.  ``jobs=1`` — the
-  default — bypasses the pool entirely, and any pickling failure degrades
-  gracefully to the same serial path.
+  default — bypasses the pool entirely, and a pool whose workers cannot
+  start hands its unfinished tasks to the same serial path.
 * **Content-keyed storage.**  An optional on-disk :class:`ResultCache`
   stores each finished task — its result and the counter delta it
   added — under a stable SHA-256 fingerprint of the task's callable and
@@ -26,7 +26,12 @@ sweep into independent :class:`SweepTask` records and hands them to
   :class:`~repro.experiments.params.ScenarioParams` changes the
   fingerprint, so stale hits are impossible; corrupted cache files are
   treated as misses.  Entries land as each task finishes, so re-running
-  a crashed sweep on the same store resumes it.
+  a failed or killed sweep on the same store resumes it.
+
+One failure rule: a task's own exception propagates out of
+:func:`run_tasks` as raised, serial or pooled.  A task is a pure function
+of its record, so it would fail the same way again; nothing retries it,
+and the store is how the sweep resumes once the cause is fixed.
 
 Per-task progress and wall-clock timings are recorded into the process
 global :func:`repro.sim.trace.global_recorder` under the ``sweep``
@@ -60,12 +65,9 @@ task, no per-frame work.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
-import pickle
-import signal
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -85,10 +87,6 @@ JOBS_ENV = "REPRO_JOBS"
 CACHE_ENV = "REPRO_CACHE"
 #: Environment knob: override the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: Environment knob: per-task wall-clock limit in seconds (float).
-TIMEOUT_ENV = "REPRO_TASK_TIMEOUT_S"
-#: Environment knob: bounded re-attempts for failed/timed-out tasks.
-RETRIES_ENV = "REPRO_TASK_RETRIES"
 
 #: Bump when the cache payload format (not the keyed content) changes.
 #: Version 2 entries carry the task's counter delta next to its result;
@@ -110,7 +108,8 @@ class SweepTask:
 
     ``fn`` must be a module-level callable (so it pickles by reference)
     and must depend only on ``kwargs`` — no closures, no globals — so the
-    result is a pure function of the task record.  ``key`` is the task's
+    result is a pure function of the task record.  On a pool the task
+    and its result must pickle; one that does not raises there.  ``key`` is the task's
     human-readable grid identity, used for tracing and regrouping.
     """
 
@@ -127,49 +126,7 @@ class SweepTask:
         return self.fn(**self.kwargs)
 
 
-class TaskTimeout(Exception):
-    """A sweep task exceeded its per-task wall-clock limit.
-
-    Raised *inside* the executing process (worker or parent) by the
-    :func:`_alarm` guard, so it pickles back through the pool like any
-    task exception and carries the task key for diagnostics.
-    """
-
-
-@contextlib.contextmanager
-def _alarm(timeout_s: Optional[float]):
-    """Bound a block's wall-clock time via ``SIGALRM``.
-
-    A no-op when no limit is set, when ``SIGALRM`` is unavailable
-    (Windows), or off the main thread (signal handlers can only be
-    installed there) — in those cases tasks simply run unbounded, the
-    pre-hardening behavior.  ``setitimer`` gives sub-second resolution
-    and the handler/timer are always restored, so nesting with user
-    code that uses alarms stays safe.
-    """
-    if (
-        not timeout_s
-        or not hasattr(signal, "SIGALRM")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        yield
-        return
-
-    def _fire(signum, frame):
-        raise TaskTimeout(f"task exceeded {timeout_s:g}s wall-clock limit")
-
-    previous = signal.signal(signal.SIGALRM, _fire)
-    signal.setitimer(signal.ITIMER_REAL, float(timeout_s))
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _execute_indexed(
-    task: SweepTask, timeout_s: Optional[float] = None
-) -> Tuple[Any, float]:
+def _execute_indexed(task: SweepTask) -> Tuple[Any, float]:
     """Run one task, returning (result, elapsed_s).
 
     Records a ``sweep/task_run`` event *in the executing process* (the
@@ -178,8 +135,7 @@ def _execute_indexed(
     """
     trace = configure_from_env()
     started = time.perf_counter()
-    with _alarm(timeout_s):
-        result = task.execute()
+    result = task.execute()
     elapsed = time.perf_counter() - started
     trace.record(
         "sweep", "task_run", key=task.key, pid=os.getpid(), elapsed_s=elapsed
@@ -217,33 +173,15 @@ def capture_deltas(
     return (value, *added())
 
 
-class _ResultWontPickle(pickle.PicklingError):
-    """A pool task's result cannot travel home: the transport's failure.
-
-    Its own class, so that a task which itself raises ``PicklingError``
-    is judged as that task's outcome — under ``on_error="raise"`` too —
-    instead of re-running on the serial fallback.
-    """
-
-
 def _execute_shipping(
-    task: SweepTask, timeout_s: Optional[float] = None
+    task: SweepTask,
 ) -> Tuple[Any, float, List[TraceEvent], Dict[str, Any]]:
     """Pool entry point: run one task and ship its observability deltas.
 
     What the task records in the worker's globals would die with the
-    worker, so the deltas travel home with the result.  A result that
-    cannot travel raises :class:`_ResultWontPickle` here — a transport
-    failure, which sends the task to the serial path under every failure
-    policy.
+    worker, so the deltas travel home with the result.
     """
-    (result, elapsed), counters, events = capture_deltas(
-        _execute_indexed, task, timeout_s
-    )
-    try:
-        pickle.dumps(result)
-    except Exception as exc:
-        raise _ResultWontPickle(f"task result does not pickle: {exc}") from exc
+    (result, elapsed), counters, events = capture_deltas(_execute_indexed, task)
     return result, elapsed, events, counters
 
 
@@ -399,87 +337,16 @@ def _env_cache() -> Optional[ResultCache]:
 
 
 # ----------------------------------------------------------------------
-# Failure policy
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FailurePolicy:
-    """How a sweep treats tasks that raise, hang, or kill their worker.
-
-    The default (no timeout, no retries, ``on_error="raise"``) is the
-    pre-hardening behavior: the first failure propagates.  With
-    ``on_error="record"`` a sweep becomes crash-tolerant: failed tasks
-    yield ``None`` results and structured :class:`TaskFailure` records
-    in the trace and run manifest, while every other task completes.
-    """
-
-    timeout_s: Optional[float] = None
-    retries: int = 0
-    on_error: str = "raise"
-
-
-def _env_number(name: str, parse: Callable[[str], Any], default: Any) -> Any:
-    """``parse($name)``, or ``default`` when it is unset, empty or malformed."""
-    raw = os.environ.get(name, "")
-    try:
-        return parse(raw) if raw else default
-    except ValueError:
-        return default
-
-
-def resolve_policy(
-    timeout_s: Optional[float] = None,
-    retries: Optional[int] = None,
-    on_error: str = "raise",
-) -> FailurePolicy:
-    """Explicit arguments win; the ``REPRO_TASK_*`` env knobs back-fill.
-
-    ``on_error`` has no environment knob: a ``"record"`` sweep returns
-    ``None`` for each failed task, which only a caller written for it
-    can handle, so the runners, ``report`` and the benches always run
-    in raise mode.
-    """
-    if timeout_s is None:
-        timeout_s = _env_number(TIMEOUT_ENV, float, None)
-    if retries is None:
-        retries = _env_number(RETRIES_ENV, int, 0)
-    if on_error not in ("raise", "record"):
-        raise ValueError(f"on_error must be 'raise' or 'record', got {on_error!r}")
-    if timeout_s is not None and timeout_s <= 0:
-        raise ValueError(f"timeout_s must be positive, got {timeout_s}")
-    return FailurePolicy(
-        timeout_s=timeout_s, retries=max(0, int(retries)), on_error=on_error
-    )
-
-
-@dataclass(frozen=True)
-class TaskFailure:
-    """One task that failed after exhausting its retry budget."""
-
-    index: int
-    key: Tuple
-    #: "exception" (the task raised), "timeout" (wall-clock limit), or
-    #: "broken_pool" (the task repeatedly killed its worker process).
-    kind: str
-    error: str
-    attempts: int
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "key": obs_manifest.jsonable(self.key),
-            "kind": self.kind,
-            "error": self.error,
-            "attempts": self.attempts,
-        }
-
-
-# ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else ``$REPRO_JOBS``, else 1."""
+    """Worker count: explicit argument, else ``$REPRO_JOBS``, else 1
+    (also when the variable is empty or malformed)."""
     if jobs is None:
-        jobs = _env_number(JOBS_ENV, int, 1)
+        try:
+            jobs = int(os.environ.get(JOBS_ENV) or 1)
+        except ValueError:
+            jobs = 1
     return max(1, int(jobs))
 
 
@@ -488,31 +355,22 @@ def run_tasks(
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     label: str = "sweep",
-    timeout_s: Optional[float] = None,
-    retries: Optional[int] = None,
-    on_error: str = "raise",
 ) -> List[Any]:
     """Execute ``tasks`` and return their results in task order.
 
     Results are a pure function of each task record, so the output is
-    bit-identical for every ``jobs`` value — including across retries: a
-    re-attempted task re-derives the *same* seed from the same record,
-    so a retry that succeeds is indistinguishable from a first-try
-    success.  ``cache=None`` consults ``$REPRO_CACHE`` (off by default);
-    a provided :class:`ResultCache` is always used.  Each finished task
-    is stored as soon as it succeeds, and a hit replays the counter
-    delta the task added, so calling ``run_tasks`` again on the store of
-    a killed sweep resumes it and writes the manifest an uninterrupted
-    run would.
+    bit-identical for every ``jobs`` value.  ``cache=None`` consults
+    ``$REPRO_CACHE`` (off by default); a provided :class:`ResultCache`
+    is always used.  Each task is stored as soon as it finishes, and a
+    hit replays the counter delta the task added.
 
-    ``timeout_s``/``retries``/``on_error`` build a
-    :class:`FailurePolicy` (env knobs ``REPRO_TASK_TIMEOUT_S`` and
-    ``REPRO_TASK_RETRIES`` back-fill unset arguments).  With
-    ``on_error="record"``, failed tasks return ``None`` in the result
-    list and are recorded as ``sweep/task_failed`` trace events plus
-    ``failures`` entries in the run manifest; a worker process dying
-    (``BrokenProcessPool``) respawns the pool and resumes the unfinished
-    tasks rather than aborting the sweep.  Failed tasks are never cached.
+    One failure rule: a task's own exception propagates as raised, on
+    the serial path and the pool alike, and ends the sweep without a
+    manifest.  A task would fail the same way again, so nothing retries
+    it; the tasks that finished before it are in the store already, so
+    calling ``run_tasks`` again on the same store — once the cause is
+    fixed, or after the sweep was killed — resumes the sweep and writes
+    the manifest an uninterrupted run would.
     """
     tasks = list(tasks)
     # Parent and workers alike configure the global recorder, so the
@@ -521,7 +379,6 @@ def run_tasks(
     if cache is None:
         cache = _env_cache()
     jobs = resolve_jobs(jobs)
-    policy = resolve_policy(timeout_s, retries, on_error)
     profiler = maybe_profiler()
     if profiler is not None:
         profiler.start()
@@ -553,9 +410,7 @@ def run_tasks(
     )
 
     exec_started = time.perf_counter()
-    completed, failures = _run_pending(
-        tasks, pending, jobs, label, trace, policy, cache
-    )
+    completed = _run_pending(tasks, pending, jobs, label, trace, cache)
     exec_elapsed = time.perf_counter() - exec_started
     trace.record(
         "sweep", "phase", label=label, phase="execute",
@@ -566,11 +421,6 @@ def run_tasks(
         trace.record(
             "sweep", "task_done", label=label, key=tasks[index].key,
             elapsed_s=elapsed,
-        )
-    for failure in failures:
-        trace.record(
-            "sweep", "task_failed", label=label, key=failure.key,
-            kind=failure.kind, attempts=failure.attempts, error=failure.error,
         )
     wall_s = time.perf_counter() - sweep_started
     trace.record("sweep", "done", label=label, tasks=len(tasks), elapsed_s=wall_s)
@@ -592,9 +442,6 @@ def run_tasks(
             cache_hits=len(tasks) - len(pending) if cache is not None else 0,
             cache_misses=len(pending) if cache is not None else 0,
             profile=profile_block,
-            failures=[failure.as_dict() for failure in failures]
-            if policy.on_error == "record"
-            else None,
         )
         try:
             obs_manifest.write_manifest(manifest, manifest_dir)
@@ -649,7 +496,7 @@ def sweep_manifest(
     Task rows carry each task's key, seed and content fingerprint, plus
     its deviations from the common ``params``.  ``optional`` carries the
     optional blocks of :func:`~repro.obs.manifest.build_manifest` (cache
-    counts, ``profile``, ``failures``).
+    counts, ``profile``).
     """
     params, overrides = split_common_params(tasks)
     rows = []
@@ -686,252 +533,128 @@ def sweep_manifest(
     )
 
 
+#: Finished task as the execution paths yield it: index, result,
+#: elapsed seconds and the counter delta it added.
+_Finished = Tuple[int, Any, float, Dict[str, Any]]
+
+
 def _run_pending(
     tasks: Sequence[SweepTask],
     pending: List[int],
     jobs: int,
     label: str,
     trace,
-    policy: FailurePolicy,
     store: Optional[ResultCache] = None,
-) -> Tuple[Dict[int, Tuple[Any, float]], List[TaskFailure]]:
-    """Run the not-yet-cached tasks, parallel when possible.
+) -> Dict[int, Tuple[Any, float]]:
+    """Run the not-yet-stored tasks, on a pool when ``jobs > 1``.
 
-    Every pending task is probed for picklability individually:
-    unpicklable tasks run on the serial path while the rest still go
-    through the pool.  If the pool itself fails — a result that will
-    not pickle, worker processes that cannot start — the serial
-    fallback resumes only the indices the pool did not finish: tasks
-    already completed have had their shipped counter deltas and trace
-    events merged into the parent registry, and re-running them would
-    double-merge both.  A task's own exception, whatever its type, is
-    never a pool failure: the failure policy settles it.
+    Each finished task goes into ``store`` at once — written by this
+    process only — so a sweep that fails or is killed later keeps it.
+    A pool whose worker processes cannot start is the pool's failure,
+    not a task's: the serial path runs only the tasks the pool did not
+    finish, since a finished task's shipped deltas are merged already
+    and running it again would count them twice.
     """
     completed: Dict[int, Tuple[Any, float]] = {}
-    failures: Dict[int, TaskFailure] = {}
-    serial_indices = list(pending)
+
+    def keep(finished: Iterator[_Finished]) -> None:
+        for index, value, elapsed, counters in finished:
+            completed[index] = value, elapsed
+            if store is not None:
+                store.put(tasks[index].fingerprint(), value, counters)
+
     if jobs > 1 and len(pending) > 1:
-        pooled = [index for index in pending if _picklable(tasks[index])]
-        if len(pooled) > 1:
-            serial_indices = sorted(set(pending) - set(pooled))
-            try:
-                _run_parallel(
-                    tasks, pooled, jobs, policy, completed, failures, store
-                )
-            except (_ResultWontPickle, _PoolUnavailable) as exc:
-                # The sweep must finish either way — but resume only the
-                # unfinished indices, never the already-merged ones.
-                trace.record(
-                    "sweep", "serial_fallback", label=label,
-                    reason=f"{type(exc).__name__}: {exc}",
-                )
-                finished = set(completed) | set(failures)
-                serial_indices = [i for i in pending if i not in finished]
-    return _run_serial(tasks, serial_indices, policy, completed, failures, store)
+        try:
+            keep(_run_parallel(tasks, pending, jobs))
+            return completed
+        except _PoolUnavailable as exc:
+            trace.record("sweep", "serial_fallback", label=label, reason=str(exc))
+    keep(_run_serial(tasks, [i for i in pending if i not in completed]))
+    return completed
 
 
-def _picklable(task: SweepTask) -> bool:
-    try:
-        pickle.dumps(task)
-        return True
-    except Exception:
-        return False
+def _run_serial(
+    tasks: Sequence[SweepTask], pending: List[int]
+) -> Iterator[_Finished]:
+    """In-process execution.
+
+    A task here counts straight into this process's globals, so its
+    deltas are only measured, the counters for the store: merging them
+    would count twice.
+    """
+    for index in pending:
+        (value, elapsed), counters, _ = capture_deltas(
+            _execute_indexed, tasks[index]
+        )
+        yield index, value, elapsed, counters
 
 
 class _PoolUnavailable(Exception):
     """Worker processes could not start: the pool's failure, not a task's."""
 
 
-#: Attempt outcome of a task that was in flight, or not yet submitted,
-#: when a worker died: it did nothing wrong and is re-run uncharged.
-_VICTIM = object()
-
-
-def _attempt_loop(
-    tasks: Sequence[SweepTask],
-    pending: List[int],
-    policy: FailurePolicy,
-    completed: Optional[Dict[int, Tuple[Any, float]]],
-    failures: Optional[Dict[int, TaskFailure]],
-    run_attempt: Callable[[List[int]], Iterator[Tuple[int, Any]]],
-    store: Optional[ResultCache] = None,
-) -> Tuple[Dict[int, Tuple[Any, float]], List[TaskFailure]]:
-    """Drive ``pending`` to an outcome: the one place attempts are judged.
-
-    ``run_attempt(indices)`` runs one attempt of each index and yields
-    ``(index, outcome)`` as they finish: ``(value, elapsed_s, counters)``
-    with ``counters`` the counter delta the attempt added, the task's
-    exception, or :data:`_VICTIM`.  A success goes into ``store`` at
-    once — written by this process only — so a sweep killed later still
-    keeps it.  A failed attempt is charged to its task.  Budget left →
-    re-attempt the *identical* task record (same derived seed, so a
-    successful retry is bit-identical to a first-try success).  Budget
-    spent → ``on_error="raise"`` propagates the task's own exception,
-    ``"record"`` files a :class:`TaskFailure`; a failure is never
-    stored.  ``completed``/``failures`` may be passed in and are mutated
-    in place, so a caller still sees all progress made before an
-    exception.
-    """
-    completed = {} if completed is None else completed
-    failures = {} if failures is None else failures
-    attempts = dict.fromkeys(pending, 0)
-    remaining = list(pending)
-    while remaining:
-        batch, remaining = sorted(remaining), []
-        for index, outcome in run_attempt(batch):
-            if outcome is _VICTIM:
-                remaining.append(index)
-            elif not isinstance(outcome, BaseException):
-                value, elapsed, counters = outcome
-                completed[index] = value, elapsed
-                if store is not None:
-                    store.put(tasks[index].fingerprint(), value, counters)
-            else:
-                attempts[index] += 1
-                if attempts[index] <= policy.retries:
-                    remaining.append(index)
-                elif policy.on_error == "raise":
-                    raise outcome
-                else:
-                    kind = "exception"
-                    if isinstance(outcome, TaskTimeout):
-                        kind = "timeout"
-                    elif isinstance(outcome, BrokenProcessPool):
-                        kind = "broken_pool"
-                    failures[index] = TaskFailure(
-                        index=index,
-                        key=tasks[index].key,
-                        kind=kind,
-                        error=f"{type(outcome).__name__}: {outcome}",
-                        attempts=attempts[index],
-                    )
-    return completed, [failures[index] for index in sorted(failures)]
-
-
-def _run_serial(
-    tasks: Sequence[SweepTask],
-    pending: List[int],
-    policy: FailurePolicy,
-    completed: Optional[Dict[int, Tuple[Any, float]]] = None,
-    failures: Optional[Dict[int, TaskFailure]] = None,
-    store: Optional[ResultCache] = None,
-) -> Tuple[Dict[int, Tuple[Any, float]], List[TaskFailure]]:
-    """In-process execution under the same attempt loop as the pool.
-
-    A task here counts straight into this process's globals, so its
-    deltas are only measured, the counters for the store: merging them
-    would count twice.
-    """
-
-    def run_attempt(indices: List[int]) -> Iterator[Tuple[int, Any]]:
-        for index in indices:
-            try:
-                (value, elapsed), counters, _ = capture_deltas(
-                    _execute_indexed, tasks[index], policy.timeout_s
-                )
-            except Exception as exc:
-                yield index, exc
-            else:
-                yield index, (value, elapsed, counters)
-
-    return _attempt_loop(
-        tasks, pending, policy, completed, failures, run_attempt, store
-    )
-
-
-def _shipped_outcome(future) -> Any:
-    """A pool attempt's outcome; on success its shipped deltas are merged
-    into this process's globals, or they would die with the worker."""
-    try:
-        value, elapsed, events, counter_delta = future.result()
-    except _ResultWontPickle:
-        raise  # transport, not the task: the serial fallback takes over
-    except Exception as exc:
-        return exc
-    if events:
-        global_recorder().merge(events)
-    if counter_delta:
-        global_registry().merge_snapshot(counter_delta)
-    return value, elapsed, counter_delta
+#: Worker deaths one pooled sweep survives; the next one raises.
+_BREAKS_SURVIVED = 2
 
 
 def _run_parallel(
-    tasks: Sequence[SweepTask],
-    pending: List[int],
-    jobs: int,
-    policy: FailurePolicy,
-    completed: Optional[Dict[int, Tuple[Any, float]]] = None,
-    failures: Optional[Dict[int, TaskFailure]] = None,
-    store: Optional[ResultCache] = None,
-) -> Tuple[Dict[int, Tuple[Any, float]], List[TaskFailure]]:
-    """Pooled execution that survives raising, hanging, and dying tasks.
+    tasks: Sequence[SweepTask], pending: List[int], jobs: int
+) -> Iterator[_Finished]:
+    """Pooled execution that survives dying workers.
 
-    Tasks are submitted individually (not chunked ``map``) so one bad
-    task fails alone.  A :class:`BrokenProcessPool` — a worker died,
-    under its own task or a sibling's — respawns the pool and re-runs
-    every unfinished task of the batch uncharged, including those the
-    dying pool refused at submission.  After more than two breaks each
-    task runs in a throwaway single-worker pool, where a break is
-    attributable to the task it ran and *is* charged (kind
-    ``"broken_pool"``), bounding the number of respawns.  Workers of
-    either kind exit once this process dies (:func:`_exit_with_parent`).
-
-    :class:`_ResultWontPickle` and :class:`_PoolUnavailable` propagate
-    so :func:`_run_pending` can fall back to the serial path, which must
-    not re-run what the pool finished into ``completed``/``failures``.
+    Tasks are submitted individually (not chunked ``map``) and yielded
+    as they finish, with the deltas they shipped merged into this
+    process's globals (they would die with the worker).  A task's own
+    exception — an unpicklable task or result included — propagates
+    from ``future.result()`` as raised.  A :class:`BrokenProcessPool` —
+    a worker died, under its own task or a sibling's, or the dying pool
+    refused a submission — respawns the pool and re-runs every
+    unfinished task, uncharged: it did nothing wrong.  The break after
+    :data:`_BREAKS_SURVIVED` raises, so a task that kills every worker
+    it runs on ends the sweep like any task error.  Workers exit once this
+    process dies (:func:`_exit_with_parent`).
     """
-    shared: List[ProcessPoolExecutor] = []  # the live multi-worker pool
+    unfinished = dict.fromkeys(pending)
     breaks = 0
-
-    def start_pool(workers: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers, initializer=_exit_with_parent
-        )
-
-    def submit(pool: ProcessPoolExecutor, index: int):
-        return pool.submit(_execute_shipping, tasks[index], policy.timeout_s)
-
-    def batch(indices: List[int]) -> Iterator[Tuple[int, Any]]:
-        nonlocal breaks
-        if not shared:
-            shared.append(start_pool(min(jobs, len(pending))))
-        futures, unsent = {}, []
-        for position, index in enumerate(indices):
-            try:
-                futures[submit(shared[0], index)] = index
-            except BrokenProcessPool:
-                unsent = indices[position:]
-                break
-        broken = bool(unsent)
-        for future in as_completed(futures):
-            outcome = _shipped_outcome(future)
-            if isinstance(outcome, BrokenProcessPool):
-                outcome, broken = _VICTIM, True
-            yield futures[future], outcome
-        for index in unsent:
-            yield index, _VICTIM
-        if broken:
-            breaks += 1
-            shared.pop().shutdown(wait=False)
-
-    def isolated(indices: List[int]) -> Iterator[Tuple[int, Any]]:
-        for index in indices:
-            with start_pool(1) as solo:
-                outcome = _shipped_outcome(submit(solo, index))
-            yield index, outcome
-
-    def run_attempt(indices: List[int]) -> Iterator[Tuple[int, Any]]:
+    while True:
+        pool, futures, broken = None, {}, None
         try:
-            yield from isolated(indices) if breaks > 2 else batch(indices)
-        except OSError as exc:
-            # Task errors arrive as outcomes, so this OSError is the
-            # pool's own: forking or creating its semaphores failed.
-            raise _PoolUnavailable(f"process pool unavailable: {exc}") from exc
-
-    try:
-        return _attempt_loop(
-            tasks, pending, policy, completed, failures, run_attempt, store
-        )
-    finally:
-        for pool in shared:
-            pool.shutdown(wait=False)
+            try:
+                pool = ProcessPoolExecutor(
+                    max_workers=min(jobs, len(unfinished)),
+                    initializer=_exit_with_parent,
+                )
+                for index in unfinished:
+                    futures[pool.submit(_execute_shipping, tasks[index])] = index
+            except BrokenProcessPool as exc:
+                broken = exc
+            except OSError as exc:
+                # ``submit`` runs no task code, so this OSError is the
+                # pool's own: creating its semaphores or forking failed.
+                raise _PoolUnavailable(f"process pool unavailable: {exc}") from exc
+            for future in as_completed(futures):
+                try:
+                    value, elapsed, events, counters = future.result()
+                except BrokenProcessPool as exc:
+                    broken = exc
+                    continue
+                if events:
+                    global_recorder().merge(events)
+                if counters:
+                    global_registry().merge_snapshot(counters)
+                index = futures[future]
+                del unfinished[index]
+                yield index, value, elapsed, counters
+        finally:
+            if pool is not None:
+                # After a task's error no queued task starts.  (Not
+                # ``shutdown(cancel_futures=True)``: with a task still
+                # failing to pickle it can hang interpreter exit.)
+                for future in futures:
+                    future.cancel()
+                pool.shutdown(wait=False)
+        if broken is None:
+            return
+        breaks += 1
+        if breaks > _BREAKS_SURVIVED:
+            raise broken

@@ -13,7 +13,9 @@ and MAC/network hooks:
   are held back (frozen), drops it (beacon loss), or biases it (drift).
   Frozen and drifted positions are publications only, never the node's
   report, so the first keep-alive after a window republishes the report
-  again.  Fresh reports, a move's or a re-join's, pass
+  again — or, when the node has moved past the 5 m threshold since that
+  report (a move whose report a window held back or dropped), makes and
+  publishes a fresh one.  Fresh reports, a move's or a re-join's, pass
   :meth:`allow_report`.  Both read one precedence,
   :meth:`_location_fault`.  Without keep-alives a configured
   ``location_ttl_ns`` would age *healthy* nodes into fallback too.
@@ -199,7 +201,11 @@ class FaultInjector:
             spec = self._location_fault(node.name, now)
             report = node.agent.reported_position
             if spec is None:
-                net.publish_report(node, report)  # healthy keep-alive
+                if node.agent.should_report_move(node.position):
+                    # A move whose report a window held back or dropped.
+                    net.publish_fresh_report(node)
+                else:
+                    net.publish_report(node, report)  # healthy keep-alive
             elif isinstance(spec, LocationDrift):
                 net.publish_report(node, self._drifted(spec, report, now))
                 self._counters["drift_applied"] += 1

@@ -493,6 +493,15 @@ class Network:
             self._mark_adaptation_dirty(node)
         node.mac.location_reported()
 
+    def publish_fresh_report(self, node: Node) -> None:
+        """Run ``node``'s location service once and publish the report.
+
+        Asks no fault: :meth:`_report_fresh` asks the installed injector
+        first, and the injector's keep-alive calls this only when none
+        governs the node.
+        """
+        self.publish_report(node, self._new_report(node))
+
     def _report_fresh(self, node: Node) -> bool:
         """Run ``node``'s location service mid-run and publish the report.
 
@@ -506,7 +515,7 @@ class Network:
             node, self.sim.now
         ):
             return False
-        self.publish_report(node, self._new_report(node))
+        self.publish_fresh_report(node)
         return True
 
     def update_node_position(self, node: Node, position: Point) -> bool:

@@ -41,8 +41,9 @@ MANIFEST_SCHEMA = "repro.manifest"
 #: task rows (heterogeneous grids) and a ``shards`` block, written only
 #: by the since-removed sweep queue.  Required fields are unchanged, so
 #: archived version-1 manifests still validate and load.  Keys this
-#: class no longer has (``shards``, the grid's ``spatial`` block) are
-#: dropped on load, so archived manifests that carry them load too.
+#: class no longer has (``shards``, the grid's ``spatial`` block, the
+#: ``failures`` list of the since-removed record mode) are dropped on
+#: load, so archived manifests that carry them load too.
 MANIFEST_SCHEMA_VERSION = 2
 SUPPORTED_MANIFEST_VERSIONS = (1, 2)
 
@@ -86,13 +87,6 @@ class RunManifest:
     #: Not in ``_REQUIRED_FIELDS``: manifests from unprofiled runs (and
     #: archived pre-profile manifests) validate unchanged.
     profile: Optional[Dict[str, Any]] = None
-    #: Structured records of tasks that failed after exhausting their
-    #: retries (``on_error="record"`` sweeps) — one dict per failure
-    #: with ``index``, ``key``, ``kind``, ``error``, ``attempts``.
-    #: Optional for the same archival-compatibility reason as
-    #: ``profile``; fault-tolerant sweeps always include it (possibly
-    #: empty) so "zero failures" is an explicit statement.
-    failures: Optional[List[Dict[str, Any]]] = None
 
     def to_dict(self) -> Dict[str, Any]:
         out = {"schema": MANIFEST_SCHEMA, "version": MANIFEST_SCHEMA_VERSION}
@@ -279,7 +273,6 @@ def build_manifest(
     cache_hits: int = 0,
     cache_misses: int = 0,
     profile: Optional[Dict[str, Any]] = None,
-    failures: Optional[List[Dict[str, Any]]] = None,
 ) -> RunManifest:
     """Assemble a :class:`RunManifest` with provenance filled in."""
     return RunManifest(
@@ -296,6 +289,5 @@ def build_manifest(
         cache_hits=int(cache_hits),
         cache_misses=int(cache_misses),
         profile=profile,
-        failures=failures,
     )
 

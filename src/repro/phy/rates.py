@@ -114,10 +114,6 @@ class RateTable:
                 best = rate
         return best
 
-    def index_of(self, rate: Rate) -> int:
-        """Position of ``rate`` in the slow→fast ordering."""
-        return self._rates.index(rate)
-
     def __len__(self) -> int:
         return len(self._rates)
 

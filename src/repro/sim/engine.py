@@ -106,9 +106,6 @@ class EventHandle:
         """True while the event is scheduled and not cancelled or fired."""
         return not self.cancelled and not self.fired
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "fired" if self.fired else ("cancelled" if self.cancelled else "pending")
         return f"<EventHandle t={self.time} seq={self.seq} {state}>"

@@ -63,10 +63,6 @@ class TraceRecorder:
         """Start recording events of ``category``."""
         self._enabled.add(category)
 
-    def wants(self, category: str) -> bool:
-        """True when ``category`` is being recorded (cheap guard for callers)."""
-        return category in self._enabled
-
     def record(self, category: str, name: str, **detail: Any) -> None:
         """Record one event if its category is enabled."""
         if category not in self._enabled:

@@ -14,7 +14,7 @@ import signal
 import subprocess
 import sys
 import time
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.experiments.parallel import SweepTask, derive_seed
 from repro.obs import manifest as obs_manifest
@@ -25,7 +25,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def fig8_cell(
-    mac_kind: str, c2_x: float, seed: int, duration_s: float
+    mac_kind: str,
+    c2_x: float,
+    seed: int,
+    duration_s: float,
+    fail_if: Optional[str] = None,
 ) -> Dict[str, Any]:
     """One Fig-8 (exposed-terminal) cell with per-node counter export.
 
@@ -33,8 +37,12 @@ def fig8_cell(
     pool workers and reproduces bit-identically anywhere.  Per-node radio
     counters and the network's integer counters are merged into the
     process-global registry — integers only, so summing per-task deltas
-    is exact — and also returned in the result row.
+    is exact — and also returned in the result row.  While the file
+    ``fail_if`` names exists, the cell raises instead: a failure its
+    environment causes and fixes, with the task record unchanged.
     """
+    if fail_if is not None and os.path.exists(fail_if):
+        raise RuntimeError(f"fig8_cell c2_x={c2_x} {mac_kind}: {fail_if} exists")
     from repro.experiments.params import testbed_params
     from repro.experiments.topologies import exposed_terminal_topology
 
@@ -80,8 +88,11 @@ def fig8_grid(
     repeats: int = 1,
     seed: int = 0,
     duration_s: float = 0.05,
+    fail_if: Optional[str] = None,
 ) -> List[SweepTask]:
-    """The Fig-8 task grid, with the runner's exact seed derivation."""
+    """The Fig-8 task grid, with the runner's exact seed derivation;
+    ``fail_if`` (see :func:`fig8_cell`) goes to every cell when given."""
+    extra = {} if fail_if is None else {"fail_if": fail_if}
     return [
         SweepTask(
             fn=fig8_cell,
@@ -90,6 +101,7 @@ def fig8_grid(
                 c2_x=float(x),
                 seed=derive_seed(seed, "exposed", xi, mac_kind, rep),
                 duration_s=duration_s,
+                **extra,
             ),
             key=("exposed", float(x), mac_kind, rep),
         )
@@ -124,7 +136,6 @@ def _comparable(manifest: obs_manifest.RunManifest) -> Dict[str, Any]:
         "params": manifest.params,
         "seeds": manifest.seeds,
         "counters": manifest.counters,
-        "failures": manifest.failures,
     }
 
 
@@ -153,7 +164,7 @@ def put(self, *args):
 parallel.ResultCache.put = put
 parallel.run_tasks(
     fig8_grid(**{grid!r}), jobs={jobs}, cache=parallel.ResultCache({store!r}),
-    label={label!r}, on_error="record",
+    label={label!r},
 )
 raise SystemExit("unreachable: the sweep should have been killed")
 """

@@ -19,7 +19,9 @@ other nodes derived from it.  After the round trip:
 * a re-join is a fresh report like a move's: the node's location faults
   govern it, so an outage publishes nothing, a frozen or drift window
   holds the report back, and with a location TTL a node back without
-  its row is in fallback until its next keep-alive.
+  its row is in fallback until its next keep-alive;
+* a move whose report a location window held back or dropped is
+  reported by the first healthy keep-alive after the window.
 """
 
 import dataclasses
@@ -358,6 +360,32 @@ class TestLocationFaultsAtRejoin:
         assert (stats.fallback_entered, stats.fallback_exited) == (1, 1)
 
 
+class TestKeepAliveAfterAWindow:
+    @pytest.mark.parametrize(
+        "window",
+        [
+            FrozenLocation("C2", start_ns=0, duration_ns=300 * MS),
+            LocationOutage("C2", start_ns=0, duration_ns=300 * MS),
+            BeaconLoss("C2", start_ns=0, duration_ns=300 * MS, drop_prob=1.0),
+        ],
+        ids=["frozen", "outage", "beacon-loss"],
+    )
+    def test_reports_a_held_back_move(self, window):
+        # C2 walks from 30 m to 45 m (in 250 ms) while every report it
+        # would make is held back or dropped, and stands still after.
+        network = fig8_pair()
+        walk_c2(network, end_x=45)
+        network.install_faults(FaultPlan(
+            events=(window,), report_interval_ns=KEEP_ALIVE_NS
+        ))
+        network.run(0.5)
+        c2 = network.node("C2")
+        assert c2.position == Point(45, 0)
+        assert c2.agent.reported_position == Point(45, 0)
+        row = network.node("AP1").agent.neighbor_table.get(c2.node_id)
+        assert row.position == Point(45, 0)
+
+
 CHURNABLE = ("AP1", "AP2", "C1", "C2")
 
 
@@ -437,15 +465,15 @@ class TestLocationFaultFuzz:
         mac_kind=st.sampled_from(["comap", "cmap", "dcf"]),
         seed=st.integers(0, 2**16),
         ttl_ns=st.sampled_from([None, TTL_NS]),
-        walks=st.booleans(),
+        walk_end=st.sampled_from([None, 33, 36, 40, 45]),
         events=churn_and_location_windows(),
     )
     def test_location_faults_govern_every_report(
-        self, mac_kind, seed, ttl_ns, walks, events
+        self, mac_kind, seed, ttl_ns, walk_end, events
     ):
         network = fig8_pair(mac_kind, seed, ttl_ns)
-        if walks:
-            walk_c2(network, end_x=45)
+        if walk_end is not None:
+            walk_c2(network, end_x=walk_end)
         published, reported = [], []
         publish = network.publish_report
 
@@ -481,6 +509,14 @@ class TestLocationFaultFuzz:
             return
         assert stale_verdicts(network) == []
         assert stale_rows(network) == []
+        # Every location window closed by 150 ms, so a move its window
+        # held back was reported by a keep-alive since.
+        unreported = [
+            node.name for node in network.nodes.values()
+            if node.radio.attached
+            and node.agent.should_report_move(node.position)
+        ]
+        assert unreported == []
         if ttl_ns is not None:
             now = network.sim.now
             for node in network.nodes.values():

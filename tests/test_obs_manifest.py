@@ -214,18 +214,24 @@ class TestSchemaVersions:
         assert loaded == make_manifest()
 
     def test_shards_block_round_trips(self, tmp_path):
-        # Archived manifests of the sweep queue carry a ``shards`` block
-        # nothing writes any more; they validate and load without it.
+        # Archived manifests carry blocks nothing writes any more — the
+        # sweep queue's ``shards``, record mode's ``failures`` (a list,
+        # or None in raise mode); they validate and load without them.
+        legacy = {
+            "shards": {"count": 2, "chunk": 1, "grid_fingerprint": "f" * 64,
+                       "digests": ["a" * 64, "b" * 64], "workers": ["w-1"]},
+            "failures": [{"index": 1, "key": ["boom"], "kind": "exception",
+                          "error": "RuntimeError: boom", "attempts": 1}],
+        }
         obj = make_manifest().to_dict()
-        assert "shards" not in obj
-        obj["shards"] = {"count": 2, "chunk": 1, "grid_fingerprint": "f" * 64,
-                         "digests": ["a" * 64, "b" * 64], "workers": ["w-1"]}
+        assert not set(legacy) & set(obj)
         path = tmp_path / "legacy.manifest.json"
-        for version in (1, 2):
-            payload = dict(obj, version=version)
-            validate_manifest(payload)
-            path.write_text(json.dumps(payload))
-            assert load_manifest(path) == make_manifest()
+        for name, block in [*legacy.items(), ("failures", None)]:
+            for version in (1, 2):
+                payload = dict(obj, version=version, **{name: block})
+                validate_manifest(payload)
+                path.write_text(json.dumps(payload))
+                assert load_manifest(path) == make_manifest()
 
 
 class TestParamsIntersection:

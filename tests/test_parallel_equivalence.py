@@ -148,10 +148,13 @@ class TestEnvKnob:
         assert len(points) == 1
 
 
-class TestSerialFallback:
-    def test_unpicklable_task_degrades_gracefully(self):
-        # A closure cannot be pickled into a worker; run_tasks must fall
-        # back to in-process execution instead of raising.
+class TestUnpicklableTask:
+    def test_closure_raises_in_the_pool(self):
+        # A closure cannot be pickled into a worker. jobs=1 runs it in
+        # process; a pool raises the pickling error and does not run the
+        # tasks in this process instead.
+        import pickle
+
         from repro.experiments.parallel import SweepTask, run_tasks
 
         captured = []
@@ -164,6 +167,10 @@ class TestSerialFallback:
             SweepTask(fn=unpicklable, kwargs={"x": float(i)}, key=("t", i))
             for i in range(4)
         ]
-        results = run_tasks(tasks, jobs=JOBS)
-        assert results == [0.0, 2.0, 4.0, 6.0]
+        assert run_tasks(tasks, jobs=1) == [0.0, 2.0, 4.0, 6.0]
         assert sorted(captured) == [0.0, 1.0, 2.0, 3.0]
+        captured.clear()
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            run_tasks(tasks, jobs=JOBS)
+        assert captured == []
+

@@ -1,20 +1,18 @@
-"""Executor fallback correctness: per-task probes, resume-only-unfinished.
+"""The pool's trouble is not a task's: what ``jobs>1`` survives and what
+it raises.
 
-Two historical bugs, each with a failing-before/passing-after test here:
-
-* ``_run_pending`` probed picklability only on ``tasks[pending[0]]``.
-  One unpicklable task at the head demoted the *whole* sweep to serial;
-  one anywhere else reached the pool and blew it up mid-batch.  Now
-  every pending task is probed and only the unpicklable ones take the
-  serial path.
-* The serial fallback after a pool exception re-ran *every* pending
-  index, including tasks the pool had already completed — whose shipped
-  counter deltas and trace events were already merged into the parent
-  registry, so the re-run double-merged both.  Now the fallback resumes
-  only the unfinished indices.
+* A task's own exception — whatever its type, ``OSError`` and
+  ``PicklingError`` included — and a task or result that does not
+  pickle propagate as raised; the task ran once.
+* A worker dying while the batch is still being submitted makes
+  ``submit`` raise ``BrokenProcessPool``: the refused tasks run on the
+  respawned pool, each exactly once.
+* Worker processes that cannot start send the tasks the pool did not
+  finish to the serial path, and only those: a finished task's shipped
+  counter deltas and trace events are merged already, and running it
+  again would count both twice.
 """
 
-import os
 import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -25,13 +23,7 @@ import pytest
 import repro.experiments.parallel as parallel_mod
 import repro.obs.counters as counters_mod
 import repro.sim.trace as trace_mod
-from repro.experiments.parallel import (
-    SweepTask,
-    _run_pending,
-    _run_serial,
-    resolve_policy,
-    run_tasks,
-)
+from repro.experiments.parallel import SweepTask, _run_pending, _run_serial, run_tasks
 from repro.obs.counters import CounterRegistry, global_registry
 from repro.sim.trace import TraceRecorder
 from repro.sim.trace import global_recorder
@@ -57,16 +49,18 @@ def _counting_cell(x: float, tag=None) -> float:
     return x * 2.0
 
 
-def _boom_cell(x: float) -> float:
-    """Always fails (module-level, so it passes the pickle probe)."""
-    raise RuntimeError(f"x={x}")
-
-
-def _append_cell(path: str, x: float) -> float:
-    """Appends one line per execution — an exactly-once witness."""
+def _own_error_cell(path: str, x: float, error=None) -> float:
+    """Exactly-once witness that raises ``error`` (a type) when given."""
     with open(path, "a") as handle:
         handle.write(f"{x}\n")
+    if error is not None:
+        raise error(f"the task's own error at x={x}")
     return x
+
+
+def _lock_result_cell(x: float) -> dict:
+    """A result that cannot cross a process boundary."""
+    return {"x": x, "lock": threading.Lock()}
 
 
 def _grid(n, unpicklable_at=()):
@@ -83,141 +77,47 @@ def _grid(n, unpicklable_at=()):
     ]
 
 
-class TestPerTaskProbe:
-    def test_unpicklable_mid_batch_runs_exactly_once(self, fresh_globals):
-        """End-to-end: a lambda-carrying task at index 2 of 5, jobs=2.
-
-        Before the fix this task reached the pool (only ``pending[0]``
-        was probed) and killed the batch; now it runs serially alongside
-        the pooled rest, every task exactly once.
-        """
-        results = run_tasks(_grid(5, unpicklable_at={2}), jobs=2)
-        assert results == [0.0, 2.0, 4.0, 6.0, 8.0]
-        assert global_registry().snapshot()["fallback/runs"] == 5
-
-    def test_unpicklable_at_head_does_not_demote_the_pool(
-        self, fresh_globals, monkeypatch
-    ):
-        """Old behavior: probe ``pending[0]``, unpicklable → all serial.
-
-        Instrument ``_run_parallel`` to observe exactly which indices
-        are pooled: with the bad task at index 0, the rest must still
-        be handed to the pool.
-        """
-        pooled_batches = []
-
-        def observing_parallel(tasks, pending, jobs, policy,
-                               completed=None, failures=None, store=None):
-            pooled_batches.append(list(pending))
-            return _run_serial(tasks, pending, policy, completed, failures)
-
-        monkeypatch.setattr(parallel_mod, "_run_parallel", observing_parallel)
-        tasks = _grid(4, unpicklable_at={0})
-        trace = _TraceStub()
-        completed, failures = _run_pending(
-            tasks, [0, 1, 2, 3], jobs=2, label="probe", trace=trace,
-            policy=resolve_policy(on_error="record"),
+def _witness_grid(path, n, error_at=None, error=None):
+    return [
+        SweepTask(
+            fn=_own_error_cell,
+            kwargs={
+                "path": path,
+                "x": float(i),
+                "error": error if i == error_at else None,
+            },
+            key=("own", i),
         )
-        assert pooled_batches == [[1, 2, 3]]  # index 0 stayed serial
-        assert failures == []
-        assert {i: v for i, (v, _) in completed.items()} == {
-            0: 0.0, 1: 2.0, 2: 4.0, 3: 6.0,
-        }
-        assert global_registry().snapshot()["fallback/runs"] == 4
+        for i in range(n)
+    ]
 
-    def test_all_unpicklable_skips_the_pool_entirely(
-        self, fresh_globals, monkeypatch
-    ):
-        def exploding_parallel(*args, **kwargs):
-            raise AssertionError("pool must not be used")
 
-        monkeypatch.setattr(parallel_mod, "_run_parallel", exploding_parallel)
-        tasks = _grid(3, unpicklable_at={0, 1, 2})
-        completed, failures = _run_pending(
-            tasks, [0, 1, 2], jobs=4, label="allserial", trace=_TraceStub(),
-            policy=resolve_policy(on_error="record"),
-        )
-        assert failures == []
-        assert len(completed) == 3
+def _executions(path):
+    with open(path) as handle:
+        return handle.read().split()
 
 
 class TestFallbackResumesOnlyUnfinished:
     def test_pool_partial_progress_is_not_rerun(self, tmp_path, monkeypatch):
-        """The double-merge regression, made deterministic.
-
-        A fake pool completes task 0 for real (file-append side effect,
-        mimicking a worker whose result and deltas already shipped) and
-        then dies of a result that will not pickle — the old fallback re-ran *all*
-        pending indices, executing task 0 twice and double-merging its
-        already-shipped deltas.  The witness file must show each task
-        exactly once.
-        """
+        """A pool that finishes task 0 and then finds it cannot start
+        more workers hands tasks 1-3 alone to the serial path: the
+        witness shows each task exactly once."""
         witness = str(tmp_path / "witness.log")
-        tasks = [
-            SweepTask(
-                fn=_append_cell,
-                kwargs={"path": witness, "x": float(i)},
-                key=("once", i),
-            )
-            for i in range(4)
-        ]
+        tasks = _witness_grid(witness, 4)
 
-        def dying_parallel(tasks_, pending, jobs, policy,
-                           completed=None, failures=None, store=None):
-            _run_serial(tasks_, [pending[0]], policy, completed, failures)
-            raise parallel_mod._ResultWontPickle("result will not pickle")
+        def failing_parallel(tasks_, pending, jobs):
+            yield from _run_serial(tasks_, pending[:1])
+            raise parallel_mod._PoolUnavailable("no more workers")
 
-        monkeypatch.setattr(parallel_mod, "_run_parallel", dying_parallel)
+        monkeypatch.setattr(parallel_mod, "_run_parallel", failing_parallel)
         trace = _TraceStub()
-        completed, failures = _run_pending(
-            tasks, [0, 1, 2, 3], jobs=2, label="resume", trace=trace,
-            policy=resolve_policy(on_error="record"),
+        completed = _run_pending(
+            tasks, [0, 1, 2, 3], jobs=2, label="resume", trace=trace
         )
-        assert failures == []
         assert sorted(completed) == [0, 1, 2, 3]
-        with open(witness) as handle:
-            lines = handle.read().split()
-        assert sorted(lines) == ["0.0", "1.0", "2.0", "3.0"]  # exactly once
+        assert sorted(_executions(witness)) == ["0.0", "1.0", "2.0", "3.0"]
         # The fallback was recorded as a trace event with its reason.
-        kinds = [args for args, _ in trace.events]
-        assert ("sweep", "serial_fallback") in kinds
-
-    def test_pool_partial_failures_are_not_recharged(self, monkeypatch):
-        """A task the pool already *failed* must not be re-attempted
-        either — its retry budget was spent and its failure recorded."""
-
-        def dying_parallel(tasks_, pending, jobs, policy,
-                           completed=None, failures=None, store=None):
-            _run_serial(tasks_, pending[:2], policy, completed, failures)
-            raise parallel_mod._ResultWontPickle("boom")
-
-        tasks = [
-            SweepTask(fn=_boom_cell, kwargs={"x": float(i)}, key=("fail", i))
-            for i in range(3)
-        ]
-        monkeypatch.setattr(parallel_mod, "_run_parallel", dying_parallel)
-        completed, failures = _run_pending(
-            tasks, [0, 1, 2], jobs=2, label="failures", trace=_TraceStub(),
-            policy=resolve_policy(on_error="record"),
-        )
-        assert completed == {}
-        assert [f.index for f in failures] == [0, 1, 2]
-        # One attempt each: the fallback did not re-run the pool's two.
-        assert all(f.attempts == 1 for f in failures)
-
-
-def _own_error_cell(path: str, x: float, error=None) -> float:
-    """Exactly-once witness that raises ``error`` (a type) when given."""
-    with open(path, "a") as handle:
-        handle.write(f"{x}\n")
-    if error is not None:
-        raise error(f"the task's own error at x={x}")
-    return x
-
-
-def _lock_result_cell(x: float) -> dict:
-    """A result that cannot cross a process boundary."""
-    return {"x": x, "lock": threading.Lock()}
+        assert [args for args, _ in trace.events] == [("sweep", "serial_fallback")]
 
 
 class TestTaskErrorsAreNotPoolFailures:
@@ -225,84 +125,43 @@ class TestTaskErrorsAreNotPoolFailures:
     def test_own_exception_runs_once_without_fallback(
         self, tmp_path, fresh_globals, error
     ):
-        """Raise mode, 2 workers: a task raising ``TypeError``/``OSError``
-        used to be mistaken for a pool failure and re-run in-process by
-        the serial fallback, which then blamed the pool."""
+        """2 workers: a task raising ``TypeError``/``OSError`` is not a
+        pool that cannot start; its error reaches the caller after one
+        run."""
         global_recorder().enable("sweep")
         witness = str(tmp_path / "witness.log")
-        tasks = [
-            SweepTask(
-                fn=_own_error_cell,
-                kwargs={
-                    "path": witness,
-                    "x": float(i),
-                    "error": error if i == 1 else None,
-                },
-                key=("own", i),
-            )
-            for i in range(3)
-        ]
         with pytest.raises(error, match="own error at x=1.0"):
-            run_tasks(tasks, jobs=2)
-        with open(witness) as handle:
-            assert handle.read().split().count("1.0") == 1
+            run_tasks(_witness_grid(witness, 3, 1, error), jobs=2)
+        assert _executions(witness).count("1.0") == 1
         assert global_recorder().events("sweep", "serial_fallback") == []
 
-    @pytest.mark.parametrize("on_error", ["record", "raise"])
     def test_own_pickling_error_runs_once_without_fallback(
-        self, tmp_path, fresh_globals, on_error
+        self, tmp_path, fresh_globals
     ):
-        """2 workers: a task raising ``pickle.PicklingError`` itself was
-        taken for a result that will not pickle, so the serial fallback
-        ran it a second time and blamed the pool."""
+        """2 workers: a task raising ``pickle.PicklingError`` itself is
+        that task's error, raised after one run."""
         global_recorder().enable("sweep")
         witness = str(tmp_path / "witness.log")
-        tasks = [
-            SweepTask(
-                fn=_own_error_cell,
-                kwargs={
-                    "path": witness,
-                    "x": float(i),
-                    "error": pickle.PicklingError if i == 1 else None,
-                },
-                key=("own", i),
-            )
-            for i in range(3)
-        ]
-        if on_error == "raise":
-            with pytest.raises(pickle.PicklingError, match="own error at x=1.0"):
-                run_tasks(tasks, jobs=2, on_error=on_error)
-        else:
-            results = run_tasks(tasks, jobs=2, on_error=on_error)
-            assert results == [0.0, None, 2.0]
-            (failed,) = global_recorder().events("sweep", "task_failed")
-            assert failed.get("kind") == "exception"
-            assert "own error at x=1.0" in failed.get("error")
-        with open(witness) as handle:
-            assert handle.read().split().count("1.0") == 1
+        tasks = _witness_grid(witness, 3, 1, pickle.PicklingError)
+        with pytest.raises(pickle.PicklingError, match="own error at x=1.0"):
+            run_tasks(tasks, jobs=2)
+        assert _executions(witness).count("1.0") == 1
         assert global_recorder().events("sweep", "serial_fallback") == []
 
-    def test_unpicklable_result_matches_serial_in_record_mode(
-        self, fresh_globals
-    ):
-        """Record mode, 2 workers: a result holding a lock used to come
-        back as ``None`` plus an ``exception`` failure, while ``jobs=1``
-        returned it — the pool now hands such tasks to the serial path."""
+    def test_unpicklable_task_raises(self, fresh_globals):
+        """A task holding a lambda cannot reach a worker: its pickling
+        error is raised, with no serial detour."""
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            run_tasks(_grid(4, unpicklable_at={2}), jobs=2)
+
+    def test_unpicklable_result_raises(self, fresh_globals):
+        """A result holding a lock cannot travel home from a worker."""
         tasks = [
             SweepTask(fn=_lock_result_cell, kwargs={"x": float(i)}, key=("lock", i))
             for i in range(3)
         ]
-
-        def shape(results):
-            return [
-                None if r is None else (r["x"], type(r["lock"])) for r in results
-            ]
-
-        serial = run_tasks(tasks, jobs=1, on_error="record")
-        pooled = run_tasks(tasks, jobs=2, on_error="record")
-        lock_type = type(threading.Lock())
-        assert shape(serial) == [(float(i), lock_type) for i in range(3)]
-        assert shape(pooled) == shape(serial)
+        with pytest.raises(TypeError, match="pickle"):
+            run_tasks(tasks, jobs=2)
 
 
 class TestBreakDuringSubmission:
@@ -312,7 +171,7 @@ class TestBreakDuringSubmission:
     ):
         """A worker dying while the batch is still being submitted makes
         ``submit`` raise ``BrokenProcessPool``; that used to escape
-        ``run_tasks`` even in record mode."""
+        ``run_tasks``.  The refused tasks run on a new pool, once."""
         calls = []
 
         class SubmitBreaks(ProcessPoolExecutor):
@@ -324,19 +183,9 @@ class TestBreakDuringSubmission:
 
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", SubmitBreaks)
         witness = str(tmp_path / "witness.log")
-        tasks = [
-            SweepTask(
-                fn=_append_cell,
-                kwargs={"path": witness, "x": float(i)},
-                key=("submit", i),
-            )
-            for i in range(6)
-        ]
-        results = run_tasks(tasks, jobs=2, retries=0, on_error="record")
+        results = run_tasks(_witness_grid(witness, 6), jobs=2)
         assert results == [float(i) for i in range(6)]
-        with open(witness) as handle:
-            lines = handle.read().split()
-        assert sorted(lines) == [str(float(i)) for i in range(6)]  # exactly once
+        assert sorted(_executions(witness)) == [str(float(i)) for i in range(6)]
         assert len(calls) > 6  # the refused tasks were submitted again
 
 
@@ -360,7 +209,7 @@ class TestPoolStartFailure:
                 raise OSError("fork failed")
 
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", CannotStart)
-        results = run_tasks(_grid(4), jobs=2, on_error="record")
+        results = run_tasks(_grid(4), jobs=2)
         assert results == [0.0, 2.0, 4.0, 6.0]
         assert global_registry().snapshot()["fallback/runs"] == 4
         assert len(global_recorder().events("sweep", "serial_fallback")) == 1

@@ -47,7 +47,7 @@ def _crash_and_resume(tmp_path, monkeypatch, jobs):
     # Uninterrupted serial baseline of the identical grid.
     baseline_dir = str(tmp_path / "baseline")
     with manifest_sink(baseline_dir):
-        baseline_results = run_tasks(tasks, jobs=1, label="crash", on_error="record")
+        baseline_results = run_tasks(tasks, jobs=1, label="crash")
     baseline = load_manifest(os.path.join(baseline_dir, "crash.manifest.json"))
 
     # The killed sweep left exactly its first KILL_AFTER entries, and
@@ -63,8 +63,7 @@ def _crash_and_resume(tmp_path, monkeypatch, jobs):
     resumed_dir = str(tmp_path / "resumed")
     with manifest_sink(resumed_dir):
         results = run_tasks(
-            tasks, jobs=1, cache=ResultCache(store), label="crash",
-            on_error="record",
+            tasks, jobs=1, cache=ResultCache(store), label="crash"
         )
     resumed = load_manifest(os.path.join(resumed_dir, "crash.manifest.json"))
     validate_manifest(resumed.to_dict())

@@ -247,14 +247,10 @@ class TestWorkAndMerge:
         run_tasks(demo_grid(6), cache=ResultCache(store))
         _fresh_registry(monkeypatch)
         with manifest_sink(str(tmp_path)):
-            run_tasks(
-                demo_grid(6), cache=ResultCache(store), label="sum",
-                on_error="record",
-            )
+            run_tasks(demo_grid(6), cache=ResultCache(store), label="sum")
         manifest = load_manifest(tmp_path / "sum.manifest.json")
         assert manifest.cache_hits == 6
         assert manifest.counters == {"demo/cells": 6}
-        assert manifest.failures == []
 
     def test_merge_matches_uninterrupted_run_tasks_manifest(
         self, tmp_path, fresh_globals, monkeypatch
@@ -266,9 +262,7 @@ class TestWorkAndMerge:
         """
         tasks = demo_grid(5)
         with manifest_sink(str(tmp_path / "serial")):
-            serial_results = run_tasks(
-                tasks, jobs=1, label="contract", on_error="record"
-            )
+            serial_results = run_tasks(tasks, jobs=1, label="contract")
         serial = load_manifest(tmp_path / "serial" / "contract.manifest.json")
 
         store = str(tmp_path / "store")
@@ -276,8 +270,7 @@ class TestWorkAndMerge:
         _fresh_registry(monkeypatch)
         with manifest_sink(str(tmp_path / "resumed")):
             resumed_results = run_tasks(
-                tasks, jobs=2, cache=ResultCache(store), label="contract",
-                on_error="record",
+                tasks, jobs=2, cache=ResultCache(store), label="contract"
             )
         resumed = load_manifest(tmp_path / "resumed" / "contract.manifest.json")
         assert (resumed.cache_hits, resumed.cache_misses) == (3, 2)
@@ -287,39 +280,55 @@ class TestWorkAndMerge:
 
 
 class TestResume:
-    def test_resume_reruns_failed_shards(self, tmp_path, fresh_globals):
+    def test_resume_reruns_failed_shards(
+        self, tmp_path, fresh_globals, monkeypatch
+    ):
+        """A sweep that failed on a task's error keeps every task that
+        finished before it; once the cause is gone, the re-run on its
+        store hits those, runs the rest and writes the manifest an
+        uninterrupted sweep writes — serial and on 2 workers."""
         marker = str(tmp_path / "outage.marker")
         tasks = [
             SweepTask(
                 fn=_fail_if_marker,
-                kwargs={"x": float(i), "marker": marker},
+                # Only task 3 reads the marker; the others read a path
+                # that never exists.
+                kwargs={"x": float(i), "marker": marker if i == 3 else ""},
                 key=("flaky", i),
             )
-            for i in range(3)
+            for i in range(5)
         ]
-        store = str(tmp_path / "store")
-        with open(marker, "w"):
-            pass  # everything fails while the marker exists...
-        with manifest_sink(str(tmp_path / "first")):
-            first = run_tasks(
-                tasks, cache=ResultCache(store), label="flaky", on_error="record"
-            )
-        assert first == [None, None, None]
-        manifest = load_manifest(tmp_path / "first" / "flaky.manifest.json")
-        assert len(manifest.failures) == 3
-        assert not os.path.exists(store) or os.listdir(store) == []  # never stored
+        with manifest_sink(str(tmp_path / "uninterrupted")):
+            expected = run_tasks(tasks, label="flaky")
+        uninterrupted = load_manifest(
+            tmp_path / "uninterrupted" / "flaky.manifest.json"
+        )
+        for jobs in (1, 2):
+            store = str(tmp_path / f"store-{jobs}")
+            with open(marker, "w"):
+                pass  # the environment breaks task 3...
+            with pytest.raises(RuntimeError, match="marker present for x=3.0"):
+                run_tasks(tasks, jobs=jobs, cache=ResultCache(store))
+            stored = sorted(os.listdir(store)) if os.path.isdir(store) else []
+            assert f"{tasks[3].fingerprint()}.json" not in stored
+            if jobs == 1:  # the tasks before it finished, none after
+                assert stored == sorted(
+                    f"{task.fingerprint()}.json" for task in tasks[:3]
+                )
 
-        os.unlink(marker)  # ...the environment heals...
-        with manifest_sink(str(tmp_path / "again")):
-            again = run_tasks(
-                tasks, cache=ResultCache(store), label="flaky", on_error="record"
+            os.unlink(marker)  # ...and heals
+            _fresh_registry(monkeypatch)
+            resumed_dir = tmp_path / f"resumed-{jobs}"
+            with manifest_sink(str(resumed_dir)):
+                again = run_tasks(
+                    tasks, jobs=jobs, cache=ResultCache(store), label="flaky"
+                )
+            manifest = load_manifest(resumed_dir / "flaky.manifest.json")
+            assert (manifest.cache_hits, manifest.cache_misses) == (
+                len(stored), len(tasks) - len(stored)
             )
-        # ...and the re-run ran every failed task to a clean manifest.
-        manifest = load_manifest(tmp_path / "again" / "flaky.manifest.json")
-        assert manifest.failures == []
-        assert (manifest.cache_hits, manifest.cache_misses) == (0, 3)
-        assert again == [0.0, 10.0, 20.0]
-        assert global_registry().snapshot()["flaky/runs"] == 3
+            assert again == expected == [0.0, 10.0, 20.0, 30.0, 40.0]
+            assert _comparable(manifest) == _comparable(uninterrupted)
 
     def test_resume_is_a_no_op_on_a_complete_queue(
         self, tmp_path, fresh_globals, monkeypatch

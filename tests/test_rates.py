@@ -76,7 +76,3 @@ class TestBestForSir:
     def test_exact_threshold_qualifies(self):
         rate = OFDM_RATES.best_for_sir(9.0)
         assert rate.bps == 12_000_000
-
-    def test_index_of(self):
-        assert OFDM_RATES.index_of(OFDM_RATES.base) == 0
-        assert OFDM_RATES.index_of(OFDM_RATES.top) == len(OFDM_RATES) - 1

@@ -1,10 +1,11 @@
-"""Crash-tolerant sweep execution: timeouts, retries, dying workers.
+"""One failure rule for sweeps: a task's error fails the sweep.
 
-One raising task, one hanging task, or one worker-killing task must not
-abort a sweep: with ``on_error="record"`` every other task completes,
-the failures land as structured entries in the trace and run manifest,
-and a retried deterministic task reproduces its result bit-identically
-(same task record → same derived seed → same simulation).
+A sweep task is a pure function of its record, so a task that raised
+would raise again: ``run_tasks`` propagates its own exception as raised,
+serial or pooled, and the store resumes the sweep once the cause is
+fixed.  What a sweep survives is its pool's trouble, not a task's: a
+worker that dies respawns the pool and the unfinished tasks run again,
+bit-identically, until the third break in one sweep raises.
 """
 
 import json
@@ -13,20 +14,12 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.experiments import runner
-from repro.experiments.parallel import (
-    RETRIES_ENV,
-    TIMEOUT_ENV,
-    FailurePolicy,
-    SweepTask,
-    TaskTimeout,
-    _alarm,
-    resolve_policy,
-    run_tasks,
-)
+from repro.experiments.parallel import ResultCache, SweepTask, run_tasks
 from repro.obs import manifest as obs_manifest
 from repro.util.rng import derive_seed
 
@@ -45,13 +38,20 @@ def raiser(seed=0):
     raise RuntimeError("injected task failure")
 
 
-def hanger(seed=0):
-    time.sleep(60)
-    return "never"
-
-
-def worker_killer(seed=0):
+def worker_killer(path, seed=0):
+    """Kills the process it runs in, after noting the attempt."""
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write("attempt\n")
     os._exit(13)
+
+
+def dies_once(marker, seed=0, key=()):
+    """Kills its worker the first time it runs, then succeeds."""
+    if not os.path.exists(marker):
+        with open(marker, "w", encoding="utf-8") as handle:
+            handle.write("died")
+        os._exit(13)
+    return seeded_value(base_seed=seed, key=key)
 
 
 def flaky_once(marker, seed=0, key=()):
@@ -71,170 +71,145 @@ def record_pid_then_sleep(path, seconds, i=0):
     return i
 
 
+def witnessed(path, x, fail=False, nap_s=0.0):
+    """Appends one line per execution, then raises when ``fail``, else
+    naps ``nap_s`` seconds."""
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(f"{x}\n")
+    if fail:
+        raise RuntimeError(f"injected failure at x={x}")
+    time.sleep(nap_s)
+    return x
+
+
 def _ok_task(i):
     return SweepTask(
         fn=seeded_value, kwargs={"base_seed": 7, "key": ("ok", i)}, key=("ok", i)
     )
 
 
-# ----------------------------------------------------------------------
-# Policy resolution
-# ----------------------------------------------------------------------
+def _flaky_task(marker):
+    key = ("flaky", 4)
+    return SweepTask(
+        fn=flaky_once, kwargs={"marker": marker, "seed": 11, "key": key}, key=key
+    )
+
+
+def _executions(path):
+    with open(path, encoding="utf-8") as handle:
+        return handle.read().split()
+
+
 class TestPolicy:
-    def test_defaults_preserve_old_contract(self, monkeypatch):
-        for env in (TIMEOUT_ENV, RETRIES_ENV):
-            monkeypatch.delenv(env, raising=False)
-        policy = resolve_policy()
-        assert policy == FailurePolicy(timeout_s=None, retries=0, on_error="raise")
-
-    def test_env_backfill(self, monkeypatch):
-        monkeypatch.setenv(TIMEOUT_ENV, "2.5")
-        monkeypatch.setenv(RETRIES_ENV, "3")
-        policy = resolve_policy()
-        assert policy == FailurePolicy(timeout_s=2.5, retries=3, on_error="raise")
-
-    def test_arguments_win_over_env(self, monkeypatch):
-        monkeypatch.setenv(TIMEOUT_ENV, "2.5")
-        policy = resolve_policy(timeout_s=9.0, retries=1, on_error="record")
-        assert policy.timeout_s == 9.0
-
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError, match="on_error"):
-            resolve_policy(on_error="explode")
-        with pytest.raises(ValueError, match="timeout_s"):
-            resolve_policy(timeout_s=-1.0)
-
-    def test_alarm_raises_task_timeout(self):
-        with pytest.raises(TaskTimeout):
-            with _alarm(0.05):
-                time.sleep(5)
-
-    def test_alarm_noop_without_limit(self):
-        with _alarm(None):
-            pass
-        with _alarm(0):
-            pass
+    def test_defaults_preserve_old_contract(self, tmp_path, monkeypatch):
+        """No timeout and no retry, whatever the environment: the retired
+        ``REPRO_TASK_TIMEOUT_S`` and ``REPRO_TASK_RETRIES`` change nothing."""
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT_S", "0.01")
+        monkeypatch.setenv("REPRO_TASK_RETRIES", "3")
+        with pytest.raises(RuntimeError, match="transient failure"):
+            run_tasks([_flaky_task(str(tmp_path / "attempted.marker"))], jobs=1)
+        nap = SweepTask(
+            fn=record_pid_then_sleep,
+            kwargs={"path": str(tmp_path / "pids.log"), "seconds": 0.05},
+        )
+        assert run_tasks([nap], jobs=1) == [0]
 
 
-# ----------------------------------------------------------------------
-# The acceptance scenario: raise + hang, everything else completes
-# ----------------------------------------------------------------------
 class TestSweepSurvival:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_raise_and_timeout_recorded_not_fatal(self, jobs, tmp_path):
+    def test_default_raise_mode_propagates(self, tmp_path):
+        """Serial: the task's own error reaches the caller after one run,
+        and the tasks after it never start."""
+        witness = str(tmp_path / "witness.log")
         tasks = [
-            _ok_task(0),
-            SweepTask(fn=raiser, kwargs={}, key=("boom",)),
-            SweepTask(fn=hanger, kwargs={}, key=("hang",)),
-            _ok_task(1),
-            _ok_task(2),
-        ]
-        with obs_manifest.manifest_sink(str(tmp_path)):
-            results = run_tasks(
-                tasks,
-                jobs=jobs,
-                label=f"survival_j{jobs}",
-                timeout_s=1.0,
-                retries=0,
-                on_error="record",
+            SweepTask(
+                fn=witnessed,
+                kwargs={"path": witness, "x": float(i), "fail": i == 1},
+                key=("w", i),
             )
-        # The healthy tasks completed with their deterministic values...
-        assert results[0] == seeded_value(7, ("ok", 0))
-        assert results[3] == seeded_value(7, ("ok", 1))
-        assert results[4] == seeded_value(7, ("ok", 2))
-        # ...and both failures are recorded, not fatal.
-        assert results[1] is None and results[2] is None
-        manifests = [
-            name
-            for name in os.listdir(tmp_path)
-            if name.endswith(".manifest.json")
+            for i in range(3)
         ]
-        assert len(manifests) == 1
-        with open(tmp_path / manifests[0], "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        obs_manifest.validate_manifest(manifest)
-        failures = {tuple(f["key"]): f for f in manifest["failures"]}
-        assert failures[("boom",)]["kind"] == "exception"
-        assert "injected task failure" in failures[("boom",)]["error"]
-        assert failures[("hang",)]["kind"] == "timeout"
-        assert failures[("boom",)]["attempts"] == 1
-
-    def test_default_raise_mode_propagates(self):
-        tasks = [SweepTask(fn=raiser, kwargs={}, key=("boom",))]
-        with pytest.raises(RuntimeError, match="injected task failure"):
+        with pytest.raises(RuntimeError, match="injected failure at x=1.0"):
             run_tasks(tasks, jobs=1)
+        assert _executions(witness) == ["0.0", "1.0"]
+
+    def test_task_error_starts_no_queued_task(self, tmp_path):
+        """2 workers: once a task's error is raised, no queued task
+        starts; the pool used to run the rest of the sweep in the
+        background, discarding every result, and process exit waited."""
+        witness = str(tmp_path / "witness.log")
+        tasks = [
+            SweepTask(
+                fn=witnessed,
+                kwargs={"path": witness, "x": float(i), "fail": i == 0,
+                        "nap_s": 0.05},
+                key=("w", i),
+            )
+            for i in range(20)
+        ]
+        with pytest.raises(RuntimeError, match="injected failure at x=0.0"):
+            run_tasks(tasks, jobs=2)
+        time.sleep(1.0)  # the whole queue runs in about 0.5 s
+        # Task 0, plus what the two workers and the call queue held.
+        assert len(_executions(witness)) < 10
 
     def test_retry_reproduces_bit_identically(self, tmp_path):
-        marker = str(tmp_path / "attempted.marker")
-        key = ("flaky", 4)
-        task = SweepTask(
-            fn=flaky_once,
-            kwargs={"marker": marker, "seed": 11, "key": key},
-            key=key,
-        )
-        results = run_tasks([task], jobs=1, retries=1, on_error="record")
-        # Second attempt succeeded and matches a fresh direct execution
-        # of the same task record exactly.
-        assert results[0] == seeded_value(base_seed=11, key=key)
-        assert os.path.exists(marker)
-
-    def test_retries_exhausted_still_recorded(self, tmp_path):
-        tasks = [SweepTask(fn=raiser, kwargs={}, key=("boom",)), _ok_task(0)]
-        with obs_manifest.manifest_sink(str(tmp_path)):
-            results = run_tasks(
-                tasks, jobs=1, label="exhausted", retries=2, on_error="record"
-            )
-        assert results[0] is None
-        assert results[1] == seeded_value(7, ("ok", 0))
-        manifest_name = [
-            n for n in os.listdir(tmp_path) if n.endswith(".manifest.json")
-        ][0]
-        with open(tmp_path / manifest_name, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        assert manifest["failures"][0]["attempts"] == 3  # 1 try + 2 retries
+        """The retry is the caller's: the same task record, run again,
+        derives the same seed and the same result as a direct run."""
+        task = _flaky_task(str(tmp_path / "attempted.marker"))
+        with pytest.raises(RuntimeError, match="transient failure"):
+            run_tasks([task], jobs=1)
+        assert run_tasks([task], jobs=1) == [
+            seeded_value(base_seed=11, key=("flaky", 4))
+        ]
 
     def test_worker_death_does_not_abort_sweep(self, tmp_path):
+        """A worker dying once respawns the pool; the unfinished tasks
+        run again and the results equal a serial run's."""
         tasks = [
             _ok_task(0),
-            SweepTask(fn=worker_killer, kwargs={}, key=("die",)),
+            SweepTask(
+                fn=dies_once,
+                kwargs={"marker": str(tmp_path / "died.marker"), "seed": 3,
+                        "key": ("die",)},
+                key=("die",),
+            ),
             _ok_task(1),
             _ok_task(2),
         ]
-        with obs_manifest.manifest_sink(str(tmp_path)):
-            results = run_tasks(
-                tasks, jobs=2, label="broken_pool", retries=0, on_error="record"
-            )
-        assert results[0] == seeded_value(7, ("ok", 0))
-        assert results[2] == seeded_value(7, ("ok", 1))
-        assert results[3] == seeded_value(7, ("ok", 2))
-        assert results[1] is None
-        manifest_name = [
-            n for n in os.listdir(tmp_path) if n.endswith(".manifest.json")
-        ][0]
-        with open(tmp_path / manifest_name, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        kinds = {tuple(f["key"]): f["kind"] for f in manifest["failures"]}
-        assert kinds == {("die",): "broken_pool"}
+        pooled = run_tasks(tasks, jobs=2)
+        assert os.path.exists(tmp_path / "died.marker")
+        assert pooled == run_tasks(tasks, jobs=1)
+        assert pooled[1] == seeded_value(base_seed=3, key=("die",))
+
+    def test_worker_killer_breaks_the_sweep(self, tmp_path):
+        """Two breaks are survived; the third raises ``BrokenProcessPool``."""
+        attempts = str(tmp_path / "attempts.log")
+        tasks = [
+            _ok_task(0),
+            SweepTask(fn=worker_killer, kwargs={"path": attempts}, key=("die",)),
+            _ok_task(1),
+        ]
+        with pytest.raises(BrokenProcessPool):
+            run_tasks(tasks, jobs=2)
+        assert len(_executions(attempts)) == 3
 
     def test_failures_are_never_cached(self, tmp_path, store_lookups):
-        from repro.experiments.parallel import ResultCache
-
+        """The tasks before a failure are stored; the failed one is not,
+        so a re-run hits the former and fails on the latter again."""
         cache = ResultCache(root=str(tmp_path / "cache"))
-        tasks = [SweepTask(fn=raiser, kwargs={}, key=("boom",)), _ok_task(0)]
-        results = run_tasks(
-            tasks, jobs=1, cache=cache, retries=0, on_error="record"
-        )
-        assert results[0] is None
+        tasks = [_ok_task(0), SweepTask(fn=raiser, key=("boom",))]
+        with pytest.raises(RuntimeError, match="injected task failure"):
+            run_tasks(tasks, jobs=1, cache=cache)
         assert (store_lookups.hits, store_lookups.misses) == (0, 2)
-        # Re-running hits the cache only for the healthy task.
-        run_tasks(tasks, jobs=1, cache=cache, retries=0, on_error="record")
+        assert os.listdir(cache.root) == [f"{tasks[0].fingerprint()}.json"]
+        with pytest.raises(RuntimeError, match="injected task failure"):
+            run_tasks(tasks, jobs=1, cache=cache)
         assert (store_lookups.hits, store_lookups.misses) == (1, 3)
 
     def test_runner_raises_the_task_error_whatever_the_env(self, monkeypatch):
-        """A runner regroups every task's result, so it runs in raise
-        mode: ``REPRO_ON_ERROR=record`` used to hand it a failed cell's
-        ``None``, and the sweep died of a ``TypeError`` in the regroup
-        instead of the cell's own error."""
+        """A runner regroups every task's result, so it must see a failed
+        cell's own error: ``REPRO_ON_ERROR=record`` used to hand it a
+        ``None``, and the sweep died of a ``TypeError`` in the regroup."""
         goodput = runner._exposed_goodput
 
         def fail_one_cell(**kwargs):
@@ -250,24 +225,14 @@ class TestSweepSurvival:
             )
 
     def test_manifest_omits_failures_in_raise_mode(self, tmp_path):
+        """A manifest has no ``failures`` field: a sweep that wrote one
+        had no failure."""
         with obs_manifest.manifest_sink(str(tmp_path)):
             run_tasks([_ok_task(0)], jobs=1, label="clean")
-        manifest_name = [
-            n for n in os.listdir(tmp_path) if n.endswith(".manifest.json")
-        ][0]
-        with open(tmp_path / manifest_name, "r", encoding="utf-8") as handle:
+        with open(tmp_path / "clean.manifest.json", "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
-        assert manifest["failures"] is None
-
-    def test_record_mode_writes_empty_failures_list(self, tmp_path):
-        with obs_manifest.manifest_sink(str(tmp_path)):
-            run_tasks([_ok_task(0)], jobs=1, label="clean", on_error="record")
-        manifest_name = [
-            n for n in os.listdir(tmp_path) if n.endswith(".manifest.json")
-        ][0]
-        with open(tmp_path / manifest_name, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        assert manifest["failures"] == []
+        obs_manifest.validate_manifest(manifest)
+        assert "failures" not in manifest
 
 
 class TestParentDeath:

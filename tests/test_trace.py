@@ -20,11 +20,6 @@ class TestTraceRecorder:
         trace.record("phy", "rx")
         assert len(trace) == 1
 
-    def test_wants_guard(self):
-        trace = TraceRecorder(["a"])
-        assert trace.wants("a")
-        assert not trace.wants("b")
-
     def test_clock_binding(self):
         trace = TraceRecorder(["x"])
         now = {"t": 0}
@@ -97,26 +92,32 @@ class TestMerge:
         assert parent.events()[0].category == "sweep"
 
 
+def recorded_categories(trace):
+    """Which of the sweep executor's and the MAC's categories ``trace``
+    records: one event of each is offered."""
+    trace.record("sweep", "start")
+    trace.record("mac", "tx")
+    return [event.category for event in trace.events()]
+
+
 class TestConfigureFromEnv:
     def test_unset_enables_nothing(self, monkeypatch):
         monkeypatch.delenv(TRACE_ENV, raising=False)
         trace = configure_from_env(TraceRecorder())
-        assert not trace.wants("sweep")
+        assert recorded_categories(trace) == []
 
     def test_zero_enables_nothing(self, monkeypatch):
         monkeypatch.setenv(TRACE_ENV, "0")
-        assert not configure_from_env(TraceRecorder()).wants("sweep")
+        assert recorded_categories(configure_from_env(TraceRecorder())) == []
 
     def test_one_is_sweep_shorthand(self, monkeypatch):
         monkeypatch.setenv(TRACE_ENV, "1")
         trace = configure_from_env(TraceRecorder())
-        assert trace.wants("sweep")
-        assert not trace.wants("mac")
+        assert recorded_categories(trace) == ["sweep"]
 
     def test_any_other_value_is_the_sweep_switch(self, monkeypatch):
         # The sweep executor records nothing but ``sweep``, so a name
         # is not a category list: it turns the sweep trace on.
         monkeypatch.setenv(TRACE_ENV, "sweep, mac")
         trace = configure_from_env(TraceRecorder())
-        assert trace.wants("sweep")
-        assert not trace.wants("mac")
+        assert recorded_categories(trace) == ["sweep"]

@@ -12,22 +12,25 @@ condition:
 
 * ``fault`` — a location-report outage plus an ACK-loss burst on the
   exposed-terminal topology, with a location TTL and keep-alives, 4 seeds
-  on a worker pool with ``on_error="record"``.  Every task completes,
-  the manifest's ``failures`` list exists and is empty, the ``faults/``
-  counters fired, the outaged node fell back to plain DCF and recovered
-  (``comap/fallback_entered`` and ``comap/fallback_exited`` positive),
-  and the sweep's trace is exported as JSONL.
-* ``resume`` — a small Fig-8 grid.  A child process sweeps it on 2
-  workers into a result store and is SIGKILLed right after its second
-  entry lands; none of its pool workers may outlive it.  Re-running the
-  grid serially on the same store must hit exactly those two entries,
-  run the rest, and write a manifest equal to an uninterrupted serial
-  run's on tasks, params, seeds, counters (per-node radio counters
-  included) and failures.
+  on a worker pool.  The ``faults/`` counters fired, the outaged node
+  fell back to plain DCF and recovered (``comap/fallback_entered`` and
+  ``comap/fallback_exited`` positive), and the sweep's trace is exported
+  as JSONL.
+* ``resume`` — a small Fig-8 grid, swept twice onto a result store that
+  the sweep does not finish.  First a child process sweeps it on 2
+  workers and is SIGKILLed right after its second entry lands; none of
+  its pool workers may outlive it.  Then a serial sweep fails on a
+  cell's own error right after its third entry lands.  Re-running the
+  grid serially on either store must hit exactly those entries, run the
+  rest, and write a manifest equal to an uninterrupted serial run's on
+  tasks, params, seeds and counters (per-node radio counters included).
 * ``csr`` — the 4-AP enterprise floor, DCF vs CO-MAP vs C-SR.  Every
   flow delivers, C-SR goodput is at least DCF's on every topology, the
   C-SR cells coordinated (TXOP announcements over the backhaul), and
-  the manifest records no task failures.
+  the sweep wrote its manifest.
+
+Every sweep runs under ``run_tasks``'s one failure rule: a task's error
+ends the check with that error's traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -70,12 +73,13 @@ REPORT_INTERVAL_NS = 2_000_000
 FALLBACK_COUNTERS = ("comap/fallback_entered", "comap/fallback_exited")
 
 #: ``resume``: the grid, the killed sweep's worker count, and how many
-#: of its 6 entries land before the SIGKILL.
+#: of its 6 entries land before the SIGKILL, and before a cell fails.
 RESUME_GRID = dict(
     positions_m=(5.0, 20.0, 35.0), mac_kinds=("dcf", "comap"), repeats=1, seed=0
 )
 RESUME_JOBS = 2
 RESUME_KILL_AFTER = 2
+RESUME_FAIL_AFTER = 3
 
 #: ``csr``: the floor grid (2 clients per AP, the runner's default).
 CSR_AP_COUNT = 4
@@ -159,27 +163,15 @@ def check_fault(args: argparse.Namespace, problems: List[str]) -> str:
         for seed in range(4)
     ]
     with obs_manifest.manifest_sink(args.out):
-        results = run_tasks(
-            tasks, jobs=args.jobs, label="fault_smoke", on_error="record"
-        )
+        results = run_tasks(tasks, jobs=args.jobs, label="fault_smoke")
     dump_jsonl(
         recorder.events(),
         os.path.join(args.out, "fault_smoke.trace.jsonl"),
         meta={"label": "fault_smoke"},
     )
-    aborted = sum(result is None for result in results)
-    if aborted:
-        problems.append(f"task aborts: {aborted}")
-    else:
-        print(f"sample result: {json.dumps(results[0])}")
+    print(f"sample result: {json.dumps(results[0])}")
     manifest = _manifest(args.out, problems)
     if manifest is not None:
-        if manifest.failures is None:
-            problems.append("manifest lacks the failures field")
-        elif manifest.failures:
-            problems.append(
-                f"manifest records {len(manifest.failures)} task failures"
-            )
         fired = {
             key: value
             for key, value in manifest.counters.items()
@@ -199,61 +191,109 @@ def check_fault(args: argparse.Namespace, problems: List[str]) -> str:
     return f"{len(results)} tasks"
 
 
+class _FailingStore(ResultCache):
+    """A store that creates ``marker`` once ``entries`` entries landed,
+    so the sweep's next ``fig8_cell`` fails."""
+
+    def __init__(self, root: str, entries: int, marker: str) -> None:
+        super().__init__(root)
+        self.entries, self.marker = entries, marker
+
+    def put(self, *args) -> None:
+        super().put(*args)
+        self.entries -= 1
+        if self.entries == 0:
+            open(self.marker, "w").close()
+
+
+def _check_rerun(
+    phase: str,
+    directory: str,
+    baseline: Optional[obs_manifest.RunManifest],
+    hits: int,
+    problems: List[str],
+) -> None:
+    """The re-run's manifest in ``directory`` hit ``hits`` entries, missed
+    the rest and equals ``baseline`` where two runs of one grid agree."""
+    rerun = _manifest(directory, problems)
+    if baseline is None or rerun is None:
+        return
+    misses = len(baseline.tasks) - hits
+    if (rerun.cache_hits, rerun.cache_misses) != (hits, misses):
+        problems.append(
+            f"{phase}: re-run hit {rerun.cache_hits} and missed "
+            f"{rerun.cache_misses}, expected {hits} and {misses}"
+        )
+    expected, got = _comparable(baseline), _comparable(rerun)
+    problems.extend(
+        f"{phase}: re-run manifest field {name!r} differs from the "
+        f"uninterrupted baseline"
+        for name in expected
+        if expected[name] != got[name]
+    )
+    if not any(key.startswith("node/") for key in rerun.counters):
+        problems.append(f"{phase}: re-run manifest carries no per-node counters")
+
+
 def check_resume(args: argparse.Namespace, problems: List[str]) -> str:
-    grid = dict(RESUME_GRID, duration_s=args.duration_s)
+    marker = os.path.join(args.out, "fail.marker")
+    if os.path.exists(marker):
+        os.unlink(marker)  # a re-used --out starts healthy
+    grid = dict(RESUME_GRID, duration_s=args.duration_s, fail_if=marker)
     tasks = fig8_grid(**grid)
-    print(f"[1/3] serial baseline: {len(tasks)} tasks")
+    print(f"[1/5] serial baseline: {len(tasks)} tasks")
     baseline_dir = os.path.join(args.out, "baseline")
     with obs_manifest.manifest_sink(baseline_dir):
-        run_tasks(tasks, jobs=1, label="resume_smoke", on_error="record")
+        run_tasks(tasks, jobs=1, label="resume_smoke")
+    baseline = _manifest(baseline_dir, problems)
 
-    store = os.path.join(args.out, "store")
-    ResultCache(store).clear(orphan_age_s=0.0)  # a re-used --out starts cold
+    killed_store = os.path.join(args.out, "store")
+    ResultCache(killed_store).clear(orphan_age_s=0.0)  # a re-used --out starts cold
     try:
         workers = sigkill_sweep(
-            store, RESUME_KILL_AFTER, RESUME_JOBS, "resume_smoke", grid
+            killed_store, RESUME_KILL_AFTER, RESUME_JOBS, "resume_smoke", grid
         )
     except RuntimeError as exc:
         problems.append(str(exc))
         return ""
     print(
-        f"[2/3] {RESUME_JOBS}-worker sweep SIGKILLed after "
+        f"[2/5] {RESUME_JOBS}-worker sweep SIGKILLed after "
         f"{RESUME_KILL_AFTER}/{len(tasks)} entries; workers {workers}"
     )
     left = survivors(workers)
     if left:
         problems.append(f"pool workers {left} outlived the killed sweep")
-
     with obs_manifest.manifest_sink(args.out):
         run_tasks(
-            tasks, jobs=1, cache=ResultCache(store), label="resume_smoke",
-            on_error="record",
+            tasks, jobs=1, cache=ResultCache(killed_store), label="resume_smoke"
         )
-    print(f"[3/3] re-ran the grid on the store -> {args.out}")
-    baseline = _manifest(baseline_dir, problems)
-    resumed = _manifest(args.out, problems)
-    if baseline is None or resumed is None:
-        return ""
-    if (resumed.cache_hits, resumed.cache_misses) != (
-        RESUME_KILL_AFTER, len(tasks) - RESUME_KILL_AFTER
-    ):
-        problems.append(
-            f"resumed sweep hit {resumed.cache_hits} and missed "
-            f"{resumed.cache_misses}, expected {RESUME_KILL_AFTER} and "
-            f"{len(tasks) - RESUME_KILL_AFTER}"
+    print(f"[3/5] re-ran the grid on the killed sweep's store -> {args.out}")
+    _check_rerun("after the SIGKILL", args.out, baseline, RESUME_KILL_AFTER, problems)
+
+    failed_store = os.path.join(args.out, "failed-store")
+    ResultCache(failed_store).clear(orphan_age_s=0.0)
+    try:
+        run_tasks(
+            tasks, jobs=1, label="resume_smoke",
+            cache=_FailingStore(failed_store, RESUME_FAIL_AFTER, marker),
         )
-    expected, got = _comparable(baseline), _comparable(resumed)
-    problems.extend(
-        f"resumed manifest field {name!r} differs from the uninterrupted baseline"
-        for name in expected
-        if expected[name] != got[name]
-    )
-    per_node = [key for key in resumed.counters if key.startswith("node/")]
-    if not per_node:
-        problems.append("resumed manifest carries no per-node counters")
+    except RuntimeError as exc:
+        print(f"[4/5] serial sweep failed after {RESUME_FAIL_AFTER} entries: {exc}")
+    else:
+        problems.append("the sweep with a failing cell did not fail")
+    if os.path.exists(marker):
+        os.unlink(marker)
+    rerun_dir = os.path.join(args.out, "after-failure")
+    with obs_manifest.manifest_sink(rerun_dir):
+        run_tasks(
+            tasks, jobs=1, cache=ResultCache(failed_store), label="resume_smoke"
+        )
+    print(f"[5/5] re-ran the grid on the failed sweep's store -> {rerun_dir}")
+    _check_rerun("after the failure", rerun_dir, baseline, RESUME_FAIL_AFTER, problems)
     return (
-        f"{resumed.cache_hits} hits, {resumed.cache_misses} misses, "
-        f"{len(per_node)} per-node counters bit-identical to baseline"
+        f"re-runs after a SIGKILL and a task failure hit {RESUME_KILL_AFTER} "
+        f"and {RESUME_FAIL_AFTER} of {len(tasks)} entries, bit-identical to "
+        f"the baseline"
     )
 
 
@@ -307,9 +347,7 @@ def check_csr(args: argparse.Namespace, problems: List[str]) -> str:
                 f"topology {topo}: no backhaul messages — coordination "
                 f"plane never engaged"
             )
-    manifest = _manifest(args.out, problems)
-    if manifest is not None and manifest.failures:
-        problems.append(f"manifest records {len(manifest.failures)} task failures")
+    _manifest(args.out, problems)
     return f"{len(rows)} cells"
 
 
