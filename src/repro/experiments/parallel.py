@@ -382,51 +382,56 @@ def run_tasks(
     profiler = maybe_profiler()
     if profiler is not None:
         profiler.start()
-    # The manifest counts what lands after this mark: cache hits replay
-    # their stored deltas and pool results merge their shipped ones
-    # inside the window, as serial tasks count into it directly.
-    added = _baseline()
-    sweep_started = time.perf_counter()
-    trace.record(
-        "sweep", "start", label=label, tasks=len(tasks), jobs=jobs,
-        cached=cache is not None,
-    )
-
-    results: List[Any] = [None] * len(tasks)
-    pending: List[int] = []
-    for index, task in enumerate(tasks):
-        if cache is not None:
-            hit, value, counters = cache.get(task.fingerprint())
-            if hit:
-                results[index] = value
-                global_registry().merge_snapshot(counters)
-                trace.record("sweep", "cache_hit", label=label, key=task.key)
-                continue
-        pending.append(index)
-    scan_elapsed = time.perf_counter() - sweep_started
-    trace.record(
-        "sweep", "phase", label=label, phase="cache_scan",
-        elapsed_s=scan_elapsed, pending=len(pending),
-    )
-
-    exec_started = time.perf_counter()
-    completed = _run_pending(tasks, pending, jobs, label, trace, cache)
-    exec_elapsed = time.perf_counter() - exec_started
-    trace.record(
-        "sweep", "phase", label=label, phase="execute",
-        elapsed_s=exec_elapsed, tasks=len(pending),
-    )
-    for index, (value, elapsed) in completed.items():
-        results[index] = value
+    try:
+        # The manifest counts what lands after this mark: cache hits replay
+        # their stored deltas and pool results merge their shipped ones
+        # inside the window, as serial tasks count into it directly.
+        added = _baseline()
+        sweep_started = time.perf_counter()
         trace.record(
-            "sweep", "task_done", label=label, key=tasks[index].key,
-            elapsed_s=elapsed,
+            "sweep", "start", label=label, tasks=len(tasks), jobs=jobs,
+            cached=cache is not None,
         )
-    wall_s = time.perf_counter() - sweep_started
-    trace.record("sweep", "done", label=label, tasks=len(tasks), elapsed_s=wall_s)
+
+        results: List[Any] = [None] * len(tasks)
+        pending: List[int] = []
+        for index, task in enumerate(tasks):
+            if cache is not None:
+                hit, value, counters = cache.get(task.fingerprint())
+                if hit:
+                    results[index] = value
+                    global_registry().merge_snapshot(counters)
+                    trace.record("sweep", "cache_hit", label=label, key=task.key)
+                    continue
+            pending.append(index)
+        scan_elapsed = time.perf_counter() - sweep_started
+        trace.record(
+            "sweep", "phase", label=label, phase="cache_scan",
+            elapsed_s=scan_elapsed, pending=len(pending),
+        )
+
+        exec_started = time.perf_counter()
+        completed = _run_pending(tasks, pending, jobs, label, trace, cache)
+        exec_elapsed = time.perf_counter() - exec_started
+        trace.record(
+            "sweep", "phase", label=label, phase="execute",
+            elapsed_s=exec_elapsed, tasks=len(pending),
+        )
+        for index, (value, elapsed) in completed.items():
+            results[index] = value
+            trace.record(
+                "sweep", "task_done", label=label, key=tasks[index].key,
+                elapsed_s=elapsed,
+            )
+        wall_s = time.perf_counter() - sweep_started
+        trace.record("sweep", "done", label=label, tasks=len(tasks), elapsed_s=wall_s)
+    finally:
+        # A task's error (or the cache scan's) must not leave the
+        # profiler installed for the rest of the process.
+        if profiler is not None:
+            profiler.stop()
     profile_block = None
     if profiler is not None:
-        profiler.stop()
         # The phase boundaries mirror the sweep/phase trace events above.
         profiler.add_phase("cache_scan", scan_elapsed)
         profiler.add_phase("execute", exec_elapsed)

@@ -98,12 +98,15 @@ class MinstrelLite:
         return state
 
     def best_index(self, dst: int) -> int:
-        """Index of the estimated-throughput-maximizing rate for ``dst``."""
+        """Index of the estimated-throughput-maximizing rate for ``dst``.
+
+        On a tie the slowest of the tied rates (the first maximum) wins.
+        """
         state = self._state(dst)
         throughputs = [
             state.ewma_prob[i] * rate.bps for i, rate in enumerate(self.rates.rates)
         ]
-        return int(np.argmax(throughputs))
+        return max(range(len(throughputs)), key=throughputs.__getitem__)
 
     def select(self, dst: int) -> Rate:
         """Pick the best-throughput rate, probing occasionally."""

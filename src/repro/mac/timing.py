@@ -11,12 +11,14 @@ All durations are engine ticks (integer nanoseconds).  Frame airtime is
 ``preamble + total_bytes * 8 / rate`` — OFDM symbol padding is ignored, a
 sub-1 % idealization documented in DESIGN.md.
 
-Airtimes are memoized per ``(rate, size)``: DCF, CO-MAP, and C-MAP all
-recompute frame/ACK/CTS airtimes and EIFS per frame, yet the distinct
-key set is tiny (a handful of rates times a handful of sizes).  Every
-memoized value is produced by exactly the expression the unmemoized
-path evaluates (integer arithmetic on frozen inputs), so the cache is
-exact by construction.
+Airtimes are memoized per ``(bit rate, size)``: DCF, CO-MAP, and C-MAP
+all recompute frame/ACK/CTS airtimes and EIFS per frame, yet the distinct
+key set is tiny (a handful of rates times a handful of sizes).  A
+:class:`Rate` enters an airtime only through its ``bps``, so the memo
+keys on that int rather than hashing the frozen ``Rate``.  Every memoized
+value is produced by exactly the expression the unmemoized path evaluates
+(integer arithmetic on frozen inputs), so the cache is exact by
+construction.  DIFS is derived once per profile, in ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -41,16 +43,14 @@ class PhyTiming:
     ack_timeout_slack_ns: int
 
     def __post_init__(self) -> None:
-        # Per-instance airtime memo, keyed (kind, rate, size). The dataclass
-        # is frozen so the dict is attached via object.__setattr__; it holds
-        # derived values only and is excluded from eq/repr by not being a
-        # field.
+        # Derived values only, attached via object.__setattr__ because the
+        # dataclass is frozen.  Neither is a field, so eq/repr and the
+        # ``dataclasses.fields`` that seeds and store keys encode do not
+        # see them.  DIFS = SIFS + 2 * slot (802.11-2007 9.2.10) is read on
+        # every idle edge of every contending MAC; the airtime memo is
+        # keyed (kind, bit rate[, size]).
+        object.__setattr__(self, "difs_ns", self.sifs_ns + 2 * self.slot_ns)
         object.__setattr__(self, "_memo", {})
-
-    @property
-    def difs_ns(self) -> int:
-        """DIFS = SIFS + 2 * slot (802.11-2007 9.2.10)."""
-        return self.sifs_ns + 2 * self.slot_ns
 
     def eifs_ns(self, base_rate: Rate) -> int:
         """EIFS = SIFS + ACK airtime at the base rate + DIFS.
@@ -59,7 +59,7 @@ class PhyTiming:
         sender of the corrupted frame has room to be ACKed.
         """
         memo: Dict[Tuple, int] = self._memo  # type: ignore[attr-defined]
-        key = ("eifs", base_rate)
+        key = ("eifs", base_rate.bps)
         value = memo.get(key)
         if value is None:
             value = self.sifs_ns + self.ack_airtime_ns(base_rate) + self.difs_ns
@@ -69,11 +69,11 @@ class PhyTiming:
     def frame_airtime_ns(self, frame: Frame) -> int:
         """Total on-air duration of ``frame`` at its own rate.
 
-        Memoized per ``(rate, total_bytes)`` — the airtime depends on the
-        frame only through those two values.
+        Memoized per ``(rate.bps, total_bytes)`` — the airtime depends on
+        the frame only through those two values.
         """
         memo: Dict[Tuple, int] = self._memo  # type: ignore[attr-defined]
-        key = ("frame", frame.rate, frame.total_bytes)
+        key = ("frame", frame.rate.bps, frame.total_bytes)
         value = memo.get(key)
         if value is None:
             value = self.preamble_ns + frame.rate.airtime_ns(frame.total_bytes)
@@ -83,7 +83,7 @@ class PhyTiming:
     def ack_airtime_ns(self, rate: Rate) -> int:
         """Duration of an ACK control frame at ``rate``."""
         memo: Dict[Tuple, int] = self._memo  # type: ignore[attr-defined]
-        key = ("ack", rate)
+        key = ("ack", rate.bps)
         value = memo.get(key)
         if value is None:
             value = self.preamble_ns + rate.airtime_ns(ACK_BYTES)
@@ -93,7 +93,7 @@ class PhyTiming:
     def cts_airtime_ns(self, rate: Rate) -> int:
         """Duration of a CTS control frame at ``rate``."""
         memo: Dict[Tuple, int] = self._memo  # type: ignore[attr-defined]
-        key = ("cts", rate)
+        key = ("cts", rate.bps)
         value = memo.get(key)
         if value is None:
             value = self.preamble_ns + rate.airtime_ns(CTS_BYTES)
@@ -103,7 +103,7 @@ class PhyTiming:
     def ack_timeout_ns(self, rate: Rate) -> int:
         """How long a sender waits for an ACK before declaring loss."""
         memo: Dict[Tuple, int] = self._memo  # type: ignore[attr-defined]
-        key = ("ack_timeout", rate)
+        key = ("ack_timeout", rate.bps)
         value = memo.get(key)
         if value is None:
             value = (

@@ -43,12 +43,15 @@ if TYPE_CHECKING:  # avoid a phy <-> mac import cycle; hints only
 
 
 def noop_hook(fn):
-    """Mark a MAC callback as a no-op that radios bound to the MAC skip.
+    """Mark a MAC hook whose base version does nothing, so callers skip it.
 
-    :meth:`Radio.bind_mac` reads the mark once.  It is a function
-    attribute, not identity with the original function: ``functools.wraps``
-    copies ``__dict__``, so a wrapped no-op (a span tracer's, say) is still
-    recognised and skipped.
+    A marked callback is a no-op and a marked predicate always answers
+    False.  The mark is read once per MAC: by :meth:`Radio.bind_mac` for
+    ``on_energy_changed`` and by ``DcfMac.__init__`` for
+    ``_should_ignore_busy``; a subclass that overrides the hook loses the
+    mark and is called.  It is a function attribute, not identity with
+    the original function: ``functools.wraps`` copies ``__dict__``, so a
+    wrapped no-op (a span tracer's, say) is still recognised and skipped.
     """
     fn.noop_hook = True
     return fn

@@ -31,7 +31,7 @@ Design notes
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional
 
 
@@ -98,8 +98,15 @@ class EventHandle:
         # Drop references eagerly so cancelled closures don't pin objects.
         self.callback = _noop
         self.args = ()
-        if self._sim is not None:
-            self._sim._note_cancelled()
+        sim = self._sim
+        if sim is not None:
+            # The live count drops once per handle; compact when
+            # tombstones exceed both half the heap and the floor.
+            sim._live -= 1
+            size = len(sim._queue)
+            dead = size - sim._live
+            if dead >= sim.compact_floor and dead * 2 > size:
+                sim._compact()
 
     @property
     def pending(self) -> bool:
@@ -137,7 +144,9 @@ class Simulator:
     watchdog_limit: Optional[int] = None
 
     def __init__(self) -> None:
-        self._now: int = 0
+        #: Current simulated time in nanoseconds.  A plain attribute read
+        #: on every MAC edge; only :meth:`run` writes it.
+        self.now: int = 0
         self._seq: int = 0
         # Heap of (time, seq, handle); see the tuple-entry design note.
         self._queue: List[tuple] = []
@@ -147,11 +156,6 @@ class Simulator:
         self._heap_peak = 0
         self._compactions = 0
         self._watchdog_trips = 0
-
-    @property
-    def now(self) -> int:
-        """Current simulated time in nanoseconds."""
-        return self._now
 
     @property
     def events_fired(self) -> int:
@@ -216,12 +220,12 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + int(delay)
+        time = self.now + int(delay)
         self._seq += 1
         seq = self._seq
         handle = EventHandle(time, seq, callback, args, self)
         queue = self._queue
-        heapq.heappush(queue, (time, seq, handle))
+        heappush(queue, (time, seq, handle))
         self._live += 1
         if len(queue) > self._heap_peak:
             self._heap_peak = len(queue)
@@ -229,38 +233,29 @@ class Simulator:
 
     def schedule_at(self, time: int, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self._now}"
+                f"cannot schedule at t={time} before current time t={self.now}"
             )
         self._seq += 1
         handle = EventHandle(int(time), self._seq, callback, args, self)
-        heapq.heappush(self._queue, (handle.time, self._seq, handle))
+        heappush(self._queue, (handle.time, self._seq, handle))
         self._live += 1
         if len(self._queue) > self._heap_peak:
             self._heap_peak = len(self._queue)
         return handle
-
-    def _note_cancelled(self) -> None:
-        """Bookkeeping hook called by :meth:`EventHandle.cancel` (once).
-
-        Decrements the live count and compacts the heap when tombstones
-        exceed both half the heap and :attr:`compact_floor` entries.
-        """
-        self._live -= 1
-        dead = len(self._queue) - self._live
-        if dead >= self.compact_floor and dead * 2 > len(self._queue):
-            self._compact()
 
     def _compact(self) -> None:
         """Rebuild the heap from live handles, dropping tombstones.
 
         ``heapify`` over the filtered list preserves the (time, seq)
         ordering invariant, so firing order is unchanged.  Safe mid-run:
-        the run loop re-reads ``self._queue`` every iteration.
+        the list is rebuilt in place, so the run loop's reference to it
+        stays valid.
         """
-        self._queue = [entry for entry in self._queue if not entry[2].cancelled]
-        heapq.heapify(self._queue)
+        queue = self._queue
+        queue[:] = [entry for entry in queue if not entry[2].cancelled]
+        heapify(queue)
         self._compactions += 1
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
@@ -282,20 +277,20 @@ class Simulator:
         watchdog_limit = self.watchdog_limit
         streak_time = -1
         streak = 0
+        queue = self._queue
         try:
-            while self._queue:
-                entry = self._queue[0]
+            while queue:
+                entry = heappop(queue)
                 handle = entry[2]
                 if handle.cancelled:
-                    heapq.heappop(self._queue)
                     continue
                 time = entry[0]
-                if until is not None and time > until:
+                if (until is not None and time > until) or (
+                    max_events is not None and fired >= max_events
+                ):
+                    heappush(queue, entry)  # not due: put it back
                     break
-                if max_events is not None and fired >= max_events:
-                    break
-                heapq.heappop(self._queue)
-                self._now = time
+                self.now = time
                 if watchdog_limit is not None:
                     if time == streak_time:
                         streak += 1
@@ -305,7 +300,7 @@ class Simulator:
                     if streak > watchdog_limit:
                         # Push the unfired event back so pending_events and
                         # the queue stay consistent for post-mortem reads.
-                        heapq.heappush(self._queue, entry)
+                        heappush(queue, entry)
                         self._watchdog_trips += 1
                         name = getattr(
                             handle.callback, "__qualname__", repr(handle.callback)
@@ -321,8 +316,8 @@ class Simulator:
                 self._events_fired += 1
         finally:
             self._running = False
-        if until is not None and self._now < until:
+        if until is not None and self.now < until:
             # Advance the clock to the horizon so metrics normalise over the
             # full requested window even if the network went quiet early.
-            self._now = until
+            self.now = until
         return fired

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.mac.dcf import MacConfig, MacState
+from repro.mac.dcf import DcfMac, MacConfig, MacState
+from repro.mac.frames import FrameType
+from repro.mac.rate_control import FixedRate
 from repro.mac.timing import OFDM_TIMING
 from repro.phy.rates import OFDM_RATES
 
@@ -95,7 +97,10 @@ class TestFreezeAccounting:
 
 class TestEifs:
     def test_corrupted_reception_triggers_eifs(self):
-        world = build_mac_world([(0, 0), (10, 0)])
+        # constant_cw=1 draws zero slots, so each data frame goes out one
+        # IFS after its contention starts on the idle medium: EIFS after
+        # the corrupted reception, DIFS once that wait has elapsed.
+        world = build_mac_world([(0, 0), (10, 0)], config=MacConfig(constant_cw=1))
         mac = world.macs[0]
         assert not mac._need_eifs
         from repro.mac.frames import Frame, FrameType
@@ -104,7 +109,25 @@ class TestEifs:
                       rate=OFDM_RATES.base, payload_bytes=100)
         mac.on_frame_corrupted(frame)
         assert mac._need_eifs
-        assert mac._current_ifs_ns() == OFDM_TIMING.eifs_ns(OFDM_RATES.base)
+        sent = []
+        orig = world.channel.transmit
+
+        def spy(sender, frame):
+            sent.append((world.sim.now, frame.kind))
+            return orig(sender, frame)
+
+        world.channel.transmit = spy
+        mac.enqueue(1, 500)
+        mac.enqueue(1, 500)
+        world.run(0.01)
+        assert [kind for _, kind in sent] == [
+            FrameType.DATA, FrameType.ACK, FrameType.DATA, FrameType.ACK,
+        ]
+        assert sent[0][0] == OFDM_TIMING.eifs_ns(OFDM_RATES.base)
+        ack_start = sent[1][0]
+        ack_heard = (ack_start + OFDM_TIMING.ack_airtime_ns(OFDM_RATES.base)
+                     + world.channel.air_latency_ns)
+        assert sent[2][0] == ack_heard + OFDM_TIMING.difs_ns
 
     def test_eifs_cleared_after_wait(self):
         world = build_mac_world([(0, 0), (10, 0)], config=MacConfig(constant_cw=1))
@@ -117,6 +140,72 @@ class TestEifs:
         world.run(0.01)
         assert not mac._need_eifs
         assert world.delivered(1) == 1
+
+
+class _CountsThroughBusy(DcfMac):
+    """A DCF subclass that asks to keep counting through any busy medium."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.busy_queries = 0
+        #: Per busy edge: (contending when it came, queries it made).
+        self.busy_edges = []
+
+    def on_medium_busy(self):
+        contending = self.state is MacState.CONTEND
+        before = self.busy_queries
+        super().on_medium_busy()
+        self.busy_edges.append((contending, self.busy_queries - before))
+
+    def _should_ignore_busy(self):
+        self.busy_queries += 1
+        return True
+
+
+class TestBusyIgnoreHook:
+    """Only a MAC that overrides ``_should_ignore_busy`` is asked it."""
+
+    def _first_data_start(self, mac_factory=None):
+        # Node 0 draws 10 slots; node 2 (zero slots) starts a frame after
+        # node 0 has counted 3 of them, so node 0 sees a busy edge while
+        # contending.  Returns node 0's MAC and its first data start.
+        world = build_mac_world([(0, 0), (10, 0), (2, 0)], mac_factory=mac_factory)
+        mac = world.macs[0]
+        mac._draw_backoff = lambda: 10
+        starts = []
+        orig = world.channel.transmit
+
+        def spy(sender, frame):
+            if sender.radio_id == 0 and frame.kind is FrameType.DATA:
+                starts.append(world.sim.now)
+            return orig(sender, frame)
+
+        world.channel.transmit = spy
+        mac.enqueue(1, 500)
+        world.run((OFDM_TIMING.difs_ns + 3 * OFDM_TIMING.slot_ns) / 1e9)
+        world.macs[2]._draw_backoff = lambda: 0
+        world.macs[2].enqueue(1, 100)
+        world.run(0.01)
+        return mac, starts[0]
+
+    def test_override_is_asked_on_each_busy_edge_and_counts_through(self):
+        def factory(i, sim, radio, rngs):
+            cls = _CountsThroughBusy if i == 0 else DcfMac
+            return cls(i, sim, radio, OFDM_TIMING, OFDM_RATES, rngs,
+                       rate_policy=FixedRate(OFDM_RATES.by_bps(6_000_000)))
+
+        mac, start = self._first_data_start(factory)
+        assert any(contending for contending, _ in mac.busy_edges)
+        assert all(
+            asked == (1 if contending else 0)
+            for contending, asked in mac.busy_edges
+        )
+        # The countdown never froze: DIFS plus all 10 slots.
+        assert start == OFDM_TIMING.difs_ns + 10 * OFDM_TIMING.slot_ns
+
+    def test_plain_dcf_freezes(self):
+        _, start = self._first_data_start()
+        assert start > OFDM_TIMING.difs_ns + 10 * OFDM_TIMING.slot_ns
 
 
 class TestAirLatency:

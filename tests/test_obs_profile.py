@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 
 import pytest
 
@@ -160,3 +161,33 @@ class TestManifestProfileBlock:
         with open(path, "w") as handle:
             json.dump(payload, handle)
         assert load_manifest(path).profile is None
+
+
+def _failing_task() -> None:
+    """Module-level task whose own error fails the sweep."""
+    raise ZeroDivisionError("task error")
+
+
+class _FailingStore:
+    """A result store whose lookup raises during the cache scan."""
+
+    def get(self, fingerprint):
+        raise OSError("store unreadable")
+
+
+class TestFailedSweepStopsProfiler:
+    """A sweep that raises leaves no profiler installed behind it."""
+
+    def test_task_error(self, monkeypatch):
+        monkeypatch.setenv(PROFILE_ENV, "1")
+        before = sys.getprofile()
+        with pytest.raises(ZeroDivisionError):
+            run_tasks([SweepTask(fn=_failing_task)], jobs=1, label="boom")
+        assert sys.getprofile() is before
+
+    def test_cache_scan_error(self, monkeypatch):
+        monkeypatch.setenv(PROFILE_ENV, "1")
+        before = sys.getprofile()
+        with pytest.raises(OSError):
+            run_tasks(_make_tasks(1), jobs=1, cache=_FailingStore(), label="boom")
+        assert sys.getprofile() is before

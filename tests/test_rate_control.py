@@ -54,6 +54,19 @@ class TestMinstrelLite:
             policy.report(1, success=True)
         assert policy.best_index(1) == len(OFDM_RATES) - 1
 
+    def test_ties_go_to_the_first_maximum(self):
+        # 12 Mb/s at p=1 and 24 Mb/s at p=0.5 both estimate 12 Mb/s: the
+        # slower rate, the first maximum, wins.
+        policy = make_minstrel(probe=0.0)
+        state = policy._state(1)
+        bps = [rate.bps for rate in OFDM_RATES.rates]
+        state.ewma_prob = [0.0] * len(bps)
+        state.ewma_prob[bps.index(12_000_000)] = 1.0
+        state.ewma_prob[bps.index(24_000_000)] = 0.5
+        assert policy.best_index(1) == bps.index(12_000_000)
+        state.ewma_prob = [0.0] * len(bps)
+        assert policy.best_index(1) == 0
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             MinstrelLite(OFDM_RATES, np.random.default_rng(0), ewma_weight=0.0)

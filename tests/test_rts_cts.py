@@ -4,6 +4,7 @@ import pytest
 
 from repro.mac.dcf import RETRY_LIMIT, MacConfig, MacState
 from repro.mac.frames import FrameType
+from repro.mac.timing import OFDM_TIMING
 
 from tests.conftest import build_mac_world
 
@@ -78,13 +79,28 @@ class TestNav:
         assert world.macs[0].stats.retransmissions == 0
 
     def test_nav_state_expires(self):
+        # Once the reservation node 2 honored has run out, the NAV no
+        # longer defers it: a zero-slot RTS goes out one DIFS after its
+        # enqueue.
         world = rts_world()
         world.macs[0].enqueue(1, 1000)
-        world.run(0.0006)
-        assert world.macs[2].mac if False else True
-        mac2 = world.macs[2]
         world.run(0.1)
-        assert not mac2._nav_active()
+        mac2 = world.macs[2]
+        assert mac2.stats.nav_reservations_honored >= 1
+        sent = []
+        orig = world.channel.transmit
+
+        def spy(sender, frame):
+            if sender.radio_id == 2:
+                sent.append((world.sim.now, frame.kind))
+            return orig(sender, frame)
+
+        world.channel.transmit = spy
+        mac2._draw_backoff = lambda: 0
+        enqueued_at = world.sim.now
+        mac2.enqueue(1, 100)
+        world.run(0.05)
+        assert sent[0] == (enqueued_at + OFDM_TIMING.difs_ns, FrameType.RTS)
 
     def test_cts_timeout_retries(self):
         # Receiver placed out of decode range: the RTS gets no CTS and the
