@@ -33,29 +33,22 @@ One failure rule: a task's own exception propagates out of
 of its record, so it would fail the same way again; nothing retries it,
 and the store is how the sweep resumes once the cause is fixed.
 
-Per-task progress and wall-clock timings are recorded into the process
-global :func:`repro.sim.trace.global_recorder` under the ``sweep``
-category (enable with ``REPRO_TRACE=1`` or
-``global_recorder().enable("sweep")``).
-
 Observability (:mod:`repro.obs`)
 --------------------------------
 
 Pool workers are separate processes with their *own* module-global
-recorder and counter registry, so anything recorded there would
-silently vanish when the worker exits.  :func:`capture_deltas` snapshots
-both around each pool task; the deltas travel back with the result and
-the parent merges them into its own
-:func:`~repro.sim.trace.global_recorder` /
-:func:`~repro.obs.counters.global_registry`, making a 2-worker run's
-trace indistinguishable from a serial one (same events, worker PIDs in
-the ``task_run`` records).  A store hit replays the task's stored
-counter delta the same way, so a warm or resumed sweep counts what a
-cold one does.  When a manifest sink is active (``REPRO_MANIFEST_DIR``
-or :func:`repro.obs.manifest.manifest_sink`), every :func:`run_tasks`
+counter registry, so anything counted there would silently vanish when
+the worker exits.  :func:`capture_deltas` snapshots it around each pool
+task; the delta travels back with the result and the parent merges it
+into its own :func:`~repro.obs.counters.global_registry`.  A store hit
+replays the task's stored counter delta the same way, so a warm or
+resumed sweep counts what a cold one does.  When a manifest sink is
+active (``REPRO_MANIFEST_DIR`` or
+:func:`repro.obs.manifest.manifest_sink`), every :func:`run_tasks`
 call also writes a schema-validated ``<label>.manifest.json`` (built by
 :func:`sweep_manifest`) recording the task grid, seeds, git SHA, wall
-time, and what the sweep itself added to both globals — the baseline
+time, the wall time and process of every task it executed, and what
+the sweep itself added to the registry — the baseline
 :func:`capture_deltas` takes around a task, taken around the whole
 sweep, so nothing the process counted before the sweep leaks into its
 manifest.  All of it costs nothing measurable when disabled: a few
@@ -65,6 +58,7 @@ task, no per-frame work.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -78,7 +72,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 from repro.obs import manifest as obs_manifest
 from repro.obs.counters import diff_snapshot, global_registry
 from repro.obs.profile import maybe_profiler
-from repro.sim.trace import TraceEvent, configure_from_env, global_recorder
 from repro.util.rng import _canonical, derive_seed
 
 #: Environment knob: worker-process count for sweep execution.
@@ -110,7 +103,7 @@ class SweepTask:
     and must depend only on ``kwargs`` — no closures, no globals — so the
     result is a pure function of the task record.  On a pool the task
     and its result must pickle; one that does not raises there.  ``key`` is the task's
-    human-readable grid identity, used for tracing and regrouping.
+    human-readable grid identity, used for manifests and regrouping.
     """
 
     fn: Callable[..., Any]
@@ -126,63 +119,37 @@ class SweepTask:
         return self.fn(**self.kwargs)
 
 
-def _execute_indexed(task: SweepTask) -> Tuple[Any, float]:
-    """Run one task, returning (result, elapsed_s).
-
-    Records a ``sweep/task_run`` event *in the executing process* (the
-    parent when serial, the worker when pooled) — the per-task half of
-    the profiling hooks.
-    """
-    trace = configure_from_env()
+def _execute_indexed(task: SweepTask) -> Tuple[Any, float, int]:
+    """Run one task; return its result, the wall seconds its body took
+    and the process that ran it (the sweep's own when serial, a worker's
+    when pooled): the ``elapsed_s`` and ``pid`` of its manifest row."""
     started = time.perf_counter()
     result = task.execute()
-    elapsed = time.perf_counter() - started
-    trace.record(
-        "sweep", "task_run", key=task.key, pid=os.getpid(), elapsed_s=elapsed
-    )
-    return result, elapsed
+    return result, time.perf_counter() - started, os.getpid()
 
 
-def _baseline() -> Callable[[], Tuple[Dict[str, Any], List[TraceEvent]]]:
-    """Mark the process globals; the returned call reports what they
-    gained since: the positive counter changes (what ``merge_snapshot``
-    elsewhere needs) and the new trace events.
+def _baseline() -> Callable[[], Dict[str, Any]]:
+    """Mark the global counter registry; the returned call reports its
+    positive changes since (what ``merge_snapshot`` elsewhere needs).
 
-    A baseline fences off what came before it: events inherited over
+    A baseline fences off what came before it: counts inherited over
     ``fork``, earlier tasks on a reused worker, earlier sweeps.
     """
-    recorder = global_recorder()
     registry = global_registry()
-    events_base = len(recorder)
-    counters_base = registry.snapshot()
-
-    def added() -> Tuple[Dict[str, Any], List[TraceEvent]]:
-        fresh = recorder.events()[events_base:]
-        return diff_snapshot(counters_base, registry.snapshot()), fresh
-
-    return added
+    before = registry.snapshot()
+    return lambda: diff_snapshot(before, registry.snapshot())
 
 
-def capture_deltas(
-    fn: Callable[..., Any], *args: Any
-) -> Tuple[Any, Dict[str, Any], List[TraceEvent]]:
-    """Run ``fn(*args)``; return its value, counter delta and new events:
-    what the call added to the process globals (see :func:`_baseline`)."""
+def capture_deltas(fn: Callable[..., Any], *args: Any) -> Tuple[Any, Dict[str, Any]]:
+    """Run ``fn(*args)``; return its value and the counter delta the call
+    added to the process-global registry (see :func:`_baseline`).
+
+    The pool runs each task under it: what a task counts in a worker
+    would die with the worker, so the delta travels home with the result.
+    """
     added = _baseline()
     value = fn(*args)
-    return (value, *added())
-
-
-def _execute_shipping(
-    task: SweepTask,
-) -> Tuple[Any, float, List[TraceEvent], Dict[str, Any]]:
-    """Pool entry point: run one task and ship its observability deltas.
-
-    What the task records in the worker's globals would die with the
-    worker, so the deltas travel home with the result.
-    """
-    (result, elapsed), counters, events = capture_deltas(_execute_indexed, task)
-    return result, elapsed, events, counters
+    return value, added()
 
 
 def _exit_with_parent() -> None:
@@ -373,9 +340,6 @@ def run_tasks(
     the manifest an uninterrupted run would.
     """
     tasks = list(tasks)
-    # Parent and workers alike configure the global recorder, so the
-    # ``REPRO_TRACE`` opt-in follows the environment into pool processes.
-    trace = configure_from_env()
     if cache is None:
         cache = _env_cache()
     jobs = resolve_jobs(jobs)
@@ -388,10 +352,6 @@ def run_tasks(
         # inside the window, as serial tasks count into it directly.
         added = _baseline()
         sweep_started = time.perf_counter()
-        trace.record(
-            "sweep", "start", label=label, tasks=len(tasks), jobs=jobs,
-            cached=cache is not None,
-        )
 
         results: List[Any] = [None] * len(tasks)
         pending: List[int] = []
@@ -401,30 +361,17 @@ def run_tasks(
                 if hit:
                     results[index] = value
                     global_registry().merge_snapshot(counters)
-                    trace.record("sweep", "cache_hit", label=label, key=task.key)
                     continue
             pending.append(index)
-        scan_elapsed = time.perf_counter() - sweep_started
-        trace.record(
-            "sweep", "phase", label=label, phase="cache_scan",
-            elapsed_s=scan_elapsed, pending=len(pending),
-        )
 
-        exec_started = time.perf_counter()
-        completed = _run_pending(tasks, pending, jobs, label, trace, cache)
-        exec_elapsed = time.perf_counter() - exec_started
-        trace.record(
-            "sweep", "phase", label=label, phase="execute",
-            elapsed_s=exec_elapsed, tasks=len(pending),
-        )
-        for index, (value, elapsed) in completed.items():
+        scan_s = time.perf_counter() - sweep_started
+        timings: Dict[int, Tuple[float, int]] = {}
+        for index, (value, elapsed, pid) in _run_pending(
+            tasks, pending, jobs, cache
+        ).items():
             results[index] = value
-            trace.record(
-                "sweep", "task_done", label=label, key=tasks[index].key,
-                elapsed_s=elapsed,
-            )
+            timings[index] = elapsed, pid
         wall_s = time.perf_counter() - sweep_started
-        trace.record("sweep", "done", label=label, tasks=len(tasks), elapsed_s=wall_s)
     finally:
         # A task's error (or the cache scan's) must not leave the
         # profiler installed for the rest of the process.
@@ -432,17 +379,15 @@ def run_tasks(
             profiler.stop()
     profile_block = None
     if profiler is not None:
-        # The phase boundaries mirror the sweep/phase trace events above.
-        profiler.add_phase("cache_scan", scan_elapsed)
-        profiler.add_phase("execute", exec_elapsed)
+        profiler.add_phase("cache_scan", scan_s)
+        profiler.add_phase("execute", wall_s - scan_s)
         profile_block = profiler.as_block()
     manifest_dir = obs_manifest.active_manifest_dir()
     if manifest_dir:
-        counters, events = added()
         manifest = sweep_manifest(
             label, tasks, jobs, wall_s,
-            counters=counters,
-            trace_counts=trace.counts(events),
+            counters=added(),
+            timings=timings,
             # This sweep's own counts: one store may serve many sweeps.
             cache_hits=len(tasks) - len(pending) if cache is not None else 0,
             cache_misses=len(pending) if cache is not None else 0,
@@ -493,19 +438,22 @@ def sweep_manifest(
     jobs: int,
     wall_s: float,
     counters: Dict[str, Any],
-    trace_counts: Dict[str, int],
+    timings: Dict[int, Tuple[float, int]],
     **optional: Any,
 ) -> obs_manifest.RunManifest:
     """The run manifest of one task grid.
 
     Task rows carry each task's key, seed and content fingerprint, plus
-    its deviations from the common ``params``.  ``optional`` carries the
-    optional blocks of :func:`~repro.obs.manifest.build_manifest` (cache
-    counts, ``profile``).
+    its deviations from the common ``params``.  The row of a task the
+    sweep executed also carries ``elapsed_s`` and ``pid`` from
+    ``timings`` (task index to wall seconds and process); a row replayed
+    from the store has neither.  ``optional`` carries the optional
+    blocks of :func:`~repro.obs.manifest.build_manifest` (cache counts,
+    ``profile``).
     """
     params, overrides = split_common_params(tasks)
     rows = []
-    for task, override in zip(tasks, overrides):
+    for index, (task, override) in enumerate(zip(tasks, overrides)):
         try:
             fingerprint = task.fingerprint()
         except TypeError:
@@ -517,6 +465,8 @@ def sweep_manifest(
         }
         if override:
             row["overrides"] = override
+        if index in timings:
+            row["elapsed_s"], row["pid"] = timings[index]
         rows.append(row)
     seeds = sorted(
         {
@@ -533,47 +483,42 @@ def sweep_manifest(
         params=params,
         seeds=seeds,
         counters=counters,
-        trace_counts=trace_counts,
         **optional,
     )
 
 
-#: Finished task as the execution paths yield it: index, result,
-#: elapsed seconds and the counter delta it added.
-_Finished = Tuple[int, Any, float, Dict[str, Any]]
+#: A finished task as the execution paths yield it: its index, what
+#: :func:`_execute_indexed` returned and the counter delta it added.
+_Finished = Tuple[int, Tuple[Any, float, int], Dict[str, Any]]
 
 
 def _run_pending(
     tasks: Sequence[SweepTask],
     pending: List[int],
     jobs: int,
-    label: str,
-    trace,
     store: Optional[ResultCache] = None,
-) -> Dict[int, Tuple[Any, float]]:
-    """Run the not-yet-stored tasks, on a pool when ``jobs > 1``.
+) -> Dict[int, Tuple[Any, float, int]]:
+    """Run the not-yet-stored tasks, on a pool when ``jobs > 1``; map
+    each task's index to its result, wall seconds and process.
 
     Each finished task goes into ``store`` at once — written by this
     process only — so a sweep that fails or is killed later keeps it.
     A pool whose worker processes cannot start is the pool's failure,
     not a task's: the serial path runs only the tasks the pool did not
-    finish, since a finished task's shipped deltas are merged already
-    and running it again would count them twice.
+    finish, since a finished task's shipped delta is merged already
+    and running it again would count it twice.
     """
-    completed: Dict[int, Tuple[Any, float]] = {}
+    completed: Dict[int, Tuple[Any, float, int]] = {}
 
     def keep(finished: Iterator[_Finished]) -> None:
-        for index, value, elapsed, counters in finished:
-            completed[index] = value, elapsed
+        for index, run, counters in finished:
+            completed[index] = run
             if store is not None:
-                store.put(tasks[index].fingerprint(), value, counters)
+                store.put(tasks[index].fingerprint(), run[0], counters)
 
     if jobs > 1 and len(pending) > 1:
-        try:
+        with contextlib.suppress(_PoolUnavailable):
             keep(_run_parallel(tasks, pending, jobs))
-            return completed
-        except _PoolUnavailable as exc:
-            trace.record("sweep", "serial_fallback", label=label, reason=str(exc))
     keep(_run_serial(tasks, [i for i in pending if i not in completed]))
     return completed
 
@@ -583,15 +528,12 @@ def _run_serial(
 ) -> Iterator[_Finished]:
     """In-process execution.
 
-    A task here counts straight into this process's globals, so its
-    deltas are only measured, the counters for the store: merging them
-    would count twice.
+    A task here counts straight into this process's registry, so its
+    delta is only measured, for the store: merging it would count twice.
     """
     for index in pending:
-        (value, elapsed), counters, _ = capture_deltas(
-            _execute_indexed, tasks[index]
-        )
-        yield index, value, elapsed, counters
+        run, counters = capture_deltas(_execute_indexed, tasks[index])
+        yield index, run, counters
 
 
 class _PoolUnavailable(Exception):
@@ -608,15 +550,16 @@ def _run_parallel(
     """Pooled execution that survives dying workers.
 
     Tasks are submitted individually (not chunked ``map``) and yielded
-    as they finish, with the deltas they shipped merged into this
-    process's globals (they would die with the worker).  A task's own
-    exception — an unpicklable task or result included — propagates
+    as they finish, with the counter deltas they shipped merged into
+    this process's registry (they would die with the worker).  A task's
+    own exception — an unpicklable task or result included — propagates
     from ``future.result()`` as raised.  A :class:`BrokenProcessPool` —
     a worker died, under its own task or a sibling's, or the dying pool
     refused a submission — respawns the pool and re-runs every
     unfinished task, uncharged: it did nothing wrong.  The break after
     :data:`_BREAKS_SURVIVED` raises, so a task that kills every worker
-    it runs on ends the sweep like any task error.  Workers exit once this
+    it runs on ends the sweep like any task error.  Every pool is joined
+    before this returns or raises; its workers also exit once this
     process dies (:func:`_exit_with_parent`).
     """
     unfinished = dict.fromkeys(pending)
@@ -630,26 +573,25 @@ def _run_parallel(
                     initializer=_exit_with_parent,
                 )
                 for index in unfinished:
-                    futures[pool.submit(_execute_shipping, tasks[index])] = index
+                    future = pool.submit(capture_deltas, _execute_indexed, tasks[index])
+                    futures[future] = index
             except BrokenProcessPool as exc:
                 broken = exc
             except OSError as exc:
                 # ``submit`` runs no task code, so this OSError is the
                 # pool's own: creating its semaphores or forking failed.
-                raise _PoolUnavailable(f"process pool unavailable: {exc}") from exc
+                raise _PoolUnavailable from exc
             for future in as_completed(futures):
                 try:
-                    value, elapsed, events, counters = future.result()
+                    run, counters = future.result()
                 except BrokenProcessPool as exc:
                     broken = exc
                     continue
-                if events:
-                    global_recorder().merge(events)
                 if counters:
                     global_registry().merge_snapshot(counters)
                 index = futures[future]
                 del unfinished[index]
-                yield index, value, elapsed, counters
+                yield index, run, counters
         finally:
             if pool is not None:
                 # After a task's error no queued task starts.  (Not
@@ -657,7 +599,9 @@ def _run_parallel(
                 # failing to pickle it can hang interpreter exit.)
                 for future in futures:
                     future.cancel()
-                pool.shutdown(wait=False)
+                # Join the pool's manager thread and workers: one left
+                # running is joined at interpreter exit, and can hang it.
+                pool.shutdown(wait=True)
         if broken is None:
             return
         breaks += 1

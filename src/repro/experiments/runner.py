@@ -27,10 +27,10 @@ Two seeding conventions, chosen per runner and kept deliberately:
   comparisons low-variance.
 
 Observability: because every runner goes through ``run_tasks``, each
-sweep records ``sweep``-category trace events (``REPRO_TRACE=1``)
-and — when a manifest sink is active (``REPRO_MANIFEST_DIR`` or
-:func:`repro.obs.manifest.manifest_sink`) — writes a schema-validated
-run manifest next to its results.  See ``docs/observability.md``.
+sweep writes a schema-validated run manifest next to its results when a
+manifest sink is active (``REPRO_MANIFEST_DIR`` or
+:func:`repro.obs.manifest.manifest_sink`).  See
+``docs/observability.md``.
 """
 
 from __future__ import annotations

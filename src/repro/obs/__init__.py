@@ -1,16 +1,14 @@
-"""Structured observability: counters, traces, manifests, profiling.
+"""Structured observability: counters, manifests, profiling.
 
-Four layers, all costing nothing measurable when unused:
+Three layers, all costing nothing measurable when unused:
 
 * :mod:`repro.obs.counters` — typed ``Counter``/``Histogram``
   metrics behind a :class:`~repro.obs.counters.CounterRegistry` that the
   MAC/PHY/engine layers register into (per-network) and that sweeps
   aggregate process-wide (:func:`~repro.obs.counters.global_registry`).
-* :mod:`repro.obs.trace_io` — versioned JSONL export/import for
-  :class:`repro.sim.trace.TraceEvent` streams, so traces can be archived
-  next to results and diffed across runs.
 * :mod:`repro.obs.manifest` — schema-validated run manifests (params,
-  seeds, git SHA, wall time, the sweep's counter delta) written by every
+  seeds, git SHA, wall time, each executed task's wall time and
+  process, the sweep's counter delta) written by every
   sweep when a sink is active (``REPRO_MANIFEST_DIR`` or
   :func:`~repro.obs.manifest.manifest_sink`).
 * :mod:`repro.obs.profile` — a cProfile/pstats harness
@@ -42,14 +40,7 @@ from repro.obs.profile import (
     PROFILE_ENV,
     Profiler,
     maybe_profiler,
-    profiled,
     profiling_enabled,
-)
-from repro.obs.trace_io import (
-    TRACE_SCHEMA_VERSION,
-    TraceSchemaError,
-    dump_jsonl,
-    load_jsonl,
 )
 
 __all__ = [
@@ -70,10 +61,5 @@ __all__ = [
     "PROFILE_ENV",
     "Profiler",
     "maybe_profiler",
-    "profiled",
     "profiling_enabled",
-    "TRACE_SCHEMA_VERSION",
-    "TraceSchemaError",
-    "dump_jsonl",
-    "load_jsonl",
 ]

@@ -10,11 +10,12 @@ manifest records enough to reproduce and to diff runs:
 
 * the sweep label, task grid (keys, per-task seeds, content
   fingerprints) and representative task parameters;
+* where the task time went: the wall seconds and the process of every
+  task the sweep executed (a task replayed from the store has neither);
 * the executor configuration (worker count, cache hit/miss counts);
 * provenance: git SHA (when available), schema version, wall time;
 * what the sweep added to the process-wide counter registry (its
-  counter delta) and to the global trace recorder (the histogram of its
-  events) — never what the process counted before it.
+  counter delta) — never what the process counted before it.
 
 Manifests are schema-validated on load — an archived manifest that does
 not validate is an error, never a silent partial read.
@@ -39,13 +40,15 @@ MANIFEST_DIR_ENV = "REPRO_MANIFEST_DIR"
 MANIFEST_SCHEMA = "repro.manifest"
 #: Version 2 added two *optional* fields — per-task ``overrides`` inside
 #: task rows (heterogeneous grids) and a ``shards`` block, written only
-#: by the since-removed sweep queue.  Required fields are unchanged, so
-#: archived version-1 manifests still validate and load.  Keys this
-#: class no longer has (``shards``, the grid's ``spatial`` block, the
-#: ``failures`` list of the since-removed record mode) are dropped on
-#: load, so archived manifests that carry them load too.
-MANIFEST_SCHEMA_VERSION = 2
-SUPPORTED_MANIFEST_VERSIONS = (1, 2)
+#: by the since-removed sweep queue.  Version 3 adds ``elapsed_s`` and
+#: ``pid`` to the row of every executed task and no longer writes
+#: ``trace_counts``.  Keys this class no longer has (``trace_counts``,
+#: ``shards``, the grid's ``spatial`` block, the ``failures`` list of
+#: the since-removed record mode) are dropped on load, so archived
+#: version-1 and version-2 manifests that carry them still validate and
+#: load.
+MANIFEST_SCHEMA_VERSION = 3
+SUPPORTED_MANIFEST_VERSIONS = (1, 2, 3)
 
 _REQUIRED_FIELDS = {
     "schema": str,
@@ -58,7 +61,6 @@ _REQUIRED_FIELDS = {
     "params": dict,
     "seeds": list,
     "counters": dict,
-    "trace_counts": dict,
 }
 
 
@@ -78,7 +80,6 @@ class RunManifest:
     params: Dict[str, Any]
     seeds: List[int]
     counters: Dict[str, Any] = field(default_factory=dict)
-    trace_counts: Dict[str, int] = field(default_factory=dict)
     git_sha: Optional[str] = None
     cache_hits: int = 0
     cache_misses: int = 0
@@ -269,7 +270,6 @@ def build_manifest(
     params: Dict[str, Any],
     seeds: List[int],
     counters: Dict[str, Any],
-    trace_counts: Dict[str, int],
     cache_hits: int = 0,
     cache_misses: int = 0,
     profile: Optional[Dict[str, Any]] = None,
@@ -284,7 +284,6 @@ def build_manifest(
         params=params,
         seeds=seeds,
         counters=counters,
-        trace_counts=trace_counts,
         git_sha=current_git_sha(),
         cache_hits=int(cache_hits),
         cache_misses=int(cache_misses),

@@ -1,13 +1,10 @@
 """Profiling harness: cProfile/pstats wired into run manifests.
 
 Enabled via the ``REPRO_PROFILE`` environment knob (any value other
-than ``0``/``false``/``no``/``off``) or programmatically with the
-:func:`profiled` context manager.  When active, a sweep executed
+than ``0``/``false``/``no``/``off``).  When active, a sweep executed
 through :func:`repro.experiments.parallel.run_tasks` records:
 
-* **per-phase wall times** — the sweep's cache-scan and execute phases
-  (the same boundaries the trace recorder's ``sweep/phase`` events
-  mark), plus any phases the caller adds;
+* **per-phase wall times** — the sweep's cache-scan and execute phases;
 * **a top-N cumulative table** — the :data:`TOP` most expensive
   functions by cumulative time, extracted from the cProfile run via
   :mod:`pstats`.
@@ -17,7 +14,7 @@ perf trajectory of a sweep is archived next to its provenance —
 compare two manifests to see where the time moved.
 
 The harness degrades gracefully: if another profiler is already active
-in the process (coverage tools, an outer :func:`profiled` block),
+in the process (coverage tools, an outer :class:`Profiler`),
 ``start`` records the failure and the block is emitted with an empty
 table and an ``error`` note instead of crashing the sweep.
 """
@@ -28,8 +25,7 @@ import cProfile
 import os
 import pstats
 import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 #: Environment knob: truthy values enable the profiling harness.
 PROFILE_ENV = "REPRO_PROFILE"
@@ -78,7 +74,7 @@ class Profiler:
             self._profile.enable()
         except (ValueError, RuntimeError) as exc:
             # cProfile refuses to nest (e.g. under coverage tooling or an
-            # outer profiled() block); keep phase timings, note the loss.
+            # outer Profiler); keep phase timings, note the loss.
             self._error = str(exc)
         self._active = True
 
@@ -98,15 +94,6 @@ class Profiler:
     def add_phase(self, name: str, wall_s: float) -> None:
         """Record an externally-timed phase (seconds)."""
         self._phases.append({"name": str(name), "wall_s": float(wall_s)})
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Time a block and record it as a phase."""
-        begin = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_phase(name, time.perf_counter() - begin)
 
     # -- reporting ------------------------------------------------------
     def top_functions(self) -> List[Dict[str, Any]]:
@@ -149,18 +136,3 @@ class Profiler:
 def maybe_profiler() -> Optional[Profiler]:
     """A fresh :class:`Profiler` when ``REPRO_PROFILE`` is set, else None."""
     return Profiler() if profiling_enabled() else None
-
-
-@contextmanager
-def profiled() -> Iterator[Profiler]:
-    """Profile a block regardless of the env knob; yields the profiler.
-
-    The profiler is stopped on exit; read :meth:`Profiler.as_block`
-    (or :meth:`Profiler.top_functions`) afterwards.
-    """
-    prof = Profiler()
-    prof.start()
-    try:
-        yield prof
-    finally:
-        prof.stop()

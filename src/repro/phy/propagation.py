@@ -110,9 +110,9 @@ class LogNormalShadowing:
     def shadowing_db(self, rng: np.random.Generator) -> float:
         """One shadowing realization ``X_sigma`` in dB (0.0 when sigma is 0).
 
-        Split out from :meth:`sample_rx_dbm` so callers that cache the
-        deterministic mean (the channel's per-pair path-loss cache) can
-        add a fresh draw without recomputing the distance term.
+        A received power is :meth:`mean_rx_dbm` plus one such draw.  The
+        channel draws them in blocks (:meth:`shadowing_block`); this is
+        the scalar reference those blocks must equal.
         """
         return float(rng.normal(0.0, self.sigma_db)) if self.sigma_db > 0.0 else 0.0
 
@@ -127,15 +127,6 @@ class LogNormalShadowing:
         if self.sigma_db > 0.0:
             return rng.normal(0.0, self.sigma_db, size=size).tolist()
         return [0.0] * size
-
-    def sample_rx_dbm(
-        self,
-        tx_power_dbm: float,
-        distance_m: float,
-        rng: np.random.Generator,
-    ) -> float:
-        """Received power with one shadowing realization ``X_sigma`` drawn."""
-        return self.mean_rx_dbm(tx_power_dbm, distance_m) + self.shadowing_db(rng)
 
     def range_for_rx_dbm(self, tx_power_dbm: float, rx_dbm: float) -> float:
         """Distance at which the *mean* received power equals ``rx_dbm``.

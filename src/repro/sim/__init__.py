@@ -6,12 +6,9 @@ Every higher layer (PHY, MAC, traffic) schedules callbacks here.
 """
 
 from repro.sim.engine import EventHandle, Simulator, SimulationError
-from repro.sim.trace import TraceRecorder, TraceEvent
 
 __all__ = [
     "Simulator",
     "EventHandle",
     "SimulationError",
-    "TraceRecorder",
-    "TraceEvent",
 ]

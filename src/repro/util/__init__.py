@@ -16,12 +16,7 @@ from repro.util.units import (
     s_to_ns,
 )
 from repro.util.rng import RngStreams
-from repro.util.stats import (
-    EmpiricalCdf,
-    jain_fairness,
-    mean_gain,
-    summarize,
-)
+from repro.util.stats import EmpiricalCdf, jain_fairness
 from repro.util.geometry import Point, distance
 
 __all__ = [
@@ -37,8 +32,6 @@ __all__ = [
     "RngStreams",
     "EmpiricalCdf",
     "jain_fairness",
-    "mean_gain",
-    "summarize",
     "Point",
     "distance",
 ]

@@ -145,10 +145,6 @@ class RngStreams:
             self._substreams[key] = gen
         return gen
 
-    def spawn(self, offset: int) -> "RngStreams":
-        """Return a new independent family (for replicated experiment runs)."""
-        return RngStreams(seed=self._seed * 1_000_003 + offset)
-
     def known_streams(self) -> Iterable[tuple]:
         """Names of all streams created so far (diagnostic aid)."""
         return tuple(self._streams.keys()) + tuple(self._substreams.keys())

@@ -2,8 +2,8 @@
 
 The paper reports results as empirical CDFs of per-link goodput
 (Figs. 9 and 10), mean goodput gains (77.5 % for ET scenarios, 38.5 % for
-HT networks) and per-position goodput curves.  This module provides those
-aggregations.
+HT networks) and per-position goodput curves.  This module provides the
+CDFs, Jain's fairness index and confidence intervals over repeated runs.
 """
 
 from __future__ import annotations
@@ -35,17 +35,6 @@ class EmpiricalCdf:
     def __len__(self) -> int:
         return len(self._samples)
 
-    def evaluate(self, x: float) -> float:
-        """Return ``F(x)``, the fraction of samples less than or equal to x."""
-        lo, hi = 0, len(self._samples)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._samples[mid] <= x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo / len(self._samples)
-
     def quantile(self, q: float) -> float:
         """Return the ``q``-quantile (0 <= q <= 1) of the samples."""
         if not 0.0 <= q <= 1.0:
@@ -68,60 +57,19 @@ def jain_fairness(values: Sequence[float]) -> float:
     """Jain's fairness index: ``(sum x)^2 / (n * sum x^2)``.
 
     Equals 1.0 when all links obtain identical goodput and approaches
-    ``1/n`` under complete starvation of all but one link.
+    ``1/n`` under complete starvation of all but one link.  The values
+    are scaled by their largest magnitude first: the index does not
+    change, and squares of tiny values no longer underflow into
+    subnormals, which pushed it above 1.
     """
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("fairness of an empty set is undefined")
-    denom = arr.size * float(np.sum(arr**2))
-    if denom == 0.0:
+    peak = float(np.max(np.abs(arr)))
+    if peak == 0.0:
         return 1.0
-    return float(np.sum(arr)) ** 2 / denom
-
-
-def mean_gain(baseline: Sequence[float], improved: Sequence[float]) -> float:
-    """Relative gain of mean(improved) over mean(baseline), e.g. 0.775 = +77.5 %."""
-    base_values = list(baseline)
-    improved_values = list(improved)
-    if not base_values or not improved_values:
-        raise ValueError("mean_gain needs at least one sample on each side")
-    base = float(np.mean(base_values))
-    if base <= 0.0:
-        raise ValueError("baseline mean must be positive to compute a gain")
-    return float(np.mean(improved_values)) / base - 1.0
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Five-number-style summary of a sample set."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    median: float
-    maximum: float
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"n={self.count} mean={self.mean:.3f} std={self.std:.3f} "
-            f"min={self.minimum:.3f} med={self.median:.3f} max={self.maximum:.3f}"
-        )
-
-
-def summarize(values: Iterable[float]) -> Summary:
-    """Build a :class:`Summary` from raw samples."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot summarize an empty sample set")
-    return Summary(
-        count=int(arr.size),
-        mean=float(np.mean(arr)),
-        std=float(np.std(arr)),
-        minimum=float(np.min(arr)),
-        median=float(np.median(arr)),
-        maximum=float(np.max(arr)),
-    )
+    arr = arr / peak
+    return float(np.sum(arr)) ** 2 / (arr.size * float(np.sum(arr**2)))
 
 
 @dataclass(frozen=True)

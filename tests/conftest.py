@@ -2,11 +2,12 @@
 
 from collections import deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Deque, Dict, List, Optional, Tuple
 
 import pytest
 
-import repro.sim.trace as trace_mod
+from repro.experiments.parallel import ResultCache
 from repro.mac.frames import Frame, FrameType
 from repro.mac.timing import OFDM_TIMING
 from repro.phy.channel import Channel
@@ -14,7 +15,6 @@ from repro.phy.propagation import LogNormalShadowing
 from repro.phy.radio import Radio, RadioConfig
 from repro.phy.rates import OFDM_RATES
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceRecorder
 from repro.util.geometry import Point
 from repro.util.rng import RngStreams
 
@@ -209,33 +209,20 @@ def phy_trio():
     return build_phy_world([(0.0, 0.0), (10.0, 0.0), (200.0, 0.0)])
 
 
-class StoreLookups:
-    """Result-store hits and misses of the sweeps run since the fixture
-    was made, read from their ``sweep`` trace: a hit records
-    ``sweep/cache_hit``, and every task of a sweep with a store that did
-    not hit missed."""
-
-    def __init__(self, recorder: TraceRecorder) -> None:
-        self._recorder = recorder
-
-    @property
-    def hits(self) -> int:
-        return len(self._recorder.events("sweep", "cache_hit"))
-
-    @property
-    def misses(self) -> int:
-        looked_up = sum(
-            event.get("tasks")
-            for event in self._recorder.events("sweep", "start")
-            if event.get("cached")
-        )
-        return looked_up - self.hits
-
-
 @pytest.fixture
 def store_lookups(monkeypatch):
-    """Count store lookups through a fresh global recorder with the
-    sweep trace on."""
-    recorder = TraceRecorder(["sweep"])
-    monkeypatch.setattr(trace_mod, "_global_recorder", recorder)
-    return StoreLookups(recorder)
+    """Result-store hits and misses from here on: every
+    ``ResultCache.get`` counts as one or the other."""
+    lookups = SimpleNamespace(hits=0, misses=0)
+    real_get = ResultCache.get
+
+    def get(self, digest):
+        hit, value, counters = real_get(self, digest)
+        if hit:
+            lookups.hits += 1
+        else:
+            lookups.misses += 1
+        return hit, value, counters
+
+    monkeypatch.setattr(ResultCache, "get", get)
+    return lookups

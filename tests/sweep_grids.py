@@ -128,11 +128,19 @@ def demo_grid(n: int = 8, seed: int = 0) -> List[SweepTask]:
     ]
 
 
+#: Row fields two runs of one grid need not agree on: how long an
+#: executed task ran and in which process (a stored row has neither).
+RUN_FIELDS = ("elapsed_s", "pid")
+
+
 def _comparable(manifest: obs_manifest.RunManifest) -> Dict[str, Any]:
     """The deterministic fields two runs of one grid must agree on."""
     return {
         "label": manifest.label,
-        "tasks": manifest.tasks,
+        "tasks": [
+            {name: value for name, value in row.items() if name not in RUN_FIELDS}
+            for row in manifest.tasks
+        ],
         "params": manifest.params,
         "seeds": manifest.seeds,
         "counters": manifest.counters,

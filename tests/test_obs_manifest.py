@@ -42,7 +42,6 @@ def make_manifest(**overrides):
         params={"seed": 3},
         seeds=[3],
         counters={"mac/data_transmissions": 10},
-        trace_counts={"sweep/task_run": 1},
     )
     base.update(overrides)
     return RunManifest(**base)
@@ -197,11 +196,11 @@ class TestRunTasksIntegration:
 
 
 class TestSchemaVersions:
-    """Version 2 is written; archived version-1 manifests still load."""
+    """Version 3 is written; archived version-1 and -2 manifests still load."""
 
-    def test_written_version_is_two(self):
-        assert MANIFEST_SCHEMA_VERSION == 2
-        assert make_manifest().to_dict()["version"] == 2
+    def test_written_version_is_three(self):
+        assert MANIFEST_SCHEMA_VERSION == 3
+        assert make_manifest().to_dict()["version"] == 3
 
     def test_version_one_manifest_still_validates(self, tmp_path):
         # An archived v1 manifest: no overrides.
@@ -216,8 +215,10 @@ class TestSchemaVersions:
     def test_shards_block_round_trips(self, tmp_path):
         # Archived manifests carry blocks nothing writes any more — the
         # sweep queue's ``shards``, record mode's ``failures`` (a list,
-        # or None in raise mode); they validate and load without them.
+        # or None in raise mode), the sweep trace's ``trace_counts``;
+        # they validate and load without them.
         legacy = {
+            "trace_counts": {"sweep/start": 1, "sweep/task_run": 1},
             "shards": {"count": 2, "chunk": 1, "grid_fingerprint": "f" * 64,
                        "digests": ["a" * 64, "b" * 64], "workers": ["w-1"]},
             "failures": [{"index": 1, "key": ["boom"], "kind": "exception",

@@ -9,10 +9,12 @@ it raises.
   respawned pool, each exactly once.
 * Worker processes that cannot start send the tasks the pool did not
   finish to the serial path, and only those: a finished task's shipped
-  counter deltas and trace events are merged already, and running it
-  again would count both twice.
+  counter delta is merged already, and running it again would count it
+  twice.  The manifest rows show the fallback: every ``pid`` is the
+  sweep's own process.
 """
 
+import os
 import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -22,25 +24,14 @@ import pytest
 
 import repro.experiments.parallel as parallel_mod
 import repro.obs.counters as counters_mod
-import repro.sim.trace as trace_mod
 from repro.experiments.parallel import SweepTask, _run_pending, _run_serial, run_tasks
 from repro.obs.counters import CounterRegistry, global_registry
-from repro.sim.trace import TraceRecorder
-from repro.sim.trace import global_recorder
+from repro.obs.manifest import load_manifest, manifest_sink
 
 
 @pytest.fixture
 def fresh_globals(monkeypatch):
-    monkeypatch.setattr(trace_mod, "_global_recorder", TraceRecorder())
     monkeypatch.setattr(counters_mod, "_global_registry", CounterRegistry())
-
-
-class _TraceStub:
-    def __init__(self):
-        self.events = []
-
-    def record(self, *args, **kwargs):
-        self.events.append((args, kwargs))
 
 
 def _counting_cell(x: float, tag=None) -> float:
@@ -110,14 +101,9 @@ class TestFallbackResumesOnlyUnfinished:
             raise parallel_mod._PoolUnavailable("no more workers")
 
         monkeypatch.setattr(parallel_mod, "_run_parallel", failing_parallel)
-        trace = _TraceStub()
-        completed = _run_pending(
-            tasks, [0, 1, 2, 3], jobs=2, label="resume", trace=trace
-        )
+        completed = _run_pending(tasks, [0, 1, 2, 3], jobs=2)
         assert sorted(completed) == [0, 1, 2, 3]
         assert sorted(_executions(witness)) == ["0.0", "1.0", "2.0", "3.0"]
-        # The fallback was recorded as a trace event with its reason.
-        assert [args for args, _ in trace.events] == [("sweep", "serial_fallback")]
 
 
 class TestTaskErrorsAreNotPoolFailures:
@@ -128,25 +114,21 @@ class TestTaskErrorsAreNotPoolFailures:
         """2 workers: a task raising ``TypeError``/``OSError`` is not a
         pool that cannot start; its error reaches the caller after one
         run."""
-        global_recorder().enable("sweep")
         witness = str(tmp_path / "witness.log")
         with pytest.raises(error, match="own error at x=1.0"):
             run_tasks(_witness_grid(witness, 3, 1, error), jobs=2)
         assert _executions(witness).count("1.0") == 1
-        assert global_recorder().events("sweep", "serial_fallback") == []
 
     def test_own_pickling_error_runs_once_without_fallback(
         self, tmp_path, fresh_globals
     ):
         """2 workers: a task raising ``pickle.PicklingError`` itself is
         that task's error, raised after one run."""
-        global_recorder().enable("sweep")
         witness = str(tmp_path / "witness.log")
         tasks = _witness_grid(witness, 3, 1, pickle.PicklingError)
         with pytest.raises(pickle.PicklingError, match="own error at x=1.0"):
             run_tasks(tasks, jobs=2)
         assert _executions(witness).count("1.0") == 1
-        assert global_recorder().events("sweep", "serial_fallback") == []
 
     def test_unpicklable_task_raises(self, fresh_globals):
         """A task holding a lambda cannot reach a worker: its pickling
@@ -192,12 +174,11 @@ class TestBreakDuringSubmission:
 class TestPoolStartFailure:
     @pytest.mark.parametrize("at", ["init", "submit"])
     def test_pool_that_cannot_start_falls_back_to_serial(
-        self, fresh_globals, monkeypatch, at
+        self, tmp_path, fresh_globals, monkeypatch, at
     ):
         """Worker processes that cannot start (no semaphores, fork
         failing) are the pool's failure: every task still runs, once,
-        on the serial path."""
-        global_recorder().enable("sweep")
+        on the serial path, and its row names this process."""
 
         class CannotStart(ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
@@ -209,7 +190,9 @@ class TestPoolStartFailure:
                 raise OSError("fork failed")
 
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", CannotStart)
-        results = run_tasks(_grid(4), jobs=2)
+        with manifest_sink(str(tmp_path)):
+            results = run_tasks(_grid(4), jobs=2, label="fallback")
         assert results == [0.0, 2.0, 4.0, 6.0]
         assert global_registry().snapshot()["fallback/runs"] == 4
-        assert len(global_recorder().events("sweep", "serial_fallback")) == 1
+        rows = load_manifest(tmp_path / "fallback.manifest.json").tasks
+        assert [row["pid"] for row in rows] == [os.getpid()] * 4

@@ -51,13 +51,15 @@ class TestLogNormalShadowing:
     def test_sampling_without_sigma_is_deterministic(self):
         model = LogNormalShadowing(alpha=3.0, sigma_db=0.0)
         rng = np.random.default_rng(0)
-        assert model.sample_rx_dbm(0.0, 10.0, rng) == model.mean_rx_dbm(0.0, 10.0)
+        state = rng.bit_generator.state
+        assert model.shadowing_db(rng) == 0.0
+        assert rng.bit_generator.state == state
 
     def test_sampling_statistics_match_sigma(self):
         model = LogNormalShadowing(alpha=3.0, sigma_db=4.0)
         rng = np.random.default_rng(1)
-        samples = [model.sample_rx_dbm(0.0, 10.0, rng) for _ in range(4000)]
-        assert np.mean(samples) == pytest.approx(model.mean_rx_dbm(0.0, 10.0), abs=0.3)
+        samples = [model.shadowing_db(rng) for _ in range(4000)]
+        assert np.mean(samples) == pytest.approx(0.0, abs=0.3)
         assert np.std(samples) == pytest.approx(4.0, abs=0.3)
 
     @pytest.mark.parametrize("sigma_db", [0.0, 4.0, 5.0])

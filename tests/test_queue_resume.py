@@ -14,11 +14,9 @@ import os
 import pytest
 
 import repro.obs.counters as counters_mod
-import repro.sim.trace as trace_mod
 from repro.experiments.parallel import ResultCache, run_tasks
 from repro.obs.counters import CounterRegistry
 from repro.obs.manifest import load_manifest, manifest_sink, validate_manifest
-from repro.sim.trace import TraceRecorder
 
 from tests.sweep_grids import _comparable, fig8_grid, sigkill_sweep, survivors
 
@@ -27,7 +25,6 @@ pytestmark = pytest.mark.slow
 
 @pytest.fixture
 def fresh_globals(monkeypatch):
-    monkeypatch.setattr(trace_mod, "_global_recorder", TraceRecorder())
     monkeypatch.setattr(counters_mod, "_global_registry", CounterRegistry())
 
 

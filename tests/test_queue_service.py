@@ -17,19 +17,16 @@ import pytest
 
 import repro.experiments.parallel as parallel_mod
 import repro.obs.counters as counters_mod
-import repro.sim.trace as trace_mod
 from repro.experiments.parallel import CACHE_VERSION, ResultCache, SweepTask, run_tasks
 from repro.obs.counters import CounterRegistry, global_registry
 from repro.obs.manifest import load_manifest, manifest_sink
-from repro.sim.trace import TraceRecorder
 
 from tests.sweep_grids import ROOT, _comparable, child_env, demo_grid
 
 
 @pytest.fixture
 def fresh_globals(monkeypatch):
-    """Isolate the process-wide recorder/registry for one test."""
-    monkeypatch.setattr(trace_mod, "_global_recorder", TraceRecorder())
+    """Isolate the process-wide registry for one test."""
     monkeypatch.setattr(counters_mod, "_global_registry", CounterRegistry())
 
 
@@ -344,7 +341,9 @@ class TestResume:
         assert again == first
         before = load_manifest(tmp_path / "first" / "idle.manifest.json")
         after = load_manifest(tmp_path / "again" / "idle.manifest.json")
-        assert after.tasks == before.tasks
+        # The warm rows are the cold ones without where and how long
+        # each task ran: nothing executed.
+        assert after.tasks == _comparable(before)["tasks"]
         assert after.counters == before.counters == {"witness/runs": 4}
         # No task re-ran: nothing missed and the witness holds one
         # execution per task.

@@ -40,18 +40,6 @@ class TestRngStreams:
         b2 = list(rngs2.stream("b").integers(0, 1 << 30, 8))
         assert b1 == b2
 
-    def test_spawn_creates_distinct_family(self):
-        base = RngStreams(seed=3)
-        child = base.spawn(1)
-        a = list(base.stream("t").integers(0, 1 << 30, 8))
-        b = list(child.stream("t").integers(0, 1 << 30, 8))
-        assert a != b
-
-    def test_spawn_is_deterministic(self):
-        a = RngStreams(seed=3).spawn(9).stream("t")
-        b = RngStreams(seed=3).spawn(9).stream("t")
-        assert list(a.integers(0, 1 << 30, 8)) == list(b.integers(0, 1 << 30, 8))
-
     def test_known_streams_lists_created(self):
         rngs = RngStreams(seed=0)
         rngs.stream("alpha")

@@ -524,7 +524,7 @@ class TestManifestSpatialBlock:
     def _manifest_kwargs(self):
         return dict(
             label="t", tasks=[], jobs=1, wall_s=0.0, params={}, seeds=[],
-            counters={}, trace_counts={},
+            counters={},
         )
 
     def test_manifest_roundtrip_with_spatial(self):

@@ -1,9 +1,9 @@
-"""Statistics helpers: empirical CDFs, fairness, gains."""
+"""Statistics helpers: empirical CDFs and fairness."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from repro.util.stats import EmpiricalCdf, cdf_table, jain_fairness, mean_gain, summarize
+from repro.util.stats import EmpiricalCdf, cdf_table, jain_fairness
 
 samples_strategy = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=60
@@ -14,12 +14,6 @@ class TestEmpiricalCdf:
     def test_requires_samples(self):
         with pytest.raises(ValueError):
             EmpiricalCdf([])
-
-    def test_evaluate_endpoints(self):
-        cdf = EmpiricalCdf([1.0, 2.0, 3.0, 4.0])
-        assert cdf.evaluate(0.5) == 0.0
-        assert cdf.evaluate(4.0) == 1.0
-        assert cdf.evaluate(2.0) == 0.5
 
     def test_quantiles(self):
         cdf = EmpiricalCdf([10, 20, 30, 40])
@@ -32,12 +26,6 @@ class TestEmpiricalCdf:
         cdf = EmpiricalCdf([1.0])
         with pytest.raises(ValueError):
             cdf.quantile(1.5)
-
-    @given(samples_strategy)
-    def test_evaluate_is_monotone(self, samples):
-        cdf = EmpiricalCdf(samples)
-        lo, hi = min(samples), max(samples)
-        assert cdf.evaluate(lo - 1) <= cdf.evaluate((lo + hi) / 2) <= cdf.evaluate(hi + 1)
 
     @given(samples_strategy)
     def test_quantile_within_sample_range(self, samples):
@@ -67,45 +55,10 @@ class TestJainFairness:
         assert jain_fairness([0.0, 0.0]) == 1.0
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=30))
+    @example([1.4221015801511683e-160] * 2)  # its squares are subnormal
     def test_bounds(self, values):
         f = jain_fairness(values)
         assert 0.0 <= f <= 1.0 + 1e-9
-
-
-class TestMeanGain:
-    def test_gain_of_77_percent(self):
-        assert mean_gain([1.0, 1.0], [1.775, 1.775]) == pytest.approx(0.775)
-
-    def test_negative_gain(self):
-        assert mean_gain([2.0], [1.0]) == pytest.approx(-0.5)
-
-    def test_zero_baseline_rejected(self):
-        with pytest.raises(ValueError):
-            mean_gain([0.0], [1.0])
-
-    def test_empty_inputs_rejected(self):
-        # Regression: np.mean([]) is NaN, which sailed past the
-        # positive-baseline check and returned NaN instead of raising.
-        with pytest.raises(ValueError):
-            mean_gain([], [])
-        with pytest.raises(ValueError):
-            mean_gain([1.0], [])
-        with pytest.raises(ValueError):
-            mean_gain([], [1.0])
-
-
-class TestSummarize:
-    def test_summary_fields(self):
-        s = summarize([1.0, 2.0, 3.0])
-        assert s.count == 3
-        assert s.mean == pytest.approx(2.0)
-        assert s.minimum == 1.0
-        assert s.maximum == 3.0
-        assert s.median == 2.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
 
 
 class TestCdfTable:

@@ -9,12 +9,14 @@ bit-identically, until the third break in one sweep raises.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures.process import BrokenProcessPool, _ExecutorManagerThread
 
 import pytest
 
@@ -233,6 +235,34 @@ class TestSweepSurvival:
             manifest = json.load(handle)
         obs_manifest.validate_manifest(manifest)
         assert "failures" not in manifest
+
+
+class TestPoolIsJoined:
+    @pytest.mark.parametrize("fail_at", [None, 1])
+    def test_no_pool_outlives_its_sweep(self, tmp_path, fail_at):
+        """Whether its sweep finished or a task raised, a pool's manager
+        thread and workers are joined before ``run_tasks`` returns.  A
+        pool only told to shut down left them running, and interpreter
+        exit, which joins them, could hang."""
+        witness = str(tmp_path / "witness.log")
+        tasks = [
+            SweepTask(
+                fn=witnessed,
+                kwargs={"path": witness, "x": float(i), "fail": i == fail_at},
+                key=("w", i),
+            )
+            for i in range(8)
+        ]
+        if fail_at is None:
+            assert run_tasks(tasks, jobs=2) == [float(i) for i in range(8)]
+        else:
+            with pytest.raises(RuntimeError, match="injected failure at x=1.0"):
+                run_tasks(tasks, jobs=2)
+        assert multiprocessing.active_children() == []
+        assert not any(
+            isinstance(thread, _ExecutorManagerThread)
+            for thread in threading.enumerate()
+        )
 
 
 class TestParentDeath:

@@ -14,8 +14,7 @@ condition:
   exposed-terminal topology, with a location TTL and keep-alives, 4 seeds
   on a worker pool.  The ``faults/`` counters fired, the outaged node
   fell back to plain DCF and recovered (``comap/fallback_entered`` and
-  ``comap/fallback_exited`` positive), and the sweep's trace is exported
-  as JSONL.
+  ``comap/fallback_exited`` positive in the manifest).
 * ``resume`` — a small Fig-8 grid, swept twice onto a result store that
   the sweep does not finish.  First a child process sweeps it on 2
   workers and is SIGKILLed right after its second entry lands; none of
@@ -46,8 +45,6 @@ from repro.experiments.parallel import ResultCache, SweepTask, run_tasks
 from repro.experiments.runner import run_csr_floor
 from repro.obs import manifest as obs_manifest
 from repro.obs.counters import global_registry
-from repro.obs.trace_io import dump_jsonl
-from repro.sim.trace import global_recorder
 
 # The grids and the crash harness are the test suite's own.
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -152,8 +149,6 @@ def _manifest(
 
 
 def check_fault(args: argparse.Namespace, problems: List[str]) -> str:
-    recorder = global_recorder()
-    recorder.enable("sweep")
     tasks = [
         SweepTask(
             fn=fault_cell,
@@ -164,11 +159,6 @@ def check_fault(args: argparse.Namespace, problems: List[str]) -> str:
     ]
     with obs_manifest.manifest_sink(args.out):
         results = run_tasks(tasks, jobs=args.jobs, label="fault_smoke")
-    dump_jsonl(
-        recorder.events(),
-        os.path.join(args.out, "fault_smoke.trace.jsonl"),
-        meta={"label": "fault_smoke"},
-    )
     print(f"sample result: {json.dumps(results[0])}")
     manifest = _manifest(args.out, problems)
     if manifest is not None:
