@@ -51,7 +51,7 @@ from repro.faults.schedule import (
     LocationOutage,
     NodeChurn,
 )
-from repro.mac.frames import FrameType
+from repro.mac.frames import _ACK
 from repro.util.geometry import Point
 
 
@@ -237,7 +237,7 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def drop_rx(self, node_id: int, frame) -> bool:
         """``DcfMac.on_frame_received`` hook: lose the frame entirely."""
-        if frame.kind is not FrameType.ACK or frame.dst != node_id:
+        if frame.kind is not _ACK or frame.dst != node_id:
             return False
         return self._lose(node_id, self._ack_specs, "ack", "acks_dropped")
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.mac.dcf import MacState, Mpdu
+from repro.mac.dcf import _CONTEND, Mpdu
 from repro.mac.exposed import ExposedMac, Link
 from repro.mac.frames import Frame
 
@@ -140,7 +140,7 @@ class CmapMac(ExposedMac):
     # Taking an episode (header-gated, like CO-MAP's separate mode)
     # ------------------------------------------------------------------
     def on_header_overheard(self, frame: Frame, rssi_dbm: float) -> None:
-        if self._state is not MacState.CONTEND or self._head is None:
+        if self._state is not _CONTEND or self._head is None:
             return
         if self._opportunity is not None or self._pending_link is not None:
             return

@@ -39,10 +39,9 @@ from typing import Dict, List, Optional
 
 from repro.core.arq import SrReceiver, SrSender
 from repro.core.protocol import CoMapAgent
-from repro.mac.dcf import FlowId, MacState, Mpdu
+from repro.mac.dcf import _CONTEND, _IDLE, _WAIT_ACK, FlowId, Mpdu
 from repro.mac.exposed import OPPORTUNITY_SLACK_NS, ExposedMac, ExposedMacConfig
-from repro.mac.frames import Frame, FrameType
-from repro.sim.engine import EventHandle
+from repro.mac.frames import _DATA, Frame
 from repro.util.units import dbm_to_mw
 
 
@@ -152,7 +151,7 @@ class CoMapMac(ExposedMac):
         #: The pending staleness check: at most one, armed from the node's
         #: first report on while ``location_ttl_ns`` is set; None without
         #: a TTL, during a fallback and while suspended.
-        self._staleness_handle: Optional[EventHandle] = None
+        self._staleness_handle: Optional[list] = None
         self._sr_senders: Dict[FlowId, SrSender] = {}
         self._sr_receivers: Dict[FlowId, SrReceiver] = {}
         # The carrier-sense quantum T'_cs: the part of T_cs that is not
@@ -338,7 +337,8 @@ class CoMapMac(ExposedMac):
         if frame.dst == self.node_id:
             return  # our own incoming traffic, not an opportunity
         self._remember_signature((frame.src, frame.dst), rssi_dbm)
-        if self._state not in (MacState.CONTEND, MacState.WAIT_ACK):
+        state = self._state
+        if state is not _CONTEND and state is not _WAIT_ACK:
             return
         if self._head is None:
             return
@@ -350,7 +350,7 @@ class CoMapMac(ExposedMac):
             return
         self.comap_stats.opportunities_validated += 1
         duration_ns = int(frame.meta.get("dur", 0))
-        if frame.kind is FrameType.DATA:
+        if frame.kind is _DATA:
             # Embedded announcement: the announced frame is already on the
             # air, so its energy is in the current reading — open now.
             self._take_opportunity(
@@ -390,7 +390,7 @@ class CoMapMac(ExposedMac):
             # change: the transmission now in the air may carry a known
             # signature and reopen a persistent-exposure episode.
             if (
-                self._state is MacState.CONTEND
+                self._state is _CONTEND
                 and self._ifs_handle is None
                 and self._countdown_handle is None
             ):
@@ -451,7 +451,7 @@ class CoMapMac(ExposedMac):
         """
         if not self.config.persistent_exposure:
             return False
-        if self._state is not MacState.CONTEND or self._head is None:
+        if self._state is not _CONTEND or self._head is None:
             return False
         energy = self.radio.energy_mw()
         if energy <= 0.0:
@@ -604,7 +604,7 @@ class CoMapMac(ExposedMac):
             # can still vouch for this frame.
             sender.defer(head.seq, head)
             self._head = None
-            self._state = MacState.IDLE
+            self._state = _IDLE
             self._start_next()
             return
         # Window exhausted (or nothing else to send): retransmit now.
@@ -629,7 +629,7 @@ class CoMapMac(ExposedMac):
             return
         self._link_signatures.clear()
         if self._staleness_handle is not None:
-            self._staleness_handle.cancel()
+            self.sim.cancel(self._staleness_handle)
             self._staleness_handle = None
         super().suspend()
 

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.protocol import CoMapAgent
 from repro.mac.comap import CoMapMac
-from repro.mac.dcf import MacState, Mpdu
+from repro.mac.dcf import _CONTEND, _TX, Mpdu
 from repro.mac.exposed import OPPORTUNITY_SLACK_NS
 from repro.mac.frames import Frame
 from repro.net.backhaul import Backhaul, TxopRecord
@@ -142,7 +142,7 @@ class CsrMac(CoMapMac):
     def _transmit_head(self) -> None:
         """Announce the TXOP over the backhaul once the train launches."""
         super()._transmit_head()
-        if self.backhaul is None or self._state is not MacState.TX:
+        if self.backhaul is None or self._state is not _TX:
             return  # unbound, or the half-duplex guard deferred the train
         head = self._head
         if head is None:
@@ -164,7 +164,7 @@ class CsrMac(CoMapMac):
         """Try to elect a concurrent transmission against the ledger."""
         if self.backhaul is None:
             return
-        if self._state is not MacState.CONTEND or self._head is None:
+        if self._state is not _CONTEND or self._head is None:
             return
         if self._opportunity is not None or self._pending_link is not None:
             return
@@ -243,7 +243,7 @@ class CsrMac(CoMapMac):
         self, record: TxopRecord, cap_dbm: float
     ) -> None:
         """Open the shared exposed-transmission episode for the grant."""
-        if self._state is not MacState.CONTEND or self._head is None:
+        if self._state is not _CONTEND or self._head is None:
             return
         if self._opportunity is not None or self._degraded():
             return

@@ -31,13 +31,15 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.mac.frames import BROADCAST, Frame, FrameType
+from repro.mac.frames import (
+    _ACK, _COMAP_HEADER, _CTS, _DATA, _RTS, BROADCAST, Frame,
+)
 from repro.obs.counters import SEP
 from repro.mac.rate_control import FixedRate, RatePolicy
 from repro.mac.timing import PhyTiming
 from repro.phy.radio import Radio, noop_hook
 from repro.phy.rates import RateTable
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.util.rng import RngStreams
 
 FlowId = Tuple[int, int]
@@ -153,12 +155,18 @@ class MacState(enum.Enum):
     WAIT_ACK = "wait-ack"
 
 
-#: The state the busy and idle edges test, bound once.  Before Python
-#: 3.12 the enum metaclass defines ``__getattr__``, which routes every
-#: member read through its class (``MacState.CONTEND``) into a slow
-#: attribute hook: about 150 ns against 15 ns for a global, on two edge
-#: tests per frame per contender.
+#: The states the MAC modules test on the frame path, bound once as
+#: globals, as :mod:`repro.mac.frames` binds the frame kinds (``_DATA``
+#: and the rest).  Before Python 3.12 the enum metaclass defines
+#: ``__getattr__``, which routes every member read through its class
+#: (``MacState.CONTEND``, ``FrameType.DATA``) into a slow attribute hook:
+#: about 100-165 ns against 10-15 ns for a global under Python 3.11, on
+#: several tests per frame per receiver and per contender.
+_IDLE = MacState.IDLE
 _CONTEND = MacState.CONTEND
+_TX = MacState.TX
+_WAIT_CTS = MacState.WAIT_CTS
+_WAIT_ACK = MacState.WAIT_ACK
 
 
 class DcfMac:
@@ -211,19 +219,19 @@ class DcfMac:
 
         self._queue: Deque[Mpdu] = deque()
         self._head: Optional[Mpdu] = None
-        self._state = MacState.IDLE
+        self._state = _IDLE
         self._cw = CW_MIN
         self._backoff_slots: Optional[int] = None
         self._countdown_started_at: Optional[int] = None
-        self._ifs_handle: Optional[EventHandle] = None
-        self._countdown_handle: Optional[EventHandle] = None
-        self._ack_timeout_handle: Optional[EventHandle] = None
-        self._cts_timeout_handle: Optional[EventHandle] = None
+        self._ifs_handle: Optional[list] = None
+        self._countdown_handle: Optional[list] = None
+        self._ack_timeout_handle: Optional[list] = None
+        self._cts_timeout_handle: Optional[list] = None
         self._nav_until: int = 0
-        self._nav_resume_handle: Optional[EventHandle] = None
+        self._nav_resume_handle: Optional[list] = None
         #: What this MAC does SIFS after a reception: send the ACK or CTS
         #: it owes, or the data a CTS cleared (at most one at a time).
-        self._sifs_handle: Optional[EventHandle] = None
+        self._sifs_handle: Optional[list] = None
         self._need_eifs = False
         self._tx_train: List[Frame] = []
         self._rts_data_frame: Optional[Frame] = None
@@ -284,7 +292,7 @@ class DcfMac:
         )
         self._queue.append(mpdu)
         self.stats.enqueued += 1
-        if self._state is MacState.IDLE and not self._suspended:
+        if self._state is _IDLE and not self._suspended:
             self._start_next()
         return True
 
@@ -314,7 +322,7 @@ class DcfMac:
         assert self._head is None
         head = self._select_next()
         if head is None:
-            self._state = MacState.IDLE
+            self._state = _IDLE
             return
         self._head = head
         self._cw = CW_MIN
@@ -330,7 +338,7 @@ class DcfMac:
 
     def _begin_contention(self) -> None:
         """Draw a backoff and start (or wait for) the countdown."""
-        self._state = MacState.CONTEND
+        self._state = _CONTEND
         self._backoff_slots = self._draw_backoff()
         self._resume_contention()
 
@@ -398,7 +406,7 @@ class DcfMac:
         """Medium went busy: stop the countdown, crediting whole idle slots."""
         handle = self._ifs_handle
         if handle is not None:
-            handle.cancel()
+            self.sim.cancel(handle)
             self._ifs_handle = None
         handle = self._countdown_handle
         if handle is not None:
@@ -408,7 +416,7 @@ class DcfMac:
             elapsed = self.sim.now - self._countdown_started_at
             remaining = self._backoff_slots - elapsed // self.timing.slot_ns
             self._backoff_slots = remaining if remaining > 0 else 0
-            handle.cancel()
+            self.sim.cancel(handle)
             self._countdown_handle = None
             self._countdown_started_at = None
 
@@ -418,10 +426,10 @@ class DcfMac:
         if self.radio.transmitting:
             # Half-duplex guard: an ACK of ours is still on the air (the
             # countdown raced its start).  Go again once it completes.
-            self._state = MacState.CONTEND
+            self._state = _CONTEND
             self._backoff_slots = 0
             return
-        self._state = MacState.TX
+        self._state = _TX
         head = self._head
         head.attempts += 1
         if head.attempts > 1:
@@ -453,7 +461,7 @@ class DcfMac:
             + sifs + self.timing.ack_airtime_ns(self.rates.base)
         )
         rts = Frame(
-            kind=FrameType.RTS, src=self.node_id, dst=head.dst,
+            kind=_RTS, src=self.node_id, dst=head.dst,
             rate=self.rates.base, seq=head.seq, flow=head.flow,
             meta={"dur": remaining},
         )
@@ -465,7 +473,7 @@ class DcfMac:
         cts_air = self.timing.cts_airtime_ns(self.rates.base)
         remaining = max(int(rts.meta.get("dur", 0)) - self.timing.sifs_ns - cts_air, 0)
         cts = Frame(
-            kind=FrameType.CTS, src=self.node_id, dst=rts.src,
+            kind=_CTS, src=self.node_id, dst=rts.src,
             rate=self.rates.base, seq=rts.seq, flow=rts.flow,
             meta={"dur": remaining},
         )
@@ -482,12 +490,12 @@ class DcfMac:
 
     def _accept_cts(self, cts: Frame) -> None:
         """CTS for our pending RTS: clear to send the data train."""
-        if self._state is not MacState.WAIT_CTS or self._head is None:
+        if self._state is not _WAIT_CTS or self._head is None:
             return
         if cts.flow != self._head.flow or cts.seq != self._head.seq:
             return
         if self._cts_timeout_handle is not None:
-            self._cts_timeout_handle.cancel()
+            self.sim.cancel(self._cts_timeout_handle)
             self._cts_timeout_handle = None
         self._sifs_handle = self.sim.schedule(
             self.timing.sifs_ns, self._launch_protected_data
@@ -497,7 +505,7 @@ class DcfMac:
         """Send the data frame the CTS cleared."""
         if self._head is None or self.radio.transmitting:
             return
-        self._state = MacState.TX
+        self._state = _TX
         self._tx_train = [self._rts_data_frame]
         self._send_next_in_train()
 
@@ -518,16 +526,16 @@ class DcfMac:
         if until <= self._nav_until:
             return
         self._nav_until = until
-        if self._state is MacState.CONTEND:
+        if self._state is _CONTEND:
             self._freeze_contention()
         if self._nav_resume_handle is not None:
-            self._nav_resume_handle.cancel()
+            self.sim.cancel(self._nav_resume_handle)
         self._nav_resume_handle = self.sim.schedule_at(until, self._nav_expired)
 
     def _nav_expired(self) -> None:
         """The reserved period ended; contention may resume."""
         self._nav_resume_handle = None
-        if self._state is MacState.CONTEND:
+        if self._state is _CONTEND:
             self._resume_contention()
 
     def _compose_frames(self, head: Mpdu, rate) -> List[Frame]:
@@ -541,7 +549,7 @@ class DcfMac:
     def _build_data_frame(self, head: Mpdu, rate) -> Frame:
         """Materialize the data frame for the current attempt."""
         frame = Frame(
-            kind=FrameType.DATA,
+            kind=_DATA,
             src=self.node_id,
             dst=head.dst,
             rate=rate,
@@ -561,7 +569,7 @@ class DcfMac:
     def _send_next_in_train(self) -> None:
         """Transmit the next frame of the back-to-back train."""
         frame = self._tx_train.pop(0)
-        if frame.kind is FrameType.DATA:
+        if frame.kind is _DATA:
             self.stats.data_transmissions += 1
         self.radio.start_transmission(frame)
 
@@ -572,18 +580,19 @@ class DcfMac:
         """Radio callback: our own frame finished its airtime."""
         if self._suspended:
             return  # detached mid-flight; suspend() already reset the machine
-        if frame.kind is FrameType.ACK or frame.kind is FrameType.CTS:
+        kind = frame.kind
+        if kind is _ACK or kind is _CTS:
             self._after_control_tx()
             return
-        if frame.kind is FrameType.RTS:
-            self._state = MacState.WAIT_CTS
+        if kind is _RTS:
+            self._state = _WAIT_CTS
             cts_air = self.timing.cts_airtime_ns(self.rates.base)
             timeout = self.timing.sifs_ns + cts_air + self.timing.ack_timeout_slack_ns
             self._cts_timeout_handle = self.sim.schedule(
                 timeout, self._cts_timeout, self._rts_data_frame
             )
             return
-        if frame.kind is FrameType.COMAP_HEADER:
+        if kind is _COMAP_HEADER:
             # More of the train (the data frame) follows immediately.
             if self._tx_train:
                 self._send_next_in_train()
@@ -595,30 +604,31 @@ class DcfMac:
         if frame.is_broadcast:
             self._finish_attempt(success=True)
             return
-        self._state = MacState.WAIT_ACK
+        self._state = _WAIT_ACK
         timeout = self.timing.ack_timeout_ns(self.rates.base)
         self._ack_timeout_handle = self.sim.schedule(timeout, self._ack_timeout, frame)
 
     def _after_control_tx(self) -> None:
         """Resume contention after an ACK we sent on behalf of a receiver."""
-        if self._state is MacState.CONTEND:
+        if self._state is _CONTEND:
             self._resume_contention()
 
     def on_frame_received(self, frame: Frame, rssi_dbm: float) -> None:
         """Radio callback: a frame was decoded successfully."""
         if self.fault_hooks is not None and self.fault_hooks.drop_rx(self.node_id, frame):
             return
-        if frame.kind is FrameType.DATA:
+        kind = frame.kind
+        if kind is _DATA:
             if frame.dst == self.node_id:
                 self._accept_data(frame, rssi_dbm)
             else:
                 self.on_data_overheard(frame, rssi_dbm)
             return
-        if frame.kind is FrameType.ACK:
+        if kind is _ACK:
             if frame.dst == self.node_id:
                 self._accept_ack(frame)
             return
-        if frame.kind is FrameType.RTS:
+        if kind is _RTS:
             if frame.dst == self.node_id:
                 self.stats.cts_sent += 1
                 self._accept_rts(frame)
@@ -626,14 +636,14 @@ class DcfMac:
                 self.stats.nav_reservations_honored += 1
                 self._set_nav(int(frame.meta.get("dur", 0)))
             return
-        if frame.kind is FrameType.CTS:
+        if kind is _CTS:
             if frame.dst == self.node_id:
                 self._accept_cts(frame)
             else:
                 self.stats.nav_reservations_honored += 1
                 self._set_nav(int(frame.meta.get("dur", 0)))
             return
-        if frame.kind is FrameType.COMAP_HEADER:
+        if kind is _COMAP_HEADER:
             self.on_header_overheard(frame, rssi_dbm)
 
     def _accept_data(self, frame: Frame, rssi_dbm: float) -> None:
@@ -678,7 +688,7 @@ class DcfMac:
     def _build_ack(self, data_frame: Frame) -> Frame:
         """Template method: construct the ACK for a received data frame."""
         return Frame(
-            kind=FrameType.ACK,
+            kind=_ACK,
             src=self.node_id,
             dst=data_frame.src,
             rate=self.rates.base,
@@ -696,13 +706,13 @@ class DcfMac:
 
     def _accept_ack(self, ack: Frame) -> None:
         """Handle an ACK addressed to us."""
-        if self._state is not MacState.WAIT_ACK or self._head is None:
+        if self._state is not _WAIT_ACK or self._head is None:
             return
         if ack.flow != self._head.flow or ack.seq != self._head.seq:
             self._on_foreign_ack(ack)
             return
         if self._ack_timeout_handle is not None:
-            self._ack_timeout_handle.cancel()
+            self.sim.cancel(self._ack_timeout_handle)
             self._ack_timeout_handle = None
         self._report_rate_outcome(self._head.dst, success=True)
         self._finish_attempt(success=True)
@@ -740,7 +750,7 @@ class DcfMac:
         if success:
             self.stats.successes += 1
         self._head = None
-        self._state = MacState.IDLE
+        self._state = _IDLE
         self._start_next()
 
     # ------------------------------------------------------------------
@@ -758,7 +768,7 @@ class DcfMac:
         ):
             handle = getattr(self, name)
             if handle is not None:
-                handle.cancel()
+                self.sim.cancel(handle)
                 setattr(self, name, None)
 
     def suspend(self) -> None:
@@ -789,7 +799,7 @@ class DcfMac:
             head.attempts = 0
             self._head = None
             self._queue.appendleft(head)
-        self._state = MacState.IDLE
+        self._state = _IDLE
         self._cw = CW_MIN
 
     def resume(self) -> None:
@@ -797,7 +807,7 @@ class DcfMac:
         if not self._suspended:
             return
         self._suspended = False
-        if self._queue and self._state is MacState.IDLE and self._head is None:
+        if self._queue and self._state is _IDLE and self._head is None:
             self._start_next()
 
     @property

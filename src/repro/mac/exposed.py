@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.mac.dcf import DcfMac, MacConfig, MacState, Mpdu
-from repro.mac.frames import Frame, FrameType
-from repro.sim.engine import EventHandle
+from repro.mac.dcf import _CONTEND, DcfMac, MacConfig, Mpdu
+from repro.mac.frames import _COMAP_HEADER, Frame
 
 Link = Tuple[int, int]
 
@@ -53,7 +52,7 @@ class _Opportunity:
         self.link = link
         self.rssi1_mw = rssi1_mw
         self.ack_allowance_mw = ack_allowance_mw
-        self.expires_handle: Optional[EventHandle] = None
+        self.expires_handle: Optional[list] = None
 
 
 class ExposedMac(DcfMac):
@@ -79,7 +78,7 @@ class ExposedMac(DcfMac):
     def _announcement_header(self, head: Mpdu, data: Frame) -> Frame:
         """The header frame announcing ``data`` (base rate, with duration)."""
         return Frame(
-            kind=FrameType.COMAP_HEADER,
+            kind=_COMAP_HEADER,
             src=self.node_id,
             dst=head.dst,
             rate=self.rates.base,
@@ -107,7 +106,7 @@ class ExposedMac(DcfMac):
         """
         replaced = self._opportunity
         if replaced is not None and replaced.expires_handle is not None:
-            replaced.expires_handle.cancel()
+            self.sim.cancel(replaced.expires_handle)
         opportunity = _Opportunity(
             link,
             rssi1_mw=rssi1_mw,
@@ -150,14 +149,14 @@ class ExposedMac(DcfMac):
     def _end_opportunity(self) -> None:
         """Close the episode; a contender on a busy medium freezes again."""
         self._clear_opportunity()
-        if self._state is MacState.CONTEND and self.radio.medium_busy():
+        if self._state is _CONTEND and self.radio.medium_busy():
             self._freeze_contention()
 
     def _clear_opportunity(self) -> None:
         """Drop the episode (open or armed) and its expiry timer."""
         if self._opportunity is not None:
             if self._opportunity.expires_handle is not None:
-                self._opportunity.expires_handle.cancel()
+                self.sim.cancel(self._opportunity.expires_handle)
             self._opportunity = None
         self._pending_link = None
 

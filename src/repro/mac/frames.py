@@ -51,6 +51,16 @@ class FrameType(enum.Enum):
     COMAP_HEADER = "comap-header"
 
 
+#: The frame kinds bound once as globals: a class read of an enum member
+#: goes through a slow attribute hook before Python 3.12 (see
+#: ``repro.mac.dcf._CONTEND``), and every frame is built and tested.
+_DATA = FrameType.DATA
+_ACK = FrameType.ACK
+_RTS = FrameType.RTS
+_CTS = FrameType.CTS
+_COMAP_HEADER = FrameType.COMAP_HEADER
+
+
 @dataclass
 class Frame:
     """One over-the-air frame (PSDU) plus simulation metadata.
@@ -75,22 +85,23 @@ class Frame:
     def __post_init__(self) -> None:
         if self.payload_bytes < 0:
             raise ValueError("payload size cannot be negative")
-        if self.kind is FrameType.DATA and self.payload_bytes == 0:
+        if self.kind is _DATA and self.payload_bytes == 0:
             raise ValueError("data frames must carry payload")
 
     @property
     def total_bytes(self) -> int:
         """On-air MPDU size including MAC overhead."""
-        if self.kind is FrameType.DATA:
+        kind = self.kind
+        if kind is _DATA:
             extra = EMBEDDED_ANNOUNCE_BYTES if self.meta.get("embedded_announce") else 0
             return self.payload_bytes + MAC_DATA_OVERHEAD_BYTES + extra
-        if self.kind is FrameType.ACK:
+        if kind is _ACK:
             return ACK_BYTES
-        if self.kind is FrameType.RTS:
+        if kind is _RTS:
             return RTS_BYTES
-        if self.kind is FrameType.CTS:
+        if kind is _CTS:
             return CTS_BYTES
-        if self.kind is FrameType.COMAP_HEADER:
+        if kind is _COMAP_HEADER:
             return COMAP_HEADER_BYTES
         raise AssertionError(f"unhandled frame kind {self.kind}")
 

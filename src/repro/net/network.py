@@ -460,7 +460,7 @@ class Network:
         """
         if not self.sim.running:
             if self._adaptation_drain_handle is not None:
-                self._adaptation_drain_handle.cancel()
+                self.sim.cancel(self._adaptation_drain_handle)
                 self._adaptation_drain_handle = None
             self._drain_adaptation_refresh()
         elif self._adaptation_drain_handle is None:

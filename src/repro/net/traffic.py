@@ -22,7 +22,7 @@ from typing import Dict, Optional
 
 from repro.mac.frames import BROADCAST, Frame
 from repro.net.node import Node
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.util.units import SECOND
 
 
@@ -114,7 +114,7 @@ class _TcpSegment:
 
     seq: int
     payload_bytes: int
-    rto_handle: Optional[EventHandle] = None
+    rto_handle: Optional[list] = None
 
 
 class TcpLiteFlow:
@@ -217,7 +217,7 @@ class TcpLiteFlow:
         for seq in range(self._snd_una, ack):
             segment = self._outstanding.pop(seq, None)
             if segment is not None and segment.rto_handle is not None:
-                segment.rto_handle.cancel()
+                self.sim.cancel(segment.rto_handle)
         self._snd_una = ack
         self._fill_window()
 

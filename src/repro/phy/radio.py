@@ -32,6 +32,7 @@ idle medium even while a distant sender is corrupting its receiver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log10
 from typing import TYPE_CHECKING, Optional
 
 from repro.phy.channel import NOISE_FLOOR_DBM, Channel, Transmission
@@ -264,6 +265,8 @@ class Radio:
         the lock (or capture) and its embedded-decode scheduling, then the
         busy/idle edge, then ``on_energy_changed`` — CO-MAP's RSSI monitor
         sees the edge first.  The channel calls it only on attached radios.
+        An idle radio locks inline; only a frame carrying an embedded
+        announcement needs :meth:`_lock_onto`'s decode scheduling.
         """
         in_air = self._in_air
         in_air[tx] = power_mw
@@ -272,10 +275,14 @@ class Radio:
         # still contributes energy once our own transmission finishes.
         if self._current_tx is None:
             lock = self._lock
-            rate = tx.frame.rate
+            frame = tx.frame
+            rate = frame.rate
             if lock is None:
                 if power_mw >= rate.sensitivity_mw:
-                    self._lock_onto(tx, power_mw, energy)
+                    if frame.meta.get("embedded_announce"):
+                        self._lock_onto(tx, power_mw, energy)
+                    else:
+                        self._lock = _ReceptionLock(tx, power_mw, energy - power_mw)
                 elif power_mw >= self._noise_mw:
                     # Detectable but undecodable: a genuine miss.  Frames
                     # below the noise floor are invisible to a real radio
@@ -313,8 +320,10 @@ class Radio:
     def on_air_end(self, tx: Transmission) -> None:
         """A foreign transmission ended: reception, CCA and MAC in one pass.
 
-        A lock on ``tx`` completes first; the edge and energy callbacks
-        follow in :meth:`on_air_start`'s order.
+        A lock on ``tx`` is decided first: the frame is delivered iff
+        ``signal / (max_interference + noise) >= sir_threshold(rate)``,
+        else it counts as corrupted.  The edge and energy callbacks follow
+        in :meth:`on_air_start`'s order.
         """
         in_air = self._in_air
         if in_air.pop(tx, None) is None:
@@ -322,12 +331,25 @@ class Radio:
             # since): the radio no longer tracks it.
             return
         self._energy_mw = sum(in_air.values()) if in_air else 0.0
+        mac = self.mac
         lock = self._lock
         if lock is not None and lock.tx is tx:
             self._lock = None
-            self._finish_reception(lock)
+            frame = tx.frame
+            signal = lock.signal_mw
+            if signal / (lock.max_interference_mw + self._noise_mw) >= (
+                frame.rate.sir_threshold_ratio
+            ):
+                self.frames_received += 1
+                if mac is not None:
+                    # mw_to_dbm's expression: a locked signal cleared the
+                    # rate's sensitivity, so it is positive.
+                    mac.on_frame_received(frame, 10.0 * log10(signal))
+            else:
+                self.frames_corrupted += 1
+                if mac is not None:
+                    mac.on_frame_corrupted(frame)
         busy = self._current_tx is not None or self._energy_mw >= self._cs_threshold_mw
-        mac = self.mac
         if busy != self._busy:
             self._busy = busy
             if mac is not None:
@@ -340,6 +362,10 @@ class Radio:
 
     def _lock_onto(self, tx: Transmission, power_mw: float, energy_mw: float) -> None:
         """Lock onto ``tx``; everything else in the air is interference.
+
+        Capture re-locks through here, and so does an idle radio for a
+        frame carrying an embedded announcement; an idle radio locks any
+        other frame inline in :meth:`on_air_start`.
 
         Also models the partial packet decode of an embedded announcement
         (CO-MAP v1).  The paper's first header implementation inserts an
@@ -366,20 +392,6 @@ class Radio:
         sir = lock.signal_mw / (lock.max_interference_mw + self._noise_mw)
         if sir >= lock.tx.frame.rate.sir_threshold_ratio:
             self.mac.on_header_overheard(lock.tx.frame, mw_to_dbm(lock.signal_mw))
-
-    def _finish_reception(self, lock: _ReceptionLock) -> None:
-        """Apply the SIR test and deliver or discard the frame."""
-        frame = lock.tx.frame
-        sir = lock.signal_mw / (lock.max_interference_mw + self._noise_mw)
-        rssi_dbm = mw_to_dbm(lock.signal_mw)
-        if sir >= frame.rate.sir_threshold_ratio:
-            self.frames_received += 1
-            if self.mac is not None:
-                self.mac.on_frame_received(frame, rssi_dbm)
-        else:
-            self.frames_corrupted += 1
-            if self.mac is not None:
-                self.mac.on_frame_corrupted(frame)
 
     # ------------------------------------------------------------------
     # CCA transitions

@@ -1,14 +1,14 @@
 """Discrete-event simulation engine.
 
 A minimal, fast, deterministic event loop: integer-nanosecond timestamps,
-a binary heap keyed on ``(time, sequence)`` and cancellable event handles.
+a binary heap keyed on ``(time, sequence)`` whose entries are the event
+handles :meth:`Simulator.cancel` takes.
 Every higher layer (PHY, MAC, traffic) schedules callbacks here.
 """
 
-from repro.sim.engine import EventHandle, Simulator, SimulationError
+from repro.sim.engine import Simulator, SimulationError
 
 __all__ = [
     "Simulator",
-    "EventHandle",
     "SimulationError",
 ]

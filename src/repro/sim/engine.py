@@ -7,20 +7,26 @@ Design notes
   defined in microseconds, so nanoseconds leave headroom for sub-slot
   bookkeeping while keeping comparisons exact — two events scheduled for
   "the same instant" really collide, instead of drifting apart through
-  floating-point noise.
+  floating-point noise.  Callers pass integer delays and times; the
+  engine does not convert them.
 * **Deterministic tie-break.**  Events at equal times fire in scheduling
   order (a monotonically increasing sequence number breaks heap ties).
   This makes runs bit-reproducible across platforms.
-* **Cancellation by tombstone.**  Cancelling marks the handle dead; the
-  heap entry is discarded lazily when popped.  This is O(1) per cancel and
-  keeps the hot loop branch-light — the standard approach for MAC
-  simulations where backoff timers are cancelled constantly.
-* **Tuple heap entries.**  The heap stores ``(time, seq, handle)``
-  tuples, not handles, so every sift comparison is a C-level tuple
-  compare — ``seq`` is unique, so ordering is decided before the handle
-  is ever compared.  A dense saturated cell pushes tens of thousands of
-  events through the heap; python-level ``__lt__`` dispatch on each
-  comparison was a measurable share of the whole run.
+* **An event is its heap entry.**  :meth:`Simulator.schedule` pushes and
+  returns one list ``[time, seq, callback, args]``; there is no separate
+  handle object.  ``seq`` is unique, so every sift comparison is a
+  C-level list compare decided before the callback is reached.  A
+  saturated cell schedules tens of thousands of timers a window and
+  cancels most of them before they fire, so one allocation per event
+  instead of two is a measurable share of the run.
+* **Cancellation by tombstone.**  :meth:`Simulator.cancel` empties the
+  entry's callback slot (``None``) and releases its arguments; the entry
+  stays in the heap until it is popped or compacted away.  This is O(1)
+  per cancel and keeps the hot loop branch-light — the standard approach
+  for MAC simulations where backoff timers are cancelled constantly.
+  The run loop stores :data:`FIRED` in the slot before it calls the
+  callback, so the slot alone tells the three states apart: a callable
+  is pending, ``None`` is cancelled, :data:`FIRED` has fired.
 * **Heap hygiene.**  The engine maintains an exact live-event count
   (``pending_events`` is O(1), not a queue scan) and compacts the heap
   when tombstones exceed both half the heap and a floor of
@@ -59,67 +65,10 @@ class WatchdogError(SimulationError):
         self.callback = callback
 
 
-class EventHandle:
-    """A cancellable reference to a scheduled callback.
-
-    Returned by :meth:`Simulator.schedule`; callers keep it only if they may
-    need to cancel (e.g. an ACK timeout cancelled by ACK arrival).
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired", "_sim")
-
-    def __init__(
-        self,
-        time: int,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple,
-        sim: "Optional[Simulator]" = None,
-    ):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.fired = False
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing.  Idempotent.
-
-        Cancelling after the event fired is a no-op: the handle stays in
-        the ``fired`` state rather than pretending the callback never ran.
-        Double-cancel is likewise a no-op — the engine's live-event count
-        is decremented exactly once per handle.
-        """
-        if self.fired or self.cancelled:
-            return
-        self.cancelled = True
-        # Drop references eagerly so cancelled closures don't pin objects.
-        self.callback = _noop
-        self.args = ()
-        sim = self._sim
-        if sim is not None:
-            # The live count drops once per handle; compact when
-            # tombstones exceed both half the heap and the floor.
-            sim._live -= 1
-            size = len(sim._queue)
-            dead = size - sim._live
-            if dead >= sim.compact_floor and dead * 2 > size:
-                sim._compact()
-
-    @property
-    def pending(self) -> bool:
-        """True while the event is scheduled and not cancelled or fired."""
-        return not self.cancelled and not self.fired
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "fired" if self.fired else ("cancelled" if self.cancelled else "pending")
-        return f"<EventHandle t={self.time} seq={self.seq} {state}>"
-
-
-def _noop(*_args: Any) -> None:
-    """Placeholder callback installed by :meth:`EventHandle.cancel`."""
+#: What the run loop stores in an entry's callback slot just before it
+#: calls the callback, so a fired entry is told apart from a pending one
+#: (a callable) and a cancelled one (``None``).
+FIRED = object()
 
 
 class Simulator:
@@ -128,7 +77,8 @@ class Simulator:
     Typical use::
 
         sim = Simulator()
-        sim.schedule(10 * MICROSECOND, radio.end_tx, frame)
+        timeout = sim.schedule(10 * MICROSECOND, mac.ack_timeout, frame)
+        sim.cancel(timeout)  # the ACK came first: the timeout never fires
         sim.run(until=2 * SECOND)
     """
 
@@ -148,8 +98,8 @@ class Simulator:
         #: on every MAC edge; only :meth:`run` writes it.
         self.now: int = 0
         self._seq: int = 0
-        # Heap of (time, seq, handle); see the tuple-entry design note.
-        self._queue: List[tuple] = []
+        # Heap of [time, seq, callback, args] entries; see the design notes.
+        self._queue: List[list] = []
         self._running = False
         self._events_fired = 0
         self._live = 0  # exact count of scheduled, not-cancelled, not-fired events
@@ -206,11 +156,12 @@ class Simulator:
             "watchdog_trips": self._watchdog_trips,
         }
 
-    def schedule(self, delay: int, callback: Callable[..., None], *args: Any) -> EventHandle:
+    def schedule(self, delay: int, callback: Callable[..., None], *args: Any) -> list:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now.
 
         ``delay`` must be a non-negative integer; zero-delay events run
         after all events already scheduled for the current instant.
+        Returns the event's heap entry, the handle :meth:`cancel` takes.
 
         This is the engine's hottest entry point (every frame schedules
         at least its end-of-air and delivery), so the body inlines
@@ -220,33 +171,53 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + int(delay)
-        self._seq += 1
-        seq = self._seq
-        handle = EventHandle(time, seq, callback, args, self)
+        self._seq = seq = self._seq + 1
+        entry = [self.now + delay, seq, callback, args]
         queue = self._queue
-        heappush(queue, (time, seq, handle))
+        heappush(queue, entry)
         self._live += 1
         if len(queue) > self._heap_peak:
             self._heap_peak = len(queue)
-        return handle
+        return entry
 
-    def schedule_at(self, time: int, callback: Callable[..., None], *args: Any) -> EventHandle:
+    def schedule_at(self, time: int, callback: Callable[..., None], *args: Any) -> list:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
-        self._seq += 1
-        handle = EventHandle(int(time), self._seq, callback, args, self)
-        heappush(self._queue, (handle.time, self._seq, handle))
+        self._seq = seq = self._seq + 1
+        entry = [time, seq, callback, args]
+        queue = self._queue
+        heappush(queue, entry)
         self._live += 1
-        if len(self._queue) > self._heap_peak:
-            self._heap_peak = len(self._queue)
-        return handle
+        if len(queue) > self._heap_peak:
+            self._heap_peak = len(queue)
+        return entry
+
+    def cancel(self, entry: list) -> None:
+        """Keep a scheduled event from firing.  Idempotent.
+
+        Tombstones ``entry`` in place: its callback slot becomes ``None``
+        and its arguments are released, so a cancelled closure pins
+        nothing.  Cancelling an entry that already fired or was already
+        cancelled is a no-op, so the live count drops once per event and
+        a fired entry stays fired.
+        """
+        callback = entry[2]
+        if callback is None or callback is FIRED:
+            return
+        entry[2] = None
+        entry[3] = ()
+        self._live -= 1
+        # Compact when tombstones exceed both half the heap and the floor.
+        size = len(self._queue)
+        dead = size - self._live
+        if dead >= self.compact_floor and dead * 2 > size:
+            self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the heap from live handles, dropping tombstones.
+        """Rebuild the heap from live entries, dropping tombstones.
 
         ``heapify`` over the filtered list preserves the (time, seq)
         ordering invariant, so firing order is unchanged.  Safe mid-run:
@@ -254,7 +225,7 @@ class Simulator:
         stays valid.
         """
         queue = self._queue
-        queue[:] = [entry for entry in queue if not entry[2].cancelled]
+        queue[:] = [entry for entry in queue if entry[2] is not None]
         heapify(queue)
         self._compactions += 1
 
@@ -264,12 +235,16 @@ class Simulator:
         Stops when the queue drains, when simulated time would pass
         ``until`` (events at exactly ``until`` still fire), or after
         ``max_events`` callbacks (a runaway-loop safeguard for tests).
-        Returns the number of events fired by this call.
+        The clock then moves to ``until`` unless ``max_events`` stopped
+        the run with a live event still due by then: that event keeps
+        the clock from passing it.  Returns the number of events fired
+        by this call.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
         fired = 0
+        halted = False
         # Liveness watchdog state: a same-instant event streak within this
         # run() call.  The streak resets whenever the clock advances, so
         # only a genuinely stuck instant (e.g. a handler rescheduling
@@ -281,14 +256,16 @@ class Simulator:
         try:
             while queue:
                 entry = heappop(queue)
-                handle = entry[2]
-                if handle.cancelled:
-                    continue
+                callback = entry[2]
+                if callback is None:
+                    continue  # a tombstone
                 time = entry[0]
-                if (until is not None and time > until) or (
-                    max_events is not None and fired >= max_events
-                ):
+                if until is not None and time > until:
                     heappush(queue, entry)  # not due: put it back
+                    break
+                if max_events is not None and fired >= max_events:
+                    heappush(queue, entry)
+                    halted = True
                     break
                 self.now = time
                 if watchdog_limit is not None:
@@ -302,21 +279,18 @@ class Simulator:
                         # the queue stay consistent for post-mortem reads.
                         heappush(queue, entry)
                         self._watchdog_trips += 1
-                        name = getattr(
-                            handle.callback, "__qualname__", repr(handle.callback)
-                        )
-                        raise WatchdogError(handle.time, streak, name)
-                callback, args = handle.callback, handle.args
-                handle.fired = True  # fired events cannot be cancelled later
-                handle.callback = _noop  # release closures, as cancel() does
-                handle.args = ()
+                        name = getattr(callback, "__qualname__", repr(callback))
+                        raise WatchdogError(time, streak, name)
+                args = entry[3]
+                entry[2] = FIRED  # fired events cannot be cancelled later
+                entry[3] = ()  # release the arguments, as cancel() does
                 self._live -= 1
                 callback(*args)
                 fired += 1
                 self._events_fired += 1
         finally:
             self._running = False
-        if until is not None and self.now < until:
+        if until is not None and self.now < until and not halted:
             # Advance the clock to the horizon so metrics normalise over the
             # full requested window even if the network went quiet early.
             self.now = until

@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Callable, Dict, List, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from repro.experiments.params import ns2_params, testbed_params
 from repro.experiments.topologies import (
@@ -43,6 +44,7 @@ from repro.experiments.topologies import (
     rival_et_topology,
 )
 from repro.net.network import Network
+from repro.sim.engine import Simulator
 
 #: Fixture schema version; bump on structural (not numerical) changes.
 SCHEMA = 1
@@ -166,16 +168,55 @@ def snapshot(net, results) -> Dict[str, Any]:
     }
 
 
+@contextmanager
+def integer_times_only() -> Iterator[None]:
+    """Make ``schedule`` and ``schedule_at`` reject a non-``int`` time.
+
+    The engine keys its heap on the delays and times it is given without
+    converting them, so a float would fire at a drifted instant instead
+    of failing.  Every golden build and run goes through this check.
+    """
+    schedule, schedule_at = Simulator.schedule, Simulator.schedule_at
+
+    def checked_schedule(self, delay, callback, *args):
+        if type(delay) is not int:
+            raise TypeError(f"schedule({delay!r}, {callback!r}): delay is not an int")
+        return schedule(self, delay, callback, *args)
+
+    def checked_schedule_at(self, time, callback, *args):
+        if type(time) is not int:
+            raise TypeError(f"schedule_at({time!r}, {callback!r}): time is not an int")
+        return schedule_at(self, time, callback, *args)
+
+    Simulator.schedule = checked_schedule
+    Simulator.schedule_at = checked_schedule_at
+    try:
+        yield
+    finally:
+        Simulator.schedule = schedule
+        Simulator.schedule_at = schedule_at
+
+
 def run_scenario(name: str, cull=None) -> Tuple[Any, Dict[str, Any]]:
     """Build and run ``name``; ``cull`` overrides the culling margin.
 
     Returns ``(network, snapshot)``.  Variant suites pick their margin
     (e.g. ``"off"``) or patch the channel around this call and diff the
-    snapshot against the golden.
+    snapshot against the golden.  Every run also checks two engine
+    invariants: each scheduled delay and time is an ``int``, and the
+    O(1) ``pending_events`` count equals the live entries left in the
+    heap.
     """
     build, duration_s = SCENARIOS[name]
-    built = build(cull)
-    results = built.network.run(duration_s)
+    with integer_times_only():
+        built = build(cull)
+        results = built.network.run(duration_s)
+    sim = built.network.sim
+    live = sum(1 for entry in sim._queue if entry[2] is not None)
+    assert sim.pending_events == live, (
+        f"{name}: pending_events={sim.pending_events} but {live} live "
+        f"entries are left in the heap"
+    )
     return built.network, snapshot(built.network, results)
 
 

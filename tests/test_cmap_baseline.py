@@ -110,11 +110,12 @@ class TestChurn:
         assert mac._should_ignore_busy(), "C1 never opened an exposed episode"
         net.detach_node(c1)
         # No timer of the detached MAC (the episode expiry included) is
-        # left to fire while it is off the air.
+        # left to fire while it is off the air.  A queued entry is live
+        # unless its callback slot was emptied by a cancel.
         pending = [
-            handle.callback.__name__
-            for _time, _seq, handle in net.sim._queue
-            if handle.pending and getattr(handle.callback, "__self__", None) is mac
+            callback.__name__
+            for _time, _seq, callback, _args in net.sim._queue
+            if callback is not None and getattr(callback, "__self__", None) is mac
         ]
         assert pending == []
         net.reattach_node(c1)

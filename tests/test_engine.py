@@ -1,9 +1,29 @@
-"""The discrete-event engine: ordering, cancellation, determinism."""
+"""The discrete-event engine: ordering, cancellation, determinism.
+
+An event is its heap entry ``[time, seq, callback, args]``; its state is
+read from the callback slot (see :func:`is_pending`, :func:`is_cancelled`
+and :func:`is_fired`).
+"""
+
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import FIRED, SimulationError, Simulator
+
+
+def is_pending(entry) -> bool:
+    """Scheduled, and neither cancelled nor fired."""
+    return entry[2] is not None and entry[2] is not FIRED
+
+
+def is_cancelled(entry) -> bool:
+    return entry[2] is None
+
+
+def is_fired(entry) -> bool:
+    return entry[2] is FIRED
 
 
 class TestScheduling:
@@ -75,35 +95,36 @@ class TestCancellation:
         sim = Simulator()
         fired = []
         handle = sim.schedule(10, fired.append, 1)
-        handle.cancel()
+        sim.cancel(handle)
         sim.run()
         assert fired == []
 
     def test_cancel_is_idempotent(self):
         sim = Simulator()
         handle = sim.schedule(10, lambda: None)
-        handle.cancel()
-        handle.cancel()
+        sim.cancel(handle)
+        sim.cancel(handle)
         sim.run()
+        assert is_cancelled(handle)
 
     def test_pending_flag(self):
         sim = Simulator()
         handle = sim.schedule(10, lambda: None)
-        assert handle.pending
-        handle.cancel()
-        assert not handle.pending
+        assert is_pending(handle)
+        sim.cancel(handle)
+        assert not is_pending(handle)
 
     def test_fired_event_reports_not_pending(self):
         sim = Simulator()
         handle = sim.schedule(10, lambda: None)
         sim.run()
-        assert not handle.pending
+        assert not is_pending(handle)
 
     def test_pending_events_count_excludes_cancelled(self):
         sim = Simulator()
         h1 = sim.schedule(10, lambda: None)
         sim.schedule(20, lambda: None)
-        h1.cancel()
+        sim.cancel(h1)
         assert sim.pending_events == 1
 
 
@@ -113,68 +134,62 @@ class TestHandleStates:
     def test_fresh_handle_is_pending_only(self):
         sim = Simulator()
         handle = sim.schedule(10, lambda: None)
-        assert handle.pending
-        assert not handle.fired
-        assert not handle.cancelled
+        assert handle[:2] == [10, 1]  # the entry's (time, seq) heap key
+        assert is_pending(handle)
+        assert not is_fired(handle)
+        assert not is_cancelled(handle)
 
     def test_fired_handle_is_fired_not_cancelled(self):
         sim = Simulator()
         handle = sim.schedule(10, lambda: None)
         sim.run()
-        assert handle.fired
-        assert not handle.cancelled
-        assert not handle.pending
+        assert is_fired(handle)
+        assert not is_cancelled(handle)
+        assert not is_pending(handle)
 
     def test_cancelled_handle_is_cancelled_not_fired(self):
         sim = Simulator()
         handle = sim.schedule(10, lambda: None)
-        handle.cancel()
+        sim.cancel(handle)
         sim.run()
-        assert handle.cancelled
-        assert not handle.fired
-        assert not handle.pending
+        assert is_cancelled(handle)
+        assert not is_fired(handle)
+        assert not is_pending(handle)
 
     def test_cancel_after_fire_keeps_fired_state(self):
         sim = Simulator()
-        fired = []
-        handle = sim.schedule(10, fired.append, 1)
+        calls = []
+        handle = sim.schedule(10, calls.append, 1)
         sim.run()
-        handle.cancel()  # idempotent no-op: the callback already ran
-        assert fired == [1]
-        assert handle.fired
-        assert not handle.cancelled
+        sim.cancel(handle)  # idempotent no-op: the callback already ran
+        assert calls == [1]
+        assert is_fired(handle)
+        assert not is_cancelled(handle)
 
     def test_handle_fired_before_callback_runs(self):
         # A callback observing its own handle sees the fired state — the
-        # engine marks the handle when popped, not after the callback.
+        # engine marks the entry when popped, not after the callback.
         sim = Simulator()
         seen = []
         box = {}
 
         def observe():
-            seen.append((box["h"].fired, box["h"].pending))
+            seen.append((is_fired(box["h"]), is_pending(box["h"])))
 
         box["h"] = sim.schedule(10, observe)
         sim.run()
         assert seen == [(True, False)]
 
     def test_fired_handle_releases_callback_references(self):
-        # Fired handles drop closure references just like cancelled ones,
-        # so long-lived handles don't pin dead objects.
+        # Fired entries drop their arguments just like cancelled ones, so
+        # long-lived handles don't pin dead objects.
         sim = Simulator()
-        handle = sim.schedule(10, lambda: None)
+        handle = sim.schedule(10, lambda payload: None, object())
+        cancelled_handle = sim.schedule(20, lambda payload: None, object())
+        sim.cancel(cancelled_handle)
         sim.run()
-        assert handle.args == ()
-
-    def test_repr_reflects_all_three_states(self):
-        sim = Simulator()
-        pending = sim.schedule(10, lambda: None)
-        cancelled = sim.schedule(20, lambda: None)
-        assert "pending" in repr(pending)
-        cancelled.cancel()
-        assert "cancelled" in repr(cancelled)
-        sim.run()
-        assert "fired" in repr(pending)
+        assert handle[3] == ()
+        assert cancelled_handle[3] == ()
 
 
 class TestRunControl:
@@ -209,6 +224,33 @@ class TestRunControl:
             sim.schedule(i, fired.append, i)
         sim.run(max_events=3)
         assert fired == [0, 1, 2]
+
+    def test_max_events_stop_keeps_clock_behind_pending_events(self):
+        # Stopped by max_events short of the horizon, the clock must not
+        # jump past a live event: the next run fires it at its own time.
+        sim = Simulator()
+        seen = []
+        sim.schedule(10, lambda: seen.append(sim.now))
+        sim.schedule(20, lambda: seen.append(sim.now))
+        sim.run(until=1000, max_events=1)
+        assert seen == [10]
+        assert sim.now == 10
+        sim.run(until=1000)
+        assert seen == [10, 20]
+        assert sim.now == 1000
+
+    def test_max_events_stop_advances_clock_when_nothing_is_due(self):
+        # Drained, or the next live event lies past the horizon: the
+        # clock moves to ``until`` as a plain horizon stop does.
+        for late in (None, 2000):
+            sim = Simulator()
+            sim.schedule(10, lambda: None)
+            doomed = sim.schedule(30, lambda: None)
+            sim.cancel(doomed)  # a tombstone is not a due event
+            if late is not None:
+                sim.schedule(late, lambda: None)
+            sim.run(until=1000, max_events=1)
+            assert sim.now == 1000
 
     def test_run_not_reentrant(self):
         sim = Simulator()
@@ -305,6 +347,78 @@ class TestWatchdog:
         assert issubclass(WatchdogError, SimulationError)
 
 
+def _seeded_ops(seed: int, steps: int = 500):
+    """The schedule / cancel / run(max_events) mix a seeded RNG draws.
+
+    Cancel indices pick among the entries scheduled so far, so the
+    sequence replays exactly through :func:`_apply_ops`.
+    """
+    rng = random.Random(seed)
+    ops = []
+    scheduled = 0
+    for _ in range(steps):
+        action = rng.random()
+        if action < 0.6 or not scheduled:
+            ops.append(("schedule", rng.randrange(1, 100)))
+            scheduled += 1
+        elif action < 0.85:
+            ops.append(("cancel", rng.randrange(scheduled)))
+        else:
+            ops.append(("run_max", rng.randrange(1, 4)))
+    return ops
+
+
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), st.integers(min_value=0, max_value=100)),
+        st.tuples(st.sampled_from(["cancel", "cancel_twice"]),
+                  st.integers(min_value=0, max_value=10_000)),
+        st.tuples(st.just("run_max"), st.integers(min_value=0, max_value=4)),
+        st.tuples(st.just("run_until"), st.integers(min_value=0, max_value=150)),
+        st.tuples(st.just("run_both"), st.integers(min_value=0, max_value=150),
+                  st.integers(min_value=0, max_value=4)),
+    ),
+    max_size=120,
+)
+
+
+def _apply_ops(ops):
+    """Drive a simulator through ``ops``; returns (sim, entries, log, clock).
+
+    ``log`` holds the ``(time, seq)`` of every callback in firing order
+    and ``clock`` every reading of ``sim.now`` (inside callbacks and
+    after each op).  A cancel picks ``index % len(entries)``, so it may
+    hit a pending, a cancelled or a fired entry.
+    """
+    sim = Simulator()
+    entries, log, clock = [], [], []
+
+    def record(box):
+        clock.append(sim.now)
+        log.append((sim.now, box[0][1]))
+
+    for op in ops:
+        kind = op[0]
+        if kind == "schedule":
+            box = []
+            box.append(sim.schedule(op[1], record, box))
+            entries.append(box[0])
+        elif kind in ("cancel", "cancel_twice"):
+            if entries:
+                entry = entries[op[1] % len(entries)]
+                sim.cancel(entry)
+                if kind == "cancel_twice":
+                    sim.cancel(entry)
+        elif kind == "run_max":
+            sim.run(max_events=op[1])
+        elif kind == "run_until":
+            sim.run(until=sim.now + op[1])
+        else:
+            sim.run(until=sim.now + op[1], max_events=op[2])
+        clock.append(sim.now)
+    return sim, entries, log, clock
+
+
 class TestLivePendingCount:
     """pending_events is an exact O(1) count, not a queue scan."""
 
@@ -314,25 +428,25 @@ class TestLivePendingCount:
         h2 = sim.schedule(20, lambda: None)
         h3 = sim.schedule(30, lambda: None)
         assert sim.pending_events == 3
-        h2.cancel()
+        sim.cancel(h2)
         assert sim.pending_events == 2
         sim.run(until=10)  # fires h1
         assert sim.pending_events == 1
         h4 = sim.schedule(15, lambda: None)
         assert sim.pending_events == 2
-        h4.cancel()
-        h3.cancel()
+        sim.cancel(h4)
+        sim.cancel(h3)
         assert sim.pending_events == 0
         sim.run()
         assert sim.pending_events == 0
-        assert h1.fired and h2.cancelled and h3.cancelled and h4.cancelled
+        assert is_fired(h1) and is_cancelled(h2) and is_cancelled(h3) and is_cancelled(h4)
 
     def test_double_cancel_decrements_once(self):
         sim = Simulator()
         handle = sim.schedule(10, lambda: None)
         sim.schedule(20, lambda: None)
-        handle.cancel()
-        handle.cancel()
+        sim.cancel(handle)
+        sim.cancel(handle)
         assert sim.pending_events == 1
 
     def test_cancel_after_fire_does_not_decrement(self):
@@ -341,37 +455,39 @@ class TestLivePendingCount:
         sim.schedule(20, lambda: None)
         sim.run(until=10)
         assert sim.pending_events == 1
-        handle.cancel()  # no-op: already fired
+        sim.cancel(handle)  # no-op: already fired
         assert sim.pending_events == 1
 
     def test_cancel_own_handle_inside_callback(self):
-        # A callback cancelling its own (already-fired) handle must not
+        # A callback cancelling its own (already-fired) entry must not
         # double-decrement the live count.
         sim = Simulator()
         box = {}
-        box["h"] = sim.schedule(10, lambda: box["h"].cancel())
+        box["h"] = sim.schedule(10, lambda: sim.cancel(box["h"]))
         sim.schedule(20, lambda: None)
         sim.run(until=10)
         assert sim.pending_events == 1
 
-    def test_count_matches_scan_under_random_interleaving(self):
-        import random
-
-        rng = random.Random(42)
-        sim = Simulator()
-        handles = []
-        for _ in range(500):
-            action = rng.random()
-            if action < 0.6 or not handles:
-                handles.append(sim.schedule(rng.randrange(1, 100), lambda: None))
-            elif action < 0.85:
-                rng.choice(handles).cancel()
-            else:
-                sim.run(max_events=rng.randrange(1, 4))
-        scan = sum(
-            1 for _, _, h in sim._queue if not h.cancelled and not h.fired
-        )
+    @given(ops=_ops)
+    @example(ops=_seeded_ops(42))
+    @example(ops=[("schedule", 10), ("schedule", 20), ("run_both", 150, 1),
+                  ("run_max", 1)])
+    @settings(deadline=None)
+    def test_count_matches_scan_under_random_interleaving(self, ops):
+        sim, entries, log, clock = _apply_ops(ops)
+        scan = sum(1 for entry in sim._queue if entry[2] is not None)
         assert sim.pending_events == scan
+        assert scan == sum(1 for entry in entries if is_pending(entry))
+        assert clock == sorted(clock), "the clock moved backwards"
+        # Drain: every entry not cancelled fires exactly once, and all
+        # fired in (time, seq) order.
+        sim.run()
+        assert sim.pending_events == 0
+        assert log == sorted(log)
+        assert sorted(seq for _, seq in log) == [
+            entry[1] for entry in entries if not is_cancelled(entry)
+        ]
+        assert all(is_fired(entry) or is_cancelled(entry) for entry in entries)
 
 
 class TestHeapCompaction:
@@ -381,7 +497,7 @@ class TestHeapCompaction:
         live = [sim.schedule(1000 + i, lambda: None) for i in range(6)]
         doomed = [sim.schedule(2000 + i, lambda: None) for i in range(10)]
         for handle in doomed:
-            handle.cancel()
+            sim.cancel(handle)
         assert sim.heap_compactions == 1
         # Compaction fires at the 9th cancel (dead=9 of 16: past floor 8
         # and a majority); the 10th cancel leaves one fresh tombstone.
@@ -392,7 +508,7 @@ class TestHeapCompaction:
         sim = Simulator()  # default floor of 1024
         doomed = [sim.schedule(100 + i, lambda: None) for i in range(50)]
         for handle in doomed:
-            handle.cancel()
+            sim.cancel(handle)
         assert sim.heap_compactions == 0
 
     def test_no_compaction_while_tombstones_are_minority(self):
@@ -401,13 +517,11 @@ class TestHeapCompaction:
         for i in range(20):
             sim.schedule(100 + i, lambda: None)
         for handle in [sim.schedule(500 + i, lambda: None) for i in range(5)]:
-            handle.cancel()
+            sim.cancel(handle)
         # 5 dead of 25 total: past the floor but not a majority.
         assert sim.heap_compactions == 0
 
     def test_compaction_preserves_firing_order(self):
-        import random
-
         rng = random.Random(7)
         sim = Simulator()
         sim.compact_floor = 16
@@ -419,16 +533,15 @@ class TestHeapCompaction:
             handles.append((t, sim.schedule_at(t, order.append, (t, i))))
         # Cancel enough to force several compactions mid-stream.
         for t, handle in rng.sample(handles, 300):
-            handle.cancel()
+            sim.cancel(handle)
         assert sim.heap_compactions >= 1
-        survivors = [(t, h) for t, h in handles if not h.cancelled]
+        survivors = [(t, h) for t, h in handles if not is_cancelled(h)]
         # Survivors must fire in (time, seq) order; seq increases with
         # creation order, so sorting by (t, creation index) predicts it.
         expected = sorted(
-            ((t, h.seq) for t, h in survivors), key=lambda pair: pair
+            ((t, h[1]) for t, h in survivors), key=lambda pair: pair
         )
         sim.run()
-        fired = [(t, None) for t, _ in order]
         assert [t for t, _ in order] == [t for t, _ in expected]
         assert len(order) == len(survivors)
 
@@ -440,8 +553,8 @@ class TestHeapCompaction:
         counters = sim.counters()
         assert counters["heap_peak"] == 6
         assert counters["heap_compactions"] == 0
-        for _, _, handle in list(sim._queue)[:5]:
-            handle.cancel()
+        for handle in list(sim._queue)[:5]:
+            sim.cancel(handle)
         counters = sim.counters()
         assert counters["heap_compactions"] >= 1
         assert counters["pending_events"] == 1
@@ -456,7 +569,7 @@ class TestHeapCompaction:
         def cancel_many():
             fired.append("cancel")
             for handle in doomed:
-                handle.cancel()
+                sim.cancel(handle)
 
         sim.schedule(10, cancel_many)
         sim.schedule(100, fired.append, "after")

@@ -6,6 +6,7 @@ from repro.experiments.params import ns2_params
 from repro.mac.frames import Frame, FrameType
 from repro.net.network import Network
 from repro.phy.rates import OFDM_RATES
+from repro.sim.engine import FIRED
 
 
 def make_flow(window=4):
@@ -102,9 +103,10 @@ class TestSenderWindow:
     def test_ack_cancels_rto(self):
         net, flow, c, ap = make_flow(window=1)
         segment = flow._outstanding[0]
-        assert segment.rto_handle.pending
+        callback = segment.rto_handle[2]  # the entry's callback slot
+        assert callback is not None and callback is not FIRED  # pending
         ack = Frame(kind=FrameType.DATA, src=ap.node_id, dst=c.node_id,
                     rate=OFDM_RATES.base, payload_bytes=40,
                     meta={"app": {"tcp_ack": 1}})
         flow._on_src_delivery(ack)
-        assert not segment.rto_handle.pending
+        assert segment.rto_handle[2] is None  # cancelled

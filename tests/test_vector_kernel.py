@@ -157,16 +157,22 @@ class TestDecisionMasks:
     @settings(max_examples=50, deadline=None)
     def test_sir_mask_matches_scalar(self, signal, interference, thr_db):
         # A finished reception is delivered iff
-        # signal / (max interference + noise) >= threshold.
+        # signal / (max interference + noise) >= threshold, with the
+        # signal's mw_to_dbm as its RSSI.  The radio is seeded as if it
+        # had locked onto the frame with that interference seen.
         rate = Rate(6_000_000, thr_db, -200.0)
         radio, sender = _listener()
         thr = rate.sir_threshold_ratio
         for s in signal:
             received = radio.frames_received
-            radio._finish_reception(_ReceptionLock(_tx(sender, rate), s, interference))
-            assert radio.frames_received - received == (
-                s / (interference + radio.noise_mw) >= thr
-            )
+            tx = _tx(sender, rate)
+            radio._in_air[tx] = s
+            radio._lock = _ReceptionLock(tx, s, interference)
+            radio.on_air_end(tx)
+            delivered = s / (interference + radio.noise_mw) >= thr
+            assert radio.frames_received - received == delivered
+            if delivered:
+                assert radio.mac.received[-1] == (tx.frame, mw_to_dbm(s))
 
     @given(
         powers=_power_batch,
