@@ -47,15 +47,15 @@ class NeighborTable:
     ) -> bool:
         """Insert or refresh a node's row; True if it added or moved one.
 
-        Every reader then observes the write, told whether a known position
-        changed.  A False return is a keep-alive: only the row's freshness
-        changed, so no position-derived estimate (hidden terminals,
-        contenders) can have.  A node's own row lives here too: all
-        distance computations must use the *reported* coordinates, not
-        ground truth.
+        Every reader observes a write that adds the row or changes its
+        position, AP flag or association, told whether a known position
+        changed.  Any other write is a keep-alive: only the row's
+        freshness changes, and nothing a reader derives (verdicts,
+        announcement decisions) depends on freshness, so no reader is
+        told.  A node's own row lives here too: all distance computations
+        must use the *reported* coordinates, not ground truth.
         """
         previous = self._entries.get(node_id)
-        moved = previous is not None and previous.position != position
         self._entries[node_id] = NeighborEntry(
             node_id=node_id,
             position=position,
@@ -63,6 +63,14 @@ class NeighborTable:
             associated_ap=associated_ap,
             updated_at=now,
         )
+        moved = previous is not None and previous.position != position
+        if (
+            previous is not None
+            and not moved
+            and previous.is_ap == is_ap
+            and previous.associated_ap == associated_ap
+        ):
+            return False  # a keep-alive
         for reader in self._readers:
             reader.observe_neighbor(node_id, moved)
         return previous is None or moved

@@ -79,7 +79,8 @@ class CoMapAgent:
     # Location exchange
     # ------------------------------------------------------------------
     def observe_neighbor(self, node_id: int, moved: bool) -> None:
-        """The band table wrote ``node_id``'s row (a position report).
+        """The band table added ``node_id``'s row or changed its position,
+        AP flag or association (a keep-alive is not observed).
 
         A position change invalidates every co-occurrence verdict
         involving that node (all of them for this node's own) — the

@@ -137,6 +137,10 @@ class CoMapMac(ExposedMac):
         self.comap_stats = self._episode_stats = CoMapStats()
         # Per-announced-link RSSI signatures: link -> (ewma_mw, last_seen_ns).
         self._link_signatures: Dict[tuple, tuple] = {}
+        # The newest last_seen_ns of any signature (written only by
+        # _remember_signature): once it is older than EXPOSURE_MEMORY_NS,
+        # every signature is, and the scans skip the dict.
+        self._newest_signature_ns = -EXPOSURE_MEMORY_NS - 1
         #: Shadowing back-off applied to the predicted concurrent SIR (dB).
         self._exposed_sir_margin_db = math.sqrt(2.0) * (
             agent.model.propagation.sigma_db
@@ -427,7 +431,9 @@ class CoMapMac(ExposedMac):
             ewma = power_mw
         else:
             ewma = 0.5 * prior[0] + 0.5 * power_mw
-        self._link_signatures[link] = (ewma, self.sim.now)
+        now = self.sim.now
+        self._link_signatures[link] = (ewma, now)
+        self._newest_signature_ns = now
 
     def _should_ignore_busy(self) -> bool:
         """Count through the open episode, or reopen one by signature.
@@ -453,10 +459,12 @@ class CoMapMac(ExposedMac):
             return False
         if self._state is not _CONTEND or self._head is None:
             return False
+        now = self.sim.now
+        if now - self._newest_signature_ns > EXPOSURE_MEMORY_NS:
+            return False  # no fresh signature
         energy = self.radio.energy_mw()
         if energy <= 0.0:
             return False
-        now = self.sim.now
         for link, (signature_mw, last_seen) in self._link_signatures.items():
             if now - last_seen > EXPOSURE_MEMORY_NS:
                 continue
@@ -509,6 +517,8 @@ class CoMapMac(ExposedMac):
     def _fresh_allowed_links(self, dst: int):
         """Recently announced links the co-occurrence map clears for ``dst``."""
         now = self.sim.now
+        if now - self._newest_signature_ns > EXPOSURE_MEMORY_NS:
+            return  # no fresh signature
         for link, (_sig, last_seen) in self._link_signatures.items():
             if now - last_seen > EXPOSURE_MEMORY_NS:
                 continue

@@ -31,7 +31,7 @@ from repro.mac.comap import CoMapMac, CoMapMacConfig
 from repro.mac.csr import CsrMac
 from repro.mac.dcf import DcfMac, MacConfig
 from repro.mac.exposed import ExposedMacConfig
-from repro.mac.frames import MAC_DATA_OVERHEAD_BYTES
+from repro.mac.frames import COMAP_HEADER_BYTES, MAC_DATA_OVERHEAD_BYTES
 from repro.mac.rate_control import FixedRate, MinstrelLite
 from repro.net.localization import NoError, PositionErrorModel
 from repro.net.node import Node
@@ -310,7 +310,11 @@ class Network:
         return MinstrelLite(params.rates, self.rngs.stream("minstrel", node_id))
 
     def _adaptation(self) -> AdaptationTable:
-        """One shared (lazily built) adaptation table for all agents."""
+        """One shared (lazily built) adaptation table for all agents.
+
+        Its cells are shared further, with every table of the process
+        built from the same parameters (see :mod:`repro.core.adaptation`).
+        """
         if self._adaptation_table is None:
             params = self.params
             data_rate = (
@@ -318,7 +322,9 @@ class Network:
                 if params.data_rate_bps is not None
                 else params.rates.top
             )
-            header_ns = params.timing.preamble_ns + params.rates.base.airtime_ns(16)
+            header_ns = params.timing.preamble_ns + params.rates.base.airtime_ns(
+                COMAP_HEADER_BYTES
+            )
             self._adaptation_table = AdaptationTable(
                 timing=params.timing,
                 data_rate=data_rate,

@@ -15,8 +15,11 @@ derived from a single root seed via ``SeedSequence.spawn``-style keying, so
 derivation over an arbitrary key tuple, stable across processes and
 platforms.  The parallel sweep executor keys per-task seeds with it, and
 :meth:`RngStreams.substream` keys per-(transmitter, receiver) shadowing
-generators with it — the property that lets the channel *skip* a draw
-for one link without perturbing any other link's randomness.
+generators with the same derivation — the property that lets the channel
+*skip* a draw for one link without perturbing any other link's randomness.
+
+Both kinds of stream are built as ``Generator(PCG64(seed))``, which is
+what ``numpy.random.default_rng(seed)`` builds, without its dispatch.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Any, Dict, Iterable
 import numpy as np
 
 _SEED_BITS = 63
+_SEED_MASK = (1 << _SEED_BITS) - 1
 
 
 def derive_seed(base_seed: int, *key: Any) -> int:
@@ -41,7 +45,7 @@ def derive_seed(base_seed: int, *key: Any) -> int:
     """
     payload = _canonical((int(base_seed),) + tuple(key))
     digest = hashlib.sha256(payload).digest()
-    return int.from_bytes(digest[:8], "big") & ((1 << _SEED_BITS) - 1)
+    return int.from_bytes(digest[:8], "big") & _SEED_MASK
 
 
 def _canonical(value: Any) -> bytes:
@@ -105,6 +109,9 @@ class RngStreams:
         self._seed = int(seed)
         self._streams: Dict[tuple, np.random.Generator] = {}
         self._substreams: Dict[tuple, np.random.Generator] = {}
+        #: (key head, its element types) -> SHA-256 state that has absorbed
+        #: the head's canonical bytes; see :meth:`_substream_seed`.
+        self._heads: Dict[tuple, Any] = {}
 
     @property
     def seed(self) -> int:
@@ -119,7 +126,7 @@ class RngStreams:
             # Deterministic child seed: hash the textual key together with
             # the root seed through SeedSequence entropy mixing.
             entropy = [self._seed] + [ord(c) for c in name] + list(key[1:])
-            gen = np.random.default_rng(np.random.SeedSequence(entropy))
+            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
             self._streams[key] = gen
         return gen
 
@@ -141,9 +148,30 @@ class RngStreams:
         key = (name,) + keys
         gen = self._substreams.get(key)
         if gen is None:
-            gen = np.random.default_rng(derive_seed(self._seed, name, *keys))
+            gen = np.random.Generator(np.random.PCG64(self._substream_seed(key)))
             self._substreams[key] = gen
         return gen
+
+    def _substream_seed(self, key: tuple) -> int:
+        """``derive_seed(root_seed, *key)``, hashing the key's head once.
+
+        SHA-256 is fed the same canonical bytes :func:`derive_seed` feeds
+        it.  Everything before the key's last element (the root seed, the
+        name and the other keys: ``("shadowing", band, sender)`` for a
+        link) is absorbed once per head, and each new key copies that
+        state and adds only its last element.  Heads are told apart by
+        their elements' types too, since ``1``, ``1.0`` and ``True`` are
+        equal keys with different encodings.
+        """
+        head, last = key[:-1], key[-1]
+        head_key = (head, tuple(map(type, head)))
+        state = self._heads.get(head_key)
+        if state is None:
+            prefix = "t:[" + ",".join(map(_canon_str, (self._seed,) + head)) + ","
+            state = self._heads[head_key] = hashlib.sha256(prefix.encode("utf-8"))
+        digest = state.copy()
+        digest.update((_canon_str(last) + "]").encode("utf-8"))
+        return int.from_bytes(digest.digest()[:8], "big") & _SEED_MASK
 
     def known_streams(self) -> Iterable[tuple]:
         """Names of all streams created so far (diagnostic aid)."""

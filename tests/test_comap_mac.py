@@ -12,13 +12,15 @@ import pytest
 from repro.core.config import CoMapConfig
 from repro.core.neighbor_table import NeighborTable
 from repro.core.protocol import CoMapAgent
-from repro.mac.comap import CoMapMac, CoMapMacConfig
+from repro.mac.comap import EXPOSURE_MEMORY_NS, CoMapMac, CoMapMacConfig
+from repro.mac.dcf import MacState, Mpdu
 from repro.mac.frames import FrameType
 from repro.mac.timing import OFDM_TIMING
 from repro.phy.rates import OFDM_RATES
 from repro.mac.rate_control import FixedRate
 from repro.obs.counters import CounterRegistry
 from repro.util.geometry import Point
+from repro.util.units import dbm_to_mw
 
 from tests.conftest import build_mac_world
 
@@ -279,6 +281,52 @@ class TestSelectiveRepeatIntegration:
         world.run(1.0)
         assert world.delivered(0, (2, 0)) == 50
         assert world.delivered(1, (3, 1)) == 50
+
+
+class _NoScan(dict):
+    """A signature dict that fails the test if a scan walks it."""
+
+    def items(self):
+        raise AssertionError("the signatures were scanned")
+
+
+class TestSignatureScans:
+    def contending_c1(self):
+        """C1 contending for AP1 with C2 -> AP2's signature heard at t=0."""
+        world = build_et_world(c2_x=30.0)
+        mac = world.macs[2]
+        mac._remember_signature((3, 1), -70.0)
+        mac._state = MacState.CONTEND
+        mac._head = Mpdu(dst=0, payload_bytes=500, flow=(2, 0), seq=0, enqueued_at=0)
+        mac.radio._energy_mw = dbm_to_mw(-70.0)  # that link alone in the air
+        return world, mac
+
+    def test_a_fresh_signature_is_validated(self, monkeypatch):
+        world, mac = self.contending_c1()
+        world.sim.run(until=EXPOSURE_MEMORY_NS)  # the last fresh instant
+        asked = []
+
+        def concurrency_allowed(src, dst, my_dst, now=None):
+            asked.append((src, dst, my_dst))
+            return False
+
+        monkeypatch.setattr(mac.agent, "concurrency_allowed", concurrency_allowed)
+        assert not mac._try_signature_opportunity()
+        assert asked == [(3, 1, 0)]
+
+    def test_stale_signatures_answer_false_without_a_scan(self, monkeypatch):
+        world, mac = self.contending_c1()
+        world.sim.run(until=EXPOSURE_MEMORY_NS + 1)
+
+        def concurrency_allowed(*args, **kwargs):
+            raise AssertionError("a stale signature was validated")
+
+        monkeypatch.setattr(mac.agent, "concurrency_allowed", concurrency_allowed)
+        mac._link_signatures = _NoScan(mac._link_signatures)
+        assert not mac._try_signature_opportunity()
+        assert list(mac._fresh_allowed_links(0)) == []
+        rate = OFDM_RATES.top
+        assert mac._environment_capped_rate(0, rate) is rate
 
 
 class TestAdaptationIntegration:

@@ -90,12 +90,25 @@ class TestReaders:
         a, b = Reader(), Reader()
         table.join(a)
         table.join(b)
-        table.update(3, Point(0, 0))     # first report: nothing moved
-        table.update(3, Point(0, 0))     # keep-alive at the same spot
-        table.update(3, Point(4, 0))     # a move
-        expected = [("observe", 3, False), ("observe", 3, False),
-                    ("observe", 3, True)]
+        assert table.update(3, Point(0, 0), now=10)  # first report
+        # A keep-alive at the same spot refreshes the row, telling no one.
+        assert not table.update(3, Point(0, 0), now=50)
+        assert table.get(3).updated_at == 50
+        assert table.update(3, Point(4, 0), now=90)  # a move
+        expected = [("observe", 3, False), ("observe", 3, True)]
         assert a.calls == expected and b.calls == expected
+
+    def test_association_or_ap_flag_change_in_place_is_told(self):
+        # Readers derive announcement decisions from who is an AP and who
+        # is associated with whom, so such a write is not a keep-alive,
+        # though it moves nothing (and so still returns False).
+        table = NeighborTable()
+        reader = Reader()
+        table.join(reader)
+        table.update(3, Point(1, 2), associated_ap=0)
+        assert not table.update(3, Point(1, 2), associated_ap=1)
+        assert not table.update(3, Point(1, 2), is_ap=True, associated_ap=1)
+        assert reader.calls == [("observe", 3, False)] * 3
 
     def test_remove_tells_readers_only_when_a_row_goes(self):
         table = NeighborTable()

@@ -1,14 +1,22 @@
 """The (CW, payload) optimizer and the MAC-facing adaptation table."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analytical.bianchi import BianchiSlotModel
 from repro.analytical.ht_model import HtGoodputModel
 from repro.analytical.optimizer import SettingOptimizer
-from repro.core.adaptation import MAX_CONTENDERS, MAX_HIDDEN_TERMINALS, AdaptationTable
+from repro.core.adaptation import (
+    CW_CHOICES, MAX_CONTENDERS, MAX_HIDDEN_TERMINALS, PAYLOAD_CHOICES,
+    SHARED_OPTIMIZERS, AdaptationTable, _shared_optimizer,
+)
 from repro.core.config import CoMapConfig
+from repro.experiments.params import ns2_params
+from repro.mac.frames import COMAP_HEADER_BYTES
 from repro.mac.timing import OFDM_TIMING
+from repro.net.network import Network
 from repro.phy.rates import OFDM_RATES
 
 
@@ -106,3 +114,70 @@ class TestAdaptationTable:
     def test_any_counts_give_valid_setting(self, h, c):
         setting = self.make_table().best_settings(h, c)
         assert setting.predicted_goodput_bps > 0
+
+
+class TestSharedTable:
+    """Tables built from equal inputs share one optimizer per process."""
+
+    def make_table(self, config=CoMapConfig(), header_ns=0):
+        return AdaptationTable(
+            OFDM_TIMING, OFDM_RATES.by_bps(6_000_000), OFDM_RATES.base, config,
+            extra_header_ns=header_ns,
+        )
+
+    def test_equal_inputs_share_one_optimizer(self):
+        assert self.make_table()._optimizer is self.make_table()._optimizer
+        # Equal, not identical, inputs are equal keys.
+        twin = AdaptationTable(
+            dataclasses.replace(OFDM_TIMING), OFDM_RATES.by_bps(6_000_000),
+            OFDM_RATES.base, CoMapConfig(t_sir_db=4.0, sr_window=2),
+        )
+        assert twin._optimizer is self.make_table()._optimizer
+
+    @pytest.mark.parametrize("config, header_ns", [
+        (CoMapConfig(attacker_window=64), 0),
+        (CoMapConfig(attacker_window=None), 0),
+        (CoMapConfig(attacker_payload=1470), 0),
+        (CoMapConfig(), 20_000),
+    ])
+    def test_other_inputs_get_their_own(self, config, header_ns):
+        own = self.make_table(config, header_ns)._optimizer
+        assert own is not self.make_table()._optimizer
+        assert own.attacker_window == config.attacker_window
+        assert own.attacker_payload == config.attacker_payload
+        assert own.model.slot_model.extra_header_ns == header_ns
+
+    def test_advice_equals_a_private_optimizer(self):
+        config = CoMapConfig(attacker_payload=1470)
+        header_ns = OFDM_TIMING.preamble_ns + OFDM_RATES.base.airtime_ns(16)
+        table = self.make_table(config, header_ns)
+        private = SettingOptimizer(
+            HtGoodputModel(BianchiSlotModel(
+                OFDM_TIMING, OFDM_RATES.by_bps(6_000_000), OFDM_RATES.base,
+                extra_header_ns=header_ns,
+            )),
+            CW_CHOICES, PAYLOAD_CHOICES,
+            attacker_window=config.attacker_window,
+            attacker_payload=config.attacker_payload,
+        )
+        for h in range(MAX_HIDDEN_TERMINALS + 1):
+            for c in range(MAX_CONTENDERS + 1):
+                assert table.best_settings(h, c) == private.best(h, c), (h, c)
+
+    def test_memo_is_bounded(self):
+        for payload in range(100, 100 + 2 * SHARED_OPTIMIZERS):
+            self.make_table(CoMapConfig(attacker_payload=payload))
+        info = _shared_optimizer.cache_info()
+        assert info.maxsize == SHARED_OPTIMIZERS
+        assert info.currsize <= SHARED_OPTIMIZERS
+
+    def test_networks_with_equal_params_share_their_cells(self):
+        params = ns2_params()
+        first = Network(params, mac_kind="comap", seed=1)._adaptation()
+        second = Network(params, mac_kind="csr", seed=2)._adaptation()
+        assert first is not second
+        assert first._optimizer is second._optimizer
+        header_ns = params.timing.preamble_ns + params.rates.base.airtime_ns(
+            COMAP_HEADER_BYTES
+        )
+        assert first._optimizer.model.slot_model.extra_header_ns == header_ns

@@ -181,6 +181,27 @@ class TestAnnounceWorthwhile:
         agent.neighbor_table.update(3, Point(30, 0), associated_ap=1)
         assert agent.announce_worthwhile(0)
 
+    def test_cache_survives_a_keep_alive(self, monkeypatch):
+        agent = make_agent()
+        populate_et_world(agent, c2_x=30.0)
+        assert agent.announce_worthwhile(0)
+
+        def validate_again(*args, **kwargs):
+            raise AssertionError("eq. 3 computed again")
+
+        agent.neighbor_table.update(3, Point(30, 0), associated_ap=1, now=9)
+        monkeypatch.setattr(agent.validator, "validate", validate_again)
+        assert agent.announce_worthwhile(0)
+
+    def test_association_change_in_place_recomputes(self):
+        # C2 re-associating with AP1 leaves no neighbor a receiver of its
+        # own that could run beside C1 -> AP1: no header is worthwhile.
+        agent = make_agent()
+        populate_et_world(agent, c2_x=30.0)
+        assert agent.announce_worthwhile(0)
+        agent.neighbor_table.update(3, Point(30, 0), associated_ap=0)
+        assert not agent.announce_worthwhile(0)
+
     def test_describe_renders_pipeline(self):
         agent = make_agent()
         populate_et_world(agent)

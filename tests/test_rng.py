@@ -1,6 +1,9 @@
-"""Named RNG streams: reproducibility and independence."""
+"""Named RNG streams: reproducibility, independence and seeding."""
 
-from repro.util.rng import RngStreams
+import numpy as np
+import pytest
+
+from repro.util.rng import RngStreams, derive_seed
 
 
 class TestRngStreams:
@@ -46,3 +49,55 @@ class TestRngStreams:
         rngs.stream("beta", 4)
         names = rngs.known_streams()
         assert ("alpha",) in names and ("beta", 4) in names
+
+
+#: Substream keys of every kind the simulator makes, plus a key of one
+#: element and two heads that are equal as tuples but not as encodings.
+SUBSTREAM_KEYS = (
+    ("shadowing", 0, 3, 7),
+    ("shadowing", 0, 3, 8),
+    ("shadowing", 1, 3, 7),
+    ("shadowing", 0, 2**32, 2**32 + 5),
+    ("shadowing", 1, 2**40 + 1, 3),
+    ("locerr", 0),
+    ("locerr", 4),
+    ("csr", 9),
+    ("fault", "beacon_loss", "C0"),
+    ("fault", "beacon_loss", "AP1"),
+    ("fault", "rx_drop", "C0"),
+    ("solo",),
+    ("mixed", True, 1),
+    ("mixed", 1, 2),
+    ("mixed", 1.0, 3),
+)
+
+
+def _draws(gen):
+    return list(gen.integers(0, 1 << 62, 6)) + list(gen.normal(size=3))
+
+
+class TestSeeding:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**62 + 11])
+    def test_substream_is_default_rng_of_derive_seed(self, seed):
+        rngs = RngStreams(seed)
+        for key in SUBSTREAM_KEYS:
+            expected = np.random.default_rng(derive_seed(seed, *key))
+            assert _draws(rngs.substream(*key)) == _draws(expected), key
+
+    def test_substream_seed_ignores_creation_order(self):
+        forward, backward = RngStreams(3), RngStreams(3)
+        for key in SUBSTREAM_KEYS:
+            forward.substream(*key)
+        for key in reversed(SUBSTREAM_KEYS):
+            backward.substream(*key)
+        for key in SUBSTREAM_KEYS:
+            assert _draws(forward.substream(*key)) == _draws(backward.substream(*key))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_stream_is_default_rng_of_its_seed_sequence(self, seed):
+        rngs = RngStreams(seed)
+        for name, keys in (("backoff", (0,)), ("backoff", (2**33,)),
+                           ("minstrel", (5,)), ("shadowing", ())):
+            entropy = [seed] + [ord(c) for c in name] + list(keys)
+            expected = np.random.default_rng(np.random.SeedSequence(entropy))
+            assert _draws(rngs.stream(name, *keys)) == _draws(expected)
