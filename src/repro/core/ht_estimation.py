@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.neighbor_table import NeighborTable
 from repro.phy.prr import PrrModel
@@ -31,6 +31,14 @@ class InterferenceClass(enum.Enum):
     HIDDEN = "hidden"
     CONTENDER = "contender"
     INDEPENDENT = "independent"
+
+
+#: The classes bound once as globals, as :mod:`repro.mac.dcf` binds its
+#: states: before Python 3.12 an enum member read through its class takes
+#: the metaclass's slow attribute hook.
+_HIDDEN = InterferenceClass.HIDDEN
+_CONTENDER = InterferenceClass.CONTENDER
+_INDEPENDENT = InterferenceClass.INDEPENDENT
 
 
 @dataclass(frozen=True)
@@ -66,54 +74,77 @@ class HtEstimator:
         self.hidden_prob_threshold = hidden_prob_threshold
         self.interference_prr_floor = interference_prr_floor
 
+    def _roles(
+        self, table: NeighborTable, sender: int, receiver: int, evidence: bool
+    ) -> Iterator[Tuple[int, InterferenceClass, Optional[float], float]]:
+        """``(node_id, class, prr, miss)`` per neighbor of the link sender→receiver.
+
+        Eq. (4) decides first: a neighbor that (usually) senses the sender
+        contends whatever its PRR, so eq. (3) is evaluated only for one
+        that cannot, or for every neighbor when ``evidence`` asks for it
+        (``prr`` is None otherwise).  Nothing is yielded unless both ends
+        of the link have a row.
+        """
+        at_sender = table.position_of(sender)
+        at_receiver = table.position_of(receiver)
+        if at_sender is None or at_receiver is None:
+            return
+        d_link = at_sender.distance_to(at_receiver)
+        miss_of = self.model.carrier_sense_miss_probability
+        tx_power_dbm = self.tx_power_dbm
+        t_cs_dbm = self.t_cs_dbm
+        prr_of = self.model.prr
+        hidden_prob = self.hidden_prob_threshold
+        prr_floor = self.interference_prr_floor
+        for entry in table.neighbors():
+            node_id = entry.node_id
+            if node_id == sender or node_id == receiver:
+                continue
+            position = entry.position
+            miss = miss_of(at_sender.distance_to(position), tx_power_dbm, t_cs_dbm)
+            prr = None
+            if evidence or miss > hidden_prob:
+                prr = prr_of(d_link, position.distance_to(at_receiver))
+            if miss <= hidden_prob:
+                # The neighbor (usually) hears the sender: it contends.
+                klass = _CONTENDER
+            elif prr < prr_floor:
+                # Cannot sense us but would corrupt our receiver: hidden.
+                klass = _HIDDEN
+            else:
+                klass = _INDEPENDENT
+            yield node_id, klass, prr, miss
+
     def classify(
         self, table: NeighborTable, sender: int, receiver: int
     ) -> List[NeighborRole]:
         """Classify every known neighbor relative to the link sender→receiver."""
-        d_link = table.distance(sender, receiver)
-        if d_link is None:
-            return []
-        roles: List[NeighborRole] = []
-        for entry in table.neighbors():
-            if entry.node_id in (sender, receiver):
-                continue
-            r_interferer = table.distance(entry.node_id, receiver)
-            r_sense = table.distance(sender, entry.node_id)
-            if r_interferer is None or r_sense is None:
-                continue
-            prr = self.model.prr(d_link, r_interferer)
-            miss = self.model.carrier_sense_miss_probability(
-                r_sense, self.tx_power_dbm, self.t_cs_dbm
+        return [
+            NeighborRole(
+                node_id=node_id,
+                klass=klass,
+                prr_under_interference=prr,
+                cs_miss_probability=miss,
             )
-            if miss <= self.hidden_prob_threshold:
-                # The neighbor (usually) hears the sender: it contends.
-                klass = InterferenceClass.CONTENDER
-            elif prr < self.interference_prr_floor:
-                # Cannot sense us but would corrupt our receiver: hidden.
-                klass = InterferenceClass.HIDDEN
-            else:
-                klass = InterferenceClass.INDEPENDENT
-            roles.append(
-                NeighborRole(
-                    node_id=entry.node_id,
-                    klass=klass,
-                    prr_under_interference=prr,
-                    cs_miss_probability=miss,
-                )
+            for node_id, klass, prr, miss in self._roles(
+                table, sender, receiver, evidence=True
             )
-        return roles
+        ]
 
     def counts(self, table: NeighborTable, sender: int, receiver: int) -> Dict[str, int]:
-        """Return ``{"hidden": N_ht, "contenders": c, "independent": n}``."""
-        tally = {"hidden": 0, "contenders": 0, "independent": 0}
-        for role in self.classify(table, sender, receiver):
-            if role.klass is InterferenceClass.HIDDEN:
-                tally["hidden"] += 1
-            elif role.klass is InterferenceClass.CONTENDER:
-                tally["contenders"] += 1
+        """Return ``{"hidden": N_ht, "contenders": c, "independent": n}``.
+
+        The tally of :meth:`classify`'s classes, without its evidence.
+        """
+        hidden = contenders = independent = 0
+        for _, klass, _, _ in self._roles(table, sender, receiver, evidence=False):
+            if klass is _HIDDEN:
+                hidden += 1
+            elif klass is _CONTENDER:
+                contenders += 1
             else:
-                tally["independent"] += 1
-        return tally
+                independent += 1
+        return {"hidden": hidden, "contenders": contenders, "independent": independent}
 
     def hidden_terminals(
         self, table: NeighborTable, sender: int, receiver: int

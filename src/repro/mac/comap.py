@@ -137,10 +137,11 @@ class CoMapMac(ExposedMac):
         self.comap_stats = self._episode_stats = CoMapStats()
         # Per-announced-link RSSI signatures: link -> (ewma_mw, last_seen_ns).
         self._link_signatures: Dict[tuple, tuple] = {}
-        # The newest last_seen_ns of any signature (written only by
-        # _remember_signature): once it is older than EXPOSURE_MEMORY_NS,
-        # every signature is, and the scans skip the dict.
-        self._newest_signature_ns = -EXPOSURE_MEMORY_NS - 1
+        # The instant after which every signature is stale: the newest
+        # last_seen_ns plus EXPOSURE_MEMORY_NS, written only by
+        # _remember_signature.  Past it the scans skip the dict, and a
+        # frozen contender skips its re-examination of a busy medium.
+        self._signatures_fresh_until_ns = -1
         #: Shadowing back-off applied to the predicted concurrent SIR (dB).
         self._exposed_sir_margin_db = math.sqrt(2.0) * (
             agent.model.propagation.sigma_db
@@ -392,12 +393,20 @@ class CoMapMac(ExposedMac):
         if self._opportunity is None:
             # A frozen contender re-examines the medium at every energy
             # change: the transmission now in the air may carry a known
-            # signature and reopen a persistent-exposure episode.
+            # signature and reopen a persistent-exposure episode.  With
+            # every signature stale, a busy medium keeps it frozen
+            # (_try_signature_opportunity would answer False), so it is
+            # not asked.
             if (
                 self._state is _CONTEND
                 and self._ifs_handle is None
                 and self._countdown_handle is None
             ):
+                if (
+                    self.sim.now > self._signatures_fresh_until_ns
+                    and self.radio.medium_busy()
+                ):
+                    return
                 self._resume_contention()
             return
         if not self.config.enhanced_scheduler:
@@ -433,7 +442,7 @@ class CoMapMac(ExposedMac):
             ewma = 0.5 * prior[0] + 0.5 * power_mw
         now = self.sim.now
         self._link_signatures[link] = (ewma, now)
-        self._newest_signature_ns = now
+        self._signatures_fresh_until_ns = now + EXPOSURE_MEMORY_NS
 
     def _should_ignore_busy(self) -> bool:
         """Count through the open episode, or reopen one by signature.
@@ -460,7 +469,7 @@ class CoMapMac(ExposedMac):
         if self._state is not _CONTEND or self._head is None:
             return False
         now = self.sim.now
-        if now - self._newest_signature_ns > EXPOSURE_MEMORY_NS:
+        if now > self._signatures_fresh_until_ns:
             return False  # no fresh signature
         energy = self.radio.energy_mw()
         if energy <= 0.0:
@@ -517,7 +526,7 @@ class CoMapMac(ExposedMac):
     def _fresh_allowed_links(self, dst: int):
         """Recently announced links the co-occurrence map clears for ``dst``."""
         now = self.sim.now
-        if now - self._newest_signature_ns > EXPOSURE_MEMORY_NS:
+        if now > self._signatures_fresh_until_ns:
             return  # no fresh signature
         for link, (_sig, last_seen) in self._link_signatures.items():
             if now - last_seen > EXPOSURE_MEMORY_NS:

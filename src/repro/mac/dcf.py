@@ -621,8 +621,6 @@ class DcfMac:
         if kind is _DATA:
             if frame.dst == self.node_id:
                 self._accept_data(frame, rssi_dbm)
-            else:
-                self.on_data_overheard(frame, rssi_dbm)
             return
         if kind is _ACK:
             if frame.dst == self.node_id:
@@ -860,7 +858,10 @@ class DcfMac:
         """Template method: a CO-MAP announcement header was decoded."""
 
     def on_data_overheard(self, frame: Frame, rssi_dbm: float) -> None:
-        """Template method: a data frame for someone else was decoded."""
+        """Never called: DCF drops a decoded data frame for someone else.
+
+        Kept only because ``perfbench/spans.py`` names it in ``ENTRY_POINTS``.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<DcfMac node={self.node_id} state={self._state.value}>"

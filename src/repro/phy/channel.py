@@ -112,7 +112,7 @@ from repro.phy.propagation import LogNormalShadowing
 from repro.phy.spatial import SpatialIndex
 from repro.sim.engine import Simulator
 from repro.util.rng import RngStreams
-from repro.util.units import db_to_ratio, dbm_to_mw
+from repro.util.units import db_block_to_ratios, dbm_to_mw
 
 if TYPE_CHECKING:  # avoid a phy <-> mac import cycle; hints only
     from repro.mac.frames import Frame
@@ -198,13 +198,17 @@ class _ReceiverTable:
 class Transmission:
     """One frame in flight: who sent it, when it ends, and its per-radio power."""
 
-    __slots__ = ("frame", "sender", "start_ns", "end_ns", "rx_power_mw")
+    __slots__ = ("frame", "sender", "start_ns", "end_ns", "embedded", "rx_power_mw")
 
     def __init__(self, frame: "Frame", sender: "Radio", start_ns: int, end_ns: int):
         self.frame = frame
         self.sender = sender
         self.start_ns = start_ns
         self.end_ns = end_ns
+        #: Whether the frame carries an embedded CO-MAP announcement, read
+        #: once per frame rather than once per receiver.  The sender sets
+        #: the flag while composing the frame, before it goes on the air.
+        self.embedded = bool(frame.meta.get("embedded_announce"))
         #: Received power in mW at each listening radio, keyed by radio id.
         #: Radios culled below the noise floor have no entry — this dict is
         #: the authoritative set of radios that observe the transmission.
@@ -659,4 +663,4 @@ class Channel:
         """
         offsets = self.propagation.shadowing_block(self._link_rng(key), SHADOWING_BLOCK)
         # Reversed, so that pop() takes them in stream order.
-        draws.extend(map(db_to_ratio, reversed(offsets)))
+        draws.extend(db_block_to_ratios(reversed(offsets)))

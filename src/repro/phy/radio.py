@@ -72,17 +72,6 @@ class RadioConfig:
     cs_threshold_dbm: float = -82.0
 
 
-class _ReceptionLock:
-    """Bookkeeping for the frame currently being received."""
-
-    __slots__ = ("tx", "signal_mw", "max_interference_mw")
-
-    def __init__(self, tx: Transmission, signal_mw: float, interference_mw: float):
-        self.tx = tx
-        self.signal_mw = signal_mw
-        self.max_interference_mw = interference_mw
-
-
 class Radio:
     """One node's PHY front end, attached to a :class:`Channel`."""
 
@@ -105,14 +94,21 @@ class Radio:
         self._cs_threshold_mw = dbm_to_mw(config.cs_threshold_dbm)
         self._noise_mw = dbm_to_mw(NOISE_FLOOR_DBM)
         self._in_air: dict = {}  # Transmission -> rx power mW
-        # sum(self._in_air.values()), recomputed by exactly that expression
-        # at every _in_air mutation, so it is the sum a recomputation over
-        # the same dict would give.
+        # sum(self._in_air.values()) after every _in_air mutation: that
+        # expression, or the one value it sums to when only one frame is in
+        # the air, so it is the sum a recomputation over the same dict
+        # would give.
         self._energy_mw = 0.0
         #: False while the MAC's on_energy_changed is a marked no-op.
         self._hears_energy = False
         self._current_tx: Optional[Transmission] = None
-        self._lock: Optional[_ReceptionLock] = None
+        # The reception lock: the frame being received (None: unlocked),
+        # its signal and the largest interference seen during it.  A frame
+        # is locked only at its own air start, so the transmission is the
+        # lock's identity.
+        self._lock_tx: Optional[Transmission] = None
+        self._lock_signal_mw = 0.0
+        self._lock_interference_mw = 0.0
         self._busy = False
         # Counters (inspected by tests and metrics).
         self.frames_received = 0
@@ -157,9 +153,9 @@ class Radio:
         idle edge is delivered here.
         """
         self._attached = False
-        if self._lock is not None:
+        if self._lock_tx is not None:
             self.frames_missed += 1
-            self._lock = None
+            self._lock_tx = None
         self._in_air.clear()
         self._energy_mw = 0.0
         self._current_tx = None
@@ -232,11 +228,11 @@ class Radio:
                 f"radio {self.radio_id} is already transmitting "
                 f"{self._current_tx.frame.describe()}"
             )
-        if self._lock is not None:
+        if self._lock_tx is not None:
             # Physically we cannot keep receiving while transmitting; the
             # half-received frame is lost.
             self.frames_missed += 1
-            self._lock = None
+            self._lock_tx = None
         self.frames_transmitted += 1
         self._current_tx = self.channel.transmit(self, frame)
         self._update_busy()
@@ -269,20 +265,26 @@ class Radio:
         announcement needs :meth:`_lock_onto`'s decode scheduling.
         """
         in_air = self._in_air
-        in_air[tx] = power_mw
-        self._energy_mw = energy = sum(in_air.values())
+        if in_air:
+            in_air[tx] = power_mw
+            energy = sum(in_air.values())
+        else:
+            # Alone on the medium: sum() over the one entry is that
+            # (positive) float itself, so the memo skips the call.
+            in_air[tx] = energy = power_mw
+        self._energy_mw = energy
         # While transmitting we are deaf: the frame is silently missed but
         # still contributes energy once our own transmission finishes.
         if self._current_tx is None:
-            lock = self._lock
-            frame = tx.frame
-            rate = frame.rate
-            if lock is None:
+            rate = tx.frame.rate
+            if self._lock_tx is None:
                 if power_mw >= rate.sensitivity_mw:
-                    if frame.meta.get("embedded_announce"):
+                    if tx.embedded:
                         self._lock_onto(tx, power_mw, energy)
                     else:
-                        self._lock = _ReceptionLock(tx, power_mw, energy - power_mw)
+                        self._lock_tx = tx
+                        self._lock_signal_mw = power_mw
+                        self._lock_interference_mw = energy - power_mw
                 elif power_mw >= self._noise_mw:
                     # Detectable but undecodable: a genuine miss.  Frames
                     # below the noise floor are invisible to a real radio
@@ -302,9 +304,9 @@ class Radio:
                 self._lock_onto(tx, power_mw, energy)
             else:
                 # New arrival is interference for the ongoing reception.
-                interference = energy - lock.signal_mw
-                if interference > lock.max_interference_mw:
-                    lock.max_interference_mw = interference
+                interference = energy - self._lock_signal_mw
+                if interference > self._lock_interference_mw:
+                    self._lock_interference_mw = interference
         busy = self._current_tx is not None or energy >= self._cs_threshold_mw
         mac = self.mac
         if busy != self._busy:
@@ -332,12 +334,11 @@ class Radio:
             return
         self._energy_mw = sum(in_air.values()) if in_air else 0.0
         mac = self.mac
-        lock = self._lock
-        if lock is not None and lock.tx is tx:
-            self._lock = None
+        if self._lock_tx is tx:
+            self._lock_tx = None
             frame = tx.frame
-            signal = lock.signal_mw
-            if signal / (lock.max_interference_mw + self._noise_mw) >= (
+            signal = self._lock_signal_mw
+            if signal / (self._lock_interference_mw + self._noise_mw) >= (
                 frame.rate.sir_threshold_ratio
             ):
                 self.frames_received += 1
@@ -376,22 +377,28 @@ class Radio:
         survives (no capture/abort) and the interference seen so far
         leaves the header decodable.
         """
-        lock = self._lock = _ReceptionLock(tx, power_mw, energy_mw - power_mw)
-        frame = tx.frame
-        if not frame.meta.get("embedded_announce"):
+        self._lock_tx = tx
+        self._lock_signal_mw = power_mw
+        self._lock_interference_mw = energy_mw - power_mw
+        if not tx.embedded:
             return
         from repro.mac.frames import EMBEDDED_DECODE_BYTES
 
-        delay = frame.rate.airtime_ns(EMBEDDED_DECODE_BYTES)
-        self.sim.schedule(delay, self._embedded_decode, lock)
+        delay = tx.frame.rate.airtime_ns(EMBEDDED_DECODE_BYTES)
+        self.sim.schedule(delay, self._embedded_decode, tx)
 
-    def _embedded_decode(self, lock: _ReceptionLock) -> None:
-        """Deliver the announcement if the header portion decoded cleanly."""
-        if self._lock is not lock or self.mac is None:
+    def _embedded_decode(self, tx: Transmission) -> None:
+        """Deliver the announcement if the header portion decoded cleanly.
+
+        Only while ``tx`` is still the lock: since it was locked, a capture
+        may have moved the lock, or a transmit start or a detach cleared it.
+        """
+        if self._lock_tx is not tx or self.mac is None:
             return
-        sir = lock.signal_mw / (lock.max_interference_mw + self._noise_mw)
-        if sir >= lock.tx.frame.rate.sir_threshold_ratio:
-            self.mac.on_header_overheard(lock.tx.frame, mw_to_dbm(lock.signal_mw))
+        signal = self._lock_signal_mw
+        sir = signal / (self._lock_interference_mw + self._noise_mw)
+        if sir >= tx.frame.rate.sir_threshold_ratio:
+            self.mac.on_header_overheard(tx.frame, mw_to_dbm(signal))
 
     # ------------------------------------------------------------------
     # CCA transitions

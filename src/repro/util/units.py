@@ -16,6 +16,7 @@ make MAC-layer timing declarations readable (``10 * MICROSECOND``).
 from __future__ import annotations
 
 import math
+from typing import Iterable, List
 
 #: One microsecond expressed in engine ticks (nanoseconds).
 MICROSECOND: int = 1_000
@@ -51,6 +52,15 @@ def mw_to_dbm(mw: float) -> float:
 def db_to_ratio(db: float) -> float:
     """Convert a relative level in dB to a linear power ratio."""
     return 10.0 ** (db / 10.0)
+
+
+def db_block_to_ratios(levels_db: Iterable[float]) -> List[float]:
+    """:func:`db_to_ratio` of each level, in order, in one comprehension.
+
+    The same expression, written out to save a call per value; the
+    channel converts its shadowing draw blocks with it.
+    """
+    return [10.0 ** (db / 10.0) for db in levels_db]
 
 
 def ratio_to_db(ratio: float) -> float:

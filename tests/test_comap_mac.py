@@ -329,6 +329,55 @@ class TestSignatureScans:
         assert mac._environment_capped_rate(0, rate) is rate
 
 
+class TestFrozenContender:
+    """A frozen contender's re-examination at an energy change."""
+
+    def frozen_c1(self, monkeypatch, at_ns):
+        """C1 frozen on a busy medium at ``at_ns``; its re-examinations logged."""
+        world, mac = TestSignatureScans().contending_c1()
+        world.sim.run(until=at_ns)
+        assert mac.radio.medium_busy()
+        resumed = []
+        original = mac._resume_contention
+
+        def resume_contention():
+            resumed.append(world.sim.now)
+            original()
+
+        monkeypatch.setattr(mac, "_resume_contention", resume_contention)
+        monkeypatch.setattr(
+            mac.agent, "concurrency_allowed", lambda *args, **kwargs: True
+        )
+        return world, mac, resumed
+
+    def test_stale_signatures_on_a_busy_medium_skip_the_re_examination(
+        self, monkeypatch
+    ):
+        world, mac, resumed = self.frozen_c1(monkeypatch, EXPOSURE_MEMORY_NS + 1)
+        mac._link_signatures = _NoScan(mac._link_signatures)
+        mac.on_energy_changed(mac.radio.energy_mw())
+        assert resumed == []
+        assert mac._opportunity is None
+        assert mac._ifs_handle is None and mac._countdown_handle is None
+        assert mac.comap_stats.signature_opportunities == 0
+
+    def test_a_fresh_matching_signature_still_opens_an_episode(self, monkeypatch):
+        world, mac, resumed = self.frozen_c1(monkeypatch, EXPOSURE_MEMORY_NS)
+        mac.on_energy_changed(mac.radio.energy_mw())
+        assert resumed == [EXPOSURE_MEMORY_NS]
+        assert mac._opportunity is not None and mac._opportunity.link == (3, 1)
+        assert mac.comap_stats.signature_opportunities == 1
+        assert mac._ifs_handle is not None  # counting through the busy medium
+
+    def test_stale_signatures_on_an_idle_medium_still_resume(self, monkeypatch):
+        world, mac, resumed = self.frozen_c1(monkeypatch, EXPOSURE_MEMORY_NS + 1)
+        mac.radio._energy_mw = 0.0
+        mac.on_energy_changed(0.0)
+        assert resumed == [EXPOSURE_MEMORY_NS + 1]
+        assert mac._opportunity is None
+        assert mac._ifs_handle is not None
+
+
 class TestAdaptationIntegration:
     def test_refresh_adaptation_sets_constant_cw_with_hts(self):
         # Build an HT geometry: C1(-10)->AP1(0), hidden node at 15 with

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mac.dcf import CW_MIN, QUEUE_LIMIT, RETRY_LIMIT, MacConfig, MacState
+from repro.mac.dcf import CW_MIN, QUEUE_LIMIT, RETRY_LIMIT, DcfMac, MacConfig, MacState
 from repro.mac.frames import BROADCAST
 
 from tests.conftest import build_mac_world
@@ -197,3 +197,20 @@ class TestBackoffWindows:
         world.run(0.05)
         assert world.macs[1].stats.duplicates == 1
         assert world.delivered(1) == 1
+
+
+class TestOverheardData:
+    def test_dcf_never_calls_the_overheard_data_hook(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            DcfMac, "on_data_overheard", lambda self, frame, rssi: calls.append(frame)
+        )
+        # 0 sends to 1 and broadcasts; 2 decodes all of it.
+        world = build_mac_world([(0, 0), (10, 0), (5, 5)])
+        for _ in range(4):
+            world.macs[0].enqueue(1, 500)
+        world.macs[0].enqueue(BROADCAST, 200)
+        world.run(0.05)
+        assert world.delivered(1) == 4
+        assert world.radios[2].frames_received >= 5
+        assert calls == []

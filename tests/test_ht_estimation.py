@@ -1,5 +1,8 @@
 """Hidden-terminal / contender classification (eq. 4)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.ht_estimation import HtEstimator, InterferenceClass
 from repro.core.neighbor_table import NeighborTable
 from repro.phy.propagation import LogNormalShadowing
@@ -72,3 +75,99 @@ class TestClassification:
         # With floor ~1.0 nearly any neighbor counts as an interferer.
         counts = make_estimator(floor=0.999).counts(ht_scenario_table(), 1, 0)
         assert counts["hidden"] >= 1
+
+
+#: A band's rows: node id -> reported (x, y), ids 0-11 (some absent).
+_rows = st.dictionaries(
+    st.integers(min_value=0, max_value=11),
+    st.tuples(
+        st.floats(min_value=-80.0, max_value=80.0, allow_nan=False),
+        st.floats(min_value=-80.0, max_value=80.0, allow_nan=False),
+    ),
+    max_size=10,
+)
+
+
+def _tally(roles):
+    counts = {"hidden": 0, "contenders": 0, "independent": 0}
+    names = {
+        InterferenceClass.HIDDEN: "hidden",
+        InterferenceClass.CONTENDER: "contenders",
+        InterferenceClass.INDEPENDENT: "independent",
+    }
+    for role in roles:
+        counts[names[role.klass]] += 1
+    return counts
+
+
+class TestCountsProperty:
+    @given(
+        rows=_rows,
+        links=st.lists(
+            st.tuples(st.integers(0, 13), st.integers(0, 13)), min_size=1, max_size=6
+        ),
+        t_cs=st.sampled_from([-95.0, -82.0, -75.0, -62.0]),
+        sigma=st.sampled_from([0.0, 4.0, 8.0]),
+        floor=st.sampled_from([0.5, 0.95]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_counts_are_the_tally_of_classify(self, rows, links, t_cs, sigma, floor):
+        # Senders and receivers may have no row.
+        table = NeighborTable()
+        for node_id, (x, y) in rows.items():
+            table.update(node_id, Point(x, y))
+        estimator = make_estimator(t_cs=t_cs, sigma=sigma, floor=floor)
+        model = estimator.model
+        for sender, receiver in links:
+            roles = estimator.classify(table, sender, receiver)
+            assert estimator.counts(table, sender, receiver) == _tally(roles)
+            assert estimator.hidden_terminals(table, sender, receiver) == [
+                r.node_id for r in roles if r.klass is InterferenceClass.HIDDEN
+            ]
+            if sender not in table or receiver not in table:
+                assert roles == []
+                continue
+            # The evidence is eq. (3) and (4) on the table's distances.
+            d_link = table.distance(sender, receiver)
+            expected_ids = [
+                e.node_id for e in table.neighbors()
+                if e.node_id not in (sender, receiver)
+            ]
+            assert [r.node_id for r in roles] == expected_ids
+            for role in roles:
+                miss = model.carrier_sense_miss_probability(
+                    table.distance(sender, role.node_id), 0.0, t_cs
+                )
+                prr = model.prr(d_link, table.distance(role.node_id, receiver))
+                assert role.cs_miss_probability == miss
+                assert role.prr_under_interference == prr
+                if miss <= 0.9:
+                    assert role.klass is InterferenceClass.CONTENDER
+                elif prr < floor:
+                    assert role.klass is InterferenceClass.HIDDEN
+                else:
+                    assert role.klass is InterferenceClass.INDEPENDENT
+
+
+class TestEvaluationOrder:
+    def test_counts_evaluates_eq3_only_where_the_sender_is_not_sensed(
+        self, monkeypatch
+    ):
+        table = ht_scenario_table()
+        estimator = make_estimator()
+        unsensed = [
+            r.node_id for r in estimator.classify(table, 1, 0)
+            if r.cs_miss_probability > 0.9
+        ]
+        assert sorted(unsensed) == [2, 4]
+        evaluated = []
+        original = PrrModel.prr
+
+        def prr(model, d_link, r_interferer):
+            evaluated.append(r_interferer)
+            return original(model, d_link, r_interferer)
+
+        monkeypatch.setattr(PrrModel, "prr", prr)
+        counts = estimator.counts(table, 1, 0)
+        assert counts == {"hidden": 1, "contenders": 1, "independent": 1}
+        assert sorted(evaluated) == sorted(table.distance(n, 0) for n in unsensed)

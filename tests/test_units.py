@@ -9,6 +9,7 @@ from repro.util.units import (
     MICROSECOND,
     MILLISECOND,
     SECOND,
+    db_block_to_ratios,
     db_to_ratio,
     dbm_to_mw,
     mw_to_dbm,
@@ -57,6 +58,10 @@ class TestRatioConversions:
 
     def test_ratio_to_db_inverts(self):
         assert ratio_to_db(db_to_ratio(7.5)) == pytest.approx(7.5)
+
+    @given(st.lists(st.floats(min_value=-300.0, max_value=300.0)))
+    def test_block_is_db_to_ratio_of_each_level(self, levels):
+        assert db_block_to_ratios(iter(levels)) == [db_to_ratio(x) for x in levels]
 
     def test_ratio_to_db_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.mac.frames import Frame, FrameType
 from repro.phy.channel import Transmission
-from repro.phy.radio import Radio, RadioConfig, _ReceptionLock
+from repro.phy.radio import Radio, RadioConfig
 from repro.experiments.params import ns2_params
 from repro.phy.rates import OFDM_RATES, Rate
 from repro.util.geometry import Point
@@ -145,7 +145,7 @@ class TestDecisionMasks:
             missed = radio.frames_missed
             tx = _tx(sender, rate)
             radio.on_air_start(tx, p)
-            assert (radio._lock is not None) == (p >= sens)
+            assert (radio._lock_tx is tx) == (p >= sens)
             assert radio.frames_missed - missed == (p < sens and p >= radio.noise_mw)
             radio.on_air_end(tx)
 
@@ -158,8 +158,9 @@ class TestDecisionMasks:
     def test_sir_mask_matches_scalar(self, signal, interference, thr_db):
         # A finished reception is delivered iff
         # signal / (max interference + noise) >= threshold, with the
-        # signal's mw_to_dbm as its RSSI.  The radio is seeded as if it
-        # had locked onto the frame with that interference seen.
+        # signal's mw_to_dbm as its RSSI.  The radio's lock state is
+        # seeded as if it had locked onto the frame with that
+        # interference seen.
         rate = Rate(6_000_000, thr_db, -200.0)
         radio, sender = _listener()
         thr = rate.sir_threshold_ratio
@@ -167,8 +168,11 @@ class TestDecisionMasks:
             received = radio.frames_received
             tx = _tx(sender, rate)
             radio._in_air[tx] = s
-            radio._lock = _ReceptionLock(tx, s, interference)
+            radio._lock_tx = tx
+            radio._lock_signal_mw = s
+            radio._lock_interference_mw = interference
             radio.on_air_end(tx)
+            assert radio._lock_tx is None
             delivered = s / (interference + radio.noise_mw) >= thr
             assert radio.frames_received - received == delivered
             if delivered:
@@ -194,11 +198,53 @@ class TestDecisionMasks:
         for p in powers:
             first, second = _tx(sender, rate), _tx(sender, rate)
             radio.on_air_start(first, first_mw)
-            assert radio._lock.tx is first
+            assert radio._lock_tx is first
             radio.on_air_start(second, p)
             energy = first_mw + p
             captured = p >= sens and p / (energy - p + radio.noise_mw) >= thr
-            assert (radio._lock.tx is second) == captured
+            assert radio._lock_tx is (second if captured else first)
+            if captured:
+                assert radio._lock_signal_mw == p
+                assert radio._lock_interference_mw == energy - p
             radio.on_air_end(first)
             radio.on_air_end(second)
 
+
+
+# ----------------------------------------------------------------------
+# The radio's energy memo vs the sum it stands for
+# ----------------------------------------------------------------------
+#: One air edge on the listener: start a frame at a power, or end the
+#: in-air frame at an index (modulo how many are in the air).
+_air_edge = st.one_of(
+    st.tuples(st.just("start"), _mw),
+    st.tuples(st.just("end"), st.integers(min_value=0, max_value=23)),
+)
+
+
+class TestEnergyMemo:
+    @given(edges=st.lists(_air_edge, max_size=40), thr_db=_thr_db)
+    @settings(max_examples=100, deadline=None)
+    def test_memo_is_the_in_air_sum_after_every_edge(self, edges, thr_db):
+        # Overlapping frames start and end in a drawn order (locks,
+        # captures and interference included); after every edge the memo
+        # equals sum() over the in-air powers bit for bit, and is 0.0 on
+        # an empty medium.  A start on an empty medium stores the power
+        # itself, which is the one-entry sum.
+        rate = Rate(6_000_000, thr_db, -100.0)
+        radio, sender = _listener()
+        in_air = []
+        for kind, value in edges:
+            if kind == "start":
+                tx = _tx(sender, rate)
+                radio.on_air_start(tx, value)
+                in_air.append(tx)
+            elif in_air:
+                radio.on_air_end(in_air.pop(value % len(in_air)))
+            expected = sum(radio._in_air.values()) if radio._in_air else 0.0
+            assert list(radio._in_air) == in_air
+            assert radio.energy_mw().hex() == float(expected).hex()
+        for tx in in_air:
+            radio.on_air_end(tx)
+        assert radio.energy_mw().hex() == (0.0).hex()
+        assert radio._lock_tx is None
