@@ -51,6 +51,16 @@ class SlotBreakdown:
             + self.p_tr * (1.0 - self.p_s) * self.t_collision_ns
         )
 
+    def tagged_goodput_bps(self, contenders: int, payload_bytes: int) -> float:
+        """Per-link saturation goodput without hidden terminals (bit/s).
+
+        This is eq. (5) with ``h = 0``: the tagged station's success
+        probability is ``tau (1 - tau)^c`` per slot.
+        """
+        p_success_tagged = self.tau * (1.0 - self.tau) ** contenders
+        payload_bits = payload_bytes * 8
+        return p_success_tagged * payload_bits / (self.expected_slot_ns * 1e-9)
+
 
 class BianchiSlotModel:
     """Slot statistics of a constant-window saturated DCF network.
@@ -99,11 +109,8 @@ class BianchiSlotModel:
 
     def data_airtime_ns(self, payload_bytes: int) -> float:
         """On-air time of the data frame alone (the model's ``T_i``)."""
-        from repro.mac.frames import MAC_DATA_OVERHEAD_BYTES
-
         return (
-            self.timing.preamble_ns
-            + self.data_rate.airtime_ns(payload_bytes + MAC_DATA_OVERHEAD_BYTES)
+            self.timing.data_airtime_ns(self.data_rate, payload_bytes)
             + self.extra_header_ns
         )
 
@@ -113,38 +120,27 @@ class BianchiSlotModel:
             raise ValueError("contender count cannot be negative")
         if payload_bytes <= 0:
             raise ValueError("payload must be positive")
-        tau = self.tau_for_window(window)
-        n = contenders + 1
-        p_tr = 1.0 - (1.0 - tau) ** n
-        if p_tr <= 0.0:
-            raise ValueError("degenerate network: nobody ever transmits")
-        p_s = n * tau * (1.0 - tau) ** contenders / p_tr
-        return SlotBreakdown(
-            tau=tau,
-            p_tr=p_tr,
-            p_s=p_s,
-            t_empty_ns=float(self.timing.slot_ns),
-            t_success_ns=self.t_success_ns(payload_bytes),
-            t_collision_ns=self.t_collision_ns(payload_bytes),
-        )
+        return self._breakdown(self.tau_for_window(window), contenders, payload_bytes)
 
     def goodput_bps(self, window: int, contenders: int, payload_bytes: int) -> float:
-        """Per-link saturation goodput without hidden terminals (bit/s).
-
-        This is eq. (5) with ``h = 0``: the tagged station's success
-        probability is ``tau (1 - tau)^c`` per slot.
-        """
-        breakdown = self.slot(window, contenders, payload_bytes)
-        p_success_tagged = breakdown.tau * (1.0 - breakdown.tau) ** contenders
-        payload_bits = payload_bytes * 8
-        return p_success_tagged * payload_bits / (breakdown.expected_slot_ns * 1e-9)
+        """Per-link saturation goodput without hidden terminals (bit/s)."""
+        return self.slot(window, contenders, payload_bytes).tagged_goodput_bps(
+            contenders, payload_bytes
+        )
 
     def slot_for_tau(self, tau: float, contenders: int, payload_bytes: int) -> SlotBreakdown:
         """Slot statistics for an externally supplied ``tau`` (BEB model)."""
         if not 0.0 < tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {tau}")
+        return self._breakdown(tau, contenders, payload_bytes)
+
+    def _breakdown(self, tau: float, contenders: int, payload_bytes: int) -> SlotBreakdown:
+        """Eqs. (6)-(8) for ``c = contenders`` stations besides the tagged
+        one, each transmitting with probability ``tau``."""
         n = contenders + 1
         p_tr = 1.0 - (1.0 - tau) ** n
+        if p_tr <= 0.0:
+            raise ValueError("degenerate network: nobody ever transmits")
         p_s = n * tau * (1.0 - tau) ** contenders / p_tr
         return SlotBreakdown(
             tau=tau,
@@ -220,7 +216,6 @@ class BebFixedPoint:
     def goodput_bps(self, contenders: int, payload_bytes: int) -> float:
         """Per-link saturation goodput of BEB DCF (no hidden terminals)."""
         tau, _ = self.solve(contenders)
-        slot = self.slot_model.slot_for_tau(tau, contenders, payload_bytes)
-        p_success_tagged = tau * (1.0 - tau) ** contenders
-        payload_bits = payload_bytes * 8
-        return p_success_tagged * payload_bits / (slot.expected_slot_ns * 1e-9)
+        return self.slot_model.slot_for_tau(
+            tau, contenders, payload_bytes
+        ).tagged_goodput_bps(contenders, payload_bytes)

@@ -82,7 +82,7 @@ class SrSender(Generic[ItemT]):
         return confirmed
 
     def counters(self) -> dict:
-        """Registry-source view of this window's counters."""
+        """This window's counters, by name (CO-MAP sums them under ``arq/``)."""
         return {
             "advances": self.advances,
             "prompt_confirms": self.prompt_confirms,

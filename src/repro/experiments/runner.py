@@ -191,9 +191,10 @@ def _csr_floor_cell(
 ) -> Dict[str, float]:
     """One enterprise-floor simulation: goodput + latency percentiles.
 
-    Returns plain scalars only — p99 comes from the in-process bucketed
-    latency histograms (bucket counts never leave the process; see
-    :class:`repro.obs.counters.Histogram`).
+    Returns plain scalars only — p99 comes from the bucketed latency
+    histogram each flow's destination MAC keeps
+    (:attr:`repro.mac.dcf.DcfMac.latency`; bucket counts never leave
+    the process).
     """
     params = ns2_params()
     if mac_kind == "csr" and backhaul_latency_ns is not None:
@@ -212,7 +213,7 @@ def _csr_floor_cell(
     results = net.run(duration_s)
     p99s: List[float] = []
     for src, dst in scenario.extra["flows"]:
-        hist = net.registry.get(f"latency/{src}->{dst}")
+        hist = net.nodes[dst].mac.latency.get((src, dst))
         if hist is not None and hist.count:
             p99s.append(hist.quantile(0.99))
     counters = net.counters()

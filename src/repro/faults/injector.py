@@ -58,9 +58,9 @@ from repro.util.geometry import Point
 class FaultInjector:
     """Realizes one :class:`FaultPlan` against one finalized network.
 
-    Construction installs the plan: it registers the counters, hooks the
-    MACs and schedules every planned fault.  :meth:`Network.install_faults`
-    is the one caller, and the one guard against a second plan.
+    Construction installs the plan: it hooks the MACs and schedules
+    every planned fault.  :meth:`Network.install_faults` is the one
+    caller, and the one guard against a second plan.
     """
 
     def __init__(self, network, plan: FaultPlan) -> None:
@@ -86,11 +86,6 @@ class FaultInjector:
         self._location_specs: Dict[str, Tuple] = {}
         self._ack_specs: Dict[int, Tuple[AckLossBurst, ...]] = {}
         self._announce_specs: Dict[int, Tuple[AnnouncementLoss, ...]] = {}
-        # Counters are registered even for an empty plan, so manifests
-        # always show the faults/ namespace (at zero) once an injector
-        # is attached — "no faults fired" is then an explicit statement.
-        network.registry.register_source("faults", self._counters.copy)
-
         for name in plan.node_names:
             node = network.nodes_by_name[name]
             specs = plan.for_node(name)

@@ -71,10 +71,6 @@ class CmapStats:
     learned_denied: int = 0
     reprobes: int = 0
 
-    def as_counter_dict(self) -> Dict[str, int]:
-        """Registry-source view (all fields are scalar counters)."""
-        return dict(vars(self))
-
 
 class CmapMac(ExposedMac):
     """DCF extended with loss-learned exposed-terminal concurrency."""
@@ -87,10 +83,12 @@ class CmapMac(ExposedMac):
         # backoff draw will fetch).
         self._probe_rng = self._rngs.stream("backoff", self.node_id)
 
-    def register_counters(self, registry) -> None:
-        """Add the learned-conflict-map counters to the registry."""
-        super().register_counters(registry)
-        registry.register_source("cmap", self.cmap_stats.as_counter_dict)
+    def counters(self) -> Dict[str, int]:
+        """DCF's counters plus the learned conflict map's (``cmap/``)."""
+        out = super().counters()
+        for name, value in vars(self.cmap_stats).items():
+            out[f"cmap/{name}"] = value
+        return out
 
     # ------------------------------------------------------------------
     # The learned map

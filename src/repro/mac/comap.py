@@ -104,10 +104,6 @@ class CoMapStats:
     fallback_exited: int = 0
     fallback_tx_frames: int = 0
 
-    def as_counter_dict(self) -> Dict[str, int]:
-        """Registry-source view (all fields are scalar counters)."""
-        return dict(vars(self))
-
 
 class CoMapMac(ExposedMac):
     """DCF extended with the CO-MAP exposed/hidden-terminal machinery.
@@ -165,16 +161,22 @@ class CoMapMac(ExposedMac):
             dbm_to_mw(self.radio.config.cs_threshold_dbm) - self.radio.noise_mw, 0.0
         )
 
-    def register_counters(self, registry) -> None:
-        """Add the CO-MAP and selective-repeat counters to the registry."""
-        super().register_counters(registry)
-        registry.register_source("comap", self.comap_stats.as_counter_dict)
-        registry.register_source("comap", self._degradation_counters)
-        registry.register_source("arq", self._arq_counters)
+    def counters(self) -> Dict[str, int]:
+        """DCF's counters plus CO-MAP's and the selective-repeat window's.
 
-    def _degradation_counters(self) -> Dict[str, int]:
-        """Staleness counters kept on the agent, merged under ``comap/``."""
-        return {"stale_denials": self.agent.stale_denials}
+        ``comap/`` holds :class:`CoMapStats` and the agent's
+        ``stale_denials``; ``arq/`` sums the :class:`SrSender` counters
+        over this node's flows (no ``arq/`` key before its first sender).
+        """
+        out = super().counters()
+        for name, value in vars(self.comap_stats).items():
+            out[f"comap/{name}"] = value
+        out["comap/stale_denials"] = self.agent.stale_denials
+        for sender in self._sr_senders.values():
+            for name, value in sender.counters().items():
+                key = f"arq/{name}"
+                out[key] = out.get(key, 0) + value
+        return out
 
     # ------------------------------------------------------------------
     # Graceful degradation (fallback to plain DCF on stale location)
@@ -235,14 +237,6 @@ class CoMapMac(ExposedMac):
         self.comap_stats.fallback_entered += 1
         self._end_opportunity()
         self.constant_cw = self.config.constant_cw
-
-    def _arq_counters(self) -> Dict[str, int]:
-        """Aggregate :class:`SrSender` counters across this node's flows."""
-        totals: Dict[str, int] = {}
-        for sender in self._sr_senders.values():
-            for key, value in sender.counters().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
 
     # ------------------------------------------------------------------
     # Adaptation (hidden terminals, Section IV-D)

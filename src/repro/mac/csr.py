@@ -72,10 +72,6 @@ class CsrStats:
     concurrent_denied: int = 0
     power_capped_tx: int = 0
 
-    def as_counter_dict(self) -> Dict[str, int]:
-        """Registry-source view (all fields are scalar counters)."""
-        return dict(vars(self))
-
 
 class CsrMac(CoMapMac):
     """CO-MAP extended with backhaul-coordinated spatial reuse.
@@ -105,10 +101,12 @@ class CsrMac(CoMapMac):
         self.backhaul = backhaul
         backhaul.attach(self.node_id, self._on_backhaul)
 
-    def register_counters(self, registry) -> None:
-        """Also expose the C-SR coordination counters (``csr/`` prefix)."""
-        super().register_counters(registry)
-        registry.register_source("csr", self.csr_stats.as_counter_dict)
+    def counters(self) -> Dict[str, int]:
+        """CO-MAP's counters plus the C-SR coordination counters (``csr/``)."""
+        out = super().counters()
+        for name, value in vars(self.csr_stats).items():
+            out[f"csr/{name}"] = value
+        return out
 
     def _csr_stream(self):
         """The jitter substream (content-addressed, created on first draw)."""

@@ -34,9 +34,9 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 from repro.mac.frames import (
     _ACK, _COMAP_HEADER, _CTS, _DATA, _RTS, BROADCAST, Frame,
 )
-from repro.obs.counters import SEP
 from repro.mac.rate_control import FixedRate, RatePolicy
 from repro.mac.timing import PhyTiming
+from repro.obs.counters import Histogram
 from repro.phy.radio import Radio, noop_hook
 from repro.phy.rates import RateTable
 from repro.sim.engine import Simulator
@@ -136,14 +136,6 @@ class LinkStats:
             self.delivered_packets_by_flow.get(flow, 0) + 1
         )
 
-    def as_counter_dict(self) -> Dict[str, int]:
-        """Scalar counters only (per-flow breakdowns stay internal)."""
-        return {
-            name: value
-            for name, value in vars(self).items()
-            if isinstance(value, int)
-        }
-
 
 class MacState(enum.Enum):
     """Coarse DCF sender state (ACK/CTS transmission is orthogonal)."""
@@ -239,25 +231,29 @@ class DcfMac:
         self._tx_seq = itertools.count(0)
         self._seq_by_flow: Dict[FlowId, itertools.count] = {}
         self._rx_seen: Dict[FlowId, Set[int]] = {}
-        # Per-flow enqueue-to-delivery latency histograms, created lazily
-        # in the registry handed to register_counters (None until then).
-        self._registry = None
-        self._latency_hists: Dict[FlowId, object] = {}
+        #: Enqueue-to-delivery latency of each flow this MAC delivered
+        #: (receiver side), created at the flow's first unique delivery.
+        #: An in-process query (the C-SR studies' p99), not a counter.
+        self.latency: Dict[FlowId, Histogram] = {}
         #: Upper-layer delivery callback: fn(frame) on unique reception.
         self.on_deliver: Optional[Callable[[Frame], None]] = None
         #: Called whenever a queue slot frees up (sources use it to refill).
         self.on_queue_space: Optional[Callable[[], None]] = None
 
-    def register_counters(self, registry) -> None:
-        """Expose this MAC's counters through a :class:`CounterRegistry`.
+    def counters(self) -> Dict[str, int]:
+        """This MAC's counters, keyed ``prefix/name``.
 
-        Pull-based: the hot path keeps its plain attribute increments
-        and the registry polls :meth:`LinkStats.as_counter_dict` only at
-        snapshot time.  Same-prefix sources from every node are summed,
-        giving network-wide totals.
+        DCF's are the scalar fields of its :class:`LinkStats` under
+        ``mac/`` (the per-flow breakdowns stay internal); subclasses add
+        their own prefixes.  The hot path keeps plain attribute
+        increments, and :meth:`repro.net.network.Network.counters` sums
+        these views over every node.
         """
-        self._registry = registry
-        registry.register_source("mac", self.stats.as_counter_dict)
+        return {
+            f"mac/{name}": value
+            for name, value in vars(self.stats).items()
+            if isinstance(value, int)
+        }
 
     # ------------------------------------------------------------------
     # Upper-layer interface
@@ -665,22 +661,18 @@ class DcfMac:
         """Record enqueue-to-delivery latency for a unique reception.
 
         Deterministic sim-time arithmetic on the sender's meta stamp —
-        no RNG, no scheduling — so enabling the histograms can never
-        perturb the physics.  Quantiles (the C-SR studies' p99) are
-        in-process queries on the bucketed histogram.
+        no RNG, no scheduling — so the histograms can never perturb the
+        physics.  Quantiles (the C-SR studies' p99) are in-process
+        queries on :attr:`latency`.
         """
-        if self._registry is None:
-            return
         enqueued_at = frame.meta.get("enq")
         if enqueued_at is None:
             return
-        hist = self._latency_hists.get(flow)
+        hist = self.latency.get(flow)
         if hist is None:
-            hist = self._registry.histogram(
-                f"latency{SEP}{flow[0]}->{flow[1]}",
-                buckets=LATENCY_BUCKETS_NS,
+            hist = self.latency[flow] = Histogram(
+                f"latency/{flow[0]}->{flow[1]}", LATENCY_BUCKETS_NS
             )
-            self._latency_hists[flow] = hist
         hist.observe(self.sim.now - enqueued_at)
 
     def _build_ack(self, data_frame: Frame) -> Frame:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.mac.frames import ACK_BYTES, CTS_BYTES, Frame
+from repro.mac.frames import ACK_BYTES, CTS_BYTES, MAC_DATA_OVERHEAD_BYTES, Frame
 from repro.phy.rates import Rate
 from repro.util.units import MICROSECOND
 
@@ -120,21 +120,21 @@ class PhyTiming:
         and the simulator share this arithmetic so Fig. 7 comparisons are
         apples-to-apples.
         """
-        from repro.mac.frames import MAC_DATA_OVERHEAD_BYTES
-
-        data_air = self.preamble_ns + rate.airtime_ns(
-            payload_bytes + MAC_DATA_OVERHEAD_BYTES
+        return (
+            self.data_airtime_ns(rate, payload_bytes)
+            + self.sifs_ns + self.ack_airtime_ns(ack_rate) + self.difs_ns
         )
-        return data_air + self.sifs_ns + self.ack_airtime_ns(ack_rate) + self.difs_ns
 
     def collision_ns(self, rate: Rate, payload_bytes: int) -> int:
         """The paper's ``T_c`` (eq. 8): ``T_HDR + T_payload + DIFS``."""
-        from repro.mac.frames import MAC_DATA_OVERHEAD_BYTES
+        return self.data_airtime_ns(rate, payload_bytes) + self.difs_ns
 
-        data_air = self.preamble_ns + rate.airtime_ns(
+    def data_airtime_ns(self, rate: Rate, payload_bytes: int) -> int:
+        """``T_HDR + T_payload``: a data frame carrying ``payload_bytes``
+        at ``rate``, MAC overhead included."""
+        return self.preamble_ns + rate.airtime_ns(
             payload_bytes + MAC_DATA_OVERHEAD_BYTES
         )
-        return data_air + self.difs_ns
 
 
 #: 802.11b long-preamble DSSS timing (testbed scenarios).

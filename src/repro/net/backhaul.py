@@ -18,10 +18,11 @@ electing concurrent transmissions in the same instant must see each
 other's registrations, which delayed point-to-point messages alone
 cannot provide.
 
-Counters live under the ``csr/`` namespace of the network registry:
-``csr/backhaul_messages`` (publishes that reached at least one peer) and
-``csr/backhaul_deliveries``.  Every delivery takes the configured
-``latency_ns``, so the latency needs no counter of its own.
+The bus counts two things, which :meth:`Backhaul.counters` reports and
+the network snapshot carries as ``csr/backhaul_messages`` (publishes
+that reached at least one peer) and ``csr/backhaul_deliveries``.  Every
+delivery takes the configured ``latency_ns``, so the latency needs no
+counter of its own.
 """
 
 from __future__ import annotations
@@ -56,9 +57,7 @@ class TxopRecord:
 class Backhaul:
     """Zero-loss, fixed-latency message bus between attached endpoints."""
 
-    def __init__(
-        self, sim: Simulator, latency_ns: int, registry=None
-    ) -> None:
+    def __init__(self, sim: Simulator, latency_ns: int) -> None:
         if latency_ns < 0:
             raise ValueError("backhaul latency cannot be negative")
         self.sim = sim
@@ -67,12 +66,16 @@ class Backhaul:
         #: is attachment order, which callers keep deterministic.
         self._endpoints: Dict[int, BackhaulHandler] = {}
         self._ledger: Dict[int, TxopRecord] = {}
-        if registry is not None:
-            self._messages = registry.counter("csr/backhaul_messages")
-            self._deliveries = registry.counter("csr/backhaul_deliveries")
-        else:
-            self._messages = None
-            self._deliveries = None
+        #: Publishes that reached at least one peer, and deliveries made.
+        self.messages = 0
+        self.deliveries = 0
+
+    def counters(self) -> Dict[str, int]:
+        """The bus's counters (the network reports them under ``csr/``)."""
+        return {
+            "backhaul_messages": self.messages,
+            "backhaul_deliveries": self.deliveries,
+        }
 
     # ------------------------------------------------------------------
     # Message bus
@@ -101,8 +104,7 @@ class Backhaul:
         peers = [nid for nid in self._endpoints if nid != src_id]
         if not peers:
             return 0
-        if self._messages is not None:
-            self._messages.inc()
+        self.messages += 1
         for nid in peers:
             self.sim.schedule(self.latency_ns, self._deliver, nid, src_id)
         return len(peers)
@@ -111,8 +113,7 @@ class Backhaul:
         handler = self._endpoints.get(node_id)
         if handler is None:
             return  # the endpoint detached while the message was on the wire
-        if self._deliveries is not None:
-            self._deliveries.inc()
+        self.deliveries += 1
         handler(src_id)
 
     # ------------------------------------------------------------------

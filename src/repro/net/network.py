@@ -36,7 +36,6 @@ from repro.mac.rate_control import FixedRate, MinstrelLite
 from repro.net.localization import NoError, PositionErrorModel
 from repro.net.node import Node
 from repro.net.traffic import CbrSource, SaturatedSource, TcpLiteFlow
-from repro.obs.counters import CounterRegistry
 from repro.phy.channel import Channel
 from repro.phy.propagation import LogNormalShadowing
 from repro.phy.radio import Radio, RadioConfig
@@ -152,10 +151,6 @@ class Network:
         self._location_aware = issubclass(self._mac_cls, CoMapMac)
         self.rngs = RngStreams(seed)
         self.sim = Simulator()
-        #: Per-network counter registry: every MAC, channel, and the
-        #: engine register sources here (see ``docs/observability.md``).
-        self.registry = CounterRegistry()
-        self.registry.register_source("sim", self.sim.counters)
         self.propagation = LogNormalShadowing(params.alpha, params.sigma_db)
         self._channels: Dict[int, Channel] = {}
         #: One neighbor table per band, read by the band's CO-MAP agents.
@@ -202,7 +197,6 @@ class Network:
                 rngs=self.rngs,
                 shadowing_mode=self.params.shadowing_mode,
                 band=band,
-                registry=self.registry,
                 cull_margin_db=self.params.cull_margin_db,
             )
             self._channels[band] = channel
@@ -298,7 +292,6 @@ class Network:
             **location_kwargs,
         )
         node = Node(node_id, name, radio, mac, is_ap=is_ap, agent=agent)
-        mac.register_counters(self.registry)
         self.nodes[node_id] = node
         self.nodes_by_name[name] = node
         return node
@@ -352,10 +345,8 @@ class Network:
         for channel in self._channels.values():
             # Eager candidate-grid build (no-op with no radio attached):
             # the topology is complete here, so the cell-size heuristic
-            # sees the full extent, and the occupancy histogram snapshots
-            # the as-built distribution.
-            if channel.prepare_spatial() is not None:
-                channel.record_spatial_occupancy()
+            # sees the full extent.
+            channel.prepare_spatial()
         if not self._location_aware:
             return
         for node in self.nodes.values():
@@ -378,7 +369,7 @@ class Network:
             return
         from repro.net.backhaul import Backhaul
 
-        self.backhaul = Backhaul(self.sim, latency, registry=self.registry)
+        self.backhaul = Backhaul(self.sim, latency)
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
             if node.is_ap and isinstance(node.mac, CsrMac):
@@ -590,8 +581,8 @@ class Network:
         Must be called after :meth:`finalize`, and once: the injector
         stays in :attr:`faults`, and a second plan is rejected rather
         than left to take over the first one's hooks.  Returns the
-        installed :class:`repro.faults.FaultInjector` (its counters
-        register under the ``faults/`` prefix of this network's registry).
+        installed :class:`repro.faults.FaultInjector` (:meth:`counters`
+        reports its counters under ``faults/``, at zero until one fires).
         """
         if not self._finalized:
             raise RuntimeError("install faults after Network.finalize()")
@@ -691,14 +682,34 @@ class Network:
                 )
         return results
 
-    def counters(self) -> Dict[str, float]:
-        """Network-wide counter snapshot, aggregated across nodes/bands.
+    def counters(self) -> Dict[str, int]:
+        """Network-wide counter snapshot, read from the parts that count.
 
-        Keys are ``prefix/name`` (``mac/…``, ``comap/…``, ``arq/…``,
-        ``channel/…``, ``sim/…``); same-named counters from different
-        nodes are summed by the registry.
+        Keys are ``prefix/name``: the C-SR backhaul's under ``csr/``
+        (once wired), the engine's under ``sim/``, each band's channel's
+        under ``channel/``, each MAC's under its own prefixes
+        (:meth:`repro.mac.dcf.DcfMac.counters`) and an installed fault
+        plan's under ``faults/`` (all of them, at zero until one fires).
+        Same-named counters of different bands or nodes are summed.
+        Every value is an integer.
         """
-        return self.registry.snapshot()
+        out: Dict[str, int] = {}
+
+        def add(prefix: str, counts: Dict[str, int]) -> None:
+            for name, value in counts.items():
+                key = prefix + name
+                out[key] = out.get(key, 0) + value
+
+        if self.backhaul is not None:
+            add("csr/", self.backhaul.counters())
+        add("sim/", self.sim.counters())
+        for channel in self._channels.values():
+            add("channel/", channel.counters())
+        for node in self.nodes.values():
+            add("", node.mac.counters())
+        if self.faults is not None:
+            add("faults/", self.faults.counters)
+        return out
 
     def node(self, name: str) -> Node:
         """Look a node up by name."""

@@ -3,9 +3,11 @@
 Three layers, all costing nothing measurable when unused:
 
 * :mod:`repro.obs.counters` — typed ``Counter``/``Histogram``
-  metrics behind a :class:`~repro.obs.counters.CounterRegistry` that the
-  MAC/PHY/engine layers register into (per-network) and that sweeps
-  aggregate process-wide (:func:`~repro.obs.counters.global_registry`).
+  metrics and the process-wide sweep tally
+  (:func:`~repro.obs.counters.global_registry`).  A network's own
+  counters are read from the parts that keep them
+  (:meth:`repro.net.network.Network.counters`); latency histograms are
+  MAC-held and never in a snapshot.
 * :mod:`repro.obs.manifest` — schema-validated run manifests (params,
   seeds, git SHA, wall time, each executed task's wall time and
   process, the sweep's counter delta) written by every

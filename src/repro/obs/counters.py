@@ -1,37 +1,32 @@
-"""Typed metric primitives and the counter registry.
+"""Typed metric primitives and the process-wide counter tally.
 
-Subsystems (``mac.dcf``, ``mac.comap``, ``core.arq``, ``phy.channel``,
-``sim.engine``) expose their counters through a
-:class:`CounterRegistry` instead of ad-hoc attribute scraping.  Two ways
-in:
+A network's counters are read from the parts that keep them: each part
+(the engine, each band's channel, each MAC, the C-SR backhaul, an
+installed fault injector) counts with plain integer attributes and
+reports them through its own ``counters()`` method, and
+:meth:`repro.net.network.Network.counters` sums those views into one
+``{prefix/name: int}`` snapshot.  Nothing here is involved in that.
 
-* **Owned metrics** — :meth:`CounterRegistry.counter` /
-  :meth:`~CounterRegistry.histogram` return live, typed metric objects
-  the caller increments directly.
-* **Sources** — :meth:`CounterRegistry.register_source` attaches a
-  zero-argument callable returning ``{name: number}``.  Hot-path code
-  keeps its cheap dataclass counters (a bare attribute increment) and
-  pays the dict-building cost only when a snapshot is taken.  Several
-  sources may share one prefix (e.g. every CO-MAP MAC registers under
-  ``comap``); overlapping names are *summed*, which is exactly the
-  per-network aggregation the experiment metrics need.
+This module holds what is left to share:
 
-Snapshots are plain ``{qualified_name: number}`` dicts — picklable,
-JSON-safe, and mergeable across process boundaries
-(:func:`diff_snapshot` + :meth:`CounterRegistry.merge_snapshot` are how
-the parallel sweep executor ships worker-side counter deltas back to the
-parent process).
+* :class:`Counter` — one monotonically increasing integer;
+* :class:`Histogram` — a bucketed streaming summary; each MAC keeps one
+  per delivered flow (:attr:`repro.mac.dcf.DcfMac.latency`), and its
+  quantiles are in-process queries, never snapshot keys;
+* :class:`CounterRegistry` — a namespace of counters.  The process-wide
+  instance (:func:`global_registry`) is the sweep tally: snapshots are
+  plain ``{name: int}`` dicts, picklable and JSON-safe, and
+  :func:`diff_snapshot` + :meth:`CounterRegistry.merge_snapshot` are
+  how the parallel sweep executor ships worker-side counter deltas back
+  to the parent process.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 Number = Union[int, float]
-
-#: Separator between a metric's prefix/namespace and its short name.
-SEP = "/"
 
 
 class Counter:
@@ -54,42 +49,35 @@ class Counter:
 
 
 class Histogram:
-    """Streaming summary of observed samples (count/sum/min/max).
+    """Bucketed streaming summary of observed samples.
 
     Constant memory per histogram — no sample retention — so it is safe
-    on hot paths and trivially mergeable across processes.  An optional
-    ``buckets`` sequence of increasing upper bounds adds fixed-size
-    bucket counts (Prometheus ``le`` semantics: a sample lands in the
-    first bucket whose bound is >= the sample; larger samples land in an
-    implicit overflow bucket), enabling :meth:`quantile` — the latency
-    percentiles of the C-SR floor studies.  Snapshot flattening is
-    unchanged by buckets; quantiles are an in-process query.
+    on hot paths.  ``buckets`` is a non-empty sequence of strictly
+    increasing upper bounds (Prometheus ``le`` semantics: a sample lands
+    in the first bucket whose bound is >= the sample; larger samples
+    land in an implicit overflow bucket); with the exact count, sum, min
+    and max they give :meth:`quantile`, the latency percentiles of the
+    C-SR floor studies.
     """
 
     __slots__ = ("name", "count", "total", "minimum", "maximum",
                  "bounds", "bucket_counts")
 
-    def __init__(
-        self, name: str, buckets: Optional[Iterable[Number]] = None
-    ) -> None:
+    def __init__(self, name: str, buckets: Iterable[Number]) -> None:
         self.name = name
         self.count = 0
         self.total = 0.0
         self.minimum: Optional[float] = None
         self.maximum: Optional[float] = None
-        if buckets is None:
-            self.bounds: Optional[Tuple[float, ...]] = None
-            self.bucket_counts: Optional[List[int]] = None
-        else:
-            bounds = tuple(float(b) for b in buckets)
-            if not bounds:
-                raise ValueError(f"histogram {name!r}: empty bucket list")
-            if any(b >= a for b, a in zip(bounds, bounds[1:])):
-                raise ValueError(
-                    f"histogram {name!r}: bucket bounds must strictly increase"
-                )
-            self.bounds = bounds
-            self.bucket_counts = [0] * (len(bounds) + 1)  # +1: overflow
+        bounds = tuple(float(b) for b in buckets)
+        if not bounds:
+            raise ValueError(f"histogram {name!r}: empty bucket list")
+        if any(b >= a for b, a in zip(bounds, bounds[1:])):
+            raise ValueError(
+                f"histogram {name!r}: bucket bounds must strictly increase"
+            )
+        self.bounds: Tuple[float, ...] = bounds
+        self.bucket_counts: List[int] = [0] * (len(bounds) + 1)  # +1: overflow
 
     def observe(self, value: Number) -> None:
         value = float(value)
@@ -99,8 +87,7 @@ class Histogram:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
             self.maximum = value
-        if self.bounds is not None:
-            self.bucket_counts[bisect_left(self.bounds, value)] += 1
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:
@@ -114,15 +101,10 @@ class Histogram:
         ``q`` fraction of samples fell, clamped into the exact observed
         ``[min, max]`` range (so ``quantile(1.0)`` is exactly the max
         and coarse buckets cannot report a value no sample reached).
-        Requires buckets; 0.0 when empty.
+        0.0 when empty.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile fraction must be in [0, 1], got {q}")
-        if self.bounds is None:
-            raise ValueError(
-                f"histogram {self.name!r} has no buckets; quantiles need "
-                f"Histogram(name, buckets=...)"
-            )
         if not self.count:
             return 0.0
         rank = q * self.count
@@ -133,131 +115,44 @@ class Histogram:
                 return min(max(bound, self.minimum), self.maximum)
         return self.maximum
 
-    def as_dict(self) -> Dict[str, Number]:
-        """Flattened scalar view used by snapshots."""
-        out: Dict[str, Number] = {"count": self.count, "sum": self.total}
-        if self.count:
-            out["min"] = self.minimum
-            out["max"] = self.maximum
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Histogram {self.name} n={self.count} sum={self.total}>"
 
 
-SourceFn = Callable[[], Dict[str, Number]]
-
-
 class CounterRegistry:
-    """A namespace of typed metrics plus pull-based counter sources."""
+    """A namespace of :class:`Counter` objects: the sweep tally."""
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, Union[Counter, Histogram]] = {}
-        self._sources: List[Tuple[str, SourceFn]] = []
-
-    # -- owned metrics -------------------------------------------------
-    def _get_or_create(self, name: str, cls):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = cls(name)
-            self._metrics[name] = metric
-        elif not isinstance(metric, cls):
-            raise TypeError(
-                f"metric {name!r} already registered as "
-                f"{type(metric).__name__}, not {cls.__name__}"
-            )
-        return metric
+        self._counters: Dict[str, Counter] = {}
 
     def counter(self, name: str) -> Counter:
         """Get-or-create the :class:`Counter` called ``name``."""
-        return self._get_or_create(name, Counter)
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(name)
+        return counter
 
-    def histogram(
-        self, name: str, buckets: Optional[Iterable[Number]] = None
-    ) -> Histogram:
-        """Get-or-create the :class:`Histogram` called ``name``.
-
-        ``buckets`` (optional increasing upper bounds) takes effect only
-        at creation; a later get with different buckets is an error, so
-        two call sites cannot silently disagree on a histogram's shape.
-        """
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = Histogram(name, buckets=buckets)
-            self._metrics[name] = metric
-            return metric
-        if not isinstance(metric, Histogram):
-            raise TypeError(
-                f"metric {name!r} already registered as "
-                f"{type(metric).__name__}, not Histogram"
-            )
-        if buckets is not None:
-            bounds = tuple(float(b) for b in buckets)
-            if metric.bounds != bounds:
-                raise ValueError(
-                    f"histogram {name!r} already created with buckets "
-                    f"{metric.bounds}, not {bounds}"
-                )
-        return metric
-
-    def get(self, name: str) -> Optional[Union[Counter, Histogram]]:
-        """The owned metric called ``name``, or None when absent.
-
-        Read-only lookup for in-process queries (e.g. histogram
-        quantiles) that must not create an empty metric as a side
-        effect the way the get-or-create accessors would.
-        """
-        return self._metrics.get(name)
-
-    # -- pull sources --------------------------------------------------
-    def register_source(self, prefix: str, fn: SourceFn) -> None:
-        """Attach a callable polled at snapshot time.
-
-        ``fn()`` must return ``{short_name: number}``; each key appears
-        in snapshots as ``prefix/short_name``.  Multiple sources may use
-        the same prefix — same-named values are summed.
-        """
-        self._sources.append((prefix, fn))
-
-    # -- snapshots -----------------------------------------------------
-    def snapshot(self) -> Dict[str, Number]:
-        """All metrics and sources flattened to ``{name: number}``.
-
-        Histograms flatten to ``name/count``, ``name/sum`` (plus
-        ``min``/``max`` once non-empty).
-        """
-        out: Dict[str, Number] = {}
-        for name, metric in self._metrics.items():
-            if isinstance(metric, Histogram):
-                for key, value in metric.as_dict().items():
-                    out[f"{name}{SEP}{key}"] = value
-            else:
-                out[name] = metric.value
-        for prefix, fn in self._sources:
-            for key, value in fn().items():
-                qualified = f"{prefix}{SEP}{key}" if prefix else key
-                out[qualified] = out.get(qualified, 0) + value
-        return out
+    def snapshot(self) -> Dict[str, int]:
+        """Every counter's value, ``{name: value}``."""
+        return {name: counter.value for name, counter in self._counters.items()}
 
     def merge_snapshot(self, snapshot: Dict[str, Number]) -> None:
         """Fold a snapshot (e.g. a worker-process delta) into counters.
 
-        Each positive value is added to the same-named owned
-        :class:`Counter` (created on first sight); a name a histogram
-        holds raises ``TypeError``, as :meth:`counter` does.  Negative
-        values are ignored rather than violating counter monotonicity.
+        Each positive value is added to the same-named :class:`Counter`
+        (created on first sight).  Negative values are ignored rather
+        than violating counter monotonicity.
         """
         for name, value in snapshot.items():
             if value > 0:
                 self.counter(name).value += value
 
     def clear(self) -> None:
-        """Drop every owned metric and registered source."""
-        self._metrics.clear()
-        self._sources.clear()
+        """Drop every counter."""
+        self._counters.clear()
 
     def __len__(self) -> int:
-        return len(self._metrics) + len(self._sources)
+        return len(self._counters)
 
 
 def diff_snapshot(
@@ -282,10 +177,11 @@ _global_registry: Optional[CounterRegistry] = None
 def global_registry() -> CounterRegistry:
     """The process-wide registry for cross-run instrumentation.
 
-    Per-network registries belong to their :class:`~repro.net.network.Network`;
-    this one spans whole sweeps.  The parallel executor snapshots it
-    around each worker task and merges the deltas back into the parent
-    process's instance, so worker-side counters are never lost.
+    It spans whole sweeps (a network's own counters are
+    :meth:`~repro.net.network.Network.counters`).  The parallel executor
+    snapshots it around each worker task and merges the deltas back into
+    the parent process's instance, so worker-side counters are never
+    lost.
     """
     global _global_registry
     if _global_registry is None:

@@ -234,7 +234,6 @@ class Channel:
         rngs: RngStreams,
         shadowing_mode: str = "per_frame",
         band: int = 0,
-        registry=None,
         cull_margin_db: Union[float, str, None] = None,
     ) -> None:
         if shadowing_mode not in SHADOWING_MODES:
@@ -283,7 +282,6 @@ class Channel:
         self.spatial_queries = 0
         self.spatial_candidates = 0
         self.spatial_skipped = 0
-        self._registry = None
         #: Receiver table per sender id; dropped on topology and power
         #: changes (see the module docstring).
         self._tables: Dict[int, _ReceiverTable] = {}
@@ -294,25 +292,17 @@ class Channel:
         #: Counters for diagnostics and tests.
         self.frames_sent = 0
         self.links_culled = 0
-        if registry is not None:
-            self.register_counters(registry)
-
-    def register_counters(self, registry) -> None:
-        """Expose medium-level counters under the ``channel`` prefix.
-
-        Per-band channels share the prefix, so a multi-band network's
-        snapshot reports medium-wide totals.  Settings are not counters:
-        read the margin from :attr:`cull_margin_db` and the grid's cell
-        size from :attr:`spatial_index`.
-        """
-        self._registry = registry
-        registry.register_source("channel", self.counters)
 
     def counters(self) -> Dict[str, int]:
-        """Registry-source view of this band's counters.
+        """This band's counters.
 
-        ``culled_links`` counts per-radio notifications skipped by
-        below-floor culling.
+        :meth:`repro.net.network.Network.counters` reports them under
+        ``channel/``, summed over the bands, so a multi-band network's
+        snapshot reports medium-wide totals.  ``culled_links`` counts
+        per-radio notifications skipped by below-floor culling.
+        Settings are not counters: read the margin from
+        :attr:`cull_margin_db` and the grid's cell size from
+        :attr:`spatial_index`.
         """
         grid = self._spatial
         return {
@@ -520,25 +510,6 @@ class Channel:
         self.spatial_candidates += len(ids)
         by_id = self._radios_by_id
         return [by_id[i] for i in ids]
-
-    def record_spatial_occupancy(self) -> None:
-        """Observe per-cell occupancy into ``channel/spatial_occupancy``.
-
-        One histogram sample per non-empty cell at call time — a
-        point-in-time distribution, recorded when a registry is bound
-        and the grid exists (no-op otherwise).  Called by
-        :meth:`repro.net.network.Network.finalize` after the eager grid
-        build; benches may call it again at end of run.
-        """
-        registry = self._registry
-        grid = self._spatial
-        if registry is None or grid is None:
-            return
-        histogram = registry.histogram(
-            "channel/spatial_occupancy", buckets=(1, 2, 4, 8, 16, 32, 64, 128)
-        )
-        for occupancy in grid.occupancy():
-            histogram.observe(occupancy)
 
     # ------------------------------------------------------------------
     # Transmission lifecycle

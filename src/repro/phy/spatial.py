@@ -157,7 +157,3 @@ class SpatialIndex:
     def members(self) -> Dict[int, _CellKey]:
         """Snapshot of every member's cell key (brute-force test oracle)."""
         return dict(self._cell_of)
-
-    def occupancy(self) -> List[int]:
-        """Member count of each non-empty cell (order unspecified)."""
-        return [len(bucket) for bucket in self._cells.values()]

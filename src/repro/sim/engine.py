@@ -143,10 +143,10 @@ class Simulator:
         return self._compactions
 
     def counters(self) -> dict:
-        """Engine-level counters, in registry-source form.
+        """Engine-level counters, by name.
 
-        :class:`repro.net.network.Network` registers this under the
-        ``sim`` prefix of its counter registry.
+        :meth:`repro.net.network.Network.counters` reports them under
+        ``sim/``.
         """
         return {
             "events_fired": self._events_fired,

@@ -18,9 +18,20 @@ coordinated power-capped joins, and CO-MAP's CCA-override ablation
 Fixtures written before the vector backend was removed also carry
 ``vector_batches`` / ``vector_links`` keys; :func:`diff` ignores them.
 
+Each fixture also pins ``network_counters``, the scenario's whole
+``Network.counters()`` snapshot (integers only).  Only the default-margin
+run is held to it (:func:`assert_baseline_matches`, via
+:func:`counter_diff`): the variant suites' :func:`diff` ignores it,
+because culling off changes ``channel/culled_links``, the
+``channel/spatial_*`` counts and ``sim/events_fired`` by design.
+
 Fixtures store counters as structured JSON (lists of ints, flow keys as
 ``"src->dst"`` strings, floats via ``repr`` round-trip — bit-exact),
 never as formatted strings, so diffs are per-field and readable.
+
+Check the committed fixtures without writing anything with::
+
+    PYTHONPATH=src python -m tests.regen_golden --check [scenario ...]
 
 Regenerate after an *intended* behavior change with::
 
@@ -152,7 +163,8 @@ def snapshot(net, results) -> Dict[str, Any]:
 
     ``events_fired`` and ``links_culled`` are metadata for variant
     assertions (event economy, cull totals), not part of the equivalence
-    diff — see :func:`diff`.
+    diff — see :func:`diff`; ``network_counters`` is compared by
+    :func:`counter_diff` for the default-margin run only.
     """
     channels = net.channels.values()
     return {
@@ -165,6 +177,7 @@ def snapshot(net, results) -> Dict[str, Any]:
         },
         "events_fired": net.sim.events_fired,
         "links_culled": sum(ch.links_culled for ch in channels),
+        "network_counters": net.counters(),
     }
 
 
@@ -295,6 +308,24 @@ def diff(golden: Dict[str, Any], actual: Dict[str, Any]) -> List[str]:
     return problems
 
 
+def counter_diff(golden: Dict[str, Any], actual: Dict[str, Any]) -> List[str]:
+    """Per-key differences of the ``network_counters`` snapshots."""
+    g_counters = golden["network_counters"]
+    a_counters = actual["network_counters"]
+    return [
+        f"counter {key}: golden={g_counters.get(key)} "
+        f"actual={a_counters.get(key)}"
+        for key in sorted(set(g_counters) | set(a_counters))
+        if g_counters.get(key) != a_counters.get(key)
+    ]
+
+
+def check(name: str) -> List[str]:
+    """Every difference of a fresh default-margin run from the fixture."""
+    golden, actual = load(name), capture(name)
+    return diff(golden, actual) + counter_diff(golden, actual)
+
+
 # ----------------------------------------------------------------------
 # Baseline pinning (run at most once per process per scenario)
 # ----------------------------------------------------------------------
@@ -307,11 +338,12 @@ def assert_baseline_matches(name: str) -> Dict[str, Any]:
     Runs the scenario at the default margin at most once per process
     (variant suites all anchor on the same baseline run) and fails with
     a structured field diff when the default run itself drifted from
-    the golden.  Returns the loaded fixture.
+    the golden, its network counter snapshot included.  Returns the
+    loaded fixture.
     """
     golden = load(name)
     if name not in _BASELINE_PROBLEMS:
-        _BASELINE_PROBLEMS[name] = diff(golden, capture(name))
+        _BASELINE_PROBLEMS[name] = check(name)
     problems = _BASELINE_PROBLEMS[name]
     assert not problems, (
         f"default run of {name!r} diverged from tests/golden/"

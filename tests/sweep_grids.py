@@ -35,11 +35,12 @@ def fig8_cell(
 
     Module-level and a pure function of its kwargs, so it pickles into
     pool workers and reproduces bit-identically anywhere.  Per-node radio
-    counters and the network's integer counters are merged into the
-    process-global registry — integers only, so summing per-task deltas
-    is exact — and also returned in the result row.  While the file
-    ``fail_if`` names exists, the cell raises instead: a failure its
-    environment causes and fixes, with the task record unchanged.
+    counters and the network's counters (all integers, so summing
+    per-task deltas is exact) are merged into the process-global
+    registry; the radio counters are also returned in the result row.
+    While the file ``fail_if`` names exists, the cell raises instead: a
+    failure its environment causes and fixes, with the task record
+    unchanged.
     """
     if fail_if is not None and os.path.exists(fail_if):
         raise RuntimeError(f"fig8_cell c2_x={c2_x} {mac_kind}: {fail_if} exists")
@@ -68,11 +69,11 @@ def fig8_cell(
             if value:
                 registry.counter(f"node/{node.name}/frames_{field_name}").inc(value)
     for name, value in sorted(net.counters().items()):
-        # Only positive integer-valued counters are exported: float
-        # aggregates would make the merged sum depend on addition order,
-        # and a zero would add a key that no event ever incremented.
-        if value > 0 and float(value) == int(value):
-            registry.counter(f"net/{name}").inc(int(value))
+        # Every value is an integer, so summing per-task deltas is exact;
+        # only positive ones are exported, as a zero would add a key
+        # that no event ever incremented.
+        if value > 0:
+            registry.counter(f"net/{name}").inc(value)
     return {
         "per_flow_mbps": {
             f"{src}->{dst}": mbps

@@ -3,17 +3,16 @@
 import pytest
 
 from repro.net.backhaul import Backhaul, TxopRecord
-from repro.obs.counters import CounterRegistry
 from repro.sim.engine import Simulator
 
 LATENCY_NS = 50_000
 
 
-def wired(*node_ids, registry=None):
+def wired(*node_ids):
     """A backhaul with ``node_ids`` attached in order, logging deliveries
     as ``(time, receiver, sender)``."""
     sim = Simulator()
-    backhaul = Backhaul(sim, LATENCY_NS, registry=registry)
+    backhaul = Backhaul(sim, LATENCY_NS)
     heard = []
     for node_id in node_ids:
         backhaul.attach(
@@ -56,15 +55,14 @@ class TestMessageBus:
             Backhaul(Simulator(), -1)
 
     def test_counters(self):
-        registry = CounterRegistry()
-        sim, backhaul, _ = wired(1, 2, 3, registry=registry)
+        sim, backhaul, _ = wired(1, 2, 3)
         backhaul.publish(1)
         backhaul.publish(2)
         backhaul.detach(3)  # both messages to it are lost on the wire
         sim.run()
-        snapshot = registry.snapshot()
-        assert snapshot["csr/backhaul_messages"] == 2
-        assert snapshot["csr/backhaul_deliveries"] == 2
+        assert backhaul.counters() == {
+            "backhaul_messages": 2, "backhaul_deliveries": 2,
+        }
 
 
 class TestTxopLedger:

@@ -1,8 +1,14 @@
-"""The typed counter registry (repro.obs.counters)."""
+"""Counter primitives, the sweep tally (repro.obs.counters), and a
+network's counter snapshot and per-flow latency."""
 
 import pytest
 
-from repro.experiments.params import ns2_params
+from repro.experiments.params import ns2_params, testbed_params
+from repro.experiments.topologies import (
+    enterprise_floor_topology,
+    exposed_terminal_topology,
+)
+from repro.faults import AckLossBurst, FaultPlan, LocationOutage, NodeChurn
 from repro.net.network import Network
 from repro.obs.counters import (
     Counter,
@@ -24,7 +30,7 @@ class TestMetricPrimitives:
             Counter("x").inc(-1)
 
     def test_histogram_streaming_summary(self):
-        h = Histogram("lat")
+        h = Histogram("lat", buckets=(10,))
         for v in (2.0, 8.0, 5.0):
             h.observe(v)
         assert h.count == 3
@@ -34,9 +40,10 @@ class TestMetricPrimitives:
         assert h.mean == pytest.approx(5.0)
 
     def test_empty_histogram(self):
-        h = Histogram("lat")
-        assert h.mean == 0.0
-        assert h.as_dict() == {"count": 0, "sum": 0.0}
+        h = Histogram("lat", buckets=(10,))
+        assert (h.count, h.total, h.mean) == (0, 0.0, 0.0)
+        assert h.minimum is None and h.maximum is None
+        assert h.bucket_counts == [0, 0]
 
 
 class TestHistogramBuckets:
@@ -81,78 +88,18 @@ class TestHistogramBuckets:
         assert h.quantile(1.0) == 500.0
 
     def test_quantile_requires_buckets_and_valid_q(self):
-        with pytest.raises(ValueError, match="no buckets"):
-            Histogram("lat").quantile(0.5)
+        with pytest.raises(TypeError):
+            Histogram("lat")  # buckets are required
         h = Histogram("lat", buckets=(10,))
         with pytest.raises(ValueError, match="fraction"):
             h.quantile(1.5)
         assert h.quantile(0.99) == 0.0  # empty histogram
-
-    def test_snapshot_flattening_unchanged_by_buckets(self):
-        reg = CounterRegistry()
-        h = reg.histogram("lat", buckets=(10, 20))
-        h.observe(5)
-        h.observe(15)
-        snap = reg.snapshot()
-        assert snap == {
-            "lat/count": 2, "lat/sum": 20.0, "lat/min": 5.0, "lat/max": 15.0,
-        }
-
-    def test_registry_rejects_bucket_mismatch(self):
-        reg = CounterRegistry()
-        reg.histogram("lat", buckets=(10, 20))
-        assert reg.histogram("lat").bounds == (10.0, 20.0)  # get without buckets
-        assert reg.histogram("lat", buckets=(10, 20)).bounds == (10.0, 20.0)
-        with pytest.raises(ValueError, match="already created"):
-            reg.histogram("lat", buckets=(10, 30))
-
-    def test_registry_get_is_side_effect_free(self):
-        reg = CounterRegistry()
-        assert reg.get("missing") is None
-        assert len(reg) == 0
-        c = reg.counter("present")
-        assert reg.get("present") is c
 
 
 class TestRegistry:
     def test_get_or_create_returns_same_object(self):
         reg = CounterRegistry()
         assert reg.counter("a") is reg.counter("a")
-
-    def test_type_collision_raises(self):
-        reg = CounterRegistry()
-        reg.counter("a")
-        with pytest.raises(TypeError):
-            reg.histogram("a")
-
-    def test_snapshot_flattens_histograms(self):
-        reg = CounterRegistry()
-        reg.counter("sent").inc(2)
-        reg.histogram("lat").observe(3.0)
-        snap = reg.snapshot()
-        assert snap["sent"] == 2
-        assert snap["lat/count"] == 1
-        assert snap["lat/sum"] == 3.0
-        assert snap["lat/min"] == 3.0
-        assert snap["lat/max"] == 3.0
-
-    def test_sources_prefixed_and_summed(self):
-        # Several sources sharing a prefix aggregate per-name — exactly
-        # the per-network MAC-counter aggregation the metrics need.
-        reg = CounterRegistry()
-        reg.register_source("mac", lambda: {"tx": 2, "rx": 1})
-        reg.register_source("mac", lambda: {"tx": 3})
-        reg.register_source("", lambda: {"bare": 9})
-        snap = reg.snapshot()
-        assert snap["mac/tx"] == 5
-        assert snap["mac/rx"] == 1
-        assert snap["bare"] == 9
-
-    def test_source_overlapping_owned_metric_sums(self):
-        reg = CounterRegistry()
-        reg.counter("mac/tx").inc(10)
-        reg.register_source("mac", lambda: {"tx": 5})
-        assert reg.snapshot()["mac/tx"] == 15
 
     def test_merge_snapshot_accumulates(self):
         reg = CounterRegistry()
@@ -164,18 +111,12 @@ class TestRegistry:
         assert "neg" not in snap
         assert "zero" not in snap
 
-    def test_merge_into_histogram_name_raises(self):
-        # A snapshot folds into counters only, as counter() would.
-        reg = CounterRegistry()
-        reg.histogram("lat").observe(1.0)
-        with pytest.raises(TypeError):
-            reg.merge_snapshot({"lat": 4.0})
-
     def test_clear_and_len(self):
         reg = CounterRegistry()
         reg.counter("a")
-        reg.register_source("p", dict)
+        reg.counter("b").inc(3)
         assert len(reg) == 2
+        assert reg.snapshot() == {"a": 0, "b": 3}
         reg.clear()
         assert len(reg) == 0
         assert reg.snapshot() == {}
@@ -192,6 +133,38 @@ class TestDiffSnapshot:
         parent.merge_snapshot(diff_snapshot({"x": 1}, {"x": 6, "y": 2}))
         snap = parent.snapshot()
         assert snap == {"x": 5, "y": 2}
+
+
+#: The C-SR backhaul latency every kind below runs with (only "csr"
+#: wires a backhaul from it).
+BACKHAUL_NS = 200_000
+
+
+def floor(mac_kind, duration_s=0.05):
+    """A finished 4-AP enterprise floor with the backhaul latency set."""
+    built = enterprise_floor_topology(
+        mac_kind, topology_seed=2000, seed=1,
+        params=ns2_params().with_overrides(csr_backhaul_latency_ns=BACKHAUL_NS),
+    )
+    built.network.run(duration_s)
+    return built
+
+
+def faulted_fig8():
+    """A finished CO-MAP Fig. 8 pair under a location, ACK and churn plan."""
+    built = exposed_terminal_topology(
+        "comap", c2_x=30.0, seed=3, params=testbed_params()
+    )
+    built.network.install_faults(FaultPlan(
+        events=(
+            LocationOutage(node="C1", start_ns=10_000_000, duration_ns=20_000_000),
+            AckLossBurst(node="C1", start_ns=10_000_000, duration_ns=20_000_000),
+            NodeChurn(node="C2", leave_ns=30_000_000, rejoin_ns=40_000_000),
+        ),
+        report_interval_ns=2_000_000,
+    ))
+    built.network.run(0.06)
+    return built
 
 
 class TestNetworkIntegration:
@@ -217,3 +190,85 @@ class TestNetworkIntegration:
         snap = net.counters()
         assert snap["mac/data_transmissions"] > 0
         assert not any(key.startswith("comap/") for key in snap)
+
+    def test_parts_prefixed_and_summed(self):
+        # Same-named counters of every node (and band) are summed under
+        # the part's prefix; C-SR adds the backhaul's two under csr/.
+        net = floor("csr").network
+        snap = net.counters()
+        macs = [node.mac for node in net.nodes.values()]
+        assert snap["mac/enqueued"] == sum(mac.stats.enqueued for mac in macs)
+        assert snap["csr/txop_announced"] == sum(
+            mac.csr_stats.txop_announced for mac in macs
+        )
+        assert snap["comap/stale_denials"] == sum(
+            mac.agent.stale_denials for mac in macs
+        )
+        assert snap["channel/frames_sent"] == sum(
+            channel.frames_sent for channel in net.channels.values()
+        )
+        assert snap["sim/events_fired"] == net.sim.events_fired
+        assert snap["csr/backhaul_messages"] == net.backhaul.messages > 0
+        assert snap["csr/backhaul_deliveries"] == net.backhaul.deliveries
+
+    @pytest.mark.parametrize("mac_kind", ["dcf", "comap", "cmap", "csr"])
+    def test_every_value_is_an_int(self, mac_kind):
+        snap = floor(mac_kind).network.counters()
+        assert snap["mac/delivered_packets"] > 0
+        assert {key: type(value) for key, value in snap.items()
+                if type(value) is not int} == {}
+        # No latency summary reaches a snapshot: it is MAC-held.
+        assert not any(key.startswith("latency/") for key in snap)
+
+    def test_every_value_is_an_int_under_a_fault_plan(self):
+        snap = faulted_fig8().network.counters()
+        assert snap["faults/churn_leaves"] == 1
+        assert snap["faults/acks_dropped"] > 0
+        assert {key: type(value) for key, value in snap.items()
+                if type(value) is not int} == {}
+
+
+class TestMacLatency:
+    """Each MAC holds the latency of the flows it delivered: one sample
+    per unique delivery, and no histogram for a flow it never did."""
+
+    def assert_latency_matches_deliveries(self, net, flows):
+        for node in net.nodes.values():
+            mac = node.mac
+            assert {
+                flow: hist.count for flow, hist in mac.latency.items()
+            } == mac.stats.delivered_packets_by_flow
+        for src, dst in flows:
+            delivered = net.nodes[dst].mac.stats.delivered_packets_by_flow
+            hist = net.nodes[dst].mac.latency.get((src, dst))
+            if delivered.get((src, dst), 0):
+                assert hist.count == delivered[(src, dst)]
+                assert 0 < hist.minimum <= hist.quantile(0.99) <= hist.maximum
+            else:
+                assert hist is None
+
+    def test_csr_floor(self):
+        built = floor("csr")
+        flows = built.extra["flows"]
+        self.assert_latency_matches_deliveries(built.network, flows)
+        assert any(
+            built.network.nodes[dst].mac.latency.get((src, dst)) is not None
+            for src, dst in flows
+        )
+
+    def test_fig8_pair(self):
+        built = exposed_terminal_topology(
+            "comap", c2_x=20.0, seed=3, params=testbed_params()
+        )
+        net = built.network
+        c1, c2 = built.extra["c1"], built.extra["c2"]
+        ap1, ap2 = built.extra["ap1"], built.extra["ap2"]
+        flows = [(c1.node_id, ap1.node_id), (c2.node_id, ap2.node_id)]
+        # Before the run no flow has delivered, so none has a histogram.
+        self.assert_latency_matches_deliveries(net, flows)
+        assert all(not node.mac.latency for node in net.nodes.values())
+        net.run(0.1)
+        self.assert_latency_matches_deliveries(net, flows)
+        # The reverse directions carry no traffic and have no histogram.
+        assert c1.mac.latency.get((ap1.node_id, c1.node_id)) is None
+        assert ap1.mac.latency[flows[0]].count > 0

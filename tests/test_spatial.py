@@ -29,7 +29,6 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.counters import CounterRegistry
 from repro.obs.manifest import RunManifest, build_manifest, validate_manifest
 from repro.phy.channel import NOISE_FLOOR_DBM
 from repro.phy.propagation import REACH_RADIUS_SLACK, LogNormalShadowing
@@ -82,7 +81,6 @@ class TestSpatialIndex:
         assert grid.cell_count == 1
         grid.remove(1)
         assert grid.cell_count == 0
-        assert grid.occupancy() == []
 
     def test_query_disk_superset_and_exclusion(self):
         grid = SpatialIndex(10.0)
@@ -499,22 +497,6 @@ class TestChannelSpatial:
         tx = world.radios[0].start_transmission(world.data_frame(0, 1))
         world.sim.run()
         assert 99 in tx.rx_power_mw
-
-    def test_occupancy_histogram_recorded(self):
-        registry = CounterRegistry()
-        world = build_phy_world([NEAR, MID, FAR])
-        world.channel.register_counters(registry)
-        world.channel.prepare_spatial()
-        world.channel.record_spatial_occupancy()
-        histogram = registry.histogram("channel/spatial_occupancy")
-        stats = histogram.as_dict()
-        assert stats["count"] == world.channel.spatial_index.cell_count
-        assert stats["sum"] == 3  # every radio counted exactly once
-
-    def test_occupancy_noop_without_registry(self):
-        world = build_phy_world([NEAR, MID])
-        world.channel.prepare_spatial()
-        world.channel.record_spatial_occupancy()  # must not raise
 
 
 # ----------------------------------------------------------------------
