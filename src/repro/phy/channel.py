@@ -27,7 +27,10 @@ independent counter-based stream, so consuming (or *skipping*) draws on
 one link can never perturb any other link's randomness.  That
 independence is the precondition for below-floor culling: a culled
 link's draw is simply never taken, and every other link still sees
-exactly the sequence it would have seen with culling off.
+exactly the sequence it would have seen with culling off.  A receiver
+table creates the generators of all its new links in one batch
+(:meth:`~repro.util.rng.RngStreams.substreams`); each is the generator
+its link would get alone.
 
 In ``per_frame`` mode a link takes its draws from a block of
 :data:`SHADOWING_BLOCK` values filled by one generator call
@@ -562,6 +565,7 @@ class Channel:
         position = sender.position
         sender_id = sender.radio_id
         link_draws = self._link_draws if self.shadowing_mode == "per_frame" else None
+        new_links = []
         entries = []
         for radio in candidates:
             mean_dbm = mean_rx_dbm(tx_power_dbm, position.distance_to(radio.position))
@@ -575,8 +579,15 @@ class Channel:
             radio_id = radio.radio_id
             draws = None
             if link_draws is not None:
-                draws = link_draws.setdefault((sender_id, radio_id), [])
+                draws = link_draws.get((sender_id, radio_id))
+                if draws is None:
+                    draws = link_draws[sender_id, radio_id] = []
+                    new_links.append(radio_id)
             entries.append((radio_id, dbm_to_mw(mean_dbm), draws))
+        if new_links:
+            # Every new link is filled by the frame this table is built for,
+            # so seeding their generators here, in one batch, changes no draw.
+            self._rngs.substreams(("shadowing", self.band, sender_id), new_links)
         table = self._tables[sender_id] = _ReceiverTable(entries, culled, skipped)
         return table
 
@@ -629,8 +640,10 @@ class Channel:
 
         As linear ratios, so a frame's power is ``mean_mw *
         db_to_ratio(offset)``: one multiply per frame instead of a ``10 **``
-        of the recomposed dB sum.  The link's generator is created at its
-        first fill.
+        of the recomposed dB sum.  The link's generator was created just
+        before its first fill, by the first receiver table that held the
+        link, in one batch with that table's other new links
+        (:meth:`~repro.util.rng.RngStreams.substreams`).
         """
         offsets = self.propagation.shadowing_block(self._link_rng(key), SHADOWING_BLOCK)
         # Reversed, so that pop() takes them in stream order.

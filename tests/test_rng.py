@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.util.rng import RngStreams, derive_seed
+from repro.util.rng import RngStreams, derive_seed, seed_sequence_words
 
 
 class TestRngStreams:
@@ -101,3 +102,51 @@ class TestSeeding:
             entropy = [seed] + [ord(c) for c in name] + list(keys)
             expected = np.random.default_rng(np.random.SeedSequence(entropy))
             assert _draws(rngs.stream(name, *keys)) == _draws(expected)
+
+
+#: Seeds where numpy's entropy changes shape (one word, two words) and the
+#: ends of the 63-bit range substream seeds come from.
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1)
+_seed = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**63 - 1))
+#: Key heads of the kinds the simulator batches or makes one at a time.
+_HEADS = (("shadowing", 0, 3), ("shadowing", 1, 3), ("shadowing", 0, 2**40),
+          ("locerr",), ("fault", "beacon_loss"))
+_batch = st.tuples(
+    st.sampled_from(_HEADS),
+    st.lists(st.one_of(st.integers(0, 40), st.integers(0, 2**63)), min_size=1, max_size=12),
+)
+
+
+class TestBatchSeeding:
+    @given(seeds=st.lists(_seed, min_size=1, max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_words_are_seed_sequence_state(self, seeds):
+        words = seed_sequence_words(seeds)
+        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+        assert words.flags.c_contiguous
+        for seed, row in zip(seeds, words):
+            expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert row.tolist() == expected.tolist(), seed
+
+    @given(root=_seed, singles=st.lists(_batch, max_size=2),
+           batches=st.lists(_batch, min_size=1, max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_batches_draw_what_single_substreams_draw(self, root, singles, batches):
+        # Some keys exist before the batches (made one at a time), batches
+        # repeat and share keys, and every key is checked against a fresh
+        # family making it alone and against default_rng of its seed.
+        rngs = RngStreams(root)
+        for head, lasts in singles:
+            rngs.substream(*head, lasts[0])
+        for head, lasts in batches:
+            made = rngs.substreams(head, lasts)
+            assert [id(gen) for gen in made] == [
+                id(rngs.substream(*head, last)) for last in lasts
+            ]
+        keys = {head + (last,) for head, lasts in batches for last in lasts}
+        keys |= {head + (lasts[0],) for head, lasts in singles}
+        assert keys <= set(rngs.known_streams())
+        for key in keys:
+            expected = np.random.default_rng(derive_seed(root, *key))
+            alone = RngStreams(root).substream(*key)
+            assert _draws(rngs.substream(*key)) == _draws(alone) == _draws(expected), key
